@@ -28,7 +28,7 @@ from .radial import (BesovProfile, ModeSpectrum, OuterPolicy, RadialGrid,
                      assemble_radial_operator, besov_from_modes, besov_norms,
                      line_grid, mode_spectrum, smooth_bump, uniform_grid,
                      weighted_norm)
-from .solver import (EigenScanResult, ResolventSolution, eigen_scan,
+from .solver import (EigenScanResult, Resolvent, ResolventSolution, eigen_scan,
                      eigen_scan_tridiag, resolve, resolve_outgoing)
 from .models import (Model, euclidean_model, exp_model, free_model,
                      hyperbolic_model, multiend_model, power_model,

@@ -45,10 +45,10 @@ import numpy as np
 from .errors import ContractError
 from .geometry import geometry_at
 from .models import Model
-from .phase import grid_phase, phase_a, r_lambda
+from .phase import _central_derivative, grid_phase, phase_a, r_lambda
 from .radial import (BesovProfile, OuterPolicy, RadialGrid, besov_from_modes,
                      l2_norm, smooth_bump, weighted_norm)
-from .solver import resolve
+from .solver import Resolvent, outgoing_modes, resolve
 from .tableio import write_csv
 
 
@@ -159,44 +159,22 @@ def shift_r_max(gamma_min: float, base: float = 64.0, guard: float = 8.0) -> flo
     return 2.0 ** math.ceil(math.log2(need))
 
 
-def _model_grid(model: Model, r_max: float, h: float) -> RadialGrid:
-    return model.make_grid(r_max, h)
+def _mode_operators(model: Model, grid: RadialGrid, modes, z: complex):
+    """One operator per mode, assembled at z.  Its potential diagonal is the
+    mode's only evaluation on this grid; other z reuse it through
+    ``RadialOperator.shifted``."""
+    return {mu: model.operator(mu, grid, z) for mu, _ in modes}
 
 
-def _solve_modes(model: Model, grid: RadialGrid, z: complex, psi_vals,
-                 modes, policy=None, allow_unabsorbed=False):
-    out = {}
-    for mu, _ in modes:
-        op = model.operator(mu, grid, z, policy)
-        sol = resolve(op, psi_vals, allow_unabsorbed=allow_unabsorbed)
-        out[mu] = sol.phi
-    return out
-
-
-def _outgoing_modes(model: Model, grid: RadialGrid, lam: float, sign: int,
-                    psi_vals, modes):
-    ph = phase_a(model.profile, model.potential, complex(lam), sign, grid,
-                 cutoffs=model.cutoffs, lambda0=model.lambda0())
-    a_end = complex(grid_phase(ph.a[-1], grid.h))
-    out = {}
-    for mu, _ in modes:
-        op = model.operator(mu, grid, complex(lam),
-                            OuterPolicy.outgoing(a_end, sign))
-        out[mu] = resolve(op, psi_vals).phi
-    return out, ph
-
-
-def _ddr(u, h):
-    d = np.empty_like(u)
-    d[1:-1] = (u[2:] - u[:-2]) / (2.0 * h)
-    d[0] = (-3.0 * u[0] + 4.0 * u[1] - u[2]) / (2.0 * h)
-    d[-1] = (3.0 * u[-1] - 4.0 * u[-2] + u[-3]) / (2.0 * h)
-    return d
+def _solve_modes(ops, z: complex, psi_vals, policy=None, allow_unabsorbed=False):
+    return {mu: resolve(op.shifted(z, policy), psi_vals,
+                        allow_unabsorbed=allow_unabsorbed).phi
+            for mu, op in ops.items()}
 
 
 def _apply_A(model: Model, grid: RadialGrid, u):
     """A on reduced functions: -i d/dr (warped), -i (r' d/dx + r''/2) (line)."""
-    du = _ddr(u, grid.h)
+    du = _central_derivative(u, grid.h)
     if model.kind == "line":
         r1 = np.asarray(model.line.dr_of_x(grid.nodes), dtype=float)
         r2 = np.asarray(model.line.d2r_of_x(grid.nodes), dtype=float)
@@ -224,7 +202,7 @@ def _radiation_transform(model, grid, a_disc, sign_a, weight=None):
 
 def _apply_pr(model: Model, grid: RadialGrid, u):
     """p^r phi in the reduced representation (flattening keeps </>=  norms)."""
-    du = _ddr(u, grid.h)
+    du = _central_derivative(u, grid.h)
     if model.kind == "line":
         r1 = np.asarray(model.line.dr_of_x(grid.nodes), dtype=float)
         return -1j * r1 * du
@@ -252,14 +230,14 @@ def _h_form(model: Model, grid: RadialGrid, solutions, modes, report,
         curv = np.maximum((1.0 - eta) * r2, 0.0)
         for mu, mult in modes:
             u = solutions[mu]
-            du = _ddr(u, grid.h)
+            du = _central_derivative(u, grid.h)
             dens = (curv + 2.0 * C * rr ** (-1.0 - tau)) * np.abs(du) ** 2
             total += mult * float(np.sum(grid.weights * w * dens))
         return total
     pt = geometry_at(model.profile, model.cutoffs, rr)
     for mu, mult in modes:
         u = solutions[mu]
-        du = _ddr(u, grid.h)
+        du = _central_derivative(u, grid.h)
         mode_dens = (mu / pt.f) * np.abs(u) ** 2
         dens = pt.ell_coeff * mode_dens \
             + 2.0 * C * rr ** (-1.0 - tau) * (np.abs(du) ** 2 + mode_dens)
@@ -324,7 +302,7 @@ def lap_sweep(model: Model, lam: float, gammas, psi: Bump | None = None,
         raise ContractError("every Gamma must lie in (0, 1)")
     report = model.conditions()
     r_max = shift_r_max(gammas[0], base=base_r_max)
-    grid = _model_grid(model, r_max, h)
+    grid = model.make_grid(r_max, h)
     psi = psi or Bump()
     psi_vals = psi.normalized(grid)
     modes = model.modes(mode_cap)
@@ -333,12 +311,13 @@ def lap_sweep(model: Model, lam: float, gammas, psi: Bump | None = None,
               else model.potential.V)
     vvals = np.asarray(v_of_r(grid.nodes), dtype=float)
 
+    ops = _mode_operators(model, grid, modes, complex(lam, gammas[0]))
+
     rows = []
     for g in gammas:
         z = complex(lam, g)
         unreliable = g * (grid.r_max - 1.0) < 8.0
-        sols = _solve_modes(model, grid, z, psi_vals, modes,
-                            allow_unabsorbed=True)
+        sols = _solve_modes(ops, z, psi_vals, allow_unabsorbed=True)
         phi_bstar = _mode_besov(grid, sols, modes).bstar
         pr_bstar = _mode_besov(grid, sols, modes,
                                transform=lambda mu, u: _apply_pr(model, grid, u)).bstar
@@ -395,13 +374,14 @@ def radiation_sweep(model: Model, lam: float, gammas, betas,
     if any(b < 0 for b in betas):
         raise ContractError("beta must be >= 0")
     report = model.conditions()
-    grid = _model_grid(model, base_r_max, h)
+    grid = model.make_grid(base_r_max, h)
     psi = psi or Bump()
     psi_vals = psi.normalized(grid)
     modes = model.modes(mode_cap)
     r_lam = r_lambda(model.profile, model.potential, lam, lambda0=lam0)
     nu_far = int(math.ceil(math.log2(max(r_lam, 2.0 * psi.b))))
     rr = grid.radii
+    ops = _mode_operators(model, grid, modes, complex(lam, gammas[0]))
 
     rows = []
     for g in gammas:
@@ -409,7 +389,7 @@ def radiation_sweep(model: Model, lam: float, gammas, betas,
         ph = phase_a(model.profile, model.potential, z, sign, grid,
                      cutoffs=model.cutoffs, r_lam=r_lam)
         policy = OuterPolicy.outgoing(complex(grid_phase(ph.a[-1], grid.h)), sign)
-        sols = _solve_modes(model, grid, z, psi_vals, modes, policy=policy)
+        sols = _solve_modes(ops, z, psi_vals, policy=policy)
         a_disc = grid_phase(ph.a, grid.h)
         wrong = _mode_besov(
             grid, sols, modes,
@@ -478,6 +458,28 @@ def probe_set(grid: RadialGrid, n_probes: int, seed: int, nu_span=(0, 6)):
     return probes
 
 
+def _probe_diff(ops, modes, z1, z2, probes, denoms, grid, s) -> float:
+    """max over probes of ||R(z1) psi - R(z2) psi||_{H_-s} / ||psi||_{H_s}.
+
+    Both resolvents of every mode are factored once and applied to the
+    probes one at a time: solving the probes as columns of one system would
+    hold every probe's solution on the whole grid at once.  The factors are
+    released on return, before the next pair is factored.
+    """
+    pairs = [(mult,
+              Resolvent(ops[mu].shifted(z1), allow_unabsorbed=True),
+              Resolvent(ops[mu].shifted(z2), allow_unabsorbed=True))
+             for mu, mult in modes]
+    diff_norm = 0.0
+    for p, denom in zip(probes, denoms):
+        psi_vals = p.values(grid)
+        num_sq = sum(mult * weighted_norm(r1(psi_vals).phi - r2(psi_vals).phi,
+                                          grid, -s) ** 2
+                     for mult, r1, r2 in pairs)
+        diff_norm = max(diff_norm, math.sqrt(num_sq) / denom)
+    return diff_norm
+
+
 def hoelder_estimate(model: Model, lam: float, s: float, gamma_top: float = 0.064,
                      n_pairs: int = 4, n_probes: int = 8, seed: int = 0,
                      h: float = 0.02, mode_cap: float = 0.5,
@@ -496,25 +498,15 @@ def hoelder_estimate(model: Model, lam: float, s: float, gamma_top: float = 0.06
     report = model.conditions()
     gammas = [gamma_top * 0.25**j for j in range(n_pairs)]
     r_max = shift_r_max(gammas[-1] / 2.0, guard=8.0)
-    grid = _model_grid(model, r_max, h)
+    grid = model.make_grid(r_max, h)
     modes = model.modes(mode_cap)
     probes = probe_set(grid, n_probes, seed)
+    denoms = [weighted_norm(p.values(grid), grid, s) for p in probes]
+    ops = _mode_operators(model, grid, modes, complex(lam, gammas[0]))
 
-    rows = []
-    for g in gammas:
-        diff_norm = 0.0
-        for p in probes:
-            psi_vals = p.values(grid)
-            denom = weighted_norm(psi_vals, grid, s)
-            z1, z2 = complex(lam, g), complex(lam, 0.5 * g)
-            u1 = _solve_modes(model, grid, z1, psi_vals, modes,
-                              allow_unabsorbed=True)
-            u2 = _solve_modes(model, grid, z2, psi_vals, modes,
-                              allow_unabsorbed=True)
-            num_sq = sum(mult * weighted_norm(u1[mu] - u2[mu], grid, -s) ** 2
-                         for mu, mult in modes)
-            diff_norm = max(diff_norm, math.sqrt(num_sq) / denom)
-        rows.append([g, 0.5 * g, diff_norm])
+    rows = [[g, 0.5 * g, _probe_diff(ops, modes, complex(lam, g),
+                                     complex(lam, 0.5 * g), probes, denoms, grid, s)]
+            for g in gammas]
 
     x = np.log([row[0] - row[1] for row in rows])
     y = np.log([row[2] for row in rows])
@@ -547,11 +539,10 @@ def _richardson_gamma(model, grid, lam, gamma_top, psi_vals, modes, grid_w):
     norm); the raw whole-domain difference is dominated by the Gamma-
     dependent absorption tail and says nothing about the window.
     """
-    sols = [
-        _solve_modes(model, grid, complex(lam, gamma_top * f), psi_vals, modes,
-                     allow_unabsorbed=True)
-        for f in (1.0, 0.5, 0.25)
-    ]
+    ops = _mode_operators(model, grid, modes, complex(lam, gamma_top))
+    sols = [_solve_modes(ops, complex(lam, gamma_top * f), psi_vals,
+                         allow_unabsorbed=True)
+            for f in (1.0, 0.5, 0.25)]
     n_w = grid_w.n
     extrap, gaps = {}, []
     for mu, _ in modes:
@@ -580,14 +571,18 @@ def sommerfeld_compare(model: Model, lam: float, psi: Bump | None = None,
     psi = psi or Bump()
     modes = model.modes(mode_cap)
 
-    grid_w = _model_grid(model, window_r_max, h)
+    grid_w = model.make_grid(window_r_max, h)
     psi_w = psi.normalized(grid_w)
-    out_sols, ph = _outgoing_modes(model, grid_w, lam, sign, psi_w, modes)
+    sols, ph = outgoing_modes(
+        lambda mu, policy: model.operator(mu, grid_w, complex(lam), policy),
+        model.profile, model.potential, grid_w, lam, sign, psi_w,
+        [mu for mu, _ in modes], cutoffs=model.cutoffs, lambda0=model.lambda0())
+    out_sols = {mu: sol.phi for mu, sol in sols.items()}
 
     k = math.sqrt(2.0 * (lam - lam0))
     need = 1.0 + 12.0 * k / (2.0 * (gamma_top / 4.0))
     r_big = 2.0 ** math.ceil(math.log2(max(need, 2.0 * window_r_max)))
-    grid_b = _model_grid(model, r_big, h)
+    grid_b = model.make_grid(r_big, h)
     psi_b = psi.normalized(grid_b)
     extrap, gaps = _richardson_gamma(model, grid_b, lam, gamma_top, psi_b,
                                      modes, grid_w)
@@ -668,17 +663,17 @@ def besov_energy_check(model: Model, z: complex, psi: Bump | None = None,
         gammas = [g_top, g_top / math.sqrt(10.0), g_top / 10.0]
     gammas = sorted(float(g) for g in gammas)
     r_max = max(shift_r_max(gammas[0]), 2.0 ** (max(nus) + 2))
-    grid = _model_grid(model, r_max, h)
+    grid = model.make_grid(r_max, h)
     psi = psi or Bump()
     psi_vals = psi.normalized(grid)
     modes = model.modes(mode_cap)
     psi_bnorm = _mode_besov(grid, {mu: psi_vals for mu, _ in modes}, modes).b
     rr = grid.radii
 
+    ops = _mode_operators(model, grid, modes, complex(lam, gammas[0]))
     states = {}
     for g in gammas:
-        sols = _solve_modes(model, grid, complex(lam, g), psi_vals, modes,
-                            allow_unabsorbed=True)
+        sols = _solve_modes(ops, complex(lam, g), psi_vals, allow_unabsorbed=True)
         a_sols = {mu: _apply_A(model, grid, u) for mu, u in sols.items()}
         states[g] = (sols, a_sols,
                      _mode_besov(grid, sols, modes).bstar,

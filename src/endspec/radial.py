@@ -12,6 +12,13 @@ outgoing relation phi' = +- i a phi realized through ghost-point
 elimination, which keeps the matrix tridiagonal and complex symmetric and
 is second-order accurate.
 
+A discretized operator stores only the real potential diagonal
+q_geom + mu/(2f) + V, evaluated once per (mu, grid); the spectral parameter
+z enters as a shift of that diagonal, so moving to another z
+(``RadialOperator.shifted``) re-evaluates no geometry.  The off-diagonals
+are the constant -1/(2h^2), and the complex diagonals are derived on
+access.  Factoring and solving live in ``solver.Resolvent``.
+
 Besov norms are computed from the dyadic annuli R_nu = 2^nu:
 
     ||phi||_B  = sum_nu R_nu^{1/2} ||F_nu phi||,
@@ -25,7 +32,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -205,10 +212,13 @@ class RadialOperator:
     """Tridiagonal discretization of h_mu - z on the interior unknowns.
 
     Unknowns are grid nodes 1..n-2 (outer Dirichlet) or 1..n-1 (outgoing);
-    the inner wall at node 0 is always Dirichlet.  ``dl``, ``dd``, ``du`` are
-    the sub-, main and super-diagonals; ``rhs_scale`` multiplies the right
-    hand side row-wise (the outgoing row is halved to keep the matrix
-    complex symmetric).
+    the inner wall at node 0 is always Dirichlet.  Only the real potential
+    diagonal q_geom + mu/(2f) + V (on the full grid) is stored: it does not
+    depend on z, so ``shifted`` moves the operator to another z or outer
+    policy without re-evaluating the geometry.  The sub- and super-diagonals
+    are the constant -1/(2h^2); ``dd``, ``dl``, ``du`` and ``rhs_scale`` are
+    derived on access (the outgoing row is halved, which keeps the matrix
+    complex symmetric, so its right-hand side entry is halved too).
     """
 
     mu: float
@@ -216,20 +226,57 @@ class RadialOperator:
     policy: OuterPolicy
     grid: RadialGrid
     potential_diag: np.ndarray
-    dl: np.ndarray
-    dd: np.ndarray
-    du: np.ndarray
-    rhs_scale: np.ndarray
     first_unknown: int = 1
 
     @property
     def n_unknowns(self) -> int:
-        return self.dd.size
+        return self.grid.n - (2 if self.policy.kind == "dirichlet" else 1)
+
+    @property
+    def off_diag(self) -> float:
+        return -0.5 / (self.grid.h * self.grid.h)
+
+    @property
+    def dd(self) -> np.ndarray:
+        h = self.grid.h
+        w = self.potential_diag
+        dd = (-2.0 * self.off_diag + w[1:1 + self.n_unknowns]) - self.z
+        if self.policy.kind == "outgoing":
+            # ghost-point elimination of the one-sided outgoing relation
+            # (phi_{n} - phi_{n-2})/(2h) = sign * i a phi_{n-1}; the surviving
+            # row is halved so that sub- and super-diagonals stay equal.
+            a, s = self.policy.a, self.policy.sign
+            dd[-1] = 0.5 * ((1.0 - s * 1j * h * a) / (h * h) + w[-1] - self.z)
+        return dd
+
+    @property
+    def dl(self) -> np.ndarray:
+        return np.full(self.n_unknowns - 1, self.off_diag, dtype=complex)
+
+    du = dl
+
+    @property
+    def rhs_scale(self) -> np.ndarray:
+        scale = np.ones(self.n_unknowns)
+        if self.policy.kind == "outgoing":
+            scale[-1] = 0.5
+        return scale
+
+    def shifted(self, z: complex, policy: OuterPolicy | None = None) -> "RadialOperator":
+        """The same h_mu at another z (and outer policy, if given).
+
+        The potential diagonal is shared, not copied; the resolution guard
+        (10 points per wavelength, else ResolutionError) is applied at the
+        new z.
+        """
+        _resolution_guard(self.grid.h, z, min_ppw=10.0, action="error")
+        return replace(self, z=complex(z), policy=policy or self.policy)
 
     def matvec(self, u):
+        off = complex(self.off_diag)
         v = self.dd * u
-        v[1:] += self.dl * u[:-1]
-        v[:-1] += self.du * u[1:]
+        v[1:] += off * u[:-1]
+        v[:-1] += off * u[1:]
         return v
 
     def embed(self, u):
@@ -252,28 +299,6 @@ def _resolution_guard(h: float, z: complex, min_ppw: float, action: str):
         warnings.warn(msg, stacklevel=3)
 
 
-def _tridiag_from_potential(wvals, grid, z, policy):
-    h = grid.h
-    n = grid.n
-    inv2h2 = 0.5 / (h * h)
-    n_unk = n - 2 if policy.kind == "dirichlet" else n - 1
-    idx = 1 + np.arange(n_unk)
-    dd = np.full(n_unk, 2.0 * inv2h2, dtype=complex) + wvals[idx] - z
-    dl = np.full(n_unk - 1, -inv2h2, dtype=complex)
-    du = np.full(n_unk - 1, -inv2h2, dtype=complex)
-    rhs_scale = np.ones(n_unk)
-    if policy.kind == "outgoing":
-        # ghost-point elimination of the one-sided outgoing relation
-        # (phi_{n} - phi_{n-2})/(2h) = sign * i a phi_{n-1}; the surviving row
-        # is halved so that sub- and super-diagonals stay equal.
-        a = policy.a
-        s = policy.sign
-        dd[-1] = 0.5 * ((1.0 - s * 1j * h * a) / (h * h) + wvals[n - 1] - z)
-        dl[-1] = -inv2h2
-        rhs_scale[-1] = 0.5
-    return dl, dd, du, rhs_scale
-
-
 def assemble_radial_operator(profile: WarpProfile, potential: PotentialSplit,
                              mu: float, grid: RadialGrid, z: complex,
                              policy: OuterPolicy | None = None,
@@ -287,17 +312,14 @@ def assemble_radial_operator(profile: WarpProfile, potential: PotentialSplit,
     with fewer than ``min_ppw`` points per wavelength at sqrt(2 |z|)
     (``resolution_action`` = "warn" downgrades this to a warning).
     """
-    if policy is None:
-        policy = OuterPolicy.dirichlet()
     if mu < 0:
         raise ContractError("mode eigenvalue mu must be >= 0")
     _resolution_guard(grid.h, z, min_ppw, resolution_action)
     pt = geometry_at(profile, cutoffs, grid.radii)
     wvals = pt.q_geom + mu / (2.0 * pt.f) + np.asarray(potential.V(grid.radii), dtype=float)
-    dl, dd, du, rhs_scale = _tridiag_from_potential(wvals, grid, z, policy)
-    return RadialOperator(mu=float(mu), z=complex(z), policy=policy, grid=grid,
-                          potential_diag=wvals, dl=dl, dd=dd, du=du,
-                          rhs_scale=rhs_scale)
+    return RadialOperator(mu=float(mu), z=complex(z),
+                          policy=policy or OuterPolicy.dirichlet(), grid=grid,
+                          potential_diag=wvals)
 
 
 def assemble_line_operator(v_of_x: Callable, grid: RadialGrid, z: complex,
@@ -305,14 +327,11 @@ def assemble_line_operator(v_of_x: Callable, grid: RadialGrid, z: complex,
                            min_ppw: float = 10.0,
                            resolution_action: str = "error") -> RadialOperator:
     """Discretize -(1/2) d^2/dx^2 + V(x) - z on a line grid (multi-end models)."""
-    if policy is None:
-        policy = OuterPolicy.dirichlet()
     _resolution_guard(grid.h, z, min_ppw, resolution_action)
     wvals = np.asarray(v_of_x(grid.nodes), dtype=float)
-    dl, dd, du, rhs_scale = _tridiag_from_potential(wvals, grid, z, policy)
-    return RadialOperator(mu=0.0, z=complex(z), policy=policy, grid=grid,
-                          potential_diag=wvals, dl=dl, dd=dd, du=du,
-                          rhs_scale=rhs_scale)
+    return RadialOperator(mu=0.0, z=complex(z),
+                          policy=policy or OuterPolicy.dirichlet(), grid=grid,
+                          potential_diag=wvals)
 
 
 # ---------------------------------------------------------------------------

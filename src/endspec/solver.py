@@ -11,6 +11,12 @@ Two independent outer treatments are kept deliberately:
 Their agreement as Gamma -> 0 is itself an acceptance-level check of the
 outgoing selection rule.
 
+The work is split by what it depends on.  A ``RadialOperator`` holds the
+real potential diagonal, which depends on (mu, grid) only; ``shifted`` moves
+it to another z without touching the geometry.  A ``Resolvent`` LU-factors
+one operator once and solves any number of right-hand sides against the
+factors, verifying each; ``resolve`` is a single such solve.
+
 The eigenvalue scan diagonalizes the Dirichlet-truncated symmetric operator
 on an interval and classifies each eigenpair by the decay of its dyadic
 annulus profile: genuine point spectrum decays, while discretized continuum
@@ -22,7 +28,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal, solve_banded
+# solve_banded is no longer called; the name stays bound because the
+# benchmark tracer (perfbench/spans.py) wraps endspec.solver.solve_banded
+from scipy.linalg import LinAlgError, eigh_tridiagonal, solve_banded  # noqa: F401
+from scipy.linalg.lapack import zgttrf, zgttrs
 
 from .cutoffs import CutoffSpec
 from .errors import (AbsorptionError, BranchError, ConditioningError,
@@ -47,54 +56,107 @@ class ResolventSolution:
     info: dict = field(default_factory=dict)
 
 
-def _solve_tridiag(dl, dd, du, rhs):
-    n = dd.size
-    ab = np.zeros((3, n), dtype=complex)
-    ab[0, 1:] = du
-    ab[1, :] = dd
-    ab[2, :-1] = dl
-    return solve_banded((1, 1), ab, rhs)
+class Resolvent:
+    """(h_mu - z)^{-1} for one operator: factored once, applied per source.
+
+    Construction checks the absorption guard and LU-factors the tridiagonal
+    matrix (LAPACK ``zgttrf``, partial pivoting); each call solves one
+    right-hand side against the held factors (``zgttrs``) and verifies the
+    result: finite values, growth ``||phi|| / ||psi||`` below
+    ``blowup_limit`` and residual by re-multiplication below
+    ``residual_tol``.  A shift solve (Dirichlet outer row, Im z != 0) on a
+    domain with Gamma (R_max - 1) < 8 is refused unless ``allow_unabsorbed``
+    is set, since the reflected wave then contaminates every Gamma-limit
+    experiment.  Only the factors and the operator (whose potential diagonal
+    is shared) are kept, so holding several resolvents costs little memory.
+    """
+
+    def __init__(self, op: RadialOperator, allow_unabsorbed: bool = False,
+                 residual_tol: float = 1e-8, blowup_limit: float = 1e13):
+        gamma = op.z.imag
+        if op.policy.kind == "dirichlet":
+            if gamma == 0.0:
+                raise ContractError("shift solve needs Im z != 0 (or an outgoing policy)")
+            if abs(gamma) * (op.grid.r_max - 1.0) < 8.0 and not allow_unabsorbed:
+                raise AbsorptionError(
+                    f"Gamma*(R_max-1) = {abs(gamma) * (op.grid.r_max - 1.0):.2f} < 8; "
+                    "enlarge the domain or pass allow_unabsorbed=True")
+        dd = op.dd
+        _check_finite(dd)
+        *lu, info = zgttrf(op.dl, dd, op.du,
+                           overwrite_dl=1, overwrite_d=1, overwrite_du=1)
+        if info > 0:
+            raise LinAlgError("singular matrix")
+        self.op = op
+        self.residual_tol = residual_tol
+        self.blowup_limit = blowup_limit
+        self._lu = lu
+
+    def __call__(self, psi) -> ResolventSolution:
+        op = self.op
+        psi = np.asarray(psi, dtype=complex)
+        if psi.size != op.grid.n:
+            raise ContractError("psi must live on the operator's grid")
+        i0 = op.first_unknown
+        rhs = psi[i0:i0 + op.n_unknowns] * op.rhs_scale
+        _check_finite(rhs)
+        u, _ = zgttrs(*self._lu, rhs)
+        if not np.all(np.isfinite(u.view(float))):
+            raise ConditioningError("solver produced non-finite values", estimate=np.inf)
+        scale = float(np.linalg.norm(rhs)) or 1.0
+        growth = float(np.linalg.norm(u)) / scale
+        if growth > self.blowup_limit:
+            raise ConditioningError(
+                f"solution grew by {growth:.2e}: z is within grid resolution of a "
+                "discrete eigenvalue of the truncated problem", estimate=growth)
+        resid = float(np.linalg.norm(op.matvec(u) - rhs)) / scale
+        if resid > self.residual_tol:
+            raise ConditioningError(f"residual {resid:.2e} above {self.residual_tol:.1e}",
+                                    estimate=resid)
+        method = "shift" if op.policy.kind == "dirichlet" else "outgoing"
+        return ResolventSolution(mu=op.mu, z=op.z, method=method, phi=op.embed(u),
+                                 residual=resid, grid=op.grid,
+                                 info={"growth": growth})
+
+
+def _check_finite(a):
+    if not np.all(np.isfinite(a.view(float))):
+        raise ValueError("array must not contain infs or NaNs")
 
 
 def resolve(op: RadialOperator, psi, allow_unabsorbed: bool = False,
             residual_tol: float = 1e-8, blowup_limit: float = 1e13) -> ResolventSolution:
-    """Direct tridiagonal solve of (h_mu - z) phi = psi.
+    """One verified solve of (h_mu - z) phi = psi (see ``Resolvent``)."""
+    return Resolvent(op, allow_unabsorbed=allow_unabsorbed, residual_tol=residual_tol,
+                     blowup_limit=blowup_limit)(psi)
 
-    The residual is verified by re-multiplication.  A shift solve (Dirichlet
-    outer row, Im z != 0) on a domain with Gamma (R_max - 1) < 8 is refused
-    unless ``allow_unabsorbed`` is set, since the reflected wave then
-    contaminates every Gamma-limit experiment.
+
+def outgoing_modes(assemble, profile: WarpProfile, potential: PotentialSplit,
+                   grid: RadialGrid, lam: float, sign: int, psi, mus,
+                   cutoffs: CutoffSpec | None = None,
+                   lambda0: float | None = None,
+                   r_lam: float | None = None):
+    """Solve (h_mu - lambda) phi = psi for each mu in ``mus`` with the
+    outgoing (sign=+1) or incoming (sign=-1) boundary relation
+    phi' = +- i a(R_max) phi.
+
+    The phase a(r) is computed once; ``assemble(mu, policy)`` returns the
+    operator h_mu - lambda closed with ``policy``.  Returns the solutions
+    keyed by mu (each with ``a_end`` and ``r_lambda`` in its info) and the
+    phase.
     """
-    psi = np.asarray(psi, dtype=complex)
-    if psi.size != op.grid.n:
-        raise ContractError("psi must live on the operator's grid")
-    gamma = op.z.imag
-    if op.policy.kind == "dirichlet":
-        if gamma == 0.0:
-            raise ContractError("shift solve needs Im z != 0 (or an outgoing policy)")
-        if abs(gamma) * (op.grid.r_max - 1.0) < 8.0 and not allow_unabsorbed:
-            raise AbsorptionError(
-                f"Gamma*(R_max-1) = {abs(gamma) * (op.grid.r_max - 1.0):.2f} < 8; "
-                "enlarge the domain or pass allow_unabsorbed=True")
-    i0 = op.first_unknown
-    rhs = psi[i0:i0 + op.n_unknowns] * op.rhs_scale
-    u = _solve_tridiag(op.dl, op.dd, op.du, rhs)
-    if not np.all(np.isfinite(u.view(float))):
-        raise ConditioningError("solver produced non-finite values", estimate=np.inf)
-    scale = float(np.linalg.norm(rhs)) or 1.0
-    growth = float(np.linalg.norm(u)) / scale
-    if growth > blowup_limit:
-        raise ConditioningError(
-            f"solution grew by {growth:.2e}: z is within grid resolution of a "
-            "discrete eigenvalue of the truncated problem", estimate=growth)
-    resid = float(np.linalg.norm(op.matvec(u) - rhs)) / scale
-    if resid > residual_tol:
-        raise ConditioningError(f"residual {resid:.2e} above {residual_tol:.1e}",
-                                estimate=resid)
-    method = "shift" if op.policy.kind == "dirichlet" else "outgoing"
-    return ResolventSolution(mu=op.mu, z=op.z, method=method, phi=op.embed(u),
-                             residual=resid, grid=op.grid,
-                             info={"growth": growth})
+    ph = phase_a(profile, potential, complex(lam), sign, grid,
+                 cutoffs=cutoffs, lambda0=lambda0, r_lam=r_lam)
+    a_end = complex(grid_phase(ph.a[-1], grid.h))
+    if not a_end.real > 0.0:
+        raise BranchError(f"phase at the outer edge has Re a = {a_end.real:.3g} <= 0")
+    policy = OuterPolicy.outgoing(a_end, sign)
+    sols = {}
+    for mu in mus:
+        sol = resolve(assemble(mu, policy), psi)
+        sol.info.update(a_end=a_end, r_lambda=ph.r_lambda)
+        sols[mu] = sol
+    return sols, ph
 
 
 def resolve_outgoing(profile: WarpProfile, potential: PotentialSplit, mu: float,
@@ -104,18 +166,12 @@ def resolve_outgoing(profile: WarpProfile, potential: PotentialSplit, mu: float,
                      r_lam: float | None = None) -> ResolventSolution:
     """Solve (h_mu - lambda) phi = psi with the outgoing (sign=+1) or
     incoming (sign=-1) boundary relation phi' = +- i a(R_max) phi."""
-    ph = phase_a(profile, potential, complex(lam), sign, grid,
-                 cutoffs=cutoffs, lambda0=lambda0, r_lam=r_lam)
-    a_end = complex(grid_phase(ph.a[-1], grid.h))
-    if not a_end.real > 0.0:
-        raise BranchError(f"phase at the outer edge has Re a = {a_end.real:.3g} <= 0")
-    op = assemble_radial_operator(profile, potential, mu, grid, complex(lam),
-                                  policy=OuterPolicy.outgoing(a_end, sign),
-                                  cutoffs=cutoffs)
-    sol = resolve(op, psi)
-    sol.info["a_end"] = a_end
-    sol.info["r_lambda"] = ph.r_lambda
-    return sol
+    def assemble(m, policy):
+        return assemble_radial_operator(profile, potential, m, grid, complex(lam),
+                                        policy=policy, cutoffs=cutoffs)
+    sols, _ = outgoing_modes(assemble, profile, potential, grid, lam, sign, psi,
+                             [mu], cutoffs=cutoffs, lambda0=lambda0, r_lam=r_lam)
+    return sols[mu]
 
 
 # ---------------------------------------------------------------------------
@@ -153,7 +209,7 @@ def _dirichlet_tridiag(profile, potential, mu, grid, cutoffs):
     op = assemble_radial_operator(profile, potential, mu, grid, 0.0,
                                   policy=OuterPolicy.dirichlet(), cutoffs=cutoffs,
                                   resolution_action="warn")
-    return op.dd.real.copy(), op.dl.real.copy()
+    return op.dd.real, op.dl.real
 
 
 def _eig_interval(dd, dl, interval):

@@ -19,7 +19,7 @@ def fmt(value) -> str:
     if isinstance(value, float):
         return repr(value)
     if isinstance(value, complex):
-        return f"{value.real!r}{value.imag:+}j".replace("+", "+").replace("j", "j")
+        return f"{value.real!r}{value.imag:+}j"
     return str(value)
 
 

@@ -198,3 +198,19 @@ def test_besov_profile_csv(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[-1].count(",") == 2  # nu, R_nu, annulus norm
     assert any(line.startswith("# b_norm:") for line in lines)
+
+
+def test_shifted_operator_shares_diagonal_and_matches_assembly():
+    prof = power_profile(2.0, 3)
+    pot = geometric_split(prof)
+    grid = uniform_grid(32.0, 0.05)
+    op = assemble_radial_operator(prof, pot, 2.0, grid, 1.0 + 0.5j)
+    for z, policy in ((0.5 + 0.1j, None), (2.0 + 0.0j, OuterPolicy.outgoing(2.0, -1))):
+        moved = op.shifted(z, policy)
+        fresh = assemble_radial_operator(prof, pot, 2.0, grid, z, policy)
+        assert moved.potential_diag is op.potential_diag
+        assert moved.policy == fresh.policy
+        np.testing.assert_array_equal(moved.dd, fresh.dd)
+        np.testing.assert_array_equal(moved.rhs_scale, fresh.rhs_scale)
+    with pytest.raises(ResolutionError):
+        op.shifted(2000.0 + 0.1j)

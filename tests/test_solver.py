@@ -1,12 +1,16 @@
 import numpy as np
 import pytest
+from scipy.linalg import LinAlgError
 
+import endspec.radial
 from endspec.errors import (AbsorptionError, ConditioningError, ContractError)
+from endspec.experiments import hoelder_estimate
 from endspec.geometry import const_profile
-from endspec.models import free_model, multiend_model, square_well_model
-from endspec.radial import (OuterPolicy, l2_norm,
+from endspec.models import (euclidean_model, free_model, multiend_model,
+                            square_well_model)
+from endspec.radial import (OuterPolicy, RadialOperator, l2_norm,
                             smooth_bump, uniform_grid)
-from endspec.solver import (eigen_scan, eigen_scan_tridiag, resolve,
+from endspec.solver import (Resolvent, eigen_scan, eigen_scan_tridiag, resolve,
                             resolve_outgoing)
 
 from oracles import free_kernel_wronskian, free_resolvent, well_bound_states
@@ -184,3 +188,82 @@ def test_multiend_scan_continuous_spectrum_only():
                               thresholds=m.thresholds, lambda0=0.0)
     keep = [e for e in scan.entries if not e.near_threshold]
     assert keep and all(e.artifact for e in keep)
+
+
+# --- factor once, solve many ----------------------------------------------------
+
+@pytest.mark.parametrize("policy", [None, OuterPolicy.outgoing(np.sqrt(2.0), +1)])
+def test_resolvent_reuse_matches_fresh_solves(policy):
+    m = free_model()
+    grid = uniform_grid(64.0, 0.02)
+    z = 1.0 + 0.2j
+    op = m.operator(0.0, grid, z, policy)
+    res = Resolvent(op)
+    for a, b in ((2.0, 3.0), (5.0, 7.5), (20.0, 31.0), (2.0, 3.0)):
+        psi = smooth_bump(grid.radii, a, b).astype(complex)
+        got = res(psi)
+        ref = resolve(m.operator(0.0, grid, z, policy), psi)
+        assert np.array_equal(got.phi, ref.phi)
+        assert got.residual == ref.residual
+        assert got.info == ref.info
+        assert got.method == ref.method
+
+
+def test_resolvent_guards_on_reuse():
+    m = free_model()
+    grid = uniform_grid(32.0, 0.02)
+    psi = smooth_bump(grid.radii, 2.0, 3.0).astype(complex)
+    with pytest.raises(AbsorptionError):
+        Resolvent(m.operator(0.0, grid, 1.0 + 0.01j))
+    res = Resolvent(m.operator(0.0, grid, 1.0 + 0.01j), allow_unabsorbed=True)
+    res(psi)
+    bad = psi.copy()
+    bad[grid.n // 2] = np.nan
+    with pytest.raises(ValueError):
+        res(bad)
+    bad[grid.n // 2] = np.inf
+    with np.errstate(invalid="ignore"), pytest.raises(ValueError):
+        res(bad)
+    with pytest.raises(ContractError):
+        res(psi[:-1])
+    res(psi)  # a refused source leaves the factors usable
+
+    # z on a Dirichlet eigenvalue of the truncated problem, every source
+    w = square_well_model()
+    grid = uniform_grid(32.0, 0.01)
+    lam = eigen_scan(w.profile, w.potential, 0.0, grid, (-5.0, -0.5),
+                     refine=False).entries[0].eigenvalue
+    res = Resolvent(w.operator(0.0, grid, complex(lam, 1e-15)), allow_unabsorbed=True)
+    for a, b in ((1.2, 1.8), (1.1, 1.9)):
+        with pytest.raises(ConditioningError):
+            res(smooth_bump(grid.radii, a, b).astype(complex))
+
+
+def test_resolvent_singular_matrix():
+    # diagonal [1, 3/4, 1/2] (the last is the halved outgoing row) with
+    # off-diagonals -1/2: the pivots 1, 1/2, 0 are exact, the matrix singular
+    grid = uniform_grid(4.0, 1.0)
+    op = RadialOperator(mu=0.0, z=0j, policy=OuterPolicy.outgoing(0.0), grid=grid,
+                        potential_diag=np.array([0.0, 0.0, -0.25, 0.0]))
+    np.testing.assert_array_equal(op.dd, [1.0, 0.75, 0.5])
+    with pytest.raises(LinAlgError):
+        Resolvent(op)
+
+
+def test_hoelder_evaluates_geometry_once_per_mode_and_grid(monkeypatch):
+    calls = []
+    original = endspec.radial.geometry_at
+
+    def counting(profile, cutoffs, r):
+        calls.append(r.size)
+        return original(profile, cutoffs, r)
+
+    monkeypatch.setattr(endspec.radial, "geometry_at", counting)
+    m = euclidean_model(3)
+    modes = m.modes(2.5)
+    assert len(modes) == 2
+    table = hoelder_estimate(m, 1.0, 1.0, gamma_top=0.256, n_pairs=2,
+                             n_probes=3, h=0.05, mode_cap=2.5)
+    assert len(table.rows) == 2
+    assert len(calls) == len(modes)
+    assert len(set(calls)) == 1
