@@ -10,6 +10,8 @@ Hoelder continuity and outgoing-uniqueness comparisons.
 
 __version__ = "0.1.0"
 
+import importlib
+
 from .cutoffs import CutoffSpec
 from .geometry import (CriticalEnergy, GeometryPoint, PotentialSplit,
                        WarpProfile, const_profile, critical_energy,
@@ -37,4 +39,13 @@ from .experiments import (Bump, ComparisonReport, SweepTable, WeightSpec,
                           besov_energy_check, hoelder_estimate, lap_sweep,
                           radiation_sweep, sommerfeld_compare)
 from .config import RunConfig, parse_config
-from .cli import run
+
+
+def __getattr__(name):
+    # ``cli`` and ``run`` load on first use: importing the CLI module while
+    # the package initialises makes ``python -m endspec.cli`` warn that the
+    # module it is about to execute is already in sys.modules
+    if name in ("cli", "run"):
+        cli = importlib.import_module(".cli", __name__)
+        return cli if name == "cli" else cli.run
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

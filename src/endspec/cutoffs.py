@@ -10,7 +10,9 @@ Inside the band (1, 2) we use the quintic smoothstep, which is C^2 at the
 band edges; its value and first three derivatives are available in closed
 form so that derived quantities (eta, the smoothed mean curvature, the
 effective potential and its two derivatives) never need numerical
-differentiation.
+differentiation.  The band is local: on a long radial grid it holds a few
+nodes out of millions, so only the requested order is evaluated, and only
+on the in-band nodes; every other node takes its plateau value.
 
 Derived families, for dyadic scales R_n = 2^n:
 
@@ -29,14 +31,15 @@ import numpy as np
 from .errors import ContractError
 
 
-def _smoothstep(s):
-    """Quintic smoothstep on [0, 1] and its first three derivatives."""
-    s = np.clip(s, 0.0, 1.0)
-    v = s * s * s * (10.0 + s * (-15.0 + 6.0 * s))
-    d1 = 30.0 * s * s * (1.0 + s * (-2.0 + s))
-    d2 = s * (60.0 + s * (-180.0 + 120.0 * s))
-    d3 = 60.0 + s * (-360.0 + 360.0 * s)
-    return v, d1, d2, d3
+def _smoothstep(s, order: int):
+    """Quintic smoothstep on [0, 1] or its derivative of the given order."""
+    if order == 0:
+        return s * s * s * (10.0 + s * (-15.0 + 6.0 * s))
+    if order == 1:
+        return 30.0 * s * s * (1.0 + s * (-2.0 + s))
+    if order == 2:
+        return s * (60.0 + s * (-180.0 + 120.0 * s))
+    return 60.0 + s * (-360.0 + 360.0 * s)
 
 
 @dataclass(frozen=True)
@@ -57,19 +60,16 @@ class CutoffSpec:
         Outside the band (1, 2) all derivatives vanish; at the band edges the
         third derivative is taken one-sided from inside.
         """
+        if order not in (0, 1, 2, 3):
+            raise ContractError(f"chi derivatives available up to order 3, got {order}")
         t = np.asarray(t, dtype=float)
         inside = (t > 1.0) & (t < 2.0)
-        v, d1, d2, d3 = _smoothstep(np.where(inside, t - 1.0, 0.0))
         if order == 0:
-            out = np.where(t <= 1.0, 1.0, np.where(t >= 2.0, 0.0, 1.0 - v))
-        elif order == 1:
-            out = np.where(inside, -d1, 0.0)
-        elif order == 2:
-            out = np.where(inside, -d2, 0.0)
-        elif order == 3:
-            out = np.where(inside, -d3, 0.0)
+            out = np.where(t >= 2.0, 0.0, 1.0)      # NaN falls on the plateau
+            out[inside] = 1.0 - _smoothstep(t[inside] - 1.0, 0)
         else:
-            raise ContractError(f"chi derivatives available up to order 3, got {order}")
+            out = np.zeros(t.shape)
+            out[inside] = -_smoothstep(t[inside] - 1.0, order)
         return out if out.ndim else float(out)
 
     # -- dyadic family ----------------------------------------------------

@@ -200,17 +200,24 @@ def _radiation_transform(model, grid, a_disc, sign_a, weight=None):
     return transform
 
 
-def _apply_pr(model: Model, grid: RadialGrid, u):
+def _sweep_geometry(model: Model, grid: RadialGrid):
+    """The geometry of a warped model on the grid, taken once per sweep and
+    passed to ``_apply_pr`` and ``_h_form`` (None on line models)."""
+    if model.kind == "line":
+        return None
+    return geometry_at(model.profile, model.cutoffs, grid.radii)
+
+
+def _apply_pr(model: Model, grid: RadialGrid, pt, u):
     """p^r phi in the reduced representation (flattening keeps </>=  norms)."""
     du = _central_derivative(u, grid.h)
     if model.kind == "line":
         r1 = np.asarray(model.line.dr_of_x(grid.nodes), dtype=float)
         return -1j * r1 * du
-    pt = geometry_at(model.profile, model.cutoffs, grid.radii)
     return -1j * (du - 0.5 * pt.delta_r * u)
 
 
-def _h_form(model: Model, grid: RadialGrid, solutions, modes, report,
+def _h_form(model: Model, grid: RadialGrid, pt, solutions, modes, report,
             weight=None, beta: float = 0.0):
     """<p_i* w r^{2 beta} h^{ij} p_j>_phi summed over modes with multiplicities.
 
@@ -234,7 +241,6 @@ def _h_form(model: Model, grid: RadialGrid, solutions, modes, report,
             dens = (curv + 2.0 * C * rr ** (-1.0 - tau)) * np.abs(du) ** 2
             total += mult * float(np.sum(grid.weights * w * dens))
         return total
-    pt = geometry_at(model.profile, model.cutoffs, rr)
     for mu, mult in modes:
         u = solutions[mu]
         du = _central_derivative(u, grid.h)
@@ -312,6 +318,7 @@ def lap_sweep(model: Model, lam: float, gammas, psi: Bump | None = None,
     vvals = np.asarray(v_of_r(grid.nodes), dtype=float)
 
     ops = _mode_operators(model, grid, modes, complex(lam, gammas[0]))
+    pt = _sweep_geometry(model, grid)
 
     rows = []
     for g in gammas:
@@ -320,8 +327,8 @@ def lap_sweep(model: Model, lam: float, gammas, psi: Bump | None = None,
         sols = _solve_modes(ops, z, psi_vals, allow_unabsorbed=True)
         phi_bstar = _mode_besov(grid, sols, modes).bstar
         pr_bstar = _mode_besov(grid, sols, modes,
-                               transform=lambda mu, u: _apply_pr(model, grid, u)).bstar
-        h_form = _h_form(model, grid, sols, modes, report)
+                               transform=lambda mu, u: _apply_pr(model, grid, pt, u)).bstar
+        h_form = _h_form(model, grid, pt, sols, modes, report)
         h0_bstar = _mode_besov(
             grid, sols, modes,
             transform=lambda mu, u: psi_vals + (z - vvals) * u).bstar
@@ -382,6 +389,7 @@ def radiation_sweep(model: Model, lam: float, gammas, betas,
     nu_far = int(math.ceil(math.log2(max(r_lam, 2.0 * psi.b))))
     rr = grid.radii
     ops = _mode_operators(model, grid, modes, complex(lam, gammas[0]))
+    pt = _sweep_geometry(model, grid)
 
     rows = []
     for g in gammas:
@@ -401,7 +409,7 @@ def radiation_sweep(model: Model, lam: float, gammas, betas,
                 transform=_radiation_transform(model, grid, a_disc, +1,
                                                weight=rr**b),
                 nu_min=nu_far).bstar
-            h2b = _h_form(model, grid, sols, modes, report, beta=b)
+            h2b = _h_form(model, grid, pt, sols, modes, report, beta=b)
             psi_bnorm = _mode_besov(
                 grid, {mu: rr**b * psi_vals for mu, _ in modes}, modes).b
             rows.append([g, b, right, math.sqrt(max(h2b, 0.0)), wrong,
@@ -671,6 +679,7 @@ def besov_energy_check(model: Model, z: complex, psi: Bump | None = None,
     rr = grid.radii
 
     ops = _mode_operators(model, grid, modes, complex(lam, gammas[0]))
+    pt = _sweep_geometry(model, grid)
     states = {}
     for g in gammas:
         sols = _solve_modes(ops, complex(lam, g), psi_vals, allow_unabsorbed=True)
@@ -696,7 +705,7 @@ def besov_energy_check(model: Model, z: complex, psi: Bump | None = None,
                                                * (np.abs(u)**2 + np.abs(au)**2)))
                     cut_term += mult * float(np.sum(grid.weights * chi_n**2 * th
                                                     * np.abs(u)**2))
-                lhs += _h_form(model, grid, sols, modes, report, weight=th)
+                lhs += _h_form(model, grid, pt, sols, modes, report, weight=th)
                 rhs = (phi_bstar + a_bstar) * psi_bnorm + cut_term
                 out.append([g, int(nu), n, lhs, rhs,
                             lhs / rhs if rhs > 0.0 else 0.0])

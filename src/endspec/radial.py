@@ -216,9 +216,9 @@ class RadialOperator:
     diagonal q_geom + mu/(2f) + V (on the full grid) is stored: it does not
     depend on z, so ``shifted`` moves the operator to another z or outer
     policy without re-evaluating the geometry.  The sub- and super-diagonals
-    are the constant -1/(2h^2); ``dd``, ``dl``, ``du`` and ``rhs_scale`` are
-    derived on access (the outgoing row is halved, which keeps the matrix
-    complex symmetric, so its right-hand side entry is halved too).
+    are the constant -1/(2h^2); ``dd``, ``dl`` and ``du`` are derived on
+    access.  The outgoing row is halved, which keeps the matrix complex
+    symmetric, so ``rhs`` halves its right-hand side entry too.
     """
 
     mu: float
@@ -255,12 +255,16 @@ class RadialOperator:
 
     du = dl
 
-    @property
-    def rhs_scale(self) -> np.ndarray:
-        scale = np.ones(self.n_unknowns)
+    def rhs(self, psi: np.ndarray) -> np.ndarray:
+        """The source psi (full grid, complex) on the unknowns, scaled like
+        their rows: a view of psi, or a copy whose last entry is halved with
+        the outgoing row."""
+        i0 = self.first_unknown
+        b = psi[i0:i0 + self.n_unknowns]
         if self.policy.kind == "outgoing":
-            scale[-1] = 0.5
-        return scale
+            b = b.copy()
+            b[-1] *= 0.5
+        return b
 
     def shifted(self, z: complex, policy: OuterPolicy | None = None) -> "RadialOperator":
         """The same h_mu at another z (and outer policy, if given).
@@ -273,17 +277,12 @@ class RadialOperator:
         return replace(self, z=complex(z), policy=policy or self.policy)
 
     def matvec(self, u):
+        """(h_mu - z) u on the unknowns, by the plain stencil."""
         off = complex(self.off_diag)
         v = self.dd * u
         v[1:] += off * u[:-1]
         v[:-1] += off * u[1:]
         return v
-
-    def embed(self, u):
-        """Pad the unknown vector back to a full-grid function (walls = 0)."""
-        phi = np.zeros(self.grid.n, dtype=complex)
-        phi[self.first_unknown:self.first_unknown + u.size] = u
-        return phi
 
 
 def _resolution_guard(h: float, z: complex, min_ppw: float, action: str):

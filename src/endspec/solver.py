@@ -15,7 +15,8 @@ The work is split by what it depends on.  A ``RadialOperator`` holds the
 real potential diagonal, which depends on (mu, grid) only; ``shifted`` moves
 it to another z without touching the geometry.  A ``Resolvent`` LU-factors
 one operator once and solves any number of right-hand sides against the
-factors, verifying each; ``resolve`` is a single such solve.
+factors, in place in the returned full-grid array, verifying each with one
+pass over the grid per norm; ``resolve`` is a single such solve.
 
 The eigenvalue scan diagonalizes the Dirichlet-truncated symmetric operator
 on an interval and classifies each eigenpair by the decay of its dyadic
@@ -25,12 +26,14 @@ shows a flat profile together with eigenvalue drift under domain doubling.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 # solve_banded is no longer called; the name stays bound because the
 # benchmark tracer (perfbench/spans.py) wraps endspec.solver.solve_banded
 from scipy.linalg import LinAlgError, eigh_tridiagonal, solve_banded  # noqa: F401
+from scipy.linalg.blas import daxpy
 from scipy.linalg.lapack import zgttrf, zgttrs
 
 from .cutoffs import CutoffSpec
@@ -64,7 +67,19 @@ class Resolvent:
     right-hand side against the held factors (``zgttrs``) and verifies the
     result: finite values, growth ``||phi|| / ||psi||`` below
     ``blowup_limit`` and residual by re-multiplication below
-    ``residual_tol``.  A shift solve (Dirichlet outer row, Im z != 0) on a
+    ``residual_tol``.
+
+    A call passes over the grid as few times as it can: the right-hand side
+    is a view of psi (a copy only for the halved outgoing row), ``zgttrs``
+    overwrites it in place inside the zero-padded full-grid ``phi`` that is
+    returned, and the residual is accumulated in place by BLAS ``daxpy``.
+    ||rhs||, ||u|| and ||r|| are each one contiguous BLAS dot over the
+    float view, and the finite-input (``ValueError``) and finite-output
+    (``ConditioningError``) checks follow from them: a finite sum of
+    squares has only finite terms, so the exact elementwise test runs only
+    when a sum is not finite (finite entries that overflow it pass).
+
+    A shift solve (Dirichlet outer row, Im z != 0) on a
     domain with Gamma (R_max - 1) < 8 is refused unless ``allow_unabsorbed``
     is set, since the reflected wave then contaminates every Gamma-limit
     experiment.  Only the factors and the operator (whose potential diagonal
@@ -94,29 +109,48 @@ class Resolvent:
 
     def __call__(self, psi) -> ResolventSolution:
         op = self.op
-        psi = np.asarray(psi, dtype=complex)
+        psi = np.ascontiguousarray(psi, dtype=complex)
         if psi.size != op.grid.n:
             raise ContractError("psi must live on the operator's grid")
-        i0 = op.first_unknown
-        rhs = psi[i0:i0 + op.n_unknowns] * op.rhs_scale
-        _check_finite(rhs)
-        u, _ = zgttrs(*self._lu, rhs)
-        if not np.all(np.isfinite(u.view(float))):
+        n, i0 = op.n_unknowns, op.first_unknown
+        rhs = op.rhs(psi)
+        rhs_sq = _sum_sq(rhs)
+        if not math.isfinite(rhs_sq):
+            _check_finite(rhs)      # finite entries may still overflow the sum
+        phi = np.zeros(op.grid.n, dtype=complex)
+        u = phi[i0:i0 + n]
+        u[...] = rhs
+        zgttrs(*self._lu, u, overwrite_b=1)
+        u_sq = _sum_sq(u)
+        if not math.isfinite(u_sq) and not np.all(np.isfinite(u.view(float))):
             raise ConditioningError("solver produced non-finite values", estimate=np.inf)
-        scale = float(np.linalg.norm(rhs)) or 1.0
-        growth = float(np.linalg.norm(u)) / scale
+        scale = math.sqrt(rhs_sq) or 1.0
+        growth = math.sqrt(u_sq) / scale
         if growth > self.blowup_limit:
             raise ConditioningError(
                 f"solution grew by {growth:.2e}: z is within grid resolution of a "
                 "discrete eigenvalue of the truncated problem", estimate=growth)
-        resid = float(np.linalg.norm(op.matvec(u) - rhs)) / scale
+        # r = (h_mu - z) u - rhs, accumulated in place on the float views
+        r = op.dd
+        r *= u
+        rv, uv = r.view(float), u.view(float)
+        daxpy(uv, rv, n=2 * (n - 1), a=op.off_diag, offy=2)
+        daxpy(uv, rv, n=2 * (n - 1), a=op.off_diag, offx=2)
+        daxpy(rhs.view(float), rv, a=-1.0)
+        resid = math.sqrt(_sum_sq(r)) / scale
         if resid > self.residual_tol:
             raise ConditioningError(f"residual {resid:.2e} above {self.residual_tol:.1e}",
                                     estimate=resid)
         method = "shift" if op.policy.kind == "dirichlet" else "outgoing"
-        return ResolventSolution(mu=op.mu, z=op.z, method=method, phi=op.embed(u),
+        return ResolventSolution(mu=op.mu, z=op.z, method=method, phi=phi,
                                  residual=resid, grid=op.grid,
                                  info={"growth": growth})
+
+
+def _sum_sq(a) -> float:
+    """sum |a_j|^2 as one contiguous BLAS dot over the float view."""
+    v = a.view(float)
+    return float(v @ v)
 
 
 def _check_finite(a):
@@ -218,6 +252,41 @@ def _eig_interval(dd, dl, interval):
     return vals, vecs
 
 
+def _classify(vals, vecs, vals2, valsh, grid: RadialGrid, interval,
+              flat_slope, drift_tol, thresholds, threshold_window,
+              lambda0) -> EigenScanResult:
+    """Classify each eigenpair of the scan by its annulus profile.
+
+    ``vals2`` are the eigenvalues on the doubled domain (the drift; none
+    gives infinite drift) and ``valsh`` those at h/2, which give the
+    Richardson estimate ``refined`` (None: ``refined`` is the eigenvalue).
+    """
+    entries = []
+    for j, lam in enumerate(vals):
+        phi = np.zeros(grid.n)
+        phi[1:-1] = vecs[:, j]
+        nrm = l2_norm(phi, grid)
+        if nrm > 0:
+            phi = phi / nrm
+        prof = besov_norms(phi, grid)
+        slope = prof.tail_slope(3)
+        slope = 0.0 if slope is None else slope
+        drift = float(np.min(np.abs(vals2 - lam))) if vals2.size else np.inf
+        refined = lam
+        if valsh is not None and valsh.size:
+            lam_h = valsh[np.argmin(np.abs(valsh - lam))]
+            refined = (4.0 * lam_h - lam) / 3.0
+        near = any(abs(lam - t) <= threshold_window for t in thresholds)
+        artifact = (slope > flat_slope) and (drift > 10.0 * drift_tol)
+        entries.append(EigenEntry(eigenvalue=float(lam), refined=float(refined),
+                                  drift=drift, profile=prof,
+                                  profile_slope=float(slope),
+                                  artifact=bool(artifact), near_threshold=near))
+    entries.sort(key=lambda e: e.eigenvalue)
+    return EigenScanResult(interval=interval, entries=tuple(entries),
+                           lambda0=lambda0, grid=grid)
+
+
 def eigen_scan(profile: WarpProfile, potential: PotentialSplit, mu: float,
                grid: RadialGrid, interval, refine: bool = True,
                flat_slope: float = -0.25, drift_tol: float = 1e-6,
@@ -246,37 +315,13 @@ def eigen_scan(profile: WarpProfile, potential: PotentialSplit, mu: float,
     vals2, _ = _eig_interval(dd2, dl2, (lo - pad, hi + pad))
 
     # h-halving for the Richardson refinement
+    valsh = None
     if refine and vals.size:
         gridh = uniform_grid(grid.r_max, 0.5 * grid.h, r_min=grid.radii[0])
         ddh, dlh = _dirichlet_tridiag(profile, potential, mu, gridh, cutoffs)
         valsh, _ = _eig_interval(ddh, dlh, (lo - pad, hi + pad))
-    else:
-        valsh = vals
-
-    entries = []
-    for j, lam in enumerate(vals):
-        phi = np.zeros(grid.n)
-        phi[1:-1] = vecs[:, j]
-        nrm = l2_norm(phi, grid)
-        if nrm > 0:
-            phi = phi / nrm
-        prof = besov_norms(phi, grid)
-        slope = prof.tail_slope(3)
-        slope = 0.0 if slope is None else slope
-        drift = float(np.min(np.abs(vals2 - lam))) if vals2.size else np.inf
-        refined = lam
-        if refine and valsh.size:
-            lam_h = valsh[np.argmin(np.abs(valsh - lam))]
-            refined = (4.0 * lam_h - lam) / 3.0
-        near = any(abs(lam - t) <= threshold_window for t in thresholds)
-        artifact = (slope > flat_slope) and (drift > 10.0 * drift_tol)
-        entries.append(EigenEntry(eigenvalue=float(lam), refined=float(refined),
-                                  drift=drift, profile=prof,
-                                  profile_slope=float(slope),
-                                  artifact=bool(artifact), near_threshold=near))
-    entries.sort(key=lambda e: e.eigenvalue)
-    return EigenScanResult(interval=(lo, hi), entries=tuple(entries),
-                           lambda0=lambda0, grid=grid)
+    return _classify(vals, vecs, vals2, valsh, grid, (lo, hi), flat_slope,
+                     drift_tol, thresholds, threshold_window, lambda0)
 
 
 def eigen_scan_tridiag(dd, dl, grid: RadialGrid, interval,
@@ -297,23 +342,5 @@ def eigen_scan_tridiag(dd, dl, grid: RadialGrid, interval,
                                  (lo - pad, hi + pad))
     else:
         vals2 = np.array([])
-    entries = []
-    for j, lam in enumerate(vals):
-        phi = np.zeros(grid.n)
-        phi[1:-1] = vecs[:, j]
-        nrm = l2_norm(phi, grid)
-        if nrm > 0:
-            phi = phi / nrm
-        prof = besov_norms(phi, grid)
-        slope = prof.tail_slope(3)
-        slope = 0.0 if slope is None else slope
-        drift = float(np.min(np.abs(vals2 - lam))) if vals2.size else np.inf
-        near = any(abs(lam - t) <= threshold_window for t in thresholds)
-        artifact = (slope > flat_slope) and (drift > 10.0 * drift_tol)
-        entries.append(EigenEntry(eigenvalue=float(lam), refined=float(lam),
-                                  drift=drift, profile=prof,
-                                  profile_slope=float(slope),
-                                  artifact=bool(artifact), near_threshold=near))
-    entries.sort(key=lambda e: e.eigenvalue)
-    return EigenScanResult(interval=(lo, hi), entries=tuple(entries),
-                           lambda0=lambda0, grid=grid)
+    return _classify(vals, vecs, vals2, None, grid, (lo, hi), flat_slope,
+                     drift_tol, thresholds, threshold_window, lambda0)

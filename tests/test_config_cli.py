@@ -1,5 +1,11 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import endspec
 from endspec.cli import build_model, run
 from endspec.config import parse_config
 from endspec.errors import ConfigError
@@ -349,3 +355,23 @@ psi_amp = 0.0
 """)
     assert run(cfg, "sommerfeld", out_dir=tmp_path) == 0
     assert "disc=0.0" in capsys.readouterr().out
+
+
+def _run_python(*args):
+    src = str(Path(endspec.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env=env, timeout=120)
+
+
+def test_module_entry_point_runs_without_runpy_warning():
+    proc = _run_python("-m", "endspec.cli", "--help")
+    assert proc.returncode == 0
+    assert "RuntimeWarning" not in proc.stderr
+    # the package loads the CLI on first use, and both names still resolve
+    proc = _run_python("-c", "import sys, endspec; "
+                             "assert 'endspec.cli' not in sys.modules; "
+                             "assert endspec.run is endspec.cli.run; "
+                             "assert callable(endspec.cli.main)")
+    assert proc.returncode == 0, proc.stderr

@@ -63,3 +63,39 @@ def test_chi_mn_in_unit_interval():
 def test_r0_contract():
     with pytest.raises(ContractError):
         CutoffSpec(r0=1.5)
+
+
+def _chi_full_array(t, order):
+    """The transition function evaluated on every node (reference)."""
+    t = np.asarray(t, dtype=float)
+    inside = (t > 1.0) & (t < 2.0)
+    s = np.clip(np.where(inside, t - 1.0, 0.0), 0.0, 1.0)
+    v = s * s * s * (10.0 + s * (-15.0 + 6.0 * s))
+    d = [None,
+         30.0 * s * s * (1.0 + s * (-2.0 + s)),
+         s * (60.0 + s * (-180.0 + 120.0 * s)),
+         60.0 + s * (-360.0 + 360.0 * s)]
+    if order == 0:
+        return np.where(t <= 1.0, 1.0, np.where(t >= 2.0, 0.0, 1.0 - v))
+    return np.where(inside, -d[order], 0.0)
+
+
+def test_chi_band_local_matches_full_array_bit_for_bit():
+    cut = CutoffSpec()
+    t = np.concatenate([np.linspace(-1.0, 1.0, 7), np.linspace(1.0, 2.0, 1001),
+                        np.linspace(2.0, 5.0, 7),
+                        [1.0, 2.0, np.nextafter(1.0, 2.0), np.nextafter(2.0, 1.0),
+                         np.inf, -np.inf, np.nan]])
+    for order in range(4):
+        got = cut.chi(t, order=order)
+        ref = _chi_full_array(t, order)
+        assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
+        two_d = cut.chi(t[:1014].reshape(2, -1), order=order)
+        assert np.array_equal(two_d.ravel().view(np.uint64), ref[:1014].view(np.uint64))
+        for x in (0.5, 1.0, 1.5, 2.0, 3.0, np.inf, -np.inf, np.nan):
+            val = cut.chi(x, order=order)
+            assert type(val) is float
+            assert np.float64(val).view(np.uint64) == _chi_full_array(x, order).view(np.uint64)
+    assert cut.chi(np.nan) == 1.0
+    with pytest.raises(ContractError):
+        cut.chi(t, order=4)

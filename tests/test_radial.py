@@ -211,6 +211,7 @@ def test_shifted_operator_shares_diagonal_and_matches_assembly():
         assert moved.potential_diag is op.potential_diag
         assert moved.policy == fresh.policy
         np.testing.assert_array_equal(moved.dd, fresh.dd)
-        np.testing.assert_array_equal(moved.rhs_scale, fresh.rhs_scale)
+        ones = np.ones(grid.n, dtype=complex)
+        np.testing.assert_array_equal(moved.rhs(ones), fresh.rhs(ones))
     with pytest.raises(ResolutionError):
         op.shifted(2000.0 + 0.1j)

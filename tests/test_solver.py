@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
 from scipy.linalg import LinAlgError
+from scipy.linalg.lapack import zgttrf, zgttrs
 
+import endspec.experiments
 import endspec.radial
+import endspec.solver
 from endspec.errors import (AbsorptionError, ConditioningError, ContractError)
-from endspec.experiments import hoelder_estimate
+from endspec.experiments import hoelder_estimate, lap_sweep
 from endspec.geometry import const_profile
 from endspec.models import (euclidean_model, free_model, multiend_model,
                             square_well_model)
@@ -267,3 +270,100 @@ def test_hoelder_evaluates_geometry_once_per_mode_and_grid(monkeypatch):
     assert len(table.rows) == 2
     assert len(calls) == len(modes)
     assert len(set(calls)) == 1
+
+
+# --- the in-place solve path ------------------------------------------------------
+
+_POLICIES = [None, OuterPolicy.outgoing(np.sqrt(2.0), +1)]
+
+
+def _reference_solve(op, psi):
+    """zgttrs on a scaled copy of the source, then zero-padded to the grid."""
+    lu = zgttrf(op.dl, op.dd, op.du)[:-1]
+    scale = np.ones(op.n_unknowns)
+    if op.policy.kind == "outgoing":
+        scale[-1] = 0.5
+    i0 = op.first_unknown
+    rhs = psi[i0:i0 + op.n_unknowns] * scale
+    u, _ = zgttrs(*lu, rhs)
+    phi = np.zeros(op.grid.n, dtype=complex)
+    phi[i0:i0 + u.size] = u
+    return phi, rhs, u
+
+
+@pytest.mark.parametrize("policy", _POLICIES)
+def test_in_place_solve_matches_reference_recipe(policy):
+    m = free_model()
+    grid = uniform_grid(64.0, 0.02)
+    op = m.operator(0.0, grid, 1.0 + 0.2j, policy)
+    res = Resolvent(op)
+    for a, b in ((2.0, 3.0), (20.0, 63.99)):
+        psi = smooth_bump(grid.radii, a, b).astype(complex)
+        psi_before = psi.copy()
+        sol = res(psi)
+        phi, rhs, u = _reference_solve(op, psi)
+        assert np.array_equal(sol.phi.view(np.uint64), phi.view(np.uint64))
+        assert np.array_equal(psi.view(np.uint64), psi_before.view(np.uint64))
+        scale = np.linalg.norm(rhs)
+        resid = np.linalg.norm(op.matvec(u) - rhs) / scale
+        np.testing.assert_allclose(sol.residual, resid, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(sol.info["growth"], np.linalg.norm(u) / scale,
+                                   rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("policy", _POLICIES)
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.inf)])
+def test_non_finite_source_is_refused(policy, bad):
+    m, grid, psi, op = _free_setup(policy=policy)
+    res = Resolvent(op, allow_unabsorbed=True)
+    for j in (1, grid.n // 2, grid.n - 2):
+        psi_bad = psi.copy()
+        psi_bad[j] = bad
+        with pytest.raises(ValueError):
+            res(psi_bad)
+
+
+def test_huge_finite_source_is_not_refused_as_non_finite():
+    # ||psi||^2 overflows, yet every entry is finite: the exact elementwise
+    # check decides, as it does for every source whose sum is not finite
+    m, grid, psi, op = _free_setup()
+    with np.errstate(over="ignore", invalid="ignore"):
+        Resolvent(op, allow_unabsorbed=True)(1e200 * psi)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_solution_reports_conditioning(monkeypatch, bad):
+    def corrupting(*args, **kwargs):
+        out = zgttrs(*args, **kwargs)
+        out[0][len(out[0]) // 2] = bad
+        return out
+
+    m, grid, psi, op = _free_setup()
+    res = Resolvent(op, allow_unabsorbed=True)
+    monkeypatch.setattr(endspec.solver, "zgttrs", corrupting)
+    with pytest.raises(ConditioningError, match="non-finite"):
+        res(psi)
+
+
+@pytest.mark.parametrize("policy", _POLICIES)
+def test_growth_and_residual_guards_fire(policy):
+    m, grid, psi, op = _free_setup(policy=policy)
+    with pytest.raises(ConditioningError, match="grew"):
+        Resolvent(op, allow_unabsorbed=True, blowup_limit=1e-3)(psi)
+    with pytest.raises(ConditioningError, match="residual"):
+        Resolvent(op, allow_unabsorbed=True, residual_tol=0.0)(psi)
+
+
+@pytest.mark.parametrize("gammas", [[0.5], [0.3, 0.5, 0.8]])
+def test_lap_sweep_evaluates_geometry_once(monkeypatch, gammas):
+    calls = []
+    original = endspec.experiments.geometry_at
+
+    def counting(profile, cutoffs, r):
+        calls.append(r.size)
+        return original(profile, cutoffs, r)
+
+    monkeypatch.setattr(endspec.experiments, "geometry_at", counting)
+    table = lap_sweep(euclidean_model(3), 1.0, gammas, h=0.05, mode_cap=2.5)
+    assert len(table.rows) == len(gammas)
+    assert len(calls) == 1
