@@ -47,7 +47,7 @@ from .geometry import geometry_at
 from .models import Model
 from .phase import _central_derivative, grid_phase, phase_a, r_lambda
 from .radial import (BesovProfile, OuterPolicy, RadialGrid, besov_from_modes,
-                     l2_norm, smooth_bump, weighted_norm)
+                     l2_norm, smooth_bump, weighted_norm, weighted_norm_on)
 from .solver import Resolvent, outgoing_modes, resolve
 from .tableio import write_csv
 
@@ -160,10 +160,19 @@ def shift_r_max(gamma_min: float, base: float = 64.0, guard: float = 8.0) -> flo
 
 
 def _mode_operators(model: Model, grid: RadialGrid, modes, z: complex):
-    """One operator per mode, assembled at z.  Its potential diagonal is the
-    mode's only evaluation on this grid; other z reuse it through
-    ``RadialOperator.shifted``."""
-    return {mu: model.operator(mu, grid, z) for mu, _ in modes}
+    """One operator per mode, assembled at z, and the geometry on the grid.
+
+    On warped models the geometry and the potential are evaluated once on
+    the grid and shared by every mode's potential diagonal; the geometry is
+    returned for ``_apply_pr`` and ``_h_form`` (None on line models).  Other
+    z reuse the diagonals through ``RadialOperator.shifted``.
+    """
+    if model.kind == "line":
+        return {mu: model.operator(mu, grid, z) for mu, _ in modes}, None
+    pt = geometry_at(model.profile, model.cutoffs, grid.radii)
+    background = (pt, model.potential.V(grid.radii))
+    return {mu: model.operator(mu, grid, z, background=background)
+            for mu, _ in modes}, pt
 
 
 def _solve_modes(ops, z: complex, psi_vals, policy=None, allow_unabsorbed=False):
@@ -198,14 +207,6 @@ def _radiation_transform(model, grid, a_disc, sign_a, weight=None):
         v[-1] = 0.0
         return v
     return transform
-
-
-def _sweep_geometry(model: Model, grid: RadialGrid):
-    """The geometry of a warped model on the grid, taken once per sweep and
-    passed to ``_apply_pr`` and ``_h_form`` (None on line models)."""
-    if model.kind == "line":
-        return None
-    return geometry_at(model.profile, model.cutoffs, grid.radii)
 
 
 def _apply_pr(model: Model, grid: RadialGrid, pt, u):
@@ -317,8 +318,7 @@ def lap_sweep(model: Model, lam: float, gammas, psi: Bump | None = None,
               else model.potential.V)
     vvals = np.asarray(v_of_r(grid.nodes), dtype=float)
 
-    ops = _mode_operators(model, grid, modes, complex(lam, gammas[0]))
-    pt = _sweep_geometry(model, grid)
+    ops, pt = _mode_operators(model, grid, modes, complex(lam, gammas[0]))
 
     rows = []
     for g in gammas:
@@ -388,8 +388,7 @@ def radiation_sweep(model: Model, lam: float, gammas, betas,
     r_lam = r_lambda(model.profile, model.potential, lam, lambda0=lam0)
     nu_far = int(math.ceil(math.log2(max(r_lam, 2.0 * psi.b))))
     rr = grid.radii
-    ops = _mode_operators(model, grid, modes, complex(lam, gammas[0]))
-    pt = _sweep_geometry(model, grid)
+    ops, pt = _mode_operators(model, grid, modes, complex(lam, gammas[0]))
 
     rows = []
     for g in gammas:
@@ -466,7 +465,24 @@ def probe_set(grid: RadialGrid, n_probes: int, seed: int, nu_span=(0, 6)):
     return probes
 
 
-def _probe_diff(ops, modes, z1, z2, probes, denoms, grid, s) -> float:
+def _probe_sources(probes, grid: RadialGrid, s: float):
+    """(start, in-support values, ||psi||_{H_s}) of each probe on the grid.
+
+    Only the slice between a probe's first and last nonzero node is kept;
+    ``_probe_diff`` expands it into a zeroed full-grid source per solve, so
+    no full-grid probe is held across the Gamma-ladder.
+    """
+    norm_s = weighted_norm_on(grid, s)
+    sources = []
+    for p in probes:
+        vals = p.values(grid)
+        nz = np.flatnonzero(vals)
+        start, stop = int(nz[0]), int(nz[-1]) + 1
+        sources.append((start, vals[start:stop].copy(), norm_s(vals)))
+    return sources
+
+
+def _probe_diff(ops, modes, z1, z2, sources, grid, norm_minus_s) -> float:
     """max over probes of ||R(z1) psi - R(z2) psi||_{H_-s} / ||psi||_{H_s}.
 
     Both resolvents of every mode are factored once and applied to the
@@ -479,10 +495,10 @@ def _probe_diff(ops, modes, z1, z2, probes, denoms, grid, s) -> float:
               Resolvent(ops[mu].shifted(z2), allow_unabsorbed=True))
              for mu, mult in modes]
     diff_norm = 0.0
-    for p, denom in zip(probes, denoms):
-        psi_vals = p.values(grid)
-        num_sq = sum(mult * weighted_norm(r1(psi_vals).phi - r2(psi_vals).phi,
-                                          grid, -s) ** 2
+    for start, vals, denom in sources:
+        psi_vals = np.zeros(grid.n, dtype=complex)
+        psi_vals[start:start + vals.size] = vals
+        num_sq = sum(mult * norm_minus_s(r1(psi_vals).phi - r2(psi_vals).phi) ** 2
                      for mult, r1, r2 in pairs)
         diff_norm = max(diff_norm, math.sqrt(num_sq) / denom)
     return diff_norm
@@ -508,12 +524,12 @@ def hoelder_estimate(model: Model, lam: float, s: float, gamma_top: float = 0.06
     r_max = shift_r_max(gammas[-1] / 2.0, guard=8.0)
     grid = model.make_grid(r_max, h)
     modes = model.modes(mode_cap)
-    probes = probe_set(grid, n_probes, seed)
-    denoms = [weighted_norm(p.values(grid), grid, s) for p in probes]
-    ops = _mode_operators(model, grid, modes, complex(lam, gammas[0]))
+    sources = _probe_sources(probe_set(grid, n_probes, seed), grid, s)
+    norm_minus_s = weighted_norm_on(grid, -s)
+    ops = _mode_operators(model, grid, modes, complex(lam, gammas[0]))[0]
 
-    rows = [[g, 0.5 * g, _probe_diff(ops, modes, complex(lam, g),
-                                     complex(lam, 0.5 * g), probes, denoms, grid, s)]
+    rows = [[g, 0.5 * g, _probe_diff(ops, modes, complex(lam, g), complex(lam, 0.5 * g),
+                                     sources, grid, norm_minus_s)]
             for g in gammas]
 
     x = np.log([row[0] - row[1] for row in rows])
@@ -547,7 +563,7 @@ def _richardson_gamma(model, grid, lam, gamma_top, psi_vals, modes, grid_w):
     norm); the raw whole-domain difference is dominated by the Gamma-
     dependent absorption tail and says nothing about the window.
     """
-    ops = _mode_operators(model, grid, modes, complex(lam, gamma_top))
+    ops = _mode_operators(model, grid, modes, complex(lam, gamma_top))[0]
     sols = [_solve_modes(ops, complex(lam, gamma_top * f), psi_vals,
                          allow_unabsorbed=True)
             for f in (1.0, 0.5, 0.25)]
@@ -678,8 +694,7 @@ def besov_energy_check(model: Model, z: complex, psi: Bump | None = None,
     psi_bnorm = _mode_besov(grid, {mu: psi_vals for mu, _ in modes}, modes).b
     rr = grid.radii
 
-    ops = _mode_operators(model, grid, modes, complex(lam, gammas[0]))
-    pt = _sweep_geometry(model, grid)
+    ops, pt = _mode_operators(model, grid, modes, complex(lam, gammas[0]))
     states = {}
     for g in gammas:
         sols = _solve_modes(ops, complex(lam, g), psi_vals, allow_unabsorbed=True)

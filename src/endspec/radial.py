@@ -25,7 +25,8 @@ Besov norms are computed from the dyadic annuli R_nu = 2^nu:
     ||phi||_B* = sup_nu R_nu^{-1/2} ||F_nu phi||,
 
 with the decay of the B* profile R_nu^{-1/2}||F_nu phi|| encoding membership
-in the subspace that vanishes at infinity.
+in the subspace that vanishes at infinity.  A grid finds its annuli once;
+each aggregation is then one ``bincount`` over the annulus index per mode.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -53,7 +55,8 @@ class RadialGrid:
 
     ``nodes`` is the integration coordinate (x on line models); ``radii`` the
     escape-function values r >= 1 used for annuli and weights.  For plain
-    half-line grids the two coincide.
+    half-line grids the two coincide.  ``nu`` is the annulus index
+    floor(log2 r) of each node, >= 0 because the radii are clamped to r >= 1.
     """
 
     nodes: np.ndarray
@@ -72,8 +75,15 @@ class RadialGrid:
         return self.nodes.size
 
     def annuli(self):
-        """Sorted array of annulus indices present on the grid."""
-        return np.unique(self.nu)
+        """Sorted array of annulus indices present on the grid (read-only)."""
+        return self._annuli
+
+    @cached_property
+    def _annuli(self):
+        # found once per grid, in O(n): the nonzero bins of a count over nu
+        present = np.flatnonzero(np.bincount(self.nu))
+        present.flags.writeable = False
+        return present
 
 
 def _annulus_index(radii):
@@ -303,19 +313,26 @@ def assemble_radial_operator(profile: WarpProfile, potential: PotentialSplit,
                              policy: OuterPolicy | None = None,
                              cutoffs: CutoffSpec | None = None,
                              min_ppw: float = 10.0,
-                             resolution_action: str = "error") -> RadialOperator:
+                             resolution_action: str = "error",
+                             background: tuple | None = None) -> RadialOperator:
     """Discretize h_mu - z on the grid with the requested outer policy.
 
     Interior rows encode -(phi_{j-1} - 2 phi_j + phi_{j+1}) / (2 h^2)
     + (q_geom + mu/(2 f) + V - z) phi_j.  A resolution guard rejects grids
     with fewer than ``min_ppw`` points per wavelength at sqrt(2 |z|)
     (``resolution_action`` = "warn" downgrades this to a warning).
+
+    Only mu/(2f) depends on the mode: ``background`` = (GeometryPoint, V)
+    already evaluated on ``grid.radii`` lets the modes of one grid share a
+    single evaluation (None evaluates both here).
     """
     if mu < 0:
         raise ContractError("mode eigenvalue mu must be >= 0")
     _resolution_guard(grid.h, z, min_ppw, resolution_action)
-    pt = geometry_at(profile, cutoffs, grid.radii)
-    wvals = pt.q_geom + mu / (2.0 * pt.f) + np.asarray(potential.V(grid.radii), dtype=float)
+    if background is None:
+        background = (geometry_at(profile, cutoffs, grid.radii), potential.V(grid.radii))
+    pt, v = background
+    wvals = pt.q_geom + mu / (2.0 * pt.f) + np.asarray(v, dtype=float)
     return RadialOperator(mu=float(mu), z=complex(z),
                           policy=policy or OuterPolicy.dirichlet(), grid=grid,
                           potential_diag=wvals)
@@ -400,28 +417,41 @@ def besov_norms(phi, grid: RadialGrid) -> BesovProfile:
 
 
 def besov_from_modes(mode_functions: Sequence, grid: RadialGrid) -> BesovProfile:
-    """Aggregate annulus norms over (function, multiplicity) pairs."""
+    """Aggregate annulus norms over (function, multiplicity) pairs.
+
+    Per mode the quadrature density is summed into one bin per annulus index
+    (``bincount`` over ``grid.nu``, each bin in node order) and the bins of
+    the annuli present on the grid are kept.
+    """
     nus = grid.annuli()
     sq = np.zeros(nus.size)
     for phi, mult in mode_functions:
         dens = grid.weights * np.abs(np.asarray(phi)) ** 2
-        sq += mult * np.bincount(np.searchsorted(nus, grid.nu),
-                                 weights=dens, minlength=nus.size)
+        sq += mult * np.bincount(grid.nu, weights=dens)[nus]
     return BesovProfile.from_squares(nus, sq, grid.partial_outer)
 
 
 def weighted_norm(phi, grid: RadialGrid, s: float) -> float:
     """|| r^s phi || by quadrature; evaluated in log space when r^s overflows."""
-    phi = np.asarray(phi)
+    return weighted_norm_on(grid, s)(phi)
+
+
+def weighted_norm_on(grid: RadialGrid, s: float) -> Callable:
+    """phi -> || r^s phi || on ``grid`` (``weighted_norm``), with the
+    quadrature weights w r^(2s) evaluated once for every phi it is applied
+    to.  Where r^s overflows each call works in log space instead."""
     if abs(s) * math.log(max(grid.r_max, 2.0)) < 300.0:
-        return float(np.sqrt(np.sum(grid.weights * grid.radii ** (2.0 * s)
-                                    * np.abs(phi) ** 2)))
-    mag2 = grid.weights * np.abs(phi) ** 2
-    mask = mag2 > 0.0
-    if not np.any(mask):
-        return 0.0
-    logs = 2.0 * s * np.log(grid.radii[mask]) + np.log(mag2[mask])
-    return float(np.exp(0.5 * logsumexp(logs)))
+        wts = grid.weights * grid.radii ** (2.0 * s)
+        return lambda phi: float(np.sqrt(np.sum(wts * np.abs(np.asarray(phi)) ** 2)))
+
+    def log_space(phi):
+        mag2 = grid.weights * np.abs(np.asarray(phi)) ** 2
+        mask = mag2 > 0.0
+        if not np.any(mask):
+            return 0.0
+        logs = 2.0 * s * np.log(grid.radii[mask]) + np.log(mag2[mask])
+        return float(np.exp(0.5 * logsumexp(logs)))
+    return log_space
 
 
 def l2_norm(phi, grid: RadialGrid) -> float:

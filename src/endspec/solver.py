@@ -22,6 +22,8 @@ The eigenvalue scan diagonalizes the Dirichlet-truncated symmetric operator
 on an interval and classifies each eigenpair by the decay of its dyadic
 annulus profile: genuine point spectrum decays, while discretized continuum
 shows a flat profile together with eigenvalue drift under domain doubling.
+Only the base scan needs eigenvectors; the companion scans (doubled domain,
+h/2) compute eigenvalues only, by the same bisection (LAPACK ``stebz``).
 """
 
 from __future__ import annotations
@@ -65,9 +67,9 @@ class Resolvent:
     Construction checks the absorption guard and LU-factors the tridiagonal
     matrix (LAPACK ``zgttrf``, partial pivoting); each call solves one
     right-hand side against the held factors (``zgttrs``) and verifies the
-    result: finite values, growth ``||phi|| / ||psi||`` below
-    ``blowup_limit`` and residual by re-multiplication below
-    ``residual_tol``.
+    result: finite values, growth ``||phi|| / ||psi||`` at most
+    ``blowup_limit`` and residual by re-multiplication at most
+    ``residual_tol`` (a NaN growth or residual fails both).
 
     A call passes over the grid as few times as it can: the right-hand side
     is a view of psi (a copy only for the halved outgoing row), ``zgttrs``
@@ -77,7 +79,9 @@ class Resolvent:
     float view, and the finite-input (``ValueError``) and finite-output
     (``ConditioningError``) checks follow from them: a finite sum of
     squares has only finite terms, so the exact elementwise test runs only
-    when a sum is not finite (finite entries that overflow it pass).
+    when a sum is not finite.  Finite entries that overflow ||rhs||^2 pass;
+    the three norms are then all taken of the arrays divided by max |rhs|,
+    which leaves growth and residual unchanged but finite.
 
     A shift solve (Dirichlet outer row, Im z != 0) on a
     domain with Gamma (R_max - 1) < 8 is refused unless ``allow_unabsorbed``
@@ -115,8 +119,11 @@ class Resolvent:
         n, i0 = op.n_unknowns, op.first_unknown
         rhs = op.rhs(psi)
         rhs_sq = _sum_sq(rhs)
+        unit = 1.0                  # common divisor of the three norms
         if not math.isfinite(rhs_sq):
             _check_finite(rhs)      # finite entries may still overflow the sum
+            unit = float(np.max(np.abs(rhs.view(float))))
+            rhs_sq = _sum_sq(rhs, unit)
         phi = np.zeros(op.grid.n, dtype=complex)
         u = phi[i0:i0 + n]
         u[...] = rhs
@@ -124,9 +131,11 @@ class Resolvent:
         u_sq = _sum_sq(u)
         if not math.isfinite(u_sq) and not np.all(np.isfinite(u.view(float))):
             raise ConditioningError("solver produced non-finite values", estimate=np.inf)
+        if unit != 1.0:
+            u_sq = _sum_sq(u, unit)
         scale = math.sqrt(rhs_sq) or 1.0
         growth = math.sqrt(u_sq) / scale
-        if growth > self.blowup_limit:
+        if not growth <= self.blowup_limit:
             raise ConditioningError(
                 f"solution grew by {growth:.2e}: z is within grid resolution of a "
                 "discrete eigenvalue of the truncated problem", estimate=growth)
@@ -137,8 +146,8 @@ class Resolvent:
         daxpy(uv, rv, n=2 * (n - 1), a=op.off_diag, offy=2)
         daxpy(uv, rv, n=2 * (n - 1), a=op.off_diag, offx=2)
         daxpy(rhs.view(float), rv, a=-1.0)
-        resid = math.sqrt(_sum_sq(r)) / scale
-        if resid > self.residual_tol:
+        resid = math.sqrt(_sum_sq(r, unit)) / scale
+        if not resid <= self.residual_tol:
             raise ConditioningError(f"residual {resid:.2e} above {self.residual_tol:.1e}",
                                     estimate=resid)
         method = "shift" if op.policy.kind == "dirichlet" else "outgoing"
@@ -147,9 +156,11 @@ class Resolvent:
                                  info={"growth": growth})
 
 
-def _sum_sq(a) -> float:
-    """sum |a_j|^2 as one contiguous BLAS dot over the float view."""
+def _sum_sq(a, unit: float = 1.0) -> float:
+    """sum |a_j / unit|^2 as one contiguous BLAS dot over the float view."""
     v = a.view(float)
+    if unit != 1.0:
+        v = v / unit
     return float(v @ v)
 
 
@@ -246,10 +257,13 @@ def _dirichlet_tridiag(profile, potential, mu, grid, cutoffs):
     return op.dd.real, op.dl.real
 
 
-def _eig_interval(dd, dl, interval):
+def _eig_interval(dd, dl, interval, eigvals_only: bool = False):
+    """Eigenvalues in ``interval`` by bisection (LAPACK ``stebz``), with
+    their eigenvectors (inverse iteration, ``stein``) unless
+    ``eigvals_only``: the values are the same either way."""
     lo, hi = interval
-    vals, vecs = eigh_tridiagonal(dd, dl, select="v", select_range=(lo, hi))
-    return vals, vecs
+    return eigh_tridiagonal(dd, dl, eigvals_only=eigvals_only, select="v",
+                            select_range=(lo, hi))
 
 
 def _classify(vals, vecs, vals2, valsh, grid: RadialGrid, interval,
@@ -312,14 +326,14 @@ def eigen_scan(profile: WarpProfile, potential: PotentialSplit, mu: float,
     grid2 = uniform_grid(2.0 * grid.r_max, grid.h, r_min=grid.radii[0])
     dd2, dl2 = _dirichlet_tridiag(profile, potential, mu, grid2, cutoffs)
     pad = 0.1 * (hi - lo) + 10.0 * drift_tol
-    vals2, _ = _eig_interval(dd2, dl2, (lo - pad, hi + pad))
+    vals2 = _eig_interval(dd2, dl2, (lo - pad, hi + pad), eigvals_only=True)
 
     # h-halving for the Richardson refinement
     valsh = None
     if refine and vals.size:
         gridh = uniform_grid(grid.r_max, 0.5 * grid.h, r_min=grid.radii[0])
         ddh, dlh = _dirichlet_tridiag(profile, potential, mu, gridh, cutoffs)
-        valsh, _ = _eig_interval(ddh, dlh, (lo - pad, hi + pad))
+        valsh = _eig_interval(ddh, dlh, (lo - pad, hi + pad), eigvals_only=True)
     return _classify(vals, vecs, vals2, valsh, grid, (lo, hi), flat_slope,
                      drift_tol, thresholds, threshold_window, lambda0)
 
@@ -338,8 +352,8 @@ def eigen_scan_tridiag(dd, dl, grid: RadialGrid, interval,
     vals, vecs = _eig_interval(np.asarray(dd, float), np.asarray(dl, float), (lo, hi))
     if dd2 is not None:
         pad = 0.1 * (hi - lo) + 10.0 * drift_tol
-        vals2, _ = _eig_interval(np.asarray(dd2, float), np.asarray(dl2, float),
-                                 (lo - pad, hi + pad))
+        vals2 = _eig_interval(np.asarray(dd2, float), np.asarray(dl2, float),
+                              (lo - pad, hi + pad), eigvals_only=True)
     else:
         vals2 = np.array([])
     return _classify(vals, vecs, vals2, None, grid, (lo, hi), flat_slope,

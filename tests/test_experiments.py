@@ -193,3 +193,29 @@ def test_hoelder_slope_matches_analytic_kernel():
         seps.append(g - g2)
     slope_analytic = float(np.polyfit(np.log(seps), np.log(diffs), 1)[0])
     assert tab.meta["epsilon_emp"] == pytest.approx(slope_analytic, abs=0.05)
+
+
+@pytest.mark.parametrize("s", [1.0, 0.75])
+def test_hoelder_probe_slices_match_full_grid_probes(s):
+    # the probe difference from in-support slices and weights taken once is
+    # bit-equal to the full-grid probes and weighted_norm of every call
+    from endspec.experiments import _mode_operators, _probe_diff, _probe_sources, probe_set
+    from endspec.radial import weighted_norm, weighted_norm_on
+    from endspec.solver import resolve
+    m = euclidean_model(3)
+    grid = m.make_grid(256.0, 0.05)
+    modes = m.modes(2.5)
+    probes = probe_set(grid, 4, seed=5)
+    z1, z2 = 1.0 + 0.064j, 1.0 + 0.032j
+    ops = _mode_operators(m, grid, modes, z1)[0]
+    got = _probe_diff(ops, modes, z1, z2, _probe_sources(probes, grid, s), grid,
+                      weighted_norm_on(grid, -s))
+    ref = 0.0
+    for p in probes:
+        psi = p.values(grid)
+        num_sq = sum(mult * weighted_norm(
+            resolve(ops[mu].shifted(z1), psi, allow_unabsorbed=True).phi
+            - resolve(ops[mu].shifted(z2), psi, allow_unabsorbed=True).phi,
+            grid, -s) ** 2 for mu, mult in modes)
+        ref = max(ref, np.sqrt(num_sq) / weighted_norm(psi, grid, s))
+    assert got == ref

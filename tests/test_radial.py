@@ -5,7 +5,7 @@ from endspec.errors import ContractError, ResolutionError
 from endspec.geometry import (const_profile, exp_profile, geometric_split,
                               power_profile)
 from endspec.radial import (OuterPolicy, assemble_radial_operator,
-                            besov_norms, inner, l2_norm,
+                            besov_from_modes, besov_norms, inner, l2_norm,
                             line_grid, mode_spectrum, smooth_bump, uniform_grid, weighted_norm)
 
 
@@ -50,6 +50,37 @@ def test_annuli_partition_and_consistency():
     prof = besov_norms(phi, grid)
     total = np.sum(prof.annulus_norms**2)
     assert total == pytest.approx(l2_norm(phi, grid) ** 2, rel=1e-12)
+
+
+def _parity_grids():
+    from endspec.models import multiend_model
+    line = multiend_model().make_grid(64.0, 0.02)
+    assert line.radii[0] == 1.0 and line.nodes[0] < 0.0   # clamped left end
+    return {"uniform": uniform_grid(64.0, 0.01),
+            "non_dyadic": uniform_grid(50.0, 0.03),
+            "line": line}
+
+
+@pytest.mark.parametrize("name", ["uniform", "non_dyadic", "line"])
+def test_annuli_and_besov_match_sorted_search(name):
+    grid = _parity_grids()[name]
+    nus = np.unique(grid.nu)
+    assert np.array_equal(grid.annuli(), nus)
+    assert grid.annuli() is grid.annuli()
+    rng = np.random.default_rng(3)
+    funcs = [(rng.normal(size=grid.n) + 1j * rng.normal(size=grid.n), mult)
+             for mult in (1, 3, 5)]
+    # the aggregation before annuli were found once per grid, kept as reference
+    sq = np.zeros(nus.size)
+    for phi, mult in funcs:
+        dens = grid.weights * np.abs(phi) ** 2
+        sq += mult * np.bincount(np.searchsorted(nus, grid.nu),
+                                 weights=dens, minlength=nus.size)
+    prof = besov_from_modes(funcs, grid)
+    assert np.array_equal(prof.nus, nus)
+    assert np.array_equal(prof.annulus_norms.view(np.uint64),
+                          np.sqrt(sq).view(np.uint64))
+    assert prof.b == float(np.sum(np.sqrt(2.0 ** nus) * np.sqrt(sq)))
 
 
 def test_besov_single_annulus():

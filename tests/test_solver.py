@@ -7,14 +7,15 @@ import endspec.experiments
 import endspec.radial
 import endspec.solver
 from endspec.errors import (AbsorptionError, ConditioningError, ContractError)
-from endspec.experiments import hoelder_estimate, lap_sweep
+from endspec.experiments import (besov_energy_check, hoelder_estimate, lap_sweep,
+                                 radiation_sweep)
 from endspec.geometry import const_profile
 from endspec.models import (euclidean_model, free_model, multiend_model,
                             square_well_model)
 from endspec.radial import (OuterPolicy, RadialOperator, l2_norm,
                             smooth_bump, uniform_grid)
-from endspec.solver import (Resolvent, eigen_scan, eigen_scan_tridiag, resolve,
-                            resolve_outgoing)
+from endspec.solver import (EigenEntry, Resolvent, eigen_scan, eigen_scan_tridiag,
+                            resolve, resolve_outgoing)
 
 from oracles import free_kernel_wronskian, free_resolvent, well_bound_states
 
@@ -253,23 +254,31 @@ def test_resolvent_singular_matrix():
         Resolvent(op)
 
 
-def test_hoelder_evaluates_geometry_once_per_mode_and_grid(monkeypatch):
-    calls = []
-    original = endspec.radial.geometry_at
+def _count_geometry(monkeypatch):
+    """Record the grid size of each geometry_at call, per calling module."""
+    calls = {"experiments": [], "radial": []}
+    for name in calls:
+        module = getattr(endspec, name)
+        original = module.geometry_at
 
-    def counting(profile, cutoffs, r):
-        calls.append(r.size)
-        return original(profile, cutoffs, r)
+        def counting(profile, cutoffs, r, seen=calls[name], original=original):
+            seen.append(r.size)
+            return original(profile, cutoffs, r)
 
-    monkeypatch.setattr(endspec.radial, "geometry_at", counting)
+        monkeypatch.setattr(module, "geometry_at", counting)
+    return calls
+
+
+def test_hoelder_evaluates_geometry_once_per_grid(monkeypatch):
+    calls = _count_geometry(monkeypatch)
     m = euclidean_model(3)
     modes = m.modes(2.5)
     assert len(modes) == 2
     table = hoelder_estimate(m, 1.0, 1.0, gamma_top=0.256, n_pairs=2,
                              n_probes=3, h=0.05, mode_cap=2.5)
     assert len(table.rows) == 2
-    assert len(calls) == len(modes)
-    assert len(set(calls)) == 1
+    assert len(calls["experiments"]) == 1
+    assert calls["radial"] == []
 
 
 # --- the in-place solve path ------------------------------------------------------
@@ -356,14 +365,133 @@ def test_growth_and_residual_guards_fire(policy):
 
 @pytest.mark.parametrize("gammas", [[0.5], [0.3, 0.5, 0.8]])
 def test_lap_sweep_evaluates_geometry_once(monkeypatch, gammas):
-    calls = []
-    original = endspec.experiments.geometry_at
-
-    def counting(profile, cutoffs, r):
-        calls.append(r.size)
-        return original(profile, cutoffs, r)
-
-    monkeypatch.setattr(endspec.experiments, "geometry_at", counting)
-    table = lap_sweep(euclidean_model(3), 1.0, gammas, h=0.05, mode_cap=2.5)
+    calls = _count_geometry(monkeypatch)
+    m = euclidean_model(3)
+    assert len(m.modes(6.5)) == 3
+    table = lap_sweep(m, 1.0, gammas, h=0.05, mode_cap=6.5)
     assert len(table.rows) == len(gammas)
-    assert len(calls) == 1
+    assert len(calls["experiments"]) == 1
+    assert calls["radial"] == []
+
+
+@pytest.mark.parametrize("sweep", [
+    lambda m: radiation_sweep(m, 2.0, [0.1, 0.05], [0.0, 0.5], h=0.05,
+                              base_r_max=64.0, mode_cap=6.5),
+    lambda m: besov_energy_check(m, 2.0 + 0.1j, h=0.05, mode_cap=6.5,
+                                 nus=(0, 1, 2), n_candidates=(0,)),
+], ids=["radiation_sweep", "besov_energy_check"])
+def test_sweeps_evaluate_geometry_once_for_all_modes(monkeypatch, sweep):
+    calls = _count_geometry(monkeypatch)
+    m = euclidean_model(3)
+    assert len(m.modes(6.5)) == 3
+    assert sweep(m).rows
+    assert len(calls["experiments"]) == 1
+    assert calls["radial"] == []
+
+
+def test_shared_geometry_diagonals_match_per_mode_assembly():
+    m = euclidean_model(3)
+    grid = m.make_grid(64.0, 0.05)
+    modes = m.modes(6.5)
+    ops, pt = endspec.experiments._mode_operators(m, grid, modes, 2.0 + 0.1j)
+    assert pt is not None
+    for mu, _ in modes:
+        fresh = m.operator(mu, grid, 2.0 + 0.1j)
+        assert np.array_equal(ops[mu].potential_diag.view(np.uint64),
+                              fresh.potential_diag.view(np.uint64))
+
+
+# --- NaN growth and residual --------------------------------------------------------
+
+@pytest.mark.parametrize("policy", _POLICIES)
+def test_overflowing_source_norm_gives_finite_growth_and_residual(policy):
+    # ||psi||^2 overflows for both factors.  2^665 (~1.3e200) scales the
+    # solve exactly, so its residual is the unscaled one up to the rounding
+    # of the norms; 1e200 changes the roundoff of the solve itself.
+    m, grid, psi, op = _free_setup(policy=policy)
+    res = Resolvent(op, allow_unabsorbed=True)
+    plain = res(psi)
+    with np.errstate(over="ignore"):
+        exact, huge = res(2.0 ** 665 * psi), res(1e200 * psi)
+    for sol in (exact, huge):
+        assert np.isfinite(sol.info["growth"]) and np.isfinite(sol.residual)
+        assert sol.info["growth"] == pytest.approx(plain.info["growth"], rel=1e-12, abs=0.0)
+    assert exact.residual == pytest.approx(plain.residual, rel=1e-12, abs=0.0)
+    assert huge.residual <= res.residual_tol
+
+
+def test_nan_residual_is_refused(monkeypatch):
+    original = endspec.solver.daxpy
+
+    def poisoning(x, y, *args, **kwargs):
+        out = original(x, y, *args, **kwargs)
+        out[out.size // 2] = np.nan
+        return out
+
+    m, grid, psi, op = _free_setup()
+    res = Resolvent(op, allow_unabsorbed=True)
+    monkeypatch.setattr(endspec.solver, "daxpy", poisoning)
+    with pytest.raises(ConditioningError, match="residual"):
+        res(psi)
+
+
+# --- companion eigen-scans compute values only ------------------------------------
+
+def _entries_equal(a: EigenEntry, b: EigenEntry) -> bool:
+    for name in EigenEntry.__dataclass_fields__:
+        x, y = getattr(a, name), getattr(b, name)
+        if name == "profile":
+            for f in x.__dataclass_fields__:
+                if not np.array_equal(getattr(x, f), getattr(y, f)):
+                    return False
+        elif not (x == y or (np.isnan(x) and np.isnan(y))):
+            return False
+    return True
+
+
+def _scan_with_all_vectors(monkeypatch, scan):
+    """``scan()`` twice: as it runs, and with every companion scan also
+    computing eigenvectors (the reference).  Returns both results and the
+    number of values-only calls of the first run."""
+    original = endspec.solver.eigh_tridiagonal
+    values_only = []
+
+    def counting(d, e, eigvals_only=False, **kw):
+        values_only.append(eigvals_only)
+        return original(d, e, eigvals_only=eigvals_only, **kw)
+
+    def with_vectors(d, e, eigvals_only=False, **kw):
+        vals, vecs = original(d, e, **kw)
+        return vals if eigvals_only else (vals, vecs)
+
+    monkeypatch.setattr(endspec.solver, "eigh_tridiagonal", counting)
+    got = scan()
+    monkeypatch.setattr(endspec.solver, "eigh_tridiagonal", with_vectors)
+    ref = scan()
+    return got, ref, sum(values_only)
+
+
+@pytest.mark.parametrize("model", [free_model(), euclidean_model(3)],
+                         ids=["free", "euclidean3"])
+def test_eigen_scan_values_only_companions_match_reference(monkeypatch, model):
+    grid = model.make_grid(32.0, 0.05)
+    got, ref, n_values_only = _scan_with_all_vectors(monkeypatch, lambda: eigen_scan(
+        model.profile, model.potential, 2.0, grid, (0.05, 3.0),
+        thresholds=model.thresholds, lambda0=model.lambda0(), cutoffs=model.cutoffs))
+    assert n_values_only == 2
+    assert len(got.entries) == len(ref.entries) > 0
+    assert all(_entries_equal(a, b) for a, b in zip(got.entries, ref.entries))
+
+
+def test_eigen_scan_tridiag_values_only_companion_matches_reference(monkeypatch):
+    m = multiend_model()
+    grid = m.make_grid(32.0, 0.05)
+    grid2 = m.make_grid(64.0, 0.05)
+    op = m.operator(0.0, grid, 0.0, resolution_action="warn")
+    op2 = m.operator(0.0, grid2, 0.0, resolution_action="warn")
+    got, ref, n_values_only = _scan_with_all_vectors(monkeypatch, lambda: eigen_scan_tridiag(
+        op.dd.real, op.dl.real, grid, (0.05, 3.0), dd2=op2.dd.real, dl2=op2.dl.real,
+        grid2=grid2, thresholds=m.thresholds, lambda0=m.lambda0()))
+    assert n_values_only == 1
+    assert len(got.entries) == len(ref.entries) > 0
+    assert all(_entries_equal(a, b) for a, b in zip(got.entries, ref.entries))
