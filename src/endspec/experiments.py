@@ -65,8 +65,19 @@ class Bump:
     amplitude: float = 1.0
 
     def values(self, grid: RadialGrid) -> np.ndarray:
-        v = self.amplitude * smooth_bump(grid.nodes, self.a, self.b)
-        return np.asarray(v, dtype=complex)
+        """The probe on the grid (complex); the bump is evaluated on
+        ``span(grid)`` only and every other node is zero."""
+        v = np.zeros(grid.n, dtype=complex)
+        span = self.span(grid)
+        v[span] = self.amplitude * smooth_bump(grid.nodes[span], self.a, self.b)
+        return v
+
+    def span(self, grid: RadialGrid) -> slice:
+        """Slice of the (increasing) nodes that holds the support (a, b),
+        two nodes wider on each side so rounding at a and b stays inside;
+        it is never empty."""
+        lo, hi = np.searchsorted(grid.nodes, (self.a, self.b))
+        return slice(max(int(lo) - 2, 0), int(hi) + 2)
 
     def normalized(self, grid: RadialGrid) -> np.ndarray:
         v = self.values(grid)
@@ -466,19 +477,17 @@ def probe_set(grid: RadialGrid, n_probes: int, seed: int, nu_span=(0, 6)):
 
 
 def _probe_sources(probes, grid: RadialGrid, s: float):
-    """(start, in-support values, ||psi||_{H_s}) of each probe on the grid.
+    """(start, in-span values, ||psi||_{H_s}) of each probe on the grid.
 
-    Only the slice between a probe's first and last nonzero node is kept;
-    ``_probe_diff`` expands it into a zeroed full-grid source per solve, so
-    no full-grid probe is held across the Gamma-ladder.
+    Only the probe's ``Bump.span`` is kept; ``_probe_diff`` expands it into a
+    zeroed full-grid source per solve, so no full-grid probe is held across
+    the Gamma-ladder.
     """
     norm_s = weighted_norm_on(grid, s)
     sources = []
     for p in probes:
-        vals = p.values(grid)
-        nz = np.flatnonzero(vals)
-        start, stop = int(nz[0]), int(nz[-1]) + 1
-        sources.append((start, vals[start:stop].copy(), norm_s(vals)))
+        vals, span = p.values(grid), p.span(grid)
+        sources.append((span.start, vals[span].copy(), norm_s(vals)))
     return sources
 
 
@@ -559,22 +568,24 @@ def hoelder_estimate(model: Model, lam: float, s: float, gamma_top: float = 0.06
 def _richardson_gamma(model, grid, lam, gamma_top, psi_vals, modes, grid_w):
     """Three-point, order-1 Richardson extrapolation of shift solves in Gamma.
 
-    Convergence is diagnosed in the windowed H_{-1} norm (the comparison
-    norm); the raw whole-domain difference is dominated by the Gamma-
-    dependent absorption tail and says nothing about the window.
+    Each shift solve runs and is verified on the whole long ``grid``, but
+    only its first ``grid_w.n`` nodes (the comparison window) are kept, so
+    the extrapolation, keyed by mu, is returned on the window.  Convergence
+    is diagnosed in the windowed H_{-1} norm (the comparison norm); the raw
+    whole-domain difference is dominated by the Gamma-dependent absorption
+    tail and says nothing about the window.
     """
     ops = _mode_operators(model, grid, modes, complex(lam, gamma_top))[0]
-    sols = [_solve_modes(ops, complex(lam, gamma_top * f), psi_vals,
-                         allow_unabsorbed=True)
-            for f in (1.0, 0.5, 0.25)]
     n_w = grid_w.n
+    sols = [{mu: resolve(op.shifted(complex(lam, gamma_top * f)), psi_vals,
+                         allow_unabsorbed=True).phi[:n_w].copy()
+             for mu, op in ops.items()}
+            for f in (1.0, 0.5, 0.25)]
     extrap, gaps = {}, []
     for mu, _ in modes:
-        e2 = 2.0 * sols[2][mu] - sols[1][mu]
-        extrap[mu] = e2
-        gaps.append((
-            weighted_norm(sols[1][mu][:n_w] - sols[0][mu][:n_w], grid_w, -1.0),
-            weighted_norm(sols[2][mu][:n_w] - sols[1][mu][:n_w], grid_w, -1.0)))
+        extrap[mu] = 2.0 * sols[2][mu] - sols[1][mu]
+        gaps.append((weighted_norm(sols[1][mu] - sols[0][mu], grid_w, -1.0),
+                     weighted_norm(sols[2][mu] - sols[1][mu], grid_w, -1.0)))
     return extrap, gaps
 
 
@@ -611,10 +622,9 @@ def sommerfeld_compare(model: Model, lam: float, psi: Bump | None = None,
     extrap, gaps = _richardson_gamma(model, grid_b, lam, gamma_top, psi_b,
                                      modes, grid_w)
 
-    n_w = grid_w.n
     disc_sq, ref_sq, disc_bstar_funcs = 0.0, 0.0, []
     for mu, mult in modes:
-        diff = extrap[mu][:n_w] - out_sols[mu]
+        diff = extrap[mu] - out_sols[mu]
         disc_sq += mult * weighted_norm(diff, grid_w, -1.0) ** 2
         ref_sq += mult * weighted_norm(out_sols[mu], grid_w, -1.0) ** 2
         disc_bstar_funcs.append((diff, mult))
@@ -703,31 +713,32 @@ def besov_energy_check(model: Model, z: complex, psi: Bump | None = None,
                      _mode_besov(grid, sols, modes).bstar,
                      _mode_besov(grid, a_sols, modes).bstar)
 
+    nus = [int(n_) for n_ in nus]
+    nu_mid = sorted(nus)[len(nus) // 2]
+    # Theta and w Theta' per scale; they do not depend on Gamma or n
+    thetas = []
+    for nu in nus:
+        w = WeightSpec(delta=delta, nu=nu)
+        thetas.append((nu, w.theta(rr), grid.weights * w.dtheta(rr)))
+
     def rows_for_n(n):
-        chi_n = np.asarray(model.cutoffs.chi_n(rr, n), dtype=float)
+        chi_w = grid.weights * np.asarray(model.cutoffs.chi_n(rr, n), dtype=float)**2
+        scales = [(nu, th, w_dth, chi_w * th) for nu, th, w_dth in thetas]
         out = []
         for g in gammas:
             sols, a_sols, phi_bstar, a_bstar = states[g]
-            for nu in nus:
-                w = WeightSpec(delta=delta, nu=int(nu))
-                th = w.theta(rr)
-                dth = w.dtheta(rr)
+            for nu, th, w_dth, w_chi_th in scales:
                 lhs = 0.0
                 cut_term = 0.0
                 for mu, mult in modes:
                     u, au = sols[mu], a_sols[mu]
-                    lhs += mult * float(np.sum(grid.weights * dth
-                                               * (np.abs(u)**2 + np.abs(au)**2)))
-                    cut_term += mult * float(np.sum(grid.weights * chi_n**2 * th
-                                                    * np.abs(u)**2))
+                    lhs += mult * float(np.sum(w_dth * (np.abs(u)**2 + np.abs(au)**2)))
+                    cut_term += mult * float(np.sum(w_chi_th * np.abs(u)**2))
                 lhs += _h_form(model, grid, pt, sols, modes, report, weight=th)
                 rhs = (phi_bstar + a_bstar) * psi_bnorm + cut_term
-                out.append([g, int(nu), n, lhs, rhs,
+                out.append([g, nu, n, lhs, rhs,
                             lhs / rhs if rhs > 0.0 else 0.0])
         return out
-
-    nus = [int(n_) for n_ in nus]
-    nu_mid = sorted(nus)[len(nus) // 2]
 
     def aggregated_spread(rows):
         # The bound is one-sided, so a small constant at some scale is

@@ -55,8 +55,10 @@ class RadialGrid:
 
     ``nodes`` is the integration coordinate (x on line models); ``radii`` the
     escape-function values r >= 1 used for annuli and weights.  For plain
-    half-line grids the two coincide.  ``nu`` is the annulus index
-    floor(log2 r) of each node, >= 0 because the radii are clamped to r >= 1.
+    half-line grids the two coincide, and ``radii`` is the ``nodes`` array
+    itself.  ``nu`` is the annulus index floor(log2 r) of each node, >= 0
+    because the radii are clamped to r >= 1.  The arrays are read-only, so
+    the shared one cannot be written through either name.
     """
 
     nodes: np.ndarray
@@ -65,6 +67,10 @@ class RadialGrid:
     weights: np.ndarray
     nu: np.ndarray
     partial_outer: bool
+
+    def __post_init__(self):
+        for a in (self.nodes, self.radii, self.weights, self.nu):
+            a.flags.writeable = False
 
     @property
     def r_max(self) -> float:
@@ -91,7 +97,8 @@ def _annulus_index(radii):
 
 
 def uniform_grid(r_max: float, h: float, r_min: float = 1.0) -> RadialGrid:
-    """Half-line grid on [r_min, r_max] with spacing h (trapezoid weights)."""
+    """Half-line grid on [r_min, r_max] with spacing h (trapezoid weights);
+    ``radii`` and ``nodes`` are one read-only array."""
     if r_max <= r_min:
         raise ContractError("r_max must exceed r_min")
     n = int(round((r_max - r_min) / h)) + 1
@@ -102,7 +109,7 @@ def uniform_grid(r_max: float, h: float, r_min: float = 1.0) -> RadialGrid:
     # the node at r_max = 2^m opens annulus m with a single point; any
     # non-dyadic r_max truncates its top annulus: both are partial covers
     partial = nodes[-1] < 2.0 ** (nu[-1] + 1) - 1e-12
-    return RadialGrid(nodes=nodes, radii=nodes.copy(), h=float(h),
+    return RadialGrid(nodes=nodes, radii=nodes, h=float(h),
                       weights=w, nu=nu, partial_outer=bool(partial))
 
 
@@ -248,16 +255,22 @@ class RadialOperator:
 
     @property
     def dd(self) -> np.ndarray:
-        h = self.grid.h
         w = self.potential_diag
         dd = (-2.0 * self.off_diag + w[1:1 + self.n_unknowns]) - self.z
         if self.policy.kind == "outgoing":
-            # ghost-point elimination of the one-sided outgoing relation
-            # (phi_{n} - phi_{n-2})/(2h) = sign * i a phi_{n-1}; the surviving
-            # row is halved so that sub- and super-diagonals stay equal.
-            a, s = self.policy.a, self.policy.sign
-            dd[-1] = 0.5 * ((1.0 - s * 1j * h * a) / (h * h) + w[-1] - self.z)
+            dd[-1] = self.outgoing_diag
         return dd
+
+    @property
+    def outgoing_diag(self) -> complex:
+        """Diagonal entry of the outgoing last row.
+
+        Ghost-point elimination of the one-sided outgoing relation
+        (phi_{n} - phi_{n-2})/(2h) = sign * i a phi_{n-1}; the surviving row
+        is halved so that sub- and super-diagonals stay equal.
+        """
+        h, a, s = self.grid.h, self.policy.a, self.policy.sign
+        return 0.5 * ((1.0 - s * 1j * h * a) / (h * h) + self.potential_diag[-1] - self.z)
 
     @property
     def dl(self) -> np.ndarray:

@@ -16,7 +16,8 @@ real potential diagonal, which depends on (mu, grid) only; ``shifted`` moves
 it to another z without touching the geometry.  A ``Resolvent`` LU-factors
 one operator once and solves any number of right-hand sides against the
 factors, in place in the returned full-grid array, verifying each with one
-pass over the grid per norm; ``resolve`` is a single such solve.
+pass over the grid per norm: the residual is summed over cache-sized blocks
+of rows, with no n-length temporary; ``resolve`` is a single such solve.
 
 The eigenvalue scan diagonalizes the Dirichlet-truncated symmetric operator
 on an interval and classifies each eigenpair by the decay of its dyadic
@@ -35,7 +36,6 @@ import numpy as np
 # solve_banded is no longer called; the name stays bound because the
 # benchmark tracer (perfbench/spans.py) wraps endspec.solver.solve_banded
 from scipy.linalg import LinAlgError, eigh_tridiagonal, solve_banded  # noqa: F401
-from scipy.linalg.blas import daxpy
 from scipy.linalg.lapack import zgttrf, zgttrs
 
 from .cutoffs import CutoffSpec
@@ -74,14 +74,17 @@ class Resolvent:
     A call passes over the grid as few times as it can: the right-hand side
     is a view of psi (a copy only for the halved outgoing row), ``zgttrs``
     overwrites it in place inside the zero-padded full-grid ``phi`` that is
-    returned, and the residual is accumulated in place by BLAS ``daxpy``.
-    ||rhs||, ||u|| and ||r|| are each one contiguous BLAS dot over the
-    float view, and the finite-input (``ValueError``) and finite-output
-    (``ConditioningError``) checks follow from them: a finite sum of
-    squares has only finite terms, so the exact elementwise test runs only
-    when a sum is not finite.  Finite entries that overflow ||rhs||^2 pass;
-    the three norms are then all taken of the arrays divided by max |rhs|,
-    which leaves growth and residual unchanged but finite.
+    returned, and ||r||^2 is summed over blocks of rows (``_residual_sq``),
+    each formed from the potential diagonal and the neighbours in ``phi``
+    while it is in cache, so the call creates no n-length array besides
+    ``phi`` (and the outgoing right-hand side).  ||rhs|| and ||u|| are each
+    one contiguous BLAS dot over the float view, and the finite-input
+    (``ValueError``) and finite-output (``ConditioningError``) checks follow
+    from them: a finite sum of squares has only finite terms, so the exact
+    elementwise test runs only when a sum is not finite.  Finite entries
+    that overflow ||rhs||^2 pass; the three norms are then all taken of the
+    arrays divided by max |rhs|, which leaves growth and residual unchanged
+    but finite.
 
     A shift solve (Dirichlet outer row, Im z != 0) on a
     domain with Gamma (R_max - 1) < 8 is refused unless ``allow_unabsorbed``
@@ -139,14 +142,7 @@ class Resolvent:
             raise ConditioningError(
                 f"solution grew by {growth:.2e}: z is within grid resolution of a "
                 "discrete eigenvalue of the truncated problem", estimate=growth)
-        # r = (h_mu - z) u - rhs, accumulated in place on the float views
-        r = op.dd
-        r *= u
-        rv, uv = r.view(float), u.view(float)
-        daxpy(uv, rv, n=2 * (n - 1), a=op.off_diag, offy=2)
-        daxpy(uv, rv, n=2 * (n - 1), a=op.off_diag, offx=2)
-        daxpy(rhs.view(float), rv, a=-1.0)
-        resid = math.sqrt(_sum_sq(r, unit)) / scale
+        resid = math.sqrt(_residual_sq(op, phi, rhs, unit)) / scale
         if not resid <= self.residual_tol:
             raise ConditioningError(f"residual {resid:.2e} above {self.residual_tol:.1e}",
                                     estimate=resid)
@@ -162,6 +158,48 @@ def _sum_sq(a, unit: float = 1.0) -> float:
     if unit != 1.0:
         v = v / unit
     return float(v @ v)
+
+
+# rows per residual block: the block's operands and scratch arrays (128 kB
+# each when complex) stay in cache between the passes over them
+_RESIDUAL_BLOCK = 8192
+
+
+def _residual_sq(op: RadialOperator, phi, rhs, unit: float = 1.0) -> float:
+    """sum |r_j / unit|^2 of r = (h_mu - z) u - rhs, u = phi on the unknowns.
+
+    Taken over blocks of ``_RESIDUAL_BLOCK`` rows with the arithmetic of
+    ``RadialOperator.matvec``: r_j = ((dd_j u_j + off u_{j-1}) + off u_{j+1})
+    - rhs_j with dd_j = (-2 off + w_j) - z, where w is the potential diagonal
+    and the zero wall entries of the full-grid ``phi`` supply the missing
+    neighbours.  The outgoing last row takes its scalar diagonal entry.  No
+    n-length array is created.
+    """
+    n, i0 = op.n_unknowns, op.first_unknown
+    off = op.off_diag
+    stencil_diag, z = -2.0 * off, op.z
+    w = op.potential_diag
+    rows = n - 1 if op.policy.kind == "outgoing" else n
+    size = min(_RESIDUAL_BLOCK, rows)
+    d, r, t = np.empty(size), np.empty(size, dtype=complex), np.empty(size, dtype=complex)
+    total = 0.0
+    for j in range(0, rows, _RESIDUAL_BLOCK):
+        k = min(j + _RESIDUAL_BLOCK, rows)
+        db, rb, tb = d[:k - j], r[:k - j], t[:k - j]
+        np.add(w[i0 + j:i0 + k], stencil_diag, out=db)
+        np.subtract(db, z, out=rb)
+        rb *= phi[i0 + j:i0 + k]
+        np.multiply(phi[i0 + j - 1:i0 + k - 1], off, out=tb)
+        rb += tb
+        np.multiply(phi[i0 + j + 1:i0 + k + 1], off, out=tb)
+        rb += tb
+        rb -= rhs[j:k]
+        total += _sum_sq(rb, unit)
+    if rows < n:
+        last = i0 + n - 1
+        r_last = (op.outgoing_diag * phi[last] + off * phi[last - 1]) - rhs[-1]
+        total += _sum_sq(np.atleast_1d(r_last), unit)
+    return total
 
 
 def _check_finite(a):

@@ -1,12 +1,17 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+import endspec.experiments
 from endspec.errors import ContractError
 from endspec.experiments import (Bump, WeightSpec, besov_energy_check,
                                  hoelder_estimate, lap_sweep, radiation_sweep,
                                  shift_r_max, sommerfeld_compare)
 from endspec.models import (euclidean_model, free_model, multiend_model,
                             square_well_model)
+from endspec.radial import smooth_bump, uniform_grid, weighted_norm
+from endspec.solver import resolve
 
 
 def test_weight_spec_invariants():
@@ -219,3 +224,73 @@ def test_hoelder_probe_slices_match_full_grid_probes(s):
             grid, -s) ** 2 for mu, mult in modes)
         ref = max(ref, np.sqrt(num_sq) / weighted_norm(psi, grid, s))
     assert got == ref
+
+
+# --- probes on their span, the extrapolation on the window ------------------------
+
+def _bump_grids():
+    return {"uniform": uniform_grid(64.0, 0.02),
+            "line": multiend_model().make_grid(64.0, 0.02)}
+
+
+@pytest.mark.parametrize("grid_name", ["uniform", "line"])
+@pytest.mark.parametrize("a, b", [
+    (2.0, 3.0), (2.013, 2.987),          # inside, on and between nodes
+    (1.0, 1.5), (0.5, 1.7), (-30.0, -20.0), (-3.0, 2.0),   # the left edge
+    (63.5, 64.0), (60.0, 70.0),          # the right edge
+    (-9.0, -8.0), (70.0, 80.0), (-80.0, -70.0)])   # off the grid (or not)
+@pytest.mark.parametrize("amplitude", [1.0, 2.5])
+def test_bump_values_match_full_grid_formula(grid_name, a, b, amplitude):
+    grid = _bump_grids()[grid_name]
+    bump = Bump(a, b, amplitude)
+    ref = np.asarray(amplitude * smooth_bump(grid.nodes, a, b), dtype=complex)
+    got = bump.values(grid)
+    assert got.dtype == complex and got.shape == (grid.n,)
+    assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
+    span = bump.span(grid)
+    assert not np.any(ref[:span.start]) and not np.any(ref[span.stop:])
+    assert ref[span].size > 0
+
+
+def test_richardson_windows_match_full_solves():
+    from endspec.experiments import _richardson_gamma
+    m = euclidean_model(3)
+    modes = m.modes(2.5)
+    assert len(modes) == 2
+    grid, grid_w = m.make_grid(512.0, 0.05), m.make_grid(32.0, 0.05)
+    psi = Bump().normalized(grid)
+    lam, gamma_top = 2.0, 0.064
+    extrap, gaps = _richardson_gamma(m, grid, lam, gamma_top, psi, modes, grid_w)
+    n_w = grid_w.n
+    for (mu, _), (gap1, gap2) in zip(modes, gaps):
+        full = [resolve(m.operator(mu, grid, complex(lam, gamma_top * f)), psi,
+                        allow_unabsorbed=True).phi for f in (1.0, 0.5, 0.25)]
+        ref = 2.0 * full[2] - full[1]
+        assert extrap[mu].shape == (n_w,)
+        assert np.array_equal(extrap[mu].view(np.uint64), ref[:n_w].view(np.uint64))
+        assert gap1 == weighted_norm(full[1][:n_w] - full[0][:n_w], grid_w, -1.0)
+        assert gap2 == weighted_norm(full[2][:n_w] - full[1][:n_w], grid_w, -1.0)
+
+
+def test_richardson_peak_memory_in_grid_vectors(monkeypatch):
+    # peak traced allocation of _richardson_gamma above its entry, in
+    # complex vectors of the long grid (81,901 nodes here): factors, one
+    # solution and the operator's diagonal, not every shift's solution
+    original = endspec.experiments._richardson_gamma
+    peaks = []
+
+    def measured(model, grid, *args):
+        tracemalloc.reset_peak()
+        entry = tracemalloc.get_traced_memory()[0]
+        out = original(model, grid, *args)
+        peaks.append((tracemalloc.get_traced_memory()[1] - entry) / (16.0 * grid.n))
+        return out
+
+    monkeypatch.setattr(endspec.experiments, "_richardson_gamma", measured)
+    tracemalloc.start()
+    try:
+        sommerfeld_compare(free_model(), 2.0, h=0.05, gamma_top=2e-2)
+    finally:
+        tracemalloc.stop()
+    assert len(peaks) == 1
+    assert peaks[0] <= 8.0

@@ -43,6 +43,17 @@ def test_grid_weights_sum():
     assert np.sum(grid.weights) == pytest.approx(63.0, rel=1e-12)
 
 
+def test_uniform_grid_radii_share_read_only_nodes():
+    grid = uniform_grid(64.0, 0.01, r_min=1.5)
+    assert np.shares_memory(grid.radii, grid.nodes)
+    assert grid.radii[0] == grid.nodes[0] == 1.5
+    line = line_grid(-10.0, 32.0, 0.1, lambda x: np.asarray(x, float))
+    for g in (grid, line):
+        for name in ("nodes", "radii", "weights", "nu"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(g, name)[1] = 0
+
+
 def test_annuli_partition_and_consistency():
     grid = uniform_grid(64.0, 0.01)
     rng = np.random.default_rng(0)

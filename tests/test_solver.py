@@ -14,8 +14,8 @@ from endspec.models import (euclidean_model, free_model, multiend_model,
                             square_well_model)
 from endspec.radial import (OuterPolicy, RadialOperator, l2_norm,
                             smooth_bump, uniform_grid)
-from endspec.solver import (EigenEntry, Resolvent, eigen_scan, eigen_scan_tridiag,
-                            resolve, resolve_outgoing)
+from endspec.solver import (_RESIDUAL_BLOCK, EigenEntry, Resolvent, eigen_scan,
+                            eigen_scan_tridiag, resolve, resolve_outgoing)
 
 from oracles import free_kernel_wronskian, free_resolvent, well_bound_states
 
@@ -421,18 +421,43 @@ def test_overflowing_source_norm_gives_finite_growth_and_residual(policy):
 
 
 def test_nan_residual_is_refused(monkeypatch):
-    original = endspec.solver.daxpy
+    original = endspec.solver._residual_sq
 
-    def poisoning(x, y, *args, **kwargs):
-        out = original(x, y, *args, **kwargs)
-        out[out.size // 2] = np.nan
-        return out
+    def poisoning(*args, **kwargs):
+        return original(*args, **kwargs) * np.nan
 
     m, grid, psi, op = _free_setup()
     res = Resolvent(op, allow_unabsorbed=True)
-    monkeypatch.setattr(endspec.solver, "daxpy", poisoning)
+    monkeypatch.setattr(endspec.solver, "_residual_sq", poisoning)
     with pytest.raises(ConditioningError, match="residual"):
         res(psi)
+
+
+# --- the residual summed in blocks ----------------------------------------------
+
+@pytest.mark.parametrize("policy", _POLICIES)
+@pytest.mark.parametrize("n", [100, 2 * _RESIDUAL_BLOCK, 2 * _RESIDUAL_BLOCK + 1],
+                         ids=["below_block", "block_multiple", "past_multiple"])
+def test_block_residual_matches_matvec(policy, n):
+    h = 0.01
+    grid = uniform_grid(1.0 + h * (n + (2 if policy is None else 1) - 1), h)
+    op = free_model().operator(0.0, grid, 1.0 + 0.2j, policy)
+    assert op.n_unknowns == n
+    i0 = op.first_unknown
+    rng = np.random.default_rng(n)
+    psi = rng.standard_normal(grid.n) + 1j * rng.standard_normal(grid.n)
+    rhs = op.rhs(psi)
+    # the verified solve: its residual is roundoff, which vectorized and
+    # scalar loops round differently, so it is compared as in the test above
+    sol = Resolvent(op, allow_unabsorbed=True)(psi)
+    ref = np.linalg.norm(op.matvec(sol.phi[i0:i0 + n]) - rhs) / np.linalg.norm(rhs)
+    np.testing.assert_allclose(sol.residual, ref, rtol=1e-12, atol=1e-12)
+    # a vector that solves nothing: every row, block edges included, counts
+    phi = np.zeros(grid.n, dtype=complex)
+    phi[i0:i0 + n] = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    ref = np.linalg.norm(op.matvec(phi[i0:i0 + n]) - rhs)
+    got = np.sqrt(endspec.solver._residual_sq(op, phi, rhs))
+    assert got == pytest.approx(ref, rel=1e-12, abs=0.0)
 
 
 # --- companion eigen-scans compute values only ------------------------------------
