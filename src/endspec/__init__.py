@@ -31,7 +31,7 @@ from .radial import (BesovProfile, ModeSpectrum, OuterPolicy, RadialGrid,
                      line_grid, mode_spectrum, smooth_bump, uniform_grid,
                      weighted_norm)
 from .solver import (EigenScanResult, Resolvent, ResolventSolution, eigen_scan,
-                     eigen_scan_tridiag, resolve, resolve_outgoing)
+                     eigen_scan_tridiag, resolve)
 from .models import (Model, euclidean_model, exp_model, free_model,
                      hyperbolic_model, multiend_model, power_model,
                      square_well_model, stretched_exp_model, tabulated_model)

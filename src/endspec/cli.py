@@ -217,7 +217,7 @@ def _run_rellich(cfg, model, exp, out_dir, seed):
     interval = (opt["interval_lo"], opt["interval_hi"])
     grid = model.make_grid(cfg.grid["r_max"], cfg.grid["h"])
     lam0 = model.lambda0()
-    if model.kind == "line":
+    if model.line is not None:
         op = model.operator(0.0, grid, 0.0, OuterPolicy.dirichlet(),
                             resolution_action="warn")
         grid2 = model.make_grid(2.0 * cfg.grid["r_max"], cfg.grid["h"])

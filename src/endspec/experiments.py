@@ -45,7 +45,7 @@ import numpy as np
 from .errors import ContractError
 from .geometry import geometry_at
 from .models import Model
-from .phase import _central_derivative, grid_phase, phase_a, r_lambda
+from .phase import _central_derivative, apply_A, grid_phase, phase_a, r_lambda
 from .radial import (BesovProfile, OuterPolicy, RadialGrid, besov_from_modes,
                      l2_norm, smooth_bump, weighted_norm, weighted_norm_on)
 from .solver import Resolvent, outgoing_modes, resolve
@@ -173,15 +173,13 @@ def shift_r_max(gamma_min: float, base: float = 64.0, guard: float = 8.0) -> flo
 def _mode_operators(model: Model, grid: RadialGrid, modes, z: complex):
     """One operator per mode, assembled at z, and the geometry on the grid.
 
-    On warped models the geometry and the potential are evaluated once on
-    the grid and shared by every mode's potential diagonal; the geometry is
-    returned for ``_apply_pr`` and ``_h_form`` (None on line models).  Other
-    z reuse the diagonals through ``RadialOperator.shifted``.
+    The geometry (at the radii) and the potential (at the nodes) are
+    evaluated once on the grid and shared by every mode's potential
+    diagonal; the geometry is returned for ``_apply_pr`` and ``_h_form``.
+    Other z reuse the diagonals through ``RadialOperator.shifted``.
     """
-    if model.kind == "line":
-        return {mu: model.operator(mu, grid, z) for mu, _ in modes}, None
     pt = geometry_at(model.profile, model.cutoffs, grid.radii)
-    background = (pt, model.potential.V(grid.radii))
+    background = (pt, model.potential.V(grid.nodes))
     return {mu: model.operator(mu, grid, z, background=background)
             for mu, _ in modes}, pt
 
@@ -192,16 +190,6 @@ def _solve_modes(ops, z: complex, psi_vals, policy=None, allow_unabsorbed=False)
             for mu, op in ops.items()}
 
 
-def _apply_A(model: Model, grid: RadialGrid, u):
-    """A on reduced functions: -i d/dr (warped), -i (r' d/dx + r''/2) (line)."""
-    du = _central_derivative(u, grid.h)
-    if model.kind == "line":
-        r1 = np.asarray(model.line.dr_of_x(grid.nodes), dtype=float)
-        r2 = np.asarray(model.line.d2r_of_x(grid.nodes), dtype=float)
-        return -1j * (r1 * du + 0.5 * r2 * u)
-    return -1j * du
-
-
 def _radiation_transform(model, grid, a_disc, sign_a, weight=None):
     """(A - sign_a * a) phi with the two edge nodes masked.
 
@@ -210,7 +198,7 @@ def _radiation_transform(model, grid, a_disc, sign_a, weight=None):
     discretization residue and are excluded from radiation measurements.
     """
     def transform(mu, u):
-        v = _apply_A(model, grid, u) - sign_a * a_disc * u
+        v = apply_A(model.profile, u, grid) - sign_a * a_disc * u
         if weight is not None:
             v = weight * v
         v = v.copy()
@@ -220,45 +208,36 @@ def _radiation_transform(model, grid, a_disc, sign_a, weight=None):
     return transform
 
 
-def _apply_pr(model: Model, grid: RadialGrid, pt, u):
-    """p^r phi in the reduced representation (flattening keeps </>=  norms)."""
+def _apply_pr(grid: RadialGrid, pt, u):
+    """p^r phi = -i (r' u' - (Delta r / 2) u) in the reduced representation
+    (flattening keeps </>=  norms)."""
     du = _central_derivative(u, grid.h)
-    if model.kind == "line":
-        r1 = np.asarray(model.line.dr_of_x(grid.nodes), dtype=float)
-        return -1j * r1 * du
-    return -1j * (du - 0.5 * pt.delta_r * u)
+    return -1j * (grid.dr * du - 0.5 * pt.delta_r * u)
 
 
-def _h_form(model: Model, grid: RadialGrid, pt, solutions, modes, report,
+def _h_form(grid: RadialGrid, pt, solutions, modes, report,
             weight=None, beta: float = 0.0):
     """<p_i* w r^{2 beta} h^{ij} p_j>_phi summed over modes with multiplicities.
 
-    Per mode:  int w r^{2b} [ (f'/(2f)) (mu/f) |u|^2
-                              + 2 C r^{-1-tau} (|Du|^2 + (mu/f) |u|^2) ] dr,
-    with (f'/(2f)) replaced by the blended curvature (1 - eta) r'' on line
-    models (where the mode term is absent).
+    Per mode, with m = (mu/f) |u|^2 and k = 2 C r^{-1-tau}:
+
+      int w r^{2b} [ (f'/(2f)) m + (curv + k) (|Du|^2 + m) ] dx,
+
+    where curv = max((1 - eta) r'', 0) is the blended curvature of the
+    escape function.  Warped ends have r'' = 0; the line has only mu = 0
+    and f' = 0, so each keeps just its own terms.
     """
     C, tau = report.constant, max(report.tau, 1e-6)
     rr = grid.radii
     w = np.ones_like(rr) if weight is None else np.asarray(weight, dtype=float)
     w = w * rr ** (2.0 * beta)
+    curv_k = np.maximum((1.0 - pt.eta) * grid.d2r, 0.0) + 2.0 * C * rr ** (-1.0 - tau)
     total = 0.0
-    if model.kind == "line":
-        r2 = np.asarray(model.line.d2r_of_x(grid.nodes), dtype=float)
-        eta = model.cutoffs.eta(rr)
-        curv = np.maximum((1.0 - eta) * r2, 0.0)
-        for mu, mult in modes:
-            u = solutions[mu]
-            du = _central_derivative(u, grid.h)
-            dens = (curv + 2.0 * C * rr ** (-1.0 - tau)) * np.abs(du) ** 2
-            total += mult * float(np.sum(grid.weights * w * dens))
-        return total
     for mu, mult in modes:
         u = solutions[mu]
         du = _central_derivative(u, grid.h)
         mode_dens = (mu / pt.f) * np.abs(u) ** 2
-        dens = pt.ell_coeff * mode_dens \
-            + 2.0 * C * rr ** (-1.0 - tau) * (np.abs(du) ** 2 + mode_dens)
+        dens = pt.ell_coeff * mode_dens + curv_k * (np.abs(du) ** 2 + mode_dens)
         total += mult * float(np.sum(grid.weights * w * np.maximum(dens, 0.0)))
     return total
 
@@ -280,7 +259,7 @@ def _check_window(model: Model, lam: float, window_pad: float = 1e-6):
     for t in model.thresholds:
         if abs(lam - t) < 0.05:
             raise ContractError(f"lambda={lam} sits on the declared threshold {t}")
-        if model.kind == "line" and lam > t - 0.05:
+        if lam > t - 0.05:
             raise ContractError(
                 f"lambda={lam} is outside the certified window ({lam0:.3g}, {t:.3g})")
     return lam0
@@ -325,9 +304,7 @@ def lap_sweep(model: Model, lam: float, gammas, psi: Bump | None = None,
     psi_vals = psi.normalized(grid)
     modes = model.modes(mode_cap)
     psi_b = _mode_besov(grid, {mu: psi_vals for mu, _ in modes}, modes).b
-    v_of_r = (model.line.v_of_x if model.kind == "line"
-              else model.potential.V)
-    vvals = np.asarray(v_of_r(grid.nodes), dtype=float)
+    vvals = np.asarray(model.potential.V(grid.nodes), dtype=float)
 
     ops, pt = _mode_operators(model, grid, modes, complex(lam, gammas[0]))
 
@@ -338,8 +315,8 @@ def lap_sweep(model: Model, lam: float, gammas, psi: Bump | None = None,
         sols = _solve_modes(ops, z, psi_vals, allow_unabsorbed=True)
         phi_bstar = _mode_besov(grid, sols, modes).bstar
         pr_bstar = _mode_besov(grid, sols, modes,
-                               transform=lambda mu, u: _apply_pr(model, grid, pt, u)).bstar
-        h_form = _h_form(model, grid, pt, sols, modes, report)
+                               transform=lambda mu, u: _apply_pr(grid, pt, u)).bstar
+        h_form = _h_form(grid, pt, sols, modes, report)
         h0_bstar = _mode_besov(
             grid, sols, modes,
             transform=lambda mu, u: psi_vals + (z - vvals) * u).bstar
@@ -419,7 +396,7 @@ def radiation_sweep(model: Model, lam: float, gammas, betas,
                 transform=_radiation_transform(model, grid, a_disc, +1,
                                                weight=rr**b),
                 nu_min=nu_far).bstar
-            h2b = _h_form(model, grid, pt, sols, modes, report, beta=b)
+            h2b = _h_form(grid, pt, sols, modes, report, beta=b)
             psi_bnorm = _mode_besov(
                 grid, {mu: rr**b * psi_vals for mu, _ in modes}, modes).b
             rows.append([g, b, right, math.sqrt(max(h2b, 0.0)), wrong,
@@ -708,7 +685,7 @@ def besov_energy_check(model: Model, z: complex, psi: Bump | None = None,
     states = {}
     for g in gammas:
         sols = _solve_modes(ops, complex(lam, g), psi_vals, allow_unabsorbed=True)
-        a_sols = {mu: _apply_A(model, grid, u) for mu, u in sols.items()}
+        a_sols = {mu: apply_A(model.profile, u, grid) for mu, u in sols.items()}
         states[g] = (sols, a_sols,
                      _mode_besov(grid, sols, modes).bstar,
                      _mode_besov(grid, a_sols, modes).bstar)
@@ -734,7 +711,7 @@ def besov_energy_check(model: Model, z: complex, psi: Bump | None = None,
                     u, au = sols[mu], a_sols[mu]
                     lhs += mult * float(np.sum(w_dth * (np.abs(u)**2 + np.abs(au)**2)))
                     cut_term += mult * float(np.sum(w_chi_th * np.abs(u)**2))
-                lhs += _h_form(model, grid, pt, sols, modes, report, weight=th)
+                lhs += _h_form(grid, pt, sols, modes, report, weight=th)
                 rhs = (phi_bstar + a_bstar) * psi_bnorm + cut_term
                 out.append([g, nu, n, lhs, rhs,
                             lhs / rhs if rhs > 0.0 else 0.0])

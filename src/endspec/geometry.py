@@ -75,9 +75,10 @@ class WarpProfile:
 class PotentialSplit:
     """Potential V plus the splitting q = q1 + q2, q1 = q11 + q12, q2 = q21 + q22.
 
-    All entries are callables of r; q1 and q11 come with the derivatives the
-    condition checks need.  rho_prime and rho are the declared decay
-    exponents (they are re-fitted, not trusted, by the condition checker).
+    All entries are callables.  V is taken at the integration coordinate (x
+    on the two-ended line), the splitting at r; q1 and q11 come with the
+    derivatives the condition checks need.  rho_prime and rho are the
+    declared decay exponents (re-fitted, not trusted, by the checker).
     """
 
     V: Callable = _ZERO

@@ -5,8 +5,11 @@ profile with its cross-section, the potential splitting, the cutoff family,
 and (for one-dimensional multi-end models) the line data.  Multi-end models
 live on an x-grid [x_min, R_max] with a smooth escape function r(x) that
 equals x on the right end and is clamped at 1 on the left end, so the
-left end sits entirely inside the first dyadic annulus; the potential steps
-smoothly between the two end levels, which are the two critical energies.
+left end sits entirely inside the first dyadic annulus; the potential V(x)
+steps smoothly between the two end levels, which are the two critical
+energies.  Warped ends and the line share one operator path: the line is a
+d = 1 constant profile (no geometric potential, the single mode mu = 0)
+whose grid carries r, r' and r'' at the nodes.
 """
 
 from __future__ import annotations
@@ -24,28 +27,24 @@ from .geometry import (PotentialSplit, WarpProfile, const_profile,
                        critical_energy, exp_profile, geometric_split,
                        hyperbolic_profile, power_profile,
                        stretched_exp_profile, tabulated_profile)
-from .radial import (OuterPolicy, RadialGrid, assemble_line_operator,
-                     assemble_radial_operator, line_grid, profile_modes,
-                     uniform_grid)
+from .radial import (OuterPolicy, RadialGrid, assemble_radial_operator,
+                     line_grid, profile_modes, uniform_grid)
 
 
 @dataclass(frozen=True)
 class LineEnd:
-    """Data for one-dimensional two-ended models."""
+    """Escape function of one-dimensional two-ended models (the potential
+    V(x) lives in the model's ``PotentialSplit``)."""
 
     x_min: float
-    v_of_x: Callable           # potential on the line
     r_of_x: Callable           # escape function (>= 1 after clamping)
     dr_of_x: Callable          # r'
     d2r_of_x: Callable         # r'' for the curvature part of the h-form
-    level_right: float         # potential level on the right end (= lambda0)
-    level_left: float          # potential level on the left end  (= lambda1)
 
 
 @dataclass(frozen=True)
 class Model:
     name: str
-    kind: str                  # "warped" | "line"
     profile: WarpProfile
     potential: PotentialSplit
     cutoffs: CutoffSpec
@@ -58,19 +57,16 @@ class Model:
     # -- structure ---------------------------------------------------------
 
     def make_grid(self, r_max: float, h: float) -> RadialGrid:
-        if self.kind == "line":
-            return line_grid(self.line.x_min, r_max, h, self.line.r_of_x)
+        if self.line is not None:
+            return line_grid(self.line.x_min, r_max, h, self.line.r_of_x,
+                             self.line.dr_of_x, self.line.d2r_of_x)
         return uniform_grid(r_max, h)
 
     def modes(self, cap: float):
-        if self.kind == "line":
-            return [(0.0, 1)]
         return list(profile_modes(self.profile, cap))
 
     def operator(self, mu: float, grid: RadialGrid, z: complex,
                  policy: OuterPolicy | None = None, **kw):
-        if self.kind == "line":
-            return assemble_line_operator(self.line.v_of_x, grid, z, policy, **kw)
         return assemble_radial_operator(self.profile, self.potential, mu, grid,
                                         z, policy, cutoffs=self.cutoffs, **kw)
 
@@ -90,7 +86,7 @@ def _lambda0_cached(model: Model) -> float:
 
 @lru_cache(maxsize=64)
 def _conditions_cached(model: Model, caps: Caps) -> ConditionReport:
-    if model.kind == "line":
+    if model.line is not None:
         lam0 = model.lambda0()
         rows = [InequalityRow(name="line_model_metadata", verdict="pass",
                               margin=float("inf"), witness_r=1.0,
@@ -112,8 +108,8 @@ def _conditions_cached(model: Model, caps: Caps) -> ConditionReport:
 def _warped(name, profile, potential=None, thresholds=()):
     cut = CutoffSpec(r0=profile.r0)
     pot = potential if potential is not None else geometric_split(profile, cut)
-    return Model(name=name, kind="warped", profile=profile, potential=pot,
-                 cutoffs=cut, thresholds=tuple(thresholds))
+    return Model(name=name, profile=profile, potential=pot, cutoffs=cut,
+                 thresholds=tuple(thresholds))
 
 
 def free_model(r0: float = 2.0) -> Model:
@@ -174,8 +170,8 @@ def square_well_model(depth: float = 5.0, a: float = 1.0, b: float = 2.0,
         return np.where(on_edge, -0.5 * float(depth), v)
 
     pot = geometric_split(prof, cut, V_short=well)
-    return Model(name=f"square_well(depth={depth:g})", kind="warped",
-                 profile=prof, potential=pot, cutoffs=cut)
+    return Model(name=f"square_well(depth={depth:g})", profile=prof,
+                 potential=pot, cutoffs=cut)
 
 
 def multiend_model(lambda0: float = 0.0, lambda1: float = 4.0,
@@ -186,7 +182,8 @@ def multiend_model(lambda0: float = 0.0, lambda1: float = 4.0,
     smooth monotone blend between, so r-balls are unbounded to the left and
     lambda0 = limsup q1 is the level of the right end.  The energy window
     (lambda0, lambda1) is the certified interval; lambda1 is recorded as a
-    threshold that eigenvalue scans exclude by a small window.
+    threshold that closes it and that eigenvalue scans exclude by a small
+    window.  V is the step in x; its splitting q1 = lambda0 is the right end.
     """
     if not lambda1 > lambda0:
         raise ContractError("need lambda1 > lambda0")
@@ -215,16 +212,15 @@ def multiend_model(lambda0: float = 0.0, lambda1: float = 4.0,
         c2 = cut.chi(x, order=2)
         return -2.0 * c1 - (x - 1.0) * c2
 
-    line = LineEnd(x_min=float(x_min), v_of_x=v_of_x, r_of_x=r_of_x,
-                   dr_of_x=dr_of_x, d2r_of_x=d2r_of_x,
-                   level_right=lam0, level_left=lam1)
+    line = LineEnd(x_min=float(x_min), r_of_x=r_of_x, dr_of_x=dr_of_x,
+                   d2r_of_x=d2r_of_x)
     prof = const_profile(d=1, r0=r0)
 
     def q1(r):
         return np.full_like(np.asarray(r, dtype=float), lam0)
 
     zero = lambda r: np.zeros_like(np.asarray(r, dtype=float))
-    pot = PotentialSplit(V=q1, q1=q1, dq1=zero, q11=q1, dq11=zero, d2q11=zero)
-    return Model(name=f"multiend({lam0:g},{lam1:g})", kind="line",
-                 profile=prof, potential=pot, cutoffs=cut, line=line,
-                 thresholds=(lam1,))
+    pot = PotentialSplit(V=v_of_x, q1=q1, dq1=zero, q11=q1, dq11=zero,
+                         d2q11=zero)
+    return Model(name=f"multiend({lam0:g},{lam1:g})", profile=prof,
+                 potential=pot, cutoffs=cut, line=line, thresholds=(lam1,))

@@ -20,7 +20,8 @@ a_z approximately solves the radial Riccati equation
 and the substitution a = +- (p^r b)/b linearizes that equation into
 (p^r)^2 b = 2 (z - q1) b, a one-dimensional eigenequation integrated here as
 an exact reference.  The radial operator A = p^r - (i/2) Delta r acts as
--i d/dr on density-flattened (reduced) functions.
+-i (r' d/dx + r''/2) on density-flattened (reduced) functions, which is
+-i d/dr on warped ends.
 """
 
 from __future__ import annotations
@@ -292,9 +293,11 @@ def apply_A(profile: WarpProfile, phi, grid: RadialGrid,
             cutoffs: CutoffSpec | None = None):
     """Apply A = p^r - (i/2) Delta r to a grid function.
 
-    On reduced (density-flattened) functions A acts as -i d/dr; on unreduced
+    On reduced (density-flattened) functions A acts as -i (r' u' + r'' u / 2)
+    with r', r'' from the grid (-i d/dr on warped ends); on unreduced
     functions the mean-curvature term is kept.  Central differences make the
-    discrete operator symmetric for interior-supported functions.
+    discrete operator symmetric for interior-supported functions on warped
+    ends.
     """
     if representation not in ("reduced", "unreduced"):
         raise ContractError(f"unknown representation {representation!r}")
@@ -303,7 +306,7 @@ def apply_A(profile: WarpProfile, phi, grid: RadialGrid,
     if rep is not None and rep != representation:
         raise ContractError(
             f"grid function carries representation {rep!r}, requested {representation!r}")
-    out = -1j * _central_derivative(values, grid.h)
+    out = -1j * (grid.dr * _central_derivative(values, grid.h) + 0.5 * grid.d2r * values)
     if representation == "unreduced":
         pt = geometry_at(profile, cutoffs, grid.radii)
         out = out - 0.5j * pt.delta_r * values

@@ -54,22 +54,26 @@ class RadialGrid:
     """Uniform grid with trapezoid weights and the dyadic annulus map.
 
     ``nodes`` is the integration coordinate (x on line models); ``radii`` the
-    escape-function values r >= 1 used for annuli and weights.  For plain
-    half-line grids the two coincide, and ``radii`` is the ``nodes`` array
-    itself.  ``nu`` is the annulus index floor(log2 r) of each node, >= 0
-    because the radii are clamped to r >= 1.  The arrays are read-only, so
-    the shared one cannot be written through either name.
+    escape-function values r >= 1 used for annuli and weights, and ``dr``,
+    ``d2r`` its derivatives r', r'' in the integration coordinate.  For
+    plain half-line grids the two coincide: ``radii`` is the ``nodes`` array
+    itself, and r' = 1, r'' = 0 are zero-stride views that hold no memory.
+    ``nu`` is the annulus index floor(log2 r) of each node, >= 0 because the
+    radii are clamped to r >= 1.  The arrays are read-only, so a shared one
+    cannot be written through either name.
     """
 
     nodes: np.ndarray
     radii: np.ndarray
+    dr: np.ndarray
+    d2r: np.ndarray
     h: float
     weights: np.ndarray
     nu: np.ndarray
     partial_outer: bool
 
     def __post_init__(self):
-        for a in (self.nodes, self.radii, self.weights, self.nu):
+        for a in (self.nodes, self.radii, self.dr, self.d2r, self.weights, self.nu):
             a.flags.writeable = False
 
     @property
@@ -98,7 +102,7 @@ def _annulus_index(radii):
 
 def uniform_grid(r_max: float, h: float, r_min: float = 1.0) -> RadialGrid:
     """Half-line grid on [r_min, r_max] with spacing h (trapezoid weights);
-    ``radii`` and ``nodes`` are one read-only array."""
+    ``radii`` and ``nodes`` are one read-only array, r' = 1 and r'' = 0."""
     if r_max <= r_min:
         raise ContractError("r_max must exceed r_min")
     n = int(round((r_max - r_min) / h)) + 1
@@ -109,11 +113,13 @@ def uniform_grid(r_max: float, h: float, r_min: float = 1.0) -> RadialGrid:
     # the node at r_max = 2^m opens annulus m with a single point; any
     # non-dyadic r_max truncates its top annulus: both are partial covers
     partial = nodes[-1] < 2.0 ** (nu[-1] + 1) - 1e-12
-    return RadialGrid(nodes=nodes, radii=nodes, h=float(h),
+    return RadialGrid(nodes=nodes, radii=nodes, dr=np.broadcast_to(1.0, n),
+                      d2r=np.broadcast_to(0.0, n), h=float(h),
                       weights=w, nu=nu, partial_outer=bool(partial))
 
 
-def line_grid(x_min: float, x_max: float, h: float, r_of_x: Callable) -> RadialGrid:
+def line_grid(x_min: float, x_max: float, h: float, r_of_x: Callable,
+              dr_of_x: Callable, d2r_of_x: Callable) -> RadialGrid:
     """Grid for one-dimensional multi-end models on [x_min, x_max].
 
     The escape function r(x) >= 1 clamps the left end into the first annulus
@@ -128,7 +134,9 @@ def line_grid(x_min: float, x_max: float, h: float, r_of_x: Callable) -> RadialG
     w[0] = w[-1] = 0.5 * h
     nu = _annulus_index(radii)
     partial = radii[-1] < 2.0 ** (nu[-1] + 1) - 1e-12
-    return RadialGrid(nodes=nodes, radii=radii, h=float(h),
+    return RadialGrid(nodes=nodes, radii=radii,
+                      dr=np.asarray(dr_of_x(nodes), dtype=float),
+                      d2r=np.asarray(d2r_of_x(nodes), dtype=float), h=float(h),
                       weights=w, nu=nu, partial_outer=bool(partial))
 
 
@@ -335,15 +343,17 @@ def assemble_radial_operator(profile: WarpProfile, potential: PotentialSplit,
     with fewer than ``min_ppw`` points per wavelength at sqrt(2 |z|)
     (``resolution_action`` = "warn" downgrades this to a warning).
 
-    Only mu/(2f) depends on the mode: ``background`` = (GeometryPoint, V)
-    already evaluated on ``grid.radii`` lets the modes of one grid share a
-    single evaluation (None evaluates both here).
+    The geometry is taken at the radii and V at the nodes (on line models
+    the constant d = 1 profile leaves exactly V(x)).  Only mu/(2f) depends
+    on the mode: ``background`` = (GeometryPoint, V) already evaluated on
+    the grid lets the modes of one grid share a single evaluation (None
+    evaluates both here).
     """
     if mu < 0:
         raise ContractError("mode eigenvalue mu must be >= 0")
     _resolution_guard(grid.h, z, min_ppw, resolution_action)
     if background is None:
-        background = (geometry_at(profile, cutoffs, grid.radii), potential.V(grid.radii))
+        background = (geometry_at(profile, cutoffs, grid.radii), potential.V(grid.nodes))
     pt, v = background
     wvals = pt.q_geom + mu / (2.0 * pt.f) + np.asarray(v, dtype=float)
     return RadialOperator(mu=float(mu), z=complex(z),

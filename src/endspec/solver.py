@@ -242,21 +242,6 @@ def outgoing_modes(assemble, profile: WarpProfile, potential: PotentialSplit,
     return sols, ph
 
 
-def resolve_outgoing(profile: WarpProfile, potential: PotentialSplit, mu: float,
-                     grid: RadialGrid, lam: float, sign: int, psi,
-                     cutoffs: CutoffSpec | None = None,
-                     lambda0: float | None = None,
-                     r_lam: float | None = None) -> ResolventSolution:
-    """Solve (h_mu - lambda) phi = psi with the outgoing (sign=+1) or
-    incoming (sign=-1) boundary relation phi' = +- i a(R_max) phi."""
-    def assemble(m, policy):
-        return assemble_radial_operator(profile, potential, m, grid, complex(lam),
-                                        policy=policy, cutoffs=cutoffs)
-    sols, _ = outgoing_modes(assemble, profile, potential, grid, lam, sign, psi,
-                             [mu], cutoffs=cutoffs, lambda0=lambda0, r_lam=r_lam)
-    return sols[mu]
-
-
 # ---------------------------------------------------------------------------
 # eigenvalue scan
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -55,6 +56,30 @@ def test_lap_multiend_window():
         lap_sweep(m, 5.0, [0.1], h=0.05)        # above the second threshold
     with pytest.raises(ContractError):
         lap_sweep(m, 3.99, [0.1], h=0.05)       # on the threshold window
+
+
+def test_declared_threshold_closes_the_window_for_every_model():
+    m = dataclasses.replace(free_model(), thresholds=(3.0,))
+    with pytest.raises(ContractError, match="certified window"):
+        lap_sweep(m, 3.5, [0.1], h=0.05)
+
+
+def test_h_form_on_the_line_keeps_the_escape_curvature():
+    # reference: the line density (max((1 - eta) r'', 0) + 2 C r^(-1-tau)) |u'|^2
+    from endspec.experiments import _h_form, _mode_operators
+    from endspec.phase import _central_derivative
+    m = multiend_model()
+    grid = m.make_grid(64.0, 0.05)
+    modes = m.modes(6.5)
+    ops, pt = _mode_operators(m, grid, modes, complex(2.0, 0.1))
+    sols = {0.0: resolve(ops[0.0], Bump().normalized(grid), allow_unabsorbed=True).phi}
+    rep = m.conditions()
+    rr = grid.radii
+    curv = np.maximum((1.0 - m.cutoffs.eta(rr)) * m.line.d2r_of_x(grid.nodes), 0.0)
+    assert np.any(curv > 0.0)
+    du = _central_derivative(sols[0.0], grid.h)
+    dens = (curv + 2.0 * rep.constant * rr ** (-1.0 - rep.tau)) * np.abs(du) ** 2
+    assert _h_form(grid, pt, sols, modes, rep) == float(np.sum(grid.weights * dens))
 
 
 def test_radiation_beta_zero_consistent_with_lap():

@@ -4,7 +4,7 @@ import pytest
 
 from endspec.errors import BranchError, ContractError
 from endspec.geometry import (PotentialSplit, const_profile, power_profile)
-from endspec.models import euclidean_model, free_model
+from endspec.models import euclidean_model, free_model, multiend_model
 from endspec.phase import (apply_A, grid_phase, phase_a, r_lambda,
                            riccati_exact, riccati_residual)
 from endspec.radial import uniform_grid
@@ -221,6 +221,19 @@ def test_apply_A_symmetric():
     lhs = inner(a_phi, psi, grid)
     rhs = inner(phi, a_psi, grid)
     assert abs(lhs - rhs) < 1e-6
+
+
+def test_apply_A_line_uses_escape_derivatives():
+    # on the two-ended line A = -i (r' d/dx + r''/2): for u = e^{ix} that is
+    # (r' - i r''/2) u, with r' = 0 on the left end and r'' != 0 in the blend
+    m = multiend_model()
+    grid = m.make_grid(16.0, 0.005)
+    u = np.exp(1j * grid.nodes)
+    out = apply_A(m.profile, u, grid)
+    expected = (grid.dr - 0.5j * grid.d2r) * u
+    interior = slice(5, -5)
+    np.testing.assert_allclose(out[interior], expected[interior], atol=2e-5)
+    assert np.max(np.abs(grid.d2r)) > 0.1 and np.min(grid.dr) == 0.0
 
 
 def test_apply_A_representation_contract():

@@ -4,7 +4,8 @@ import pytest
 from endspec.errors import ContractError, ResolutionError
 from endspec.geometry import (const_profile, exp_profile, geometric_split,
                               power_profile)
-from endspec.radial import (OuterPolicy, assemble_radial_operator,
+from endspec.radial import (OuterPolicy, assemble_line_operator,
+                            assemble_radial_operator,
                             besov_from_modes, besov_norms, inner, l2_norm,
                             line_grid, mode_spectrum, smooth_bump, uniform_grid, weighted_norm)
 
@@ -47,9 +48,14 @@ def test_uniform_grid_radii_share_read_only_nodes():
     grid = uniform_grid(64.0, 0.01, r_min=1.5)
     assert np.shares_memory(grid.radii, grid.nodes)
     assert grid.radii[0] == grid.nodes[0] == 1.5
-    line = line_grid(-10.0, 32.0, 0.1, lambda x: np.asarray(x, float))
+    # r' = 1 and r'' = 0 exactly, as zero-stride views that hold no memory
+    assert np.all(grid.dr == 1.0) and np.all(grid.d2r == 0.0)
+    assert grid.dr.strides == grid.d2r.strides == (0,)
+    assert grid.dr.shape == grid.d2r.shape == (grid.n,)
+    line = line_grid(-10.0, 32.0, 0.1, lambda x: np.asarray(x, float),
+                     lambda x: np.ones(np.shape(x)), lambda x: np.zeros(np.shape(x)))
     for g in (grid, line):
-        for name in ("nodes", "radii", "weights", "nu"):
+        for name in ("nodes", "radii", "dr", "d2r", "weights", "nu"):
             with pytest.raises(ValueError, match="read-only"):
                 getattr(g, name)[1] = 0
 
@@ -227,9 +233,33 @@ def test_resolution_guard():
 
 
 def test_line_grid_radii_clamped():
-    grid = line_grid(-10.0, 32.0, 0.1, lambda x: np.asarray(x, float))
+    grid = line_grid(-10.0, 32.0, 0.1, lambda x: np.asarray(x, float),
+                     lambda x: np.ones(np.shape(x)), lambda x: np.zeros(np.shape(x)))
     assert np.all(grid.radii >= 1.0)
     assert grid.nu[0] == 0
+    assert np.all(grid.dr == 1.0) and np.all(grid.d2r == 0.0)
+    # the multiend grid carries its escape function's r' and r'' at the nodes
+    from endspec.models import multiend_model
+    m = multiend_model()
+    line = m.make_grid(64.0, 0.02)
+    np.testing.assert_array_equal(line.dr, m.line.dr_of_x(line.nodes))
+    np.testing.assert_array_equal(line.d2r, m.line.d2r_of_x(line.nodes))
+    assert np.any(line.d2r != 0.0)
+    for name in ("dr", "d2r"):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(line, name)[1] = 0
+
+
+def test_multiend_diagonal_is_the_line_potential_bitwise():
+    # the line goes through the warped assembly, where its constant d = 1
+    # profile makes q_geom and mu/(2f) exactly zero
+    from endspec.models import multiend_model
+    m = multiend_model()
+    grid = m.make_grid(64.0, 0.02)
+    z = 2.0 + 0.1j
+    got = m.operator(0.0, grid, z).potential_diag
+    ref = assemble_line_operator(m.potential.V, grid, z).potential_diag
+    assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
 
 
 def test_besov_profile_csv(tmp_path):

@@ -15,9 +15,18 @@ from endspec.models import (euclidean_model, free_model, multiend_model,
 from endspec.radial import (OuterPolicy, RadialOperator, l2_norm,
                             smooth_bump, uniform_grid)
 from endspec.solver import (_RESIDUAL_BLOCK, EigenEntry, Resolvent, eigen_scan,
-                            eigen_scan_tridiag, resolve, resolve_outgoing)
+                            eigen_scan_tridiag, outgoing_modes, resolve)
 
 from oracles import free_kernel_wronskian, free_resolvent, well_bound_states
+
+
+def _outgoing(m, grid, lam, psi):
+    """Outgoing (sign +1) solve of the mu = 0 mode of ``m`` at lambda = lam."""
+    sols, _ = outgoing_modes(
+        lambda mu, policy: m.operator(mu, grid, complex(lam), policy),
+        m.profile, m.potential, grid, lam, +1, psi, [0.0],
+        cutoffs=m.cutoffs, lambda0=0.0)
+    return sols[0.0]
 
 
 def _free_setup(r_max=64.0, h=0.01, z=1.0 + 0.1j, policy=None):
@@ -62,8 +71,7 @@ def test_zero_source_zero_solution():
     m, grid, psi, op = _free_setup()
     sol = resolve(op, np.zeros(grid.n, dtype=complex), allow_unabsorbed=True)
     assert l2_norm(sol.phi, grid) == 0.0
-    out = resolve_outgoing(m.profile, m.potential, 0.0, grid, 2.0, +1,
-                           np.zeros(grid.n, dtype=complex), lambda0=0.0)
+    out = _outgoing(m, grid, 2.0, np.zeros(grid.n, dtype=complex))
     assert l2_norm(out.phi, grid) == 0.0
 
 
@@ -85,8 +93,7 @@ def test_outgoing_modulus_constant_beyond_source():
     m = free_model()
     grid = uniform_grid(64.0, 0.01)
     psi = smooth_bump(grid.radii, 2.0, 3.0).astype(complex)
-    sol = resolve_outgoing(m.profile, m.potential, 0.0, grid, 2.0, +1, psi,
-                           lambda0=0.0)
+    sol = _outgoing(m, grid, 2.0, psi)
     tail = np.abs(sol.phi[grid.radii > 3.5])
     assert np.max(tail) / np.min(tail) < 1.0 + 1e-6
 
@@ -96,8 +103,7 @@ def test_outgoing_agrees_with_shift_as_gamma_vanishes():
     lam, h, r_win = 2.0, 0.02, 32.0
     grid_w = uniform_grid(r_win, h)
     psi_w = smooth_bump(grid_w.radii, 2.0, 3.0).astype(complex)
-    out = resolve_outgoing(m.profile, m.potential, 0.0, grid_w, lam, +1, psi_w,
-                           lambda0=0.0)
+    out = _outgoing(m, grid_w, lam, psi_w)
     diffs = []
     for gamma in (4e-2, 1e-2, 2.5e-3):
         grid_b = uniform_grid(2.0 ** np.ceil(np.log2(1.0 + 8.0 / gamma)), h)
