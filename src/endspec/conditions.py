@@ -173,18 +173,24 @@ def _certify_decay(rr, values, exponent):
     return ok, C, float(rr[j])
 
 
+def loglog_fit(u, v):
+    """Least-squares line through (log u, log v): (slope, intercept, R^2)."""
+    x, y = np.log(u), np.log(v)
+    slope, intercept = np.polyfit(x, y, 1)
+    yhat = slope * x + intercept
+    ss_tot = float(np.sum((y - np.mean(y)) ** 2))
+    r2 = 1.0 - float(np.sum((y - yhat) ** 2)) / ss_tot if ss_tot > 0 else 1.0
+    return float(slope), float(intercept), float(r2)
+
+
 def _fit_decay(rr, values, decades: int = 2):
     """Log-log slope of values over the last ``decades`` dyadic decades."""
     lo = rr[-1] / 2.0**decades
     band = (rr >= lo) & (values > 1e-280)
     if np.count_nonzero(band) < 8:
         return None, None, None
-    x, y = np.log(rr[band]), np.log(values[band])
-    slope, intercept = np.polyfit(x, y, 1)
-    yhat = slope * x + intercept
-    ss_tot = float(np.sum((y - np.mean(y)) ** 2))
-    r2 = 1.0 - float(np.sum((y - yhat) ** 2)) / ss_tot if ss_tot > 0 else 1.0
-    return float(slope), float(np.exp(intercept)), float(r2)
+    slope, intercept, r2 = loglog_fit(rr[band], values[band])
+    return slope, float(np.exp(intercept)), r2
 
 
 def _decay_row(name, rr, values, exponent_of_param, param_cap, floor_scale=1.0):
@@ -235,19 +241,17 @@ def _decay_row(name, rr, values, exponent_of_param, param_cap, floor_scale=1.0):
 # warped-model checker
 # ---------------------------------------------------------------------------
 
-def _sigma_search(rr, lhs, caps, tau_probe=0.25):
-    """Largest sigma <= sigma_max with  sigma/2 - lhs <= C r^{-tau_probe}."""
+def _largest_sigma(passes, sigma_max, iterations):
+    """Largest sigma in [1e-6, sigma_max] with ``passes(sigma)``, by bisection.
 
-    def passes(sigma):
-        deficit = np.maximum(sigma / 2.0 - lhs, 0.0)
-        return _bounded_tail(rr, deficit * rr**tau_probe)
-
+    Returns 0.0 when even sigma = 1e-6 fails and sigma_max when it passes.
+    """
     if not passes(1e-6):
         return 0.0
-    lo, hi = 1e-6, caps.sigma_max
-    if passes(caps.sigma_max):
-        return caps.sigma_max
-    for _ in range(48):
+    lo, hi = 1e-6, sigma_max
+    if passes(sigma_max):
+        return sigma_max
+    for _ in range(iterations):
         mid = 0.5 * (lo + hi)
         if passes(mid):
             lo = mid
@@ -256,6 +260,16 @@ def _sigma_search(rr, lhs, caps, tau_probe=0.25):
     # shave by the growth-test insensitivity band so the report never sits
     # above a sharp threshold
     return max(lo - 1e-9 * max(lo, 1.0), 0.0)
+
+
+def _sigma_search(rr, lhs, caps, tau_probe=0.25):
+    """Largest sigma <= sigma_max with  sigma/2 - lhs <= C r^{-tau_probe}."""
+
+    def passes(sigma):
+        deficit = np.maximum(sigma / 2.0 - lhs, 0.0)
+        return _bounded_tail(rr, deficit * rr**tau_probe)
+
+    return _largest_sigma(passes, caps.sigma_max, 48)
 
 
 def check_conditions(profile: WarpProfile, potential: PotentialSplit,
@@ -596,25 +610,13 @@ def check_escape_2d(field: EscapeField2D, caps: Caps | None = None) -> Condition
     def passes(sigma):
         return _bounded_tail(rr_sorted, deficit_of_sigma(sigma)[order] * rr_sorted**0.25)
 
-    if not passes(1e-6):
-        sigma = 0.0
+    sigma = _largest_sigma(passes, caps.sigma_max, 40)
+    if sigma <= 0.0:
         rows.append(InequalityRow(name="convexity", verdict="fail",
                                   margin=-1.0, witness_r=float(np.max(rv)),
                                   constant=float("nan")))
         tau = 0.0
     else:
-        lo, hi = 1e-6, caps.sigma_max
-        if passes(caps.sigma_max):
-            lo = caps.sigma_max
-        else:
-            for _ in range(40):
-                mid = 0.5 * (lo + hi)
-                if passes(mid):
-                    lo = mid
-                else:
-                    hi = mid
-            lo = max(lo - 1e-9 * max(lo, 1.0), 0.0)
-        sigma = lo
         row, tau = _decay_row("convexity", rr_sorted,
                               deficit_of_sigma(sigma)[order],
                               lambda t: t, caps.tau_max)

@@ -42,6 +42,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .conditions import loglog_fit
 from .errors import ContractError
 from .geometry import geometry_at
 from .models import Model
@@ -518,12 +519,8 @@ def hoelder_estimate(model: Model, lam: float, s: float, gamma_top: float = 0.06
                                      sources, grid, norm_minus_s)]
             for g in gammas]
 
-    x = np.log([row[0] - row[1] for row in rows])
-    y = np.log([row[2] for row in rows])
-    slope, intercept = np.polyfit(x, y, 1)
-    yhat = slope * x + intercept
-    ss_tot = float(np.sum((y - np.mean(y)) ** 2))
-    r2 = 1.0 - float(np.sum((y - yhat) ** 2)) / ss_tot if ss_tot > 0 else 1.0
+    slope, _, r2 = loglog_fit([row[0] - row[1] for row in rows],
+                              [row[2] for row in rows])
     floor = min((2.0 * s - 1.0) / (2.0 * s + 1.0),
                 report.beta_c / (report.beta_c + 1.0))
     if r2 < 0.9:
@@ -531,7 +528,7 @@ def hoelder_estimate(model: Model, lam: float, s: float, gamma_top: float = 0.06
     else:
         verdict = "pass" if slope >= floor - slack else "fail"
     meta = {"model": model.name, "lambda": lam, "lambda0": lam0, "s": s,
-            "epsilon_emp": float(slope), "r_squared": float(r2),
+            "epsilon_emp": slope, "r_squared": r2,
             "predicted_floor": floor, "slack": slack, "h": h,
             "r_max": grid.r_max, "n_probes": n_probes, "seed": seed}
     return SweepTable(name="hoelder", columns=["gamma", "gamma_prime", "diff_norm"],

@@ -375,3 +375,11 @@ def test_module_entry_point_runs_without_runpy_warning():
                              "assert endspec.run is endspec.cli.run; "
                              "assert callable(endspec.cli.main)")
     assert proc.returncode == 0, proc.stderr
+
+
+def test_package_import_leaves_scipy_integrate_unloaded():
+    # the exact Riccati reference is a numpy Magnus propagator, so importing
+    # the package pulls in no ODE solver
+    proc = _run_python("-c", "import sys, endspec; "
+                             "assert 'scipy.integrate' not in sys.modules")
+    assert proc.returncode == 0, proc.stderr

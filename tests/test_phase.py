@@ -170,20 +170,48 @@ def test_exact_self_consistent_residual():
 
 
 def test_exact_fixed_step_convergence_order():
-    # classical RK4: halving the step should show ~4th order
+    # fourth-order Magnus: halving the sub-step should show ~4th order
     c = 0.5
     q1 = lambda r: c / np.asarray(r, float)
     pot = PotentialSplit(V=q1, q1=q1, dq1=lambda r: -c / np.asarray(r, float) ** 2)
     prof = const_profile(d=1)
     grid = uniform_grid(32.0, 0.5)
-    ref = riccati_exact(prof, pot, 2.0 + 0.0j, +1, grid, rtol=1e-12, atol=1e-14,
-                        r_lam=2.0)
+    ref = riccati_exact(prof, pot, 2.0 + 0.0j, +1, grid, step=0.0625 / 16, r_lam=2.0)
     errs = []
     for step in (0.25, 0.125, 0.0625):
         sol = riccati_exact(prof, pot, 2.0 + 0.0j, +1, grid, step=step, r_lam=2.0)
         errs.append(np.max(np.abs(sol.b - ref.b)))
     orders = [np.log2(errs[j] / errs[j + 1]) for j in range(len(errs) - 1)]
     assert min(orders) >= 4.0 - 0.3
+
+
+def test_exact_matches_coulomb_functions():
+    # q1 = c/r at z = k^2/2: b'' + (k^2 - 2c/r) b = 0 is the L = 0 Coulomb
+    # equation in rho = k r with eta = c/k, so b = alpha F_0 + beta G_0
+    mp = pytest.importorskip("mpmath")
+    c, k = 0.5, 2.0
+    q1 = lambda r: c / np.asarray(r, float)
+    pot = PotentialSplit(V=q1, q1=q1, dq1=lambda r: -c / np.asarray(r, float) ** 2)
+    prof = const_profile(d=1)
+    grid = uniform_grid(64.0, 0.05)
+    z = 0.5 * k**2 + 0.0j
+    sol = riccati_exact(prof, pot, z, +1, grid, r_lam=2.0)
+    # initial data b = 1, db/drho = i a(R_max) / k at the outer edge
+    p = 1j * phase_a(prof, pot, z, +1, grid, r_lam=2.0).a[-1] / k
+    eta = c / k
+    idx = np.searchsorted(sol.r, [2.0, 4.0, 8.0, 16.0, 32.0])
+    with mp.workdps(20):
+        rho = k * sol.r[-1]
+        F0, F1 = mp.coulombf(0, eta, rho), mp.coulombf(1, eta, rho)
+        G0, G1 = mp.coulombg(0, eta, rho), mp.coulombg(1, eta, rho)
+        # u_0' = (1/rho + eta) u_0 - sqrt(1 + eta^2) u_1 for u = F, G
+        dF = (1 / rho + eta) * F0 - mp.sqrt(1 + eta**2) * F1
+        dG = (1 / rho + eta) * G0 - mp.sqrt(1 + eta**2) * G1
+        # Wronskian F' G - F G' = 1
+        alpha, beta = G0 * p - dG, dF - F0 * p
+        ref = [complex(alpha * mp.coulombf(0, eta, k * sol.r[j])
+                       + beta * mp.coulombg(0, eta, k * sol.r[j])) for j in idx]
+    np.testing.assert_allclose(sol.b[idx], ref, rtol=0.0, atol=5e-8)
 
 
 # --- the operator A -------------------------------------------------------------
