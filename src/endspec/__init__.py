@@ -25,7 +25,7 @@ from .conditions import (Caps, ConditionReport, EscapeField2D,
                          sawtooth_field)
 from .phase import (PhaseSpec, RiccatiSolution, apply_A, phase_a, r_lambda,
                     riccati_exact, riccati_residual)
-from .radial import (BesovProfile, ModeSpectrum, OuterPolicy, RadialGrid,
+from .radial import (BesovProfile, OuterPolicy, RadialGrid,
                      RadialOperator, assemble_line_operator,
                      assemble_radial_operator, besov_from_modes, besov_norms,
                      line_grid, mode_spectrum, smooth_bump, uniform_grid,

@@ -6,11 +6,17 @@ comment; blank lines are ignored.  Sections are `[model]`, `[grid]`,
 by the schema below; lists are comma-separated.
 
     [model]
-    kind = free | power | euclidean | exponential | hyperbolic | well
-           | multiend | escape_disk | escape_hyperbola | escape_sawtooth
-    d = 3            # power/euclidean/exponential/hyperbolic
-    theta = 2.0      # power
-    kappa = 1.0      # exponential
+    kind = free | power | euclidean | exponential | stretchedexp
+           | tabulated | hyperbolic | well | multiend
+           | escape_disk | escape_hyperbola | escape_sawtooth
+    d = 3            # every warped kind but free
+    theta = 2.0      # power; stretchedexp exponent, 0 < theta < 1
+    kappa = 1.0      # exponential: f = amp exp(kappa r + lower_c r^lower_theta)
+    amp = 1.0
+    lower_c = 0.0
+    lower_theta = 0.5
+    delta = 1.0      # stretchedexp: f = exp(delta r^theta)
+    csv = warp.csv   # tabulated: columns r,f
     r0 = 2.0
     depth = 5.0      # well: V = -depth on [well_a, well_b]
     well_a = 1.0
@@ -36,8 +42,9 @@ by the schema below; lists are comma-separated.
     gammas = 0.1, 0.01, 0.001
     betas = 0, 0.5, 0.9
     s = 1.0
-    psi_a = 2.0
+    psi_a = 2.0              # source bump support and amplitude
     psi_b = 3.0
+    psi_amp = 1.0
     sign = 1
     interval_lo = -5.0       # rellich scan window
     interval_hi = 10.0

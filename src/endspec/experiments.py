@@ -46,10 +46,10 @@ from .conditions import loglog_fit
 from .errors import ContractError
 from .geometry import geometry_at
 from .models import Model
-from .phase import _central_derivative, apply_A, grid_phase, phase_a, r_lambda
-from .radial import (BesovProfile, OuterPolicy, RadialGrid, besov_from_modes,
-                     l2_norm, smooth_bump, weighted_norm, weighted_norm_on)
-from .solver import Resolvent, outgoing_modes, resolve
+from .phase import _central_derivative, apply_A, grid_phase, r_lambda
+from .radial import (BesovProfile, RadialGrid, besov_from_modes, l2_norm,
+                     smooth_bump, weighted_norm, weighted_norm_on)
+from .solver import Resolvent, outgoing_row, resolve
 from .tableio import write_csv
 
 
@@ -191,7 +191,7 @@ def _solve_modes(ops, z: complex, psi_vals, policy=None, allow_unabsorbed=False)
             for mu, op in ops.items()}
 
 
-def _radiation_transform(model, grid, a_disc, sign_a, weight=None):
+def _radiation_transform(grid, a_disc, sign_a, weight=None):
     """(A - sign_a * a) phi with the two edge nodes masked.
 
     The derivative stencil is one-sided at the grid edges, where it does not
@@ -199,7 +199,7 @@ def _radiation_transform(model, grid, a_disc, sign_a, weight=None):
     discretization residue and are excluded from radiation measurements.
     """
     def transform(mu, u):
-        v = apply_A(model.profile, u, grid) - sign_a * a_disc * u
+        v = apply_A(u, grid) - sign_a * a_disc * u
         if weight is not None:
             v = weight * v
         v = v.copy()
@@ -210,8 +210,8 @@ def _radiation_transform(model, grid, a_disc, sign_a, weight=None):
 
 
 def _apply_pr(grid: RadialGrid, pt, u):
-    """p^r phi = -i (r' u' - (Delta r / 2) u) in the reduced representation
-    (flattening keeps </>=  norms)."""
+    """p^r phi = -i (r' u' - (Delta r / 2) u) on reduced (density-flattened)
+    functions (flattening keeps </>= norms)."""
     du = _central_derivative(u, grid.h)
     return -1j * (grid.dr * du - 0.5 * pt.delta_r * u)
 
@@ -382,20 +382,18 @@ def radiation_sweep(model: Model, lam: float, gammas, betas,
     rows = []
     for g in gammas:
         z = complex(lam, g)
-        ph = phase_a(model.profile, model.potential, z, sign, grid,
-                     cutoffs=model.cutoffs, r_lam=r_lam)
-        policy = OuterPolicy.outgoing(complex(grid_phase(ph.a[-1], grid.h)), sign)
+        policy, ph = outgoing_row(model.profile, model.potential, grid, z, sign,
+                                  cutoffs=model.cutoffs, r_lam=r_lam)
         sols = _solve_modes(ops, z, psi_vals, policy=policy)
         a_disc = grid_phase(ph.a, grid.h)
         wrong = _mode_besov(
             grid, sols, modes,
-            transform=_radiation_transform(model, grid, a_disc, -1),
+            transform=_radiation_transform(grid, a_disc, -1),
             nu_min=nu_far).bstar
         for b in betas:
             right = _mode_besov(
                 grid, sols, modes,
-                transform=_radiation_transform(model, grid, a_disc, +1,
-                                               weight=rr**b),
+                transform=_radiation_transform(grid, a_disc, +1, weight=rr**b),
                 nu_min=nu_far).bstar
             h2b = _h_form(grid, pt, sols, modes, report, beta=b)
             psi_bnorm = _mode_besov(
@@ -582,11 +580,10 @@ def sommerfeld_compare(model: Model, lam: float, psi: Bump | None = None,
 
     grid_w = model.make_grid(window_r_max, h)
     psi_w = psi.normalized(grid_w)
-    sols, ph = outgoing_modes(
-        lambda mu, policy: model.operator(mu, grid_w, complex(lam), policy),
-        model.profile, model.potential, grid_w, lam, sign, psi_w,
-        [mu for mu, _ in modes], cutoffs=model.cutoffs, lambda0=model.lambda0())
-    out_sols = {mu: sol.phi for mu, sol in sols.items()}
+    policy, ph = outgoing_row(model.profile, model.potential, grid_w, complex(lam),
+                              sign, cutoffs=model.cutoffs, lambda0=model.lambda0())
+    ops = _mode_operators(model, grid_w, modes, complex(lam))[0]
+    out_sols = _solve_modes(ops, complex(lam), psi_w, policy=policy)
 
     k = math.sqrt(2.0 * (lam - lam0))
     need = 1.0 + 12.0 * k / (2.0 * (gamma_top / 4.0))
@@ -610,7 +607,7 @@ def sommerfeld_compare(model: Model, lam: float, psi: Bump | None = None,
     a_disc = grid_phase(ph.a, grid_w.h)
     rad_prof = _mode_besov(
         grid_w, out_sols, modes,
-        transform=_radiation_transform(model, grid_w, a_disc, sign),
+        transform=_radiation_transform(grid_w, a_disc, sign),
         nu_min=nu_far)
     slope = rad_prof.tail_slope(3)
     floor = fd_dispersion_floor(lam, h)
@@ -682,7 +679,7 @@ def besov_energy_check(model: Model, z: complex, psi: Bump | None = None,
     states = {}
     for g in gammas:
         sols = _solve_modes(ops, complex(lam, g), psi_vals, allow_unabsorbed=True)
-        a_sols = {mu: apply_A(model.profile, u, grid) for mu, u in sols.items()}
+        a_sols = {mu: apply_A(u, grid) for mu, u in sols.items()}
         states[g] = (sols, a_sols,
                      _mode_besov(grid, sols, modes).bstar,
                      _mode_besov(grid, a_sols, modes).bstar)

@@ -41,24 +41,21 @@ _ZERO = lambda r: np.zeros_like(np.asarray(r, dtype=float))
 
 @dataclass(frozen=True)
 class WarpProfile:
-    """Warp function f with enough derivatives, plus the cross-section.
+    """Warp f (or ln f) and the log-chain of w = f'/f, plus the cross-section.
 
-    ``log_chain`` returns (w, w', w'', w''') for w = f'/f; closed-form for the
-    built-in profiles, centered differences for tabulated ones.  The
-    cross-section kind is "circle", "sphere" or "abstract" (explicit
-    eigenvalue/multiplicity list).
+    f enters only through mu/(2f) and the volume density; every curvature
+    term is a function of w.  ``log_chain`` returns (w, w', w'', w''');
+    closed-form for the built-in profiles, centered differences for
+    tabulated ones.  The cross-section kind is "circle", "sphere" or
+    "abstract" (explicit eigenvalue/multiplicity list).
     """
 
     d: int
     f: Callable
-    df: Callable
-    d2f: Callable
     log_chain: Callable
     cross_section: str = "sphere"
     cross_eigs: tuple = ()
     r0: float = 2.0
-    kind: str = "custom"
-    params: tuple = ()
     # exact ln f for rapidly growing warps; evaluation then goes through the
     # log domain (f itself saturates at exp(+-700), where only 1/f and
     # f-ratios matter and those stay exact)
@@ -101,19 +98,14 @@ class PotentialSplit:
 
 @dataclass(frozen=True)
 class GeometryPoint:
-    """Every pointwise geometric quantity the operators are built from."""
+    """The pointwise geometric quantities the operators are built from."""
 
     r: np.ndarray
     f: np.ndarray
-    df: np.ndarray
-    d2f: np.ndarray
-    dr2: np.ndarray          # |dr|^2, identically 1 on the warped model
     delta_r: np.ndarray      # smoothed mean curvature eta * (d-1) f'/(2 f)
-    ddelta_r: np.ndarray     # its radial derivative
     ell_coeff: np.ndarray    # f'/(2 f): Hess r = ell_coeff * ell on the end
     eta: np.ndarray
-    eta_tilde: np.ndarray
-    q_geom: np.ndarray       # (1/8) eta~ [ (Delta r)^2 + 2 d(Delta r)/dr ]
+    q_geom: np.ndarray       # (1/8) eta [ (Delta r)^2 + 2 d(Delta r)/dr ]
 
 
 def geometry_at(profile: WarpProfile, cutoffs: CutoffSpec | None, r) -> GeometryPoint:
@@ -131,33 +123,23 @@ def geometry_at(profile: WarpProfile, cutoffs: CutoffSpec | None, r) -> Geometry
     w, w1, _, _ = profile.log_chain(r)
     if profile.log_f is not None:
         lf = np.asarray(profile.log_f(r), dtype=float)
-        if np.any(~np.isfinite(lf)):
-            rb = np.atleast_1d(r)[~np.isfinite(np.atleast_1d(lf))][0]
-            raise EvaluationError(f"warp profile not finite/positive at r={rb!r}")
+        bad = ~np.isfinite(lf)
         fv = np.exp(np.clip(lf, -700.0, 700.0))
-        dfv = w * fv
-        d2fv = (w1 + w * w) * fv
     else:
         fv = np.asarray(profile.f(r), dtype=float)
-        dfv = np.asarray(profile.df(r), dtype=float)
-        d2fv = np.asarray(profile.d2f(r), dtype=float)
-        bad = ~(np.isfinite(fv) & np.isfinite(dfv) & np.isfinite(d2fv)) | (fv <= 0.0)
-        if np.any(bad):
-            rb = np.atleast_1d(r)[np.atleast_1d(bad)][0]
-            raise EvaluationError(f"warp profile not finite/positive at r={rb!r}")
+        bad = ~np.isfinite(fv) | (fv <= 0.0)
+    if np.any(bad):
+        rb = np.atleast_1d(r)[np.atleast_1d(bad)][0]
+        raise EvaluationError(f"warp profile not finite/positive at r={rb!r}")
     eta = cutoffs.eta(r)
     deta = cutoffs.eta(r, order=1)
     half = 0.5 * (profile.d - 1)
     delta_r = eta * half * w
     ddelta_r = deta * half * w + eta * half * w1
-    eta_tilde = eta  # |dr|^2 = 1 on the warped model
-    q_geom = 0.125 * eta_tilde * (delta_r**2 + 2.0 * ddelta_r)
-    one = np.ones_like(r)
-    return GeometryPoint(
-        r=r, f=fv, df=dfv, d2f=d2fv, dr2=one,
-        delta_r=delta_r, ddelta_r=ddelta_r, ell_coeff=0.5 * w,
-        eta=eta, eta_tilde=eta_tilde, q_geom=q_geom,
-    )
+    # |dr|^2 = 1 on the warped model, so the prefactor eta~ is eta itself
+    q_geom = 0.125 * eta * (delta_r**2 + 2.0 * ddelta_r)
+    return GeometryPoint(r=r, f=fv, delta_r=delta_r, ell_coeff=0.5 * w,
+                         eta=eta, q_geom=q_geom)
 
 
 def q_geom_chain(profile: WarpProfile, cutoffs: CutoffSpec | None, r):
@@ -309,13 +291,8 @@ def power_profile(theta: float, d: int, r0: float = 2.0,
         r = np.asarray(r, dtype=float)
         return th / r, -th / r**2, 2.0 * th / r**3, -6.0 * th / r**4
 
-    return WarpProfile(
-        d=d, f=lambda r: np.asarray(r, float) ** th,
-        df=lambda r: th * np.asarray(r, float) ** (th - 1.0),
-        d2f=lambda r: th * (th - 1.0) * np.asarray(r, float) ** (th - 2.0),
-        log_chain=log_chain, cross_section=cross_section,
-        r0=r0, kind="power", params=(th,),
-    )
+    return WarpProfile(d=d, f=lambda r: np.asarray(r, float) ** th,
+                       log_chain=log_chain, cross_section=cross_section, r0=r0)
 
 
 def exp_profile(kappa: float, d: int, r0: float = 2.0,
@@ -346,15 +323,9 @@ def exp_profile(kappa: float, d: int, r0: float = 2.0,
         w3 = c * th * (th - 1.0) * (th - 2.0) * (th - 3.0) * r ** (th - 4.0)
         return w, w1, w2, w3
 
-    return WarpProfile(
-        d=d, f=lambda r: np.exp(np.clip(log_f(r), -700.0, 700.0)),
-        df=lambda r: log_chain(r)[0] * np.exp(np.clip(log_f(r), -700.0, 700.0)),
-        d2f=lambda r: ((log_chain(r)[1] + log_chain(r)[0] ** 2)
-                       * np.exp(np.clip(log_f(r), -700.0, 700.0))),
-        log_chain=log_chain, cross_section=cross_section,
-        r0=r0, kind="exponential", params=(ka, A, c, th),
-        log_f=log_f,
-    )
+    return WarpProfile(d=d, f=lambda r: np.exp(np.clip(log_f(r), -700.0, 700.0)),
+                       log_chain=log_chain, cross_section=cross_section, r0=r0,
+                       log_f=log_f)
 
 
 def stretched_exp_profile(delta: float, theta: float, d: int, r0: float = 2.0,
@@ -376,15 +347,9 @@ def stretched_exp_profile(delta: float, theta: float, d: int, r0: float = 2.0,
         w3 = de * th * (th - 1.0) * (th - 2.0) * (th - 3.0) * r ** (th - 4.0)
         return w, w1, w2, w3
 
-    return WarpProfile(
-        d=d, f=lambda r: np.exp(np.clip(log_f(r), -700.0, 700.0)),
-        df=lambda r: log_chain(r)[0] * np.exp(np.clip(log_f(r), -700.0, 700.0)),
-        d2f=lambda r: ((log_chain(r)[1] + log_chain(r)[0] ** 2)
-                       * np.exp(np.clip(log_f(r), -700.0, 700.0))),
-        log_chain=log_chain, cross_section=cross_section,
-        r0=r0, kind="stretched_exp", params=(de, th),
-        log_f=log_f,
-    )
+    return WarpProfile(d=d, f=lambda r: np.exp(np.clip(log_f(r), -700.0, 700.0)),
+                       log_chain=log_chain, cross_section=cross_section, r0=r0,
+                       log_f=log_f)
 
 
 def hyperbolic_profile(d: int, r0: float = 2.0,
@@ -407,13 +372,9 @@ def hyperbolic_profile(d: int, r0: float = 2.0,
         # ln sinh^2 r, stable for large r
         return 2.0 * (r + np.log1p(-np.exp(-2.0 * r)) - math.log(2.0))
 
-    return WarpProfile(
-        d=d, f=lambda r: np.sinh(np.asarray(r, float)) ** 2,
-        df=lambda r: np.sinh(2.0 * np.asarray(r, float)),
-        d2f=lambda r: 2.0 * np.cosh(2.0 * np.asarray(r, float)),
-        log_chain=log_chain, cross_section=cross_section,
-        r0=r0, kind="hyperbolic", params=(), log_f=log_f,
-    )
+    return WarpProfile(d=d, f=lambda r: np.sinh(np.asarray(r, float)) ** 2,
+                       log_chain=log_chain, cross_section=cross_section, r0=r0,
+                       log_f=log_f)
 
 
 def const_profile(d: int = 1, r0: float = 2.0,
@@ -424,28 +385,20 @@ def const_profile(d: int = 1, r0: float = 2.0,
         z = np.zeros_like(np.asarray(r, dtype=float))
         return z, z, z, z
 
-    return WarpProfile(
-        d=d, f=lambda r: np.ones_like(np.asarray(r, float)),
-        df=lambda r: np.zeros_like(np.asarray(r, float)),
-        d2f=lambda r: np.zeros_like(np.asarray(r, float)),
-        log_chain=log_chain, cross_section=cross_section,
-        r0=r0, kind="const", params=(),
-    )
+    return WarpProfile(d=d, f=lambda r: np.ones_like(np.asarray(r, float)),
+                       log_chain=log_chain, cross_section=cross_section, r0=r0)
 
 
 def tabulated_profile(r_table, f_table, d: int, r0: float = 2.0,
                       cross_section: str = "sphere") -> WarpProfile:
-    """Warp given by a table of (r, f) samples; derivatives by centered differences."""
+    """Warp given by a table of (r, f) samples; the log-chain by centered differences."""
     rt = np.asarray(r_table, dtype=float)
     ft = np.asarray(f_table, dtype=float)
     if rt.ndim != 1 or rt.size < 5 or np.any(np.diff(rt) <= 0):
         raise ContractError("tabulated profile needs >= 5 strictly increasing radii")
     if np.any(~np.isfinite(ft)) or np.any(ft <= 0):
         raise EvaluationError("tabulated warp must be finite and positive")
-    d1 = np.gradient(ft, rt)
-    d2 = np.gradient(d1, rt)
-    d3 = np.gradient(d2, rt)
-    w_t = d1 / ft
+    w_t = np.gradient(ft, rt) / ft
     w1_t = np.gradient(w_t, rt)
     w2_t = np.gradient(w1_t, rt)
     w3_t = np.gradient(w2_t, rt)
@@ -455,14 +408,8 @@ def tabulated_profile(r_table, f_table, d: int, r0: float = 2.0,
         return (np.interp(r, rt, w_t), np.interp(r, rt, w1_t),
                 np.interp(r, rt, w2_t), np.interp(r, rt, w3_t))
 
-    return WarpProfile(
-        d=d,
-        f=lambda r: np.interp(np.asarray(r, float), rt, ft),
-        df=lambda r: np.interp(np.asarray(r, float), rt, d1),
-        d2f=lambda r: np.interp(np.asarray(r, float), rt, d2),
-        log_chain=log_chain, cross_section=cross_section,
-        r0=r0, kind="tabulated", params=(float(rt[0]), float(rt[-1])),
-    )
+    return WarpProfile(d=d, f=lambda r: np.interp(np.asarray(r, float), rt, ft),
+                       log_chain=log_chain, cross_section=cross_section, r0=r0)
 
 
 def geometric_split(profile: WarpProfile, cutoffs: CutoffSpec | None = None,

@@ -50,9 +50,6 @@ class Model:
     cutoffs: CutoffSpec
     line: LineEnd | None = None
     thresholds: tuple = ()
-    # fallback h-form constants for models without a full condition check
-    fallback_C: float = 1.0
-    fallback_tau: float = 2.0
 
     # -- structure ---------------------------------------------------------
 
@@ -63,7 +60,7 @@ class Model:
         return uniform_grid(r_max, h)
 
     def modes(self, cap: float):
-        return list(profile_modes(self.profile, cap))
+        return profile_modes(self.profile, cap)
 
     def operator(self, mu: float, grid: RadialGrid, z: complex,
                  policy: OuterPolicy | None = None, **kw):
@@ -84,18 +81,23 @@ def _lambda0_cached(model: Model) -> float:
     return critical_energy(model.profile, model.potential).value
 
 
+# h-form constants of line models, which get no full condition check
+_LINE_C = 1.0
+_LINE_TAU = 2.0
+
+
 @lru_cache(maxsize=64)
 def _conditions_cached(model: Model, caps: Caps) -> ConditionReport:
     if model.line is not None:
         lam0 = model.lambda0()
         rows = [InequalityRow(name="line_model_metadata", verdict="pass",
                               margin=float("inf"), witness_r=1.0,
-                              constant=model.fallback_C)]
+                              constant=_LINE_C)]
         return ConditionReport(
-            rows=rows, sigma=caps.sigma_max, tau=model.fallback_tau,
+            rows=rows, sigma=caps.sigma_max, tau=_LINE_TAU,
             rho_prime=caps.rho_prime_max, rho=caps.rho_max,
-            constant=model.fallback_C, lambda0=lam0,
-            beta_c=0.5 * min(caps.sigma_max, model.fallback_tau, caps.rho_max),
+            constant=_LINE_C, lambda0=lam0,
+            beta_c=0.5 * min(caps.sigma_max, _LINE_TAU, caps.rho_max),
             grid_meta={"kind": "line"})
     return check_conditions(model.profile, model.potential, model.cutoffs,
                             caps=caps)

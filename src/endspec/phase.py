@@ -34,7 +34,7 @@ from .conditions import loglog_fit
 from .cutoffs import CutoffSpec
 from .errors import BranchError, ContractError, EndspecError
 from .geometry import (CriticalEnergy, PotentialSplit, WarpProfile,
-                       critical_energy, geometry_at)
+                       critical_energy)
 from .radial import RadialGrid
 
 
@@ -48,14 +48,6 @@ class PhaseSpec:
     a: np.ndarray
     eta_lambda: np.ndarray
     grid: RadialGrid
-
-    @property
-    def gamma(self) -> float:
-        return abs(self.z.imag)
-
-    def a_at(self, r: float) -> complex:
-        rr = self.grid.radii
-        return complex(np.interp(r, rr, self.a.real) + 1j * np.interp(r, rr, self.a.imag))
 
 
 @dataclass(frozen=True)
@@ -282,26 +274,12 @@ def _magnus_inward(potential, z, r_eval, bp_end, step):
     return np.asarray(bs)[ends], np.asarray(bps)[ends]
 
 
-def apply_A(profile: WarpProfile, phi, grid: RadialGrid,
-            representation: str = "reduced",
-            cutoffs: CutoffSpec | None = None):
-    """Apply A = p^r - (i/2) Delta r to a grid function.
-
-    On reduced (density-flattened) functions A acts as -i (r' u' + r'' u / 2)
-    with r', r'' from the grid (-i d/dr on warped ends); on unreduced
-    functions the mean-curvature term is kept.  Central differences make the
+def apply_A(phi, grid: RadialGrid):
+    """Apply A = p^r - (i/2) Delta r to a reduced (density-flattened) grid
+    function, on which it acts as -i (r' u' + r'' u / 2) with r', r'' from
+    the grid (-i d/dr on warped ends).  Central differences make the
     discrete operator symmetric for interior-supported functions on warped
     ends.
     """
-    if representation not in ("reduced", "unreduced"):
-        raise ContractError(f"unknown representation {representation!r}")
-    rep = getattr(phi, "representation", None)
-    values = np.asarray(getattr(phi, "values", phi), dtype=complex)
-    if rep is not None and rep != representation:
-        raise ContractError(
-            f"grid function carries representation {rep!r}, requested {representation!r}")
-    out = -1j * (grid.dr * _central_derivative(values, grid.h) + 0.5 * grid.d2r * values)
-    if representation == "unreduced":
-        pt = geometry_at(profile, cutoffs, grid.radii)
-        out = out - 0.5j * pt.delta_r * values
-    return out
+    values = np.asarray(phi, dtype=complex)
+    return -1j * (grid.dr * _central_derivative(values, grid.h) + 0.5 * grid.d2r * values)

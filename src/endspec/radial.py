@@ -144,18 +144,6 @@ def line_grid(x_min: float, x_max: float, h: float, r_of_x: Callable,
 # mode spectra
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ModeSpectrum:
-    """Cross-section Laplace eigenvalues with multiplicities, capped."""
-
-    entries: tuple
-    kind: str
-    cap: float
-
-    def __iter__(self):
-        return iter(self.entries)
-
-
 def _sphere_multiplicity(l: int, n: int) -> int:
     """Multiplicity of eigenvalue l(l+n-1) on the round sphere S^n."""
     if l == 0:
@@ -165,8 +153,8 @@ def _sphere_multiplicity(l: int, n: int) -> int:
     return (2 * l + n - 1) * math.comb(l + n - 2, l) // (n - 1)
 
 
-def mode_spectrum(cross_section, cap: float, d: int | None = None) -> ModeSpectrum:
-    """Cross-section spectrum up to the cap.
+def mode_spectrum(cross_section, cap: float, d: int | None = None) -> tuple:
+    """Cross-section spectrum up to the cap, as (mu, multiplicity) pairs.
 
     circle: mu = k^2 with multiplicity 2 (k >= 1) and 1 (k = 0);
     sphere S^{d-1}: mu = l(l+d-2) with the standard multiplicities;
@@ -181,14 +169,13 @@ def mode_spectrum(cross_section, cap: float, d: int | None = None) -> ModeSpectr
                 raise ContractError("multiplicities must be positive integers")
             if mu <= cap:
                 entries.append((float(mu), int(mult)))
-        entries.sort()
-        return ModeSpectrum(entries=tuple(entries), kind="abstract", cap=float(cap))
+        return tuple(sorted(entries))
     if cross_section == "circle":
         entries, k = [(0.0, 1)], 1
         while k * k <= cap:
             entries.append((float(k * k), 2))
             k += 1
-        return ModeSpectrum(entries=tuple(entries), kind="circle", cap=float(cap))
+        return tuple(entries)
     if cross_section == "sphere":
         if d is None or d < 2:
             raise ContractError("sphere cross-section needs the ambient dimension d >= 2")
@@ -197,13 +184,13 @@ def mode_spectrum(cross_section, cap: float, d: int | None = None) -> ModeSpectr
         while l * (l + n - 1) <= cap:
             entries.append((float(l * (l + n - 1)), _sphere_multiplicity(l, n)))
             l += 1
-        return ModeSpectrum(entries=tuple(entries), kind="sphere", cap=float(cap))
+        return tuple(entries)
     raise ContractError(f"unknown cross-section kind {cross_section!r}")
 
 
-def profile_modes(profile: WarpProfile, cap: float) -> ModeSpectrum:
+def profile_modes(profile: WarpProfile, cap: float) -> tuple:
     if profile.d == 1:
-        return ModeSpectrum(entries=((0.0, 1),), kind="point", cap=float(cap))
+        return ((0.0, 1),)
     if profile.cross_section == "abstract":
         return mode_spectrum(list(profile.cross_eigs), cap)
     return mode_spectrum(profile.cross_section, cap, d=profile.d)
@@ -301,10 +288,10 @@ class RadialOperator:
         """The same h_mu at another z (and outer policy, if given).
 
         The potential diagonal is shared, not copied; the resolution guard
-        (10 points per wavelength, else ResolutionError) is applied at the
-        new z.
+        (``_MIN_PPW`` points per wavelength, else ResolutionError) is applied
+        at the new z.
         """
-        _resolution_guard(self.grid.h, z, min_ppw=10.0, action="error")
+        _resolution_guard(self.grid.h, z, action="error")
         return replace(self, z=complex(z), policy=policy or self.policy)
 
     def matvec(self, u):
@@ -316,14 +303,18 @@ class RadialOperator:
         return v
 
 
-def _resolution_guard(h: float, z: complex, min_ppw: float, action: str):
+# grid points per wavelength at sqrt(2 |z|) below which assembly refuses
+_MIN_PPW = 10.0
+
+
+def _resolution_guard(h: float, z: complex, action: str):
     k = math.sqrt(2.0 * abs(z))
     if k <= 0.0:
         return
     ppw = 2.0 * math.pi / k / h
-    if ppw < min_ppw:
+    if ppw < _MIN_PPW:
         msg = (f"grid resolves only {ppw:.1f} points per wavelength at |z|={abs(z):.3g} "
-               f"(minimum {min_ppw:g}); decrease h")
+               f"(minimum {_MIN_PPW:g}); decrease h")
         if action == "error":
             raise ResolutionError(msg)
         warnings.warn(msg, stacklevel=3)
@@ -333,14 +324,13 @@ def assemble_radial_operator(profile: WarpProfile, potential: PotentialSplit,
                              mu: float, grid: RadialGrid, z: complex,
                              policy: OuterPolicy | None = None,
                              cutoffs: CutoffSpec | None = None,
-                             min_ppw: float = 10.0,
                              resolution_action: str = "error",
                              background: tuple | None = None) -> RadialOperator:
     """Discretize h_mu - z on the grid with the requested outer policy.
 
     Interior rows encode -(phi_{j-1} - 2 phi_j + phi_{j+1}) / (2 h^2)
     + (q_geom + mu/(2 f) + V - z) phi_j.  A resolution guard rejects grids
-    with fewer than ``min_ppw`` points per wavelength at sqrt(2 |z|)
+    with fewer than ``_MIN_PPW`` points per wavelength at sqrt(2 |z|)
     (``resolution_action`` = "warn" downgrades this to a warning).
 
     The geometry is taken at the radii and V at the nodes (on line models
@@ -351,7 +341,7 @@ def assemble_radial_operator(profile: WarpProfile, potential: PotentialSplit,
     """
     if mu < 0:
         raise ContractError("mode eigenvalue mu must be >= 0")
-    _resolution_guard(grid.h, z, min_ppw, resolution_action)
+    _resolution_guard(grid.h, z, resolution_action)
     if background is None:
         background = (geometry_at(profile, cutoffs, grid.radii), potential.V(grid.nodes))
     pt, v = background
@@ -363,10 +353,9 @@ def assemble_radial_operator(profile: WarpProfile, potential: PotentialSplit,
 
 def assemble_line_operator(v_of_x: Callable, grid: RadialGrid, z: complex,
                            policy: OuterPolicy | None = None,
-                           min_ppw: float = 10.0,
                            resolution_action: str = "error") -> RadialOperator:
     """Discretize -(1/2) d^2/dx^2 + V(x) - z on a line grid (multi-end models)."""
-    _resolution_guard(grid.h, z, min_ppw, resolution_action)
+    _resolution_guard(grid.h, z, resolution_action)
     wvals = np.asarray(v_of_x(grid.nodes), dtype=float)
     return RadialOperator(mu=0.0, z=complex(z),
                           policy=policy or OuterPolicy.dirichlet(), grid=grid,

@@ -6,7 +6,8 @@ Two independent outer treatments are kept deliberately:
     truncation on a domain long enough to absorb the wave
     (Gamma (R_max - 1) >= 8 unless explicitly overridden);
   * outgoing row: solve at real lambda with the last row enforcing
-    phi' = +- i a(R_max) phi.
+    phi' = +- i a(R_max) phi (``outgoing_row``; the radiation sweep closes
+    its complex-shift solves with the same row).
 
 Their agreement as Gamma -> 0 is itself an acceptance-level check of the
 outgoing selection rule.
@@ -214,32 +215,24 @@ def resolve(op: RadialOperator, psi, allow_unabsorbed: bool = False,
                      blowup_limit=blowup_limit)(psi)
 
 
-def outgoing_modes(assemble, profile: WarpProfile, potential: PotentialSplit,
-                   grid: RadialGrid, lam: float, sign: int, psi, mus,
-                   cutoffs: CutoffSpec | None = None,
-                   lambda0: float | None = None,
-                   r_lam: float | None = None):
-    """Solve (h_mu - lambda) phi = psi for each mu in ``mus`` with the
-    outgoing (sign=+1) or incoming (sign=-1) boundary relation
-    phi' = +- i a(R_max) phi.
+def outgoing_row(profile: WarpProfile, potential: PotentialSplit,
+                 grid: RadialGrid, z: complex, sign: int,
+                 cutoffs: CutoffSpec | None = None,
+                 lambda0: float | None = None,
+                 r_lam: float | None = None):
+    """The outer row phi' = +- i a(R_max) phi at z: outgoing (sign=+1) or
+    incoming (sign=-1), with a the dispersion-matched phase at the grid edge.
 
-    The phase a(r) is computed once; ``assemble(mu, policy)`` returns the
-    operator h_mu - lambda closed with ``policy``.  Returns the solutions
-    keyed by mu (each with ``a_end`` and ``r_lambda`` in its info) and the
-    phase.
+    Returns the ``OuterPolicy`` and the phase on the grid.  Raises
+    ``BranchError`` when Re a(R_max) <= 0, as on a grid too coarse for the
+    wave (real a with a h > 2).
     """
-    ph = phase_a(profile, potential, complex(lam), sign, grid,
+    ph = phase_a(profile, potential, z, sign, grid,
                  cutoffs=cutoffs, lambda0=lambda0, r_lam=r_lam)
     a_end = complex(grid_phase(ph.a[-1], grid.h))
     if not a_end.real > 0.0:
         raise BranchError(f"phase at the outer edge has Re a = {a_end.real:.3g} <= 0")
-    policy = OuterPolicy.outgoing(a_end, sign)
-    sols = {}
-    for mu in mus:
-        sol = resolve(assemble(mu, policy), psi)
-        sol.info.update(a_end=a_end, r_lambda=ph.r_lambda)
-        sols[mu] = sol
-    return sols, ph
+    return OuterPolicy.outgoing(a_end, sign), ph
 
 
 # ---------------------------------------------------------------------------

@@ -383,3 +383,28 @@ def test_package_import_leaves_scipy_integrate_unloaded():
     proc = _run_python("-c", "import sys, endspec; "
                              "assert 'scipy.integrate' not in sys.modules")
     assert proc.returncode == 0, proc.stderr
+
+
+def test_module_docstring_lists_every_key_and_kind():
+    # the schema in the config module's docstring is the format's reference:
+    # it names exactly the keys and kinds the parser accepts
+    import re
+    import endspec.config as config
+    keys, kinds, section = {}, {}, None
+    for line in config.__doc__.splitlines():
+        header = re.match(r"    \[(\w+)", line)
+        if header:
+            section = header.group(1)
+            keys[section], kinds[section] = set(), set()
+            continue
+        entry = re.match(r"    (\w+) = ", line)
+        if entry and section:
+            keys[section].add(entry.group(1))
+        if section and (entry and entry.group(1) == "kind" or line.strip().startswith("|")):
+            kinds[section] |= set(re.findall(r"\b[a-z_]+\b", line.split("#")[0])) - {"kind"}
+    assert keys["model"] == set(config._MODEL_KEYS)
+    assert keys["grid"] == set(config._GRID_KEYS)
+    assert keys["output"] == set(config._OUTPUT_KEYS)
+    assert keys["experiment"] == set(config._EXPERIMENT_KEYS)
+    assert kinds["model"] == config._MODEL_KINDS
+    assert kinds["experiment"] == config._EXPERIMENT_KINDS

@@ -7,9 +7,9 @@ from endspec.geometry import (PotentialSplit, WarpProfile, const_profile,
                               critical_energy, effective_potential,
                               exp_profile, geometric_split, geometry_at,
                               hyperbolic_profile, power_profile, q_geom_chain,
-                              radial_translation, tabulated_profile,
-                              volume_density)
-from endspec.radial import inner, smooth_bump, uniform_grid
+                              radial_translation, stretched_exp_profile,
+                              tabulated_profile, volume_density)
+from endspec.radial import smooth_bump, uniform_grid
 
 
 def test_warped_formulas_euclidean():
@@ -18,7 +18,6 @@ def test_warped_formulas_euclidean():
     assert pt.delta_r == pytest.approx(0.2, abs=1e-14)
     assert pt.ell_coeff == pytest.approx(0.1, abs=1e-14)
     assert pt.q_geom == pytest.approx(0.0, abs=1e-15)
-    assert pt.dr2 == 1.0
 
 
 def test_warped_formulas_exponential():
@@ -36,18 +35,33 @@ def test_constant_warp_trivial():
 
 
 def test_mean_curvature_formula_region():
-    # Delta r = (d-1) f'/(2 f) wherever eta = 1
-    for prof in (power_profile(1.5, 3), hyperbolic_profile(2)):
+    # Delta r = (d-1) f'/(2 f) wherever eta = 1, against closed-form f'/f:
+    # theta/r for f = r^theta, 2 coth r for f = sinh^2 r
+    for prof, w_of_r in ((power_profile(1.5, 3), lambda r: 1.5 / r),
+                         (hyperbolic_profile(2), lambda r: 2.0 / np.tanh(r))):
         r = np.linspace(prof.r0, 50.0, 300)
         pt = geometry_at(prof, None, r)
-        w = prof.df(r) / prof.f(r)
-        np.testing.assert_allclose(pt.delta_r, 0.5 * (prof.d - 1) * w, rtol=1e-12)
+        np.testing.assert_allclose(pt.delta_r, 0.5 * (prof.d - 1) * w_of_r(r),
+                                   rtol=1e-12)
+
+
+def test_q_geom_matches_closed_form_chain():
+    # geometry_at and q_geom_chain build q_geom by two different groupings of
+    # the same terms; they agree to rounding on [1, 64], cutoff band included
+    rt = np.linspace(1.0, 100.0, 4000)
+    profiles = (power_profile(1.0, 3), power_profile(2.0, 4),
+                exp_profile(1.0, 3, lower_c=0.5, lower_theta=0.5),
+                stretched_exp_profile(1.0, 0.5, 3), hyperbolic_profile(3),
+                const_profile(d=3), tabulated_profile(rt, rt**1.5, d=3))
+    r = np.linspace(1.0, 64.0, 6301)
+    for prof in profiles:
+        q = geometry_at(prof, None, r).q_geom
+        q_chain = q_geom_chain(prof, None, r)[0]
+        assert np.all(np.abs(q - q_chain) <= 1e-13 * (1.0 + np.abs(q)))
 
 
 def test_geometry_error_names_radius():
     bad = WarpProfile(d=2, f=lambda r: np.where(np.asarray(r) > 5.0, -1.0, 1.0),
-                      df=lambda r: np.zeros_like(np.asarray(r, float)),
-                      d2f=lambda r: np.zeros_like(np.asarray(r, float)),
                       log_chain=lambda r: (np.zeros_like(np.asarray(r, float)),) * 4)
     with pytest.raises(EvaluationError):
         geometry_at(bad, None, np.array([2.0, 6.0]))

@@ -1,9 +1,8 @@
-import mpmath
 import numpy as np
 import pytest
 
 from endspec.errors import BranchError, ContractError
-from endspec.geometry import (PotentialSplit, const_profile, power_profile)
+from endspec.geometry import PotentialSplit, const_profile
 from endspec.models import euclidean_model, free_model, multiend_model
 from endspec.phase import (apply_A, grid_phase, phase_a, r_lambda,
                            riccati_exact, riccati_residual)
@@ -75,17 +74,18 @@ def test_phase_branch_upper_halfplane():
 
 def test_phase_extended_precision_reevaluation():
     # d = 2 Euclidean end: q1 = q11 = -1/(8 r^2); upper sign at z = 2
+    mp = pytest.importorskip("mpmath")
     m = euclidean_model(2)
     grid = uniform_grid(64.0, 0.25)
     ph = phase_a(m.profile, m.potential, 2.0 + 0.0j, +1, grid,
                  cutoffs=m.cutoffs, lambda0=m.lambda0())
-    mpmath.mp.dps = 40
-    for j in (40, 120, 250):
-        r = mpmath.mpf(grid.radii[j])
-        q1 = -1 / (8 * r**2)
-        dq11 = 1 / (4 * r**3)
-        expected = mpmath.sqrt(2 * (2 - q1)) + mpmath.mpc(0, -1) * dq11 / (4 * (2 - q1))
-        assert abs(complex(expected) - ph.a[j]) < 1e-13
+    with mp.workdps(40):
+        for j in (40, 120, 250):
+            r = mp.mpf(grid.radii[j])
+            q1 = -1 / (8 * r**2)
+            dq11 = 1 / (4 * r**3)
+            expected = mp.sqrt(2 * (2 - q1)) + mp.mpc(0, -1) * dq11 / (4 * (2 - q1))
+            assert abs(complex(expected) - ph.a[j]) < 1e-13
 
 
 def test_phase_branch_error_surfaces():
@@ -217,35 +217,21 @@ def test_exact_matches_coulomb_functions():
 # --- the operator A -------------------------------------------------------------
 
 def test_apply_A_cylinder_plane_wave():
-    prof = const_profile(d=2)
     grid = uniform_grid(32.0, 0.01)
     k = 1.0
     phi = np.exp(1j * k * grid.radii)
-    out = apply_A(prof, phi, grid, representation="reduced")
+    out = apply_A(phi, grid)
     interior = slice(5, -5)
     np.testing.assert_allclose(out[interior], k * phi[interior], atol=2e-5)
 
 
-def test_apply_A_unreduced_warped():
-    # f = r^2, d = 3: A = p^r - i/r on unreduced functions
-    prof = power_profile(2.0, 3)
-    grid = uniform_grid(64.0, 0.01)
-    k = 1.0
-    phi = np.exp(1j * k * grid.radii)
-    out = apply_A(prof, phi, grid, representation="unreduced")
-    far = (grid.radii > 4.0) & (grid.radii < 60.0)
-    expected = (k - 1j / grid.radii) * phi
-    np.testing.assert_allclose(out[far], expected[far], atol=2e-5)
-
-
 def test_apply_A_symmetric():
-    prof = power_profile(2.0, 3)
     grid = uniform_grid(32.0, 0.01)
     from endspec.radial import inner, smooth_bump
     phi = smooth_bump(grid.radii, 5.0, 9.0) * np.exp(1j * grid.radii)
     psi = smooth_bump(grid.radii, 6.0, 11.0)
-    a_phi = apply_A(prof, phi, grid)
-    a_psi = apply_A(prof, psi, grid)
+    a_phi = apply_A(phi, grid)
+    a_psi = apply_A(psi, grid)
     lhs = inner(a_phi, psi, grid)
     rhs = inner(phi, a_psi, grid)
     assert abs(lhs - rhs) < 1e-6
@@ -257,25 +243,11 @@ def test_apply_A_line_uses_escape_derivatives():
     m = multiend_model()
     grid = m.make_grid(16.0, 0.005)
     u = np.exp(1j * grid.nodes)
-    out = apply_A(m.profile, u, grid)
+    out = apply_A(u, grid)
     expected = (grid.dr - 0.5j * grid.d2r) * u
     interior = slice(5, -5)
     np.testing.assert_allclose(out[interior], expected[interior], atol=2e-5)
     assert np.max(np.abs(grid.d2r)) > 0.1 and np.min(grid.dr) == 0.0
-
-
-def test_apply_A_representation_contract():
-    prof = const_profile()
-    grid = uniform_grid(8.0, 0.1)
-
-    class Tagged:
-        values = np.zeros(grid.n)
-        representation = "unreduced"
-
-    with pytest.raises(ContractError):
-        apply_A(prof, Tagged(), grid, representation="reduced")
-    with pytest.raises(ContractError):
-        apply_A(prof, np.zeros(grid.n), grid, representation="fancy")
 
 
 # --- invariants ------------------------------------------------------------------

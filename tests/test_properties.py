@@ -47,14 +47,13 @@ def run_A_symmetry(n=100, seed=SEED):
     bad = 0
     grid = uniform_grid(24.0, 0.02)
     for _ in range(n):
-        prof = _profiles(rng)
         a, b = np.sort(rng.uniform(3.0, 20.0, size=2))
         if b - a < 0.5:
             b = a + 0.5
         phi = smooth_bump(grid.radii, a, b) * np.exp(1j * rng.uniform(0.2, 2.0) * grid.radii)
         psi = smooth_bump(grid.radii, a * 0.9 + 0.3, b)
-        lhs = inner(apply_A(prof, phi, grid), psi, grid)
-        rhs = inner(phi, apply_A(prof, psi, grid), grid)
+        lhs = inner(apply_A(phi, grid), psi, grid)
+        rhs = inner(phi, apply_A(psi, grid), grid)
         scale = max(l2_norm(phi, grid) * l2_norm(psi, grid), 1e-30)
         if abs(lhs - rhs) > 1e-5 * scale:
             bad += 1

@@ -6,27 +6,35 @@ from scipy.linalg.lapack import zgttrf, zgttrs
 import endspec.experiments
 import endspec.radial
 import endspec.solver
-from endspec.errors import (AbsorptionError, ConditioningError, ContractError)
+from endspec.errors import (AbsorptionError, BranchError, ConditioningError,
+                            ContractError)
 from endspec.experiments import (besov_energy_check, hoelder_estimate, lap_sweep,
                                  radiation_sweep)
-from endspec.geometry import const_profile
 from endspec.models import (euclidean_model, free_model, multiend_model,
                             square_well_model)
 from endspec.radial import (OuterPolicy, RadialOperator, l2_norm,
                             smooth_bump, uniform_grid)
 from endspec.solver import (_RESIDUAL_BLOCK, EigenEntry, Resolvent, eigen_scan,
-                            eigen_scan_tridiag, outgoing_modes, resolve)
+                            eigen_scan_tridiag, outgoing_row, resolve)
 
 from oracles import free_kernel_wronskian, free_resolvent, well_bound_states
 
 
 def _outgoing(m, grid, lam, psi):
     """Outgoing (sign +1) solve of the mu = 0 mode of ``m`` at lambda = lam."""
-    sols, _ = outgoing_modes(
-        lambda mu, policy: m.operator(mu, grid, complex(lam), policy),
-        m.profile, m.potential, grid, lam, +1, psi, [0.0],
-        cutoffs=m.cutoffs, lambda0=0.0)
-    return sols[0.0]
+    policy, _ = outgoing_row(m.profile, m.potential, grid, complex(lam), +1,
+                             cutoffs=m.cutoffs, lambda0=0.0)
+    return resolve(m.operator(0.0, grid, complex(lam), policy), psi)
+
+
+def test_outgoing_row_refuses_unresolved_edge_phase():
+    # free model at lambda = 2: a = 2, so a h = 2.4 > 2 at h = 1.2 and the
+    # dispersion-matched phase a sqrt(1 - (a h / 2)^2) has no real part
+    m = free_model()
+    grid = uniform_grid(13.0, 1.2)
+    with pytest.raises(BranchError):
+        outgoing_row(m.profile, m.potential, grid, 2.0 + 0.0j, +1,
+                     cutoffs=m.cutoffs, lambda0=0.0)
 
 
 def _free_setup(r_max=64.0, h=0.01, z=1.0 + 0.1j, policy=None):
