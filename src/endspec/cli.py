@@ -31,8 +31,8 @@ import numpy as np
 from . import __version__
 from .conditions import (check_escape_2d, disk_complement_field,
                          hyperbola_field, sawtooth_field)
-from .config import ExperimentConfig, RunConfig, parse_config
-from .errors import ConfigError, ContractError, EndspecError
+from .config import MODEL_NEEDS, ExperimentConfig, RunConfig, parse_config
+from .errors import ConfigError, EndspecError
 from .experiments import (Bump, besov_energy_check, hoelder_estimate,
                           lap_sweep, radiation_sweep, sommerfeld_compare)
 from .models import (euclidean_model, exp_model, free_model,
@@ -56,36 +56,43 @@ _COMMAND_KINDS = {
 }
 
 
+# Config keys whose callee parameter has another name.
+_PARAM_OF = {"well_a": "a", "well_b": "b",
+             "psi_a": "a", "psi_b": "b", "psi_amp": "amplitude"}
+
+# kind -> (builder, optional keys); the builder's positional keys are
+# config.MODEL_NEEDS.  tabulated and escape_* are built in build_model.
+_BUILDERS = {
+    "free": (free_model, ()),
+    "power": (power_model, ()),
+    "euclidean": (euclidean_model, ()),
+    "exponential": (exp_model, ("amp", "lower_c", "lower_theta")),
+    "stretchedexp": (stretched_exp_model, ()),
+    "hyperbolic": (hyperbolic_model, ()),
+    "well": (square_well_model, ("depth", "well_a", "well_b")),
+    "multiend": (multiend_model, ("lambda0", "lambda1", "x_min")),
+}
+
+
+def _given(opt, *keys, **fallback):
+    """Keyword arguments for those of ``keys`` that ``opt`` sets, under the
+    callee's parameter names, over the CLI's own ``fallback`` values; an
+    absent key keeps the callee's default."""
+    return {**fallback, **{_PARAM_OF.get(k, k): opt[k] for k in keys if k in opt}}
+
+
 def build_model(cfg: RunConfig):
     m = cfg.model
     kind = m["kind"]
-    r0 = m.get("r0", 2.0)
-    if kind == "free":
-        return free_model(r0=r0)
-    if kind == "power":
-        return power_model(m["theta"], m["d"], r0=r0)
-    if kind == "euclidean":
-        return euclidean_model(m["d"], r0=r0)
-    if kind == "exponential":
-        return exp_model(m["kappa"], m["d"], r0=r0, amp=m.get("amp", 1.0),
-                         lower_c=m.get("lower_c", 0.0),
-                         lower_theta=m.get("lower_theta", 0.5))
-    if kind == "stretchedexp":
-        return stretched_exp_model(m["delta"], m["theta"], m["d"], r0=r0)
-    if kind == "tabulated":
-        table = np.loadtxt(m["csv"], delimiter=",", comments="#")
-        return tabulated_model(table[:, 0], table[:, 1], m["d"], r0=r0)
-    if kind == "hyperbolic":
-        return hyperbolic_model(m["d"], r0=r0)
-    if kind == "well":
-        return square_well_model(m.get("depth", 5.0), m.get("well_a", 1.0),
-                                 m.get("well_b", 2.0), r0=r0)
-    if kind == "multiend":
-        return multiend_model(m.get("lambda0", 0.0), m.get("lambda1", 4.0),
-                              m.get("x_min", -24.0), r0=r0)
     if kind.startswith("escape_"):
         return None  # handled directly by the check runner
-    raise ConfigError([f"unsupported model kind {kind!r}"])
+    args = [m[k] for k in MODEL_NEEDS.get(kind, ())]
+    if kind == "tabulated":
+        table = np.loadtxt(args[0], delimiter=",", comments="#")
+        return tabulated_model(table[:, 0], table[:, 1], *args[1:],
+                               **_given(m, "r0"))
+    builder, keys = _BUILDERS[kind]
+    return builder(*args, **_given(m, "r0", *keys))
 
 
 def _escape_field(cfg: RunConfig):
@@ -104,8 +111,14 @@ def _meta(cfg: RunConfig):
 
 
 def _psi(opt):
-    return Bump(a=opt.get("psi_a", 2.0), b=opt.get("psi_b", 3.0),
-                amplitude=opt.get("psi_amp", 1.0))
+    return Bump(**_given(opt, "psi_a", "psi_b", "psi_amp"))
+
+
+def _svg(cfg, exp, out_dir, command, series, x_label, y_label):
+    """Write the block's log-log plot if the config asks for SVGs."""
+    if cfg.output["svg"]:
+        write_loglog_svg(out_dir / f"{exp.name}.svg", f"{command} {exp.name}",
+                         series, x_label, y_label, meta=_meta(cfg))
 
 
 def _run_check(cfg, model, exp, out_dir, seed):
@@ -118,16 +131,14 @@ def _run_check(cfg, model, exp, out_dir, seed):
     detail = (f"sigma={report.sigma:.4g} tau={report.tau:.4g} "
               f"rho'={report.rho_prime:.4g} rho={report.rho:.4g} "
               f"lambda0={report.lambda0:.6g} beta_c={report.beta_c:.4g}")
-    return verdict, detail, []
+    return verdict, detail
 
 
 def _run_solve(cfg, model, exp, out_dir, seed):
     opt = exp.options
-    lam = opt["lambda"]
-    gammas = opt.get("gammas", [0.01])
     grid = model.make_grid(cfg.grid["r_max"], cfg.grid["h"])
     psi_vals = _psi(opt).normalized(grid)
-    z = complex(lam, gammas[0])
+    z = complex(opt["lambda"], opt.get("gammas", [0.01])[0])
     op = model.operator(0.0, grid, z)
     sol = resolve(op, psi_vals, allow_unabsorbed=True)
     rows = [[float(r), float(v.real), float(v.imag)]
@@ -136,80 +147,64 @@ def _run_solve(cfg, model, exp, out_dir, seed):
               {**_meta(cfg), "experiment": exp.name, "z": z,
                "residual": sol.residual},
               ["r", "re_phi", "im_phi"], rows)
-    return "pass", f"residual={sol.residual:.2e}", []
+    return "pass", f"residual={sol.residual:.2e}"
 
 
 def _run_lap(cfg, model, exp, out_dir, seed):
     opt = exp.options
-    table = lap_sweep(model, opt["lambda"], opt.get("gammas", [0.1, 0.01, 0.001]),
-                      psi=_psi(opt), h=cfg.grid["h"],
-                      base_r_max=cfg.grid["r_max"],
+    table = lap_sweep(model, opt["lambda"], opt["gammas"], psi=_psi(opt),
+                      h=cfg.grid["h"], base_r_max=cfg.grid["r_max"],
                       mode_cap=cfg.grid["mode_cap"],
-                      bound_factor=opt.get("bound_factor", 2.0))
+                      **_given(opt, "bound_factor"))
     table.to_csv(out_dir / f"{exp.name}.csv", extra_meta=_meta(cfg))
-    files = [f"{exp.name}.csv"]
-    if cfg.output.get("svg"):
-        g = table.column("gamma")
-        series = [(c, g, table.column(c)) for c in
-                  ("phi_bstar", "pr_phi_bstar", "h_form_sqrt", "h0_phi_bstar")]
-        write_loglog_svg(out_dir / f"{exp.name}.svg", f"lap {exp.name}",
-                         series, "gamma", "norm", meta=_meta(cfg))
-        files.append(f"{exp.name}.svg")
-    return table.verdict, f"max ratio {max(v for k, v in table.meta.items() if k.startswith('ratio')):.3g}", files
+    g = table.column("gamma")
+    _svg(cfg, exp, out_dir, "lap",
+         [(c, g, table.column(c)) for c in
+          ("phi_bstar", "pr_phi_bstar", "h_form_sqrt", "h0_phi_bstar")],
+         "gamma", "norm")
+    return table.verdict, f"max ratio {max(v for k, v in table.meta.items() if k.startswith('ratio')):.3g}"
 
 
 def _run_besov_energy(cfg, model, exp, out_dir, seed):
     opt = exp.options
     table = besov_energy_check(model, complex(opt["lambda"], opt.get("gammas", [0.1])[0]),
-                               psi=_psi(opt), delta=opt.get("delta"),
-                               nus=opt.get("nus", [0, 1, 2, 3, 4, 5, 6]),
-                               h=cfg.grid["h"], mode_cap=cfg.grid["mode_cap"],
-                               bound_factor=opt.get("bound_factor", 2.0))
+                               psi=_psi(opt), h=cfg.grid["h"],
+                               mode_cap=cfg.grid["mode_cap"],
+                               **_given(opt, "delta", "nus", "bound_factor"))
     table.to_csv(out_dir / f"{exp.name}.csv", extra_meta=_meta(cfg))
     return table.verdict, (f"n={table.meta['n']} spread="
-                           f"{table.meta['constant_spread']:.3g}"), [f"{exp.name}.csv"]
+                           f"{table.meta['constant_spread']:.3g}")
 
 
 def _run_radiation(cfg, model, exp, out_dir, seed):
     opt = exp.options
-    table = radiation_sweep(model, opt["lambda"],
-                            opt.get("gammas", [0.1, 0.01, 0.001]),
-                            opt.get("betas", [0.0, 0.5]), psi=_psi(opt),
-                            h=cfg.grid["h"], base_r_max=cfg.grid["r_max"],
+    table = radiation_sweep(model, opt["lambda"], opt["gammas"], opt["betas"],
+                            psi=_psi(opt), h=cfg.grid["h"],
+                            base_r_max=cfg.grid["r_max"],
                             mode_cap=cfg.grid["mode_cap"],
-                            bound_factor=opt.get("bound_factor", 2.0),
-                            sign=opt.get("sign", 1))
+                            **_given(opt, "bound_factor", "sign"))
     table.to_csv(out_dir / f"{exp.name}.csv", extra_meta=_meta(cfg))
-    files = [f"{exp.name}.csv"]
-    if cfg.output.get("svg"):
-        series = []
-        for b in sorted({row[1] for row in table.rows}):
-            rows = [(row[0], row[2]) for row in table.rows if row[1] == b]
-            series.append((f"beta={b:g}", [p[0] for p in rows], [p[1] for p in rows]))
-        write_loglog_svg(out_dir / f"{exp.name}.svg", f"radiation {exp.name}",
-                         series, "gamma", "weighted B* norm", meta=_meta(cfg))
-        files.append(f"{exp.name}.svg")
+    series = []
+    for b in sorted({row[1] for row in table.rows}):
+        rows = [(row[0], row[2]) for row in table.rows if row[1] == b]
+        series.append((f"beta={b:g}", [p[0] for p in rows], [p[1] for p in rows]))
+    _svg(cfg, exp, out_dir, "radiation", series, "gamma", "weighted B* norm")
     return table.verdict, (f"discrimination x"
-                           f"{table.meta['discrimination_at_gamma_min']:.3g}"), files
+                           f"{table.meta['discrimination_at_gamma_min']:.3g}")
 
 
 def _run_hoelder(cfg, model, exp, out_dir, seed):
     opt = exp.options
-    table = hoelder_estimate(model, opt["lambda"], opt.get("s", 1.0),
-                             gamma_top=opt.get("gamma_top", 0.064),
-                             n_pairs=opt.get("n_pairs", 4),
-                             n_probes=opt.get("n_probes", 8),
-                             seed=opt.get("seed", seed), h=cfg.grid["h"])
+    table = hoelder_estimate(model, opt["lambda"], h=cfg.grid["h"],
+                             **_given(opt, "s", "gamma_top", "n_pairs",
+                                      "n_probes", "seed", s=1.0, seed=seed))
     table.to_csv(out_dir / f"{exp.name}.csv", extra_meta=_meta(cfg))
-    files = [f"{exp.name}.csv"]
-    if cfg.output.get("svg"):
-        dz = [row[0] - row[1] for row in table.rows]
-        write_loglog_svg(out_dir / f"{exp.name}.svg", f"hoelder {exp.name}",
-                         [("diff", dz, [row[2] for row in table.rows])],
-                         "|z - z'|", "operator difference", meta=_meta(cfg))
-        files.append(f"{exp.name}.svg")
+    _svg(cfg, exp, out_dir, "hoelder",
+         [("diff", [row[0] - row[1] for row in table.rows],
+           [row[2] for row in table.rows])],
+         "|z - z'|", "operator difference")
     return table.verdict, (f"eps_emp={table.meta['epsilon_emp']:.3g} "
-                           f"floor={table.meta['predicted_floor']:.3g}"), files
+                           f"floor={table.meta['predicted_floor']:.3g}")
 
 
 def _run_rellich(cfg, model, exp, out_dir, seed):
@@ -242,17 +237,14 @@ def _run_rellich(cfg, model, exp, out_dir, seed):
     detail = (f"{len(scan.entries)} eigenvalues, "
               f"{len(scan.artifacts())} artifacts, "
               f"{len(spurious)} unexplained above lambda0")
-    return verdict, detail, [f"{exp.name}.csv"]
+    return verdict, detail
 
 
 def _run_sommerfeld(cfg, model, exp, out_dir, seed):
     opt = exp.options
-    rep = sommerfeld_compare(model, opt["lambda"], psi=_psi(opt),
-                             sign=opt.get("sign", 1), h=cfg.grid["h"],
-                             window_r_max=opt.get("window_r_max",
-                                                  cfg.grid["r_max"]),
-                             gamma_top=opt.get("gamma_top", 2e-3),
-                             tol=opt.get("tol", 1e-4))
+    rep = sommerfeld_compare(model, opt["lambda"], psi=_psi(opt), h=cfg.grid["h"],
+                             **_given(opt, "sign", "window_r_max", "gamma_top",
+                                      "tol", window_r_max=cfg.grid["r_max"]))
     write_csv(out_dir / f"{exp.name}.csv",
               {**_meta(cfg), "experiment": exp.name, **rep.meta},
               ["disc_weighted", "disc_bstar", "rel_weighted",
@@ -260,20 +252,18 @@ def _run_sommerfeld(cfg, model, exp, out_dir, seed):
               [[rep.disc_weighted, rep.disc_bstar, rep.rel_weighted,
                 rep.radiation_slope if rep.radiation_slope is not None else "",
                 rep.verdict]])
-    return rep.verdict, f"disc={rep.disc_weighted:.3e}", [f"{exp.name}.csv"]
+    return rep.verdict, f"disc={rep.disc_weighted:.3e}"
 
 
 def _run_riccati(cfg, model, exp, out_dir, seed):
     opt = exp.options
     lam = opt["lambda"]
-    gamma = opt.get("gammas", [0.0])[0] if opt.get("gammas") else 0.0
-    sign = opt.get("sign", 1)
     grid = model.make_grid(cfg.grid["r_max"], cfg.grid["h"])
-    z = complex(lam, gamma)
+    z = complex(lam, (opt.get("gammas") or [0.0])[0])
     lam0 = model.lambda0()
     report = model.conditions()
     r_lam = r_lambda(model.profile, model.potential, lam, lambda0=lam0)
-    ph = phase_a(model.profile, model.potential, z, sign, grid,
+    ph = phase_a(model.profile, model.potential, z, opt.get("sign", 1), grid,
                  cutoffs=model.cutoffs, r_lam=r_lam)
     resid = riccati_residual(ph, model.profile, model.potential, grid)
     rows = [[float(r), float(a.real), float(a.imag), float(v)]
@@ -284,12 +274,8 @@ def _run_riccati(cfg, model, exp, out_dir, seed):
                "r_lambda": ph.r_lambda, "slope": resid.slope,
                "r_squared": resid.r_squared},
               ["r", "re_a", "im_a", "riccati_residual"], rows)
-    files = [f"{exp.name}.csv"]
-    if cfg.output.get("svg"):
-        write_loglog_svg(out_dir / f"{exp.name}.svg", f"riccati {exp.name}",
-                         [("residual", resid.r, resid.residual)], "r", "residual",
-                         meta=_meta(cfg))
-        files.append(f"{exp.name}.svg")
+    _svg(cfg, exp, out_dir, "riccati", [("residual", resid.r, resid.residual)],
+         "r", "residual")
     threshold = -(1.0 + 0.5 * min(report.rho / 2.0, report.tau)) + 0.2
     if resid.negligible:
         verdict = "pass"
@@ -300,7 +286,7 @@ def _run_riccati(cfg, model, exp, out_dir, seed):
     else:
         verdict = "pass" if resid.slope <= max(threshold, -1.0 + 0.2) else "fail"
         detail = f"slope={resid.slope:.3g}"
-    return verdict, detail, files
+    return verdict, detail
 
 
 _RUNNERS = {
@@ -320,7 +306,7 @@ def run(cfg: RunConfig, command: str, out_dir=None, seed: int = 0,
     if command not in _COMMAND_KINDS:
         print(f"error: unknown command {command!r}", file=sys.stderr)
         return 1
-    out_dir = Path(out_dir or cfg.output.get("directory", "out"))
+    out_dir = Path(out_dir or cfg.output["directory"])
     out_dir.mkdir(parents=True, exist_ok=True)
     kinds = _COMMAND_KINDS[command]
     selected = [e for e in cfg.experiments if e.kind in kinds]
@@ -331,20 +317,13 @@ def run(cfg: RunConfig, command: str, out_dir=None, seed: int = 0,
         print(f"error: no experiment blocks of kind {sorted(kinds)} in config",
               file=sys.stderr)
         return 1
-    try:
-        model = build_model(cfg)
-    except ConfigError as exc:
-        for v in exc.violations:
-            print(f"config error: {v}", file=sys.stderr)
-        return 1
+    model = build_model(cfg)
 
     def _one(exp):
         try:
-            verdict, detail, files = _RUNNERS[exp.kind](cfg, model, exp,
-                                                        out_dir, seed)
-            return exp.name, verdict, detail, files, None
-        except (EndspecError, ContractError) as exc:
-            return exp.name, "error", str(exc), [], exc
+            return (exp.name, *_RUNNERS[exp.kind](cfg, model, exp, out_dir, seed))
+        except EndspecError as exc:
+            return exp.name, "error", str(exc)
 
     if jobs > 1 and len(selected) > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
@@ -353,7 +332,7 @@ def run(cfg: RunConfig, command: str, out_dir=None, seed: int = 0,
         results = [_one(e) for e in selected]
 
     status = 0
-    for name, verdict, detail, files, exc in results:
+    for name, verdict, detail in results:
         print(f"{name}: {verdict.upper()} ({detail})")
         if verdict in ("fail", "error"):
             status = 1

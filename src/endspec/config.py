@@ -61,6 +61,12 @@ by the schema below; lists are comma-separated.
 Validation collects every violation (unknown keys and sections, type
 mismatches, out-of-range values, duplicate experiment names) and raises a
 single ConfigError carrying the full list.
+
+Two settings are read narrower than the schema suggests.  A besov_energy
+block takes only its first gamma, as the imaginary part of z (0.1 when
+unset), and runs the decade [g, g/sqrt(10), g/10] below it whatever else
+the list holds.  Hoelder and sommerfeld blocks ignore [grid] mode_cap and
+run at the library's cap of 0.5.
 """
 
 from __future__ import annotations
@@ -92,6 +98,11 @@ _MODEL_KINDS = {"free", "power", "euclidean", "exponential", "hyperbolic",
                 "escape_disk", "escape_hyperbola", "escape_sawtooth"}
 _EXPERIMENT_KINDS = {"check", "solve", "lap", "radiation", "hoelder",
                      "rellich", "sommerfeld", "riccati", "besov_energy"}
+# the positional keys of each warped kind's builder, in call order
+MODEL_NEEDS = {"power": ("theta", "d"), "euclidean": ("d",),
+               "exponential": ("kappa", "d"), "hyperbolic": ("d",),
+               "stretchedexp": ("delta", "theta", "d"),
+               "tabulated": ("csv", "d")}
 
 _GRID_DEFAULTS = {"r_max": 64.0, "h": 0.02, "mode_cap": 6.5}
 _OUTPUT_DEFAULTS = {"directory": "out", "svg": False}
@@ -217,11 +228,7 @@ def parse_config(text: str) -> RunConfig:
         errors.append(f"[model]: unknown kind {kind!r}; expected one of "
                       + ", ".join(sorted(_MODEL_KINDS)))
     else:
-        needs = {"power": ("theta", "d"), "euclidean": ("d",),
-                 "exponential": ("kappa", "d"), "hyperbolic": ("d",),
-                 "stretchedexp": ("delta", "theta", "d"),
-                 "tabulated": ("csv", "d")}
-        for req in needs.get(kind, ()):
+        for req in MODEL_NEEDS.get(kind, ()):
             if req not in model:
                 errors.append(f"[model]: kind {kind!r} requires key {req!r}")
     if grid["h"] <= 0:

@@ -41,7 +41,8 @@ _ZERO = lambda r: np.zeros_like(np.asarray(r, dtype=float))
 
 @dataclass(frozen=True)
 class WarpProfile:
-    """Warp f (or ln f) and the log-chain of w = f'/f, plus the cross-section.
+    """Warp f or ln f (exactly one of them) and the log-chain of w = f'/f,
+    plus the cross-section.
 
     f enters only through mu/(2f) and the volume density; every curvature
     term is a function of w.  ``log_chain`` returns (w, w', w'', w''');
@@ -51,8 +52,8 @@ class WarpProfile:
     """
 
     d: int
-    f: Callable
     log_chain: Callable
+    f: Callable | None = None
     cross_section: str = "sphere"
     cross_eigs: tuple = ()
     r0: float = 2.0
@@ -66,6 +67,8 @@ class WarpProfile:
             raise ContractError(f"dimension must be >= 1, got {self.d}")
         if self.r0 < 2.0:
             raise ContractError(f"r0 must be >= 2, got {self.r0}")
+        if (self.f is None) == (self.log_f is None):
+            raise ContractError("a warp profile needs exactly one of f and log_f")
 
 
 @dataclass(frozen=True)
@@ -323,9 +326,8 @@ def exp_profile(kappa: float, d: int, r0: float = 2.0,
         w3 = c * th * (th - 1.0) * (th - 2.0) * (th - 3.0) * r ** (th - 4.0)
         return w, w1, w2, w3
 
-    return WarpProfile(d=d, f=lambda r: np.exp(np.clip(log_f(r), -700.0, 700.0)),
-                       log_chain=log_chain, cross_section=cross_section, r0=r0,
-                       log_f=log_f)
+    return WarpProfile(d=d, log_chain=log_chain, cross_section=cross_section,
+                       r0=r0, log_f=log_f)
 
 
 def stretched_exp_profile(delta: float, theta: float, d: int, r0: float = 2.0,
@@ -347,9 +349,8 @@ def stretched_exp_profile(delta: float, theta: float, d: int, r0: float = 2.0,
         w3 = de * th * (th - 1.0) * (th - 2.0) * (th - 3.0) * r ** (th - 4.0)
         return w, w1, w2, w3
 
-    return WarpProfile(d=d, f=lambda r: np.exp(np.clip(log_f(r), -700.0, 700.0)),
-                       log_chain=log_chain, cross_section=cross_section, r0=r0,
-                       log_f=log_f)
+    return WarpProfile(d=d, log_chain=log_chain, cross_section=cross_section,
+                       r0=r0, log_f=log_f)
 
 
 def hyperbolic_profile(d: int, r0: float = 2.0,
@@ -372,9 +373,8 @@ def hyperbolic_profile(d: int, r0: float = 2.0,
         # ln sinh^2 r, stable for large r
         return 2.0 * (r + np.log1p(-np.exp(-2.0 * r)) - math.log(2.0))
 
-    return WarpProfile(d=d, f=lambda r: np.sinh(np.asarray(r, float)) ** 2,
-                       log_chain=log_chain, cross_section=cross_section, r0=r0,
-                       log_f=log_f)
+    return WarpProfile(d=d, log_chain=log_chain, cross_section=cross_section,
+                       r0=r0, log_f=log_f)
 
 
 def const_profile(d: int = 1, r0: float = 2.0,

@@ -100,22 +100,29 @@ def _annulus_index(radii):
     return np.floor(np.log2(np.maximum(radii, 1.0))).astype(int)
 
 
+def _grid(lo: float, hi: float, h: float, coords: Callable) -> RadialGrid:
+    """Nodes lo + k h on [lo, hi] with trapezoid weights; ``coords(nodes)``
+    gives (radii, r', r''), and the annulus index is taken of the radii."""
+    n = int(round((hi - lo) / h)) + 1
+    nodes = lo + h * np.arange(n)
+    radii, dr, d2r = coords(nodes)
+    w = np.full(n, h)
+    w[0] = w[-1] = 0.5 * h
+    nu = _annulus_index(radii)
+    # the node at r_max = 2^m opens annulus m with a single point; any
+    # non-dyadic r_max truncates its top annulus: both are partial covers
+    partial = radii[-1] < 2.0 ** (nu[-1] + 1) - 1e-12
+    return RadialGrid(nodes=nodes, radii=radii, dr=dr, d2r=d2r, h=float(h),
+                      weights=w, nu=nu, partial_outer=bool(partial))
+
+
 def uniform_grid(r_max: float, h: float, r_min: float = 1.0) -> RadialGrid:
     """Half-line grid on [r_min, r_max] with spacing h (trapezoid weights);
     ``radii`` and ``nodes`` are one read-only array, r' = 1 and r'' = 0."""
     if r_max <= r_min:
         raise ContractError("r_max must exceed r_min")
-    n = int(round((r_max - r_min) / h)) + 1
-    nodes = r_min + h * np.arange(n)
-    w = np.full(n, h)
-    w[0] = w[-1] = 0.5 * h
-    nu = _annulus_index(nodes)
-    # the node at r_max = 2^m opens annulus m with a single point; any
-    # non-dyadic r_max truncates its top annulus: both are partial covers
-    partial = nodes[-1] < 2.0 ** (nu[-1] + 1) - 1e-12
-    return RadialGrid(nodes=nodes, radii=nodes, dr=np.broadcast_to(1.0, n),
-                      d2r=np.broadcast_to(0.0, n), h=float(h),
-                      weights=w, nu=nu, partial_outer=bool(partial))
+    return _grid(r_min, r_max, h, lambda x: (x, np.broadcast_to(1.0, x.size),
+                                             np.broadcast_to(0.0, x.size)))
 
 
 def line_grid(x_min: float, x_max: float, h: float, r_of_x: Callable,
@@ -127,17 +134,9 @@ def line_grid(x_min: float, x_max: float, h: float, r_of_x: Callable,
     """
     if x_max <= x_min:
         raise ContractError("x_max must exceed x_min")
-    n = int(round((x_max - x_min) / h)) + 1
-    nodes = x_min + h * np.arange(n)
-    radii = np.maximum(np.asarray(r_of_x(nodes), dtype=float), 1.0)
-    w = np.full(n, h)
-    w[0] = w[-1] = 0.5 * h
-    nu = _annulus_index(radii)
-    partial = radii[-1] < 2.0 ** (nu[-1] + 1) - 1e-12
-    return RadialGrid(nodes=nodes, radii=radii,
-                      dr=np.asarray(dr_of_x(nodes), dtype=float),
-                      d2r=np.asarray(d2r_of_x(nodes), dtype=float), h=float(h),
-                      weights=w, nu=nu, partial_outer=bool(partial))
+    return _grid(x_min, x_max, h, lambda x: (
+        np.maximum(np.asarray(r_of_x(x), dtype=float), 1.0),
+        np.asarray(dr_of_x(x), dtype=float), np.asarray(d2r_of_x(x), dtype=float)))
 
 
 # ---------------------------------------------------------------------------

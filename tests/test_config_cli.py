@@ -1,14 +1,20 @@
+import inspect
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import endspec
+import endspec.cli as cli
+import endspec.config as config
 from endspec.cli import build_model, run
 from endspec.config import parse_config
-from endspec.errors import ConfigError
+from endspec.errors import ConfigError, EndspecError
+from endspec.experiments import Bump
 
 MINIMAL = """
 [model]
@@ -81,11 +87,178 @@ def test_build_models():
     for kind, extra in (("free", ""), ("euclidean", "d = 3"),
                         ("power", "theta = 1.5\nd = 2"),
                         ("exponential", "kappa = 1.0\nd = 2"),
+                        ("stretchedexp", "delta = 1.0\ntheta = 0.5\nd = 3"),
                         ("hyperbolic", "d = 2"), ("well", "depth = 5.0"),
                         ("multiend", "lambda1 = 4.0")):
         cfg = parse_config(f"[model]\nkind = {kind}\n{extra}\n")
         model = build_model(cfg)
         assert model is not None
+
+
+@pytest.mark.parametrize("kind", ["escape_disk", "escape_hyperbola",
+                                  "escape_sawtooth"])
+def test_escape_kinds_build_no_model(kind):
+    assert build_model(parse_config(f"[model]\nkind = {kind}\n")) is None
+
+
+def test_escape_field_obstacle_k():
+    # r(0, 0) is sqrt(K ln 2) on the hyperbola field, sqrt(1 + K^2) on the
+    # saw-tooth, whose K is raised to at least 1
+    def r00(extra):
+        return cli._escape_field(parse_config(f"[model]\n{extra}\n")).r_fn(0.0, 0.0)
+
+    assert r00("kind = escape_hyperbola") == pytest.approx(math.sqrt(3.0 * math.log(2.0)))
+    assert r00("kind = escape_hyperbola\nobstacle_k = 4.0") == pytest.approx(
+        math.sqrt(4.0 * math.log(2.0)))
+    assert r00("kind = escape_sawtooth\nobstacle_k = 0.5") == pytest.approx(math.sqrt(2.0))
+    assert r00("kind = escape_sawtooth\nobstacle_k = 2.0") == pytest.approx(math.sqrt(5.0))
+    assert r00("kind = escape_disk") == 0.0
+
+
+def test_kind_tables_agree():
+    assert (config._EXPERIMENT_KINDS == set(cli._RUNNERS)
+            == set().union(*cli._COMMAND_KINDS.values()))
+    warped = {k for k in config._MODEL_KINDS if not k.startswith("escape_")}
+    assert set(cli._BUILDERS) | {"tabulated"} == warped
+    assert set(config.MODEL_NEEDS) <= warped
+
+
+@pytest.mark.parametrize("kind, extra, expected", [
+    ("well", "", dict(depth=5.0, a=1.0, b=2.0, r0=2.0)),
+    ("well", "depth = 3.0\nwell_a = 1.5\nwell_b = 2.5\nr0 = 3.0",
+     dict(depth=3.0, a=1.5, b=2.5, r0=3.0)),
+    ("multiend", "lambda0 = 1.0\nlambda1 = 5.0\nx_min = -12.0",
+     dict(lambda0=1.0, lambda1=5.0, x_min=-12.0, r0=2.0)),
+    ("exponential", "kappa = 1.5\nd = 2\namp = 2.0\nlower_c = 0.5\nlower_theta = 0.25",
+     dict(kappa=1.5, d=2, r0=2.0, amp=2.0, lower_c=0.5, lower_theta=0.25)),
+    ("stretchedexp", "delta = 1.0\ntheta = 0.5\nd = 3",
+     dict(delta=1.0, theta=0.5, d=3, r0=2.0)),
+    ("power", "theta = 1.5\nd = 2\nr0 = 4.0", dict(theta=1.5, d=2, r0=4.0)),
+])
+def test_build_model_forwards_model_keys(monkeypatch, kind, extra, expected):
+    builder, keys = cli._BUILDERS[kind]
+    seen = {}
+
+    def recorder(*args, **kwargs):
+        bound = inspect.signature(builder).bind(*args, **kwargs)
+        bound.apply_defaults()
+        seen.update(bound.arguments)
+
+    monkeypatch.setitem(cli._BUILDERS, kind, (recorder, keys))
+    build_model(parse_config(f"[model]\nkind = {kind}\n{extra}\n"))
+    assert seen == expected
+
+
+# Every experiment key the schema has, set away from its default; the
+# validator accepts any of them in a block of any kind.
+_EVERY_KEY = """
+[grid]
+r_max = 32.0
+h = 0.05
+mode_cap = 2.5
+
+[experiment x]
+kind = {kind}
+lambda = 2.0
+interval_lo = 0.5
+interval_hi = 3.0
+gammas = 0.2, 0.02
+betas = 0.3
+s = 0.8
+psi_a = 1.5
+psi_b = 2.5
+psi_amp = 2.0
+sign = -1
+delta = 0.3
+nus = 0, 1, 2
+tol = 1e-3
+gamma_top = 0.032
+window_r_max = 16.0
+bound_factor = 3.0
+seed = 5
+n_pairs = 3
+n_probes = 2
+"""
+_NO_OPTION = """
+[experiment x]
+kind = {kind}
+lambda = 2.0
+interval_lo = 0.5
+interval_hi = 3.0
+"""
+_PSI = Bump(a=1.5, b=2.5, amplitude=2.0)
+
+# (block kind, command, callee in endspec.cli, its effective arguments for a
+# block that sets no optional key, and for one that sets every key).  The
+# check kind reads no block key.  besov_energy takes z from the first gamma
+# and hoelder/sommerfeld ignore [grid] mode_cap: both are documented drops.
+_FORWARDS = [
+    ("solve", "solve", "resolve",
+     dict(z=2 + 0.01j, psi=Bump()), dict(z=2 + 0.2j, psi=_PSI)),
+    ("lap", "lap", "lap_sweep",
+     dict(lam=2.0, gammas=[0.1, 0.01, 0.001], psi=Bump(), h=0.02,
+          base_r_max=64.0, mode_cap=6.5, bound_factor=2.0),
+     dict(lam=2.0, gammas=[0.2, 0.02], psi=_PSI, h=0.05, base_r_max=32.0,
+          mode_cap=2.5, bound_factor=3.0)),
+    ("besov_energy", "lap", "besov_energy_check",
+     dict(z=2 + 0.1j, psi=Bump(), delta=None, nus=[0, 1, 2, 3, 4, 5, 6],
+          gammas=None, h=0.02, mode_cap=6.5, bound_factor=2.0),
+     dict(z=2 + 0.2j, psi=_PSI, delta=0.3, nus=[0, 1, 2], gammas=None,
+          h=0.05, mode_cap=2.5, bound_factor=3.0)),
+    ("radiation", "radiation", "radiation_sweep",
+     dict(lam=2.0, gammas=[0.1, 0.01, 0.001], betas=[0.0, 0.5], psi=Bump(),
+          h=0.02, base_r_max=64.0, mode_cap=6.5, bound_factor=2.0, sign=1),
+     dict(lam=2.0, gammas=[0.2, 0.02], betas=[0.3], psi=_PSI, h=0.05,
+          base_r_max=32.0, mode_cap=2.5, bound_factor=3.0, sign=-1)),
+    ("hoelder", "hoelder", "hoelder_estimate",
+     dict(lam=2.0, s=1.0, gamma_top=0.064, n_pairs=4, n_probes=8, seed=7,
+          h=0.02, mode_cap=0.5, slack=0.1),
+     dict(lam=2.0, s=0.8, gamma_top=0.032, n_pairs=3, n_probes=2, seed=5,
+          h=0.05, mode_cap=0.5, slack=0.1)),
+    ("sommerfeld", "sommerfeld", "sommerfeld_compare",
+     dict(lam=2.0, psi=Bump(), beta=0.0, sign=1, h=0.02, window_r_max=64.0,
+          gamma_top=2e-3, tol=1e-4, mode_cap=0.5),
+     dict(lam=2.0, psi=_PSI, beta=0.0, sign=-1, h=0.05, window_r_max=16.0,
+          gamma_top=0.032, tol=1e-3, mode_cap=0.5)),
+    ("riccati", "riccati", "phase_a",
+     dict(z=2 + 0j, sign=1), dict(z=2 + 0.2j, sign=-1)),
+    ("rellich", "rellich", "eigen_scan",
+     dict(mu=0.0, interval=(0.5, 3.0)), dict(mu=0.0, interval=(0.5, 3.0))),
+]
+
+
+@pytest.mark.parametrize("kind, command, callee, unset, every", _FORWARDS,
+                         ids=[f[0] for f in _FORWARDS])
+@pytest.mark.parametrize("block", ["unset", "every"])
+def test_cli_forwards_effective_arguments(monkeypatch, tmp_path, capsys, kind,
+                                          command, callee, unset, every, block):
+    # the callee records its arguments, defaults applied, and stops the run
+    signature = inspect.signature(getattr(cli, callee))
+    seen = []
+
+    def recorder(*args, **kwargs):
+        bound = signature.bind(*args, **kwargs)
+        bound.apply_defaults()
+        seen.append(bound.arguments)
+        raise EndspecError("recorded")
+
+    monkeypatch.setattr(cli, callee, recorder)
+    text = "[model]\nkind = free\n" + (_NO_OPTION if block == "unset" else _EVERY_KEY)
+    assert run(parse_config(text.format(kind=kind)), command, out_dir=tmp_path,
+               seed=7) == 1
+    assert "x: ERROR (recorded)" in capsys.readouterr().out
+    args = dict(seen[0])
+    if callee == "resolve":
+        # the solve's z and source live on the operator and right-hand side
+        op = args.pop("op")
+        args["z"] = op.z
+        expected_psi = (unset if block == "unset" else every)["psi"]
+        assert np.array_equal(args.pop("psi"), expected_psi.normalized(op.grid))
+        args["psi"] = expected_psi
+    if "nus" in args:
+        args["nus"] = list(args["nus"])  # a tuple and a list run the same scales
+    expected = unset if block == "unset" else every
+    assert {k: args[k] for k in expected} == expected
 
 
 def test_run_check_power_model(tmp_path, capsys):
@@ -389,7 +562,6 @@ def test_module_docstring_lists_every_key_and_kind():
     # the schema in the config module's docstring is the format's reference:
     # it names exactly the keys and kinds the parser accepts
     import re
-    import endspec.config as config
     keys, kinds, section = {}, {}, None
     for line in config.__doc__.splitlines():
         header = re.match(r"    \[(\w+)", line)
@@ -408,3 +580,10 @@ def test_module_docstring_lists_every_key_and_kind():
     assert keys["experiment"] == set(config._EXPERIMENT_KEYS)
     assert kinds["model"] == config._MODEL_KINDS
     assert kinds["experiment"] == config._EXPERIMENT_KINDS
+    # so does the key paragraph of README's configuration section
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    paragraph = next(p for p in readme.split("\n\n") if p.startswith("Model keys:"))
+    model_part, experiment_part = paragraph.split("Experiment keys")
+    assert set(re.findall(r"`(\w+)`", model_part)) == set(config._MODEL_KEYS) - {"kind"}
+    assert (set(re.findall(r"`(\w+)`", experiment_part))
+            == set(config._EXPERIMENT_KEYS) - {"kind"})

@@ -69,6 +69,20 @@ def test_geometry_error_names_radius():
         geometry_at(power_profile(2.0, 2), None, 0.5)
 
 
+def test_warp_profile_needs_exactly_one_of_f_and_log_f():
+    chain = lambda r: (np.zeros_like(np.asarray(r, float)),) * 4
+    one = lambda r: np.ones_like(np.asarray(r, float))
+    zero = lambda r: np.zeros_like(np.asarray(r, float))
+    with pytest.raises(ContractError):
+        WarpProfile(d=2, log_chain=chain)
+    with pytest.raises(ContractError):
+        WarpProfile(d=2, log_chain=chain, f=one, log_f=zero)
+    # the built-in log-domain warps carry ln f alone
+    for prof in (exp_profile(1.0, 2), stretched_exp_profile(1.0, 0.5, 2),
+                 hyperbolic_profile(2)):
+        assert prof.f is None and prof.log_f is not None
+
+
 def test_effective_potential_examples():
     # f = r^2, d = 3: q identically 0 beyond r0
     m3 = power_profile(2.0, 3)
