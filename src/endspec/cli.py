@@ -259,7 +259,7 @@ def _run_riccati(cfg, model, exp, out_dir, seed):
     opt = exp.options
     lam = opt["lambda"]
     grid = model.make_grid(cfg.grid["r_max"], cfg.grid["h"])
-    z = complex(lam, (opt.get("gammas") or [0.0])[0])
+    z = complex(lam, opt.get("gammas", [0.0])[0])
     lam0 = model.lambda0()
     report = model.conditions()
     r_lam = r_lambda(model.profile, model.potential, lam, lambda0=lam0)

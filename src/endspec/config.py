@@ -55,12 +55,12 @@ by the schema below; lists are comma-separated.
     window_r_max = 64.0
     bound_factor = 2.0
     seed = 0                 # hoelder probe seed
-    n_pairs = 4              # hoelder ladder length
-    n_probes = 8             # hoelder probe count
+    n_pairs = 4              # hoelder ladder length, >= 2
+    n_probes = 8             # hoelder probe count, >= 1
 
 Validation collects every violation (unknown keys and sections, type
-mismatches, out-of-range values, duplicate experiment names) and raises a
-single ConfigError carrying the full list.
+mismatches, out-of-range values, empty lists, duplicate experiment names)
+and raises a single ConfigError carrying the full list.
 
 Two settings are read narrower than the schema suggests.  A besov_energy
 block takes only its first gamma, as the imaginary part of z (0.1 when
@@ -246,6 +246,9 @@ def parse_config(text: str) -> RunConfig:
             errors.append(f"{where}: unknown kind {exp.kind!r}; expected one of "
                           + ", ".join(sorted(_EXPERIMENT_KINDS)))
             continue
+        for key, typ in _EXPERIMENT_KEYS.items():
+            if typ in ("float_list", "int_list") and exp.options.get(key) == []:
+                errors.append(f"{where}: {key} needs at least one value")
         for g in exp.options.get("gammas", []):
             if not 0.0 < g < 1.0:
                 errors.append(f"{where}: gamma values must lie in (0, 1), got {g}")
@@ -256,6 +259,10 @@ def parse_config(text: str) -> RunConfig:
             errors.append(f"{where}: s must exceed 1/2, got {exp.options['s']}")
         if "sign" in exp.options and exp.options["sign"] not in (1, -1):
             errors.append(f"{where}: sign must be +1 or -1")
+        if exp.options.get("n_pairs", 2) < 2:
+            errors.append(f"{where}: n_pairs must be >= 2, got {exp.options['n_pairs']}")
+        if exp.options.get("n_probes", 1) < 1:
+            errors.append(f"{where}: n_probes must be >= 1, got {exp.options['n_probes']}")
         if exp.kind in ("lap", "radiation") and "gammas" not in exp.options:
             exp.options["gammas"] = [0.1, 0.01, 0.001]
         if exp.kind == "radiation" and "betas" not in exp.options:

@@ -37,8 +37,9 @@ Measurement conventions, recorded in every table header:
 
 from __future__ import annotations
 
+import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -470,10 +471,14 @@ def _probe_sources(probes, grid: RadialGrid, s: float):
 def _probe_diff(ops, modes, z1, z2, sources, grid, norm_minus_s) -> float:
     """max over probes of ||R(z1) psi - R(z2) psi||_{H_-s} / ||psi||_{H_s}.
 
-    Both resolvents of every mode are factored once and applied to the
-    probes one at a time: solving the probes as columns of one system would
-    hold every probe's solution on the whole grid at once.  The factors are
-    released on return, before the next pair is factored.
+    ``ops`` and ``grid`` may be a prefix of the domain the ``sources`` were
+    taken on (``hoelder_estimate`` trims each pair's): a probe's start and
+    in-span values are the same on any prefix that holds its span, and its
+    H_s norm is the one given.  Both resolvents of every mode are factored
+    once and applied to the probes one at a time: solving the probes as
+    columns of one system would hold every probe's solution on the whole
+    grid at once.  The factors are released on return, before the next pair
+    is factored.
     """
     pairs = [(mult,
               Resolvent(ops[mu].shifted(z1), allow_unabsorbed=True),
@@ -489,6 +494,22 @@ def _probe_diff(ops, modes, z1, z2, sources, grid, norm_minus_s) -> float:
     return diff_norm
 
 
+# a Hoelder pair's domain leaves the round trip of its slowest wave from the
+# outermost probe to the Dirichlet wall and back below e^{-_ROUND_TRIP_DECAY}
+_ROUND_TRIP_DECAY = 39.0
+
+
+def _pair_r_max(lam: float, gamma: float, w_min: float, r_src: float,
+                r_shared: float) -> float:
+    """Smallest power of two R <= ``r_shared`` with 2 kappa (R - r_src) >=
+    ``_ROUND_TRIP_DECAY``, where kappa = Im sqrt(2 (lambda + i Gamma/2 -
+    w_min)) bounds the decay rate of both solutions of the pair beyond r_src
+    from below when w_min bounds the potential diagonal there from below."""
+    kappa = cmath.sqrt(2.0 * complex(lam - w_min, 0.5 * gamma)).imag
+    need = r_src + _ROUND_TRIP_DECAY / (2.0 * kappa)
+    return min(r_shared, 2.0 ** math.ceil(math.log2(need)))
+
+
 def hoelder_estimate(model: Model, lam: float, s: float, gamma_top: float = 0.064,
                      n_pairs: int = 4, n_probes: int = 8, seed: int = 0,
                      h: float = 0.02, mode_cap: float = 0.5,
@@ -496,26 +517,56 @@ def hoelder_estimate(model: Model, lam: float, s: float, gamma_top: float = 0.06
     """Empirical Hoelder exponent of the resolvent in weighted operator norm.
 
     Pairs (z, z') = (lambda + i Gamma, lambda + i Gamma/2) on a geometric
-    Gamma-ladder; the measured operator quantity is the max over a seeded
-    probe set of || R(z) psi - R(z') psi ||_{H_{-s}} / || psi ||_{H_s}.
-    Verdict "pass" when the fitted exponent stays above the predicted floor
+    Gamma-ladder of ``n_pairs`` >= 2 pairs; the measured operator quantity
+    is the max over a seeded set of ``n_probes`` >= 1 probes of
+    || R(z) psi - R(z') psi ||_{H_{-s}} / || psi ||_{H_s}.  Verdict "pass"
+    when the fitted exponent stays above the predicted floor
     min{(2s-1)/(2s+1), beta_c/(beta_c+1)} minus ``slack``.
+
+    The shared domain (``meta["r_max"]``) absorbs the smallest Gamma/2,
+    Gamma (R_max - 1) >= 8; the probes, their H_s norms and the potential
+    diagonals are taken on it once.  Each pair then solves on the shortest
+    dyadic prefix of it on which its wave is gone before the wall: with
+    w_min the smallest entry of the lowest mode's potential diagonal beyond
+    the outermost probe support r_src (mu/(2f) >= 0 only raises the
+    others), kappa = Im sqrt(2 (lambda + i Gamma/2 - w_min)) and R the
+    smallest power of two with 2 kappa (R - r_src) >= 39, so the reflection
+    off the wall returns below e^{-39}.  A pair whose R is the shared one
+    solves on the shared grid.  The values equal those of solving every
+    pair on the shared domain to roundoff, not bit for bit: 4.0e-13
+    relative at worst on criterion 7's ladder over probe seeds 0-31.
     """
     if not s > 0.5:
         raise ContractError("Hoelder continuity needs s > 1/2")
+    if n_pairs < 2:
+        raise ContractError("a Hoelder exponent needs n_pairs >= 2 pairs to fit")
+    if n_probes < 1:
+        raise ContractError("a Hoelder estimate needs n_probes >= 1")
     lam0 = _check_window(model, lam)
     report = model.conditions()
     gammas = [gamma_top * 0.25**j for j in range(n_pairs)]
     r_max = shift_r_max(gammas[-1] / 2.0, guard=8.0)
     grid = model.make_grid(r_max, h)
     modes = model.modes(mode_cap)
-    sources = _probe_sources(probe_set(grid, n_probes, seed), grid, s)
-    norm_minus_s = weighted_norm_on(grid, -s)
+    probes = probe_set(grid, n_probes, seed)
+    sources = _probe_sources(probes, grid, s)
     ops = _mode_operators(model, grid, modes, complex(lam, gammas[0]))[0]
+    r_src = max(p.b for p in probes)
+    # modes are sorted by mu, and the lowest mode's diagonal is the lowest
+    w_min = float(np.min(ops[modes[0][0]].potential_diag[
+        np.searchsorted(grid.nodes, r_src):]))
 
-    rows = [[g, 0.5 * g, _probe_diff(ops, modes, complex(lam, g), complex(lam, 0.5 * g),
-                                     sources, grid, norm_minus_s)]
-            for g in gammas]
+    def pair_diff(g):
+        # the pair's grid and operators are released on return, before the
+        # next pair's are built
+        r_pair = _pair_r_max(lam, g, w_min, r_src, grid.r_max)
+        grid_p = grid if r_pair == grid.r_max else model.make_grid(r_pair, h)
+        ops_p = {mu: replace(op, grid=grid_p, potential_diag=op.potential_diag[:grid_p.n])
+                 for mu, op in ops.items()}
+        return _probe_diff(ops_p, modes, complex(lam, g), complex(lam, 0.5 * g),
+                           sources, grid_p, weighted_norm_on(grid_p, -s))
+
+    rows = [[g, 0.5 * g, pair_diff(g)] for g in gammas]
 
     slope, _, r2 = loglog_fit([row[0] - row[1] for row in rows],
                               [row[2] for row in rows])

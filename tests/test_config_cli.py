@@ -76,6 +76,33 @@ gammas = 2.0
     assert len(err.value.violations) >= 4  # kind, h, gamma, missing lambda
 
 
+@pytest.mark.parametrize("kind, key", [
+    ("solve", "gammas"), ("lap", "gammas"), ("radiation", "gammas"),
+    ("radiation", "betas"), ("besov_energy", "gammas"), ("besov_energy", "nus")])
+def test_empty_list_refused_by_cli(tmp_path, capsys, kind, key):
+    # an empty list used to reach the runner and die there with an IndexError
+    cfg = tmp_path / "empty.cfg"
+    cfg.write_text(f"[model]\nkind = free\n\n[experiment blank]\nkind = {kind}\n"
+                   f"lambda = 1.0\n{key} =\n")
+    command = {"besov_energy": "lap"}.get(kind, kind)
+    assert cli.main([command, "--config", str(cfg), "--out", str(tmp_path)]) == 1
+    captured = capsys.readouterr()
+    assert (f"config error: [experiment blank]: {key} needs at least one value"
+            in captured.err)
+    assert "Traceback" not in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize("key, value", [("n_pairs", 1), ("n_pairs", 0),
+                                        ("n_probes", 0)])
+def test_hoelder_ladder_limits_validated(key, value):
+    text = ("[model]\nkind = free\n\n[experiment h]\nkind = hoelder\n"
+            f"lambda = 1.0\n{key} = {value}\n")
+    with pytest.raises(ConfigError) as err:
+        parse_config(text)
+    assert err.value.violations == [
+        f"[experiment h]: {key} must be >= {2 if key == 'n_pairs' else 1}, got {value}"]
+
+
 def test_type_mismatch_reported():
     text = MINIMAL.replace("lambda = 1.0", "lambda = one")
     with pytest.raises(ConfigError) as err:

@@ -9,8 +9,8 @@ from endspec.errors import ContractError
 from endspec.experiments import (Bump, WeightSpec, besov_energy_check,
                                  hoelder_estimate, lap_sweep, radiation_sweep,
                                  shift_r_max, sommerfeld_compare)
-from endspec.models import (euclidean_model, free_model, multiend_model,
-                            square_well_model)
+from endspec.models import (euclidean_model, free_model, hyperbolic_model,
+                            multiend_model, square_well_model)
 from endspec.radial import smooth_bump, uniform_grid, weighted_norm
 from endspec.solver import resolve
 
@@ -249,6 +249,103 @@ def test_hoelder_probe_slices_match_full_grid_probes(s):
             grid, -s) ** 2 for mu, mult in modes)
         ref = max(ref, np.sqrt(num_sq) / weighted_norm(psi, grid, s))
     assert got == ref
+
+
+# --- Hoelder pairs on trimmed prefix domains ---------------------------------------
+
+# a ladder whose shared domain (R = 4096 at h = 0.05) is cheap but still trims
+# its two top pairs
+_LADDER = dict(s=1.0, gamma_top=0.256, n_pairs=4, n_probes=4, seed=0, h=0.05)
+
+
+def _hoelder_cases():
+    return {"free": (free_model(), 1.0, 0.5),
+            "euclidean3": (euclidean_model(3), 1.0, 2.5),
+            "hyperbolic3": (hyperbolic_model(3), 1.5, 0.5),
+            "multiend": (multiend_model(), 1.0, 0.5)}
+
+
+def _shared_domain_rows(model, lam, mode_cap, s, gamma_top, n_pairs, n_probes,
+                        seed, h):
+    """Every pair of the ladder solved on the one shared grid."""
+    from endspec.experiments import (_mode_operators, _probe_diff, _probe_sources,
+                                     probe_set)
+    from endspec.radial import weighted_norm_on
+    gammas = [gamma_top * 0.25**j for j in range(n_pairs)]
+    grid = model.make_grid(shift_r_max(gammas[-1] / 2.0), h)
+    modes = model.modes(mode_cap)
+    sources = _probe_sources(probe_set(grid, n_probes, seed), grid, s)
+    ops = _mode_operators(model, grid, modes, complex(lam, gammas[0]))[0]
+    norm = weighted_norm_on(grid, -s)
+    rows = [[g, 0.5 * g, _probe_diff(ops, modes, complex(lam, g), complex(lam, 0.5 * g),
+                                     sources, grid, norm)]
+            for g in gammas]
+    return rows, grid
+
+
+def _max_rel_dev(table, rows):
+    return max(abs(got[2] - ref[2]) / ref[2] for got, ref in zip(table.rows, rows))
+
+
+@pytest.mark.parametrize("case", ["free", "euclidean3", "hyperbolic3", "multiend"])
+def test_hoelder_trimmed_pairs_match_shared_domain(case, monkeypatch):
+    from endspec.conditions import loglog_fit
+    model, lam, cap = _hoelder_cases()[case]
+    # the hyperbolic end has lambda0 = 1/2, so lambda = lambda0 + 1
+    assert (model.lambda0() > 0.25) == (case == "hyperbolic3")
+    assert len(model.modes(cap)) == (2 if case == "euclidean3" else 1)
+    rows, grid = _shared_domain_rows(model, lam, cap, **_LADDER)
+    table = hoelder_estimate(model, lam, mode_cap=cap, **_LADDER)
+    assert _max_rel_dev(table, rows) <= 1e-12
+    slope, _, r2 = loglog_fit([row[0] - row[1] for row in rows],
+                              [row[2] for row in rows])
+    assert table.meta["epsilon_emp"] == pytest.approx(slope, rel=1e-12)
+    assert table.meta["r_squared"] == pytest.approx(r2, rel=1e-12)
+    floor, slack = table.meta["predicted_floor"], table.meta["slack"]
+    assert table.verdict == ("inconclusive" if r2 < 0.9
+                             else "pass" if slope >= floor - slack else "fail")
+    assert table.meta["r_max"] == grid.r_max
+    assert (table.meta["lambda0"], table.meta["n_probes"], table.meta["seed"]) == \
+        (model.lambda0(), 4, 0)
+    # negative control: a wall that returns e^{-10} of the wave moves the values
+    monkeypatch.setattr(endspec.experiments, "_ROUND_TRIP_DECAY", 10.0)
+    short = hoelder_estimate(model, lam, mode_cap=cap, **_LADDER)
+    assert _max_rel_dev(short, rows) > 1e-10
+
+
+def test_hoelder_top_pair_solves_a_prefix(monkeypatch):
+    from endspec.experiments import _mode_operators
+    seen = []
+    original = endspec.experiments.Resolvent
+
+    def recording(op, **kw):
+        seen.append(op)
+        return original(op, **kw)
+
+    monkeypatch.setattr(endspec.experiments, "Resolvent", recording)
+    m = euclidean_model(3)
+    table = hoelder_estimate(m, 1.0, mode_cap=2.5, **_LADDER)
+    grid = m.make_grid(table.meta["r_max"], _LADDER["h"])
+    shared = _mode_operators(m, grid, m.modes(2.5), 1.0 + 0.256j)[0]
+    assert len(seen) == 2 * 2 * _LADDER["n_pairs"]
+    # the top pair (first solved) needs fewer unknowns than the shared grid has
+    assert seen[0].z.imag == 0.256
+    assert seen[0].n_unknowns < grid.n - 2
+    assert seen[-1].n_unknowns == grid.n - 2
+    for op in seen:
+        n = op.grid.n
+        assert np.array_equal(op.grid.nodes, grid.nodes[:n])
+        assert np.array_equal(op.potential_diag, shared[op.mu].potential_diag[:n])
+
+
+@pytest.mark.parametrize("kw, message", [
+    ({"n_pairs": 1}, "n_pairs"), ({"n_pairs": 0}, "n_pairs"),
+    ({"n_probes": 0}, "n_probes")])
+def test_hoelder_refuses_ladders_that_fit_nothing(kw, message):
+    # one pair is a one-point fit (R^2 = 1), no probe a NaN exponent, no pair
+    # an IndexError: each is refused before any solve
+    with pytest.raises(ContractError, match=message):
+        hoelder_estimate(free_model(), 1.0, 1.0, gamma_top=0.256, h=0.05, **kw)
 
 
 # --- probes on their span, the extrapolation on the window ------------------------
