@@ -6,6 +6,12 @@ equation, per-mode discrete resolvents (complex shift and outgoing row),
 dyadic Besov norms, and theorem-level experiments: eigenvalue-absence scans,
 limiting-absorption uniformity, radiation-condition bounds, resolvent
 Hoelder continuity and outgoing-uniqueness comparisons.
+
+The numerical policies every verdict rests on are fixed module constants,
+not parameters: ``solver.ABSORPTION`` (shift solves need
+Gamma (R_max - 1) >= 8), ``solver.THRESHOLD_WINDOW`` (0.05 around a
+declared threshold) and ``geometry.TAIL_HORIZON`` (2^14, the outer radius
+of every tail sup of q1).
 """
 
 __version__ = "0.1.0"
@@ -15,10 +21,9 @@ import importlib
 from .cutoffs import CutoffSpec
 from .geometry import (CriticalEnergy, GeometryPoint, PotentialSplit,
                        WarpProfile, const_profile, critical_energy,
-                       effective_potential, exp_profile, geometric_split,
-                       geometry_at, hyperbolic_profile, power_profile,
-                       radial_translation, stretched_exp_profile,
-                       tabulated_profile, volume_density)
+                       exp_profile, geometric_split, geometry_at,
+                       hyperbolic_profile, power_profile,
+                       stretched_exp_profile, tabulated_profile)
 from .conditions import (Caps, ConditionReport, EscapeField2D,
                          check_conditions, check_escape_2d,
                          disk_complement_field, hyperbola_field,

@@ -32,7 +32,7 @@ from . import __version__
 from .conditions import (check_escape_2d, disk_complement_field,
                          hyperbola_field, sawtooth_field)
 from .config import MODEL_NEEDS, ExperimentConfig, RunConfig, parse_config
-from .errors import ConfigError, EndspecError
+from .errors import ConfigError, ContractError, EndspecError
 from .experiments import (Bump, besov_energy_check, hoelder_estimate,
                           lap_sweep, radiation_sweep, sommerfeld_compare)
 from .models import (euclidean_model, exp_model, free_model,
@@ -88,7 +88,9 @@ def build_model(cfg: RunConfig):
         return None  # handled directly by the check runner
     args = [m[k] for k in MODEL_NEEDS.get(kind, ())]
     if kind == "tabulated":
-        table = np.loadtxt(args[0], delimiter=",", comments="#")
+        table = np.loadtxt(args[0], delimiter=",", comments="#", ndmin=2)
+        if table.shape[1] < 2:
+            raise ContractError(f"{args[0]}: a tabulated warp needs the columns r,f")
         return tabulated_model(table[:, 0], table[:, 1], *args[1:],
                                **_given(m, "r0"))
     builder, keys = _BUILDERS[kind]
@@ -317,7 +319,11 @@ def run(cfg: RunConfig, command: str, out_dir=None, seed: int = 0,
         print(f"error: no experiment blocks of kind {sorted(kinds)} in config",
               file=sys.stderr)
         return 1
-    model = build_model(cfg)
+    try:
+        model = build_model(cfg)
+    except (EndspecError, OSError, ValueError) as exc:
+        print(f"error: cannot build the model: {exc}", file=sys.stderr)
+        return 1
 
     def _one(exp):
         try:

@@ -39,12 +39,16 @@ import numpy as np
 
 from .cutoffs import CutoffSpec
 from .errors import ContractError, EvaluationError
-from .geometry import (PotentialSplit, WarpProfile, critical_energy,
-                       geometry_at)
+from .geometry import (TAIL_HORIZON, PotentialSplit, WarpProfile,
+                       critical_energy, geometry_at)
 from .tableio import write_csv
 
 _FLOOR = 1e-13
 _GROWTH_SLACK = 1.05
+# dyadic decades at the horizon that a decay exponent is fitted over
+_FIT_DECADES = 2
+# the decay exponent the sigma search allows the convexity deficit
+_TAU_PROBE = 0.25
 
 
 @dataclass(frozen=True)
@@ -109,14 +113,13 @@ class ConditionReport:
         write_csv(path, meta, cols, rows)
 
 
-def condition_grid(horizon: float = 2.0**14, per_block: int = 48,
-                   r_min: float = 1.0) -> np.ndarray:
-    """Geometric radius grid covering [r_min, horizon], dyadic blocks."""
-    n_blocks = int(math.ceil(math.log2(horizon / r_min)))
-    parts = [np.geomspace(r_min * 2.0**k, r_min * 2.0**(k + 1), per_block,
-                          endpoint=False) for k in range(n_blocks)]
-    rr = np.concatenate(parts + [[horizon]])
-    return rr[rr <= horizon]
+def condition_grid(per_block: int = 48) -> np.ndarray:
+    """Geometric radius grid covering [1, ``TAIL_HORIZON``], dyadic blocks."""
+    n_blocks = int(math.ceil(math.log2(TAIL_HORIZON)))
+    parts = [np.geomspace(2.0**k, 2.0**(k + 1), per_block, endpoint=False)
+             for k in range(n_blocks)]
+    rr = np.concatenate(parts + [[TAIL_HORIZON]])
+    return rr[rr <= TAIL_HORIZON]
 
 
 def _block_maxima(rr, values):
@@ -183,9 +186,9 @@ def loglog_fit(u, v):
     return float(slope), float(intercept), float(r2)
 
 
-def _fit_decay(rr, values, decades: int = 2):
-    """Log-log slope of values over the last ``decades`` dyadic decades."""
-    lo = rr[-1] / 2.0**decades
+def _fit_decay(rr, values):
+    """Log-log slope of values over the last ``_FIT_DECADES`` dyadic decades."""
+    lo = rr[-1] / 2.0**_FIT_DECADES
     band = (rr >= lo) & (values > 1e-280)
     if np.count_nonzero(band) < 8:
         return None, None, None
@@ -262,12 +265,12 @@ def _largest_sigma(passes, sigma_max, iterations):
     return max(lo - 1e-9 * max(lo, 1.0), 0.0)
 
 
-def _sigma_search(rr, lhs, caps, tau_probe=0.25):
-    """Largest sigma <= sigma_max with  sigma/2 - lhs <= C r^{-tau_probe}."""
+def _sigma_search(rr, lhs, caps):
+    """Largest sigma <= sigma_max with  sigma/2 - lhs <= C r^{-_TAU_PROBE}."""
 
     def passes(sigma):
         deficit = np.maximum(sigma / 2.0 - lhs, 0.0)
-        return _bounded_tail(rr, deficit * rr**tau_probe)
+        return _bounded_tail(rr, deficit * rr**_TAU_PROBE)
 
     return _largest_sigma(passes, caps.sigma_max, 48)
 

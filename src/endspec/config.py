@@ -59,8 +59,9 @@ by the schema below; lists are comma-separated.
     n_probes = 8             # hoelder probe count, >= 1
 
 Validation collects every violation (unknown keys and sections, type
-mismatches, out-of-range values, empty lists, duplicate experiment names)
-and raises a single ConfigError carrying the full list.
+mismatches, out-of-range values, empty lists, duplicate experiment names,
+blocks other than check on an escape_* model) and raises a single
+ConfigError carrying the full list.
 
 Two settings are read narrower than the schema suggests.  A besov_energy
 block takes only its first gamma, as the imaginary part of z (0.1 when
@@ -122,11 +123,7 @@ class RunConfig:
     grid: dict
     output: dict
     experiments: list
-    raw_text: str = ""
     config_hash: str = ""
-
-    def experiment_names(self):
-        return [e.name for e in self.experiments]
 
 
 def _parse_value(raw: str, kind, where: str, errors: list):
@@ -246,6 +243,9 @@ def parse_config(text: str) -> RunConfig:
             errors.append(f"{where}: unknown kind {exp.kind!r}; expected one of "
                           + ", ".join(sorted(_EXPERIMENT_KINDS)))
             continue
+        if kind is not None and kind.startswith("escape_") and exp.kind != "check":
+            errors.append(f"{where}: a {kind} model runs only check blocks, "
+                          f"not {exp.kind!r}")
         for key, typ in _EXPERIMENT_KEYS.items():
             if typ in ("float_list", "int_list") and exp.options.get(key) == []:
                 errors.append(f"{where}: {key} needs at least one value")
@@ -277,5 +277,4 @@ def parse_config(text: str) -> RunConfig:
     if errors:
         raise ConfigError(errors)
     return RunConfig(model=model, grid=grid, output=output,
-                     experiments=experiments, raw_text=text,
-                     config_hash=text_hash(text))
+                     experiments=experiments, config_hash=text_hash(text))

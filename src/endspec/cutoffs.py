@@ -18,7 +18,6 @@ Derived families, for dyadic scales R_n = 2^n:
 
     chi_n(r)    = chi(r / R_n)
     chibar_n    = 1 - chi_n
-    chi_{m,n}   = chibar_m * chi_n          (n > m >= 0)
     eta(r)      = 1 - chi(2 r / r0)         (0 below r0/2, 1 above r0)
 """
 
@@ -79,11 +78,6 @@ class CutoffSpec:
 
     def chibar_n(self, r, n: int):
         return 1.0 - self.chi_n(r, n)
-
-    def chi_mn(self, r, m: int, n: int):
-        if not n > m >= 0:
-            raise ContractError(f"chi_mn requires n > m >= 0, got m={m}, n={n}")
-        return self.chibar_n(r, m) * self.chi_n(r, n)
 
     # -- interior cutoff eta ----------------------------------------------
 

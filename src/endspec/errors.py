@@ -9,10 +9,6 @@ class EvaluationError(EndspecError):
     """A geometric or potential quantity failed to evaluate (non-finite)."""
 
 
-class SplitMismatchError(EndspecError):
-    """Declared potential splitting disagrees with the effective potential."""
-
-
 class ContractError(EndspecError):
     """An operation was called outside its documented preconditions."""
 

@@ -24,9 +24,9 @@ most a configured factor (default 2) across the swept decade.
 
 Measurement conventions, recorded in every table header:
 
-  * shift solves enlarge the domain until Gamma (R_max - 1) >= 8 (wave
-    absorbed before the Dirichlet wall), with R_max rounded up to a power
-    of two so annuli stay aligned;
+  * shift solves enlarge the domain until Gamma (R_max - 1) >=
+    ``solver.ABSORPTION`` (wave absorbed before the Dirichlet wall), with
+    R_max rounded up to a power of two so annuli stay aligned;
   * radiation-condition norms are taken over the radiation zone, the annuli
     at and beyond the first dyadic radius past both the source support and
     the phase threshold r_lambda (closer in, (A -+ a) phi is O(1) for both
@@ -50,7 +50,8 @@ from .models import Model
 from .phase import _central_derivative, apply_A, grid_phase, r_lambda
 from .radial import (BesovProfile, RadialGrid, besov_from_modes, l2_norm,
                      smooth_bump, weighted_norm, weighted_norm_on)
-from .solver import Resolvent, outgoing_row, resolve
+from .solver import (ABSORPTION, THRESHOLD_WINDOW, Resolvent, outgoing_row,
+                     resolve)
 from .tableio import write_csv
 
 
@@ -130,15 +131,12 @@ class SweepTable:
     rows: list
     verdict: str
     meta: dict = field(default_factory=dict)
-    notes: list = field(default_factory=list)
 
     def to_csv(self, path, extra_meta: dict | None = None) -> None:
         meta = {"experiment": self.name, "verdict": self.verdict}
         meta.update(self.meta)
         if extra_meta:
             meta.update(extra_meta)
-        for j, note in enumerate(self.notes):
-            meta[f"note{j}"] = note
         write_csv(path, meta, self.columns, self.rows)
 
     def column(self, name):
@@ -148,10 +146,9 @@ class SweepTable:
 
 @dataclass(frozen=True)
 class ComparisonReport:
-    """Discrepancy between two solutions of the same resolvent equation."""
+    """Discrepancy between the Gamma-extrapolated shift solve and the
+    outgoing-row solve of the same resolvent equation."""
 
-    label_a: str
-    label_b: str
     disc_weighted: float        # H_{-s} discrepancy (s = 1)
     disc_bstar: float
     rel_weighted: float
@@ -166,9 +163,10 @@ class ComparisonReport:
 # shared machinery
 # ---------------------------------------------------------------------------
 
-def shift_r_max(gamma_min: float, base: float = 64.0, guard: float = 8.0) -> float:
-    """Domain size for shift solves: Gamma (R_max - 1) >= guard, dyadic."""
-    need = max(base, 1.0 + guard / gamma_min)
+def shift_r_max(gamma_min: float, base: float = 64.0) -> float:
+    """Domain size for shift solves: Gamma (R_max - 1) >= ``ABSORPTION``,
+    at least ``base``, dyadic."""
+    need = max(base, 1.0 + ABSORPTION / gamma_min)
     return 2.0 ** math.ceil(math.log2(need))
 
 
@@ -253,15 +251,15 @@ def _mode_besov(grid, solutions, modes, transform=None, nu_min=None) -> BesovPro
     return prof if nu_min is None else prof.restrict(nu_min)
 
 
-def _check_window(model: Model, lam: float, window_pad: float = 1e-6):
+def _check_window(model: Model, lam: float):
     lam0 = model.lambda0()
-    if not lam > lam0 + window_pad:
+    if not lam > lam0 + 1e-6:
         raise ContractError(
             f"lambda={lam} is not above the critical energy {lam0:.6g}")
     for t in model.thresholds:
-        if abs(lam - t) < 0.05:
+        if abs(lam - t) < THRESHOLD_WINDOW:
             raise ContractError(f"lambda={lam} sits on the declared threshold {t}")
-        if lam > t - 0.05:
+        if lam > t - THRESHOLD_WINDOW:
             raise ContractError(
                 f"lambda={lam} is outside the certified window ({lam0:.3g}, {t:.3g})")
     return lam0
@@ -313,7 +311,7 @@ def lap_sweep(model: Model, lam: float, gammas, psi: Bump | None = None,
     rows = []
     for g in gammas:
         z = complex(lam, g)
-        unreliable = g * (grid.r_max - 1.0) < 8.0
+        unreliable = g * (grid.r_max - 1.0) < ABSORPTION
         sols = _solve_modes(ops, z, psi_vals, allow_unabsorbed=True)
         phi_bstar = _mode_besov(grid, sols, modes).bstar
         pr_bstar = _mode_besov(grid, sols, modes,
@@ -438,12 +436,16 @@ def radiation_sweep(model: Model, lam: float, gammas, betas,
 # hoelder_estimate
 # ---------------------------------------------------------------------------
 
-def probe_set(grid: RadialGrid, n_probes: int, seed: int, nu_span=(0, 6)):
+# probes sit in annuli 0 .. _PROBE_NU_MAX - 1 (fewer on short grids)
+_PROBE_NU_MAX = 6
+
+
+def probe_set(grid: RadialGrid, n_probes: int, seed: int):
     """Deterministic smooth bumps at distinct annuli."""
     rng = np.random.default_rng(seed)
-    nu_hi = min(nu_span[1], int(np.max(grid.nu)) - 1)
-    nus = rng.choice(np.arange(nu_span[0], max(nu_hi, nu_span[0] + 1)),
-                     size=n_probes, replace=n_probes > nu_hi - nu_span[0])
+    nu_hi = min(_PROBE_NU_MAX, int(np.max(grid.nu)) - 1)
+    nus = rng.choice(np.arange(0, max(nu_hi, 1)),
+                     size=n_probes, replace=n_probes > nu_hi)
     probes = []
     for nu in nus:
         lo = 2.0**nu
@@ -524,8 +526,8 @@ def hoelder_estimate(model: Model, lam: float, s: float, gamma_top: float = 0.06
     min{(2s-1)/(2s+1), beta_c/(beta_c+1)} minus ``slack``.
 
     The shared domain (``meta["r_max"]``) absorbs the smallest Gamma/2,
-    Gamma (R_max - 1) >= 8; the probes, their H_s norms and the potential
-    diagonals are taken on it once.  Each pair then solves on the shortest
+    Gamma (R_max - 1) >= ``ABSORPTION``; the probes, their H_s norms and the
+    potential diagonals are taken on it once.  Each pair then solves on the shortest
     dyadic prefix of it on which its wave is gone before the wall: with
     w_min the smallest entry of the lowest mode's potential diagonal beyond
     the outermost probe support r_src (mu/(2f) >= 0 only raises the
@@ -545,7 +547,7 @@ def hoelder_estimate(model: Model, lam: float, s: float, gamma_top: float = 0.06
     lam0 = _check_window(model, lam)
     report = model.conditions()
     gammas = [gamma_top * 0.25**j for j in range(n_pairs)]
-    r_max = shift_r_max(gammas[-1] / 2.0, guard=8.0)
+    r_max = shift_r_max(gammas[-1] / 2.0)
     grid = model.make_grid(r_max, h)
     modes = model.modes(mode_cap)
     probes = probe_set(grid, n_probes, seed)
@@ -660,7 +662,7 @@ def sommerfeld_compare(model: Model, lam: float, psi: Bump | None = None,
         grid_w, out_sols, modes,
         transform=_radiation_transform(grid_w, a_disc, sign),
         nu_min=nu_far)
-    slope = rad_prof.tail_slope(3)
+    slope = rad_prof.tail_slope()
     floor = fd_dispersion_floor(lam, h)
     phi_scale = _mode_besov(grid_w, out_sols, modes).bstar
     decayed = (rad_prof.bstar <= 2.0 * floor * max(phi_scale, 1.0)
@@ -672,7 +674,6 @@ def sommerfeld_compare(model: Model, lam: float, psi: Bump | None = None,
     else:
         verdict = "pass" if (disc <= tol and decayed) else "fail"
     return ComparisonReport(
-        label_a="gamma_extrapolated_shift", label_b="outgoing_row",
         disc_weighted=float(disc), disc_bstar=float(disc_bstar),
         rel_weighted=float(rel),
         radiation_slope=None if slope is None else float(slope),

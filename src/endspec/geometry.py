@@ -22,7 +22,9 @@ line [1, r0] with a Dirichlet wall at r = 1.
 
 The effective potential is q = V + q_geom, split by the user as
 q = q1 + q2 (and further q1 = q11 + q12, q2 = q21 + q22) with declared
-decay exponents; the critical energy is the limsup of q1 at infinity.
+decay exponents; the critical energy is the limsup of q1 at infinity,
+estimated from tail sups of q1 out to ``TAIL_HORIZON`` = 2^14 (the horizon
+of the condition grid and of the threshold-radius search as well).
 """
 
 from __future__ import annotations
@@ -34,9 +36,16 @@ from typing import Callable
 import numpy as np
 
 from .cutoffs import CutoffSpec
-from .errors import ContractError, EvaluationError, SplitMismatchError
+from .errors import ContractError, EvaluationError
 
 _ZERO = lambda r: np.zeros_like(np.asarray(r, dtype=float))
+
+# outer radius of every tail-sup estimate of q1
+TAIL_HORIZON = 2.0**14
+# geometric samples per dyadic block of ``critical_energy``, and the block-
+# to-block change of the tail sup below which it counts as converged
+_TAIL_SAMPLES = 48
+_TAIL_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -44,11 +53,11 @@ class WarpProfile:
     """Warp f or ln f (exactly one of them) and the log-chain of w = f'/f,
     plus the cross-section.
 
-    f enters only through mu/(2f) and the volume density; every curvature
-    term is a function of w.  ``log_chain`` returns (w, w', w'', w''');
-    closed-form for the built-in profiles, centered differences for
-    tabulated ones.  The cross-section kind is "circle", "sphere" or
-    "abstract" (explicit eigenvalue/multiplicity list).
+    f enters only through mu/(2f); every curvature term is a function of
+    w.  ``log_chain`` returns (w, w', w'', w'''); closed-form for the
+    built-in profiles, centered differences for tabulated ones.  The
+    cross-section kind is "circle", "sphere" or "abstract" (explicit
+    eigenvalue/multiplicity list).
     """
 
     d: int
@@ -177,22 +186,6 @@ def q_geom_chain(profile: WarpProfile, cutoffs: CutoffSpec | None, r):
     return 0.125 * a0, 0.125 * a1, 0.125 * a2
 
 
-def effective_potential(profile: WarpProfile, potential: PotentialSplit, r,
-                        cutoffs: CutoffSpec | None = None,
-                        check_split: bool = True, tol: float = 1e-8):
-    """q(r) = V(r) + q_geom(r); verified against the declared split q1 + q2."""
-    pt = geometry_at(profile, cutoffs, r)
-    q = np.asarray(potential.V(pt.r), dtype=float) + pt.q_geom
-    if check_split:
-        mismatch = np.max(np.abs(q - np.asarray(potential.q1(pt.r))
-                                 - np.asarray(potential.q2(pt.r))))
-        scale = 1.0 + np.max(np.abs(q))
-        if mismatch > tol * scale:
-            raise SplitMismatchError(
-                f"q1+q2 deviates from V+q_geom by {mismatch:.3e} (tol {tol:.1e})")
-    return q if q.ndim else float(q)
-
-
 @dataclass(frozen=True)
 class CriticalEnergy:
     """Tail-sup estimate of limsup_{r->oo} q1 with a residual bound."""
@@ -204,15 +197,14 @@ class CriticalEnergy:
 
 
 def critical_energy(profile: WarpProfile, potential: PotentialSplit,
-                    horizon: float = 2.0**14, samples_per_block: int = 48,
-                    tol: float = 1e-6) -> CriticalEnergy:
+                    horizon: float = TAIL_HORIZON) -> CriticalEnergy:
     """Approximate the critical energy limsup_{r->oo} q1.
 
-    q1 is sampled on a geometric grid up to the horizon (dyadic blocks,
-    matching the dyadic annulus structure elsewhere); the estimate is the
-    supremum over the last block and the residual the change from the
-    previous block.  Oscillation above the tolerance at the horizon marks
-    the result as not converged.
+    q1 is sampled at ``_TAIL_SAMPLES`` geometric points per dyadic block up
+    to the horizon (matching the dyadic annulus structure elsewhere); the
+    estimate is the supremum over the last block and the residual the
+    change from the previous block.  Oscillation above ``_TAIL_TOL`` at the
+    horizon marks the result as not converged.
     """
     lo = max(profile.r0, 2.0)
     if horizon <= 4.0 * lo:
@@ -221,7 +213,7 @@ def critical_energy(profile: WarpProfile, potential: PotentialSplit,
     sups = []
     for k in range(n_blocks):
         a, b = lo * 2.0**k, min(lo * 2.0**(k + 1), horizon)
-        rr = np.geomspace(a, b, samples_per_block)
+        rr = np.geomspace(a, b, _TAIL_SAMPLES)
         q1 = np.asarray(potential.q1(rr), dtype=float)
         if not np.all(np.isfinite(q1)):
             raise EvaluationError(f"q1 not finite in block [{a}, {b}]")
@@ -231,54 +223,9 @@ def critical_energy(profile: WarpProfile, potential: PotentialSplit,
     value = float(tail[-1])
     residual = float(abs(tail[-1] - tail[-2]))
     prev = float(abs(tail[-2] - tail[-3])) if len(tail) >= 3 else residual
-    converged = residual <= tol and residual <= prev + tol
+    converged = residual <= _TAIL_TOL and residual <= prev + _TAIL_TOL
     return CriticalEnergy(value=value, residual=residual,
                           converged=bool(converged), horizon=float(horizon))
-
-
-def volume_density(profile: WarpProfile, r):
-    """Radial volume density f(r)^{(d-1)/2} of the warped end."""
-    r = np.asarray(r, dtype=float)
-    if profile.log_f is not None:
-        lf = np.asarray(profile.log_f(r), dtype=float)
-        return np.exp(np.clip(0.5 * (profile.d - 1) * lf, -700.0, 700.0))
-    return np.asarray(profile.f(r), dtype=float) ** (0.5 * (profile.d - 1))
-
-
-def radial_translation(profile: WarpProfile, psi, t: float, direction: int, grid):
-    """Half-density radial translation T(+-t) on the end.
-
-    On a warped end the gradient flow of r is y(t, r) = r + t, and
-
-        (T(t) psi)(r) = exp( int_0^t (Delta r)(r+s)/2 ds ) psi(r + t)
-                      = (f(r+t)/f(r))^{(d-1)/4} psi(r + t),
-
-    with value 0 where the flow has left [1, oo) (backward translations) or
-    psi is unknown beyond the grid.  T(-t), t >= 0, is an isometry of the
-    discrete L^2(f^{(d-1)/2} dr) norm up to quadrature/interpolation error.
-    """
-    if t < 0:
-        raise ContractError("t must be >= 0; use direction=-1 for backward flow")
-    if direction not in (+1, -1):
-        raise ContractError("direction must be +1 or -1")
-    r = grid.radii
-    psi = np.asarray(psi)
-    src = r + direction * t
-    inside = src >= r[0] - 1e-12
-    src_c = np.clip(src, r[0], r[-1])
-    if np.iscomplexobj(psi):
-        vals = np.interp(src_c, r, psi.real) + 1j * np.interp(src_c, r, psi.imag)
-    else:
-        vals = np.interp(src_c, r, psi)
-    vals = np.where(inside & (src <= r[-1] + 1e-12), vals, 0.0)
-    if profile.log_f is not None:
-        dlf = (np.asarray(profile.log_f(src_c), dtype=float)
-               - np.asarray(profile.log_f(r), dtype=float))
-        fac = np.exp(np.clip(0.25 * (profile.d - 1) * dlf, -700.0, 700.0))
-    else:
-        fac = (np.asarray(profile.f(src_c), dtype=float)
-               / np.asarray(profile.f(r), dtype=float)) ** (0.25 * (profile.d - 1))
-    return fac * vals
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,8 @@ r_lambda is the smallest dyadic radius >= r0 with
 
     lambda + lambda0 - 2 q1(r) >= 0   for all r >= r_lambda / 2,
 
-which keeps z - q1 away from the cut wherever the phase is switched on.
+which keeps z - q1 away from the cut wherever the phase is switched on; the
+search stops at the tail horizon ``geometry.TAIL_HORIZON``.
 
 a_z approximately solves the radial Riccati equation
 
@@ -33,9 +34,14 @@ import numpy as np
 from .conditions import loglog_fit
 from .cutoffs import CutoffSpec
 from .errors import BranchError, ContractError, EndspecError
-from .geometry import (CriticalEnergy, PotentialSplit, WarpProfile,
-                       critical_energy)
+from .geometry import (TAIL_HORIZON, CriticalEnergy, PotentialSplit,
+                       WarpProfile, critical_energy)
 from .radial import RadialGrid
+
+# geometric samples of q1 per dyadic block in the threshold-radius search
+_THRESHOLD_SAMPLES = 64
+# dyadic decades at the outer edge the Riccati residual's decay is fitted over
+_FIT_DECADES = 2
 
 
 @dataclass(frozen=True)
@@ -62,8 +68,7 @@ class RiccatiSolution:
 
 
 def r_lambda(profile: WarpProfile, potential: PotentialSplit, lam: float,
-             lambda0: float | CriticalEnergy | None = None,
-             horizon: float = 2.0**14, samples_per_block: int = 64) -> float:
+             lambda0: float | CriticalEnergy | None = None) -> float:
     """Smallest dyadic threshold radius R >= r0 for the energy lam.
 
     Dyadic quantization replaces the abstract smooth decreasing function of
@@ -71,25 +76,27 @@ def r_lambda(profile: WarpProfile, potential: PotentialSplit, lam: float,
     result is monotone non-increasing in lam by construction.
     """
     if lambda0 is None:
-        lambda0 = critical_energy(profile, potential, horizon=horizon)
+        lambda0 = critical_energy(profile, potential)
     lam0 = lambda0.value if isinstance(lambda0, CriticalEnergy) else float(lambda0)
     if not lam > lam0:
         raise ContractError(f"lambda={lam} must exceed the critical energy {lam0}")
     r0 = profile.r0
     candidates = [r0]
     R = 2.0 ** np.ceil(np.log2(r0) + 1e-12)
-    while R <= horizon:
+    while R <= TAIL_HORIZON:
         if R > r0:
             candidates.append(float(R))
         R *= 2.0
     for R in candidates:
-        rr = np.geomspace(R / 2.0, horizon, max(samples_per_block,
-                          int(samples_per_block * np.log2(horizon / (R / 2.0)))))
+        rr = np.geomspace(R / 2.0, TAIL_HORIZON, max(
+            _THRESHOLD_SAMPLES,
+            int(_THRESHOLD_SAMPLES * np.log2(TAIL_HORIZON / (R / 2.0)))))
         q1 = np.asarray(potential.q1(rr), dtype=float)
         if np.all(lam + lam0 - 2.0 * q1 >= 0.0):
             return float(R)
     raise ContractError(
-        f"no threshold radius below horizon {horizon}: lambda={lam} too close to {lam0}")
+        f"no threshold radius below horizon {TAIL_HORIZON}: "
+        f"lambda={lam} too close to {lam0}")
 
 
 def phase_a(profile: WarpProfile, potential: PotentialSplit, z: complex, sign: int,
@@ -177,14 +184,13 @@ class ResidualProfile:
 
 
 def riccati_residual(phase: PhaseSpec, profile: WarpProfile,
-                     potential: PotentialSplit, grid: RadialGrid,
-                     fit_decades: int = 2) -> ResidualProfile:
+                     potential: PotentialSplit, grid: RadialGrid) -> ResidualProfile:
     """| +- p^r a + a^2 - 2 |dr|^2 (z - q1) | with a log-log decay fit.
 
     The derivative of a uses three-point central differences; points inside
     the threshold cutoff band and the two grid edges are excluded.  The decay
-    exponent is the least-squares slope over the last ``fit_decades`` dyadic
-    decades, flagged unreliable when R^2 < 0.9.
+    exponent is the least-squares slope over the last ``_FIT_DECADES``
+    dyadic decades, flagged unreliable when R^2 < 0.9.
     """
     rr = grid.radii
     da = _central_derivative(phase.a, grid.h)
@@ -193,7 +199,7 @@ def riccati_residual(phase: PhaseSpec, profile: WarpProfile,
     keep = (rr > phase.r_lambda * 1.0001) & (np.arange(rr.size) > 0) \
         & (np.arange(rr.size) < rr.size - 1)
     r_keep, v_keep = rr[keep], resid[keep]
-    lo = grid.r_max / 2.0**fit_decades
+    lo = grid.r_max / 2.0**_FIT_DECADES
     band = (r_keep >= lo) & (v_keep > 0.0)
     if np.count_nonzero(band) < 8:
         return ResidualProfile(r=r_keep, residual=v_keep, slope=np.nan,

@@ -199,6 +199,10 @@ def profile_modes(profile: WarpProfile, cap: float) -> tuple:
 # discrete radial operators
 # ---------------------------------------------------------------------------
 
+# grid index of the first unknown: node 0 is the inner Dirichlet wall
+FIRST_UNKNOWN = 1
+
+
 @dataclass(frozen=True)
 class OuterPolicy:
     """Outer boundary treatment: Dirichlet or outgoing phi' = sign * i a phi."""
@@ -237,7 +241,6 @@ class RadialOperator:
     policy: OuterPolicy
     grid: RadialGrid
     potential_diag: np.ndarray
-    first_unknown: int = 1
 
     @property
     def n_unknowns(self) -> int:
@@ -276,8 +279,7 @@ class RadialOperator:
         """The source psi (full grid, complex) on the unknowns, scaled like
         their rows: a view of psi, or a copy whose last entry is halved with
         the outgoing row."""
-        i0 = self.first_unknown
-        b = psi[i0:i0 + self.n_unknowns]
+        b = psi[FIRST_UNKNOWN:FIRST_UNKNOWN + self.n_unknowns]
         if self.policy.kind == "outgoing":
             b = b.copy()
             b[-1] *= 0.5
@@ -365,6 +367,10 @@ def assemble_line_operator(v_of_x: Callable, grid: RadialGrid, z: complex,
 # Besov and weighted norms
 # ---------------------------------------------------------------------------
 
+# full annuli the decay slope of a B* profile is fitted over
+_TAIL_ANNULI = 3
+
+
 @dataclass(frozen=True)
 class BesovProfile:
     """Per-annulus norms and the derived B / B* norms.
@@ -409,14 +415,15 @@ class BesovProfile:
                   [[int(nu), R, norm] for nu, R, norm
                    in zip(self.nus, self.radii, self.annulus_norms)])
 
-    def tail_slope(self, n_annuli: int = 3):
-        """log2-slope of the B* profile over the last n full annuli (None if flat zero)."""
+    def tail_slope(self):
+        """log2-slope of the B* profile over the last ``_TAIL_ANNULI`` full
+        annuli (None if there are fewer)."""
         nus = self.nus[:-1] if self.partial_outer and self.nus.size > 1 else self.nus
         prof = self.b0_profile[:nus.size]
-        if nus.size < n_annuli:
+        if nus.size < _TAIL_ANNULI:
             return None
-        x = nus[-n_annuli:].astype(float)
-        y = prof[-n_annuli:]
+        x = nus[-_TAIL_ANNULI:].astype(float)
+        y = prof[-_TAIL_ANNULI:]
         if np.any(y <= 0.0):
             return -np.inf
         return float(np.polyfit(x, np.log2(y), 1)[0])

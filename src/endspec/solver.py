@@ -4,7 +4,7 @@ Two independent outer treatments are kept deliberately:
 
   * complex shift: solve (h_mu - lambda - i Gamma) phi = psi with Dirichlet
     truncation on a domain long enough to absorb the wave
-    (Gamma (R_max - 1) >= 8 unless explicitly overridden);
+    (Gamma (R_max - 1) >= ``ABSORPTION`` = 8 unless explicitly overridden);
   * outgoing row: solve at real lambda with the last row enforcing
     phi' = +- i a(R_max) phi (``outgoing_row``; the radiation sweep closes
     its complex-shift solves with the same row).
@@ -22,10 +22,13 @@ of rows, with no n-length temporary; ``resolve`` is a single such solve.
 
 The eigenvalue scan diagonalizes the Dirichlet-truncated symmetric operator
 on an interval and classifies each eigenpair by the decay of its dyadic
-annulus profile: genuine point spectrum decays, while discretized continuum
-shows a flat profile together with eigenvalue drift under domain doubling.
-Only the base scan needs eigenvectors; the companion scans (doubled domain,
-h/2) compute eigenvalues only, by the same bisection (LAPACK ``stebz``).
+annulus profile: genuine point spectrum decays (log2-slope at most
+``_FLAT_SLOPE``), while discretized continuum shows a flat profile together
+with eigenvalue drift above 10 ``_DRIFT_TOL`` under domain doubling;
+eigenvalues within ``THRESHOLD_WINDOW`` of a declared threshold are set
+apart.  Only the base scan needs eigenvectors; the companion scans (doubled
+domain, h/2) compute eigenvalues only, by the same bisection (LAPACK
+``stebz``).
 """
 
 from __future__ import annotations
@@ -44,9 +47,20 @@ from .errors import (AbsorptionError, BranchError, ConditioningError,
                      ContractError)
 from .geometry import PotentialSplit, WarpProfile
 from .phase import grid_phase, phase_a
-from .radial import (BesovProfile, OuterPolicy, RadialGrid, RadialOperator,
-                     assemble_radial_operator, besov_norms, l2_norm,
-                     uniform_grid)
+from .radial import (FIRST_UNKNOWN, BesovProfile, OuterPolicy, RadialGrid,
+                     RadialOperator, assemble_radial_operator, besov_norms,
+                     l2_norm, uniform_grid)
+
+# a shift solve absorbs its wave when Gamma (R_max - 1) >= ABSORPTION
+ABSORPTION = 8.0
+# eigenvalues this close to a declared threshold t are not classified as
+# spectrum, and experiments refuse energies above t - THRESHOLD_WINDOW
+THRESHOLD_WINDOW = 0.05
+# eigen-scan classifier: the largest log2-slope of a decaying annulus
+# profile, and the drift scale under domain doubling (artifacts drift by
+# more than 10 _DRIFT_TOL)
+_FLAT_SLOPE = -0.25
+_DRIFT_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -87,8 +101,8 @@ class Resolvent:
     arrays divided by max |rhs|, which leaves growth and residual unchanged
     but finite.
 
-    A shift solve (Dirichlet outer row, Im z != 0) on a
-    domain with Gamma (R_max - 1) < 8 is refused unless ``allow_unabsorbed``
+    A shift solve (Dirichlet outer row, Im z != 0) on a domain with
+    Gamma (R_max - 1) < ``ABSORPTION`` is refused unless ``allow_unabsorbed``
     is set, since the reflected wave then contaminates every Gamma-limit
     experiment.  Only the factors and the operator (whose potential diagonal
     is shared) are kept, so holding several resolvents costs little memory.
@@ -100,9 +114,10 @@ class Resolvent:
         if op.policy.kind == "dirichlet":
             if gamma == 0.0:
                 raise ContractError("shift solve needs Im z != 0 (or an outgoing policy)")
-            if abs(gamma) * (op.grid.r_max - 1.0) < 8.0 and not allow_unabsorbed:
+            if abs(gamma) * (op.grid.r_max - 1.0) < ABSORPTION and not allow_unabsorbed:
                 raise AbsorptionError(
-                    f"Gamma*(R_max-1) = {abs(gamma) * (op.grid.r_max - 1.0):.2f} < 8; "
+                    f"Gamma*(R_max-1) = {abs(gamma) * (op.grid.r_max - 1.0):.2f} "
+                    f"< {ABSORPTION:g}; "
                     "enlarge the domain or pass allow_unabsorbed=True")
         dd = op.dd
         _check_finite(dd)
@@ -120,7 +135,7 @@ class Resolvent:
         psi = np.ascontiguousarray(psi, dtype=complex)
         if psi.size != op.grid.n:
             raise ContractError("psi must live on the operator's grid")
-        n, i0 = op.n_unknowns, op.first_unknown
+        n, i0 = op.n_unknowns, FIRST_UNKNOWN
         rhs = op.rhs(psi)
         rhs_sq = _sum_sq(rhs)
         unit = 1.0                  # common divisor of the three norms
@@ -176,7 +191,7 @@ def _residual_sq(op: RadialOperator, phi, rhs, unit: float = 1.0) -> float:
     neighbours.  The outgoing last row takes its scalar diagonal entry.  No
     n-length array is created.
     """
-    n, i0 = op.n_unknowns, op.first_unknown
+    n, i0 = op.n_unknowns, FIRST_UNKNOWN
     off = op.off_diag
     stencil_diag, z = -2.0 * off, op.z
     w = op.potential_diag
@@ -283,8 +298,7 @@ def _eig_interval(dd, dl, interval, eigvals_only: bool = False):
 
 
 def _classify(vals, vecs, vals2, valsh, grid: RadialGrid, interval,
-              flat_slope, drift_tol, thresholds, threshold_window,
-              lambda0) -> EigenScanResult:
+              thresholds, lambda0) -> EigenScanResult:
     """Classify each eigenpair of the scan by its annulus profile.
 
     ``vals2`` are the eigenvalues on the doubled domain (the drift; none
@@ -299,15 +313,15 @@ def _classify(vals, vecs, vals2, valsh, grid: RadialGrid, interval,
         if nrm > 0:
             phi = phi / nrm
         prof = besov_norms(phi, grid)
-        slope = prof.tail_slope(3)
+        slope = prof.tail_slope()
         slope = 0.0 if slope is None else slope
         drift = float(np.min(np.abs(vals2 - lam))) if vals2.size else np.inf
         refined = lam
         if valsh is not None and valsh.size:
             lam_h = valsh[np.argmin(np.abs(valsh - lam))]
             refined = (4.0 * lam_h - lam) / 3.0
-        near = any(abs(lam - t) <= threshold_window for t in thresholds)
-        artifact = (slope > flat_slope) and (drift > 10.0 * drift_tol)
+        near = any(abs(lam - t) <= THRESHOLD_WINDOW for t in thresholds)
+        artifact = (slope > _FLAT_SLOPE) and (drift > 10.0 * _DRIFT_TOL)
         entries.append(EigenEntry(eigenvalue=float(lam), refined=float(refined),
                                   drift=drift, profile=prof,
                                   profile_slope=float(slope),
@@ -319,18 +333,18 @@ def _classify(vals, vecs, vals2, valsh, grid: RadialGrid, interval,
 
 def eigen_scan(profile: WarpProfile, potential: PotentialSplit, mu: float,
                grid: RadialGrid, interval, refine: bool = True,
-               flat_slope: float = -0.25, drift_tol: float = 1e-6,
-               thresholds=(), threshold_window: float = 0.05,
-               lambda0: float | None = None,
+               thresholds=(), lambda0: float | None = None,
                cutoffs: CutoffSpec | None = None) -> EigenScanResult:
     """Scan the Dirichlet-truncated spectrum on a bounded interval.
 
     Classification per eigenpair: the annulus profile R_nu^{-1/2}||F_nu phi||
-    must decay (log2-slope <= ``flat_slope`` over the last three full annuli)
-    for a genuine eigenfunction; a flat profile combined with eigenvalue
-    drift above 10 * ``drift_tol`` under domain doubling marks a truncation
-    artifact.  ``refine`` adds an h-halving Richardson step so genuine
-    eigenvalues carry an O(h^4) estimate.
+    must decay (log2-slope <= ``_FLAT_SLOPE`` over the last three full
+    annuli) for a genuine eigenfunction; a flat profile combined with
+    eigenvalue drift above 10 * ``_DRIFT_TOL`` under domain doubling marks a
+    truncation artifact, and an eigenvalue within ``THRESHOLD_WINDOW`` of one
+    of the ``thresholds`` is marked near-threshold.  ``refine`` adds an
+    h-halving Richardson step so genuine eigenvalues carry an O(h^4)
+    estimate.
     """
     lo, hi = float(interval[0]), float(interval[1])
     if not hi > lo:
@@ -341,7 +355,7 @@ def eigen_scan(profile: WarpProfile, potential: PotentialSplit, mu: float,
     # domain doubling for the drift diagnostic
     grid2 = uniform_grid(2.0 * grid.r_max, grid.h, r_min=grid.radii[0])
     dd2, dl2 = _dirichlet_tridiag(profile, potential, mu, grid2, cutoffs)
-    pad = 0.1 * (hi - lo) + 10.0 * drift_tol
+    pad = 0.1 * (hi - lo) + 10.0 * _DRIFT_TOL
     vals2 = _eig_interval(dd2, dl2, (lo - pad, hi + pad), eigvals_only=True)
 
     # h-halving for the Richardson refinement
@@ -350,14 +364,11 @@ def eigen_scan(profile: WarpProfile, potential: PotentialSplit, mu: float,
         gridh = uniform_grid(grid.r_max, 0.5 * grid.h, r_min=grid.radii[0])
         ddh, dlh = _dirichlet_tridiag(profile, potential, mu, gridh, cutoffs)
         valsh = _eig_interval(ddh, dlh, (lo - pad, hi + pad), eigvals_only=True)
-    return _classify(vals, vecs, vals2, valsh, grid, (lo, hi), flat_slope,
-                     drift_tol, thresholds, threshold_window, lambda0)
+    return _classify(vals, vecs, vals2, valsh, grid, (lo, hi), thresholds, lambda0)
 
 
 def eigen_scan_tridiag(dd, dl, grid: RadialGrid, interval,
-                       dd2=None, dl2=None, grid2=None,
-                       flat_slope: float = -0.25, drift_tol: float = 1e-6,
-                       thresholds=(), threshold_window: float = 0.05,
+                       dd2=None, dl2=None, grid2=None, thresholds=(),
                        lambda0: float | None = None) -> EigenScanResult:
     """Scan an explicitly assembled symmetric tridiagonal (line models).
 
@@ -367,10 +378,9 @@ def eigen_scan_tridiag(dd, dl, grid: RadialGrid, interval,
     lo, hi = float(interval[0]), float(interval[1])
     vals, vecs = _eig_interval(np.asarray(dd, float), np.asarray(dl, float), (lo, hi))
     if dd2 is not None:
-        pad = 0.1 * (hi - lo) + 10.0 * drift_tol
+        pad = 0.1 * (hi - lo) + 10.0 * _DRIFT_TOL
         vals2 = _eig_interval(np.asarray(dd2, float), np.asarray(dl2, float),
                               (lo - pad, hi + pad), eigvals_only=True)
     else:
         vals2 = np.array([])
-    return _classify(vals, vecs, vals2, None, grid, (lo, hi), flat_slope,
-                     drift_tol, thresholds, threshold_window, lambda0)
+    return _classify(vals, vecs, vals2, None, grid, (lo, hi), thresholds, lambda0)

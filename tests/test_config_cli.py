@@ -32,7 +32,7 @@ def test_minimal_config_defaults_filled():
     assert cfg.model["kind"] == "free"
     assert cfg.grid["r_max"] == 64.0 and cfg.grid["h"] == 0.02
     assert cfg.output["directory"] == "out"
-    assert cfg.experiment_names() == ["sweep"]
+    assert [e.name for e in cfg.experiments] == ["sweep"]
     assert cfg.experiments[0].kind == "lap"
     assert len(cfg.config_hash) == 16
 
@@ -101,6 +101,41 @@ def test_hoelder_ladder_limits_validated(key, value):
         parse_config(text)
     assert err.value.violations == [
         f"[experiment h]: {key} must be >= {2 if key == 'n_pairs' else 1}, got {value}"]
+
+
+@pytest.mark.parametrize("model", [
+    "kind = multiend\nlambda0 = 4.0\nlambda1 = 0.0",     # window upside down
+    "kind = power\ntheta = 2.0\nd = 0",                  # no dimension
+    "kind = tabulated\nd = 3\ncsv = {two_rows}",         # too short a table
+    "kind = tabulated\nd = 3\ncsv = {one_row}",          # read as a 1-D array
+    "kind = tabulated\nd = 3\ncsv = {one_column}",       # r without f
+    "kind = tabulated\nd = 3\ncsv = {missing}",          # no table at all
+], ids=["multiend_window", "power_d0", "tabulated_two_rows", "tabulated_one_row",
+        "tabulated_one_column", "tabulated_missing"])
+def test_model_the_library_refuses_is_an_error_line(tmp_path, capsys, model):
+    # the model used to be built outside any error handling: a traceback
+    tables = {"two_rows": "1.0,1.0\n2.0,4.0\n", "one_row": "1.0,1.0\n",
+              "one_column": "1.0\n2.0\n3.0\n4.0\n5.0\n"}
+    for name, rows in tables.items():
+        (tmp_path / f"{name}.csv").write_text(rows)
+    paths = {name: tmp_path / f"{name}.csv" for name in (*tables, "missing")}
+    text = "[model]\n" + model.format(**paths) + "\n"
+    assert run(parse_config(text), "check", out_dir=tmp_path) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: cannot build the model: ")
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("kind", ["escape_disk", "escape_hyperbola",
+                                  "escape_sawtooth"])
+def test_escape_model_refuses_blocks_other_than_check(kind):
+    # a lap block on an escape field used to reach the runner with no model
+    text = (f"[model]\nkind = {kind}\n\n[experiment c]\nkind = check\n\n"
+            "[experiment x]\nkind = lap\nlambda = 1.0\n")
+    with pytest.raises(ConfigError) as err:
+        parse_config(text)
+    assert err.value.violations == [
+        f"[experiment x]: a {kind} model runs only check blocks, not 'lap'"]
 
 
 def test_type_mismatch_reported():

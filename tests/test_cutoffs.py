@@ -50,16 +50,6 @@ def test_dyadic_partition_exact():
                                       np.ones_like(r))
 
 
-def test_chi_mn_in_unit_interval():
-    cut = CutoffSpec()
-    r = np.geomspace(1.0, 1e4, 500)
-    for m, n in ((0, 1), (1, 4), (3, 9)):
-        v = cut.chi_mn(r, m, n)
-        assert np.all(v >= 0.0) and np.all(v <= 1.0)
-    with pytest.raises(ContractError):
-        cut.chi_mn(r, 3, 3)
-
-
 def test_r0_contract():
     with pytest.raises(ContractError):
         CutoffSpec(r0=1.5)

@@ -2,14 +2,12 @@ import numpy as np
 import pytest
 
 from endspec.cutoffs import CutoffSpec
-from endspec.errors import ContractError, EvaluationError, SplitMismatchError
+from endspec.errors import ContractError, EvaluationError
 from endspec.geometry import (PotentialSplit, WarpProfile, const_profile,
-                              critical_energy, effective_potential,
-                              exp_profile, geometric_split, geometry_at,
-                              hyperbolic_profile, power_profile, q_geom_chain,
-                              radial_translation, stretched_exp_profile,
-                              tabulated_profile, volume_density)
-from endspec.radial import smooth_bump, uniform_grid
+                              critical_energy, exp_profile, geometric_split,
+                              geometry_at, hyperbolic_profile, power_profile,
+                              q_geom_chain, stretched_exp_profile,
+                              tabulated_profile)
 
 
 def test_warped_formulas_euclidean():
@@ -83,34 +81,33 @@ def test_warp_profile_needs_exactly_one_of_f_and_log_f():
         assert prof.f is None and prof.log_f is not None
 
 
+def _effective_potential(profile, split, r):
+    """q = V + q_geom, the potential the operators are built from."""
+    return np.asarray(split.V(r), dtype=float) + geometry_at(profile, None, r).q_geom
+
+
 def test_effective_potential_examples():
     # f = r^2, d = 3: q identically 0 beyond r0
     m3 = power_profile(2.0, 3)
-    q = effective_potential(m3, geometric_split(m3), np.array([2.5, 10.0, 100.0]))
+    q = _effective_potential(m3, geometric_split(m3), np.array([2.5, 10.0, 100.0]))
     np.testing.assert_allclose(q, 0.0, atol=1e-15)
     # f = r^2, d = 2: q = -1/(8 r^2)
     m2 = power_profile(2.0, 2)
     r = np.array([3.0, 10.0, 64.0])
-    q = effective_potential(m2, geometric_split(m2), r)
+    q = _effective_potential(m2, geometric_split(m2), r)
     np.testing.assert_allclose(q, -1.0 / (8.0 * r**2), rtol=1e-12)
 
 
 def test_effective_potential_constant_shift():
+    # a constant long-range part shifts V + q_geom and q1 alike
     prof = power_profile(2.0, 2)
     c = 0.7
     base = geometric_split(prof)
     shifted = geometric_split(prof, V_long=lambda r: np.full_like(np.asarray(r, float), c))
     r = np.linspace(1.0, 30.0, 50)
-    np.testing.assert_allclose(effective_potential(prof, shifted, r),
-                               effective_potential(prof, base, r) + c, rtol=1e-12)
-
-
-def test_split_mismatch_detected():
-    prof = power_profile(2.0, 2)
-    zero = lambda r: np.zeros_like(np.asarray(r, float))
-    broken = PotentialSplit(V=zero, q1=lambda r: np.full_like(np.asarray(r, float), 0.5))
-    with pytest.raises(SplitMismatchError):
-        effective_potential(prof, broken, np.array([5.0]))
+    np.testing.assert_allclose(_effective_potential(prof, shifted, r),
+                               _effective_potential(prof, base, r) + c, rtol=1e-12)
+    np.testing.assert_allclose(shifted.q1(r), np.asarray(base.q1(r)) + c, rtol=1e-12)
 
 
 def test_split_consistency_tolerance():
@@ -118,7 +115,7 @@ def test_split_consistency_tolerance():
     for prof in (power_profile(1.0, 3), power_profile(2.0, 2), exp_profile(1.0, 3)):
         split = geometric_split(prof)
         r = np.geomspace(1.0, 1e3, 200)
-        q = effective_potential(prof, split, r, check_split=False)
+        q = _effective_potential(prof, split, r)
         mism = np.max(np.abs(q - np.asarray(split.q1(r)) - split.q2(r)))
         assert mism < 1e-10
 
@@ -158,67 +155,6 @@ def test_critical_energy_shift():
     shifted = critical_energy(
         prof, geometric_split(prof, V_long=lambda r: np.full_like(np.asarray(r, float), c)))
     assert shifted.value == pytest.approx(base + c, abs=1e-12)
-
-
-# --- radial translations ----------------------------------------------------
-
-def test_translation_constant_warp_is_shift():
-    prof = const_profile(d=3)
-    grid = uniform_grid(32.0, 0.01)
-    psi = smooth_bump(grid.radii, 4.0, 6.0)
-    out = radial_translation(prof, psi, 1.0, +1, grid)
-    np.testing.assert_allclose(out, smooth_bump(grid.radii + 1.0, 4.0, 6.0), atol=1e-10)
-
-
-def test_backward_translation_isometry():
-    for prof in (power_profile(2.0, 3), exp_profile(1.0, 2)):
-        grid = uniform_grid(32.0, 0.005)
-        m = volume_density(prof, grid.radii)
-        psi = smooth_bump(grid.radii, 3.0, 5.0)
-        t = 1.7
-        out = radial_translation(prof, psi, t, -1, grid)
-        n0 = np.sum(grid.weights * m * np.abs(psi) ** 2)
-        n1 = np.sum(grid.weights * m * np.abs(out) ** 2)
-        assert n1 == pytest.approx(n0, rel=1e-5)
-
-
-def test_forward_translation_quadrature_oracle():
-    # f = r^2: ||T(t) psi||^2 equals the integral of |psi|^2 f^{(d-1)/2}
-    # over r >= 1 + t, by independent quadrature
-    prof = power_profile(2.0, 3)
-    grid = uniform_grid(32.0, 0.002)
-    r = grid.radii
-    psi = np.exp(-((r - 5.0) ** 2))
-    t = 0.5
-    out = radial_translation(prof, psi, t, +1, grid)
-    m = volume_density(prof, r)
-    lhs = np.sum(grid.weights * m * np.abs(out) ** 2)
-    mask = r >= 1.0 + t
-    rhs = np.trapezoid((np.abs(psi) ** 2 * m)[mask], r[mask])
-    assert lhs == pytest.approx(rhs, rel=1e-6)
-
-
-def test_translation_adjointness():
-    prof = power_profile(2.0, 2)
-    grid = uniform_grid(64.0, 0.005)
-    m = volume_density(prof, grid.radii)
-    phi = smooth_bump(grid.radii, 10.0, 14.0)
-    psi = smooth_bump(grid.radii, 11.0, 16.0)
-    t = 2.0
-    tp = radial_translation(prof, phi, t, +1, grid)
-    tm = radial_translation(prof, psi, t, -1, grid)
-    lhs = np.sum(grid.weights * m * tp * psi)
-    rhs = np.sum(grid.weights * m * phi * tm)
-    assert lhs == pytest.approx(rhs, rel=1e-6)
-
-
-def test_translation_contract():
-    prof = const_profile()
-    grid = uniform_grid(8.0, 0.1)
-    with pytest.raises(ContractError):
-        radial_translation(prof, np.zeros(grid.n), -1.0, +1, grid)
-    with pytest.raises(ContractError):
-        radial_translation(prof, np.zeros(grid.n), 1.0, 0, grid)
 
 
 def test_tabulated_profile_matches_closed_form():

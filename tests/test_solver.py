@@ -12,8 +12,8 @@ from endspec.experiments import (besov_energy_check, hoelder_estimate, lap_sweep
                                  radiation_sweep)
 from endspec.models import (euclidean_model, free_model, multiend_model,
                             square_well_model)
-from endspec.radial import (OuterPolicy, RadialOperator, l2_norm,
-                            smooth_bump, uniform_grid)
+from endspec.radial import (FIRST_UNKNOWN, OuterPolicy, RadialOperator,
+                            l2_norm, smooth_bump, uniform_grid)
 from endspec.solver import (_RESIDUAL_BLOCK, EigenEntry, Resolvent, eigen_scan,
                             eigen_scan_tridiag, outgoing_row, resolve)
 
@@ -306,7 +306,7 @@ def _reference_solve(op, psi):
     scale = np.ones(op.n_unknowns)
     if op.policy.kind == "outgoing":
         scale[-1] = 0.5
-    i0 = op.first_unknown
+    i0 = FIRST_UNKNOWN
     rhs = psi[i0:i0 + op.n_unknowns] * scale
     u, _ = zgttrs(*lu, rhs)
     phi = np.zeros(op.grid.n, dtype=complex)
@@ -457,7 +457,7 @@ def test_block_residual_matches_matvec(policy, n):
     grid = uniform_grid(1.0 + h * (n + (2 if policy is None else 1) - 1), h)
     op = free_model().operator(0.0, grid, 1.0 + 0.2j, policy)
     assert op.n_unknowns == n
-    i0 = op.first_unknown
+    i0 = FIRST_UNKNOWN
     rng = np.random.default_rng(n)
     psi = rng.standard_normal(grid.n) + 1j * rng.standard_normal(grid.n)
     rhs = op.rhs(psi)
