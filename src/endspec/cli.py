@@ -198,6 +198,7 @@ def _run_radiation(cfg, model, exp, out_dir, seed):
 def _run_hoelder(cfg, model, exp, out_dir, seed):
     opt = exp.options
     table = hoelder_estimate(model, opt["lambda"], h=cfg.grid["h"],
+                             mode_cap=cfg.grid["mode_cap"],
                              **_given(opt, "s", "gamma_top", "n_pairs",
                                       "n_probes", "seed", s=1.0, seed=seed))
     table.to_csv(out_dir / f"{exp.name}.csv", extra_meta=_meta(cfg))

@@ -66,8 +66,8 @@ ConfigError carrying the full list.
 Two settings are read narrower than the schema suggests.  A besov_energy
 block takes only its first gamma, as the imaginary part of z (0.1 when
 unset), and runs the decade [g, g/sqrt(10), g/10] below it whatever else
-the list holds.  Hoelder and sommerfeld blocks ignore [grid] mode_cap and
-run at the library's cap of 0.5.
+the list holds.  Sommerfeld blocks ignore [grid] mode_cap and run at the
+library's cap of 0.5.
 """
 
 from __future__ import annotations
@@ -255,6 +255,9 @@ def parse_config(text: str) -> RunConfig:
         for b in exp.options.get("betas", []):
             if b < 0.0:
                 errors.append(f"{where}: beta values must be >= 0, got {b}")
+        if exp.options.get("gamma_top", 1.0) <= 0.0:
+            errors.append(f"{where}: gamma_top must be positive, "
+                          f"got {exp.options['gamma_top']}")
         if "s" in exp.options and exp.options["s"] <= 0.5:
             errors.append(f"{where}: s must exceed 1/2, got {exp.options['s']}")
         if "sign" in exp.options and exp.options["sign"] not in (1, -1):

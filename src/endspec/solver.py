@@ -18,7 +18,9 @@ it to another z without touching the geometry.  A ``Resolvent`` LU-factors
 one operator once and solves any number of right-hand sides against the
 factors, in place in the returned full-grid array, verifying each with one
 pass over the grid per norm: the residual is summed over cache-sized blocks
-of rows, with no n-length temporary; ``resolve`` is a single such solve.
+of rows, with no n-length temporary.  ``resolve`` solves a single source in
+one LAPACK sweep (``zgtsv``, which factors and solves together and keeps no
+factors), with the same guards and checks.
 
 The eigenvalue scan diagonalizes the Dirichlet-truncated symmetric operator
 on an interval and classifies each eigenpair by the decay of its dyadic
@@ -40,7 +42,7 @@ import numpy as np
 # solve_banded is no longer called; the name stays bound because the
 # benchmark tracer (perfbench/spans.py) wraps endspec.solver.solve_banded
 from scipy.linalg import LinAlgError, eigh_tridiagonal, solve_banded  # noqa: F401
-from scipy.linalg.lapack import zgttrf, zgttrs
+from scipy.linalg.lapack import zgtsv, zgttrf, zgttrs
 
 from .cutoffs import CutoffSpec
 from .errors import (AbsorptionError, BranchError, ConditioningError,
@@ -79,12 +81,14 @@ class ResolventSolution:
 class Resolvent:
     """(h_mu - z)^{-1} for one operator: factored once, applied per source.
 
-    Construction checks the absorption guard and LU-factors the tridiagonal
-    matrix (LAPACK ``zgttrf``, partial pivoting); each call solves one
-    right-hand side against the held factors (``zgttrs``) and verifies the
-    result: finite values, growth ``||phi|| / ||psi||`` at most
-    ``blowup_limit`` and residual by re-multiplication at most
-    ``residual_tol`` (a NaN growth or residual fails both).
+    For callers with many sources; a single source goes through ``resolve``,
+    which shares every guard and check below.  Construction checks the
+    absorption guard and LU-factors the tridiagonal matrix (LAPACK
+    ``zgttrf``, partial pivoting); each call solves one right-hand side
+    against the held factors (``zgttrs``) and verifies the result: finite
+    values, growth ``||phi|| / ||psi||`` at most ``blowup_limit`` and
+    residual by re-multiplication at most ``residual_tol`` (a NaN growth or
+    residual fails both).
 
     A call passes over the grid as few times as it can: the right-hand side
     is a view of psi (a copy only for the halved outgoing row), ``zgttrs``
@@ -110,17 +114,7 @@ class Resolvent:
 
     def __init__(self, op: RadialOperator, allow_unabsorbed: bool = False,
                  residual_tol: float = 1e-8, blowup_limit: float = 1e13):
-        gamma = op.z.imag
-        if op.policy.kind == "dirichlet":
-            if gamma == 0.0:
-                raise ContractError("shift solve needs Im z != 0 (or an outgoing policy)")
-            if abs(gamma) * (op.grid.r_max - 1.0) < ABSORPTION and not allow_unabsorbed:
-                raise AbsorptionError(
-                    f"Gamma*(R_max-1) = {abs(gamma) * (op.grid.r_max - 1.0):.2f} "
-                    f"< {ABSORPTION:g}; "
-                    "enlarge the domain or pass allow_unabsorbed=True")
-        dd = op.dd
-        _check_finite(dd)
+        dd = _admitted_diagonal(op, allow_unabsorbed)
         *lu, info = zgttrf(op.dl, dd, op.du,
                            overwrite_dl=1, overwrite_d=1, overwrite_du=1)
         if info > 0:
@@ -131,41 +125,67 @@ class Resolvent:
         self._lu = lu
 
     def __call__(self, psi) -> ResolventSolution:
-        op = self.op
-        psi = np.ascontiguousarray(psi, dtype=complex)
-        if psi.size != op.grid.n:
-            raise ContractError("psi must live on the operator's grid")
-        n, i0 = op.n_unknowns, FIRST_UNKNOWN
-        rhs = op.rhs(psi)
-        rhs_sq = _sum_sq(rhs)
-        unit = 1.0                  # common divisor of the three norms
-        if not math.isfinite(rhs_sq):
-            _check_finite(rhs)      # finite entries may still overflow the sum
-            unit = float(np.max(np.abs(rhs.view(float))))
-            rhs_sq = _sum_sq(rhs, unit)
-        phi = np.zeros(op.grid.n, dtype=complex)
-        u = phi[i0:i0 + n]
-        u[...] = rhs
-        zgttrs(*self._lu, u, overwrite_b=1)
-        u_sq = _sum_sq(u)
-        if not math.isfinite(u_sq) and not np.all(np.isfinite(u.view(float))):
-            raise ConditioningError("solver produced non-finite values", estimate=np.inf)
-        if unit != 1.0:
-            u_sq = _sum_sq(u, unit)
-        scale = math.sqrt(rhs_sq) or 1.0
-        growth = math.sqrt(u_sq) / scale
-        if not growth <= self.blowup_limit:
-            raise ConditioningError(
-                f"solution grew by {growth:.2e}: z is within grid resolution of a "
-                "discrete eigenvalue of the truncated problem", estimate=growth)
-        resid = math.sqrt(_residual_sq(op, phi, rhs, unit)) / scale
-        if not resid <= self.residual_tol:
-            raise ConditioningError(f"residual {resid:.2e} above {self.residual_tol:.1e}",
-                                    estimate=resid)
-        method = "shift" if op.policy.kind == "dirichlet" else "outgoing"
-        return ResolventSolution(mu=op.mu, z=op.z, method=method, phi=phi,
-                                 residual=resid, grid=op.grid,
-                                 info={"growth": growth})
+        return _verified_solve(self.op, psi, lambda u: zgttrs(*self._lu, u, overwrite_b=1),
+                               self.residual_tol, self.blowup_limit)
+
+
+def _admitted_diagonal(op: RadialOperator, allow_unabsorbed: bool) -> np.ndarray:
+    """The operator's complex diagonal, once the absorption guard admits
+    the solve and every entry is finite (``ValueError`` otherwise)."""
+    gamma = op.z.imag
+    if op.policy.kind == "dirichlet":
+        if gamma == 0.0:
+            raise ContractError("shift solve needs Im z != 0 (or an outgoing policy)")
+        if abs(gamma) * (op.grid.r_max - 1.0) < ABSORPTION and not allow_unabsorbed:
+            raise AbsorptionError(
+                f"Gamma*(R_max-1) = {abs(gamma) * (op.grid.r_max - 1.0):.2f} "
+                f"< {ABSORPTION:g}; "
+                "enlarge the domain or pass allow_unabsorbed=True")
+    dd = op.dd
+    _check_finite(dd)
+    return dd
+
+
+def _verified_solve(op: RadialOperator, psi, solve_in_place, residual_tol: float,
+                    blowup_limit: float) -> ResolventSolution:
+    """Solve for one source with ``solve_in_place(u)``, which overwrites the
+    right-hand side u on the unknowns with the solution, and verify it: the
+    source must be finite, and the solution finite, with growth and residual
+    within their limits (see ``Resolvent``)."""
+    psi = np.ascontiguousarray(psi, dtype=complex)
+    if psi.size != op.grid.n:
+        raise ContractError("psi must live on the operator's grid")
+    n, i0 = op.n_unknowns, FIRST_UNKNOWN
+    rhs = op.rhs(psi)
+    rhs_sq = _sum_sq(rhs)
+    unit = 1.0                  # common divisor of the three norms
+    if not math.isfinite(rhs_sq):
+        _check_finite(rhs)      # finite entries may still overflow the sum
+        unit = float(np.max(np.abs(rhs.view(float))))
+        rhs_sq = _sum_sq(rhs, unit)
+    phi = np.zeros(op.grid.n, dtype=complex)
+    u = phi[i0:i0 + n]
+    u[...] = rhs
+    solve_in_place(u)
+    u_sq = _sum_sq(u)
+    if not math.isfinite(u_sq) and not np.all(np.isfinite(u.view(float))):
+        raise ConditioningError("solver produced non-finite values", estimate=np.inf)
+    if unit != 1.0:
+        u_sq = _sum_sq(u, unit)
+    scale = math.sqrt(rhs_sq) or 1.0
+    growth = math.sqrt(u_sq) / scale
+    if not growth <= blowup_limit:
+        raise ConditioningError(
+            f"solution grew by {growth:.2e}: z is within grid resolution of a "
+            "discrete eigenvalue of the truncated problem", estimate=growth)
+    resid = math.sqrt(_residual_sq(op, phi, rhs, unit)) / scale
+    if not resid <= residual_tol:
+        raise ConditioningError(f"residual {resid:.2e} above {residual_tol:.1e}",
+                                estimate=resid)
+    method = "shift" if op.policy.kind == "dirichlet" else "outgoing"
+    return ResolventSolution(mu=op.mu, z=op.z, method=method, phi=phi,
+                             residual=resid, grid=op.grid,
+                             info={"growth": growth})
 
 
 def _sum_sq(a, unit: float = 1.0) -> float:
@@ -225,9 +245,25 @@ def _check_finite(a):
 
 def resolve(op: RadialOperator, psi, allow_unabsorbed: bool = False,
             residual_tol: float = 1e-8, blowup_limit: float = 1e13) -> ResolventSolution:
-    """One verified solve of (h_mu - z) phi = psi (see ``Resolvent``)."""
-    return Resolvent(op, allow_unabsorbed=allow_unabsorbed, residual_tol=residual_tol,
-                     blowup_limit=blowup_limit)(psi)
+    """One verified solve of (h_mu - z) phi = psi, with the guards and checks
+    of ``Resolvent``.
+
+    A single source needs no factors kept, so LAPACK ``zgtsv`` factors and
+    solves in one sweep, in place in the diagonals and in ``phi``: no
+    separate second-superdiagonal or pivot array, and one pass over the
+    grid fewer.
+    It makes the eliminations and pivot choices of ``zgttrf`` + ``zgttrs``,
+    so the solution is the one ``Resolvent`` returns, bit for bit.
+    """
+    dd = _admitted_diagonal(op, allow_unabsorbed)
+
+    def sweep(u):
+        info = zgtsv(op.dl, dd, op.du, u, overwrite_dl=1, overwrite_d=1,
+                     overwrite_du=1, overwrite_b=1)[-1]
+        if info > 0:
+            raise LinAlgError("singular matrix")
+
+    return _verified_solve(op, psi, sweep, residual_tol, blowup_limit)
 
 
 def outgoing_row(profile: WarpProfile, potential: PotentialSplit,

@@ -103,6 +103,19 @@ def test_hoelder_ladder_limits_validated(key, value):
         f"[experiment h]: {key} must be >= {2 if key == 'n_pairs' else 1}, got {value}"]
 
 
+@pytest.mark.parametrize("kind", ["hoelder", "sommerfeld"])
+@pytest.mark.parametrize("value", ["0", "-0.002"])
+def test_non_positive_gamma_top_validated(kind, value):
+    # the runners used to die in a ZeroDivisionError or a math domain error,
+    # or solve incoming shifts and report a failed comparison
+    text = ("[model]\nkind = free\n\n[experiment g]\n"
+            f"kind = {kind}\nlambda = 1.0\ngamma_top = {value}\n")
+    with pytest.raises(ConfigError) as err:
+        parse_config(text)
+    assert err.value.violations == [
+        f"[experiment g]: gamma_top must be positive, got {float(value)}"]
+
+
 @pytest.mark.parametrize("model", [
     "kind = multiend\nlambda0 = 4.0\nlambda1 = 0.0",     # window upside down
     "kind = power\ntheta = 2.0\nd = 0",                  # no dimension
@@ -253,7 +266,7 @@ _PSI = Bump(a=1.5, b=2.5, amplitude=2.0)
 # (block kind, command, callee in endspec.cli, its effective arguments for a
 # block that sets no optional key, and for one that sets every key).  The
 # check kind reads no block key.  besov_energy takes z from the first gamma
-# and hoelder/sommerfeld ignore [grid] mode_cap: both are documented drops.
+# and sommerfeld ignores [grid] mode_cap: both are documented drops.
 _FORWARDS = [
     ("solve", "solve", "resolve",
      dict(z=2 + 0.01j, psi=Bump()), dict(z=2 + 0.2j, psi=_PSI)),
@@ -274,9 +287,9 @@ _FORWARDS = [
           base_r_max=32.0, mode_cap=2.5, bound_factor=3.0, sign=-1)),
     ("hoelder", "hoelder", "hoelder_estimate",
      dict(lam=2.0, s=1.0, gamma_top=0.064, n_pairs=4, n_probes=8, seed=7,
-          h=0.02, mode_cap=0.5, slack=0.1),
+          h=0.02, mode_cap=6.5, slack=0.1),
      dict(lam=2.0, s=0.8, gamma_top=0.032, n_pairs=3, n_probes=2, seed=5,
-          h=0.05, mode_cap=0.5, slack=0.1)),
+          h=0.05, mode_cap=2.5, slack=0.1)),
     ("sommerfeld", "sommerfeld", "sommerfeld_compare",
      dict(lam=2.0, psi=Bump(), beta=0.0, sign=1, h=0.02, window_r_max=64.0,
           gamma_top=2e-3, tol=1e-4, mode_cap=0.5),

@@ -416,3 +416,66 @@ def test_richardson_peak_memory_in_grid_vectors(monkeypatch):
         tracemalloc.stop()
     assert len(peaks) == 1
     assert peaks[0] <= 8.0
+
+
+# --- Sommerfeld shift solves on the prefix their wave reaches ----------------------
+
+# r_big = 8192 at h = 0.05; the top shift's wave dies out well inside it
+_SOMMERFELD = dict(h=0.05, window_r_max=32.0, gamma_top=8e-3)
+
+
+def _sommerfeld_cases():
+    # hyperbolic d = 3 has lambda0 = 1/2, so lambda = lambda0 + 1
+    return {"free": (free_model(), 2.0), "euclidean3": (euclidean_model(3), 2.0),
+            "hyperbolic3": (hyperbolic_model(3), 1.5)}
+
+
+def _gaps(rep):
+    return np.array(rep.extrapolation_gaps)
+
+
+@pytest.mark.parametrize("case", ["free", "euclidean3", "hyperbolic3"])
+def test_sommerfeld_trimmed_shifts_match_whole_domain(case, monkeypatch):
+    model, lam = _sommerfeld_cases()[case]
+    seen = []
+    original = endspec.experiments.resolve
+
+    def counting(op, psi, **kw):
+        seen.append((op.z.imag, op.n_unknowns))
+        return original(op, psi, **kw)
+
+    monkeypatch.setattr(endspec.experiments, "resolve", counting)
+    got = sommerfeld_compare(model, lam, **_SOMMERFELD)
+    n_big = model.make_grid(got.meta["r_big"], _SOMMERFELD["h"]).n - 2
+    shifts = [n for g, n in seen if g > 0.0]
+    assert [g for g, _ in seen if g > 0.0] == [8e-3, 4e-3, 2e-3]
+    assert shifts[0] < n_big
+    # the whole-domain reference: no reach ends inside the long grid
+    seen.clear()
+    monkeypatch.setattr(endspec.experiments, "_ROUND_TRIP_DECAY", np.inf)
+    full = sommerfeld_compare(model, lam, **_SOMMERFELD)
+    assert [n for g, n in seen if g > 0.0] == [n_big] * 3
+    for name in ("disc_weighted", "disc_bstar", "rel_weighted", "verdict"):
+        assert getattr(got, name) == getattr(full, name)
+    # a gap is the difference of two shift solutions ~1e-3 of their size
+    # apart, so the ulp-level roundings that the e^{-39} echo flips in the
+    # trimmed solve show in it ~1e3 times larger: 1.9e-12 on euclidean3
+    assert np.max(np.abs(_gaps(got) / _gaps(full) - 1.0)) <= 1e-11
+    # negative control: a wall that returns e^{-10} of the wave moves the gaps
+    monkeypatch.setattr(endspec.experiments, "_ROUND_TRIP_DECAY", 10.0)
+    short = sommerfeld_compare(model, lam, **_SOMMERFELD)
+    assert np.max(np.abs(_gaps(short) / _gaps(full) - 1.0)) > 1e-10
+
+
+@pytest.mark.parametrize("experiment", [
+    lambda g: sommerfeld_compare(free_model(), 2.0, h=0.05, window_r_max=32.0,
+                                 gamma_top=g),
+    lambda g: hoelder_estimate(free_model(), 1.0, 1.0, gamma_top=g, h=0.05)],
+    ids=["sommerfeld", "hoelder"])
+@pytest.mark.parametrize("gamma_top", [0.0, -2e-3])
+def test_non_positive_gamma_top_is_refused(experiment, gamma_top):
+    # zero used to end in a ZeroDivisionError, a negative Gamma in a math
+    # domain error (Hoelder) or in incoming shift solves on an unabsorbing
+    # domain reported as a failed comparison (Sommerfeld)
+    with pytest.raises(ContractError, match="gamma_top must be positive"):
+        experiment(gamma_top)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.linalg import LinAlgError
@@ -210,18 +212,42 @@ def test_multiend_scan_continuous_spectrum_only():
 
 # --- factor once, solve many ----------------------------------------------------
 
-@pytest.mark.parametrize("policy", [None, OuterPolicy.outgoing(np.sqrt(2.0), +1)])
+def _one_and_many(op):
+    """Both solve paths for op: a ``Resolvent`` factored once for many
+    sources, and one ``resolve`` call per source."""
+    return (Resolvent(op, allow_unabsorbed=True),
+            lambda psi: resolve(op, psi, allow_unabsorbed=True))
+
+
+def _pivoting_operator(grid, z):
+    """A Dirichlet operator with a random potential diagonal in (-2/h^2, 0):
+    |d| < |dl| on some rows, so the elimination swaps rows there."""
+    h = grid.h
+    w = np.random.default_rng(3).uniform(-2.0 / h**2, 0.0, grid.n)
+    return RadialOperator(mu=0.0, z=z, policy=OuterPolicy.dirichlet(), grid=grid,
+                          potential_diag=w)
+
+
+@pytest.mark.parametrize("policy", [None, OuterPolicy.outgoing(np.sqrt(2.0), +1),
+                                    "pivoting"])
 def test_resolvent_reuse_matches_fresh_solves(policy):
+    # many sources (zgttrf once, zgttrs per source) against one source in
+    # one zgtsv sweep: the same eliminations, bit for bit
     m = free_model()
     grid = uniform_grid(64.0, 0.02)
     z = 1.0 + 0.2j
-    op = m.operator(0.0, grid, z, policy)
+    if policy == "pivoting":
+        op = _pivoting_operator(grid, z)
+        ipiv = zgttrf(op.dl, op.dd, op.du)[-2]
+        assert np.any(ipiv != np.arange(1, ipiv.size + 1))
+    else:
+        op = m.operator(0.0, grid, z, policy)
     res = Resolvent(op)
     for a, b in ((2.0, 3.0), (5.0, 7.5), (20.0, 31.0), (2.0, 3.0)):
         psi = smooth_bump(grid.radii, a, b).astype(complex)
         got = res(psi)
-        ref = resolve(m.operator(0.0, grid, z, policy), psi)
-        assert np.array_equal(got.phi, ref.phi)
+        ref = resolve(op, psi)
+        assert np.array_equal(got.phi.view(np.uint64), ref.phi.view(np.uint64))
         assert got.residual == ref.residual
         assert got.info == ref.info
         assert got.method == ref.method
@@ -245,16 +271,27 @@ def test_resolvent_guards_on_reuse():
     with pytest.raises(ContractError):
         res(psi[:-1])
     res(psi)  # a refused source leaves the factors usable
+    # one source in one sweep: the same guards
+    op = m.operator(0.0, grid, 1.0 + 0.01j)
+    with pytest.raises(AbsorptionError):
+        resolve(op, psi)
+    for value in (np.nan, np.inf):
+        bad[grid.n // 2] = value
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError):
+            resolve(op, bad, allow_unabsorbed=True)
+    with pytest.raises(ContractError):
+        resolve(op, psi[:-1], allow_unabsorbed=True)
 
     # z on a Dirichlet eigenvalue of the truncated problem, every source
     w = square_well_model()
     grid = uniform_grid(32.0, 0.01)
     lam = eigen_scan(w.profile, w.potential, 0.0, grid, (-5.0, -0.5),
                      refine=False).entries[0].eigenvalue
-    res = Resolvent(w.operator(0.0, grid, complex(lam, 1e-15)), allow_unabsorbed=True)
+    op = w.operator(0.0, grid, complex(lam, 1e-15))
     for a, b in ((1.2, 1.8), (1.1, 1.9)):
-        with pytest.raises(ConditioningError):
-            res(smooth_bump(grid.radii, a, b).astype(complex))
+        for solve in _one_and_many(op):
+            with pytest.raises(ConditioningError):
+                solve(smooth_bump(grid.radii, a, b).astype(complex))
 
 
 def test_resolvent_singular_matrix():
@@ -266,6 +303,8 @@ def test_resolvent_singular_matrix():
     np.testing.assert_array_equal(op.dd, [1.0, 0.75, 0.5])
     with pytest.raises(LinAlgError):
         Resolvent(op)
+    with pytest.raises(LinAlgError):
+        resolve(op, np.ones(grid.n, dtype=complex))
 
 
 def _count_geometry(monkeypatch):
@@ -338,12 +377,12 @@ def test_in_place_solve_matches_reference_recipe(policy):
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.inf)])
 def test_non_finite_source_is_refused(policy, bad):
     m, grid, psi, op = _free_setup(policy=policy)
-    res = Resolvent(op, allow_unabsorbed=True)
-    for j in (1, grid.n // 2, grid.n - 2):
-        psi_bad = psi.copy()
-        psi_bad[j] = bad
-        with pytest.raises(ValueError):
-            res(psi_bad)
+    for solve in _one_and_many(op):
+        for j in (1, grid.n // 2, grid.n - 2):
+            psi_bad = psi.copy()
+            psi_bad[j] = bad
+            with pytest.raises(ValueError):
+                solve(psi_bad)
 
 
 def test_huge_finite_source_is_not_refused_as_non_finite():
@@ -356,25 +395,50 @@ def test_huge_finite_source_is_not_refused_as_non_finite():
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_non_finite_solution_reports_conditioning(monkeypatch, bad):
-    def corrupting(*args, **kwargs):
-        out = zgttrs(*args, **kwargs)
-        out[0][len(out[0]) // 2] = bad
-        return out
-
+    # the solution is the first array zgttrs returns and the fourth of zgtsv
     m, grid, psi, op = _free_setup()
-    res = Resolvent(op, allow_unabsorbed=True)
-    monkeypatch.setattr(endspec.solver, "zgttrs", corrupting)
-    with pytest.raises(ConditioningError, match="non-finite"):
-        res(psi)
+    for (name, x), solve in zip((("zgttrs", 0), ("zgtsv", 3)), _one_and_many(op)):
+        routine = getattr(endspec.solver, name)
+
+        def corrupting(*args, routine=routine, x=x, **kwargs):
+            out = routine(*args, **kwargs)
+            out[x][len(out[x]) // 2] = bad
+            return out
+
+        monkeypatch.setattr(endspec.solver, name, corrupting)
+        with pytest.raises(ConditioningError, match="non-finite"):
+            solve(psi)
 
 
 @pytest.mark.parametrize("policy", _POLICIES)
 def test_growth_and_residual_guards_fire(policy):
     m, grid, psi, op = _free_setup(policy=policy)
-    with pytest.raises(ConditioningError, match="grew"):
-        Resolvent(op, allow_unabsorbed=True, blowup_limit=1e-3)(psi)
-    with pytest.raises(ConditioningError, match="residual"):
-        Resolvent(op, allow_unabsorbed=True, residual_tol=0.0)(psi)
+    for limits, message in (({"blowup_limit": 1e-3}, "grew"),
+                            ({"residual_tol": 0.0}, "residual")):
+        with pytest.raises(ConditioningError, match=message):
+            Resolvent(op, allow_unabsorbed=True, **limits)(psi)
+        with pytest.raises(ConditioningError, match=message):
+            resolve(op, psi, allow_unabsorbed=True, **limits)
+
+
+def test_one_source_solve_peak_memory_in_grid_vectors():
+    # one zgtsv sweep holds the diagonals dd, dl, du and the solution phi;
+    # the residual's block scratch is small.  Factors kept for reuse would
+    # add du2 and the pivots (5.25 vectors in all).
+    m = free_model()
+    grid = uniform_grid(4001.0, 0.02)
+    assert grid.n == 200001
+    psi = smooth_bump(grid.radii, 2.0, 3.0).astype(complex)
+    op = m.operator(0.0, grid, 1.0 + 0.2j)
+    tracemalloc.start()
+    try:
+        entry = tracemalloc.get_traced_memory()[0]
+        sol = resolve(op, psi)
+        peak = tracemalloc.get_traced_memory()[1] - entry
+    finally:
+        tracemalloc.stop()
+    assert sol.phi.size == grid.n
+    assert peak / (16.0 * grid.n) <= 4.5
 
 
 @pytest.mark.parametrize("gammas", [[0.5], [0.3, 0.5, 0.8]])
