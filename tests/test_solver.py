@@ -287,9 +287,10 @@ def test_resolvent_guards_on_reuse():
     grid = uniform_grid(32.0, 0.01)
     lam = eigen_scan(w.profile, w.potential, 0.0, grid, (-5.0, -0.5),
                      refine=False).entries[0].eigenvalue
-    op = w.operator(0.0, grid, complex(lam, 1e-15))
+    # one Resolvent, its factors reused by the second source
+    solves = _one_and_many(w.operator(0.0, grid, complex(lam, 1e-15)))
     for a, b in ((1.2, 1.8), (1.1, 1.9)):
-        for solve in _one_and_many(op):
+        for solve in solves:
             with pytest.raises(ConditioningError):
                 solve(smooth_bump(grid.radii, a, b).astype(complex))
 
