@@ -9,9 +9,10 @@ Hoelder continuity and outgoing-uniqueness comparisons.
 
 The numerical policies every verdict rests on are fixed module constants,
 not parameters: ``solver.ABSORPTION`` (shift solves need
-Gamma (R_max - 1) >= 8), ``solver.THRESHOLD_WINDOW`` (0.05 around a
-declared threshold) and ``geometry.TAIL_HORIZON`` (2^14, the outer radius
-of every tail sup of q1).
+Gamma (R_max - 1) >= 8), ``solver.RESIDUAL_TOL`` and ``solver.BLOWUP_LIMIT``
+(1e-8 and 1e13, the largest relative residual and growth of a verified
+solve), ``solver.THRESHOLD_WINDOW`` (0.05 around a declared threshold) and
+``geometry.TAIL_HORIZON`` (2^14, the outer radius of every tail sup of q1).
 """
 
 __version__ = "0.1.0"

@@ -26,7 +26,11 @@ Measurement conventions, recorded in every table header:
 
   * shift solves enlarge the domain until Gamma (R_max - 1) >=
     ``solver.ABSORPTION`` (wave absorbed before the Dirichlet wall), with
-    R_max rounded up to a power of two so annuli stay aligned;
+    R_max rounded up to a power of two so annuli stay aligned, and the
+    solver's guard refuses a lap or Besov-energy solve on a shorter one; the
+    Hoelder pairs and the Sommerfeld shifts solve on the prefix of their
+    domain that the wave reaches from where it is read (``_reach_prefix``),
+    whose wall returns below e^{-39} of it;
   * radiation-condition norms are taken over the radiation zone, the annuli
     at and beyond the first dyadic radius past both the source support and
     the phase threshold r_lambda (closer in, (A -+ a) phi is O(1) for both
@@ -165,9 +169,18 @@ class ComparisonReport:
 
 def shift_r_max(gamma_min: float, base: float = 64.0) -> float:
     """Domain size for shift solves: Gamma (R_max - 1) >= ``ABSORPTION``,
-    at least ``base``, dyadic."""
-    need = max(base, 1.0 + ABSORPTION / gamma_min)
-    return 2.0 ** math.ceil(math.log2(need))
+    at least ``base``, dyadic.
+
+    The power of two is doubled until the absorption guard's own product
+    Gamma (R_max - 1) admits it: rounding can put 1 + ``ABSORPTION`` / Gamma
+    a few ulp above a power of two whose log2 still rounds down to it.
+    """
+    if not gamma_min > 0.0:
+        raise ContractError(f"shift solves need Gamma > 0, got {gamma_min}")
+    r_max = 2.0 ** math.ceil(math.log2(max(base, 1.0 + ABSORPTION / gamma_min)))
+    while gamma_min * (r_max - 1.0) < ABSORPTION:
+        r_max *= 2.0
+    return r_max
 
 
 def _mode_operators(model: Model, grid: RadialGrid, modes, z: complex):
@@ -184,10 +197,8 @@ def _mode_operators(model: Model, grid: RadialGrid, modes, z: complex):
             for mu, _ in modes}, pt
 
 
-def _solve_modes(ops, z: complex, psi_vals, policy=None, allow_unabsorbed=False):
-    return {mu: resolve(op.shifted(z, policy), psi_vals,
-                        allow_unabsorbed=allow_unabsorbed).phi
-            for mu, op in ops.items()}
+def _solve_modes(ops, z: complex, psi_vals, policy=None):
+    return {mu: resolve(op.shifted(z, policy), psi_vals).phi for mu, op in ops.items()}
 
 
 def _radiation_transform(grid, a_disc, sign_a, weight=None):
@@ -311,8 +322,7 @@ def lap_sweep(model: Model, lam: float, gammas, psi: Bump | None = None,
     rows = []
     for g in gammas:
         z = complex(lam, g)
-        unreliable = g * (grid.r_max - 1.0) < ABSORPTION
-        sols = _solve_modes(ops, z, psi_vals, allow_unabsorbed=True)
+        sols = _solve_modes(ops, z, psi_vals)
         phi_bstar = _mode_besov(grid, sols, modes).bstar
         pr_bstar = _mode_besov(grid, sols, modes,
                                transform=lambda mu, u: _apply_pr(grid, pt, u)).bstar
@@ -320,16 +330,16 @@ def lap_sweep(model: Model, lam: float, gammas, psi: Bump | None = None,
         h0_bstar = _mode_besov(
             grid, sols, modes,
             transform=lambda mu, u: psi_vals + (z - vvals) * u).bstar
+        # the absorption guard refuses every solve "unreliable" would flag
         rows.append([g, phi_bstar, pr_bstar, math.sqrt(max(h_form, 0.0)),
-                     h0_bstar, psi_b, unreliable])
+                     h0_bstar, psi_b, False])
 
     cols = ["gamma", "phi_bstar", "pr_phi_bstar", "h_form_sqrt",
             "h0_phi_bstar", "psi_b", "unreliable"]
     verdicts, ratios = [], {}
     for name in cols[1:5]:
         j = cols.index(name)
-        vals = [row[j] for row in rows if not row[-1]]
-        v, ratio = _ratio_verdict(vals, bound_factor)
+        v, ratio = _ratio_verdict([row[j] for row in rows], bound_factor)
         verdicts.append(v)
         ratios[f"ratio_{name}"] = ratio
     verdict = ("fail" if "fail" in verdicts
@@ -501,36 +511,36 @@ def _probe_diff(ops, modes, z1, z2, sources, grid, norm_minus_s) -> float:
 _ROUND_TRIP_DECAY = 39.0
 
 
-def _wave_reach(ops, modes, grid: RadialGrid, lam: float, r_from: float):
-    """Gamma -> the node coordinate a shift solve at lambda + i Gamma must
-    reach for its values up to ``r_from`` to be those of an endless domain.
+def _reach_prefix(model: Model, grid: RadialGrid, ops, modes, lam: float,
+                  r_from: float):
+    """Gamma -> (grid, operators) of the shortest prefix of ``grid`` on which
+    a shift solve at lambda + i Gamma has, up to ``r_from``, the values of an
+    endless domain.
 
-    The reach is r_from + ``_ROUND_TRIP_DECAY`` / (2 kappa) with
+    The prefix ends at the first node at or beyond the reach
+    r_from + ``_ROUND_TRIP_DECAY`` / (2 kappa), with
     kappa = Im sqrt(2 (lambda + i Gamma - w_min)) and w_min the smallest
     entry of the lowest mode's potential diagonal at and beyond r_from
     (mu/(2f) >= 0 only raises the others): kappa bounds the decay rate of
     every mode's wave there from below, so a Dirichlet wall at the reach
-    returns below e^{-_ROUND_TRIP_DECAY} of it to r_from.  Needs Gamma > 0.
+    returns below e^{-_ROUND_TRIP_DECAY} of it to r_from.  A reach past the
+    last node gives ``grid`` and ``ops`` themselves; a prefix's operators
+    take views of the whole-grid potential diagonals.  Needs Gamma > 0.
     """
     # modes are sorted by mu, and the lowest mode's diagonal is the lowest
     w_min = float(np.min(ops[modes[0][0]].potential_diag[
         np.searchsorted(grid.nodes, r_from):]))
 
-    def reach(gamma: float) -> float:
+    def prefix(gamma: float):
         kappa = cmath.sqrt(2.0 * complex(lam - w_min, gamma)).imag
-        return r_from + _ROUND_TRIP_DECAY / (2.0 * kappa)
-    return reach
-
-
-def _prefix_ops(model: Model, grid: RadialGrid, ops, r_end: float):
-    """The grid cut at the node coordinate ``r_end`` (itself when r_end is
-    at or past its last node) and the operators on that prefix, which share
-    the diagonals taken on the whole grid."""
-    if r_end >= grid.nodes[-1]:
-        return grid, ops
-    grid_p = model.make_grid(r_end, grid.h)
-    return grid_p, {mu: replace(op, grid=grid_p, potential_diag=op.potential_diag[:grid_p.n])
-                    for mu, op in ops.items()}
+        end = int(np.searchsorted(grid.nodes, r_from + _ROUND_TRIP_DECAY / (2.0 * kappa)))
+        if end >= grid.n - 1:
+            return grid, ops
+        grid_p = model.make_grid(grid.nodes[end], grid.h)
+        return grid_p, {mu: replace(op, grid=grid_p,
+                                    potential_diag=op.potential_diag[:grid_p.n])
+                        for mu, op in ops.items()}
+    return prefix
 
 
 def hoelder_estimate(model: Model, lam: float, s: float, gamma_top: float = 0.064,
@@ -548,16 +558,15 @@ def hoelder_estimate(model: Model, lam: float, s: float, gamma_top: float = 0.06
 
     The shared domain (``meta["r_max"]``) absorbs the smallest Gamma/2,
     Gamma (R_max - 1) >= ``ABSORPTION``; the probes, their H_s norms and the
-    potential diagonals are taken on it once.  Each pair then solves on the shortest
-    dyadic prefix of it on which its wave is gone before the wall: with
-    w_min the smallest entry of the lowest mode's potential diagonal beyond
-    the outermost probe support r_src (mu/(2f) >= 0 only raises the
-    others), kappa = Im sqrt(2 (lambda + i Gamma/2 - w_min)) and R the
-    smallest power of two with 2 kappa (R - r_src) >= 39, so the reflection
-    off the wall returns below e^{-39}.  A pair whose R is the shared one
-    solves on the shared grid.  The values equal those of solving every
-    pair on the shared domain to roundoff, not bit for bit: 4.0e-13
-    relative at worst on criterion 7's ladder over probe seeds 0-31.
+    potential diagonals are taken on it once.  Each pair then solves on the
+    prefix of it that its slower wave (Gamma/2) reaches from the outermost
+    probe support r_src (``_reach_prefix``): up to the first node at or
+    beyond r_src + 39 / (2 kappa), kappa = Im sqrt(2 (lambda + i Gamma/2 -
+    w_min)), so the reflection off the wall returns below e^{-39}; a pair
+    whose reach lies past the shared grid solves on all of it.  The values
+    equal those of solving every pair on the shared domain to roundoff, not
+    bit for bit: 8.7e-12 relative at worst on criterion 7's ladder over
+    probe seeds 0-31.
     """
     if not s > 0.5:
         raise ContractError("Hoelder continuity needs s > 1/2")
@@ -576,13 +585,12 @@ def hoelder_estimate(model: Model, lam: float, s: float, gamma_top: float = 0.06
     probes = probe_set(grid, n_probes, seed)
     sources = _probe_sources(probes, grid, s)
     ops = _mode_operators(model, grid, modes, complex(lam, gammas[0]))[0]
-    reach = _wave_reach(ops, modes, grid, lam, max(p.b for p in probes))
+    prefix = _reach_prefix(model, grid, ops, modes, lam, max(p.b for p in probes))
 
     def pair_diff(g):
         # the pair's grid and operators are released on return, before the
         # next pair's are built; the slower wave of the pair is at Gamma/2
-        r_pair = min(grid.r_max, 2.0 ** math.ceil(math.log2(reach(0.5 * g))))
-        grid_p, ops_p = _prefix_ops(model, grid, ops, r_pair)
+        grid_p, ops_p = prefix(0.5 * g)
         return _probe_diff(ops_p, modes, complex(lam, g), complex(lam, 0.5 * g),
                            sources, grid_p, weighted_norm_on(grid_p, -s))
 
@@ -613,10 +621,10 @@ def _richardson_gamma(model, grid, lam, gamma_top, psi_vals, modes, grid_w):
 
     Each shift Gamma = ``gamma_top`` * (1, 1/2, 1/4) solves and is verified
     on the shortest prefix of the long ``grid`` that its wave reaches from
-    the window edge (``_wave_reach``): up to its first node at or beyond
-    r_w + ``_ROUND_TRIP_DECAY`` / (2 kappa), the whole grid when that lies
-    past its end.  Only the first ``grid_w.n`` nodes of each solution (the
-    comparison window) are kept, so the extrapolation, keyed by mu, is
+    the window edge r_w (``_reach_prefix``): up to its first node at or
+    beyond r_w + ``_ROUND_TRIP_DECAY`` / (2 kappa), the whole grid when that
+    lies past its end.  Only the first ``grid_w.n`` nodes of each solution
+    (the comparison window) are kept, so the extrapolation, keyed by mu, is
     returned on the window.  A trimmed solve differs from the whole-domain
     one on the window by the wall's e^{-39}-small echo, i.e. by roundoff.
     Convergence is diagnosed in the windowed H_{-1} norm (the comparison
@@ -625,12 +633,11 @@ def _richardson_gamma(model, grid, lam, gamma_top, psi_vals, modes, grid_w):
     """
     ops = _mode_operators(model, grid, modes, complex(lam, gamma_top))[0]
     n_w = grid_w.n
-    reach = _wave_reach(ops, modes, grid, lam, grid_w.nodes[-1])
+    prefix = _reach_prefix(model, grid, ops, modes, lam, grid_w.nodes[-1])
     sols = []
     for f in (1.0, 0.5, 0.25):
         z = complex(lam, gamma_top * f)
-        end = min(int(np.searchsorted(grid.nodes, reach(z.imag))), grid.n - 1)
-        grid_p, ops_p = _prefix_ops(model, grid, ops, grid.nodes[end])
+        grid_p, ops_p = prefix(gamma_top * f)
         sols.append({mu: resolve(op.shifted(z), psi_vals[:grid_p.n],
                                  allow_unabsorbed=True).phi[:n_w].copy()
                      for mu, op in ops_p.items()})
@@ -657,11 +664,12 @@ def sommerfeld_compare(model: Model, lam: float, psi: Bump | None = None,
 
     The shift solves need ``gamma_top`` > 0.  Each runs on the prefix of
     the long domain that its wave reaches from the window edge
-    (``_richardson_gamma``), which agrees with the whole-domain solve on
-    the window to roundoff.  On criterion 8's setting only the top shift is
-    trimmed, and it enters only ``extrapolation_gaps``: the discrepancies
-    and the verdict are those of whole-domain solves bit for bit, and the
-    gaps move by roundoff (9.3e-12 relative).
+    (``_richardson_gamma``, by the reach rule of the Hoelder pairs), which
+    agrees with the whole-domain solve on the window to roundoff.  On
+    criterion 8's setting only the top shift is trimmed, and it enters only
+    ``extrapolation_gaps``: the discrepancies and the verdict are those of
+    whole-domain solves bit for bit, and the gaps move by roundoff
+    (9.3e-12 relative).
     """
     if not gamma_top > 0.0:
         raise ContractError(f"gamma_top must be positive, got {gamma_top}")
@@ -768,7 +776,7 @@ def besov_energy_check(model: Model, z: complex, psi: Bump | None = None,
     ops, pt = _mode_operators(model, grid, modes, complex(lam, gammas[0]))
     states = {}
     for g in gammas:
-        sols = _solve_modes(ops, complex(lam, g), psi_vals, allow_unabsorbed=True)
+        sols = _solve_modes(ops, complex(lam, g), psi_vals)
         a_sols = {mu: apply_A(u, grid) for mu, u in sols.items()}
         states[g] = (sols, a_sols,
                      _mode_besov(grid, sols, modes).bstar,

@@ -36,7 +36,7 @@ domain, h/2) compute eigenvalues only, by the same bisection (LAPACK
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 # solve_banded is no longer called; the name stays bound because the
@@ -55,6 +55,10 @@ from .radial import (FIRST_UNKNOWN, BesovProfile, OuterPolicy, RadialGrid,
 
 # a shift solve absorbs its wave when Gamma (R_max - 1) >= ABSORPTION
 ABSORPTION = 8.0
+# a verified solve has residual ||(h_mu - z) phi - psi|| / ||psi|| at most
+# RESIDUAL_TOL and growth ||phi|| / ||psi|| at most BLOWUP_LIMIT
+RESIDUAL_TOL = 1e-8
+BLOWUP_LIMIT = 1e13
 # eigenvalues this close to a declared threshold t are not classified as
 # spectrum, and experiments refuse energies above t - THRESHOLD_WINDOW
 THRESHOLD_WINDOW = 0.05
@@ -67,15 +71,12 @@ _DRIFT_TOL = 1e-6
 
 @dataclass(frozen=True)
 class ResolventSolution:
-    """Solution of (h_mu - z) phi = psi with its verified residual."""
+    """Solution of (h_mu - z) phi = psi with its verified residual and growth
+    (both relative to ||psi|| on the unknowns)."""
 
-    mu: float
-    z: complex
-    method: str                  # "shift" | "outgoing"
     phi: np.ndarray              # full-grid values (walls included)
     residual: float
-    grid: RadialGrid
-    info: dict = field(default_factory=dict)
+    growth: float
 
 
 class Resolvent:
@@ -86,8 +87,8 @@ class Resolvent:
     absorption guard and LU-factors the tridiagonal matrix (LAPACK
     ``zgttrf``, partial pivoting); each call solves one right-hand side
     against the held factors (``zgttrs``) and verifies the result: finite
-    values, growth ``||phi|| / ||psi||`` at most ``blowup_limit`` and
-    residual by re-multiplication at most ``residual_tol`` (a NaN growth or
+    values, growth ``||phi|| / ||psi||`` at most ``BLOWUP_LIMIT`` and
+    residual by re-multiplication at most ``RESIDUAL_TOL`` (a NaN growth or
     residual fails both).
 
     A call passes over the grid as few times as it can: the right-hand side
@@ -108,25 +109,24 @@ class Resolvent:
     A shift solve (Dirichlet outer row, Im z != 0) on a domain with
     Gamma (R_max - 1) < ``ABSORPTION`` is refused unless ``allow_unabsorbed``
     is set, since the reflected wave then contaminates every Gamma-limit
-    experiment.  Only the factors and the operator (whose potential diagonal
-    is shared) are kept, so holding several resolvents costs little memory.
+    experiment.  It is set for the prefix domains of the Hoelder and
+    Sommerfeld shift solves, which end past the reach of their wave, and by
+    the CLI's ``solve`` command, which solves on the domain it is given.
+    Only the factors and the operator (whose potential diagonal is shared)
+    are kept, so holding several resolvents costs little memory.
     """
 
-    def __init__(self, op: RadialOperator, allow_unabsorbed: bool = False,
-                 residual_tol: float = 1e-8, blowup_limit: float = 1e13):
+    def __init__(self, op: RadialOperator, allow_unabsorbed: bool = False):
         dd = _admitted_diagonal(op, allow_unabsorbed)
         *lu, info = zgttrf(op.dl, dd, op.du,
                            overwrite_dl=1, overwrite_d=1, overwrite_du=1)
         if info > 0:
             raise LinAlgError("singular matrix")
         self.op = op
-        self.residual_tol = residual_tol
-        self.blowup_limit = blowup_limit
         self._lu = lu
 
     def __call__(self, psi) -> ResolventSolution:
-        return _verified_solve(self.op, psi, lambda u: zgttrs(*self._lu, u, overwrite_b=1),
-                               self.residual_tol, self.blowup_limit)
+        return _verified_solve(self.op, psi, lambda u: zgttrs(*self._lu, u, overwrite_b=1))
 
 
 def _admitted_diagonal(op: RadialOperator, allow_unabsorbed: bool) -> np.ndarray:
@@ -146,8 +146,7 @@ def _admitted_diagonal(op: RadialOperator, allow_unabsorbed: bool) -> np.ndarray
     return dd
 
 
-def _verified_solve(op: RadialOperator, psi, solve_in_place, residual_tol: float,
-                    blowup_limit: float) -> ResolventSolution:
+def _verified_solve(op: RadialOperator, psi, solve_in_place) -> ResolventSolution:
     """Solve for one source with ``solve_in_place(u)``, which overwrites the
     right-hand side u on the unknowns with the solution, and verify it: the
     source must be finite, and the solution finite, with growth and residual
@@ -174,18 +173,15 @@ def _verified_solve(op: RadialOperator, psi, solve_in_place, residual_tol: float
         u_sq = _sum_sq(u, unit)
     scale = math.sqrt(rhs_sq) or 1.0
     growth = math.sqrt(u_sq) / scale
-    if not growth <= blowup_limit:
+    if not growth <= BLOWUP_LIMIT:
         raise ConditioningError(
             f"solution grew by {growth:.2e}: z is within grid resolution of a "
             "discrete eigenvalue of the truncated problem", estimate=growth)
     resid = math.sqrt(_residual_sq(op, phi, rhs, unit)) / scale
-    if not resid <= residual_tol:
-        raise ConditioningError(f"residual {resid:.2e} above {residual_tol:.1e}",
+    if not resid <= RESIDUAL_TOL:
+        raise ConditioningError(f"residual {resid:.2e} above {RESIDUAL_TOL:.1e}",
                                 estimate=resid)
-    method = "shift" if op.policy.kind == "dirichlet" else "outgoing"
-    return ResolventSolution(mu=op.mu, z=op.z, method=method, phi=phi,
-                             residual=resid, grid=op.grid,
-                             info={"growth": growth})
+    return ResolventSolution(phi=phi, residual=resid, growth=growth)
 
 
 def _sum_sq(a, unit: float = 1.0) -> float:
@@ -243,8 +239,7 @@ def _check_finite(a):
         raise ValueError("array must not contain infs or NaNs")
 
 
-def resolve(op: RadialOperator, psi, allow_unabsorbed: bool = False,
-            residual_tol: float = 1e-8, blowup_limit: float = 1e13) -> ResolventSolution:
+def resolve(op: RadialOperator, psi, allow_unabsorbed: bool = False) -> ResolventSolution:
     """One verified solve of (h_mu - z) phi = psi, with the guards and checks
     of ``Resolvent``.
 
@@ -263,7 +258,7 @@ def resolve(op: RadialOperator, psi, allow_unabsorbed: bool = False,
         if info > 0:
             raise LinAlgError("singular matrix")
 
-    return _verified_solve(op, psi, sweep, residual_tol, blowup_limit)
+    return _verified_solve(op, psi, sweep)
 
 
 def outgoing_row(profile: WarpProfile, potential: PotentialSplit,

@@ -1,18 +1,20 @@
+import cmath
 import dataclasses
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
 import endspec.experiments
-from endspec.errors import ContractError
+from endspec.errors import AbsorptionError, ContractError
 from endspec.experiments import (Bump, WeightSpec, besov_energy_check,
                                  hoelder_estimate, lap_sweep, radiation_sweep,
                                  shift_r_max, sommerfeld_compare)
 from endspec.models import (euclidean_model, free_model, hyperbolic_model,
                             multiend_model, square_well_model)
 from endspec.radial import smooth_bump, uniform_grid, weighted_norm
-from endspec.solver import resolve
+from endspec.solver import ABSORPTION, resolve
 
 
 def test_weight_spec_invariants():
@@ -33,6 +35,37 @@ def test_weight_spec_invariants():
 def test_shift_domain_guard():
     assert shift_r_max(0.001) >= 1.0 + 8.0 / 0.001
     assert shift_r_max(0.5, base=64.0) == 64.0
+    # 1 + 8/Gamma lands a few ulp above 64 (128), where log2 still rounds to
+    # 6 (7): the domain must double until the guard's own product admits it
+    assert shift_r_max(0.12698412698412695) == 128.0
+    assert shift_r_max(0.06299212598425195) == 256.0
+    for k in range(7, 24):
+        edge = ABSORPTION / (2.0**k - 1.0)
+        for gamma in (np.nextafter(edge, 0.0), edge, np.nextafter(edge, 1.0)):
+            r_max = shift_r_max(gamma)
+            assert gamma * (r_max - 1.0) >= ABSORPTION
+            assert gamma * (0.5 * r_max - 1.0) < ABSORPTION
+    # the lap sweep then solves its smallest Gamma on an absorbing domain
+    tab = lap_sweep(free_model(), 1.0, [0.12698412698412695, 0.5], h=0.05)
+    assert tab.meta["r_max"] == 128.0 and not tab.rows[0][-1]
+    # no doubling admits a Gamma <= 0
+    for gamma in (0.0, -0.1, float("nan")):
+        with pytest.raises(ContractError, match="Gamma > 0"):
+            shift_r_max(gamma)
+
+
+def test_absorption_guard_is_live_on_the_sweeps(monkeypatch, experiment_solves):
+    # a domain too short for Gamma = 0.01 (0.01 * 63 < 8) is refused at the
+    # solve: the lap sweep used to flag the row, the Besov check to solve it
+    monkeypatch.setattr(endspec.experiments, "shift_r_max",
+                        lambda gamma_min, base=64.0: 64.0)
+    n = free_model().make_grid(64.0, 0.05).n - 2
+    with pytest.raises(AbsorptionError):
+        lap_sweep(free_model(), 1.0, [0.01], h=0.05)
+    with pytest.raises(AbsorptionError):
+        besov_energy_check(free_model(), 2.0 + 0.1j, gammas=[0.01], h=0.05,
+                           nus=(0, 1, 2))
+    assert experiment_solves == [(0.01, n, "dirichlet")] * 2
 
 
 def test_lap_free_bounded():
@@ -313,29 +346,81 @@ def test_hoelder_trimmed_pairs_match_shared_domain(case, monkeypatch):
     assert _max_rel_dev(short, rows) > 1e-10
 
 
-def test_hoelder_top_pair_solves_a_prefix(monkeypatch):
-    from endspec.experiments import _mode_operators
-    seen = []
-    original = endspec.experiments.Resolvent
+def _reach(r_from, lam, w_min, gamma, decay=39.0):
+    """r_from + decay / (2 kappa), kappa = Im sqrt(2 (lambda + i Gamma - w_min))."""
+    return r_from + decay / (2.0 * cmath.sqrt(2.0 * complex(lam - w_min, gamma)).imag)
 
-    def recording(op, **kw):
-        seen.append(op)
-        return original(op, **kw)
 
-    monkeypatch.setattr(endspec.experiments, "Resolvent", recording)
+def test_hoelder_top_pair_solves_a_prefix(experiment_solves):
+    # each pair solves up to the first node at or beyond the reach of its
+    # slower wave (Gamma/2) from the outermost probe, not to a power of two
+    from endspec.experiments import _mode_operators, probe_set
     m = euclidean_model(3)
+    modes = m.modes(2.5)
     table = hoelder_estimate(m, 1.0, mode_cap=2.5, **_LADDER)
     grid = m.make_grid(table.meta["r_max"], _LADDER["h"])
-    shared = _mode_operators(m, grid, m.modes(2.5), 1.0 + 0.256j)[0]
-    assert len(seen) == 2 * 2 * _LADDER["n_pairs"]
-    # the top pair (first solved) needs fewer unknowns than the shared grid has
-    assert seen[0].z.imag == 0.256
-    assert seen[0].n_unknowns < grid.n - 2
-    assert seen[-1].n_unknowns == grid.n - 2
-    for op in seen:
-        n = op.grid.n
-        assert np.array_equal(op.grid.nodes, grid.nodes[:n])
-        assert np.array_equal(op.potential_diag, shared[op.mu].potential_diag[:n])
+    shared = _mode_operators(m, grid, modes, 1.0 + 0.256j)[0]
+    r_src = max(p.b for p in probe_set(grid, _LADDER["n_probes"], _LADDER["seed"]))
+    w_min = min(float(np.min(op.potential_diag[grid.nodes >= r_src]))
+                for op in shared.values())
+    expected, ends = [], []
+    for g, _, _ in table.rows:
+        end = min(int(np.searchsorted(grid.nodes, _reach(r_src, 1.0, w_min, 0.5 * g))),
+                  grid.n - 1)
+        ends.append(end)
+        pair = [(g, end - 1, "dirichlet"), (0.5 * g, end - 1, "dirichlet")]
+        expected += pair * len(modes)
+    assert experiment_solves == expected
+    # the top pair (first solved) trims, the bottom one needs the shared grid
+    assert ends[0] < grid.n - 1 and ends[-1] == grid.n - 1
+    for end in ends[:-1]:
+        assert not math.log2(grid.nodes[end]).is_integer()
+
+
+def _reach_cases():
+    return {"free": free_model(), "euclidean3": euclidean_model(3),
+            "multiend": multiend_model()}
+
+
+def _same_bits(a, b):
+    return a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("case", ["free", "euclidean3", "multiend"])
+def test_reach_prefix_ends_at_the_reach_node(case, monkeypatch):
+    from endspec.experiments import _mode_operators, _reach_prefix
+    model = _reach_cases()[case]
+    lam, r_from = 1.0, 5.0
+    grid = model.make_grid(1024.0, 0.05)
+    modes = model.modes(2.5)
+    assert len(modes) == (2 if case == "euclidean3" else 1)
+    ops = _mode_operators(model, grid, modes, complex(lam, 0.1))[0]
+    prefix = _reach_prefix(model, grid, ops, modes, lam, r_from)
+    w_min = min(float(np.min(op.potential_diag[grid.nodes >= r_from]))
+                for op in ops.values())
+    for gamma in (0.2, 0.05):
+        reach = _reach(r_from, lam, w_min, gamma)
+        grid_p, ops_p = prefix(gamma)
+        end = grid_p.n - 1
+        assert end < grid.n - 1
+        assert grid.nodes[end - 1] < reach <= grid.nodes[end]
+        for name in ("nodes", "radii", "dr", "d2r", "nu"):
+            assert _same_bits(getattr(grid_p, name), getattr(grid, name)[:end + 1])
+        assert ops_p.keys() == ops.keys()
+        for mu, op in ops_p.items():
+            whole = ops[mu]
+            assert op.grid is grid_p
+            assert (op.mu, op.z, op.policy) == (whole.mu, whole.z, whole.policy)
+            assert np.shares_memory(op.potential_diag, whole.potential_diag)
+            assert _same_bits(op.potential_diag, whole.potential_diag[:end + 1])
+    # a reach past the last node, or a wall that never echoes, keeps the
+    # whole domain: the input grid and operators themselves
+    assert _reach(r_from, lam, w_min, 0.01) > grid.nodes[-1]
+    grid_p, ops_p = prefix(0.01)
+    assert grid_p is grid and ops_p is ops
+    monkeypatch.setattr(endspec.experiments, "_ROUND_TRIP_DECAY", np.inf)
+    grid_p, ops_p = prefix(0.2)
+    assert grid_p is grid and ops_p is ops
 
 
 @pytest.mark.parametrize("kw, message", [
@@ -434,27 +519,24 @@ def _gaps(rep):
     return np.array(rep.extrapolation_gaps)
 
 
+def _shift_solves(solves):
+    return [(g, n) for g, n, kind in solves if kind == "dirichlet"]
+
+
 @pytest.mark.parametrize("case", ["free", "euclidean3", "hyperbolic3"])
-def test_sommerfeld_trimmed_shifts_match_whole_domain(case, monkeypatch):
+def test_sommerfeld_trimmed_shifts_match_whole_domain(case, monkeypatch,
+                                                      experiment_solves):
     model, lam = _sommerfeld_cases()[case]
-    seen = []
-    original = endspec.experiments.resolve
-
-    def counting(op, psi, **kw):
-        seen.append((op.z.imag, op.n_unknowns))
-        return original(op, psi, **kw)
-
-    monkeypatch.setattr(endspec.experiments, "resolve", counting)
     got = sommerfeld_compare(model, lam, **_SOMMERFELD)
     n_big = model.make_grid(got.meta["r_big"], _SOMMERFELD["h"]).n - 2
-    shifts = [n for g, n in seen if g > 0.0]
-    assert [g for g, _ in seen if g > 0.0] == [8e-3, 4e-3, 2e-3]
-    assert shifts[0] < n_big
+    shifts = _shift_solves(experiment_solves)
+    assert [g for g, _ in shifts] == [8e-3, 4e-3, 2e-3]
+    assert shifts[0][1] < n_big
     # the whole-domain reference: no reach ends inside the long grid
-    seen.clear()
+    experiment_solves.clear()
     monkeypatch.setattr(endspec.experiments, "_ROUND_TRIP_DECAY", np.inf)
     full = sommerfeld_compare(model, lam, **_SOMMERFELD)
-    assert [n for g, n in seen if g > 0.0] == [n_big] * 3
+    assert [n for _, n in _shift_solves(experiment_solves)] == [n_big] * 3
     for name in ("disc_weighted", "disc_bstar", "rel_weighted", "verdict"):
         assert getattr(got, name) == getattr(full, name)
     # a gap is the difference of two shift solutions ~1e-3 of their size

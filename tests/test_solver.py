@@ -249,8 +249,7 @@ def test_resolvent_reuse_matches_fresh_solves(policy):
         ref = resolve(op, psi)
         assert np.array_equal(got.phi.view(np.uint64), ref.phi.view(np.uint64))
         assert got.residual == ref.residual
-        assert got.info == ref.info
-        assert got.method == ref.method
+        assert got.growth == ref.growth
 
 
 def test_resolvent_guards_on_reuse():
@@ -370,7 +369,7 @@ def test_in_place_solve_matches_reference_recipe(policy):
         scale = np.linalg.norm(rhs)
         resid = np.linalg.norm(op.matvec(u) - rhs) / scale
         np.testing.assert_allclose(sol.residual, resid, rtol=1e-12, atol=1e-12)
-        np.testing.assert_allclose(sol.info["growth"], np.linalg.norm(u) / scale,
+        np.testing.assert_allclose(sol.growth, np.linalg.norm(u) / scale,
                                    rtol=1e-12, atol=1e-12)
 
 
@@ -412,14 +411,16 @@ def test_non_finite_solution_reports_conditioning(monkeypatch, bad):
 
 
 @pytest.mark.parametrize("policy", _POLICIES)
-def test_growth_and_residual_guards_fire(policy):
+def test_growth_and_residual_guards_fire(monkeypatch, policy):
     m, grid, psi, op = _free_setup(policy=policy)
-    for limits, message in (({"blowup_limit": 1e-3}, "grew"),
-                            ({"residual_tol": 0.0}, "residual")):
-        with pytest.raises(ConditioningError, match=message):
-            Resolvent(op, allow_unabsorbed=True, **limits)(psi)
-        with pytest.raises(ConditioningError, match=message):
-            resolve(op, psi, allow_unabsorbed=True, **limits)
+    for limit, value, message in (("BLOWUP_LIMIT", 1e-3, "grew"),
+                                  ("RESIDUAL_TOL", 0.0, "residual")):
+        with monkeypatch.context() as patched:
+            patched.setattr(endspec.solver, limit, value)
+            with pytest.raises(ConditioningError, match=message):
+                Resolvent(op, allow_unabsorbed=True)(psi)
+            with pytest.raises(ConditioningError, match=message):
+                resolve(op, psi, allow_unabsorbed=True)
 
 
 def test_one_source_solve_peak_memory_in_grid_vectors():
@@ -493,10 +494,10 @@ def test_overflowing_source_norm_gives_finite_growth_and_residual(policy):
     with np.errstate(over="ignore"):
         exact, huge = res(2.0 ** 665 * psi), res(1e200 * psi)
     for sol in (exact, huge):
-        assert np.isfinite(sol.info["growth"]) and np.isfinite(sol.residual)
-        assert sol.info["growth"] == pytest.approx(plain.info["growth"], rel=1e-12, abs=0.0)
+        assert np.isfinite(sol.growth) and np.isfinite(sol.residual)
+        assert sol.growth == pytest.approx(plain.growth, rel=1e-12, abs=0.0)
     assert exact.residual == pytest.approx(plain.residual, rel=1e-12, abs=0.0)
-    assert huge.residual <= res.residual_tol
+    assert huge.residual <= endspec.solver.RESIDUAL_TOL
 
 
 def test_nan_residual_is_refused(monkeypatch):
