@@ -86,7 +86,9 @@ class CutoffSpec:
 
         The default scale is r0, giving the interior cutoff: eta = 0 for
         r <= r0/2 and eta = 1 for r >= r0.  Other scales realize the
-        threshold cutoff eta_lambda = 1 - chi(2 r / r_lambda).
+        threshold cutoff eta_lambda = 1 - chi(2 r / r_lambda).  For
+        r >= scale the value is exactly 1 and every derivative exactly
+        zero, so ``geometry.geometry_at`` evaluates eta only below r0.
         """
         R = self.r0 if scale is None else float(scale)
         r = np.asarray(r, dtype=float)

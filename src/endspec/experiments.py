@@ -26,7 +26,8 @@ Measurement conventions, recorded in every table header:
 
   * shift solves enlarge the domain until Gamma (R_max - 1) >=
     ``solver.ABSORPTION`` (wave absorbed before the Dirichlet wall), with
-    R_max rounded up to a power of two so annuli stay aligned, and the
+    R_max rounded up to a power of two so annuli stay aligned and doubled
+    again where the grid's last node falls short of it, and the
     solver's guard refuses a lap or Besov-energy solve on a shorter one; the
     Hoelder pairs and the Sommerfeld shifts solve on the prefix of their
     domain that the wave reaches from where it is read (``_reach_prefix``),
@@ -183,12 +184,28 @@ def shift_r_max(gamma_min: float, base: float = 64.0) -> float:
     return r_max
 
 
+def _shift_grid(model: Model, gamma_min: float, h: float,
+                base: float = 64.0) -> RadialGrid:
+    """The grid of a shift-solve sweep whose smallest shift is ``gamma_min``.
+
+    R = ``shift_r_max``(gamma_min, base) is doubled until the built grid's
+    last node, which the absorption guard reads, admits gamma_min: that node
+    falls short of R when h does not divide R minus the first node.
+    """
+    r_max = shift_r_max(gamma_min, base)
+    grid = model.make_grid(r_max, h)
+    while gamma_min * (grid.r_max - 1.0) < ABSORPTION:
+        r_max *= 2.0
+        grid = model.make_grid(r_max, h)
+    return grid
+
+
 def _mode_operators(model: Model, grid: RadialGrid, modes, z: complex):
     """One operator per mode, assembled at z, and the geometry on the grid.
 
     The geometry (at the radii) and the potential (at the nodes) are
     evaluated once on the grid and shared by every mode's potential
-    diagonal; the geometry is returned for ``_apply_pr`` and ``_h_form``.
+    diagonal; the geometry is returned for ``_apply_pr`` and ``_h_densities``.
     Other z reuse the diagonals through ``RadialOperator.shifted``.
     """
     pt = geometry_at(model.profile, model.cutoffs, grid.radii)
@@ -219,37 +236,52 @@ def _radiation_transform(grid, a_disc, sign_a, weight=None):
     return transform
 
 
-def _apply_pr(grid: RadialGrid, pt, u):
+def _derivatives(grid: RadialGrid, solutions) -> dict:
+    """u' of each mode's solution by the central stencil, taken once for
+    every quantity built from it."""
+    return {mu: _central_derivative(u, grid.h) for mu, u in solutions.items()}
+
+
+def _apply_pr(grid: RadialGrid, pt, u, du):
     """p^r phi = -i (r' u' - (Delta r / 2) u) on reduced (density-flattened)
-    functions (flattening keeps </>= norms)."""
-    du = _central_derivative(u, grid.h)
+    functions (flattening keeps </>= norms); ``du`` is u'."""
     return -1j * (grid.dr * du - 0.5 * pt.delta_r * u)
 
 
-def _h_form(grid: RadialGrid, pt, solutions, modes, report,
-            weight=None, beta: float = 0.0):
-    """<p_i* w r^{2 beta} h^{ij} p_j>_phi summed over modes with multiplicities.
+def _h_densities(grid: RadialGrid, pt, report, solutions, derivatives) -> dict:
+    """The density of <p_i* h^{ij} p_j>_phi of each mode (``_h_form``).
 
-    Per mode, with m = (mu/f) |u|^2 and k = 2 C r^{-1-tau}:
+    Per mode, with m = (mu/f) |u|^2 and k = 2 C r^{-1-tau}, the density is
 
-      int w r^{2b} [ (f'/(2f)) m + (curv + k) (|Du|^2 + m) ] dx,
+      max( (f'/(2f)) m + (curv + k) (|Du|^2 + m), 0 ),
 
     where curv = max((1 - eta) r'', 0) is the blended curvature of the
     escape function.  Warped ends have r'' = 0; the line has only mu = 0
-    and f' = 0, so each keeps just its own terms.
+    and f' = 0, so each keeps just its own terms.  It does not depend on
+    the weight, so a sweep over weights takes it once per solution.
     """
     C, tau = report.constant, max(report.tau, 1e-6)
     rr = grid.radii
-    w = np.ones_like(rr) if weight is None else np.asarray(weight, dtype=float)
-    w = w * rr ** (2.0 * beta)
     curv_k = np.maximum((1.0 - pt.eta) * grid.d2r, 0.0) + 2.0 * C * rr ** (-1.0 - tau)
-    total = 0.0
-    for mu, mult in modes:
-        u = solutions[mu]
-        du = _central_derivative(u, grid.h)
+    out = {}
+    for mu, u in solutions.items():
+        du = derivatives[mu]
         mode_dens = (mu / pt.f) * np.abs(u) ** 2
         dens = pt.ell_coeff * mode_dens + curv_k * (np.abs(du) ** 2 + mode_dens)
-        total += mult * float(np.sum(grid.weights * w * np.maximum(dens, 0.0)))
+        out[mu] = np.maximum(dens, 0.0)
+    return out
+
+
+def _h_form(grid: RadialGrid, densities, modes, weight=None, beta: float = 0.0):
+    """<p_i* w r^{2 beta} h^{ij} p_j>_phi summed over modes with
+    multiplicities: the integral of w r^{2 beta} times each mode's density
+    (``_h_densities``)."""
+    rr = grid.radii
+    w = np.ones_like(rr) if weight is None else np.asarray(weight, dtype=float)
+    w = grid.weights * (w * rr ** (2.0 * beta))
+    total = 0.0
+    for mu, mult in modes:
+        total += mult * float(np.sum(w * densities[mu]))
     return total
 
 
@@ -309,8 +341,7 @@ def lap_sweep(model: Model, lam: float, gammas, psi: Bump | None = None,
     if any(not 0.0 < g < 1.0 for g in gammas):
         raise ContractError("every Gamma must lie in (0, 1)")
     report = model.conditions()
-    r_max = shift_r_max(gammas[0], base=base_r_max)
-    grid = model.make_grid(r_max, h)
+    grid = _shift_grid(model, gammas[0], h, base=base_r_max)
     psi = psi or Bump()
     psi_vals = psi.normalized(grid)
     modes = model.modes(mode_cap)
@@ -323,10 +354,12 @@ def lap_sweep(model: Model, lam: float, gammas, psi: Bump | None = None,
     for g in gammas:
         z = complex(lam, g)
         sols = _solve_modes(ops, z, psi_vals)
+        dsols = _derivatives(grid, sols)
         phi_bstar = _mode_besov(grid, sols, modes).bstar
-        pr_bstar = _mode_besov(grid, sols, modes,
-                               transform=lambda mu, u: _apply_pr(grid, pt, u)).bstar
-        h_form = _h_form(grid, pt, sols, modes, report)
+        pr_bstar = _mode_besov(
+            grid, sols, modes,
+            transform=lambda mu, u: _apply_pr(grid, pt, u, dsols[mu])).bstar
+        h_form = _h_form(grid, _h_densities(grid, pt, report, sols, dsols), modes)
         h0_bstar = _mode_besov(
             grid, sols, modes,
             transform=lambda mu, u: psi_vals + (z - vvals) * u).bstar
@@ -395,6 +428,7 @@ def radiation_sweep(model: Model, lam: float, gammas, betas,
                                   cutoffs=model.cutoffs, r_lam=r_lam)
         sols = _solve_modes(ops, z, psi_vals, policy=policy)
         a_disc = grid_phase(ph.a, grid.h)
+        dens = _h_densities(grid, pt, report, sols, _derivatives(grid, sols))
         wrong = _mode_besov(
             grid, sols, modes,
             transform=_radiation_transform(grid, a_disc, -1),
@@ -404,7 +438,7 @@ def radiation_sweep(model: Model, lam: float, gammas, betas,
                 grid, sols, modes,
                 transform=_radiation_transform(grid, a_disc, +1, weight=rr**b),
                 nu_min=nu_far).bstar
-            h2b = _h_form(grid, pt, sols, modes, report, beta=b)
+            h2b = _h_form(grid, dens, modes, beta=b)
             psi_bnorm = _mode_besov(
                 grid, {mu: rr**b * psi_vals for mu, _ in modes}, modes).b
             rows.append([g, b, right, math.sqrt(max(h2b, 0.0)), wrong,
@@ -468,9 +502,9 @@ def probe_set(grid: RadialGrid, n_probes: int, seed: int):
 def _probe_sources(probes, grid: RadialGrid, s: float):
     """(start, in-span values, ||psi||_{H_s}) of each probe on the grid.
 
-    Only the probe's ``Bump.span`` is kept; ``_probe_diff`` expands it into a
-    zeroed full-grid source per solve, so no full-grid probe is held across
-    the Gamma-ladder.
+    Only the probe's ``Bump.span`` is kept, and ``_probe_diff`` solves for
+    it as it is, (start, values): no full-grid probe is held across the
+    Gamma-ladder or built per solve.
     """
     norm_s = weighted_norm_on(grid, s)
     sources = []
@@ -498,9 +532,8 @@ def _probe_diff(ops, modes, z1, z2, sources, grid, norm_minus_s) -> float:
              for mu, mult in modes]
     diff_norm = 0.0
     for start, vals, denom in sources:
-        psi_vals = np.zeros(grid.n, dtype=complex)
-        psi_vals[start:start + vals.size] = vals
-        num_sq = sum(mult * norm_minus_s(r1(psi_vals).phi - r2(psi_vals).phi) ** 2
+        psi = (start, vals)
+        num_sq = sum(mult * norm_minus_s(r1(psi).phi - r2(psi).phi) ** 2
                      for mult, r1, r2 in pairs)
         diff_norm = max(diff_norm, math.sqrt(num_sq) / denom)
     return diff_norm
@@ -511,8 +544,7 @@ def _probe_diff(ops, modes, z1, z2, sources, grid, norm_minus_s) -> float:
 _ROUND_TRIP_DECAY = 39.0
 
 
-def _reach_prefix(model: Model, grid: RadialGrid, ops, modes, lam: float,
-                  r_from: float):
+def _reach_prefix(grid: RadialGrid, ops, modes, lam: float, r_from: float):
     """Gamma -> (grid, operators) of the shortest prefix of ``grid`` on which
     a shift solve at lambda + i Gamma has, up to ``r_from``, the values of an
     endless domain.
@@ -524,8 +556,9 @@ def _reach_prefix(model: Model, grid: RadialGrid, ops, modes, lam: float,
     (mu/(2f) >= 0 only raises the others): kappa bounds the decay rate of
     every mode's wave there from below, so a Dirichlet wall at the reach
     returns below e^{-_ROUND_TRIP_DECAY} of it to r_from.  A reach past the
-    last node gives ``grid`` and ``ops`` themselves; a prefix's operators
-    take views of the whole-grid potential diagonals.  Needs Gamma > 0.
+    last node gives ``grid`` and ``ops`` themselves; a prefix's grid and
+    operators are views of the whole grid and its potential diagonals.
+    Needs Gamma > 0.
     """
     # modes are sorted by mu, and the lowest mode's diagonal is the lowest
     w_min = float(np.min(ops[modes[0][0]].potential_diag[
@@ -536,7 +569,7 @@ def _reach_prefix(model: Model, grid: RadialGrid, ops, modes, lam: float,
         end = int(np.searchsorted(grid.nodes, r_from + _ROUND_TRIP_DECAY / (2.0 * kappa)))
         if end >= grid.n - 1:
             return grid, ops
-        grid_p = model.make_grid(grid.nodes[end], grid.h)
+        grid_p = grid.prefix(end + 1)
         return grid_p, {mu: replace(op, grid=grid_p,
                                     potential_diag=op.potential_diag[:grid_p.n])
                         for mu, op in ops.items()}
@@ -579,13 +612,12 @@ def hoelder_estimate(model: Model, lam: float, s: float, gamma_top: float = 0.06
     lam0 = _check_window(model, lam)
     report = model.conditions()
     gammas = [gamma_top * 0.25**j for j in range(n_pairs)]
-    r_max = shift_r_max(gammas[-1] / 2.0)
-    grid = model.make_grid(r_max, h)
+    grid = _shift_grid(model, gammas[-1] / 2.0, h)
     modes = model.modes(mode_cap)
     probes = probe_set(grid, n_probes, seed)
     sources = _probe_sources(probes, grid, s)
     ops = _mode_operators(model, grid, modes, complex(lam, gammas[0]))[0]
-    prefix = _reach_prefix(model, grid, ops, modes, lam, max(p.b for p in probes))
+    prefix = _reach_prefix(grid, ops, modes, lam, max(p.b for p in probes))
 
     def pair_diff(g):
         # the pair's grid and operators are released on return, before the
@@ -616,9 +648,12 @@ def hoelder_estimate(model: Model, lam: float, s: float, gamma_top: float = 0.06
 # sommerfeld_compare
 # ---------------------------------------------------------------------------
 
-def _richardson_gamma(model, grid, lam, gamma_top, psi_vals, modes, grid_w):
+def _richardson_gamma(model, grid, lam, gamma_top, psi, modes, grid_w):
     """Three-point, order-1 Richardson extrapolation of shift solves in Gamma.
 
+    The source ``psi`` is given as its support on ``grid``, a (start node,
+    values) pair that lies inside the comparison window, so every prefix
+    below holds it.
     Each shift Gamma = ``gamma_top`` * (1, 1/2, 1/4) solves and is verified
     on the shortest prefix of the long ``grid`` that its wave reaches from
     the window edge r_w (``_reach_prefix``): up to its first node at or
@@ -633,12 +668,12 @@ def _richardson_gamma(model, grid, lam, gamma_top, psi_vals, modes, grid_w):
     """
     ops = _mode_operators(model, grid, modes, complex(lam, gamma_top))[0]
     n_w = grid_w.n
-    prefix = _reach_prefix(model, grid, ops, modes, lam, grid_w.nodes[-1])
+    prefix = _reach_prefix(grid, ops, modes, lam, grid_w.nodes[-1])
     sols = []
     for f in (1.0, 0.5, 0.25):
         z = complex(lam, gamma_top * f)
         grid_p, ops_p = prefix(gamma_top * f)
-        sols.append({mu: resolve(op.shifted(z), psi_vals[:grid_p.n],
+        sols.append({mu: resolve(op.shifted(z), psi,
                                  allow_unabsorbed=True).phi[:n_w].copy()
                      for mu, op in ops_p.items()})
     extrap, gaps = {}, []
@@ -688,7 +723,13 @@ def sommerfeld_compare(model: Model, lam: float, psi: Bump | None = None,
     need = 1.0 + 12.0 * k / (2.0 * (gamma_top / 4.0))
     r_big = 2.0 ** math.ceil(math.log2(max(need, 2.0 * window_r_max)))
     grid_b = model.make_grid(r_big, h)
-    psi_b = psi.normalized(grid_b)
+    # the shift solves take the source as its span.  Its normalisation is
+    # summed over the whole long grid, whose length fixes the rounding of
+    # the sum; it is taken on a copy of that grid, so that the full-grid
+    # source and the quadrature weights the norm builds are released before
+    # the solves and the long grid holds only its nodes
+    span = psi.span(grid_b)
+    psi_b = (span.start, psi.normalized(model.make_grid(r_big, h))[span].copy())
     extrap, gaps = _richardson_gamma(model, grid_b, lam, gamma_top, psi_b,
                                      modes, grid_w)
 
@@ -765,8 +806,7 @@ def besov_energy_check(model: Model, z: complex, psi: Bump | None = None,
         g_top = z.imag if z.imag > 0 else 0.1
         gammas = [g_top, g_top / math.sqrt(10.0), g_top / 10.0]
     gammas = sorted(float(g) for g in gammas)
-    r_max = max(shift_r_max(gammas[0]), 2.0 ** (max(nus) + 2))
-    grid = model.make_grid(r_max, h)
+    grid = _shift_grid(model, gammas[0], h, base=max(64.0, 2.0 ** (max(nus) + 2)))
     psi = psi or Bump()
     psi_vals = psi.normalized(grid)
     modes = model.modes(mode_cap)
@@ -780,7 +820,8 @@ def besov_energy_check(model: Model, z: complex, psi: Bump | None = None,
         a_sols = {mu: apply_A(u, grid) for mu, u in sols.items()}
         states[g] = (sols, a_sols,
                      _mode_besov(grid, sols, modes).bstar,
-                     _mode_besov(grid, a_sols, modes).bstar)
+                     _mode_besov(grid, a_sols, modes).bstar,
+                     _h_densities(grid, pt, report, sols, _derivatives(grid, sols)))
 
     nus = [int(n_) for n_ in nus]
     nu_mid = sorted(nus)[len(nus) // 2]
@@ -795,7 +836,7 @@ def besov_energy_check(model: Model, z: complex, psi: Bump | None = None,
         scales = [(nu, th, w_dth, chi_w * th) for nu, th, w_dth in thetas]
         out = []
         for g in gammas:
-            sols, a_sols, phi_bstar, a_bstar = states[g]
+            sols, a_sols, phi_bstar, a_bstar, dens = states[g]
             for nu, th, w_dth, w_chi_th in scales:
                 lhs = 0.0
                 cut_term = 0.0
@@ -803,7 +844,7 @@ def besov_energy_check(model: Model, z: complex, psi: Bump | None = None,
                     u, au = sols[mu], a_sols[mu]
                     lhs += mult * float(np.sum(w_dth * (np.abs(u)**2 + np.abs(au)**2)))
                     cut_term += mult * float(np.sum(w_chi_th * np.abs(u)**2))
-                lhs += _h_form(grid, pt, sols, modes, report, weight=th)
+                lhs += _h_form(grid, dens, modes, weight=th)
                 rhs = (phi_bstar + a_bstar) * psi_bnorm + cut_term
                 out.append([g, nu, n, lhs, rhs,
                             lhs / rhs if rhs > 0.0 else 0.0])

@@ -126,6 +126,13 @@ def geometry_at(profile: WarpProfile, cutoffs: CutoffSpec | None, r) -> Geometry
     The mean curvature uses the warped formula for r >= r0 and the
     cutoff-smoothed interpolation below; q_geom therefore vanishes for
     r <= r0/2 and reduces to the pure warped expression for r >= r0.
+
+    For r >= r0 the cutoff sits on its plateau, eta = 1 and eta' = 0
+    exactly, so there delta_r = (d-1) w/2, d(delta_r)/dr = (d-1) w'/2 and
+    q_geom = (delta_r^2 + 2 d(delta_r)/dr) / 8 are formed in a few passes
+    over the grid, and the cutoff terms are evaluated only on the nodes
+    below r0 (a handful on a long grid).  Every field is the value of the
+    cutoff formula at every node, bit for bit.
     """
     if cutoffs is None:
         cutoffs = CutoffSpec(r0=profile.r0)
@@ -143,14 +150,33 @@ def geometry_at(profile: WarpProfile, cutoffs: CutoffSpec | None, r) -> Geometry
     if np.any(bad):
         rb = np.atleast_1d(r)[np.atleast_1d(bad)][0]
         raise EvaluationError(f"warp profile not finite/positive at r={rb!r}")
-    eta = cutoffs.eta(r)
-    deta = cutoffs.eta(r, order=1)
     half = 0.5 * (profile.d - 1)
-    delta_r = eta * half * w
-    ddelta_r = deta * half * w + eta * half * w1
-    # |dr|^2 = 1 on the warped model, so the prefactor eta~ is eta itself
-    q_geom = 0.125 * eta * (delta_r**2 + 2.0 * ddelta_r)
-    return GeometryPoint(r=r, f=fv, delta_r=delta_r, ell_coeff=0.5 * w,
+    # the plateau values at every node; the band below r0 (NaN included,
+    # which the cutoff puts at eta = 0) is then overwritten
+    rf = r.reshape(-1)
+    w = np.broadcast_to(w, r.shape).reshape(-1)
+    w1 = np.broadcast_to(w1, r.shape).reshape(-1)
+    delta_r = half * w
+    # q_geom = (1/8) eta (delta_r^2 + 2 d(delta_r)/dr), in place; |dr|^2 = 1
+    # on the warped model, so the prefactor eta~ is eta itself
+    q_geom = half * w1
+    q_geom *= 2.0
+    q_geom += np.square(delta_r)
+    q_geom *= 0.125
+    eta = np.ones(rf.size)
+    band = np.flatnonzero(~(rf >= cutoffs.r0))
+    if band.size:
+        rb, wb = rf[band], w[band]
+        eb = cutoffs.eta(rb)
+        db = eb * half * wb
+        ddb = cutoffs.eta(rb, order=1) * half * wb + eb * half * w1[band]
+        eta[band], delta_r[band] = eb, db
+        q_geom[band] = 0.125 * eb * (db**2 + 2.0 * ddb)
+    fields = [a.reshape(r.shape) for a in (delta_r, 0.5 * w, eta, q_geom)]
+    if r.ndim == 0:
+        fields = [a[()] for a in fields]
+    delta_r, ell_coeff, eta, q_geom = fields
+    return GeometryPoint(r=r, f=fv, delta_r=delta_r, ell_coeff=ell_coeff,
                          eta=eta, q_geom=q_geom)
 
 

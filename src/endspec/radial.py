@@ -58,9 +58,12 @@ class RadialGrid:
     ``d2r`` its derivatives r', r'' in the integration coordinate.  For
     plain half-line grids the two coincide: ``radii`` is the ``nodes`` array
     itself, and r' = 1, r'' = 0 are zero-stride views that hold no memory.
-    ``nu`` is the annulus index floor(log2 r) of each node, >= 0 because the
-    radii are clamped to r >= 1.  The arrays are read-only, so a shared one
-    cannot be written through either name.
+    ``weights`` (trapezoid, h inside and h/2 at both ends) and ``nu`` (the
+    annulus index floor(log2 r) of each node, >= 0 because the radii are
+    clamped to r >= 1) are built the first time they are read and kept: a
+    grid that only carries shift solves, such as the long Sommerfeld
+    domain, holds its nodes and nothing else.  The arrays are read-only, so
+    a shared one cannot be written through either name.
     """
 
     nodes: np.ndarray
@@ -68,12 +71,9 @@ class RadialGrid:
     dr: np.ndarray
     d2r: np.ndarray
     h: float
-    weights: np.ndarray
-    nu: np.ndarray
-    partial_outer: bool
 
     def __post_init__(self):
-        for a in (self.nodes, self.radii, self.dr, self.d2r, self.weights, self.nu):
+        for a in (self.nodes, self.radii, self.dr, self.d2r):
             a.flags.writeable = False
 
     @property
@@ -83,6 +83,36 @@ class RadialGrid:
     @property
     def n(self) -> int:
         return self.nodes.size
+
+    @cached_property
+    def weights(self) -> np.ndarray:
+        w = np.full(self.n, self.h)
+        w[0] = w[-1] = 0.5 * self.h
+        w.flags.writeable = False
+        return w
+
+    @cached_property
+    def nu(self) -> np.ndarray:
+        nu = _annulus_index(self.radii)
+        nu.flags.writeable = False
+        return nu
+
+    @property
+    def partial_outer(self) -> bool:
+        """Whether the top annulus is cut short: the node at r_max = 2^m
+        opens annulus m with a single point, and any non-dyadic r_max
+        truncates its top annulus.  Taken from the last radius alone."""
+        top = _annulus_index(self.radii[-1:])[0]
+        return bool(self.radii[-1] < 2.0 ** (top + 1) - 1e-12)
+
+    def prefix(self, n: int) -> "RadialGrid":
+        """The grid of the first n nodes, as views of this grid's arrays: the
+        nodes and coordinates ``make_grid`` builds for the shorter domain,
+        bit for bit, at no memory."""
+        nodes = self.nodes[:n]
+        radii = nodes if self.radii is self.nodes else self.radii[:n]
+        return RadialGrid(nodes=nodes, radii=radii, dr=self.dr[:n],
+                          d2r=self.d2r[:n], h=self.h)
 
     def annuli(self):
         """Sorted array of annulus indices present on the grid (read-only)."""
@@ -101,19 +131,11 @@ def _annulus_index(radii):
 
 
 def _grid(lo: float, hi: float, h: float, coords: Callable) -> RadialGrid:
-    """Nodes lo + k h on [lo, hi] with trapezoid weights; ``coords(nodes)``
-    gives (radii, r', r''), and the annulus index is taken of the radii."""
+    """Nodes lo + k h on [lo, hi]; ``coords(nodes)`` gives (radii, r', r'')."""
     n = int(round((hi - lo) / h)) + 1
     nodes = lo + h * np.arange(n)
     radii, dr, d2r = coords(nodes)
-    w = np.full(n, h)
-    w[0] = w[-1] = 0.5 * h
-    nu = _annulus_index(radii)
-    # the node at r_max = 2^m opens annulus m with a single point; any
-    # non-dyadic r_max truncates its top annulus: both are partial covers
-    partial = radii[-1] < 2.0 ** (nu[-1] + 1) - 1e-12
-    return RadialGrid(nodes=nodes, radii=radii, dr=dr, d2r=d2r, h=float(h),
-                      weights=w, nu=nu, partial_outer=bool(partial))
+    return RadialGrid(nodes=nodes, radii=radii, dr=dr, d2r=d2r, h=float(h))
 
 
 def uniform_grid(r_max: float, h: float, r_min: float = 1.0) -> RadialGrid:
@@ -233,7 +255,7 @@ class RadialOperator:
     policy without re-evaluating the geometry.  The sub- and super-diagonals
     are the constant -1/(2h^2); ``dd``, ``dl`` and ``du`` are derived on
     access.  The outgoing row is halved, which keeps the matrix complex
-    symmetric, so ``rhs`` halves its right-hand side entry too.
+    symmetric, so a solve halves the source's entry on that row too.
     """
 
     mu: float
@@ -252,8 +274,12 @@ class RadialOperator:
 
     @property
     def dd(self) -> np.ndarray:
-        w = self.potential_diag
-        dd = (-2.0 * self.off_diag + w[1:1 + self.n_unknowns]) - self.z
+        # (-2 off + w) - z, formed in the one complex buffer it is returned in
+        n = self.n_unknowns
+        dd = np.empty(n, dtype=complex)
+        np.add(self.potential_diag[1:1 + n], -2.0 * self.off_diag, out=dd.real)
+        dd.real -= self.z.real
+        dd.imag[...] = 0.0 - self.z.imag
         if self.policy.kind == "outgoing":
             dd[-1] = self.outgoing_diag
         return dd
@@ -274,16 +300,6 @@ class RadialOperator:
         return np.full(self.n_unknowns - 1, self.off_diag, dtype=complex)
 
     du = dl
-
-    def rhs(self, psi: np.ndarray) -> np.ndarray:
-        """The source psi (full grid, complex) on the unknowns, scaled like
-        their rows: a view of psi, or a copy whose last entry is halved with
-        the outgoing row."""
-        b = psi[FIRST_UNKNOWN:FIRST_UNKNOWN + self.n_unknowns]
-        if self.policy.kind == "outgoing":
-            b = b.copy()
-            b[-1] *= 0.5
-        return b
 
     def shifted(self, z: complex, policy: OuterPolicy | None = None) -> "RadialOperator":
         """The same h_mu at another z (and outer policy, if given).

@@ -20,7 +20,9 @@ factors, in place in the returned full-grid array, verifying each with one
 pass over the grid per norm: the residual is summed over cache-sized blocks
 of rows, with no n-length temporary.  ``resolve`` solves a single source in
 one LAPACK sweep (``zgtsv``, which factors and solves together and keeps no
-factors), with the same guards and checks.
+factors), with the same guards and checks.  Both take a source as its
+support, a (start node, values) pair, or as a full-grid array (start 0),
+so a compact source on a long domain costs no full-grid copy.
 
 The eigenvalue scan diagonalizes the Dirichlet-truncated symmetric operator
 on an interval and classifies each eigenpair by the decay of its dyadic
@@ -36,6 +38,7 @@ domain, h/2) compute eigenvalues only, by the same bisection (LAPACK
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -91,20 +94,30 @@ class Resolvent:
     residual by re-multiplication at most ``RESIDUAL_TOL`` (a NaN growth or
     residual fails both).
 
-    A call passes over the grid as few times as it can: the right-hand side
-    is a view of psi (a copy only for the halved outgoing row), ``zgttrs``
-    overwrites it in place inside the zero-padded full-grid ``phi`` that is
-    returned, and ||r||^2 is summed over blocks of rows (``_residual_sq``),
-    each formed from the potential diagonal and the neighbours in ``phi``
-    while it is in cache, so the call creates no n-length array besides
-    ``phi`` (and the outgoing right-hand side).  ||rhs|| and ||u|| are each
-    one contiguous BLAS dot over the float view, and the finite-input
-    (``ValueError``) and finite-output (``ConditioningError``) checks follow
-    from them: a finite sum of squares has only finite terms, so the exact
-    elementwise test runs only when a sum is not finite.  Finite entries
-    that overflow ||rhs||^2 pass; the three norms are then all taken of the
-    arrays divided by max |rhs|, which leaves growth and residual unchanged
-    but finite.
+    The source psi is a (start node, values) pair, whose values sit on
+    nodes start, start + 1, ... of the grid, or a full-grid array, the case
+    start = 0.  As in the matrix rows, entries at the inner wall (node 0)
+    and past the last unknown are dropped, and an entry on the outgoing last
+    row is halved with that row.
+
+    A call passes over the grid as few times as it can: the values are
+    written into the zeroed full-grid ``phi`` that is returned, ``zgttrs``
+    overwrites them there in place with the solution, and ||r||^2 is summed
+    over blocks of rows (``_residual_sq``), each formed from the potential
+    diagonal and the neighbours in ``phi`` while it is in cache, with the
+    source subtracted only on the blocks it overlaps; the call creates no
+    n-length array besides ``phi``.  ||rhs|| is one contiguous BLAS dot over
+    the float view of the source's rows, ||u|| one over the unknowns, and
+    the finite-input (``ValueError``) and finite-output
+    (``ConditioningError``) checks follow from them: a finite sum of squares
+    has only finite terms, so the exact elementwise test runs only when a
+    sum is not finite.  Finite entries that overflow ||rhs||^2 pass; the
+    three norms are then all taken of the arrays divided by max |rhs|,
+    which leaves growth and residual unchanged but finite.  The solution
+    does not depend on how the source is given; ||rhs|| and so the
+    diagnostics ``residual`` and ``growth`` of a compact source may differ
+    from those of its full-grid form in the last bit, since the sum runs
+    over the support only.
 
     A shift solve (Dirichlet outer row, Im z != 0) on a domain with
     Gamma (R_max - 1) < ``ABSORPTION`` is refused unless ``allow_unabsorbed``
@@ -131,7 +144,9 @@ class Resolvent:
 
 def _admitted_diagonal(op: RadialOperator, allow_unabsorbed: bool) -> np.ndarray:
     """The operator's complex diagonal, once the absorption guard admits
-    the solve and every entry is finite (``ValueError`` otherwise)."""
+    the solve and every entry is finite (``ValueError`` otherwise; a finite
+    sum of squares has only finite terms, so the exact elementwise test
+    runs only when the sum is not finite)."""
     gamma = op.z.imag
     if op.policy.kind == "dirichlet":
         if gamma == 0.0:
@@ -142,8 +157,29 @@ def _admitted_diagonal(op: RadialOperator, allow_unabsorbed: bool) -> np.ndarray
                 f"< {ABSORPTION:g}; "
                 "enlarge the domain or pass allow_unabsorbed=True")
     dd = op.dd
-    _check_finite(dd)
+    if not math.isfinite(_sum_sq(dd)):
+        _check_finite(dd)
     return dd
+
+
+def _source_rows(op: RadialOperator, psi):
+    """(first node, values) of the source psi on the unknowns it reaches.
+
+    psi is a (start node, values) pair, the values sitting on nodes start,
+    start + 1, ... inside the grid, or a full-grid array (start 0).  The
+    values are a view of the source; entries at the inner wall and past the
+    last unknown are dropped, and the range is empty when nothing is left.
+    """
+    full = not isinstance(psi, tuple)
+    start, vals = (0, psi) if full else psi
+    start = operator.index(start)
+    vals = np.ascontiguousarray(vals, dtype=complex)
+    if vals.ndim != 1 or (full and vals.size != op.grid.n) \
+            or start < 0 or start + vals.size > op.grid.n:
+        raise ContractError("psi must live on the operator's grid")
+    lo = max(start, FIRST_UNKNOWN)
+    hi = max(min(start + vals.size, FIRST_UNKNOWN + op.n_unknowns), lo)
+    return lo, vals[lo - start:hi - start]
 
 
 def _verified_solve(op: RadialOperator, psi, solve_in_place) -> ResolventSolution:
@@ -151,20 +187,20 @@ def _verified_solve(op: RadialOperator, psi, solve_in_place) -> ResolventSolutio
     right-hand side u on the unknowns with the solution, and verify it: the
     source must be finite, and the solution finite, with growth and residual
     within their limits (see ``Resolvent``)."""
-    psi = np.ascontiguousarray(psi, dtype=complex)
-    if psi.size != op.grid.n:
-        raise ContractError("psi must live on the operator's grid")
     n, i0 = op.n_unknowns, FIRST_UNKNOWN
-    rhs = op.rhs(psi)
+    lo, b = _source_rows(op, psi)
+    phi = np.zeros(op.grid.n, dtype=complex)
+    rhs = phi[lo:lo + b.size]
+    rhs[...] = b
+    if op.policy.kind == "outgoing" and lo + b.size == i0 + n:
+        rhs[-1] *= 0.5          # the halved outgoing row
     rhs_sq = _sum_sq(rhs)
     unit = 1.0                  # common divisor of the three norms
     if not math.isfinite(rhs_sq):
         _check_finite(rhs)      # finite entries may still overflow the sum
         unit = float(np.max(np.abs(rhs.view(float))))
         rhs_sq = _sum_sq(rhs, unit)
-    phi = np.zeros(op.grid.n, dtype=complex)
     u = phi[i0:i0 + n]
-    u[...] = rhs
     solve_in_place(u)
     u_sq = _sum_sq(u)
     if not math.isfinite(u_sq) and not np.all(np.isfinite(u.view(float))):
@@ -177,7 +213,7 @@ def _verified_solve(op: RadialOperator, psi, solve_in_place) -> ResolventSolutio
         raise ConditioningError(
             f"solution grew by {growth:.2e}: z is within grid resolution of a "
             "discrete eigenvalue of the truncated problem", estimate=growth)
-    resid = math.sqrt(_residual_sq(op, phi, rhs, unit)) / scale
+    resid = math.sqrt(_residual_sq(op, phi, lo - i0, b, unit)) / scale
     if not resid <= RESIDUAL_TOL:
         raise ConditioningError(f"residual {resid:.2e} above {RESIDUAL_TOL:.1e}",
                                 estimate=resid)
@@ -197,14 +233,17 @@ def _sum_sq(a, unit: float = 1.0) -> float:
 _RESIDUAL_BLOCK = 8192
 
 
-def _residual_sq(op: RadialOperator, phi, rhs, unit: float = 1.0) -> float:
+def _residual_sq(op: RadialOperator, phi, first: int, b, unit: float = 1.0) -> float:
     """sum |r_j / unit|^2 of r = (h_mu - z) u - rhs, u = phi on the unknowns.
 
-    Taken over blocks of ``_RESIDUAL_BLOCK`` rows with the arithmetic of
-    ``RadialOperator.matvec``: r_j = ((dd_j u_j + off u_{j-1}) + off u_{j+1})
-    - rhs_j with dd_j = (-2 off + w_j) - z, where w is the potential diagonal
-    and the zero wall entries of the full-grid ``phi`` supply the missing
-    neighbours.  The outgoing last row takes its scalar diagonal entry.  No
+    The right-hand side is the source values ``b`` on rows first ..
+    first + b.size - 1 and zero elsewhere, with the outgoing last row's
+    entry halved.  Taken over blocks of ``_RESIDUAL_BLOCK`` rows with the
+    arithmetic of ``RadialOperator.matvec``: r_j = ((dd_j u_j + off u_{j-1})
+    + off u_{j+1}) - rhs_j with dd_j = (-2 off + w_j) - z, where w is the
+    potential diagonal and the zero wall entries of the full-grid ``phi``
+    supply the missing neighbours; b is subtracted only on the blocks it
+    overlaps.  The outgoing last row takes its scalar diagonal entry.  No
     n-length array is created.
     """
     n, i0 = op.n_unknowns, FIRST_UNKNOWN
@@ -214,6 +253,7 @@ def _residual_sq(op: RadialOperator, phi, rhs, unit: float = 1.0) -> float:
     rows = n - 1 if op.policy.kind == "outgoing" else n
     size = min(_RESIDUAL_BLOCK, rows)
     d, r, t = np.empty(size), np.empty(size, dtype=complex), np.empty(size, dtype=complex)
+    stop = first + b.size
     total = 0.0
     for j in range(0, rows, _RESIDUAL_BLOCK):
         k = min(j + _RESIDUAL_BLOCK, rows)
@@ -225,11 +265,14 @@ def _residual_sq(op: RadialOperator, phi, rhs, unit: float = 1.0) -> float:
         rb += tb
         np.multiply(phi[i0 + j + 1:i0 + k + 1], off, out=tb)
         rb += tb
-        rb -= rhs[j:k]
+        lo, hi = max(j, first), min(k, stop)
+        if lo < hi:
+            rb[lo - j:hi - j] -= b[lo - first:hi - first]
         total += _sum_sq(rb, unit)
     if rows < n:
         last = i0 + n - 1
-        r_last = (op.outgoing_diag * phi[last] + off * phi[last - 1]) - rhs[-1]
+        rhs_last = b[-1] * 0.5 if b.size and stop == n else 0.0
+        r_last = (op.outgoing_diag * phi[last] + off * phi[last - 1]) - rhs_last
         total += _sum_sq(np.atleast_1d(r_last), unit)
     return total
 
@@ -241,7 +284,8 @@ def _check_finite(a):
 
 def resolve(op: RadialOperator, psi, allow_unabsorbed: bool = False) -> ResolventSolution:
     """One verified solve of (h_mu - z) phi = psi, with the guards and checks
-    of ``Resolvent``.
+    of ``Resolvent`` and its source convention: psi is a (start node,
+    values) pair or a full-grid array.
 
     A single source needs no factors kept, so LAPACK ``zgtsv`` factors and
     solves in one sweep, in place in the diagonals and in ``phi``: no

@@ -57,8 +57,8 @@ def test_shift_domain_guard():
 def test_absorption_guard_is_live_on_the_sweeps(monkeypatch, experiment_solves):
     # a domain too short for Gamma = 0.01 (0.01 * 63 < 8) is refused at the
     # solve: the lap sweep used to flag the row, the Besov check to solve it
-    monkeypatch.setattr(endspec.experiments, "shift_r_max",
-                        lambda gamma_min, base=64.0: 64.0)
+    monkeypatch.setattr(endspec.experiments, "_shift_grid",
+                        lambda model, gamma_min, h, base=64.0: model.make_grid(64.0, h))
     n = free_model().make_grid(64.0, 0.05).n - 2
     with pytest.raises(AbsorptionError):
         lap_sweep(free_model(), 1.0, [0.01], h=0.05)
@@ -99,7 +99,8 @@ def test_declared_threshold_closes_the_window_for_every_model():
 
 def test_h_form_on_the_line_keeps_the_escape_curvature():
     # reference: the line density (max((1 - eta) r'', 0) + 2 C r^(-1-tau)) |u'|^2
-    from endspec.experiments import _h_form, _mode_operators
+    from endspec.experiments import (_derivatives, _h_densities, _h_form,
+                                     _mode_operators)
     from endspec.phase import _central_derivative
     m = multiend_model()
     grid = m.make_grid(64.0, 0.05)
@@ -112,7 +113,9 @@ def test_h_form_on_the_line_keeps_the_escape_curvature():
     assert np.any(curv > 0.0)
     du = _central_derivative(sols[0.0], grid.h)
     dens = (curv + 2.0 * rep.constant * rr ** (-1.0 - rep.tau)) * np.abs(du) ** 2
-    assert _h_form(grid, pt, sols, modes, rep) == float(np.sum(grid.weights * dens))
+    densities = _h_densities(grid, pt, rep, sols, _derivatives(grid, sols))
+    got = _h_form(grid, densities, modes)
+    assert got == float(np.sum(grid.weights * dens))
 
 
 def test_radiation_beta_zero_consistent_with_lap():
@@ -395,7 +398,7 @@ def test_reach_prefix_ends_at_the_reach_node(case, monkeypatch):
     modes = model.modes(2.5)
     assert len(modes) == (2 if case == "euclidean3" else 1)
     ops = _mode_operators(model, grid, modes, complex(lam, 0.1))[0]
-    prefix = _reach_prefix(model, grid, ops, modes, lam, r_from)
+    prefix = _reach_prefix(grid, ops, modes, lam, r_from)
     w_min = min(float(np.min(op.potential_diag[grid.nodes >= r_from]))
                 for op in ops.values())
     for gamma in (0.2, 0.05):
@@ -404,8 +407,12 @@ def test_reach_prefix_ends_at_the_reach_node(case, monkeypatch):
         end = grid_p.n - 1
         assert end < grid.n - 1
         assert grid.nodes[end - 1] < reach <= grid.nodes[end]
+        built = model.make_grid(grid.nodes[end], grid.h)
         for name in ("nodes", "radii", "dr", "d2r", "nu"):
             assert _same_bits(getattr(grid_p, name), getattr(grid, name)[:end + 1])
+            assert _same_bits(getattr(grid_p, name), getattr(built, name))
+        assert _same_bits(grid_p.weights, built.weights)
+        assert grid_p.partial_outer == built.partial_outer
         assert ops_p.keys() == ops.keys()
         for mu, op in ops_p.items():
             whole = ops[mu]
@@ -466,8 +473,10 @@ def test_richardson_windows_match_full_solves():
     assert len(modes) == 2
     grid, grid_w = m.make_grid(512.0, 0.05), m.make_grid(32.0, 0.05)
     psi = Bump().normalized(grid)
+    span = Bump().span(grid)
     lam, gamma_top = 2.0, 0.064
-    extrap, gaps = _richardson_gamma(m, grid, lam, gamma_top, psi, modes, grid_w)
+    extrap, gaps = _richardson_gamma(m, grid, lam, gamma_top, (span.start, psi[span]),
+                                     modes, grid_w)
     n_w = grid_w.n
     for (mu, _), (gap1, gap2) in zip(modes, gaps):
         full = [resolve(m.operator(mu, grid, complex(lam, gamma_top * f)), psi,
@@ -481,8 +490,9 @@ def test_richardson_windows_match_full_solves():
 
 def test_richardson_peak_memory_in_grid_vectors(monkeypatch):
     # peak traced allocation of _richardson_gamma above its entry, in
-    # complex vectors of the long grid (81,901 nodes here): factors, one
-    # solution and the operator's diagonal, not every shift's solution
+    # complex vectors of the long grid (81,901 nodes here): one solve's
+    # diagonals and solution (4) and the operator's potential diagonal (1/2),
+    # not every shift's solution, a full-grid source or a prefix grid's nodes
     original = endspec.experiments._richardson_gamma
     peaks = []
 
@@ -500,7 +510,69 @@ def test_richardson_peak_memory_in_grid_vectors(monkeypatch):
     finally:
         tracemalloc.stop()
     assert len(peaks) == 1
-    assert peaks[0] <= 8.0
+    assert peaks[0] <= 5.0
+
+
+def test_sommerfeld_peak_memory_in_grid_vectors():
+    # the whole call, in complex vectors of the long grid: its nodes and
+    # potential diagonal (1/2 each) and one shift solve's diagonals and
+    # solution (4), plus the window's arrays; the long grid's weights, its
+    # annulus map or a prefix's nodes would each add 1/2, a full-grid source 1
+    tracemalloc.start()
+    try:
+        entry = tracemalloc.get_traced_memory()[0]
+        rep = sommerfeld_compare(free_model(), 2.0, h=0.05, gamma_top=2e-2)
+        peak = tracemalloc.get_traced_memory()[1] - entry
+    finally:
+        tracemalloc.stop()
+    n = free_model().make_grid(rep.meta["r_big"], 0.05).n
+    assert n == 81901
+    assert peak / (16.0 * n) <= 5.5
+
+
+def test_sommerfeld_long_grid_holds_only_its_nodes(monkeypatch):
+    # the long grid's quadrature weights and annulus map are built on first
+    # read and kept in the instance (see the lazy-field test of the grid):
+    # the shift solves never read them
+    original = endspec.experiments._richardson_gamma
+    grids = []
+
+    def recording(model, grid, *args):
+        grids.append(grid)
+        assert "weights" not in vars(grid) and "nu" not in vars(grid)
+        out = original(model, grid, *args)
+        assert "weights" not in vars(grid) and "nu" not in vars(grid)
+        return out
+
+    monkeypatch.setattr(endspec.experiments, "_richardson_gamma", recording)
+    sommerfeld_compare(free_model(), 2.0, h=0.05, gamma_top=2e-2)
+    assert len(grids) == 1 and grids[0].n == 81901
+
+
+def _edge_cases():
+    # R = 128 at h = 0.03 ends at 127.99, R = 1024 at h = 0.07 at 1023.98,
+    # and the line from x = -24 at h = 0.07 at 127.97
+    return {"h0.03": (free_model(), 1.0, 0.03, 0.062995),
+            "h0.07": (free_model(), 1.0, 0.07, 8.0 / 1022.99),
+            "line": (multiend_model(), 2.0, 0.07, 0.063)}
+
+
+@pytest.mark.parametrize("case", sorted(_edge_cases()))
+def test_shift_domain_is_sized_by_the_grids_last_node(case):
+    # the absorption guard reads the grid's last node, which falls short of
+    # the requested R when h does not divide R minus the first node: the
+    # sweeps double R until that node admits the smallest Gamma
+    model, lam, h, gamma = _edge_cases()[case]
+    r_req = shift_r_max(gamma)
+    short = model.make_grid(r_req, h).r_max
+    assert short < r_req
+    assert gamma * (short - 1.0) < ABSORPTION <= gamma * (r_req - 1.0)
+    for tab in (lap_sweep(model, lam, [gamma, 0.5], h=h, mode_cap=0.5),
+                besov_energy_check(model, complex(lam, 0.5), gammas=[gamma, 0.5],
+                                   h=h, mode_cap=0.5, nus=(0, 1, 2),
+                                   n_candidates=(0,))):
+        assert tab.meta["r_max"] == model.make_grid(2.0 * r_req, h).r_max
+        assert gamma * (tab.meta["r_max"] - 1.0) >= ABSORPTION
 
 
 # --- Sommerfeld shift solves on the prefix their wave reaches ----------------------

@@ -199,3 +199,55 @@ def test_exp_profile_lower_order_term():
     assert rep.overall() == "pass"
     assert rep.lambda0 == pytest.approx(0.125, abs=1e-3)
     assert rep.rho == pytest.approx(4.0 - 2.0 * 0.5, abs=0.2)
+
+
+# --- the plateau above r0 ----------------------------------------------------------
+
+def _geometry_direct(profile, cutoffs, r):
+    """Every field by the cutoff formula at every node (eta and eta' taken
+    on the whole array, as before the plateau was split off)."""
+    r = np.asarray(r, dtype=float)
+    w, w1, _, _ = profile.log_chain(r)
+    eta, deta = cutoffs.eta(r), cutoffs.eta(r, order=1)
+    half = 0.5 * (profile.d - 1)
+    delta_r = eta * half * w
+    ddelta_r = deta * half * w + eta * half * w1
+    return {"delta_r": delta_r, "ell_coeff": 0.5 * w, "eta": eta,
+            "q_geom": 0.125 * eta * (delta_r**2 + 2.0 * ddelta_r)}
+
+
+def _plateau_cases():
+    from endspec.models import (euclidean_model, exp_model, free_model,
+                                hyperbolic_model, multiend_model, power_model,
+                                stretched_exp_model, tabulated_model)
+    rt = np.linspace(1.0, 100.0, 4000)
+    return {"free": free_model(), "euclidean2": euclidean_model(2),
+            "euclidean3": euclidean_model(3), "power1": power_model(1.0, 3),
+            "power1_r0_3": power_model(1.0, 3, r0=3.0),
+            "exp": exp_model(1.0, 3, lower_c=0.5, lower_theta=0.5),
+            "stretched_exp": stretched_exp_model(1.0, 0.5, 3),
+            "hyperbolic3": hyperbolic_model(3),
+            "tabulated": tabulated_model(rt, rt**1.5, d=3),
+            "multiend": multiend_model()}
+
+
+@pytest.mark.parametrize("name", sorted(_plateau_cases()))
+def test_plateau_geometry_matches_full_evaluation_bitwise(name):
+    model = _plateau_cases()[name]
+    r0 = model.cutoffs.r0
+    edges = [r0 / 2.0, r0]
+    around = [x for e in edges
+              for x in (np.nextafter(e, 0.0), e, np.nextafter(e, np.inf))]
+    radii = [np.array(sorted(x for x in around if x >= 1.0) + [1.0, 1.7, 40.0]),
+             np.linspace(1.0, 2.0 * r0 + 0.3, 257), np.linspace(r0, 90.0, 100),
+             model.make_grid(64.0, 0.05).radii]
+    scalars = [1.0, r0 / 2.0, 0.75 * r0, r0, np.nextafter(r0, 0.0), 3.0 * r0]
+    for r in radii + scalars:
+        got = geometry_at(model.profile, model.cutoffs, r)
+        ref = _geometry_direct(model.profile, model.cutoffs, r)
+        assert got.r is not None and np.shape(got.r) == np.shape(r)
+        for field, value in ref.items():
+            a = np.asarray(getattr(got, field), dtype=float)
+            b = np.asarray(value, dtype=float)
+            assert a.shape == b.shape, field
+            assert np.array_equal(a.view(np.uint64), b.view(np.uint64)), field

@@ -252,6 +252,47 @@ def test_resolvent_reuse_matches_fresh_solves(policy):
         assert got.growth == ref.growth
 
 
+@pytest.mark.parametrize("policy", [None, OuterPolicy.outgoing(np.sqrt(2.0), +1),
+                                    "pivoting"])
+def test_support_source_matches_full_grid_source(policy):
+    # a source given as (start, values) and the same source on the full
+    # grid: the same phi, bit for bit, through both solve paths.  Spans at
+    # the inner wall, over the whole grid and on the last unknown included;
+    # entries at the wall and past the last unknown are dropped either way.
+    # Two residual blocks: one span crosses the edge between them.
+    m = free_model()
+    grid = uniform_grid(256.0, 0.02)
+    assert grid.n > _RESIDUAL_BLOCK + 1000
+    z = 1.0 + 0.2j
+    if policy == "pivoting":
+        op = _pivoting_operator(grid, z)
+    else:
+        op = m.operator(0.0, grid, z, policy)
+    n, last = grid.n, FIRST_UNKNOWN + op.n_unknowns - 1
+    rng = np.random.default_rng(11)
+    spans = [(0, 1), (0, 5), (0, n), (1, 7), (40, 300), (_RESIDUAL_BLOCK - 100, 900),
+             (last - 5, 6), (last, 1), (n - 9, 9), (n - 1, 1)]
+    res = Resolvent(op, allow_unabsorbed=True)
+    for start, size in spans:
+        vals = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+        full = np.zeros(n, dtype=complex)
+        full[start:start + size] = vals
+        for solve in (res, lambda psi: resolve(op, psi, allow_unabsorbed=True)):
+            ref, got = solve(full), solve((start, vals))
+            assert np.array_equal(got.phi.view(np.uint64), ref.phi.view(np.uint64))
+            # ||rhs|| summed over the support instead of the unknowns
+            assert got.growth == pytest.approx(ref.growth, rel=1e-14, abs=0.0)
+            assert got.residual == pytest.approx(ref.residual, rel=1e-14, abs=0.0)
+        if start + size <= FIRST_UNKNOWN or start > last:
+            assert not np.any(got.phi)
+    # the values of a support lie on the grid
+    for start, size in ((-1, 3), (n - 2, 3), (n, 1)):
+        with pytest.raises(ContractError):
+            res((start, np.ones(size, dtype=complex)))
+    with pytest.raises(ContractError):
+        resolve(op, (0, np.ones((2, 2), dtype=complex)), allow_unabsorbed=True)
+
+
 def test_resolvent_guards_on_reuse():
     m = free_model()
     grid = uniform_grid(32.0, 0.02)
@@ -441,6 +482,21 @@ def test_one_source_solve_peak_memory_in_grid_vectors():
         tracemalloc.stop()
     assert sol.phi.size == grid.n
     assert peak / (16.0 * grid.n) <= 4.5
+    # the source given as its support, (start, values): the same solve, and
+    # no full-grid copy of the source anywhere
+    span = slice(40, 110)
+    assert not np.any(psi[:span.start]) and not np.any(psi[span.stop:])
+    vals = psi[span].copy()
+    del psi
+    tracemalloc.start()
+    try:
+        entry = tracemalloc.get_traced_memory()[0]
+        compact = resolve(op, (span.start, vals))
+        peak = tracemalloc.get_traced_memory()[1] - entry
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(compact.phi.view(np.uint64), sol.phi.view(np.uint64))
+    assert peak / (16.0 * grid.n) <= 4.5
 
 
 @pytest.mark.parametrize("gammas", [[0.5], [0.3, 0.5, 0.8]])
@@ -515,6 +571,15 @@ def test_nan_residual_is_refused(monkeypatch):
 
 # --- the residual summed in blocks ----------------------------------------------
 
+def _rows_rhs(op, psi):
+    """The full-grid source psi on the unknowns, scaled like their rows: the
+    outgoing last row is halved."""
+    b = psi[FIRST_UNKNOWN:FIRST_UNKNOWN + op.n_unknowns].copy()
+    if op.policy.kind == "outgoing":
+        b[-1] *= 0.5
+    return b
+
+
 @pytest.mark.parametrize("policy", _POLICIES)
 @pytest.mark.parametrize("n", [100, 2 * _RESIDUAL_BLOCK, 2 * _RESIDUAL_BLOCK + 1],
                          ids=["below_block", "block_multiple", "past_multiple"])
@@ -526,7 +591,7 @@ def test_block_residual_matches_matvec(policy, n):
     i0 = FIRST_UNKNOWN
     rng = np.random.default_rng(n)
     psi = rng.standard_normal(grid.n) + 1j * rng.standard_normal(grid.n)
-    rhs = op.rhs(psi)
+    rhs = _rows_rhs(op, psi)
     # the verified solve: its residual is roundoff, which vectorized and
     # scalar loops round differently, so it is compared as in the test above
     sol = Resolvent(op, allow_unabsorbed=True)(psi)
@@ -536,8 +601,19 @@ def test_block_residual_matches_matvec(policy, n):
     phi = np.zeros(grid.n, dtype=complex)
     phi[i0:i0 + n] = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     ref = np.linalg.norm(op.matvec(phi[i0:i0 + n]) - rhs)
-    got = np.sqrt(endspec.solver._residual_sq(op, phi, rhs))
+    got = np.sqrt(endspec.solver._residual_sq(op, phi, 0, psi[i0:i0 + n]))
     assert got == pytest.approx(ref, rel=1e-12, abs=0.0)
+    # a source on a few rows, across a block edge and up to the last row:
+    # subtracted only where it lies, the rest of every block as it is
+    for first, m in ((0, 3), (_RESIDUAL_BLOCK - 2, 5), (n - 4, 4), (n - 1, 1)):
+        if first < 0 or first + m > n:
+            continue
+        b = psi[i0 + first:i0 + first + m]
+        compact = np.zeros(grid.n, dtype=complex)
+        compact[i0 + first:i0 + first + m] = b
+        ref = np.linalg.norm(op.matvec(phi[i0:i0 + n]) - _rows_rhs(op, compact))
+        got = np.sqrt(endspec.solver._residual_sq(op, phi, first, b))
+        assert got == pytest.approx(ref, rel=1e-12, abs=0.0)
 
 
 # --- companion eigen-scans compute values only ------------------------------------
