@@ -1,6 +1,6 @@
 """Command-line front end.
 
-    endspec COMMAND --config PATH [--out DIR] [--seed N] [--jobs N] [--strict]
+    endspec COMMAND --config PATH [--out DIR] [--seed N] [--strict]
 
 COMMAND selects which experiment blocks run:
 
@@ -13,17 +13,16 @@ COMMAND selects which experiment blocks run:
     sommerfeld  outgoing-vs-shift comparisons
     riccati     phase construction and Riccati residual fits
 
-Each experiment writes a CSV (and optionally an SVG) into the output
-directory and prints a one-line verdict.  Exit status: 0 if every verdict
-passes, 2 if any is inconclusive, 1 on failure or error (--strict turns
-inconclusive into failure).
+The selected blocks run one after another, in config order; each writes a
+CSV (and optionally an SVG) into the output directory and prints a one-line
+verdict.  Exit status: 0 if every verdict passes, 2 if any is inconclusive,
+1 on failure or error (--strict turns inconclusive into failure).
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -301,8 +300,8 @@ _RUNNERS = {
 
 
 def run(cfg: RunConfig, command: str, out_dir=None, seed: int = 0,
-        jobs: int = 1, strict: bool = False) -> int:
-    """Execute the experiment blocks selected by the command.
+        strict: bool = False) -> int:
+    """Execute the experiment blocks selected by the command, in config order.
 
     Returns the exit status (0 pass, 2 inconclusive, 1 failure/error).
     """
@@ -326,21 +325,13 @@ def run(cfg: RunConfig, command: str, out_dir=None, seed: int = 0,
         print(f"error: cannot build the model: {exc}", file=sys.stderr)
         return 1
 
-    def _one(exp):
-        try:
-            return (exp.name, *_RUNNERS[exp.kind](cfg, model, exp, out_dir, seed))
-        except EndspecError as exc:
-            return exp.name, "error", str(exc)
-
-    if jobs > 1 and len(selected) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_one, selected))
-    else:
-        results = [_one(e) for e in selected]
-
     status = 0
-    for name, verdict, detail in results:
-        print(f"{name}: {verdict.upper()} ({detail})")
+    for exp in selected:
+        try:
+            verdict, detail = _RUNNERS[exp.kind](cfg, model, exp, out_dir, seed)
+        except EndspecError as exc:
+            verdict, detail = "error", str(exc)
+        print(f"{exp.name}: {verdict.upper()} ({detail})")
         if verdict in ("fail", "error"):
             status = 1
         elif verdict == "inconclusive" and status == 0:
@@ -356,7 +347,6 @@ def main(argv=None) -> int:
     parser.add_argument("--config", required=True, help="run configuration file")
     parser.add_argument("--out", default=None, help="output directory")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--jobs", type=int, default=1)
     parser.add_argument("--strict", action="store_true",
                         help="treat inconclusive verdicts as failures")
     args = parser.parse_args(argv)
@@ -372,7 +362,7 @@ def main(argv=None) -> int:
             print(f"config error: {v}", file=sys.stderr)
         return 1
     return run(cfg, args.command, out_dir=args.out, seed=args.seed,
-               jobs=args.jobs, strict=args.strict)
+               strict=args.strict)
 
 
 if __name__ == "__main__":

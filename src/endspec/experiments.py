@@ -72,6 +72,10 @@ class Bump:
     b: float = 3.0
     amplitude: float = 1.0
 
+    def __post_init__(self):
+        if not self.b > self.a:
+            raise ContractError(f"a bump needs a < b, got a={self.a}, b={self.b}")
+
     def values(self, grid: RadialGrid) -> np.ndarray:
         """The probe on the grid (complex); the bump is evaluated on
         ``span(grid)`` only and every other node is zero."""
@@ -218,28 +222,31 @@ def _solve_modes(ops, z: complex, psi_vals, policy=None):
     return {mu: resolve(op.shifted(z, policy), psi_vals).phi for mu, op in ops.items()}
 
 
-def _radiation_transform(grid, a_disc, sign_a, weight=None):
-    """(A - sign_a * a) phi with the two edge nodes masked.
-
-    The derivative stencil is one-sided at the grid edges, where it does not
-    satisfy the discrete dispersion relation; those two nodes carry pure
-    discretization residue and are excluded from radiation measurements.
-    """
-    def transform(mu, u):
-        v = apply_A(u, grid) - sign_a * a_disc * u
-        if weight is not None:
-            v = weight * v
-        v = v.copy()
-        v[0] = 0.0
-        v[-1] = 0.0
-        return v
-    return transform
-
-
 def _derivatives(grid: RadialGrid, solutions) -> dict:
     """u' of each mode's solution by the central stencil, taken once for
     every quantity built from it."""
     return {mu: _central_derivative(u, grid.h) for mu, u in solutions.items()}
+
+
+def _radiation_remainders(a_sols, solutions, a_disc, sign_a, weight=None) -> dict:
+    """(A - sign_a * a) phi of each mode from its A phi in ``a_sols``, times
+    ``weight`` if given, with the two edge nodes masked: the derivative
+    stencil is one-sided there and misses the discrete dispersion relation,
+    so they carry pure discretization residue."""
+    out = {}
+    for mu, u in solutions.items():
+        v = a_sols[mu] - sign_a * a_disc * u
+        if weight is not None:
+            v = weight * v
+        v[0] = v[-1] = 0.0
+        out[mu] = v
+    return out
+
+
+def _radiation_zone(r_lam: float, psi: Bump) -> int:
+    """The first annulus of the radiation zone: that of the first dyadic
+    radius past both the source support and the phase threshold r_lambda."""
+    return int(math.ceil(math.log2(max(r_lam, 2.0 * psi.b))))
 
 
 def _apply_pr(grid: RadialGrid, pt, u, du):
@@ -285,12 +292,8 @@ def _h_form(grid: RadialGrid, densities, modes, weight=None, beta: float = 0.0):
     return total
 
 
-def _mode_besov(grid, solutions, modes, transform=None, nu_min=None) -> BesovProfile:
-    funcs = []
-    for mu, mult in modes:
-        v = solutions[mu] if transform is None else transform(mu, solutions[mu])
-        funcs.append((v, mult))
-    prof = besov_from_modes(funcs, grid)
+def _mode_besov(grid, solutions, modes, nu_min=None) -> BesovProfile:
+    prof = besov_from_modes([(solutions[mu], mult) for mu, mult in modes], grid)
     return prof if nu_min is None else prof.restrict(nu_min)
 
 
@@ -357,12 +360,12 @@ def lap_sweep(model: Model, lam: float, gammas, psi: Bump | None = None,
         dsols = _derivatives(grid, sols)
         phi_bstar = _mode_besov(grid, sols, modes).bstar
         pr_bstar = _mode_besov(
-            grid, sols, modes,
-            transform=lambda mu, u: _apply_pr(grid, pt, u, dsols[mu])).bstar
+            grid, {mu: _apply_pr(grid, pt, u, dsols[mu]) for mu, u in sols.items()},
+            modes).bstar
         h_form = _h_form(grid, _h_densities(grid, pt, report, sols, dsols), modes)
         h0_bstar = _mode_besov(
-            grid, sols, modes,
-            transform=lambda mu, u: psi_vals + (z - vvals) * u).bstar
+            grid, {mu: psi_vals + (z - vvals) * u for mu, u in sols.items()},
+            modes).bstar
         # the absorption guard refuses every solve "unreliable" would flag
         rows.append([g, phi_bstar, pr_bstar, math.sqrt(max(h_form, 0.0)),
                      h0_bstar, psi_b, False])
@@ -417,9 +420,13 @@ def radiation_sweep(model: Model, lam: float, gammas, betas,
     psi_vals = psi.normalized(grid)
     modes = model.modes(mode_cap)
     r_lam = r_lambda(model.profile, model.potential, lam, lambda0=lam0)
-    nu_far = int(math.ceil(math.log2(max(r_lam, 2.0 * psi.b))))
-    rr = grid.radii
+    nu_far = _radiation_zone(r_lam, psi)
     ops, pt = _mode_operators(model, grid, modes, complex(lam, gammas[0]))
+    weighted = []  # (beta, r^beta, ||r^beta psi||_B): none depends on Gamma
+    for b in betas:
+        w = grid.radii**b
+        weighted.append((b, w, _mode_besov(grid, {mu: w * psi_vals for mu, _ in modes},
+                                           modes).b))
 
     rows = []
     for g in gammas:
@@ -428,19 +435,17 @@ def radiation_sweep(model: Model, lam: float, gammas, betas,
                                   cutoffs=model.cutoffs, r_lam=r_lam)
         sols = _solve_modes(ops, z, psi_vals, policy=policy)
         a_disc = grid_phase(ph.a, grid.h)
-        dens = _h_densities(grid, pt, report, sols, _derivatives(grid, sols))
+        dsols = _derivatives(grid, sols)
+        a_sols = {mu: apply_A(u, grid, dsols[mu]) for mu, u in sols.items()}
+        dens = _h_densities(grid, pt, report, sols, dsols)
         wrong = _mode_besov(
-            grid, sols, modes,
-            transform=_radiation_transform(grid, a_disc, -1),
+            grid, _radiation_remainders(a_sols, sols, a_disc, -1), modes,
             nu_min=nu_far).bstar
-        for b in betas:
+        for b, w, psi_bnorm in weighted:
             right = _mode_besov(
-                grid, sols, modes,
-                transform=_radiation_transform(grid, a_disc, +1, weight=rr**b),
-                nu_min=nu_far).bstar
+                grid, _radiation_remainders(a_sols, sols, a_disc, +1, weight=w),
+                modes, nu_min=nu_far).bstar
             h2b = _h_form(grid, dens, modes, beta=b)
-            psi_bnorm = _mode_besov(
-                grid, {mu: rr**b * psi_vals for mu, _ in modes}, modes).b
             rows.append([g, b, right, math.sqrt(max(h2b, 0.0)), wrong,
                          psi_bnorm, b >= report.beta_c])
 
@@ -461,10 +466,8 @@ def radiation_sweep(model: Model, lam: float, gammas, betas,
         v, ratio = _ratio_verdict(vals, bound_factor)
         verdicts.append(v)
         ratios[f"ratio_beta_{b:g}"] = ratio
-    g_min = gammas[0]
-    right0 = [row[2] for row in rows if row[0] == g_min and row[1] == min(betas)]
-    wrong0 = [row[4] for row in rows if row[0] == g_min and row[1] == min(betas)]
-    discrimination = wrong0[0] / right0[0] if right0 and right0[0] > 0 else float("inf")
+    row0 = next(row for row in rows if row[0] == gammas[0] and row[1] == min(betas))
+    discrimination = row0[4] / row0[2] if row0[2] > 0 else float("inf")
     verdict = ("fail" if "fail" in verdicts
                else "inconclusive" if not verdicts else "pass")
     meta = {"model": model.name, "lambda": lam, "lambda0": lam0, "h": h,
@@ -487,7 +490,7 @@ _PROBE_NU_MAX = 6
 def probe_set(grid: RadialGrid, n_probes: int, seed: int):
     """Deterministic smooth bumps at distinct annuli."""
     rng = np.random.default_rng(seed)
-    nu_hi = min(_PROBE_NU_MAX, int(np.max(grid.nu)) - 1)
+    nu_hi = min(_PROBE_NU_MAX, grid.top_annulus - 1)
     nus = rng.choice(np.arange(0, max(nu_hi, 1)),
                      size=n_probes, replace=n_probes > nu_hi)
     probes = []
@@ -743,12 +746,11 @@ def sommerfeld_compare(model: Model, lam: float, psi: Bump | None = None,
     rel = disc / math.sqrt(ref_sq) if ref_sq > 0 else 0.0
     disc_bstar = besov_from_modes(disc_bstar_funcs, grid_w).bstar
 
-    nu_far = int(math.ceil(math.log2(max(ph.r_lambda, 2.0 * psi.b))))
-    a_disc = grid_phase(ph.a, grid_w.h)
-    rad_prof = _mode_besov(
-        grid_w, out_sols, modes,
-        transform=_radiation_transform(grid_w, a_disc, sign),
-        nu_min=nu_far)
+    nu_far = _radiation_zone(ph.r_lambda, psi)
+    dsols = _derivatives(grid_w, out_sols)
+    a_sols = {mu: apply_A(u, grid_w, dsols[mu]) for mu, u in out_sols.items()}
+    remainders = _radiation_remainders(a_sols, out_sols, grid_phase(ph.a, grid_w.h), sign)
+    rad_prof = _mode_besov(grid_w, remainders, modes, nu_min=nu_far)
     slope = rad_prof.tail_slope()
     floor = fd_dispersion_floor(lam, h)
     phi_scale = _mode_besov(grid_w, out_sols, modes).bstar
@@ -817,11 +819,12 @@ def besov_energy_check(model: Model, z: complex, psi: Bump | None = None,
     states = {}
     for g in gammas:
         sols = _solve_modes(ops, complex(lam, g), psi_vals)
-        a_sols = {mu: apply_A(u, grid) for mu, u in sols.items()}
+        dsols = _derivatives(grid, sols)
+        a_sols = {mu: apply_A(u, grid, dsols[mu]) for mu, u in sols.items()}
         states[g] = (sols, a_sols,
                      _mode_besov(grid, sols, modes).bstar,
                      _mode_besov(grid, a_sols, modes).bstar,
-                     _h_densities(grid, pt, report, sols, _derivatives(grid, sols)))
+                     _h_densities(grid, pt, report, sols, dsols))
 
     nus = [int(n_) for n_ in nus]
     nu_mid = sorted(nus)[len(nus) // 2]

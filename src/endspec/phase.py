@@ -280,12 +280,14 @@ def _magnus_inward(potential, z, r_eval, bp_end, step):
     return np.asarray(bs)[ends], np.asarray(bps)[ends]
 
 
-def apply_A(phi, grid: RadialGrid):
+def apply_A(phi, grid: RadialGrid, dphi=None):
     """Apply A = p^r - (i/2) Delta r to a reduced (density-flattened) grid
     function, on which it acts as -i (r' u' + r'' u / 2) with r', r'' from
     the grid (-i d/dr on warped ends).  Central differences make the
     discrete operator symmetric for interior-supported functions on warped
-    ends.
+    ends; ``dphi`` is a u' the caller already took with the same stencil.
     """
     values = np.asarray(phi, dtype=complex)
-    return -1j * (grid.dr * _central_derivative(values, grid.h) + 0.5 * grid.d2r * values)
+    if dphi is None:
+        dphi = _central_derivative(values, grid.h)
+    return -1j * (grid.dr * dphi + 0.5 * grid.d2r * values)

@@ -98,12 +98,16 @@ class RadialGrid:
         return nu
 
     @property
+    def top_annulus(self) -> int:
+        """Largest entry of ``nu``, read from the last radius alone."""
+        return int(_annulus_index(self.radii[-1:])[0])
+
+    @property
     def partial_outer(self) -> bool:
         """Whether the top annulus is cut short: the node at r_max = 2^m
         opens annulus m with a single point, and any non-dyadic r_max
         truncates its top annulus.  Taken from the last radius alone."""
-        top = _annulus_index(self.radii[-1:])[0]
-        return bool(self.radii[-1] < 2.0 ** (top + 1) - 1e-12)
+        return bool(self.radii[-1] < 2.0 ** (self.top_annulus + 1) - 1e-12)
 
     def prefix(self, n: int) -> "RadialGrid":
         """The grid of the first n nodes, as views of this grid's arrays: the

@@ -416,8 +416,9 @@ gammas = 0.1, 0.01
         (tmp_path / "b" / "sweep.csv").read_bytes()
 
 
-def test_parallel_jobs_match_serial(tmp_path, capsys):
-    text = """
+def test_blocks_run_in_config_order_without_a_jobs_option(tmp_path, capsys):
+    path = tmp_path / "two.cfg"
+    path.write_text("""
 [model]
 kind = free
 
@@ -433,13 +434,24 @@ gammas = 0.1, 0.01
 kind = lap
 lambda = 2.0
 gammas = 0.1, 0.01
-"""
-    cfg = parse_config(text)
-    assert run(cfg, "lap", out_dir=tmp_path / "serial", jobs=1) == 0
-    assert run(cfg, "lap", out_dir=tmp_path / "par", jobs=2) == 0
-    for name in ("one.csv", "two.csv"):
-        assert (tmp_path / "serial" / name).read_bytes() == \
-            (tmp_path / "par" / name).read_bytes()
+""")
+    assert cli.main(["lap", "--config", str(path), "--out", str(tmp_path)]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in out] == ["one", "two"]
+    assert "jobs" not in inspect.signature(run).parameters
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["lap", "--config", str(path), "--jobs", "2"])
+    assert exc.value.code == 2
+    assert "--jobs" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("a, b", [(3.0, 3.0), (3.0, 2.0)])
+def test_empty_bump_support_is_an_error_line(tmp_path, capsys, recwarn, a, b):
+    cfg = parse_config(MINIMAL + f"psi_a = {a}\npsi_b = {b}\n")
+    assert run(cfg, "lap", out_dir=tmp_path) == 1
+    out = capsys.readouterr().out
+    assert out.startswith("sweep: ERROR (") and "a < b" in out
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
 def test_config_hash_in_outputs(tmp_path, capsys):

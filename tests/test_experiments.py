@@ -9,11 +9,11 @@ import pytest
 import endspec.experiments
 from endspec.errors import AbsorptionError, ContractError
 from endspec.experiments import (Bump, WeightSpec, besov_energy_check,
-                                 hoelder_estimate, lap_sweep, radiation_sweep,
-                                 shift_r_max, sommerfeld_compare)
+                                 hoelder_estimate, lap_sweep, probe_set,
+                                 radiation_sweep, shift_r_max, sommerfeld_compare)
 from endspec.models import (euclidean_model, free_model, hyperbolic_model,
                             multiend_model, square_well_model)
-from endspec.radial import smooth_bump, uniform_grid, weighted_norm
+from endspec.radial import RadialGrid, smooth_bump, uniform_grid, weighted_norm
 from endspec.solver import ABSORPTION, resolve
 
 
@@ -116,6 +116,37 @@ def test_h_form_on_the_line_keeps_the_escape_curvature():
     densities = _h_densities(grid, pt, rep, sols, _derivatives(grid, sols))
     got = _h_form(grid, densities, modes)
     assert got == float(np.sum(grid.weights * dens))
+
+
+@pytest.fixture
+def derivative_calls(monkeypatch):
+    """The size of every central derivative taken, through either name."""
+    import endspec.phase
+    original = endspec.phase._central_derivative
+    sizes = []
+
+    def counted(values, h):
+        sizes.append(values.size)
+        return original(values, h)
+
+    monkeypatch.setattr(endspec.phase, "_central_derivative", counted)
+    monkeypatch.setattr(endspec.experiments, "_central_derivative", counted)
+    return sizes
+
+
+@pytest.mark.parametrize("experiment, n_gammas", [
+    (lambda m: lap_sweep(m, 2.0, [0.1, 0.01], h=0.05), 2),
+    (lambda m: radiation_sweep(m, 2.0, [0.1, 0.01], [0.0, 0.5, 1.0], h=0.05), 2),
+    (lambda m: besov_energy_check(m, complex(2.0, 0.1), h=0.05), 3),
+    # only the outgoing solve is differentiated, once per mode
+    (lambda m: sommerfeld_compare(m, 2.0, h=0.05, gamma_top=0.02,
+                                  window_r_max=32.0, mode_cap=6.5), 1),
+], ids=["lap", "radiation", "besov_energy", "sommerfeld"])
+def test_each_solution_is_differentiated_once(derivative_calls, experiment,
+                                              n_gammas):
+    m = euclidean_model(3)
+    experiment(m)
+    assert len(derivative_calls) == n_gammas * len(m.modes(6.5)) == n_gammas * 3
 
 
 def test_radiation_beta_zero_consistent_with_lap():
@@ -438,6 +469,32 @@ def test_hoelder_refuses_ladders_that_fit_nothing(kw, message):
     # an IndexError: each is refused before any solve
     with pytest.raises(ContractError, match=message):
         hoelder_estimate(free_model(), 1.0, 1.0, gamma_top=0.256, h=0.05, **kw)
+
+
+@pytest.mark.parametrize("grid_of", [
+    lambda: uniform_grid(64.0, 0.02),               # dyadic: one node opens nu = 6
+    lambda: uniform_grid(100.0, 0.03),              # non-dyadic
+    lambda: uniform_grid(8.0, 0.05),                # fewer annuli than probes
+    lambda: multiend_model().make_grid(40.0, 0.05),  # the line
+], ids=["dyadic", "non-dyadic", "short", "line"])
+@pytest.mark.parametrize("n_probes, seed", [(8, 0), (3, 17)])
+def test_probe_set_reads_the_top_annulus_from_the_last_radius(
+        monkeypatch, grid_of, n_probes, seed):
+    grid = grid_of()
+    probes = probe_set(grid, n_probes, seed)
+    assert "nu" not in vars(grid)
+    top = grid.top_annulus
+    # the rule it replaces: the largest entry of the whole annulus map
+    monkeypatch.setattr(RadialGrid, "top_annulus",
+                        property(lambda g: int(np.max(g.nu))))
+    assert probe_set(grid, n_probes, seed) == probes
+    assert "nu" in vars(grid) and top == int(np.max(grid.nu))
+
+
+@pytest.mark.parametrize("a, b", [(3.0, 3.0), (3.0, 2.0), (math.nan, 3.0)])
+def test_bump_refuses_an_empty_support(a, b):
+    with pytest.raises(ContractError, match="a < b"):
+        Bump(a, b)
 
 
 # --- probes on their span, the extrapolation on the window ------------------------

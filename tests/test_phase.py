@@ -4,8 +4,8 @@ import pytest
 from endspec.errors import BranchError, ContractError
 from endspec.geometry import PotentialSplit, const_profile
 from endspec.models import euclidean_model, free_model, multiend_model
-from endspec.phase import (apply_A, grid_phase, phase_a, r_lambda,
-                           riccati_exact, riccati_residual)
+from endspec.phase import (_central_derivative, apply_A, grid_phase, phase_a,
+                           r_lambda, riccati_exact, riccati_residual)
 from endspec.radial import uniform_grid
 
 from oracles import threshold_radius_bisection
@@ -235,6 +235,17 @@ def test_apply_A_symmetric():
     lhs = inner(a_phi, psi, grid)
     rhs = inner(phi, a_psi, grid)
     assert abs(lhs - rhs) < 1e-6
+
+
+@pytest.mark.parametrize("grid", [uniform_grid(32.0, 0.05),
+                                  multiend_model().make_grid(32.0, 0.05)],
+                         ids=["uniform", "line"])
+def test_apply_A_from_a_supplied_derivative_is_bitwise(grid):
+    # the sweeps take u' once and build A u from it
+    rng = np.random.default_rng(0)
+    u = rng.standard_normal(grid.n) + 1j * rng.standard_normal(grid.n)
+    du = _central_derivative(u, grid.h)
+    assert apply_A(u, grid, du).tobytes() == apply_A(u, grid).tobytes()
 
 
 def test_apply_A_line_uses_escape_derivatives():
