@@ -221,12 +221,11 @@ def _run_rellich(cfg, model, exp, out_dir, seed):
         op2 = model.operator(0.0, grid2, 0.0, OuterPolicy.dirichlet(),
                              resolution_action="warn")
         scan = eigen_scan_tridiag(op.dd.real, op.dl.real, grid, interval,
-                                  dd2=op2.dd.real, dl2=op2.dl.real, grid2=grid2,
-                                  thresholds=model.thresholds, lambda0=lam0)
+                                  dd2=op2.dd.real, dl2=op2.dl.real,
+                                  thresholds=model.thresholds)
     else:
         scan = eigen_scan(model.profile, model.potential, 0.0, grid, interval,
-                          thresholds=model.thresholds, lambda0=lam0,
-                          cutoffs=model.cutoffs)
+                          thresholds=model.thresholds)
     rows = [[e.eigenvalue, e.refined, e.drift, e.profile_slope,
              e.artifact, e.near_threshold] for e in scan.entries]
     write_csv(out_dir / f"{exp.name}.csv",
@@ -266,8 +265,8 @@ def _run_riccati(cfg, model, exp, out_dir, seed):
     report = model.conditions()
     r_lam = r_lambda(model.profile, model.potential, lam, lambda0=lam0)
     ph = phase_a(model.profile, model.potential, z, opt.get("sign", 1), grid,
-                 cutoffs=model.cutoffs, r_lam=r_lam)
-    resid = riccati_residual(ph, model.profile, model.potential, grid)
+                 r_lam=r_lam)
+    resid = riccati_residual(ph, model.potential)
     rows = [[float(r), float(a.real), float(a.imag), float(v)]
             for r, a, v in zip(grid.radii, ph.a,
                                np.interp(grid.radii, resid.r, resid.residual))]
@@ -313,8 +312,7 @@ def run(cfg: RunConfig, command: str, out_dir=None, seed: int = 0,
     kinds = _COMMAND_KINDS[command]
     selected = [e for e in cfg.experiments if e.kind in kinds]
     if not selected and command == "check":
-        selected = [ExperimentConfig(name="check", kind="check", options={},
-                                     line_no=0)]
+        selected = [ExperimentConfig(name="check", kind="check", options={})]
     if not selected:
         print(f"error: no experiment blocks of kind {sorted(kinds)} in config",
               file=sys.stderr)

@@ -37,7 +37,6 @@ from typing import Callable
 
 import numpy as np
 
-from .cutoffs import CutoffSpec
 from .errors import ContractError, EvaluationError
 from .geometry import (TAIL_HORIZON, PotentialSplit, WarpProfile,
                        critical_energy, geometry_at)
@@ -276,7 +275,6 @@ def _sigma_search(rr, lhs, caps):
 
 
 def check_conditions(profile: WarpProfile, potential: PotentialSplit,
-                     cutoffs: CutoffSpec | None = None,
                      grid: np.ndarray | None = None,
                      caps: Caps | None = None) -> ConditionReport:
     """Verify the warped-model conditions and extract the best constants.
@@ -286,12 +284,10 @@ def check_conditions(profile: WarpProfile, potential: PotentialSplit,
     beta_c = min{sigma, tau, rho} / 2.
     """
     caps = caps or Caps()
-    if cutoffs is None:
-        cutoffs = CutoffSpec(r0=profile.r0)
     rr = condition_grid() if grid is None else np.asarray(grid, dtype=float)
     if rr[0] < 1.0 or np.any(np.diff(rr) <= 0):
         raise ContractError("condition grid must increase within [1, horizon]")
-    pt = geometry_at(profile, cutoffs, rr)
+    pt = geometry_at(profile, rr)
     rows: list[InequalityRow] = []
 
     # --- convexity: r f'/(2 f) >= sigma/2 - C r^{-tau} on the ell-block -----

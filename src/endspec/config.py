@@ -114,7 +114,6 @@ class ExperimentConfig:
     name: str
     kind: str
     options: dict
-    line_no: int
 
 
 @dataclass
@@ -187,7 +186,7 @@ def parse_config(text: str) -> RunConfig:
                     continue
                 exp_lines[name] = line_no
                 experiments.append(ExperimentConfig(name=name, kind="",
-                                                    options={}, line_no=line_no))
+                                                    options={}))
                 section = ("experiment", name, line_no)
             else:
                 errors.append(f"line {line_no}: unknown section [{header}]")

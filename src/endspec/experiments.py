@@ -162,7 +162,6 @@ class ComparisonReport:
     disc_bstar: float
     rel_weighted: float
     radiation_slope: float | None
-    radiation_floor: float
     extrapolation_gaps: tuple
     verdict: str
     meta: dict = field(default_factory=dict)
@@ -212,7 +211,7 @@ def _mode_operators(model: Model, grid: RadialGrid, modes, z: complex):
     diagonal; the geometry is returned for ``_apply_pr`` and ``_h_densities``.
     Other z reuse the diagonals through ``RadialOperator.shifted``.
     """
-    pt = geometry_at(model.profile, model.cutoffs, grid.radii)
+    pt = geometry_at(model.profile, grid.radii)
     background = (pt, model.potential.V(grid.nodes))
     return {mu: model.operator(mu, grid, z, background=background)
             for mu, _ in modes}, pt
@@ -432,7 +431,7 @@ def radiation_sweep(model: Model, lam: float, gammas, betas,
     for g in gammas:
         z = complex(lam, g)
         policy, ph = outgoing_row(model.profile, model.potential, grid, z, sign,
-                                  cutoffs=model.cutoffs, r_lam=r_lam)
+                                  r_lam=r_lam)
         sols = _solve_modes(ops, z, psi_vals, policy=policy)
         a_disc = grid_phase(ph.a, grid.h)
         dsols = _derivatives(grid, sols)
@@ -707,7 +706,8 @@ def sommerfeld_compare(model: Model, lam: float, psi: Bump | None = None,
     criterion 8's setting only the top shift is trimmed, and it enters only
     ``extrapolation_gaps``: the discrepancies and the verdict are those of
     whole-domain solves bit for bit, and the gaps move by roundoff
-    (9.3e-12 relative).
+    (9.3e-12 relative).  Both solves take one source, ``psi`` normalised on
+    the window, so its support must end inside the window.
     """
     if not gamma_top > 0.0:
         raise ContractError(f"gamma_top must be positive, got {gamma_top}")
@@ -716,24 +716,23 @@ def sommerfeld_compare(model: Model, lam: float, psi: Bump | None = None,
     modes = model.modes(mode_cap)
 
     grid_w = model.make_grid(window_r_max, h)
+    if not psi.b <= grid_w.nodes[-1]:
+        raise ContractError(f"the source's support must end inside the window: "
+                            f"b = {psi.b} > {grid_w.nodes[-1]}")
     psi_w = psi.normalized(grid_w)
     policy, ph = outgoing_row(model.profile, model.potential, grid_w, complex(lam),
-                              sign, cutoffs=model.cutoffs, lambda0=model.lambda0())
+                              sign, lambda0=model.lambda0())
     ops = _mode_operators(model, grid_w, modes, complex(lam))[0]
     out_sols = _solve_modes(ops, complex(lam), psi_w, policy=policy)
 
     k = math.sqrt(2.0 * (lam - lam0))
     need = 1.0 + 12.0 * k / (2.0 * (gamma_top / 4.0))
     r_big = 2.0 ** math.ceil(math.log2(max(need, 2.0 * window_r_max)))
-    grid_b = model.make_grid(r_big, h)
-    # the shift solves take the source as its span.  Its normalisation is
-    # summed over the whole long grid, whose length fixes the rounding of
-    # the sum; it is taken on a copy of that grid, so that the full-grid
-    # source and the quadrature weights the norm builds are released before
-    # the solves and the long grid holds only its nodes
-    span = psi.span(grid_b)
-    psi_b = (span.start, psi.normalized(model.make_grid(r_big, h))[span].copy())
-    extrap, gaps = _richardson_gamma(model, grid_b, lam, gamma_top, psi_b,
+    # the window grid is the long grid's first grid_w.n nodes, so the shift
+    # solves take the outgoing solve's source, as its span on the window
+    span = psi.span(grid_w)
+    extrap, gaps = _richardson_gamma(model, model.make_grid(r_big, h), lam,
+                                     gamma_top, (span.start, psi_w[span]),
                                      modes, grid_w)
 
     disc_sq, ref_sq, disc_bstar_funcs = 0.0, 0.0, []
@@ -766,7 +765,6 @@ def sommerfeld_compare(model: Model, lam: float, psi: Bump | None = None,
         disc_weighted=float(disc), disc_bstar=float(disc_bstar),
         rel_weighted=float(rel),
         radiation_slope=None if slope is None else float(slope),
-        radiation_floor=float(floor),
         extrapolation_gaps=tuple(gaps), verdict=verdict,
         meta={"model": model.name, "lambda": lam, "beta": beta, "sign": sign,
               "h": h, "window_r_max": window_r_max, "r_big": r_big,
@@ -835,7 +833,7 @@ def besov_energy_check(model: Model, z: complex, psi: Bump | None = None,
         thetas.append((nu, w.theta(rr), grid.weights * w.dtheta(rr)))
 
     def rows_for_n(n):
-        chi_w = grid.weights * np.asarray(model.cutoffs.chi_n(rr, n), dtype=float)**2
+        chi_w = grid.weights * np.asarray(model.profile.cutoffs.chi_n(rr, n), dtype=float)**2
         scales = [(nu, th, w_dth, chi_w * th) for nu, th, w_dth in thetas]
         out = []
         for g in gammas:

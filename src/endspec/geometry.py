@@ -20,11 +20,16 @@ Below the interior radius r0 the mean curvature is interpolated to zero by
 the cutoff eta, realizing a model whose interior is the continued warped
 line [1, r0] with a Dirichlet wall at r = 1.
 
+The cutoff family belongs to the profile: ``WarpProfile.cutoffs`` is the
+``CutoffSpec`` at the end's r0, which only ``geometry_at`` and
+``q_geom_chain`` read.
+
 The effective potential is q = V + q_geom, split by the user as
-q = q1 + q2 (and further q1 = q11 + q12, q2 = q21 + q22) with declared
-decay exponents; the critical energy is the limsup of q1 at infinity,
-estimated from tail sups of q1 out to ``TAIL_HORIZON`` = 2^14 (the horizon
-of the condition grid and of the threshold-radius search as well).
+q = q1 + q2 (and further q1 = q11 + q12, q2 = q21 + q22); the decay
+exponents are outputs of the condition check.  The critical energy is the
+limsup of q1 at infinity, estimated from tail sups of q1 out to
+``TAIL_HORIZON`` = 2^14 (the horizon of the condition grid and of the
+threshold-radius search as well).
 """
 
 from __future__ import annotations
@@ -79,30 +84,30 @@ class WarpProfile:
         if (self.f is None) == (self.log_f is None):
             raise ContractError("a warp profile needs exactly one of f and log_f")
 
+    @property
+    def cutoffs(self) -> CutoffSpec:
+        """The interior cutoff eta = 1 - chi(2 r / r0) at this end's r0."""
+        return CutoffSpec(r0=self.r0)
+
 
 @dataclass(frozen=True)
 class PotentialSplit:
     """Potential V plus the splitting q = q1 + q2, q1 = q11 + q12, q2 = q21 + q22.
 
     All entries are callables.  V is taken at the integration coordinate (x
-    on the two-ended line), the splitting at r; q1 and q11 come with the
-    derivatives the condition checks need.  rho_prime and rho are the
-    declared decay exponents (re-fitted, not trusted, by the checker).
+    on the two-ended line), the splitting at r; of q11 and q12 only the
+    derivatives the condition checks read are kept.
     """
 
     V: Callable = _ZERO
     q1: Callable = _ZERO
     dq1: Callable = _ZERO
-    q11: Callable = _ZERO
     dq11: Callable = _ZERO
     d2q11: Callable = _ZERO
-    q12: Callable = _ZERO
     dq12: Callable = _ZERO
     q21: Callable = _ZERO
     dq21: Callable = _ZERO
     q22: Callable = _ZERO
-    rho_prime: float = 2.0
-    rho: float = 6.0
 
     def q2(self, r):
         return np.asarray(self.q21(r)) + np.asarray(self.q22(r))
@@ -120,7 +125,7 @@ class GeometryPoint:
     q_geom: np.ndarray       # (1/8) eta [ (Delta r)^2 + 2 d(Delta r)/dr ]
 
 
-def geometry_at(profile: WarpProfile, cutoffs: CutoffSpec | None, r) -> GeometryPoint:
+def geometry_at(profile: WarpProfile, r) -> GeometryPoint:
     """Evaluate all geometric quantities at radius r (scalar or array).
 
     The mean curvature uses the warped formula for r >= r0 and the
@@ -134,8 +139,7 @@ def geometry_at(profile: WarpProfile, cutoffs: CutoffSpec | None, r) -> Geometry
     below r0 (a handful on a long grid).  Every field is the value of the
     cutoff formula at every node, bit for bit.
     """
-    if cutoffs is None:
-        cutoffs = CutoffSpec(r0=profile.r0)
+    cutoffs = profile.cutoffs
     r = np.asarray(r, dtype=float)
     if np.any(r < 1.0):
         raise ContractError("radius must be >= 1")
@@ -180,7 +184,7 @@ def geometry_at(profile: WarpProfile, cutoffs: CutoffSpec | None, r) -> Geometry
                          eta=eta, q_geom=q_geom)
 
 
-def q_geom_chain(profile: WarpProfile, cutoffs: CutoffSpec | None, r):
+def q_geom_chain(profile: WarpProfile, r):
     """q_geom and its first two radial derivatives, in closed form.
 
     Needed by the condition checker (decay of q1', q11'') and by the phase
@@ -188,8 +192,7 @@ def q_geom_chain(profile: WarpProfile, cutoffs: CutoffSpec | None, r):
     derivatives; everything stays analytic except the jump of the third
     cutoff derivative at the band edges, which only affects a compact region.
     """
-    if cutoffs is None:
-        cutoffs = CutoffSpec(r0=profile.r0)
+    cutoffs = profile.cutoffs
     r = np.asarray(r, dtype=float)
     w, w1, w2, w3 = profile.log_chain(r)
     half = 0.5 * (profile.d - 1)
@@ -219,7 +222,6 @@ class CriticalEnergy:
     value: float
     residual: float
     converged: bool
-    horizon: float
 
 
 def critical_energy(profile: WarpProfile, potential: PotentialSplit,
@@ -251,7 +253,7 @@ def critical_energy(profile: WarpProfile, potential: PotentialSplit,
     prev = float(abs(tail[-2] - tail[-3])) if len(tail) >= 3 else residual
     converged = residual <= _TAIL_TOL and residual <= prev + _TAIL_TOL
     return CriticalEnergy(value=value, residual=residual,
-                          converged=bool(converged), horizon=float(horizon))
+                          converged=bool(converged))
 
 
 # ---------------------------------------------------------------------------
@@ -385,10 +387,8 @@ def tabulated_profile(r_table, f_table, d: int, r0: float = 2.0,
                        log_chain=log_chain, cross_section=cross_section, r0=r0)
 
 
-def geometric_split(profile: WarpProfile, cutoffs: CutoffSpec | None = None,
-                    V_long=None, dV_long=None, d2V_long=None,
-                    V_short=None, rho_prime: float = 2.0,
-                    rho: float = 6.0) -> PotentialSplit:
+def geometric_split(profile: WarpProfile, V_long=None, dV_long=None,
+                    d2V_long=None, V_short=None) -> PotentialSplit:
     """Natural splitting q1 = V_long + q_geom (= q11), q22 = V_short.
 
     Covers every built-in model: the geometric term and any smooth long-range
@@ -401,22 +401,21 @@ def geometric_split(profile: WarpProfile, cutoffs: CutoffSpec | None = None,
     vs = V_short or _ZERO
 
     def q1(r):
-        g0, _, _ = q_geom_chain(profile, cutoffs, r)
+        g0, _, _ = q_geom_chain(profile, r)
         return np.asarray(vl(r), dtype=float) + g0
 
     def dq1(r):
-        _, g1, _ = q_geom_chain(profile, cutoffs, r)
+        _, g1, _ = q_geom_chain(profile, r)
         return np.asarray(dvl(r), dtype=float) + g1
 
     def d2q11(r):
-        _, _, g2 = q_geom_chain(profile, cutoffs, r)
+        _, _, g2 = q_geom_chain(profile, r)
         return np.asarray(d2vl(r), dtype=float) + g2
 
     def V(r):
         return np.asarray(vl(r), dtype=float) + np.asarray(vs(r), dtype=float)
 
     return PotentialSplit(
-        V=V, q1=q1, dq1=dq1, q11=q1, dq11=dq1, d2q11=d2q11,
+        V=V, q1=q1, dq1=dq1, dq11=dq1, d2q11=d2q11,
         q22=lambda r: np.asarray(vs(r), dtype=float),
-        rho_prime=rho_prime, rho=rho,
     )

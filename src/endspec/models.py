@@ -1,8 +1,9 @@
 """Model presets: warped ends, potential wells and the two-ended line.
 
 A ``Model`` bundles everything the solvers and experiments need: the warp
-profile with its cross-section, the potential splitting, the cutoff family,
-and (for one-dimensional multi-end models) the line data.  Multi-end models
+profile with its cross-section and interior radius r0 (which fixes the
+cutoff family, ``WarpProfile.cutoffs``), the potential splitting, and (for
+one-dimensional multi-end models) the line data.  Multi-end models
 live on an x-grid [x_min, R_max] with a smooth escape function r(x) that
 equals x on the right end and is clamped at 1 on the left end, so the
 left end sits entirely inside the first dyadic annulus; the potential V(x)
@@ -21,7 +22,6 @@ from typing import Callable
 import numpy as np
 
 from .conditions import Caps, ConditionReport, InequalityRow, check_conditions
-from .cutoffs import CutoffSpec
 from .errors import ContractError
 from .geometry import (PotentialSplit, WarpProfile, const_profile,
                        critical_energy, exp_profile, geometric_split,
@@ -47,7 +47,6 @@ class Model:
     name: str
     profile: WarpProfile
     potential: PotentialSplit
-    cutoffs: CutoffSpec
     line: LineEnd | None = None
     thresholds: tuple = ()
 
@@ -65,7 +64,7 @@ class Model:
     def operator(self, mu: float, grid: RadialGrid, z: complex,
                  policy: OuterPolicy | None = None, **kw):
         return assemble_radial_operator(self.profile, self.potential, mu, grid,
-                                        z, policy, cutoffs=self.cutoffs, **kw)
+                                        z, policy, **kw)
 
     # -- cached analysis -----------------------------------------------------
 
@@ -99,8 +98,7 @@ def _conditions_cached(model: Model, caps: Caps) -> ConditionReport:
             constant=_LINE_C, lambda0=lam0,
             beta_c=0.5 * min(caps.sigma_max, _LINE_TAU, caps.rho_max),
             grid_meta={"kind": "line"})
-    return check_conditions(model.profile, model.potential, model.cutoffs,
-                            caps=caps)
+    return check_conditions(model.profile, model.potential, caps=caps)
 
 
 # ---------------------------------------------------------------------------
@@ -108,9 +106,8 @@ def _conditions_cached(model: Model, caps: Caps) -> ConditionReport:
 # ---------------------------------------------------------------------------
 
 def _warped(name, profile, potential=None, thresholds=()):
-    cut = CutoffSpec(r0=profile.r0)
-    pot = potential if potential is not None else geometric_split(profile, cut)
-    return Model(name=name, profile=profile, potential=pot, cutoffs=cut,
+    pot = potential if potential is not None else geometric_split(profile)
+    return Model(name=name, profile=profile, potential=pot,
                  thresholds=tuple(thresholds))
 
 
@@ -161,7 +158,6 @@ def square_well_model(depth: float = 5.0, a: float = 1.0, b: float = 2.0,
     if not (1.0 <= a < b):
         raise ContractError("well must sit inside [1, oo)")
     prof = const_profile(d=1, r0=r0)
-    cut = CutoffSpec(r0=r0)
 
     def well(r):
         # midpoint value at the jumps = cell average, keeps eigenvalues O(h^2)
@@ -171,9 +167,9 @@ def square_well_model(depth: float = 5.0, a: float = 1.0, b: float = 2.0,
             | np.isclose(r, b, rtol=0.0, atol=1e-9)
         return np.where(on_edge, -0.5 * float(depth), v)
 
-    pot = geometric_split(prof, cut, V_short=well)
+    pot = geometric_split(prof, V_short=well)
     return Model(name=f"square_well(depth={depth:g})", profile=prof,
-                 potential=pot, cutoffs=cut)
+                 potential=pot)
 
 
 def multiend_model(lambda0: float = 0.0, lambda1: float = 4.0,
@@ -192,7 +188,8 @@ def multiend_model(lambda0: float = 0.0, lambda1: float = 4.0,
     if x_min > -4.0:
         raise ContractError("x_min must leave room for the left end (<= -4)")
     lam0, lam1 = float(lambda0), float(lambda1)
-    cut = CutoffSpec(r0=r0)
+    prof = const_profile(d=1, r0=r0)
+    cut = prof.cutoffs
 
     def v_of_x(x):
         x = np.asarray(x, dtype=float)
@@ -216,13 +213,11 @@ def multiend_model(lambda0: float = 0.0, lambda1: float = 4.0,
 
     line = LineEnd(x_min=float(x_min), r_of_x=r_of_x, dr_of_x=dr_of_x,
                    d2r_of_x=d2r_of_x)
-    prof = const_profile(d=1, r0=r0)
 
     def q1(r):
         return np.full_like(np.asarray(r, dtype=float), lam0)
 
     zero = lambda r: np.zeros_like(np.asarray(r, dtype=float))
-    pot = PotentialSplit(V=v_of_x, q1=q1, dq1=zero, q11=q1, dq11=zero,
-                         d2q11=zero)
+    pot = PotentialSplit(V=v_of_x, q1=q1, dq1=zero, dq11=zero, d2q11=zero)
     return Model(name=f"multiend({lam0:g},{lam1:g})", profile=prof,
-                 potential=pot, cutoffs=cut, line=line, thresholds=(lam1,))
+                 potential=pot, line=line, thresholds=(lam1,))

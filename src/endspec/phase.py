@@ -32,7 +32,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .conditions import loglog_fit
-from .cutoffs import CutoffSpec
 from .errors import BranchError, ContractError, EndspecError
 from .geometry import (TAIL_HORIZON, CriticalEnergy, PotentialSplit,
                        WarpProfile, critical_energy)
@@ -52,7 +51,6 @@ class PhaseSpec:
     sign: int
     r_lambda: float
     a: np.ndarray
-    eta_lambda: np.ndarray
     grid: RadialGrid
 
 
@@ -100,9 +98,8 @@ def r_lambda(profile: WarpProfile, potential: PotentialSplit, lam: float,
 
 
 def phase_a(profile: WarpProfile, potential: PotentialSplit, z: complex, sign: int,
-            grid: RadialGrid, cutoffs: CutoffSpec | None = None,
-            r_lam: float | None = None, lambda0: float | None = None,
-            with_correction: bool = True) -> PhaseSpec:
+            grid: RadialGrid, r_lam: float | None = None,
+            lambda0: float | None = None, with_correction: bool = True) -> PhaseSpec:
     """Sample the asymptotic phase a_z on the grid.
 
     ``sign`` selects the branch (+1 outgoing / -1 incoming); p^r q11 is taken
@@ -116,12 +113,10 @@ def phase_a(profile: WarpProfile, potential: PotentialSplit, z: complex, sign: i
     gamma = z.imag
     if not 0.0 <= abs(gamma) < 1.0:
         raise ContractError(f"Gamma must lie in [0, 1), got {gamma}")
-    if cutoffs is None:
-        cutoffs = CutoffSpec(r0=profile.r0)
     if r_lam is None:
         r_lam = r_lambda(profile, potential, z.real, lambda0=lambda0)
     rr = grid.radii
-    eta_l = np.asarray(cutoffs.eta(rr, scale=r_lam), dtype=float)
+    eta_l = np.asarray(profile.cutoffs.eta(rr, scale=r_lam), dtype=float)
     q1 = np.asarray(potential.q1(rr), dtype=float)
     w = z - q1
     active = eta_l > 0.0
@@ -136,8 +131,7 @@ def phase_a(profile: WarpProfile, potential: PotentialSplit, z: complex, sign: i
         dq11 = np.asarray(potential.dq11(rr), dtype=float)
         a[active] += sign * 0.25 * (-1j * dq11[active]) / w[active]
     a *= eta_l
-    return PhaseSpec(z=z, sign=sign, r_lambda=float(r_lam), a=a,
-                     eta_lambda=eta_l, grid=grid)
+    return PhaseSpec(z=z, sign=sign, r_lambda=float(r_lam), a=a, grid=grid)
 
 
 def grid_phase(a, h: float):
@@ -169,7 +163,6 @@ class ResidualProfile:
     r: np.ndarray
     residual: np.ndarray
     slope: float
-    intercept: float
     r_squared: float
     reliable: bool
 
@@ -183,15 +176,16 @@ class ResidualProfile:
         return self.max_residual <= 1e-10
 
 
-def riccati_residual(phase: PhaseSpec, profile: WarpProfile,
-                     potential: PotentialSplit, grid: RadialGrid) -> ResidualProfile:
+def riccati_residual(phase: PhaseSpec, potential: PotentialSplit) -> ResidualProfile:
     """| +- p^r a + a^2 - 2 |dr|^2 (z - q1) | with a log-log decay fit.
 
     The derivative of a uses three-point central differences; points inside
     the threshold cutoff band and the two grid edges are excluded.  The decay
     exponent is the least-squares slope over the last ``_FIT_DECADES``
-    dyadic decades, flagged unreliable when R^2 < 0.9.
+    dyadic decades, flagged unreliable when R^2 < 0.9.  The grid is the
+    phase's.
     """
+    grid = phase.grid
     rr = grid.radii
     da = _central_derivative(phase.a, grid.h)
     q1 = np.asarray(potential.q1(rr), dtype=float)
@@ -203,16 +197,14 @@ def riccati_residual(phase: PhaseSpec, profile: WarpProfile,
     band = (r_keep >= lo) & (v_keep > 0.0)
     if np.count_nonzero(band) < 8:
         return ResidualProfile(r=r_keep, residual=v_keep, slope=np.nan,
-                               intercept=np.nan, r_squared=0.0, reliable=False)
-    slope, intercept, r2 = loglog_fit(r_keep[band], v_keep[band])
+                               r_squared=0.0, reliable=False)
+    slope, _, r2 = loglog_fit(r_keep[band], v_keep[band])
     return ResidualProfile(r=r_keep, residual=v_keep, slope=slope,
-                           intercept=intercept, r_squared=r2,
-                           reliable=bool(r2 >= 0.9))
+                           r_squared=r2, reliable=bool(r2 >= 0.9))
 
 
 def riccati_exact(profile: WarpProfile, potential: PotentialSplit, z: complex,
                   sign: int, grid: RadialGrid, step: float | None = None,
-                  cutoffs: CutoffSpec | None = None,
                   r_lam: float | None = None) -> RiccatiSolution:
     """Integrate (p^r)^2 b = 2 (z - q1) b inward and return a = +-(p^r b)/b.
 
@@ -231,7 +223,7 @@ def riccati_exact(profile: WarpProfile, potential: PotentialSplit, z: complex,
     """
     if sign not in (+1, -1):
         raise ContractError("sign must be +1 or -1")
-    ph = phase_a(profile, potential, z, sign, grid, cutoffs=cutoffs, r_lam=r_lam)
+    ph = phase_a(profile, potential, z, sign, grid, r_lam=r_lam)
     rr = grid.radii
     start = float(max(ph.r_lambda, rr[0]))
     r_eval = rr[rr >= start - 1e-12]

@@ -40,7 +40,6 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.special import logsumexp
 
-from .cutoffs import CutoffSpec
 from .errors import ContractError, ResolutionError
 from .geometry import PotentialSplit, WarpProfile, geometry_at
 
@@ -344,7 +343,6 @@ def _resolution_guard(h: float, z: complex, action: str):
 def assemble_radial_operator(profile: WarpProfile, potential: PotentialSplit,
                              mu: float, grid: RadialGrid, z: complex,
                              policy: OuterPolicy | None = None,
-                             cutoffs: CutoffSpec | None = None,
                              resolution_action: str = "error",
                              background: tuple | None = None) -> RadialOperator:
     """Discretize h_mu - z on the grid with the requested outer policy.
@@ -364,7 +362,7 @@ def assemble_radial_operator(profile: WarpProfile, potential: PotentialSplit,
         raise ContractError("mode eigenvalue mu must be >= 0")
     _resolution_guard(grid.h, z, resolution_action)
     if background is None:
-        background = (geometry_at(profile, cutoffs, grid.radii), potential.V(grid.nodes))
+        background = (geometry_at(profile, grid.radii), potential.V(grid.nodes))
     pt, v = background
     wvals = pt.q_geom + mu / (2.0 * pt.f) + np.asarray(v, dtype=float)
     return RadialOperator(mu=float(mu), z=complex(z),

@@ -47,7 +47,6 @@ import numpy as np
 from scipy.linalg import LinAlgError, eigh_tridiagonal, solve_banded  # noqa: F401
 from scipy.linalg.lapack import zgtsv, zgttrf, zgttrs
 
-from .cutoffs import CutoffSpec
 from .errors import (AbsorptionError, BranchError, ConditioningError,
                      ContractError)
 from .geometry import PotentialSplit, WarpProfile
@@ -307,7 +306,6 @@ def resolve(op: RadialOperator, psi, allow_unabsorbed: bool = False) -> Resolven
 
 def outgoing_row(profile: WarpProfile, potential: PotentialSplit,
                  grid: RadialGrid, z: complex, sign: int,
-                 cutoffs: CutoffSpec | None = None,
                  lambda0: float | None = None,
                  r_lam: float | None = None):
     """The outer row phi' = +- i a(R_max) phi at z: outgoing (sign=+1) or
@@ -317,8 +315,7 @@ def outgoing_row(profile: WarpProfile, potential: PotentialSplit,
     ``BranchError`` when Re a(R_max) <= 0, as on a grid too coarse for the
     wave (real a with a h > 2).
     """
-    ph = phase_a(profile, potential, z, sign, grid,
-                 cutoffs=cutoffs, lambda0=lambda0, r_lam=r_lam)
+    ph = phase_a(profile, potential, z, sign, grid, lambda0=lambda0, r_lam=r_lam)
     a_end = complex(grid_phase(ph.a[-1], grid.h))
     if not a_end.real > 0.0:
         raise BranchError(f"phase at the outer edge has Re a = {a_end.real:.3g} <= 0")
@@ -344,10 +341,7 @@ class EigenEntry:
 
 @dataclass(frozen=True)
 class EigenScanResult:
-    interval: tuple
     entries: tuple
-    lambda0: float | None
-    grid: RadialGrid
 
     def genuine(self):
         return [e for e in self.entries if not e.artifact and not e.near_threshold]
@@ -356,9 +350,9 @@ class EigenScanResult:
         return [e for e in self.entries if e.artifact]
 
 
-def _dirichlet_tridiag(profile, potential, mu, grid, cutoffs):
+def _dirichlet_tridiag(profile, potential, mu, grid):
     op = assemble_radial_operator(profile, potential, mu, grid, 0.0,
-                                  policy=OuterPolicy.dirichlet(), cutoffs=cutoffs,
+                                  policy=OuterPolicy.dirichlet(),
                                   resolution_action="warn")
     return op.dd.real, op.dl.real
 
@@ -372,8 +366,8 @@ def _eig_interval(dd, dl, interval, eigvals_only: bool = False):
                             select_range=(lo, hi))
 
 
-def _classify(vals, vecs, vals2, valsh, grid: RadialGrid, interval,
-              thresholds, lambda0) -> EigenScanResult:
+def _classify(vals, vecs, vals2, valsh, grid: RadialGrid,
+              thresholds) -> EigenScanResult:
     """Classify each eigenpair of the scan by its annulus profile.
 
     ``vals2`` are the eigenvalues on the doubled domain (the drift; none
@@ -402,14 +396,12 @@ def _classify(vals, vecs, vals2, valsh, grid: RadialGrid, interval,
                                   profile_slope=float(slope),
                                   artifact=bool(artifact), near_threshold=near))
     entries.sort(key=lambda e: e.eigenvalue)
-    return EigenScanResult(interval=interval, entries=tuple(entries),
-                           lambda0=lambda0, grid=grid)
+    return EigenScanResult(entries=tuple(entries))
 
 
 def eigen_scan(profile: WarpProfile, potential: PotentialSplit, mu: float,
                grid: RadialGrid, interval, refine: bool = True,
-               thresholds=(), lambda0: float | None = None,
-               cutoffs: CutoffSpec | None = None) -> EigenScanResult:
+               thresholds=()) -> EigenScanResult:
     """Scan the Dirichlet-truncated spectrum on a bounded interval.
 
     Classification per eigenpair: the annulus profile R_nu^{-1/2}||F_nu phi||
@@ -424,12 +416,12 @@ def eigen_scan(profile: WarpProfile, potential: PotentialSplit, mu: float,
     lo, hi = float(interval[0]), float(interval[1])
     if not hi > lo:
         raise ContractError("scan interval must be non-degenerate")
-    dd, dl = _dirichlet_tridiag(profile, potential, mu, grid, cutoffs)
+    dd, dl = _dirichlet_tridiag(profile, potential, mu, grid)
     vals, vecs = _eig_interval(dd, dl, (lo, hi))
 
     # domain doubling for the drift diagnostic
     grid2 = uniform_grid(2.0 * grid.r_max, grid.h, r_min=grid.radii[0])
-    dd2, dl2 = _dirichlet_tridiag(profile, potential, mu, grid2, cutoffs)
+    dd2, dl2 = _dirichlet_tridiag(profile, potential, mu, grid2)
     pad = 0.1 * (hi - lo) + 10.0 * _DRIFT_TOL
     vals2 = _eig_interval(dd2, dl2, (lo - pad, hi + pad), eigvals_only=True)
 
@@ -437,14 +429,13 @@ def eigen_scan(profile: WarpProfile, potential: PotentialSplit, mu: float,
     valsh = None
     if refine and vals.size:
         gridh = uniform_grid(grid.r_max, 0.5 * grid.h, r_min=grid.radii[0])
-        ddh, dlh = _dirichlet_tridiag(profile, potential, mu, gridh, cutoffs)
+        ddh, dlh = _dirichlet_tridiag(profile, potential, mu, gridh)
         valsh = _eig_interval(ddh, dlh, (lo - pad, hi + pad), eigvals_only=True)
-    return _classify(vals, vecs, vals2, valsh, grid, (lo, hi), thresholds, lambda0)
+    return _classify(vals, vecs, vals2, valsh, grid, thresholds)
 
 
 def eigen_scan_tridiag(dd, dl, grid: RadialGrid, interval,
-                       dd2=None, dl2=None, grid2=None, thresholds=(),
-                       lambda0: float | None = None) -> EigenScanResult:
+                       dd2=None, dl2=None, thresholds=()) -> EigenScanResult:
     """Scan an explicitly assembled symmetric tridiagonal (line models).
 
     Same classification as ``eigen_scan``; the doubled-domain matrices are
@@ -458,4 +449,4 @@ def eigen_scan_tridiag(dd, dl, grid: RadialGrid, interval,
                               (lo - pad, hi + pad), eigvals_only=True)
     else:
         vals2 = np.array([])
-    return _classify(vals, vecs, vals2, None, grid, (lo, hi), thresholds, lambda0)
+    return _classify(vals, vecs, vals2, None, grid, thresholds)

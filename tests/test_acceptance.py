@@ -19,7 +19,6 @@ from endspec.phase import phase_a, riccati_residual
 from endspec.radial import OuterPolicy, l2_norm, smooth_bump, uniform_grid
 from endspec.solver import eigen_scan, resolve
 from endspec.conditions import check_conditions
-from endspec.cutoffs import CutoffSpec
 from endspec.geometry import const_profile
 
 from oracles import free_kernel_wronskian, free_resolvent, well_bound_states
@@ -78,7 +77,7 @@ def test_criterion_3_condition_constants():
         ok &= rep.overall() == "pass" and theta - 0.05 <= rep.sigma <= theta
         details.append(f"theta={theta:g}: sigma={rep.sigma:.4f}")
     prof = const_profile(d=2, cross_section="circle")
-    rep_cyl = check_conditions(prof, geometric_split(prof), CutoffSpec())
+    rep_cyl = check_conditions(prof, geometric_split(prof))
     conv = [r for r in rep_cyl.rows if r.name == "convexity"][0]
     ok &= rep_cyl.overall() == "fail" and conv.verdict == "fail" \
         and np.isfinite(conv.witness_r)
@@ -160,11 +159,11 @@ def test_criterion_9_riccati_quality():
     grid = uniform_grid(1024.0, 0.02)
     lam0 = m.lambda0()
     ph = phase_a(m.profile, m.potential, 2.0 + 0.0j, +1, grid,
-                 cutoffs=m.cutoffs, lambda0=lam0)
-    res = riccati_residual(ph, m.profile, m.potential, grid)
+                 lambda0=lam0)
+    res = riccati_residual(ph, m.potential)
     ph0 = phase_a(m.profile, m.potential, 2.0 + 0.0j, +1, grid,
-                  cutoffs=m.cutoffs, lambda0=lam0, with_correction=False)
-    res0 = riccati_residual(ph0, m.profile, m.potential, grid)
+                  lambda0=lam0, with_correction=False)
+    res0 = riccati_residual(ph0, m.potential)
     ok = (res.reliable and res.slope <= -1.3
           and res0.reliable and res0.slope > res.slope)
     _verdict(9, "Riccati quality", ok,

@@ -4,7 +4,6 @@ import pytest
 from endspec.conditions import (Caps, check_conditions, check_escape_2d,
                                 condition_grid, disk_complement_field,
                                 hyperbola_field, sawtooth_field)
-from endspec.cutoffs import CutoffSpec
 from endspec.errors import ContractError
 from endspec.geometry import const_profile, geometric_split, power_profile
 from endspec.models import (exp_model, hyperbolic_model,
@@ -32,7 +31,7 @@ def test_power_theta_two():
 
 def test_cylinder_fails_convexity_with_witness():
     prof = const_profile(d=2, cross_section="circle")
-    rep = check_conditions(prof, geometric_split(prof), CutoffSpec())
+    rep = check_conditions(prof, geometric_split(prof))
     assert rep.overall() == "fail"
     conv = [r for r in rep.rows if r.name == "convexity"][0]
     assert conv.verdict == "fail"
@@ -57,9 +56,8 @@ def test_monotone_refinement():
     # doubling the grid density flips no verdict and keeps sigma stable
     prof = power_profile(1.0, 3)
     pot = geometric_split(prof)
-    cut = CutoffSpec()
-    coarse = check_conditions(prof, pot, cut, grid=condition_grid(per_block=32))
-    fine = check_conditions(prof, pot, cut, grid=condition_grid(per_block=64))
+    coarse = check_conditions(prof, pot, grid=condition_grid(per_block=32))
+    fine = check_conditions(prof, pot, grid=condition_grid(per_block=64))
     assert coarse.overall() == fine.overall() == "pass"
     assert fine.sigma == pytest.approx(coarse.sigma, abs=1e-6)
     for rc, rf in zip(coarse.rows, fine.rows):
@@ -88,7 +86,7 @@ def test_report_csv_roundtrip(tmp_path):
 
 def test_caps_respected():
     prof = power_profile(1.0, 3)
-    rep = check_conditions(prof, geometric_split(prof), CutoffSpec(),
+    rep = check_conditions(prof, geometric_split(prof),
                            caps=Caps(sigma_max=0.4))
     assert rep.sigma == 0.4  # capped below the true threshold
 

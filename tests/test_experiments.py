@@ -109,7 +109,7 @@ def test_h_form_on_the_line_keeps_the_escape_curvature():
     sols = {0.0: resolve(ops[0.0], Bump().normalized(grid), allow_unabsorbed=True).phi}
     rep = m.conditions()
     rr = grid.radii
-    curv = np.maximum((1.0 - m.cutoffs.eta(rr)) * m.line.d2r_of_x(grid.nodes), 0.0)
+    curv = np.maximum((1.0 - m.profile.cutoffs.eta(rr)) * m.line.d2r_of_x(grid.nodes), 0.0)
     assert np.any(curv > 0.0)
     du = _central_derivative(sols[0.0], grid.h)
     dens = (curv + 2.0 * rep.constant * rr ** (-1.0 - rep.tau)) * np.abs(du) ** 2
@@ -604,6 +604,43 @@ def test_sommerfeld_long_grid_holds_only_its_nodes(monkeypatch):
     monkeypatch.setattr(endspec.experiments, "_richardson_gamma", recording)
     sommerfeld_compare(free_model(), 2.0, h=0.05, gamma_top=2e-2)
     assert len(grids) == 1 and grids[0].n == 81901
+
+
+def test_sommerfeld_shift_solves_take_the_window_source(monkeypatch):
+    # the window grid is the long grid's first nodes: the long grid is built
+    # once, and every solve takes the outgoing solve's source, the shift
+    # solves as its span on the window (views of the same values)
+    model = free_model()
+    built, sources = [], []
+    make_grid = type(model).make_grid
+
+    def counting(self, r_max, h):
+        built.append(r_max)
+        return make_grid(self, r_max, h)
+
+    def recording(op, psi, **kwargs):
+        sources.append(psi)
+        return resolve(op, psi, **kwargs)
+
+    monkeypatch.setattr(type(model), "make_grid", counting)
+    monkeypatch.setattr(endspec.experiments, "resolve", recording)
+    rep = sommerfeld_compare(model, 2.0, h=0.05, gamma_top=2e-2)
+    assert built == [64.0, rep.meta["r_big"]]
+    out, *shifts = sources
+    assert isinstance(out, np.ndarray) and len(shifts) == 3
+    span = Bump().span(make_grid(model, 64.0, 0.05))
+    for start, vals in shifts:
+        assert start == span.start and np.shares_memory(vals, out)
+        assert np.array_equal(vals.view(np.uint64), out[span].view(np.uint64))
+
+
+@pytest.mark.parametrize("b", [16.5, 40.0])
+def test_sommerfeld_refuses_a_source_past_the_window(b):
+    # the shift solves take the source on the window, so its support must
+    # end there; the solves would otherwise see different sources
+    with pytest.raises(ContractError, match="must end inside the window"):
+        sommerfeld_compare(free_model(), 2.0, psi=Bump(2.0, b), h=0.05,
+                           window_r_max=16.0, gamma_top=0.032)
 
 
 def _edge_cases():

@@ -12,7 +12,7 @@ from endspec.geometry import (PotentialSplit, WarpProfile, const_profile,
 
 def test_warped_formulas_euclidean():
     prof = power_profile(2.0, 3)
-    pt = geometry_at(prof, None, 10.0)
+    pt = geometry_at(prof, 10.0)
     assert pt.delta_r == pytest.approx(0.2, abs=1e-14)
     assert pt.ell_coeff == pytest.approx(0.1, abs=1e-14)
     assert pt.q_geom == pytest.approx(0.0, abs=1e-15)
@@ -20,14 +20,14 @@ def test_warped_formulas_euclidean():
 
 def test_warped_formulas_exponential():
     prof = exp_profile(2.0, 2)
-    pt = geometry_at(prof, None, 5.0)
+    pt = geometry_at(prof, 5.0)
     assert pt.delta_r == pytest.approx(1.0, abs=1e-14)
     assert pt.q_geom == pytest.approx(0.125, abs=1e-14)
 
 
 def test_constant_warp_trivial():
     prof = const_profile(d=4)
-    pt = geometry_at(prof, None, np.array([3.0, 7.0]))
+    pt = geometry_at(prof, np.array([3.0, 7.0]))
     np.testing.assert_allclose(pt.delta_r, 0.0)
     np.testing.assert_allclose(pt.q_geom, 0.0)
 
@@ -38,7 +38,7 @@ def test_mean_curvature_formula_region():
     for prof, w_of_r in ((power_profile(1.5, 3), lambda r: 1.5 / r),
                          (hyperbolic_profile(2), lambda r: 2.0 / np.tanh(r))):
         r = np.linspace(prof.r0, 50.0, 300)
-        pt = geometry_at(prof, None, r)
+        pt = geometry_at(prof, r)
         np.testing.assert_allclose(pt.delta_r, 0.5 * (prof.d - 1) * w_of_r(r),
                                    rtol=1e-12)
 
@@ -53,8 +53,8 @@ def test_q_geom_matches_closed_form_chain():
                 const_profile(d=3), tabulated_profile(rt, rt**1.5, d=3))
     r = np.linspace(1.0, 64.0, 6301)
     for prof in profiles:
-        q = geometry_at(prof, None, r).q_geom
-        q_chain = q_geom_chain(prof, None, r)[0]
+        q = geometry_at(prof, r).q_geom
+        q_chain = q_geom_chain(prof, r)[0]
         assert np.all(np.abs(q - q_chain) <= 1e-13 * (1.0 + np.abs(q)))
 
 
@@ -62,9 +62,9 @@ def test_geometry_error_names_radius():
     bad = WarpProfile(d=2, f=lambda r: np.where(np.asarray(r) > 5.0, -1.0, 1.0),
                       log_chain=lambda r: (np.zeros_like(np.asarray(r, float)),) * 4)
     with pytest.raises(EvaluationError):
-        geometry_at(bad, None, np.array([2.0, 6.0]))
+        geometry_at(bad, np.array([2.0, 6.0]))
     with pytest.raises(ContractError):
-        geometry_at(power_profile(2.0, 2), None, 0.5)
+        geometry_at(power_profile(2.0, 2), 0.5)
 
 
 def test_warp_profile_needs_exactly_one_of_f_and_log_f():
@@ -83,7 +83,7 @@ def test_warp_profile_needs_exactly_one_of_f_and_log_f():
 
 def _effective_potential(profile, split, r):
     """q = V + q_geom, the potential the operators are built from."""
-    return np.asarray(split.V(r), dtype=float) + geometry_at(profile, None, r).q_geom
+    return np.asarray(split.V(r), dtype=float) + geometry_at(profile, r).q_geom
 
 
 def test_effective_potential_examples():
@@ -122,15 +122,14 @@ def test_split_consistency_tolerance():
 
 def test_q_geom_chain_matches_finite_differences():
     for prof in (power_profile(2.0, 2), power_profile(1.0, 4), hyperbolic_profile(3)):
-        cut = CutoffSpec()
         rr = np.linspace(1.01, 6.0, 500)
         # the transition band is C^2 only: exclude the kinks of the third
         # derivative at the band edges r = 1 and r = 2
         rr = rr[(np.abs(rr - 1.0) > 1e-3) & (np.abs(rr - 2.0) > 1e-3)]
-        g0, g1, g2 = q_geom_chain(prof, cut, rr)
+        g0, g1, g2 = q_geom_chain(prof, rr)
         h = 1e-5
-        fd1 = (q_geom_chain(prof, cut, rr + h)[0] - q_geom_chain(prof, cut, rr - h)[0]) / (2 * h)
-        fd2 = (q_geom_chain(prof, cut, rr + h)[1] - q_geom_chain(prof, cut, rr - h)[1]) / (2 * h)
+        fd1 = (q_geom_chain(prof, rr + h)[0] - q_geom_chain(prof, rr - h)[0]) / (2 * h)
+        fd2 = (q_geom_chain(prof, rr + h)[1] - q_geom_chain(prof, rr - h)[1]) / (2 * h)
         np.testing.assert_allclose(g1, fd1, atol=1e-7)
         np.testing.assert_allclose(g2, fd2, atol=1e-6)
 
@@ -160,7 +159,7 @@ def test_critical_energy_shift():
 def test_tabulated_profile_matches_closed_form():
     rt = np.linspace(1.0, 100.0, 4000)
     prof = tabulated_profile(rt, rt**2, d=3)
-    pt = geometry_at(prof, None, 10.0)
+    pt = geometry_at(prof, 10.0)
     assert pt.delta_r == pytest.approx(0.2, rel=1e-4)
     assert pt.q_geom == pytest.approx(0.0, abs=1e-5)
     with pytest.raises(ContractError):
@@ -183,7 +182,7 @@ def test_stretched_exp_profile_constants():
     from endspec.geometry import stretched_exp_profile
     from endspec.models import stretched_exp_model
     prof = stretched_exp_profile(1.0, 0.5, 3)
-    pt = geometry_at(prof, None, 9.0)
+    pt = geometry_at(prof, 9.0)
     w = 0.5 * 9.0 ** -0.5
     assert pt.delta_r == pytest.approx(w, rel=1e-12)
     rep = stretched_exp_model(1.0, 0.5, 3).conditions()
@@ -203,9 +202,11 @@ def test_exp_profile_lower_order_term():
 
 # --- the plateau above r0 ----------------------------------------------------------
 
-def _geometry_direct(profile, cutoffs, r):
+def _geometry_direct(profile, r):
     """Every field by the cutoff formula at every node (eta and eta' taken
-    on the whole array, as before the plateau was split off)."""
+    on the whole array, as before the plateau was split off), with the
+    cutoff built here from the profile's r0."""
+    cutoffs = CutoffSpec(r0=profile.r0)
     r = np.asarray(r, dtype=float)
     w, w1, _, _ = profile.log_chain(r)
     eta, deta = cutoffs.eta(r), cutoffs.eta(r, order=1)
@@ -221,20 +222,28 @@ def _plateau_cases():
                                 hyperbolic_model, multiend_model, power_model,
                                 stretched_exp_model, tabulated_model)
     rt = np.linspace(1.0, 100.0, 4000)
-    return {"free": free_model(), "euclidean2": euclidean_model(2),
-            "euclidean3": euclidean_model(3), "power1": power_model(1.0, 3),
-            "power1_r0_3": power_model(1.0, 3, r0=3.0),
-            "exp": exp_model(1.0, 3, lower_c=0.5, lower_theta=0.5),
-            "stretched_exp": stretched_exp_model(1.0, 0.5, 3),
-            "hyperbolic3": hyperbolic_model(3),
-            "tabulated": tabulated_model(rt, rt**1.5, d=3),
-            "multiend": multiend_model()}
+
+    def presets(r0):
+        return {"free": free_model(r0), "euclidean2": euclidean_model(2, r0),
+                "euclidean3": euclidean_model(3, r0),
+                "power1": power_model(1.0, 3, r0),
+                "exp": exp_model(1.0, 3, r0, lower_c=0.5, lower_theta=0.5),
+                "stretched_exp": stretched_exp_model(1.0, 0.5, 3, r0),
+                "hyperbolic3": hyperbolic_model(3, r0),
+                "tabulated": tabulated_model(rt, rt**1.5, 3, r0),
+                "multiend": multiend_model(r0=r0)}
+
+    # every preset at the default r0 = 2 and again at r0 = 3.5
+    cases = presets(2.0)
+    cases["power1_r0_3"] = power_model(1.0, 3, r0=3.0)
+    cases.update({f"{name}_r0_3.5": m for name, m in presets(3.5).items()})
+    return cases
 
 
 @pytest.mark.parametrize("name", sorted(_plateau_cases()))
 def test_plateau_geometry_matches_full_evaluation_bitwise(name):
     model = _plateau_cases()[name]
-    r0 = model.cutoffs.r0
+    r0 = model.profile.r0
     edges = [r0 / 2.0, r0]
     around = [x for e in edges
               for x in (np.nextafter(e, 0.0), e, np.nextafter(e, np.inf))]
@@ -243,8 +252,8 @@ def test_plateau_geometry_matches_full_evaluation_bitwise(name):
              model.make_grid(64.0, 0.05).radii]
     scalars = [1.0, r0 / 2.0, 0.75 * r0, r0, np.nextafter(r0, 0.0), 3.0 * r0]
     for r in radii + scalars:
-        got = geometry_at(model.profile, model.cutoffs, r)
-        ref = _geometry_direct(model.profile, model.cutoffs, r)
+        got = geometry_at(model.profile, r)
+        ref = _geometry_direct(model.profile, r)
         assert got.r is not None and np.shape(got.r) == np.shape(r)
         for field, value in ref.items():
             a = np.asarray(getattr(got, field), dtype=float)

@@ -78,7 +78,7 @@ def test_phase_extended_precision_reevaluation():
     m = euclidean_model(2)
     grid = uniform_grid(64.0, 0.25)
     ph = phase_a(m.profile, m.potential, 2.0 + 0.0j, +1, grid,
-                 cutoffs=m.cutoffs, lambda0=m.lambda0())
+                 lambda0=m.lambda0())
     with mp.workdps(40):
         for j in (40, 120, 250):
             r = mp.mpf(grid.radii[j])
@@ -111,7 +111,7 @@ def test_residual_constant_coefficients():
     prof, pot = _free()
     grid = uniform_grid(256.0, 0.05)
     ph = phase_a(prof, pot, 2.0 + 0.0j, +1, grid, lambda0=0.0)
-    res = riccati_residual(ph, prof, pot, grid)
+    res = riccati_residual(ph, pot)
     assert res.max_residual < 1e-11 and res.negligible
 
 
@@ -120,13 +120,13 @@ def test_residual_decay_and_correction_gain():
     grid = uniform_grid(1024.0, 0.02)
     lam0 = m.lambda0()
     ph = phase_a(m.profile, m.potential, 2.0 + 0.0j, +1, grid,
-                 cutoffs=m.cutoffs, lambda0=lam0)
-    res = riccati_residual(ph, m.profile, m.potential, grid)
+                 lambda0=lam0)
+    res = riccati_residual(ph, m.potential)
     # rho = 6, tau at cap: bound exponent -(1 + min(rho/2, tau/2)) = -4
     assert res.reliable and res.slope <= -4.0 + 0.2
     ph0 = phase_a(m.profile, m.potential, 2.0 + 0.0j, +1, grid,
-                  cutoffs=m.cutoffs, lambda0=lam0, with_correction=False)
-    res0 = riccati_residual(ph0, m.profile, m.potential, grid)
+                  lambda0=lam0, with_correction=False)
+    res0 = riccati_residual(ph0, m.potential)
     assert res0.reliable and res0.slope > res.slope + 0.5
 
 
@@ -144,7 +144,7 @@ def test_exact_converges_to_phase():
     c = 0.3
     q1 = lambda r: c / np.asarray(r, float)
     pot = PotentialSplit(V=q1, q1=q1, dq1=lambda r: -c / np.asarray(r, float) ** 2,
-                         q11=q1, dq11=lambda r: -c / np.asarray(r, float) ** 2)
+                         dq11=lambda r: -c / np.asarray(r, float) ** 2)
     prof = const_profile(d=1)
     grid = uniform_grid(512.0, 0.05)
     sol = riccati_exact(prof, pot, 2.0 + 0.0j, +1, grid, r_lam=2.0)
@@ -270,8 +270,7 @@ def test_branch_continuity_along_z_path():
     path = [2.0 + 1e-3j * (1 + t) for t in np.linspace(0.0, 300.0, 60)]
     prev = None
     for z in path:
-        ph = phase_a(m.profile, m.potential, z, +1, grid, cutoffs=m.cutoffs,
-                     lambda0=lam0, r_lam=2.0)
+        ph = phase_a(m.profile, m.potential, z, +1, grid, lambda0=lam0, r_lam=2.0)
         if prev is not None:
             assert np.max(np.abs(ph.a - prev)) < 0.05
         prev = ph.a
@@ -282,10 +281,9 @@ def test_conjugation_symmetry():
     grid = uniform_grid(64.0, 0.1)
     lam0 = m.lambda0()
     z = 2.0 + 0.2j
-    upper = phase_a(m.profile, m.potential, z, +1, grid, cutoffs=m.cutoffs,
-                    lambda0=lam0, r_lam=2.0)
+    upper = phase_a(m.profile, m.potential, z, +1, grid, lambda0=lam0, r_lam=2.0)
     lower = phase_a(m.profile, m.potential, np.conj(z), -1, grid,
-                    cutoffs=m.cutoffs, lambda0=lam0, r_lam=2.0)
+                    lambda0=lam0, r_lam=2.0)
     np.testing.assert_allclose(np.conj(lower.a), upper.a, atol=1e-14)
 
 
@@ -295,7 +293,7 @@ def test_im_a_lower_bound():
     grid = uniform_grid(512.0, 0.05)
     rep = m.conditions()
     ph = phase_a(m.profile, m.potential, 2.0 + 0.0j, +1, grid,
-                 cutoffs=m.cutoffs, lambda0=m.lambda0())
+                 lambda0=m.lambda0())
     expo = 1.0 + min(rep.rho_prime, rep.rho / 2.0)
     bound = -2.0 * grid.radii ** (-expo)
     assert np.all(ph.a.imag >= bound)

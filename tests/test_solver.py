@@ -25,7 +25,7 @@ from oracles import free_kernel_wronskian, free_resolvent, well_bound_states
 def _outgoing(m, grid, lam, psi):
     """Outgoing (sign +1) solve of the mu = 0 mode of ``m`` at lambda = lam."""
     policy, _ = outgoing_row(m.profile, m.potential, grid, complex(lam), +1,
-                             cutoffs=m.cutoffs, lambda0=0.0)
+                             lambda0=0.0)
     return resolve(m.operator(0.0, grid, complex(lam), policy), psi)
 
 
@@ -36,7 +36,7 @@ def test_outgoing_row_refuses_unresolved_edge_phase():
     grid = uniform_grid(13.0, 1.2)
     with pytest.raises(BranchError):
         outgoing_row(m.profile, m.potential, grid, 2.0 + 0.0j, +1,
-                     cutoffs=m.cutoffs, lambda0=0.0)
+                     lambda0=0.0)
 
 
 def _free_setup(r_max=64.0, h=0.01, z=1.0 + 0.1j, policy=None):
@@ -204,8 +204,8 @@ def test_multiend_scan_continuous_spectrum_only():
     grid2 = m.make_grid(96.0, 0.02)
     op2 = m.operator(0.0, grid2, 0.0, OuterPolicy.dirichlet(), resolution_action="warn")
     scan = eigen_scan_tridiag(op.dd.real, op.dl.real, grid, (0.05, 6.0),
-                              dd2=op2.dd.real, dl2=op2.dl.real, grid2=grid2,
-                              thresholds=m.thresholds, lambda0=0.0)
+                              dd2=op2.dd.real, dl2=op2.dl.real,
+                              thresholds=m.thresholds)
     keep = [e for e in scan.entries if not e.near_threshold]
     assert keep and all(e.artifact for e in keep)
 
@@ -355,9 +355,9 @@ def _count_geometry(monkeypatch):
         module = getattr(endspec, name)
         original = module.geometry_at
 
-        def counting(profile, cutoffs, r, seen=calls[name], original=original):
+        def counting(profile, r, seen=calls[name], original=original):
             seen.append(r.size)
-            return original(profile, cutoffs, r)
+            return original(profile, r)
 
         monkeypatch.setattr(module, "geometry_at", counting)
     return calls
@@ -658,7 +658,7 @@ def test_eigen_scan_values_only_companions_match_reference(monkeypatch, model):
     grid = model.make_grid(32.0, 0.05)
     got, ref, n_values_only = _scan_with_all_vectors(monkeypatch, lambda: eigen_scan(
         model.profile, model.potential, 2.0, grid, (0.05, 3.0),
-        thresholds=model.thresholds, lambda0=model.lambda0(), cutoffs=model.cutoffs))
+        thresholds=model.thresholds))
     assert n_values_only == 2
     assert len(got.entries) == len(ref.entries) > 0
     assert all(_entries_equal(a, b) for a, b in zip(got.entries, ref.entries))
@@ -672,7 +672,7 @@ def test_eigen_scan_tridiag_values_only_companion_matches_reference(monkeypatch)
     op2 = m.operator(0.0, grid2, 0.0, resolution_action="warn")
     got, ref, n_values_only = _scan_with_all_vectors(monkeypatch, lambda: eigen_scan_tridiag(
         op.dd.real, op.dl.real, grid, (0.05, 3.0), dd2=op2.dd.real, dl2=op2.dl.real,
-        grid2=grid2, thresholds=m.thresholds, lambda0=m.lambda0()))
+        thresholds=m.thresholds))
     assert n_values_only == 1
     assert len(got.entries) == len(ref.entries) > 0
     assert all(_entries_equal(a, b) for a, b in zip(got.entries, ref.entries))
