@@ -11,8 +11,12 @@ The numerical policies every verdict rests on are fixed module constants,
 not parameters: ``solver.ABSORPTION`` (shift solves need
 Gamma (R_max - 1) >= 8), ``solver.RESIDUAL_TOL`` and ``solver.BLOWUP_LIMIT``
 (1e-8 and 1e13, the largest relative residual and growth of a verified
-solve), ``solver.THRESHOLD_WINDOW`` (0.05 around a declared threshold) and
-``geometry.TAIL_HORIZON`` (2^14, the outer radius of every tail sup of q1).
+solve), ``solver.THRESHOLD_WINDOW`` (0.05 around a declared threshold),
+``geometry.TAIL_HORIZON`` (2^14, the outer radius of every tail sup of q1),
+``conditions.EXPONENT_CAP`` (8, the search cap of sigma, tau, rho' and rho),
+``experiments._HOELDER_SLACK`` (0.1 below the predicted Hoelder floor) and
+``experiments._N_CANDIDATES`` (the cutoff indices 0-4 the Besov energy check
+tries).  Every cross-section is the round sphere S^{d-1}.
 """
 
 __version__ = "0.1.0"
@@ -25,10 +29,9 @@ from .geometry import (CriticalEnergy, GeometryPoint, PotentialSplit,
                        exp_profile, geometric_split, geometry_at,
                        hyperbolic_profile, power_profile,
                        stretched_exp_profile, tabulated_profile)
-from .conditions import (Caps, ConditionReport, EscapeField2D,
-                         check_conditions, check_escape_2d,
-                         disk_complement_field, hyperbola_field,
-                         sawtooth_field)
+from .conditions import (ConditionReport, EscapeField2D, check_conditions,
+                         check_escape_2d, disk_complement_field,
+                         hyperbola_field, sawtooth_field)
 from .phase import (PhaseSpec, RiccatiSolution, apply_A, phase_a, r_lambda,
                     riccati_exact, riccati_residual)
 from .radial import (BesovProfile, OuterPolicy, RadialGrid,

@@ -17,9 +17,10 @@ bounds along the radius:
 Every inequality is certified on a geometric grid, never symbolically: a
 decaying bound v <= C r^{-e} holds when the dyadic block maxima of v r^e
 stop growing, and the reported constant is the inflated worst value.  sigma
-is found by bisection; tau, rho', rho are certified at their caps when
-possible and otherwise proposed by a log-log slope fit over the last two
-dyadic decades and re-certified.  The derived quantities are the critical
+is found by bisection below ``EXPONENT_CAP`` = 8, the one search cap of every
+exponent; tau, rho', rho are certified at that cap when possible and
+otherwise proposed by a log-log slope fit over the last two dyadic decades
+(``fit_decay``) and re-certified.  The derived quantities are the critical
 energy lambda0 (tail sup of q1) and beta_c = min{sigma, tau, rho} / 2.
 
 The same report type carries the pointwise checks for two-dimensional
@@ -48,16 +49,8 @@ _GROWTH_SLACK = 1.05
 _FIT_DECADES = 2
 # the decay exponent the sigma search allows the convexity deficit
 _TAU_PROBE = 0.25
-
-
-@dataclass(frozen=True)
-class Caps:
-    """Search caps for the extracted constants."""
-
-    sigma_max: float = 8.0
-    tau_max: float = 8.0
-    rho_prime_max: float = 8.0
-    rho_max: float = 8.0
+# the largest sigma, tau, rho' and rho a check extracts (the search cap)
+EXPONENT_CAP = 8.0
 
 
 @dataclass(frozen=True)
@@ -185,47 +178,49 @@ def loglog_fit(u, v):
     return float(slope), float(intercept), float(r2)
 
 
-def _fit_decay(rr, values):
-    """Log-log slope of values over the last ``_FIT_DECADES`` dyadic decades."""
+def fit_decay(rr, values):
+    """Log-log slope and R^2 of positive values over the last
+    ``_FIT_DECADES`` dyadic decades below ``rr[-1]``; (None, None) when
+    fewer than 8 points remain."""
     lo = rr[-1] / 2.0**_FIT_DECADES
     band = (rr >= lo) & (values > 1e-280)
     if np.count_nonzero(band) < 8:
-        return None, None, None
-    slope, intercept, r2 = loglog_fit(rr[band], values[band])
-    return slope, float(np.exp(intercept)), r2
+        return None, None
+    slope, _, r2 = loglog_fit(rr[band], values[band])
+    return slope, r2
 
 
-def _decay_row(name, rr, values, exponent_of_param, param_cap, floor_scale=1.0):
+def _decay_row(name, rr, values, exponent_of_param, floor_scale=1.0):
     """Certify a bound  values <= C r^{-e(param)}  and extract the best param.
 
-    Tries the cap first; if certification at the cap fails, proposes the
-    parameter from a log-log fit and backs off until a certified value is
+    Tries ``EXPONENT_CAP`` first; if certification at the cap fails, proposes
+    the parameter from a log-log fit and backs off until a certified value is
     found.  Returns (InequalityRow, best_param).
     """
     values = np.asarray(values, dtype=float)
     if np.max(values) <= _FLOOR * floor_scale:
         return InequalityRow(name=name, verdict="pass", margin=float("inf"),
                              witness_r=float(rr[-1]), constant=0.0,
-                             exponent=None, r_squared=None), param_cap
-    ok, C, witness = _certify_decay(rr, values, exponent_of_param(param_cap))
+                             exponent=None, r_squared=None), EXPONENT_CAP
+    ok, C, witness = _certify_decay(rr, values, exponent_of_param(EXPONENT_CAP))
     if ok:
-        slope, _, r2 = _fit_decay(rr, values)
+        slope, r2 = fit_decay(rr, values)
         return InequalityRow(name=name, verdict="pass", margin=0.0,
                              witness_r=witness, constant=C,
-                             exponent=slope, r_squared=r2), param_cap
-    slope, _, r2 = _fit_decay(rr, values)
+                             exponent=slope, r_squared=r2), EXPONENT_CAP
+    slope, r2 = fit_decay(rr, values)
     if slope is None:
         return InequalityRow(name=name, verdict="inconclusive", margin=0.0,
                              witness_r=witness, constant=C,
                              exponent=None, r_squared=None), 0.0
     # invert e(param) = -slope by monotone backoff from the cap
-    param = param_cap
+    param = EXPONENT_CAP
     target = -slope
     # e is affine increasing in param for every bound we use; solve directly
-    e_lo, e_hi = exponent_of_param(0.0), exponent_of_param(param_cap)
+    e_lo, e_hi = exponent_of_param(0.0), exponent_of_param(EXPONENT_CAP)
     if e_hi > e_lo:
         frac = (target - e_lo) / (e_hi - e_lo)
-        param = max(0.0, min(param_cap, param_cap * frac))
+        param = max(0.0, min(EXPONENT_CAP, EXPONENT_CAP * frac))
     for _ in range(24):
         ok, C, witness = _certify_decay(rr, values, exponent_of_param(param))
         if ok:
@@ -243,16 +238,17 @@ def _decay_row(name, rr, values, exponent_of_param, param_cap, floor_scale=1.0):
 # warped-model checker
 # ---------------------------------------------------------------------------
 
-def _largest_sigma(passes, sigma_max, iterations):
-    """Largest sigma in [1e-6, sigma_max] with ``passes(sigma)``, by bisection.
+def _largest_sigma(passes, iterations):
+    """Largest sigma in [1e-6, ``EXPONENT_CAP``] with ``passes(sigma)``, by
+    bisection.
 
-    Returns 0.0 when even sigma = 1e-6 fails and sigma_max when it passes.
+    Returns 0.0 when even sigma = 1e-6 fails and the cap when it passes.
     """
     if not passes(1e-6):
         return 0.0
-    lo, hi = 1e-6, sigma_max
-    if passes(sigma_max):
-        return sigma_max
+    lo, hi = 1e-6, EXPONENT_CAP
+    if passes(EXPONENT_CAP):
+        return EXPONENT_CAP
     for _ in range(iterations):
         mid = 0.5 * (lo + hi)
         if passes(mid):
@@ -264,26 +260,24 @@ def _largest_sigma(passes, sigma_max, iterations):
     return max(lo - 1e-9 * max(lo, 1.0), 0.0)
 
 
-def _sigma_search(rr, lhs, caps):
-    """Largest sigma <= sigma_max with  sigma/2 - lhs <= C r^{-_TAU_PROBE}."""
+def _sigma_search(rr, lhs):
+    """Largest sigma <= ``EXPONENT_CAP`` with  sigma/2 - lhs <= C r^{-_TAU_PROBE}."""
 
     def passes(sigma):
         deficit = np.maximum(sigma / 2.0 - lhs, 0.0)
         return _bounded_tail(rr, deficit * rr**_TAU_PROBE)
 
-    return _largest_sigma(passes, caps.sigma_max, 48)
+    return _largest_sigma(passes, 48)
 
 
 def check_conditions(profile: WarpProfile, potential: PotentialSplit,
-                     grid: np.ndarray | None = None,
-                     caps: Caps | None = None) -> ConditionReport:
+                     grid: np.ndarray | None = None) -> ConditionReport:
     """Verify the warped-model conditions and extract the best constants.
 
     The report carries one row per inequality (worst margin and witness), the
     extracted sigma, tau, rho', rho, the uniform constant, lambda0 and
     beta_c = min{sigma, tau, rho} / 2.
     """
-    caps = caps or Caps()
     rr = condition_grid() if grid is None else np.asarray(grid, dtype=float)
     if rr[0] < 1.0 or np.any(np.diff(rr) <= 0):
         raise ContractError("condition grid must increase within [1, horizon]")
@@ -293,12 +287,12 @@ def check_conditions(profile: WarpProfile, potential: PotentialSplit,
     # --- convexity: r f'/(2 f) >= sigma/2 - C r^{-tau} on the ell-block -----
     # (vacuous at d = 1: the tangent bundle has no tangential directions)
     lhs = rr * pt.ell_coeff
-    sigma = caps.sigma_max if profile.d == 1 else _sigma_search(rr, lhs, caps)
+    sigma = EXPONENT_CAP if profile.d == 1 else _sigma_search(rr, lhs)
     if profile.d == 1:
         rows.append(InequalityRow(name="convexity", verdict="pass",
                                   margin=float("inf"), witness_r=float(rr[-1]),
                                   constant=0.0))
-        tau = caps.tau_max
+        tau = EXPONENT_CAP
         conv_C = 0.0
     elif sigma <= 0.0:
         deficit = np.maximum(1e-6 / 2.0 - lhs, 0.0)
@@ -310,8 +304,7 @@ def check_conditions(profile: WarpProfile, potential: PotentialSplit,
         conv_C = float("nan")
     else:
         deficit = np.maximum(sigma / 2.0 - lhs, 0.0)
-        row, tau = _decay_row("convexity", rr, deficit,
-                              lambda t: t, caps.tau_max)
+        row, tau = _decay_row("convexity", rr, deficit, lambda t: t)
         conv_C = row.constant
         rows.append(InequalityRow(
             name="convexity", verdict=row.verdict,
@@ -338,9 +331,9 @@ def check_conditions(profile: WarpProfile, potential: PotentialSplit,
     q2 = np.asarray(potential.q2(rr), dtype=float)
     scale = 1.0 + float(np.max(np.abs(np.asarray(potential.q1(rr)))))
     row1, rp1 = _decay_row("grad_q1_upper", rr, np.maximum(dq1, 0.0),
-                           lambda p: 1.0 + p, caps.rho_prime_max, scale)
+                           lambda p: 1.0 + p, scale)
     row2, rp2 = _decay_row("q2_decay", rr, np.abs(q2),
-                           lambda p: 1.0 + p, caps.rho_prime_max, scale)
+                           lambda p: 1.0 + p, scale)
     rows += [row1, row2]
     rho_prime = min(rp1, rp2)
 
@@ -353,19 +346,19 @@ def check_conditions(profile: WarpProfile, potential: PotentialSplit,
     q22 = np.asarray(potential.q22(rr), dtype=float)
     rho_rows = [
         _decay_row("grad_q11", rr, np.abs(dq11),
-                   lambda p: 0.5 * (1.0 + 0.5 * p), caps.rho_max, scale),
+                   lambda p: 0.5 * (1.0 + 0.5 * p), scale),
         _decay_row("grad2_q11", rr, np.abs(d2q11),
-                   lambda p: 1.0 + 0.5 * p, caps.rho_max, scale),
+                   lambda p: 1.0 + 0.5 * p, scale),
         _decay_row("grad_q12", rr, np.abs(dq12),
-                   lambda p: 1.0 + 0.5 * p, caps.rho_max, scale),
+                   lambda p: 1.0 + 0.5 * p, scale),
         _decay_row("q21_decay", rr, np.abs(q21),
-                   lambda p: p, caps.rho_max, scale),
+                   lambda p: p, scale),
         _decay_row("grad_q21", rr, np.abs(dq21),
-                   lambda p: 1.0 + p, caps.rho_max, scale),
+                   lambda p: 1.0 + p, scale),
         _decay_row("q21_grad_q11_upper", rr, np.maximum(q21 * dq11, 0.0),
-                   lambda p: 1.0 + p, caps.rho_max, scale),
+                   lambda p: 1.0 + p, scale),
         _decay_row("q22_decay", rr, np.abs(q22),
-                   lambda p: 1.0 + 0.5 * p, caps.rho_max, scale),
+                   lambda p: 1.0 + 0.5 * p, scale),
     ]
     rows += [r for r, _ in rho_rows]
     rho = min(p for _, p in rho_rows)
@@ -383,8 +376,8 @@ def check_conditions(profile: WarpProfile, potential: PotentialSplit,
         rho_prime=float(rho_prime), rho=float(rho), constant=float(bigC),
         lambda0=ce.value, beta_c=float(beta_c),
         grid_meta={"grid_points": int(rr.size), "horizon": float(rr[-1]),
-                   "sigma_cap": caps.sigma_max, "tau_cap": caps.tau_max,
-                   "rho_cap": caps.rho_max,
+                   "sigma_cap": EXPONENT_CAP, "tau_cap": EXPONENT_CAP,
+                   "rho_cap": EXPONENT_CAP,
                    "lambda0_residual": ce.residual,
                    "lambda0_converged": ce.converged},
     )
@@ -536,7 +529,7 @@ def _boundary_samples(field: EscapeField2D):
     return pts
 
 
-def check_escape_2d(field: EscapeField2D, caps: Caps | None = None) -> ConditionReport:
+def check_escape_2d(field: EscapeField2D) -> ConditionReport:
     """Pointwise verification of a candidate two-dimensional escape function.
 
     Checks r >= 1 and finiteness, boundedness of |dr|^2, the decay exponent
@@ -545,7 +538,6 @@ def check_escape_2d(field: EscapeField2D, caps: Caps | None = None) -> Condition
     Delta r (reduced confidence: third differences), and the inward-pointing
     test at sampled boundary points.
     """
-    caps = caps or Caps()
     x, y, h, skipped = _sample_points(field)
     if x.size < 32:
         raise ContractError("too few in-domain samples; enlarge the ring range")
@@ -575,7 +567,7 @@ def check_escape_2d(field: EscapeField2D, caps: Caps | None = None) -> Condition
             witness_r=float(rv[np.argmax(dev)]), constant=float(np.max(dev)),
             exponent=None, r_squared=None))
     else:
-        slope, _, r2 = _fit_decay(rv[order], dev[order])
+        slope, r2 = fit_decay(rv[order], dev[order])
         rows.append(InequalityRow(
             name="dr2_minus_one_decay",
             verdict="pass" if slope is None or slope < -0.5 else "inconclusive",
@@ -609,7 +601,7 @@ def check_escape_2d(field: EscapeField2D, caps: Caps | None = None) -> Condition
     def passes(sigma):
         return _bounded_tail(rr_sorted, deficit_of_sigma(sigma)[order] * rr_sorted**0.25)
 
-    sigma = _largest_sigma(passes, caps.sigma_max, 40)
+    sigma = _largest_sigma(passes, 40)
     if sigma <= 0.0:
         rows.append(InequalityRow(name="convexity", verdict="fail",
                                   margin=-1.0, witness_r=float(np.max(rv)),
@@ -617,8 +609,7 @@ def check_escape_2d(field: EscapeField2D, caps: Caps | None = None) -> Condition
         tau = 0.0
     else:
         row, tau = _decay_row("convexity", rr_sorted,
-                              deficit_of_sigma(sigma)[order],
-                              lambda t: t, caps.tau_max)
+                              deficit_of_sigma(sigma)[order], lambda t: t)
         # bisection can overshoot the sharp threshold by O(horizon^-2), which
         # poisons the decay fit with a constant deficit; shave sigma until a
         # certifiable tau appears and report the conservative pair
@@ -626,8 +617,7 @@ def check_escape_2d(field: EscapeField2D, caps: Caps | None = None) -> Condition
             for shave in (3e-4, 1e-3, 3e-3, 1e-2):
                 sig2 = sigma * (1.0 - shave)
                 row2, tau2 = _decay_row("convexity", rr_sorted,
-                                        deficit_of_sigma(sig2)[order],
-                                        lambda t: t, caps.tau_max)
+                                        deficit_of_sigma(sig2)[order], lambda t: t)
                 if tau2 >= 0.5:
                     sigma, row, tau = sig2, row2, tau2
                     break
@@ -644,7 +634,7 @@ def check_escape_2d(field: EscapeField2D, caps: Caps | None = None) -> Condition
     third = np.abs(lap(x + s * tx, y + s * ty) - lap(x - s * tx, y - s * ty)) / (2.0 * s)
     third = np.maximum(third - field.noise_floor, 0.0)
     row3, _ = _decay_row("tangential_grad_mean_curvature", rr_sorted,
-                         third[order], lambda t: 1.0 + 0.5 * t, caps.tau_max)
+                         third[order], lambda t: 1.0 + 0.5 * t)
     rows.append(InequalityRow(name=row3.name, verdict=row3.verdict,
                               margin=row3.margin, witness_r=row3.witness_r,
                               constant=row3.constant, exponent=row3.exponent,
@@ -669,10 +659,10 @@ def check_escape_2d(field: EscapeField2D, caps: Caps | None = None) -> Condition
                                   margin=float("inf"), witness_r=0.0,
                                   constant=0.0))
 
-    beta_c = 0.5 * min(sigma, tau, caps.rho_max)
+    beta_c = 0.5 * min(sigma, tau, EXPONENT_CAP)
     return ConditionReport(
         rows=rows, sigma=float(sigma), tau=float(tau),
-        rho_prime=float(caps.rho_prime_max), rho=float(caps.rho_max),
+        rho_prime=EXPONENT_CAP, rho=EXPONENT_CAP,
         constant=float(max((r.constant for r in rows
                             if np.isfinite(r.constant) and r.constant > 0), default=1.0)),
         lambda0=0.0, beta_c=float(beta_c),
@@ -682,16 +672,15 @@ def check_escape_2d(field: EscapeField2D, caps: Caps | None = None) -> Condition
 
 # --- built-in example fields ------------------------------------------------
 
-def disk_complement_field(fd_step: float = 1e-3) -> EscapeField2D:
+def disk_complement_field() -> EscapeField2D:
     """Plane minus the closed unit disk with the exact distance r = |x|."""
     return EscapeField2D(
         name="disk_complement",
         r_fn=lambda x, y: np.sqrt(np.asarray(x) ** 2 + np.asarray(y) ** 2),
-        domain=lambda x, y: np.asarray(x) ** 2 + np.asarray(y) ** 2 > 1.0,
-        fd_step=fd_step)
+        domain=lambda x, y: np.asarray(x) ** 2 + np.asarray(y) ** 2 > 1.0)
 
 
-def hyperbola_field(K: float = 3.0, fd_step: float = 1e-3) -> EscapeField2D:
+def hyperbola_field(K: float = 3.0) -> EscapeField2D:
     """Region xy < 1 with r^2 = x^2 + y^2 + K ln((y-x)^2 + 2), K > 2.
 
     With this normalization of the log term,
@@ -711,11 +700,10 @@ def hyperbola_field(K: float = 3.0, fd_step: float = 1e-3) -> EscapeField2D:
     return EscapeField2D(
         name="hyperbola",
         r_fn=r_fn,
-        domain=lambda x, y: np.asarray(x) * np.asarray(y) < 1.0,
-        fd_step=fd_step)
+        domain=lambda x, y: np.asarray(x) * np.asarray(y) < 1.0)
 
 
-def sawtooth_field(K: float = 1.0, fd_step: float = 1e-3) -> EscapeField2D:
+def sawtooth_field(K: float = 1.0) -> EscapeField2D:
     """Saw-tooth region above y = K (x - [x]_-) / (1 + [x]_-), x > 0."""
 
     def floor_minus(x):
@@ -734,4 +722,4 @@ def sawtooth_field(K: float = 1.0, fd_step: float = 1e-3) -> EscapeField2D:
         return np.sqrt(1.0 + x**2 + (y + K) ** 2)
 
     return EscapeField2D(name="sawtooth", r_fn=r_fn, domain=domain,
-                         ring_min=4.0, ring_max=256.0, fd_step=fd_step)
+                         ring_min=4.0, ring_max=256.0)

@@ -484,6 +484,8 @@ def radiation_sweep(model: Model, lam: float, gammas, betas,
 
 # probes sit in annuli 0 .. _PROBE_NU_MAX - 1 (fewer on short grids)
 _PROBE_NU_MAX = 6
+# how far below the predicted floor a fitted Hoelder exponent may fall
+_HOELDER_SLACK = 0.1
 
 
 def probe_set(grid: RadialGrid, n_probes: int, seed: int):
@@ -580,8 +582,7 @@ def _reach_prefix(grid: RadialGrid, ops, modes, lam: float, r_from: float):
 
 def hoelder_estimate(model: Model, lam: float, s: float, gamma_top: float = 0.064,
                      n_pairs: int = 4, n_probes: int = 8, seed: int = 0,
-                     h: float = 0.02, mode_cap: float = 0.5,
-                     slack: float = 0.1) -> SweepTable:
+                     h: float = 0.02, mode_cap: float = 0.5) -> SweepTable:
     """Empirical Hoelder exponent of the resolvent in weighted operator norm.
 
     Pairs (z, z') = (lambda + i Gamma, lambda + i Gamma/2) on a geometric
@@ -589,7 +590,7 @@ def hoelder_estimate(model: Model, lam: float, s: float, gamma_top: float = 0.06
     is the max over a seeded set of ``n_probes`` >= 1 probes of
     || R(z) psi - R(z') psi ||_{H_{-s}} / || psi ||_{H_s}.  Verdict "pass"
     when the fitted exponent stays above the predicted floor
-    min{(2s-1)/(2s+1), beta_c/(beta_c+1)} minus ``slack``.
+    min{(2s-1)/(2s+1), beta_c/(beta_c+1)} minus ``_HOELDER_SLACK`` = 0.1.
 
     The shared domain (``meta["r_max"]``) absorbs the smallest Gamma/2,
     Gamma (R_max - 1) >= ``ABSORPTION``; the probes, their H_s norms and the
@@ -637,10 +638,10 @@ def hoelder_estimate(model: Model, lam: float, s: float, gamma_top: float = 0.06
     if r2 < 0.9:
         verdict = "inconclusive"
     else:
-        verdict = "pass" if slope >= floor - slack else "fail"
+        verdict = "pass" if slope >= floor - _HOELDER_SLACK else "fail"
     meta = {"model": model.name, "lambda": lam, "lambda0": lam0, "s": s,
             "epsilon_emp": slope, "r_squared": r2,
-            "predicted_floor": floor, "slack": slack, "h": h,
+            "predicted_floor": floor, "slack": _HOELDER_SLACK, "h": h,
             "r_max": grid.r_max, "n_probes": n_probes, "seed": seed}
     return SweepTable(name="hoelder", columns=["gamma", "gamma_prime", "diff_norm"],
                       rows=rows, verdict=verdict, meta=meta)
@@ -775,10 +776,13 @@ def sommerfeld_compare(model: Model, lam: float, psi: Bump | None = None,
 # besov_energy_check
 # ---------------------------------------------------------------------------
 
+# the cutoff indices n of chi_n tried, smallest first
+_N_CANDIDATES = (0, 1, 2, 3, 4)
+
+
 def besov_energy_check(model: Model, z: complex, psi: Bump | None = None,
                        delta: float | None = None, nus=(0, 1, 2, 3, 4, 5, 6),
                        gammas=None, h: float = 0.05, mode_cap: float = 6.5,
-                       n_candidates=(0, 1, 2, 3, 4),
                        bound_factor: float = 2.0) -> SweepTable:
     """Weighted energy inequality on computed resolvent states.
 
@@ -789,7 +793,7 @@ def besov_energy_check(model: Model, z: complex, psi: Bump | None = None,
             + ||chi_n Theta^{1/2} phi||^2
 
     and the extracted constant is C(nu, Gamma) = lhs / rhs.  The verdict is
-    "pass" when some n from ``n_candidates`` makes C uniform within
+    "pass" when some n from ``_N_CANDIDATES`` makes C uniform within
     ``bound_factor`` across all rows; the smallest workable n is reported.
     """
     z = complex(z)
@@ -865,7 +869,7 @@ def besov_energy_check(model: Model, z: complex, psi: Bump | None = None,
         return max(s_gamma, s_nu)
 
     chosen_n, chosen_rows, spread = None, None, float("inf")
-    for n in n_candidates:
+    for n in _N_CANDIDATES:
         rows = rows_for_n(n)
         ratio = aggregated_spread(rows)
         if chosen_rows is None or ratio < spread:

@@ -4,8 +4,8 @@ A model manifold has one end carried by the half-line [1, oo) with metric
 
     g = dr (x) dr + f(r) h(sigma),
 
-where (S, h) is a closed cross-section of dimension d-1 and f > 0 is the
-warp.  On the end
+where (S, h) is the round sphere S^{d-1} (the circle at d = 2) and f > 0
+is the warp.  On the end
 
     |dr|^2 = 1,
     Hess r = (f'/2) h = (f'/(2 f)) ell,
@@ -55,21 +55,17 @@ _TAIL_TOL = 1e-6
 
 @dataclass(frozen=True)
 class WarpProfile:
-    """Warp f or ln f (exactly one of them) and the log-chain of w = f'/f,
-    plus the cross-section.
+    """Warp f or ln f (exactly one of them) and the log-chain of w = f'/f.
 
     f enters only through mu/(2f); every curvature term is a function of
     w.  ``log_chain`` returns (w, w', w'', w'''); closed-form for the
     built-in profiles, centered differences for tabulated ones.  The
-    cross-section kind is "circle", "sphere" or "abstract" (explicit
-    eigenvalue/multiplicity list).
+    cross-section is the round sphere S^{d-1}.
     """
 
     d: int
     log_chain: Callable
     f: Callable | None = None
-    cross_section: str = "sphere"
-    cross_eigs: tuple = ()
     r0: float = 2.0
     # exact ln f for rapidly growing warps; evaluation then goes through the
     # log domain (f itself saturates at exp(+-700), where only 1/f and
@@ -260,9 +256,8 @@ def critical_energy(profile: WarpProfile, potential: PotentialSplit,
 # built-in profiles
 # ---------------------------------------------------------------------------
 
-def power_profile(theta: float, d: int, r0: float = 2.0,
-                  cross_section: str = "sphere") -> WarpProfile:
-    """f(r) = r^theta.  theta = 2 with a round sphere is the Euclidean end."""
+def power_profile(theta: float, d: int, r0: float = 2.0) -> WarpProfile:
+    """f(r) = r^theta.  theta = 2 is the Euclidean end."""
     th = float(theta)
 
     def log_chain(r):
@@ -270,11 +265,10 @@ def power_profile(theta: float, d: int, r0: float = 2.0,
         return th / r, -th / r**2, 2.0 * th / r**3, -6.0 * th / r**4
 
     return WarpProfile(d=d, f=lambda r: np.asarray(r, float) ** th,
-                       log_chain=log_chain, cross_section=cross_section, r0=r0)
+                       log_chain=log_chain, r0=r0)
 
 
-def exp_profile(kappa: float, d: int, r0: float = 2.0,
-                cross_section: str = "sphere", amp: float = 1.0,
+def exp_profile(kappa: float, d: int, r0: float = 2.0, amp: float = 1.0,
                 lower_c: float = 0.0, lower_theta: float = 0.5) -> WarpProfile:
     """f(r) = amp * exp(kappa r + lower_c r^lower_theta).
 
@@ -301,12 +295,11 @@ def exp_profile(kappa: float, d: int, r0: float = 2.0,
         w3 = c * th * (th - 1.0) * (th - 2.0) * (th - 3.0) * r ** (th - 4.0)
         return w, w1, w2, w3
 
-    return WarpProfile(d=d, log_chain=log_chain, cross_section=cross_section,
-                       r0=r0, log_f=log_f)
+    return WarpProfile(d=d, log_chain=log_chain, r0=r0, log_f=log_f)
 
 
-def stretched_exp_profile(delta: float, theta: float, d: int, r0: float = 2.0,
-                          cross_section: str = "sphere") -> WarpProfile:
+def stretched_exp_profile(delta: float, theta: float, d: int,
+                          r0: float = 2.0) -> WarpProfile:
     """f(r) = exp(delta r^theta), 0 < theta < 1: superpolynomial growth with
     vanishing asymptotic curvature, so the critical energy stays 0."""
     de, th = float(delta), float(theta)
@@ -324,12 +317,10 @@ def stretched_exp_profile(delta: float, theta: float, d: int, r0: float = 2.0,
         w3 = de * th * (th - 1.0) * (th - 2.0) * (th - 3.0) * r ** (th - 4.0)
         return w, w1, w2, w3
 
-    return WarpProfile(d=d, log_chain=log_chain, cross_section=cross_section,
-                       r0=r0, log_f=log_f)
+    return WarpProfile(d=d, log_chain=log_chain, r0=r0, log_f=log_f)
 
 
-def hyperbolic_profile(d: int, r0: float = 2.0,
-                       cross_section: str = "sphere") -> WarpProfile:
+def hyperbolic_profile(d: int, r0: float = 2.0) -> WarpProfile:
     """f(r) = sinh(r)^2: the standard hyperbolic end (kappa = 2 at infinity)."""
 
     def log_chain(r):
@@ -348,12 +339,10 @@ def hyperbolic_profile(d: int, r0: float = 2.0,
         # ln sinh^2 r, stable for large r
         return 2.0 * (r + np.log1p(-np.exp(-2.0 * r)) - math.log(2.0))
 
-    return WarpProfile(d=d, log_chain=log_chain, cross_section=cross_section,
-                       r0=r0, log_f=log_f)
+    return WarpProfile(d=d, log_chain=log_chain, r0=r0, log_f=log_f)
 
 
-def const_profile(d: int = 1, r0: float = 2.0,
-                  cross_section: str = "circle") -> WarpProfile:
+def const_profile(d: int = 1, r0: float = 2.0) -> WarpProfile:
     """f = 1: a cylinder (or, at d = 1, the bare half-line)."""
 
     def log_chain(r):
@@ -361,11 +350,10 @@ def const_profile(d: int = 1, r0: float = 2.0,
         return z, z, z, z
 
     return WarpProfile(d=d, f=lambda r: np.ones_like(np.asarray(r, float)),
-                       log_chain=log_chain, cross_section=cross_section, r0=r0)
+                       log_chain=log_chain, r0=r0)
 
 
-def tabulated_profile(r_table, f_table, d: int, r0: float = 2.0,
-                      cross_section: str = "sphere") -> WarpProfile:
+def tabulated_profile(r_table, f_table, d: int, r0: float = 2.0) -> WarpProfile:
     """Warp given by a table of (r, f) samples; the log-chain by centered differences."""
     rt = np.asarray(r_table, dtype=float)
     ft = np.asarray(f_table, dtype=float)
@@ -384,7 +372,7 @@ def tabulated_profile(r_table, f_table, d: int, r0: float = 2.0,
                 np.interp(r, rt, w2_t), np.interp(r, rt, w3_t))
 
     return WarpProfile(d=d, f=lambda r: np.interp(np.asarray(r, float), rt, ft),
-                       log_chain=log_chain, cross_section=cross_section, r0=r0)
+                       log_chain=log_chain, r0=r0)
 
 
 def geometric_split(profile: WarpProfile, V_long=None, dV_long=None,
@@ -393,8 +381,12 @@ def geometric_split(profile: WarpProfile, V_long=None, dV_long=None,
 
     Covers every built-in model: the geometric term and any smooth long-range
     part go into q1 = q11, a bounded compactly-supported or short-range part
-    into q22.
+    into q22.  A long-range part comes with both its radial derivatives,
+    which enter dq1 = dq11 and d2q11.
     """
+    given = [p is not None for p in (V_long, dV_long, d2V_long)]
+    if any(given) and not all(given):
+        raise ContractError("a long-range potential needs V_long, dV_long and d2V_long")
     vl = V_long or _ZERO
     dvl = dV_long or _ZERO
     d2vl = d2V_long or _ZERO

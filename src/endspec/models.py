@@ -1,8 +1,8 @@
 """Model presets: warped ends, potential wells and the two-ended line.
 
 A ``Model`` bundles everything the solvers and experiments need: the warp
-profile with its cross-section and interior radius r0 (which fixes the
-cutoff family, ``WarpProfile.cutoffs``), the potential splitting, and (for
+profile with its interior radius r0 (which fixes the cutoff family,
+``WarpProfile.cutoffs``), the potential splitting, and (for
 one-dimensional multi-end models) the line data.  Multi-end models
 live on an x-grid [x_min, R_max] with a smooth escape function r(x) that
 equals x on the right end and is clamped at 1 on the left end, so the
@@ -21,7 +21,8 @@ from typing import Callable
 
 import numpy as np
 
-from .conditions import Caps, ConditionReport, InequalityRow, check_conditions
+from .conditions import (EXPONENT_CAP, ConditionReport, InequalityRow,
+                         check_conditions)
 from .errors import ContractError
 from .geometry import (PotentialSplit, WarpProfile, const_profile,
                        critical_energy, exp_profile, geometric_split,
@@ -71,8 +72,8 @@ class Model:
     def lambda0(self) -> float:
         return _lambda0_cached(self)
 
-    def conditions(self, caps: Caps | None = None) -> ConditionReport:
-        return _conditions_cached(self, caps or Caps())
+    def conditions(self) -> ConditionReport:
+        return _conditions_cached(self)
 
 
 @lru_cache(maxsize=64)
@@ -86,19 +87,19 @@ _LINE_TAU = 2.0
 
 
 @lru_cache(maxsize=64)
-def _conditions_cached(model: Model, caps: Caps) -> ConditionReport:
+def _conditions_cached(model: Model) -> ConditionReport:
     if model.line is not None:
         lam0 = model.lambda0()
         rows = [InequalityRow(name="line_model_metadata", verdict="pass",
                               margin=float("inf"), witness_r=1.0,
                               constant=_LINE_C)]
         return ConditionReport(
-            rows=rows, sigma=caps.sigma_max, tau=_LINE_TAU,
-            rho_prime=caps.rho_prime_max, rho=caps.rho_max,
+            rows=rows, sigma=EXPONENT_CAP, tau=_LINE_TAU,
+            rho_prime=EXPONENT_CAP, rho=EXPONENT_CAP,
             constant=_LINE_C, lambda0=lam0,
-            beta_c=0.5 * min(caps.sigma_max, _LINE_TAU, caps.rho_max),
+            beta_c=0.5 * min(EXPONENT_CAP, _LINE_TAU),
             grid_meta={"kind": "line"})
-    return check_conditions(model.profile, model.potential, caps=caps)
+    return check_conditions(model.profile, model.potential)
 
 
 # ---------------------------------------------------------------------------
@@ -121,7 +122,7 @@ def power_model(theta: float, d: int, r0: float = 2.0) -> Model:
 
 
 def euclidean_model(d: int, r0: float = 2.0) -> Model:
-    """f = r^2 with a round sphere cross-section."""
+    """f = r^2: the flat end of R^d."""
     m = _warped(f"euclidean(d={d})", power_profile(2.0, d, r0))
     return m
 

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conditions import loglog_fit
+from .conditions import fit_decay
 from .errors import BranchError, ContractError, EndspecError
 from .geometry import (TAIL_HORIZON, CriticalEnergy, PotentialSplit,
                        WarpProfile, critical_energy)
@@ -39,8 +39,6 @@ from .radial import RadialGrid
 
 # geometric samples of q1 per dyadic block in the threshold-radius search
 _THRESHOLD_SAMPLES = 64
-# dyadic decades at the outer edge the Riccati residual's decay is fitted over
-_FIT_DECADES = 2
 
 
 @dataclass(frozen=True)
@@ -181,9 +179,9 @@ def riccati_residual(phase: PhaseSpec, potential: PotentialSplit) -> ResidualPro
 
     The derivative of a uses three-point central differences; points inside
     the threshold cutoff band and the two grid edges are excluded.  The decay
-    exponent is the least-squares slope over the last ``_FIT_DECADES``
-    dyadic decades, flagged unreliable when R^2 < 0.9.  The grid is the
-    phase's.
+    exponent is the ``conditions.fit_decay`` slope over the last two dyadic
+    decades below the outer edge, flagged unreliable when R^2 < 0.9.  The
+    grid is the phase's.
     """
     grid = phase.grid
     rr = grid.radii
@@ -193,12 +191,12 @@ def riccati_residual(phase: PhaseSpec, potential: PotentialSplit) -> ResidualPro
     keep = (rr > phase.r_lambda * 1.0001) & (np.arange(rr.size) > 0) \
         & (np.arange(rr.size) < rr.size - 1)
     r_keep, v_keep = rr[keep], resid[keep]
-    lo = grid.r_max / 2.0**_FIT_DECADES
-    band = (r_keep >= lo) & (v_keep > 0.0)
-    if np.count_nonzero(band) < 8:
+    # the excluded points enter the fit as zeros, which it skips: its window
+    # is anchored at the outer edge of the grid, not at the last kept point
+    slope, r2 = fit_decay(rr, np.where(keep, resid, 0.0))
+    if slope is None:
         return ResidualProfile(r=r_keep, residual=v_keep, slope=np.nan,
                                r_squared=0.0, reliable=False)
-    slope, _, r2 = loglog_fit(r_keep[band], v_keep[band])
     return ResidualProfile(r=r_keep, residual=v_keep, slope=slope,
                            r_squared=r2, reliable=bool(r2 >= 0.9))
 

@@ -177,47 +177,27 @@ def _sphere_multiplicity(l: int, n: int) -> int:
     return (2 * l + n - 1) * math.comb(l + n - 2, l) // (n - 1)
 
 
-def mode_spectrum(cross_section, cap: float, d: int | None = None) -> tuple:
-    """Cross-section spectrum up to the cap, as (mu, multiplicity) pairs.
-
-    circle: mu = k^2 with multiplicity 2 (k >= 1) and 1 (k = 0);
-    sphere S^{d-1}: mu = l(l+d-2) with the standard multiplicities;
-    an explicit list of (mu, multiplicity) pairs is passed through.
+def mode_spectrum(cap: float, d: int) -> tuple:
+    """Spectrum of the round sphere S^{d-1} up to the cap, as (mu,
+    multiplicity) pairs: mu = l(l+d-2) with the standard multiplicities (at
+    d = 2 the circle, mu = k^2 with multiplicity 2 for k >= 1).
     """
     if cap < 0:
         raise ContractError("cap must be >= 0")
-    if isinstance(cross_section, (list, tuple)):
-        entries = []
-        for mu, mult in cross_section:
-            if mult <= 0 or int(mult) != mult:
-                raise ContractError("multiplicities must be positive integers")
-            if mu <= cap:
-                entries.append((float(mu), int(mult)))
-        return tuple(sorted(entries))
-    if cross_section == "circle":
-        entries, k = [(0.0, 1)], 1
-        while k * k <= cap:
-            entries.append((float(k * k), 2))
-            k += 1
-        return tuple(entries)
-    if cross_section == "sphere":
-        if d is None or d < 2:
-            raise ContractError("sphere cross-section needs the ambient dimension d >= 2")
-        n = d - 1
-        entries, l = [], 0
-        while l * (l + n - 1) <= cap:
-            entries.append((float(l * (l + n - 1)), _sphere_multiplicity(l, n)))
-            l += 1
-        return tuple(entries)
-    raise ContractError(f"unknown cross-section kind {cross_section!r}")
+    if d < 2:
+        raise ContractError("the sphere cross-section needs dimension d >= 2")
+    n = d - 1
+    entries, l = [], 0
+    while l * (l + n - 1) <= cap:
+        entries.append((float(l * (l + n - 1)), _sphere_multiplicity(l, n)))
+        l += 1
+    return tuple(entries)
 
 
 def profile_modes(profile: WarpProfile, cap: float) -> tuple:
     if profile.d == 1:
         return ((0.0, 1),)
-    if profile.cross_section == "abstract":
-        return mode_spectrum(list(profile.cross_eigs), cap)
-    return mode_spectrum(profile.cross_section, cap, d=profile.d)
+    return mode_spectrum(cap, profile.d)
 
 
 # ---------------------------------------------------------------------------

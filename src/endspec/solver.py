@@ -51,7 +51,7 @@ from .errors import (AbsorptionError, BranchError, ConditioningError,
                      ContractError)
 from .geometry import PotentialSplit, WarpProfile
 from .phase import grid_phase, phase_a
-from .radial import (FIRST_UNKNOWN, BesovProfile, OuterPolicy, RadialGrid,
+from .radial import (FIRST_UNKNOWN, OuterPolicy, RadialGrid,
                      RadialOperator, assemble_radial_operator, besov_norms,
                      l2_norm, uniform_grid)
 
@@ -333,7 +333,6 @@ class EigenEntry:
     eigenvalue: float
     refined: float
     drift: float
-    profile: BesovProfile
     profile_slope: float
     artifact: bool
     near_threshold: bool
@@ -381,8 +380,7 @@ def _classify(vals, vecs, vals2, valsh, grid: RadialGrid,
         nrm = l2_norm(phi, grid)
         if nrm > 0:
             phi = phi / nrm
-        prof = besov_norms(phi, grid)
-        slope = prof.tail_slope()
+        slope = besov_norms(phi, grid).tail_slope()
         slope = 0.0 if slope is None else slope
         drift = float(np.min(np.abs(vals2 - lam))) if vals2.size else np.inf
         refined = lam
@@ -392,16 +390,14 @@ def _classify(vals, vecs, vals2, valsh, grid: RadialGrid,
         near = any(abs(lam - t) <= THRESHOLD_WINDOW for t in thresholds)
         artifact = (slope > _FLAT_SLOPE) and (drift > 10.0 * _DRIFT_TOL)
         entries.append(EigenEntry(eigenvalue=float(lam), refined=float(refined),
-                                  drift=drift, profile=prof,
-                                  profile_slope=float(slope),
+                                  drift=drift, profile_slope=float(slope),
                                   artifact=bool(artifact), near_threshold=near))
     entries.sort(key=lambda e: e.eigenvalue)
     return EigenScanResult(entries=tuple(entries))
 
 
 def eigen_scan(profile: WarpProfile, potential: PotentialSplit, mu: float,
-               grid: RadialGrid, interval, refine: bool = True,
-               thresholds=()) -> EigenScanResult:
+               grid: RadialGrid, interval, thresholds=()) -> EigenScanResult:
     """Scan the Dirichlet-truncated spectrum on a bounded interval.
 
     Classification per eigenpair: the annulus profile R_nu^{-1/2}||F_nu phi||
@@ -409,9 +405,8 @@ def eigen_scan(profile: WarpProfile, potential: PotentialSplit, mu: float,
     annuli) for a genuine eigenfunction; a flat profile combined with
     eigenvalue drift above 10 * ``_DRIFT_TOL`` under domain doubling marks a
     truncation artifact, and an eigenvalue within ``THRESHOLD_WINDOW`` of one
-    of the ``thresholds`` is marked near-threshold.  ``refine`` adds an
-    h-halving Richardson step so genuine eigenvalues carry an O(h^4)
-    estimate.
+    of the ``thresholds`` is marked near-threshold.  An h-halving
+    Richardson step gives every eigenvalue an O(h^4) estimate ``refined``.
     """
     lo, hi = float(interval[0]), float(interval[1])
     if not hi > lo:
@@ -427,7 +422,7 @@ def eigen_scan(profile: WarpProfile, potential: PotentialSplit, mu: float,
 
     # h-halving for the Richardson refinement
     valsh = None
-    if refine and vals.size:
+    if vals.size:
         gridh = uniform_grid(grid.r_max, 0.5 * grid.h, r_min=grid.radii[0])
         ddh, dlh = _dirichlet_tridiag(profile, potential, mu, gridh)
         valsh = _eig_interval(ddh, dlh, (lo - pad, hi + pad), eigvals_only=True)

@@ -76,7 +76,7 @@ def test_criterion_3_condition_constants():
         rep = power_model(theta, 3).conditions()
         ok &= rep.overall() == "pass" and theta - 0.05 <= rep.sigma <= theta
         details.append(f"theta={theta:g}: sigma={rep.sigma:.4f}")
-    prof = const_profile(d=2, cross_section="circle")
+    prof = const_profile(d=2)
     rep_cyl = check_conditions(prof, geometric_split(prof))
     conv = [r for r in rep_cyl.rows if r.name == "convexity"][0]
     ok &= rep_cyl.overall() == "fail" and conv.verdict == "fail" \

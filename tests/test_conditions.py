@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from endspec.conditions import (Caps, check_conditions, check_escape_2d,
-                                condition_grid, disk_complement_field,
-                                hyperbola_field, sawtooth_field)
+from endspec.conditions import (EXPONENT_CAP, check_conditions,
+                                check_escape_2d, condition_grid,
+                                disk_complement_field, hyperbola_field,
+                                sawtooth_field)
 from endspec.errors import ContractError
 from endspec.geometry import const_profile, geometric_split, power_profile
 from endspec.models import (exp_model, hyperbolic_model,
@@ -30,7 +31,7 @@ def test_power_theta_two():
 
 
 def test_cylinder_fails_convexity_with_witness():
-    prof = const_profile(d=2, cross_section="circle")
+    prof = const_profile(d=2)
     rep = check_conditions(prof, geometric_split(prof))
     assert rep.overall() == "fail"
     conv = [r for r in rep.rows if r.name == "convexity"][0]
@@ -85,10 +86,10 @@ def test_report_csv_roundtrip(tmp_path):
 
 
 def test_caps_respected():
-    prof = power_profile(1.0, 3)
-    rep = check_conditions(prof, geometric_split(prof),
-                           caps=Caps(sigma_max=0.4))
-    assert rep.sigma == 0.4  # capped below the true threshold
+    # sigma = theta = 10 would certify; the search stops at the cap
+    prof = power_profile(10.0, 3)
+    rep = check_conditions(prof, geometric_split(prof))
+    assert rep.sigma == EXPONENT_CAP
 
 
 # --- two-dimensional escape functions ------------------------------------------

@@ -287,9 +287,9 @@ _FORWARDS = [
           base_r_max=32.0, mode_cap=2.5, bound_factor=3.0, sign=-1)),
     ("hoelder", "hoelder", "hoelder_estimate",
      dict(lam=2.0, s=1.0, gamma_top=0.064, n_pairs=4, n_probes=8, seed=7,
-          h=0.02, mode_cap=6.5, slack=0.1),
+          h=0.02, mode_cap=6.5),
      dict(lam=2.0, s=0.8, gamma_top=0.032, n_pairs=3, n_probes=2, seed=5,
-          h=0.05, mode_cap=2.5, slack=0.1)),
+          h=0.05, mode_cap=2.5)),
     ("sommerfeld", "sommerfeld", "sommerfeld_compare",
      dict(lam=2.0, psi=Bump(), beta=0.0, sign=1, h=0.02, window_r_max=64.0,
           gamma_top=2e-3, tol=1e-4, mode_cap=0.5),
@@ -674,3 +674,15 @@ def test_module_docstring_lists_every_key_and_kind():
     assert set(re.findall(r"`(\w+)`", model_part)) == set(config._MODEL_KEYS) - {"kind"}
     assert (set(re.findall(r"`(\w+)`", experiment_part))
             == set(config._EXPERIMENT_KEYS) - {"kind"})
+
+
+def test_package_docstring_names_existing_policy_constants():
+    # the package docstring lists the fixed policies every verdict rests on;
+    # each ``module.NAME`` it names is a constant of that module
+    import importlib
+    import re
+    named = re.findall(r"``(\w+)\.([A-Z_][A-Z0-9_]*)``", endspec.__doc__)
+    assert ("conditions", "EXPONENT_CAP") in named
+    for module, name in named:
+        assert isinstance(getattr(importlib.import_module(f"endspec.{module}"), name),
+                          (int, float, tuple))

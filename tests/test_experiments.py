@@ -663,8 +663,7 @@ def test_shift_domain_is_sized_by_the_grids_last_node(case):
     assert gamma * (short - 1.0) < ABSORPTION <= gamma * (r_req - 1.0)
     for tab in (lap_sweep(model, lam, [gamma, 0.5], h=h, mode_cap=0.5),
                 besov_energy_check(model, complex(lam, 0.5), gammas=[gamma, 0.5],
-                                   h=h, mode_cap=0.5, nus=(0, 1, 2),
-                                   n_candidates=(0,))):
+                                   h=h, mode_cap=0.5, nus=(0, 1, 2))):
         assert tab.meta["r_max"] == model.make_grid(2.0 * r_req, h).r_max
         assert gamma * (tab.meta["r_max"] - 1.0) >= ABSORPTION
 

@@ -9,6 +9,8 @@ from endspec.geometry import (PotentialSplit, WarpProfile, const_profile,
                               q_geom_chain, stretched_exp_profile,
                               tabulated_profile)
 
+_ZERO = lambda r: np.zeros_like(np.asarray(r, float))
+
 
 def test_warped_formulas_euclidean():
     prof = power_profile(2.0, 3)
@@ -103,11 +105,31 @@ def test_effective_potential_constant_shift():
     prof = power_profile(2.0, 2)
     c = 0.7
     base = geometric_split(prof)
-    shifted = geometric_split(prof, V_long=lambda r: np.full_like(np.asarray(r, float), c))
+    shifted = geometric_split(prof, V_long=lambda r: np.full_like(np.asarray(r, float), c),
+                              dV_long=_ZERO, d2V_long=_ZERO)
     r = np.linspace(1.0, 30.0, 50)
     np.testing.assert_allclose(_effective_potential(prof, shifted, r),
                                _effective_potential(prof, base, r) + c, rtol=1e-12)
     np.testing.assert_allclose(shifted.q1(r), np.asarray(base.q1(r)) + c, rtol=1e-12)
+
+
+def test_long_range_part_needs_its_derivatives():
+    # V_long = 1/r without its derivatives would leave dq1 and d2q11 at the
+    # geometric part alone; the split refuses it, and with them dq1 gains
+    # -1/r^2 (-0.01 at r = 10)
+    prof = power_profile(2.0, 2)
+    inv = lambda r: 1.0 / np.asarray(r, float)
+    for partial in ({}, {"dV_long": lambda r: -inv(r)**2}):
+        with pytest.raises(ContractError, match="dV_long and d2V_long"):
+            geometric_split(prof, V_long=inv, **partial)
+    with pytest.raises(ContractError):
+        geometric_split(prof, dV_long=_ZERO, d2V_long=_ZERO)
+    full = geometric_split(prof, V_long=inv, dV_long=lambda r: -inv(r)**2,
+                           d2V_long=lambda r: 2.0 * inv(r)**3)
+    base = geometric_split(prof)
+    r = np.array([10.0])
+    np.testing.assert_allclose(full.dq1(r) - base.dq1(r), -0.01, rtol=1e-12)
+    np.testing.assert_allclose(full.d2q11(r) - base.d2q11(r), 0.002, rtol=1e-12)
 
 
 def test_split_consistency_tolerance():
@@ -152,7 +174,8 @@ def test_critical_energy_shift():
     c = 1.3
     base = critical_energy(prof, geometric_split(prof)).value
     shifted = critical_energy(
-        prof, geometric_split(prof, V_long=lambda r: np.full_like(np.asarray(r, float), c)))
+        prof, geometric_split(prof, V_long=lambda r: np.full_like(np.asarray(r, float), c),
+                              dV_long=_ZERO, d2V_long=_ZERO))
     assert shifted.value == pytest.approx(base + c, abs=1e-12)
 
 

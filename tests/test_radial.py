@@ -13,28 +13,27 @@ from endspec.radial import (OuterPolicy, assemble_line_operator,
 # --- mode spectra -------------------------------------------------------------
 
 def test_circle_spectrum():
-    ms = mode_spectrum("circle", 5.0)
+    # S^1 at d = 2: mu = k^2, multiplicity 2 for k >= 1
+    ms = mode_spectrum(5.0, 2)
     assert list(ms) == [(0.0, 1), (1.0, 2), (4.0, 2)]
 
 
 def test_sphere_spectrum_d3():
-    ms = mode_spectrum("sphere", 7.0, d=3)
+    ms = mode_spectrum(7.0, 3)
     assert list(ms) == [(0.0, 1), (2.0, 3), (6.0, 5)]
 
 
 def test_sphere_spectrum_d4():
     # S^3: mu = l(l+2), multiplicity (l+1)^2
-    ms = mode_spectrum("sphere", 9.0, d=4)
+    ms = mode_spectrum(9.0, 4)
     assert list(ms) == [(0.0, 1), (3.0, 4), (8.0, 9)]
 
 
-def test_abstract_spectrum_passthrough():
-    ms = mode_spectrum([(0.0, 1), (3.0, 4)], 10.0)
-    assert list(ms) == [(0.0, 1), (3.0, 4)]
+def test_spectrum_refusals():
     with pytest.raises(ContractError):
-        mode_spectrum([(0.0, 0)], 1.0)
+        mode_spectrum(-1.0, 3)
     with pytest.raises(ContractError):
-        mode_spectrum("klein-bottle", 1.0)
+        mode_spectrum(1.0, 1)
 
 
 # --- grids and norms ----------------------------------------------------------
