@@ -14,9 +14,13 @@ Gamma (R_max - 1) >= 8), ``solver.RESIDUAL_TOL`` and ``solver.BLOWUP_LIMIT``
 solve), ``solver.THRESHOLD_WINDOW`` (0.05 around a declared threshold),
 ``geometry.TAIL_HORIZON`` (2^14, the outer radius of every tail sup of q1),
 ``conditions.EXPONENT_CAP`` (8, the search cap of sigma, tau, rho' and rho),
+``conditions.FIT_R2_MIN`` (0.9, the smallest R^2 of a log-log fit a verdict
+rests on), ``experiments._BOUND_FACTOR`` (2, the largest max/min ratio
+across a Gamma-decade that counts as uniform),
 ``experiments._HOELDER_SLACK`` (0.1 below the predicted Hoelder floor) and
 ``experiments._N_CANDIDATES`` (the cutoff indices 0-4 the Besov energy check
-tries).  Every cross-section is the round sphere S^{d-1}.
+tries).  Verdicts combine by one rule, ``conditions.combine_verdicts``.
+Every cross-section is the round sphere S^{d-1}.
 """
 
 __version__ = "0.1.0"

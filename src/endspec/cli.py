@@ -155,8 +155,7 @@ def _run_lap(cfg, model, exp, out_dir, seed):
     opt = exp.options
     table = lap_sweep(model, opt["lambda"], opt["gammas"], psi=_psi(opt),
                       h=cfg.grid["h"], base_r_max=cfg.grid["r_max"],
-                      mode_cap=cfg.grid["mode_cap"],
-                      **_given(opt, "bound_factor"))
+                      mode_cap=cfg.grid["mode_cap"])
     table.to_csv(out_dir / f"{exp.name}.csv", extra_meta=_meta(cfg))
     g = table.column("gamma")
     _svg(cfg, exp, out_dir, "lap",
@@ -171,7 +170,7 @@ def _run_besov_energy(cfg, model, exp, out_dir, seed):
     table = besov_energy_check(model, complex(opt["lambda"], opt.get("gammas", [0.1])[0]),
                                psi=_psi(opt), h=cfg.grid["h"],
                                mode_cap=cfg.grid["mode_cap"],
-                               **_given(opt, "delta", "nus", "bound_factor"))
+                               **_given(opt, "delta", "nus"))
     table.to_csv(out_dir / f"{exp.name}.csv", extra_meta=_meta(cfg))
     return table.verdict, (f"n={table.meta['n']} spread="
                            f"{table.meta['constant_spread']:.3g}")
@@ -183,7 +182,7 @@ def _run_radiation(cfg, model, exp, out_dir, seed):
                             psi=_psi(opt), h=cfg.grid["h"],
                             base_r_max=cfg.grid["r_max"],
                             mode_cap=cfg.grid["mode_cap"],
-                            **_given(opt, "bound_factor", "sign"))
+                            **_given(opt, "sign"))
     table.to_csv(out_dir / f"{exp.name}.csv", extra_meta=_meta(cfg))
     series = []
     for b in sorted({row[1] for row in table.rows}):
@@ -215,11 +214,9 @@ def _run_rellich(cfg, model, exp, out_dir, seed):
     grid = model.make_grid(cfg.grid["r_max"], cfg.grid["h"])
     lam0 = model.lambda0()
     if model.line is not None:
-        op = model.operator(0.0, grid, 0.0, OuterPolicy.dirichlet(),
-                            resolution_action="warn")
+        op = model.operator(0.0, grid, 0.0, OuterPolicy.dirichlet())
         grid2 = model.make_grid(2.0 * cfg.grid["r_max"], cfg.grid["h"])
-        op2 = model.operator(0.0, grid2, 0.0, OuterPolicy.dirichlet(),
-                             resolution_action="warn")
+        op2 = model.operator(0.0, grid2, 0.0, OuterPolicy.dirichlet())
         scan = eigen_scan_tridiag(op.dd.real, op.dl.real, grid, interval,
                                   dd2=op2.dd.real, dl2=op2.dl.real,
                                   thresholds=model.thresholds)

@@ -53,6 +53,17 @@ _TAU_PROBE = 0.25
 EXPONENT_CAP = 8.0
 
 
+def combine_verdicts(verdicts) -> str:
+    """The verdict of a set of verdicts: "fail" beats "inconclusive" beats
+    "pass", and an empty set decides nothing ("inconclusive")."""
+    verdicts = set(verdicts)
+    if "fail" in verdicts:
+        return "fail"
+    if "inconclusive" in verdicts or not verdicts:
+        return "inconclusive"
+    return "pass"
+
+
 @dataclass(frozen=True)
 class InequalityRow:
     name: str
@@ -78,12 +89,7 @@ class ConditionReport:
     grid_meta: dict = field(default_factory=dict)
 
     def overall(self) -> str:
-        verdicts = {r.verdict for r in self.rows}
-        if "fail" in verdicts:
-            return "fail"
-        if "inconclusive" in verdicts:
-            return "inconclusive"
-        return "pass"
+        return combine_verdicts(r.verdict for r in self.rows)
 
     def to_csv(self, path, extra_meta: dict | None = None) -> None:
         meta = {
@@ -168,6 +174,10 @@ def _certify_decay(rr, values, exponent):
     return ok, C, float(rr[j])
 
 
+# the smallest R^2 of a log-log fit whose slope a verdict may rest on
+FIT_R2_MIN = 0.9
+
+
 def loglog_fit(u, v):
     """Least-squares line through (log u, log v): (slope, intercept, R^2)."""
     x, y = np.log(u), np.log(v)
@@ -227,7 +237,7 @@ def _decay_row(name, rr, values, exponent_of_param, floor_scale=1.0):
             break
         param *= 0.9
     verdict = "pass" if ok and param > 0.0 else (
-        "inconclusive" if (r2 is not None and r2 < 0.9) else
+        "inconclusive" if (r2 is not None and r2 < FIT_R2_MIN) else
         ("pass" if ok else "fail"))
     return InequalityRow(name=name, verdict=verdict, margin=0.0 if ok else -1.0,
                          witness_r=witness, constant=C, exponent=slope,
@@ -394,25 +404,25 @@ class EscapeField2D:
 
     ``r_fn`` maps (x, y) arrays to r-values; ``domain`` is the membership
     predicate.  Sampling happens on geometric rings in the ambient radius
-    between ``ring_min`` and ``ring_max`` with ``n_angles`` points per ring.
-    ``fd_step`` is the RELATIVE finite-difference step: the actual step at a
-    sample scales with its ring radius, which keeps the rounding error of
-    the second differences flat across rings.  Richardson extrapolation
-    (steps h and h/2) controls the truncation error; margins below the
-    rounding floor ~ eps / fd_step^2 are treated as zero.
+    between ``_RING_MIN`` and ``ring_max`` with ``_N_ANGLES`` points per ring.
     """
 
     name: str
     r_fn: Callable
     domain: Callable
-    ring_min: float = 4.0
     ring_max: float = 512.0
-    n_angles: int = 48
-    fd_step: float = 1e-3
 
-    @property
-    def noise_floor(self) -> float:
-        return 1e3 * np.finfo(float).eps / self.fd_step**2
+
+# inner sampling ring of an escape field, and the points per ring
+_RING_MIN = 4.0
+_N_ANGLES = 48
+# the RELATIVE finite-difference step: the actual step at a sample scales
+# with its ring radius, which keeps the rounding error of the second
+# differences flat across rings.  Richardson extrapolation (steps h and h/2)
+# controls the truncation error; margins below the rounding floor
+# ~ eps / _FD_STEP^2 (``_NOISE_FLOOR``) are treated as zero.
+_FD_STEP = 1e-3
+_NOISE_FLOOR = 1e3 * np.finfo(float).eps / _FD_STEP**2
 
 
 def _fd_gradient(field, x, y, h):
@@ -443,13 +453,13 @@ def _fd_hessian_richardson(field, x, y, h):
 
 
 def _sample_points(field: EscapeField2D):
-    n_rings = int(math.ceil(math.log2(field.ring_max / field.ring_min))) * 2 + 1
-    radii = np.geomspace(field.ring_min, field.ring_max, n_rings)
-    th = np.linspace(0.0, 2.0 * math.pi, field.n_angles, endpoint=False)
+    n_rings = int(math.ceil(math.log2(field.ring_max / _RING_MIN))) * 2 + 1
+    radii = np.geomspace(_RING_MIN, field.ring_max, n_rings)
+    th = np.linspace(0.0, 2.0 * math.pi, _N_ANGLES, endpoint=False)
     xs, ys, hs, skipped = [], [], [], 0
     for rho in radii:
         x, y = rho * np.cos(th), rho * np.sin(th)
-        pad = 40.0 * field.fd_step * rho
+        pad = 40.0 * _FD_STEP * rho
         ok = np.asarray(field.domain(x, y), dtype=bool)
         # every FD probe must stay inside the domain
         for dx, dy in ((pad, 0.0), (-pad, 0.0), (0.0, pad), (0.0, -pad),
@@ -458,7 +468,7 @@ def _sample_points(field: EscapeField2D):
         skipped += int(np.count_nonzero(~ok))
         xs.append(x[ok])
         ys.append(y[ok])
-        hs.append(np.full(int(np.count_nonzero(ok)), field.fd_step * rho))
+        hs.append(np.full(int(np.count_nonzero(ok)), _FD_STEP * rho))
     return np.concatenate(xs), np.concatenate(ys), np.concatenate(hs), skipped
 
 
@@ -485,7 +495,7 @@ def _boundary_samples(field: EscapeField2D):
     """
     pts = []
     th = np.linspace(0.0, 2.0 * math.pi, 160, endpoint=False)
-    radii = np.geomspace(2.0 * field.ring_min, field.ring_max, 10)
+    radii = np.geomspace(2.0 * _RING_MIN, field.ring_max, 10)
     for rho in radii:
         x, y = rho * np.cos(th), rho * np.sin(th)
         inside = np.asarray(field.domain(x, y), dtype=bool)
@@ -516,7 +526,7 @@ def _boundary_samples(field: EscapeField2D):
             if tn < 1e-12:
                 continue
             nx, ny = -ty / tn, tx / tn
-            probe = 4.0 * field.fd_step * max(rho, 1.0)
+            probe = 4.0 * _FD_STEP * max(rho, 1.0)
             plus = field.domain(np.array([bx + probe * nx]),
                                 np.array([by + probe * ny]))[0]
             minus = field.domain(np.array([bx - probe * nx]),
@@ -560,7 +570,7 @@ def check_escape_2d(field: EscapeField2D) -> ConditionReport:
 
     dev = np.abs(dr2 - 1.0)
     order = np.argsort(rv)
-    fd_floor = 25.0 * field.fd_step**2
+    fd_floor = 25.0 * _FD_STEP**2
     if np.max(dev) <= fd_floor:
         rows.append(InequalityRow(
             name="dr2_minus_one_decay", verdict="pass", margin=0.0,
@@ -594,7 +604,7 @@ def check_escape_2d(field: EscapeField2D) -> ConditionReport:
         myy = 0.5 * sigma * dr2 * lyy - rv * eyy
         tr, det = mxx + myy, mxx * myy - mxy * mxy
         disc = np.sqrt(np.maximum(0.25 * tr * tr - det, 0.0))
-        return np.maximum(0.5 * tr + disc - field.noise_floor, 0.0)
+        return np.maximum(0.5 * tr + disc - _NOISE_FLOOR, 0.0)
 
     rr_sorted = rv[order]
 
@@ -632,7 +642,7 @@ def check_escape_2d(field: EscapeField2D) -> ConditionReport:
         return a[0] + a[2]
 
     third = np.abs(lap(x + s * tx, y + s * ty) - lap(x - s * tx, y - s * ty)) / (2.0 * s)
-    third = np.maximum(third - field.noise_floor, 0.0)
+    third = np.maximum(third - _NOISE_FLOOR, 0.0)
     row3, _ = _decay_row("tangential_grad_mean_curvature", rr_sorted,
                          third[order], lambda t: 1.0 + 0.5 * t)
     rows.append(InequalityRow(name=row3.name, verdict=row3.verdict,
@@ -645,7 +655,7 @@ def check_escape_2d(field: EscapeField2D) -> ConditionReport:
     if bpts:
         worst, worst_pt = float("inf"), None
         for bx, by, nx, ny in bpts:
-            hb = field.fd_step * max(math.hypot(bx, by), 1.0)
+            hb = _FD_STEP * max(math.hypot(bx, by), 1.0)
             gxb, gyb = _fd_gradient(field, np.array([bx]), np.array([by]), hb)
             val = float(gxb[0] * nx + gyb[0] * ny)
             if val < worst:
@@ -667,7 +677,7 @@ def check_escape_2d(field: EscapeField2D) -> ConditionReport:
                             if np.isfinite(r.constant) and r.constant > 0), default=1.0)),
         lambda0=0.0, beta_c=float(beta_c),
         grid_meta={"samples": int(x.size), "skipped": int(skipped),
-                   "fd_step": field.fd_step, "field": field.name})
+                   "fd_step": _FD_STEP, "field": field.name})
 
 
 # --- built-in example fields ------------------------------------------------
@@ -722,4 +732,4 @@ def sawtooth_field(K: float = 1.0) -> EscapeField2D:
         return np.sqrt(1.0 + x**2 + (y + K) ** 2)
 
     return EscapeField2D(name="sawtooth", r_fn=r_fn, domain=domain,
-                         ring_min=4.0, ring_max=256.0)
+                         ring_max=256.0)

@@ -53,7 +53,6 @@ by the schema below; lists are comma-separated.
     tol = 1e-4               # sommerfeld agreement tolerance
     gamma_top = 0.002
     window_r_max = 64.0
-    bound_factor = 2.0
     seed = 0                 # hoelder probe seed
     n_pairs = 4              # hoelder ladder length, >= 2
     n_probes = 8             # hoelder probe count, >= 1
@@ -91,7 +90,7 @@ _EXPERIMENT_KEYS = {
     "s": float, "psi_a": float, "psi_b": float, "psi_amp": float, "sign": int,
     "interval_lo": float, "interval_hi": float, "delta": float,
     "nus": "int_list", "tol": float, "gamma_top": float,
-    "window_r_max": float, "bound_factor": float, "seed": int,
+    "window_r_max": float, "seed": int,
     "n_pairs": int, "n_probes": int,
 }
 _MODEL_KINDS = {"free", "power", "euclidean", "exponential", "hyperbolic",

@@ -20,7 +20,8 @@ emits a table with a recomputable verdict:
 
 The constants in the underlying bounds are existential, so verdicts are
 uniformity statements: "bounded" means the measured quantity varies by at
-most a configured factor (default 2) across the swept decade.
+most the factor ``_BOUND_FACTOR`` = 2 across the swept decade, and a sweep's
+verdicts combine by ``conditions.combine_verdicts``.
 
 Measurement conventions, recorded in every table header:
 
@@ -48,7 +49,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .conditions import loglog_fit
+from .conditions import FIT_R2_MIN, combine_verdicts, loglog_fit
 from .errors import ContractError
 from .geometry import geometry_at
 from .models import Model
@@ -310,13 +311,18 @@ def _check_window(model: Model, lam: float):
     return lam0
 
 
-def _ratio_verdict(values, factor):
+# the largest max/min ratio of a quantity across a Gamma-decade that still
+# counts as uniform in Gamma (the bounds' constants are existential)
+_BOUND_FACTOR = 2.0
+
+
+def _ratio_verdict(values):
     v = np.asarray(values, dtype=float)
     v = v[np.isfinite(v) & (v > 0)]
     if v.size == 0:
         return "inconclusive", float("nan")
     ratio = float(np.max(v) / np.min(v))
-    return ("pass" if ratio <= factor else "fail"), ratio
+    return ("pass" if ratio <= _BOUND_FACTOR else "fail"), ratio
 
 
 def fd_dispersion_floor(lam: float, h: float) -> float:
@@ -330,12 +336,12 @@ def fd_dispersion_floor(lam: float, h: float) -> float:
 # ---------------------------------------------------------------------------
 
 def lap_sweep(model: Model, lam: float, gammas, psi: Bump | None = None,
-              h: float = 0.05, base_r_max: float = 64.0, mode_cap: float = 6.5,
-              bound_factor: float = 2.0) -> SweepTable:
+              h: float = 0.05, base_r_max: float = 64.0,
+              mode_cap: float = 6.5) -> SweepTable:
     """Measure the four resolvent norms across a Gamma-ladder at fixed lambda.
 
     Verdict "pass" when each of the four norms varies by at most
-    ``bound_factor`` across the ladder (the bound's constant is existential;
+    ``_BOUND_FACTOR`` across the ladder (the bound's constant is existential;
     only Gamma-uniformity is checkable).
     """
     lam0 = _check_window(model, lam)
@@ -374,17 +380,15 @@ def lap_sweep(model: Model, lam: float, gammas, psi: Bump | None = None,
     verdicts, ratios = [], {}
     for name in cols[1:5]:
         j = cols.index(name)
-        v, ratio = _ratio_verdict([row[j] for row in rows], bound_factor)
+        v, ratio = _ratio_verdict([row[j] for row in rows])
         verdicts.append(v)
         ratios[f"ratio_{name}"] = ratio
-    verdict = ("fail" if "fail" in verdicts
-               else "inconclusive" if "inconclusive" in verdicts else "pass")
     meta = {"model": model.name, "lambda": lam, "lambda0": lam0,
-            "h": h, "r_max": grid.r_max, "bound_factor": bound_factor,
+            "h": h, "r_max": grid.r_max, "bound_factor": _BOUND_FACTOR,
             "modes": len(modes)}
     meta.update(ratios)
-    return SweepTable(name="lap", columns=cols, rows=rows, verdict=verdict,
-                      meta=meta)
+    return SweepTable(name="lap", columns=cols, rows=rows,
+                      verdict=combine_verdicts(verdicts), meta=meta)
 
 
 # ---------------------------------------------------------------------------
@@ -394,7 +398,7 @@ def lap_sweep(model: Model, lam: float, gammas, psi: Bump | None = None,
 def radiation_sweep(model: Model, lam: float, gammas, betas,
                     psi: Bump | None = None, h: float = 0.05,
                     base_r_max: float = 256.0, mode_cap: float = 6.5,
-                    bound_factor: float = 2.0, sign: int = +1) -> SweepTable:
+                    sign: int = +1) -> SweepTable:
     """Radiation-condition bounds across (Gamma, beta).
 
     Rows report ||r^beta (A - a) phi||_B* over the radiation zone, the
@@ -462,20 +466,18 @@ def radiation_sweep(model: Model, lam: float, gammas, betas,
             verdicts.append("pass")
             ratios[f"ratio_beta_{b:g}"] = 1.0
             continue
-        v, ratio = _ratio_verdict(vals, bound_factor)
+        v, ratio = _ratio_verdict(vals)
         verdicts.append(v)
         ratios[f"ratio_beta_{b:g}"] = ratio
     row0 = next(row for row in rows if row[0] == gammas[0] and row[1] == min(betas))
     discrimination = row0[4] / row0[2] if row0[2] > 0 else float("inf")
-    verdict = ("fail" if "fail" in verdicts
-               else "inconclusive" if not verdicts else "pass")
     meta = {"model": model.name, "lambda": lam, "lambda0": lam0, "h": h,
             "r_max": grid.r_max, "beta_c": report.beta_c, "nu_far": nu_far,
             "sign": sign, "discrimination_at_gamma_min": discrimination,
             "fd_floor": fd_dispersion_floor(lam, h)}
     meta.update(ratios)
     return SweepTable(name="radiation", columns=cols, rows=rows,
-                      verdict=verdict, meta=meta)
+                      verdict=combine_verdicts(verdicts), meta=meta)
 
 
 # ---------------------------------------------------------------------------
@@ -635,7 +637,7 @@ def hoelder_estimate(model: Model, lam: float, s: float, gamma_top: float = 0.06
                               [row[2] for row in rows])
     floor = min((2.0 * s - 1.0) / (2.0 * s + 1.0),
                 report.beta_c / (report.beta_c + 1.0))
-    if r2 < 0.9:
+    if r2 < FIT_R2_MIN:
         verdict = "inconclusive"
     else:
         verdict = "pass" if slope >= floor - _HOELDER_SLACK else "fail"
@@ -782,8 +784,8 @@ _N_CANDIDATES = (0, 1, 2, 3, 4)
 
 def besov_energy_check(model: Model, z: complex, psi: Bump | None = None,
                        delta: float | None = None, nus=(0, 1, 2, 3, 4, 5, 6),
-                       gammas=None, h: float = 0.05, mode_cap: float = 6.5,
-                       bound_factor: float = 2.0) -> SweepTable:
+                       gammas=None, h: float = 0.05,
+                       mode_cap: float = 6.5) -> SweepTable:
     """Weighted energy inequality on computed resolvent states.
 
     For each annulus scale nu and each Gamma of a decade the two sides are
@@ -794,7 +796,7 @@ def besov_energy_check(model: Model, z: complex, psi: Bump | None = None,
 
     and the extracted constant is C(nu, Gamma) = lhs / rhs.  The verdict is
     "pass" when some n from ``_N_CANDIDATES`` makes C uniform within
-    ``bound_factor`` across all rows; the smallest workable n is reported.
+    ``_BOUND_FACTOR`` across all rows; the smallest workable n is reported.
     """
     z = complex(z)
     lam = z.real
@@ -874,12 +876,12 @@ def besov_energy_check(model: Model, z: complex, psi: Bump | None = None,
         ratio = aggregated_spread(rows)
         if chosen_rows is None or ratio < spread:
             spread, chosen_rows, chosen_n = ratio, rows, n
-        if ratio <= bound_factor:
+        if ratio <= _BOUND_FACTOR:
             break
-    verdict = "pass" if spread <= bound_factor else "fail"
+    verdict = "pass" if spread <= _BOUND_FACTOR else "fail"
     meta = {"model": model.name, "lambda": lam, "lambda0": lam0,
             "delta": delta, "n": chosen_n, "constant_spread": spread,
-            "h": h, "r_max": grid.r_max, "bound_factor": bound_factor}
+            "h": h, "r_max": grid.r_max, "bound_factor": _BOUND_FACTOR}
     return SweepTable(name="besov_energy",
                       columns=["gamma", "nu", "n", "lhs", "rhs", "constant"],
                       rows=chosen_rows, verdict=verdict, meta=meta)

@@ -63,9 +63,10 @@ class Model:
         return profile_modes(self.profile, cap)
 
     def operator(self, mu: float, grid: RadialGrid, z: complex,
-                 policy: OuterPolicy | None = None, **kw):
+                 policy: OuterPolicy | None = None,
+                 background: tuple | None = None):
         return assemble_radial_operator(self.profile, self.potential, mu, grid,
-                                        z, policy, **kw)
+                                        z, policy, background)
 
     # -- cached analysis -----------------------------------------------------
 

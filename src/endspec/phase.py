@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conditions import fit_decay
+from .conditions import FIT_R2_MIN, fit_decay
 from .errors import BranchError, ContractError, EndspecError
 from .geometry import (TAIL_HORIZON, CriticalEnergy, PotentialSplit,
                        WarpProfile, critical_energy)
@@ -180,8 +180,8 @@ def riccati_residual(phase: PhaseSpec, potential: PotentialSplit) -> ResidualPro
     The derivative of a uses three-point central differences; points inside
     the threshold cutoff band and the two grid edges are excluded.  The decay
     exponent is the ``conditions.fit_decay`` slope over the last two dyadic
-    decades below the outer edge, flagged unreliable when R^2 < 0.9.  The
-    grid is the phase's.
+    decades below the outer edge, flagged unreliable when R^2 is below
+    ``conditions.FIT_R2_MIN``.  The grid is the phase's.
     """
     grid = phase.grid
     rr = grid.radii
@@ -198,7 +198,7 @@ def riccati_residual(phase: PhaseSpec, potential: PotentialSplit) -> ResidualPro
         return ResidualProfile(r=r_keep, residual=v_keep, slope=np.nan,
                                r_squared=0.0, reliable=False)
     return ResidualProfile(r=r_keep, residual=v_keep, slope=slope,
-                           r_squared=r2, reliable=bool(r2 >= 0.9))
+                           r_squared=r2, reliable=bool(r2 >= FIT_R2_MIN))
 
 
 def riccati_exact(profile: WarpProfile, potential: PotentialSplit, z: complex,

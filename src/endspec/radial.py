@@ -32,7 +32,6 @@ each aggregation is then one ``bincount`` over the annulus index per mode.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Callable, Sequence
@@ -291,7 +290,7 @@ class RadialOperator:
         (``_MIN_PPW`` points per wavelength, else ResolutionError) is applied
         at the new z.
         """
-        _resolution_guard(self.grid.h, z, action="error")
+        _resolution_guard(self.grid.h, z)
         return replace(self, z=complex(z), policy=policy or self.policy)
 
     def matvec(self, u):
@@ -307,30 +306,27 @@ class RadialOperator:
 _MIN_PPW = 10.0
 
 
-def _resolution_guard(h: float, z: complex, action: str):
+def _resolution_guard(h: float, z: complex):
     k = math.sqrt(2.0 * abs(z))
     if k <= 0.0:
         return
     ppw = 2.0 * math.pi / k / h
     if ppw < _MIN_PPW:
-        msg = (f"grid resolves only {ppw:.1f} points per wavelength at |z|={abs(z):.3g} "
-               f"(minimum {_MIN_PPW:g}); decrease h")
-        if action == "error":
-            raise ResolutionError(msg)
-        warnings.warn(msg, stacklevel=3)
+        raise ResolutionError(
+            f"grid resolves only {ppw:.1f} points per wavelength at |z|={abs(z):.3g} "
+            f"(minimum {_MIN_PPW:g}); decrease h")
 
 
 def assemble_radial_operator(profile: WarpProfile, potential: PotentialSplit,
                              mu: float, grid: RadialGrid, z: complex,
                              policy: OuterPolicy | None = None,
-                             resolution_action: str = "error",
                              background: tuple | None = None) -> RadialOperator:
     """Discretize h_mu - z on the grid with the requested outer policy.
 
     Interior rows encode -(phi_{j-1} - 2 phi_j + phi_{j+1}) / (2 h^2)
     + (q_geom + mu/(2 f) + V - z) phi_j.  A resolution guard rejects grids
     with fewer than ``_MIN_PPW`` points per wavelength at sqrt(2 |z|)
-    (``resolution_action`` = "warn" downgrades this to a warning).
+    (ResolutionError); z = 0, where eigen-scans assemble, passes it.
 
     The geometry is taken at the radii and V at the nodes (on line models
     the constant d = 1 profile leaves exactly V(x)).  Only mu/(2f) depends
@@ -340,7 +336,7 @@ def assemble_radial_operator(profile: WarpProfile, potential: PotentialSplit,
     """
     if mu < 0:
         raise ContractError("mode eigenvalue mu must be >= 0")
-    _resolution_guard(grid.h, z, resolution_action)
+    _resolution_guard(grid.h, z)
     if background is None:
         background = (geometry_at(profile, grid.radii), potential.V(grid.nodes))
     pt, v = background
@@ -351,10 +347,9 @@ def assemble_radial_operator(profile: WarpProfile, potential: PotentialSplit,
 
 
 def assemble_line_operator(v_of_x: Callable, grid: RadialGrid, z: complex,
-                           policy: OuterPolicy | None = None,
-                           resolution_action: str = "error") -> RadialOperator:
+                           policy: OuterPolicy | None = None) -> RadialOperator:
     """Discretize -(1/2) d^2/dx^2 + V(x) - z on a line grid (multi-end models)."""
-    _resolution_guard(grid.h, z, resolution_action)
+    _resolution_guard(grid.h, z)
     wvals = np.asarray(v_of_x(grid.nodes), dtype=float)
     return RadialOperator(mu=0.0, z=complex(z),
                           policy=policy or OuterPolicy.dirichlet(), grid=grid,
@@ -402,16 +397,6 @@ class BesovProfile:
         keep = self.nus >= nu_min
         return BesovProfile.from_squares(self.nus[keep], self.annulus_norms[keep] ** 2,
                                          self.partial_outer)
-
-    def to_csv(self, path, meta: dict | None = None) -> None:
-        from .tableio import write_csv
-        header = {"b_norm": self.b, "bstar_norm": self.bstar,
-                  "partial_outer": self.partial_outer}
-        if meta:
-            header.update(meta)
-        write_csv(path, header, ["nu", "R_nu", "annulus_norm"],
-                  [[int(nu), R, norm] for nu, R, norm
-                   in zip(self.nus, self.radii, self.annulus_norms)])
 
     def tail_slope(self):
         """log2-slope of the B* profile over the last ``_TAIL_ANNULI`` full

@@ -351,8 +351,7 @@ class EigenScanResult:
 
 def _dirichlet_tridiag(profile, potential, mu, grid):
     op = assemble_radial_operator(profile, potential, mu, grid, 0.0,
-                                  policy=OuterPolicy.dirichlet(),
-                                  resolution_action="warn")
+                                  policy=OuterPolicy.dirichlet())
     return op.dd.real, op.dl.real
 
 

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from endspec.conditions import (EXPONENT_CAP, check_conditions,
-                                check_escape_2d, condition_grid,
-                                disk_complement_field, hyperbola_field,
-                                sawtooth_field)
+from endspec.conditions import (_NOISE_FLOOR, EXPONENT_CAP, ConditionReport,
+                                InequalityRow, check_conditions,
+                                check_escape_2d, combine_verdicts,
+                                condition_grid, disk_complement_field,
+                                hyperbola_field, sawtooth_field)
 from endspec.errors import ContractError
 from endspec.geometry import const_profile, geometric_split, power_profile
 from endspec.models import (exp_model, hyperbolic_model,
@@ -85,6 +86,19 @@ def test_report_csv_roundtrip(tmp_path):
     assert text.count("\n") > len(rep.rows)
 
 
+def test_combine_verdicts_fail_over_inconclusive_over_pass():
+    assert combine_verdicts(["pass", "inconclusive", "fail", "pass"]) == "fail"
+    assert combine_verdicts(["pass", "inconclusive", "pass"]) == "inconclusive"
+    assert combine_verdicts(["pass", "pass"]) == "pass"
+    assert combine_verdicts([]) == "inconclusive"
+    # the condition report's overall verdict is the same rule over its rows
+    rows = [InequalityRow(name=v, verdict=v, margin=0.0, witness_r=1.0, constant=1.0)
+            for v in ("pass", "inconclusive")]
+    rep = ConditionReport(rows=rows, sigma=1.0, tau=1.0, rho_prime=1.0, rho=1.0,
+                          constant=1.0, lambda0=0.0, beta_c=0.5)
+    assert rep.overall() == "inconclusive"
+
+
 def test_caps_respected():
     # sigma = theta = 10 would certify; the search stops at the cap
     prof = power_profile(10.0, 3)
@@ -109,7 +123,7 @@ def test_hyperbola_field():
     assert dd.exponent == pytest.approx(2.0, abs=0.35)  # ~2 up to the log factor
     bnd = [r for r in rep.rows if r.name == "boundary_inward"][0]
     assert bnd.verdict == "pass"
-    assert hyperbola_field(K=3.0).noise_floor < 1e-6
+    assert _NOISE_FLOOR < 1e-6
 
 
 def test_hyperbola_needs_supercritical_K():

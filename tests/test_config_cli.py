@@ -57,6 +57,12 @@ def test_unknown_key_names_key_and_section():
     with pytest.raises(ConfigError) as err:
         parse_config(text)
     assert any("'wibble'" in v and "[model]" in v for v in err.value.violations)
+    # the Gamma-uniformity factor is a fixed policy, not a setting
+    text = MINIMAL.replace("kind = lap", "kind = lap\nbound_factor = 1e9")
+    with pytest.raises(ConfigError) as err:
+        parse_config(text)
+    assert any("'bound_factor'" in v and "[experiment sweep]" in v
+               for v in err.value.violations)
 
 
 def test_all_violations_collected():
@@ -249,7 +255,6 @@ nus = 0, 1, 2
 tol = 1e-3
 gamma_top = 0.032
 window_r_max = 16.0
-bound_factor = 3.0
 seed = 5
 n_pairs = 3
 n_probes = 2
@@ -272,19 +277,19 @@ _FORWARDS = [
      dict(z=2 + 0.01j, psi=Bump()), dict(z=2 + 0.2j, psi=_PSI)),
     ("lap", "lap", "lap_sweep",
      dict(lam=2.0, gammas=[0.1, 0.01, 0.001], psi=Bump(), h=0.02,
-          base_r_max=64.0, mode_cap=6.5, bound_factor=2.0),
+          base_r_max=64.0, mode_cap=6.5),
      dict(lam=2.0, gammas=[0.2, 0.02], psi=_PSI, h=0.05, base_r_max=32.0,
-          mode_cap=2.5, bound_factor=3.0)),
+          mode_cap=2.5)),
     ("besov_energy", "lap", "besov_energy_check",
      dict(z=2 + 0.1j, psi=Bump(), delta=None, nus=[0, 1, 2, 3, 4, 5, 6],
-          gammas=None, h=0.02, mode_cap=6.5, bound_factor=2.0),
+          gammas=None, h=0.02, mode_cap=6.5),
      dict(z=2 + 0.2j, psi=_PSI, delta=0.3, nus=[0, 1, 2], gammas=None,
-          h=0.05, mode_cap=2.5, bound_factor=3.0)),
+          h=0.05, mode_cap=2.5)),
     ("radiation", "radiation", "radiation_sweep",
      dict(lam=2.0, gammas=[0.1, 0.01, 0.001], betas=[0.0, 0.5], psi=Bump(),
-          h=0.02, base_r_max=64.0, mode_cap=6.5, bound_factor=2.0, sign=1),
+          h=0.02, base_r_max=64.0, mode_cap=6.5, sign=1),
      dict(lam=2.0, gammas=[0.2, 0.02], betas=[0.3], psi=_PSI, h=0.05,
-          base_r_max=32.0, mode_cap=2.5, bound_factor=3.0, sign=-1)),
+          base_r_max=32.0, mode_cap=2.5, sign=-1)),
     ("hoelder", "hoelder", "hoelder_estimate",
      dict(lam=2.0, s=1.0, gamma_top=0.064, n_pairs=4, n_probes=8, seed=7,
           h=0.02, mode_cap=6.5),

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import endspec.experiments
-from endspec.errors import AbsorptionError, ContractError
+from endspec.errors import AbsorptionError, ConditioningError, ContractError
 from endspec.experiments import (Bump, WeightSpec, besov_energy_check,
                                  hoelder_estimate, lap_sweep, probe_set,
                                  radiation_sweep, shift_r_max, sommerfeld_compare)
@@ -171,6 +171,35 @@ def test_radiation_outside_theorem_flagged():
     assert flags[1.5] is True and flags[0.0] is False
     # exploratory rows do not decide the verdict
     assert tab.verdict == "pass"
+
+
+def test_radiation_undecided_beta_makes_the_sweep_inconclusive(monkeypatch):
+    # one beta whose ratio test cannot decide (no finite positive norm to
+    # compare) leaves the sweep undecided, as in lap and the condition report;
+    # the other betas' ratio tests run as they are
+    ratio_verdict = endspec.experiments._ratio_verdict
+    calls = []
+
+    def first_undecided(values, *rest):
+        calls.append(values)
+        if len(calls) == 1:
+            return "inconclusive", float("nan")
+        return ratio_verdict(values, *rest)
+
+    monkeypatch.setattr(endspec.experiments, "_ratio_verdict", first_undecided)
+    tab = radiation_sweep(euclidean_model(3), 2.0, [0.1, 0.01], [0.0, 0.5], h=0.05)
+    # beta = 0.5 is decided, and it passes
+    assert len(calls) == 2 and tab.meta["ratio_beta_0.5"] <= 2.0
+    assert tab.verdict == "inconclusive"
+
+
+@pytest.mark.xfail(strict=True, raises=ConditioningError,
+                   reason="the incoming (sign=-1) outgoing-row solve at Gamma = 0.1 "
+                          "misses the solver's residual tolerance (1.95e-07 above "
+                          "1e-08), so the wrong-sign control cannot run over the "
+                          "decade the outgoing sweep uses")
+def test_incoming_radiation_control_runs_at_the_top_gamma():
+    radiation_sweep(free_model(), 1.0, [0.1], [0.0], h=0.05, sign=-1)
 
 
 def test_hoelder_zero_separation_is_zero():

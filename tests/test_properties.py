@@ -150,8 +150,7 @@ def run_mode_monotonicity(n=100, seed=SEED):
         prof = _profiles(rng)
         pot = geometric_split(prof)
         mus = np.sort(rng.uniform(0.0, 20.0, size=3))
-        diags = [assemble_radial_operator(prof, pot, mu, grid, 0.0,
-                                          resolution_action="warn").potential_diag
+        diags = [assemble_radial_operator(prof, pot, mu, grid, 0.0).potential_diag
                  for mu in mus]
         if not (np.all(diags[1] >= diags[0] - 1e-15)
                 and np.all(diags[2] >= diags[1] - 1e-15)):

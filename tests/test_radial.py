@@ -219,8 +219,7 @@ def test_free_stencil_entries():
 def test_potential_entries_euclid3_vanish():
     prof = power_profile(2.0, 3)
     grid = uniform_grid(32.0, 0.05)
-    op = assemble_radial_operator(prof, geometric_split(prof), 0.0, grid, 0.0,
-                                  resolution_action="warn")
+    op = assemble_radial_operator(prof, geometric_split(prof), 0.0, grid, 0.0)
     sel = grid.radii[1:-1] >= prof.r0
     assert np.max(np.abs(op.potential_diag[1:-1][sel])) < 1e-14
 
@@ -228,8 +227,7 @@ def test_potential_entries_euclid3_vanish():
 def test_potential_entry_exponential_mode():
     prof = exp_profile(2.0, 2)
     grid = uniform_grid(16.0, 0.05)
-    op = assemble_radial_operator(prof, geometric_split(prof), 1.0, grid, 0.0,
-                                  resolution_action="warn")
+    op = assemble_radial_operator(prof, geometric_split(prof), 1.0, grid, 0.0)
     j = int(round((5.0 - 1.0) / grid.h))
     expected = 0.125 + 0.5 * np.exp(-10.0)
     assert op.potential_diag[j] == pytest.approx(expected, rel=1e-12)
@@ -238,8 +236,7 @@ def test_potential_entry_exponential_mode():
 def test_symmetry_real_shift_dirichlet():
     prof = power_profile(2.0, 2)
     grid = uniform_grid(16.0, 0.05)
-    op = assemble_radial_operator(prof, geometric_split(prof), 2.0, grid, 0.0,
-                                  resolution_action="warn")
+    op = assemble_radial_operator(prof, geometric_split(prof), 2.0, grid, 0.0)
     assert np.all(op.dd.imag == 0.0)
     np.testing.assert_array_equal(op.dl, op.du)
 
@@ -248,8 +245,7 @@ def test_mode_monotonicity():
     prof = power_profile(2.0, 3)
     grid = uniform_grid(16.0, 0.05)
     pot = geometric_split(prof)
-    ops = [assemble_radial_operator(prof, pot, mu, grid, 0.0,
-                                    resolution_action="warn")
+    ops = [assemble_radial_operator(prof, pot, mu, grid, 0.0)
            for mu in (0.0, 2.0, 6.0)]
     assert np.all(np.diff([op.potential_diag for op in ops], axis=0) >= 0.0)
 
@@ -259,9 +255,6 @@ def test_resolution_guard():
     grid = uniform_grid(16.0, 0.5)
     with pytest.raises(ResolutionError):
         assemble_radial_operator(prof, geometric_split(prof), 0.0, grid, 30.0)
-    with pytest.warns(UserWarning):
-        assemble_radial_operator(prof, geometric_split(prof), 0.0, grid, 30.0,
-                                 resolution_action="warn")
 
 
 def test_line_grid_radii_clamped():
@@ -292,16 +285,6 @@ def test_multiend_diagonal_is_the_line_potential_bitwise():
     got = m.operator(0.0, grid, z).potential_diag
     ref = assemble_line_operator(m.potential.V, grid, z).potential_diag
     assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
-
-
-def test_besov_profile_csv(tmp_path):
-    grid = uniform_grid(64.0, 0.05)
-    prof = besov_norms(smooth_bump(grid.radii, 2.0, 5.0), grid)
-    path = tmp_path / "profile.csv"
-    prof.to_csv(path)
-    lines = path.read_text().splitlines()
-    assert lines[-1].count(",") == 2  # nu, R_nu, annulus norm
-    assert any(line.startswith("# b_norm:") for line in lines)
 
 
 def test_shifted_operator_shares_diagonal_and_matches_assembly():

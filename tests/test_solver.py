@@ -198,9 +198,9 @@ def test_eigen_scan_eigenvector_orthogonality():
 def test_multiend_scan_continuous_spectrum_only():
     m = multiend_model(0.0, 4.0, x_min=-24.0)
     grid = m.make_grid(48.0, 0.02)
-    op = m.operator(0.0, grid, 0.0, OuterPolicy.dirichlet(), resolution_action="warn")
+    op = m.operator(0.0, grid, 0.0, OuterPolicy.dirichlet())
     grid2 = m.make_grid(96.0, 0.02)
-    op2 = m.operator(0.0, grid2, 0.0, OuterPolicy.dirichlet(), resolution_action="warn")
+    op2 = m.operator(0.0, grid2, 0.0, OuterPolicy.dirichlet())
     scan = eigen_scan_tridiag(op.dd.real, op.dl.real, grid, (0.05, 6.0),
                               dd2=op2.dd.real, dl2=op2.dl.real,
                               thresholds=m.thresholds)
@@ -662,8 +662,8 @@ def test_eigen_scan_tridiag_values_only_companion_matches_reference(monkeypatch)
     m = multiend_model()
     grid = m.make_grid(32.0, 0.05)
     grid2 = m.make_grid(64.0, 0.05)
-    op = m.operator(0.0, grid, 0.0, resolution_action="warn")
-    op2 = m.operator(0.0, grid2, 0.0, resolution_action="warn")
+    op = m.operator(0.0, grid, 0.0)
+    op2 = m.operator(0.0, grid2, 0.0)
     got, ref, n_values_only = _scan_with_all_vectors(monkeypatch, lambda: eigen_scan_tridiag(
         op.dd.real, op.dl.real, grid, (0.05, 3.0), dd2=op2.dd.real, dl2=op2.dl.real,
         thresholds=m.thresholds))
