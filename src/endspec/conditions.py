@@ -376,7 +376,7 @@ def check_conditions(profile: WarpProfile, potential: PotentialSplit,
                               margin=float("inf"), witness_r=float(rr[-1]),
                               constant=0.0))
 
-    ce = critical_energy(profile, potential, horizon=float(rr[-1]))
+    ce = critical_energy(profile, potential)
     constants = [r.constant for r in rows
                  if np.isfinite(r.constant) and r.constant > 0.0]
     bigC = max(constants) if constants else 1.0

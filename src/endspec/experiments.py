@@ -172,31 +172,18 @@ class ComparisonReport:
 # shared machinery
 # ---------------------------------------------------------------------------
 
-def shift_r_max(gamma_min: float, base: float = 64.0) -> float:
-    """Domain size for shift solves: Gamma (R_max - 1) >= ``ABSORPTION``,
-    at least ``base``, dyadic.
-
-    The power of two is doubled until the absorption guard's own product
-    Gamma (R_max - 1) admits it: rounding can put 1 + ``ABSORPTION`` / Gamma
-    a few ulp above a power of two whose log2 still rounds down to it.
-    """
-    if not gamma_min > 0.0:
-        raise ContractError(f"shift solves need Gamma > 0, got {gamma_min}")
-    r_max = 2.0 ** math.ceil(math.log2(max(base, 1.0 + ABSORPTION / gamma_min)))
-    while gamma_min * (r_max - 1.0) < ABSORPTION:
-        r_max *= 2.0
-    return r_max
-
-
 def _shift_grid(model: Model, gamma_min: float, h: float,
                 base: float = 64.0) -> RadialGrid:
     """The grid of a shift-solve sweep whose smallest shift is ``gamma_min``.
 
-    R = ``shift_r_max``(gamma_min, base) is doubled until the built grid's
-    last node, which the absorption guard reads, admits gamma_min: that node
-    falls short of R when h does not divide R minus the first node.
+    R, a power of two at least ``base`` and 1 + ``ABSORPTION`` / gamma_min,
+    doubles until the built grid's last node, which the absorption guard
+    reads, admits gamma_min.  That node falls short of R when h does not
+    divide R - 1; rounding in log2 can leave R itself a few ulp short.
     """
-    r_max = shift_r_max(gamma_min, base)
+    if not gamma_min > 0.0:
+        raise ContractError(f"shift solves need Gamma > 0, got {gamma_min}")
+    r_max = 2.0 ** math.ceil(math.log2(max(base, 1.0 + ABSORPTION / gamma_min)))
     grid = model.make_grid(r_max, h)
     while gamma_min * (grid.r_max - 1.0) < ABSORPTION:
         r_max *= 2.0
@@ -219,13 +206,24 @@ def _mode_operators(model: Model, grid: RadialGrid, modes, z: complex):
 
 
 def _solve_modes(ops, z: complex, psi_vals, policy=None):
-    return {mu: resolve(op.shifted(z, policy), psi_vals).phi for mu, op in ops.items()}
+    """mu -> u and mu -> u' of each mode's solution at z: u' by the central
+    stencil, taken once for every quantity built from it."""
+    sols, dsols = {}, {}
+    for mu, op in ops.items():
+        u = resolve(op.shifted(z, policy), psi_vals).phi
+        sols[mu], dsols[mu] = u, _central_derivative(u, op.grid.h)
+    return sols, dsols
 
 
-def _derivatives(grid: RadialGrid, solutions) -> dict:
-    """u' of each mode's solution by the central stencil, taken once for
-    every quantity built from it."""
-    return {mu: _central_derivative(u, grid.h) for mu, u in solutions.items()}
+def _outgoing_solve(model: Model, grid: RadialGrid, ops, z: complex, sign: int,
+                    psi_vals, r_lam: float):
+    """Every mode's solve at z closed by ``outgoing_row`` (phi = R(lambda +
+    i0) psi at real z and sign = +1): mu -> u, mu -> u', mu -> A u, and the
+    phase ``grid_phase``(a, h) on the grid that (A -+ a) phi is taken with."""
+    policy, ph = outgoing_row(model.profile, model.potential, grid, z, sign, r_lam)
+    sols, dsols = _solve_modes(ops, z, psi_vals, policy)
+    a_sols = {mu: apply_A(u, grid, dsols[mu]) for mu, u in sols.items()}
+    return sols, dsols, a_sols, grid_phase(ph.a, grid.h)
 
 
 def _radiation_remainders(a_sols, solutions, a_disc, sign_a, weight=None) -> dict:
@@ -311,6 +309,14 @@ def _check_window(model: Model, lam: float):
     return lam0
 
 
+def _ladder(values, name: str, kind=float) -> list:
+    """The swept values as a list of ``kind``; an empty ladder is refused."""
+    out = [kind(v) for v in values]
+    if not out:
+        raise ContractError(f"the {name} ladder is empty")
+    return out
+
+
 # the largest max/min ratio of a quantity across a Gamma-decade that still
 # counts as uniform in Gamma (the bounds' constants are existential)
 _BOUND_FACTOR = 2.0
@@ -335,7 +341,7 @@ def fd_dispersion_floor(lam: float, h: float) -> float:
 # lap_sweep
 # ---------------------------------------------------------------------------
 
-def lap_sweep(model: Model, lam: float, gammas, psi: Bump | None = None,
+def lap_sweep(model: Model, lam: float, gammas, psi: Bump = Bump(),
               h: float = 0.05, base_r_max: float = 64.0,
               mode_cap: float = 6.5) -> SweepTable:
     """Measure the four resolvent norms across a Gamma-ladder at fixed lambda.
@@ -345,12 +351,11 @@ def lap_sweep(model: Model, lam: float, gammas, psi: Bump | None = None,
     only Gamma-uniformity is checkable).
     """
     lam0 = _check_window(model, lam)
-    gammas = sorted(float(g) for g in gammas)
+    gammas = sorted(_ladder(gammas, "Gamma"))
     if any(not 0.0 < g < 1.0 for g in gammas):
         raise ContractError("every Gamma must lie in (0, 1)")
     report = model.conditions()
     grid = _shift_grid(model, gammas[0], h, base=base_r_max)
-    psi = psi or Bump()
     psi_vals = psi.normalized(grid)
     modes = model.modes(mode_cap)
     psi_b = _mode_besov(grid, {mu: psi_vals for mu, _ in modes}, modes).b
@@ -361,8 +366,7 @@ def lap_sweep(model: Model, lam: float, gammas, psi: Bump | None = None,
     rows = []
     for g in gammas:
         z = complex(lam, g)
-        sols = _solve_modes(ops, z, psi_vals)
-        dsols = _derivatives(grid, sols)
+        sols, dsols = _solve_modes(ops, z, psi_vals)
         phi_bstar = _mode_besov(grid, sols, modes).bstar
         pr_bstar = _mode_besov(
             grid, {mu: _apply_pr(grid, pt, u, dsols[mu]) for mu, u in sols.items()},
@@ -396,7 +400,7 @@ def lap_sweep(model: Model, lam: float, gammas, psi: Bump | None = None,
 # ---------------------------------------------------------------------------
 
 def radiation_sweep(model: Model, lam: float, gammas, betas,
-                    psi: Bump | None = None, h: float = 0.05,
+                    psi: Bump = Bump(), h: float = 0.05,
                     base_r_max: float = 256.0, mode_cap: float = 6.5,
                     sign: int = +1) -> SweepTable:
     """Radiation-condition bounds across (Gamma, beta).
@@ -413,13 +417,12 @@ def radiation_sweep(model: Model, lam: float, gammas, betas,
     remainder decays.
     """
     lam0 = _check_window(model, lam)
-    gammas = sorted(float(g) for g in gammas)
-    betas = [float(b) for b in betas]
+    gammas = sorted(_ladder(gammas, "Gamma"))
+    betas = _ladder(betas, "beta")
     if any(b < 0 for b in betas):
         raise ContractError("beta must be >= 0")
     report = model.conditions()
     grid = model.make_grid(base_r_max, h)
-    psi = psi or Bump()
     psi_vals = psi.normalized(grid)
     modes = model.modes(mode_cap)
     r_lam = r_lambda(model.profile, model.potential, lam, lambda0=lam0)
@@ -433,13 +436,8 @@ def radiation_sweep(model: Model, lam: float, gammas, betas,
 
     rows = []
     for g in gammas:
-        z = complex(lam, g)
-        policy, ph = outgoing_row(model.profile, model.potential, grid, z, sign,
-                                  r_lam=r_lam)
-        sols = _solve_modes(ops, z, psi_vals, policy=policy)
-        a_disc = grid_phase(ph.a, grid.h)
-        dsols = _derivatives(grid, sols)
-        a_sols = {mu: apply_A(u, grid, dsols[mu]) for mu, u in sols.items()}
+        sols, dsols, a_sols, a_disc = _outgoing_solve(
+            model, grid, ops, complex(lam, g), sign, psi_vals, r_lam)
         dens = _h_densities(grid, pt, report, sols, dsols)
         wrong = _mode_besov(
             grid, _radiation_remainders(a_sols, sols, a_disc, -1), modes,
@@ -689,7 +687,7 @@ def _richardson_gamma(model, grid, lam, gamma_top, psi, modes, grid_w):
     return extrap, gaps
 
 
-def sommerfeld_compare(model: Model, lam: float, psi: Bump | None = None,
+def sommerfeld_compare(model: Model, lam: float, psi: Bump = Bump(),
                        beta: float = 0.0, sign: int = +1, h: float = 0.01,
                        window_r_max: float = 64.0, gamma_top: float = 2e-3,
                        tol: float = 1e-4, mode_cap: float = 0.5) -> ComparisonReport:
@@ -715,7 +713,6 @@ def sommerfeld_compare(model: Model, lam: float, psi: Bump | None = None,
     if not gamma_top > 0.0:
         raise ContractError(f"gamma_top must be positive, got {gamma_top}")
     lam0 = _check_window(model, lam)
-    psi = psi or Bump()
     modes = model.modes(mode_cap)
 
     grid_w = model.make_grid(window_r_max, h)
@@ -723,10 +720,10 @@ def sommerfeld_compare(model: Model, lam: float, psi: Bump | None = None,
         raise ContractError(f"the source's support must end inside the window: "
                             f"b = {psi.b} > {grid_w.nodes[-1]}")
     psi_w = psi.normalized(grid_w)
-    policy, ph = outgoing_row(model.profile, model.potential, grid_w, complex(lam),
-                              sign, lambda0=model.lambda0())
+    r_lam = r_lambda(model.profile, model.potential, lam, lambda0=lam0)
     ops = _mode_operators(model, grid_w, modes, complex(lam))[0]
-    out_sols = _solve_modes(ops, complex(lam), psi_w, policy=policy)
+    out_sols, _, a_sols, a_disc = _outgoing_solve(model, grid_w, ops, complex(lam),
+                                                  sign, psi_w, r_lam)
 
     k = math.sqrt(2.0 * (lam - lam0))
     need = 1.0 + 12.0 * k / (2.0 * (gamma_top / 4.0))
@@ -748,10 +745,8 @@ def sommerfeld_compare(model: Model, lam: float, psi: Bump | None = None,
     rel = disc / math.sqrt(ref_sq) if ref_sq > 0 else 0.0
     disc_bstar = besov_from_modes(disc_bstar_funcs, grid_w).bstar
 
-    nu_far = _radiation_zone(ph.r_lambda, psi)
-    dsols = _derivatives(grid_w, out_sols)
-    a_sols = {mu: apply_A(u, grid_w, dsols[mu]) for mu, u in out_sols.items()}
-    remainders = _radiation_remainders(a_sols, out_sols, grid_phase(ph.a, grid_w.h), sign)
+    nu_far = _radiation_zone(r_lam, psi)
+    remainders = _radiation_remainders(a_sols, out_sols, a_disc, sign)
     rad_prof = _mode_besov(grid_w, remainders, modes, nu_min=nu_far)
     slope = rad_prof.tail_slope()
     floor = fd_dispersion_floor(lam, h)
@@ -782,7 +777,7 @@ def sommerfeld_compare(model: Model, lam: float, psi: Bump | None = None,
 _N_CANDIDATES = (0, 1, 2, 3, 4)
 
 
-def besov_energy_check(model: Model, z: complex, psi: Bump | None = None,
+def besov_energy_check(model: Model, z: complex, psi: Bump = Bump(),
                        delta: float | None = None, nus=(0, 1, 2, 3, 4, 5, 6),
                        gammas=None, h: float = 0.05,
                        mode_cap: float = 6.5) -> SweepTable:
@@ -811,9 +806,9 @@ def besov_energy_check(model: Model, z: complex, psi: Bump | None = None,
     if gammas is None:
         g_top = z.imag if z.imag > 0 else 0.1
         gammas = [g_top, g_top / math.sqrt(10.0), g_top / 10.0]
-    gammas = sorted(float(g) for g in gammas)
+    gammas = sorted(_ladder(gammas, "Gamma"))
+    nus = _ladder(nus, "nu", int)
     grid = _shift_grid(model, gammas[0], h, base=max(64.0, 2.0 ** (max(nus) + 2)))
-    psi = psi or Bump()
     psi_vals = psi.normalized(grid)
     modes = model.modes(mode_cap)
     psi_bnorm = _mode_besov(grid, {mu: psi_vals for mu, _ in modes}, modes).b
@@ -822,15 +817,13 @@ def besov_energy_check(model: Model, z: complex, psi: Bump | None = None,
     ops, pt = _mode_operators(model, grid, modes, complex(lam, gammas[0]))
     states = {}
     for g in gammas:
-        sols = _solve_modes(ops, complex(lam, g), psi_vals)
-        dsols = _derivatives(grid, sols)
+        sols, dsols = _solve_modes(ops, complex(lam, g), psi_vals)
         a_sols = {mu: apply_A(u, grid, dsols[mu]) for mu, u in sols.items()}
         states[g] = (sols, a_sols,
                      _mode_besov(grid, sols, modes).bstar,
                      _mode_besov(grid, a_sols, modes).bstar,
                      _h_densities(grid, pt, report, sols, dsols))
 
-    nus = [int(n_) for n_ in nus]
     nu_mid = sorted(nus)[len(nus) // 2]
     # Theta and w Theta' per scale; they do not depend on Gamma or n
     thetas = []

@@ -220,23 +220,22 @@ class CriticalEnergy:
     converged: bool
 
 
-def critical_energy(profile: WarpProfile, potential: PotentialSplit,
-                    horizon: float = TAIL_HORIZON) -> CriticalEnergy:
+def critical_energy(profile: WarpProfile, potential: PotentialSplit) -> CriticalEnergy:
     """Approximate the critical energy limsup_{r->oo} q1.
 
     q1 is sampled at ``_TAIL_SAMPLES`` geometric points per dyadic block up
-    to the horizon (matching the dyadic annulus structure elsewhere); the
+    to ``TAIL_HORIZON`` (matching the dyadic annulus structure elsewhere); the
     estimate is the supremum over the last block and the residual the
     change from the previous block.  Oscillation above ``_TAIL_TOL`` at the
     horizon marks the result as not converged.
     """
     lo = max(profile.r0, 2.0)
-    if horizon <= 4.0 * lo:
+    if TAIL_HORIZON <= 4.0 * lo:
         raise ContractError("horizon too small for a tail estimate")
-    n_blocks = int(np.ceil(np.log2(horizon / lo)))
+    n_blocks = int(np.ceil(np.log2(TAIL_HORIZON / lo)))
     sups = []
     for k in range(n_blocks):
-        a, b = lo * 2.0**k, min(lo * 2.0**(k + 1), horizon)
+        a, b = lo * 2.0**k, min(lo * 2.0**(k + 1), TAIL_HORIZON)
         rr = np.geomspace(a, b, _TAIL_SAMPLES)
         q1 = np.asarray(potential.q1(rr), dtype=float)
         if not np.all(np.isfinite(q1)):

@@ -33,8 +33,8 @@ import numpy as np
 
 from .conditions import FIT_R2_MIN, fit_decay
 from .errors import BranchError, ContractError, EndspecError
-from .geometry import (TAIL_HORIZON, CriticalEnergy, PotentialSplit,
-                       WarpProfile, critical_energy)
+from .geometry import (TAIL_HORIZON, PotentialSplit, WarpProfile,
+                       critical_energy)
 from .radial import RadialGrid
 
 # geometric samples of q1 per dyadic block in the threshold-radius search
@@ -64,16 +64,15 @@ class RiccatiSolution:
 
 
 def r_lambda(profile: WarpProfile, potential: PotentialSplit, lam: float,
-             lambda0: float | CriticalEnergy | None = None) -> float:
+             lambda0: float | None = None) -> float:
     """Smallest dyadic threshold radius R >= r0 for the energy lam.
 
     Dyadic quantization replaces the abstract smooth decreasing function of
     the energy; only the support property above matters downstream.  The
     result is monotone non-increasing in lam by construction.
     """
-    if lambda0 is None:
-        lambda0 = critical_energy(profile, potential)
-    lam0 = lambda0.value if isinstance(lambda0, CriticalEnergy) else float(lambda0)
+    lam0 = critical_energy(profile, potential).value if lambda0 is None \
+        else float(lambda0)
     if not lam > lam0:
         raise ContractError(f"lambda={lam} must exceed the critical energy {lam0}")
     r0 = profile.r0

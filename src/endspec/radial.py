@@ -140,12 +140,13 @@ def _grid(lo: float, hi: float, h: float, coords: Callable) -> RadialGrid:
     return RadialGrid(nodes=nodes, radii=radii, dr=dr, d2r=d2r, h=float(h))
 
 
-def uniform_grid(r_max: float, h: float, r_min: float = 1.0) -> RadialGrid:
-    """Half-line grid on [r_min, r_max] with spacing h (trapezoid weights);
-    ``radii`` and ``nodes`` are one read-only array, r' = 1 and r'' = 0."""
-    if r_max <= r_min:
-        raise ContractError("r_max must exceed r_min")
-    return _grid(r_min, r_max, h, lambda x: (x, np.broadcast_to(1.0, x.size),
+def uniform_grid(r_max: float, h: float) -> RadialGrid:
+    """Half-line grid on [1, r_max], from the wall r = 1, with spacing h
+    (trapezoid weights); ``radii`` and ``nodes`` are one read-only array,
+    r' = 1 and r'' = 0."""
+    if r_max <= 1.0:
+        raise ContractError("r_max must exceed the wall r = 1")
+    return _grid(1.0, r_max, h, lambda x: (x, np.broadcast_to(1.0, x.size),
                                              np.broadcast_to(0.0, x.size)))
 
 
@@ -302,7 +303,8 @@ class RadialOperator:
         return v
 
 
-# grid points per wavelength at sqrt(2 |z|) below which assembly refuses
+# grid points per wavelength at sqrt(2 |z|) below which assembly (and an
+# eigen-scan at the end of its interval) refuses
 _MIN_PPW = 10.0
 
 
@@ -326,7 +328,7 @@ def assemble_radial_operator(profile: WarpProfile, potential: PotentialSplit,
     Interior rows encode -(phi_{j-1} - 2 phi_j + phi_{j+1}) / (2 h^2)
     + (q_geom + mu/(2 f) + V - z) phi_j.  A resolution guard rejects grids
     with fewer than ``_MIN_PPW`` points per wavelength at sqrt(2 |z|)
-    (ResolutionError); z = 0, where eigen-scans assemble, passes it.
+    (ResolutionError); z = 0 passes, so eigen-scans guard their interval.
 
     The geometry is taken at the radii and V at the nodes (on line models
     the constant d = 1 profile leaves exactly V(x)).  Only mu/(2f) depends
@@ -368,12 +370,11 @@ _TAIL_ANNULI = 3
 class BesovProfile:
     """Per-annulus norms and the derived B / B* norms.
 
-    ``b0_profile`` is R_nu^{-1/2} ||F_nu phi||, whose decay in nu is the
+    ``b0_profile`` is R_nu^{-1/2} ||F_nu phi||, R_nu = 2^nu, whose decay in nu is the
     desk-scale verdict for vanishing at infinity in the B* scale.
     """
 
     nus: np.ndarray
-    radii: np.ndarray            # R_nu = 2^nu
     annulus_norms: np.ndarray
     b: float
     bstar: float
@@ -389,7 +390,7 @@ class BesovProfile:
         b = float(np.sum(np.sqrt(radii) * norms))
         prof = norms / np.sqrt(radii)
         bstar = float(np.max(prof)) if prof.size else 0.0
-        return BesovProfile(nus=nus, radii=radii, annulus_norms=norms,
+        return BesovProfile(nus=nus, annulus_norms=norms,
                             b=b, bstar=bstar, b0_profile=prof,
                             partial_outer=partial_outer)
 

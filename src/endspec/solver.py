@@ -51,8 +51,8 @@ from .errors import (AbsorptionError, BranchError, ConditioningError,
                      ContractError)
 from .geometry import PotentialSplit, WarpProfile
 from .phase import grid_phase, phase_a
-from .radial import (FIRST_UNKNOWN, OuterPolicy, RadialGrid,
-                     RadialOperator, assemble_radial_operator, besov_norms,
+from .radial import (FIRST_UNKNOWN, OuterPolicy, RadialGrid, RadialOperator,
+                     _resolution_guard, assemble_radial_operator, besov_norms,
                      l2_norm, uniform_grid)
 
 # a shift solve absorbs its wave when Gamma (R_max - 1) >= ABSORPTION
@@ -305,17 +305,16 @@ def resolve(op: RadialOperator, psi, allow_unabsorbed: bool = False) -> Resolven
 
 
 def outgoing_row(profile: WarpProfile, potential: PotentialSplit,
-                 grid: RadialGrid, z: complex, sign: int,
-                 lambda0: float | None = None,
-                 r_lam: float | None = None):
+                 grid: RadialGrid, z: complex, sign: int, r_lam: float):
     """The outer row phi' = +- i a(R_max) phi at z: outgoing (sign=+1) or
-    incoming (sign=-1), with a the dispersion-matched phase at the grid edge.
+    incoming (sign=-1), with a the dispersion-matched phase at the grid edge
+    and r_lam the phase's threshold radius (``phase.r_lambda``).
 
     Returns the ``OuterPolicy`` and the phase on the grid.  Raises
     ``BranchError`` when Re a(R_max) <= 0, as on a grid too coarse for the
     wave (real a with a h > 2).
     """
-    ph = phase_a(profile, potential, z, sign, grid, lambda0=lambda0, r_lam=r_lam)
+    ph = phase_a(profile, potential, z, sign, grid, r_lam=r_lam)
     a_end = complex(grid_phase(ph.a[-1], grid.h))
     if not a_end.real > 0.0:
         raise BranchError(f"phase at the outer edge has Re a = {a_end.real:.3g} <= 0")
@@ -406,15 +405,18 @@ def eigen_scan(profile: WarpProfile, potential: PotentialSplit, mu: float,
     truncation artifact, and an eigenvalue within ``THRESHOLD_WINDOW`` of one
     of the ``thresholds`` is marked near-threshold.  An h-halving
     Richardson step gives every eigenvalue an O(h^4) estimate ``refined``.
+    A grid with fewer than ``radial._MIN_PPW`` points per wavelength at the
+    interval's end of larger |lambda| is refused (``ResolutionError``).
     """
     lo, hi = float(interval[0]), float(interval[1])
     if not hi > lo:
         raise ContractError("scan interval must be non-degenerate")
+    _resolution_guard(grid.h, max(abs(lo), abs(hi)))
     dd, dl = _dirichlet_tridiag(profile, potential, mu, grid)
     vals, vecs = _eig_interval(dd, dl, (lo, hi))
 
     # domain doubling for the drift diagnostic
-    grid2 = uniform_grid(2.0 * grid.r_max, grid.h, r_min=grid.radii[0])
+    grid2 = uniform_grid(2.0 * grid.r_max, grid.h)
     dd2, dl2 = _dirichlet_tridiag(profile, potential, mu, grid2)
     pad = 0.1 * (hi - lo) + 10.0 * _DRIFT_TOL
     vals2 = _eig_interval(dd2, dl2, (lo - pad, hi + pad), eigvals_only=True)
@@ -422,7 +424,7 @@ def eigen_scan(profile: WarpProfile, potential: PotentialSplit, mu: float,
     # h-halving for the Richardson refinement
     valsh = None
     if vals.size:
-        gridh = uniform_grid(grid.r_max, 0.5 * grid.h, r_min=grid.radii[0])
+        gridh = uniform_grid(grid.r_max, 0.5 * grid.h)
         ddh, dlh = _dirichlet_tridiag(profile, potential, mu, gridh)
         valsh = _eig_interval(ddh, dlh, (lo - pad, hi + pad), eigvals_only=True)
     return _classify(vals, vecs, vals2, valsh, grid, thresholds)
@@ -432,10 +434,12 @@ def eigen_scan_tridiag(dd, dl, grid: RadialGrid, interval,
                        dd2=None, dl2=None, thresholds=()) -> EigenScanResult:
     """Scan an explicitly assembled symmetric tridiagonal (line models).
 
-    Same classification as ``eigen_scan``; the doubled-domain matrices are
-    supplied by the caller since line models own their grids.
+    Same classification and resolution check as ``eigen_scan``; the
+    doubled-domain matrices are supplied by the caller since line models own
+    their grids.
     """
     lo, hi = float(interval[0]), float(interval[1])
+    _resolution_guard(grid.h, max(abs(lo), abs(hi)))
     vals, vecs = _eig_interval(np.asarray(dd, float), np.asarray(dl, float), (lo, hi))
     if dd2 is not None:
         pad = 0.1 * (hi - lo) + 10.0 * _DRIFT_TOL

@@ -691,3 +691,28 @@ def test_package_docstring_names_existing_policy_constants():
     for module, name in named:
         assert isinstance(getattr(importlib.import_module(f"endspec.{module}"), name),
                           (int, float, tuple))
+
+
+def test_every_module_level_import_is_used():
+    # no linter runs on the package: a module-level import that nothing in its
+    # module reads fails here, unless its lines carry ``# noqa: F401``
+    import ast
+    unused = []
+    for path in sorted(Path(endspec.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        source = path.read_text()
+        lines = source.splitlines()
+        tree = ast.parse(source)
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in tree.body:
+            if not isinstance(node, (ast.Import, ast.ImportFrom)) \
+                    or getattr(node, "module", None) == "__future__" \
+                    or any("noqa: F401" in line
+                           for line in lines[node.lineno - 1:node.end_lineno]):
+                continue
+            for alias in node.names:
+                bound = alias.asname or alias.name.split(".")[0]
+                if bound not in read:
+                    unused.append(f"{path.name}: {bound}")
+    assert unused == []

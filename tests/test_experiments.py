@@ -2,15 +2,17 @@ import cmath
 import dataclasses
 import math
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import endspec.experiments
 from endspec.errors import AbsorptionError, ConditioningError, ContractError
-from endspec.experiments import (Bump, WeightSpec, besov_energy_check,
-                                 hoelder_estimate, lap_sweep, probe_set,
-                                 radiation_sweep, shift_r_max, sommerfeld_compare)
+from endspec.experiments import (Bump, WeightSpec, _shift_grid,
+                                 besov_energy_check, hoelder_estimate,
+                                 lap_sweep, probe_set, radiation_sweep,
+                                 sommerfeld_compare)
 from endspec.models import (euclidean_model, free_model, hyperbolic_model,
                             multiend_model, square_well_model)
 from endspec.radial import RadialGrid, smooth_bump, uniform_grid, weighted_norm
@@ -32,17 +34,26 @@ def test_weight_spec_invariants():
         WeightSpec(delta=0.5, nu=-1)
 
 
+# a model whose grids have two nodes, the wall and R itself (h = R - 1), so
+# the shift domain's doubling is seen at the ulp edges without a long grid
+_TWO_NODE = SimpleNamespace(make_grid=lambda r_max, h: uniform_grid(r_max, r_max - 1.0))
+
+
+def _shift_r_max(gamma, base=64.0):
+    return _shift_grid(_TWO_NODE, gamma, 1.0, base=base).r_max
+
+
 def test_shift_domain_guard():
-    assert shift_r_max(0.001) >= 1.0 + 8.0 / 0.001
-    assert shift_r_max(0.5, base=64.0) == 64.0
+    assert _shift_r_max(0.001) >= 1.0 + 8.0 / 0.001
+    assert _shift_r_max(0.5, base=64.0) == 64.0
     # 1 + 8/Gamma lands a few ulp above 64 (128), where log2 still rounds to
     # 6 (7): the domain must double until the guard's own product admits it
-    assert shift_r_max(0.12698412698412695) == 128.0
-    assert shift_r_max(0.06299212598425195) == 256.0
+    assert _shift_r_max(0.12698412698412695) == 128.0
+    assert _shift_r_max(0.06299212598425195) == 256.0
     for k in range(7, 24):
         edge = ABSORPTION / (2.0**k - 1.0)
         for gamma in (np.nextafter(edge, 0.0), edge, np.nextafter(edge, 1.0)):
-            r_max = shift_r_max(gamma)
+            r_max = _shift_r_max(gamma)
             assert gamma * (r_max - 1.0) >= ABSORPTION
             assert gamma * (0.5 * r_max - 1.0) < ABSORPTION
     # the lap sweep then solves its smallest Gamma on an absorbing domain
@@ -51,7 +62,7 @@ def test_shift_domain_guard():
     # no doubling admits a Gamma <= 0
     for gamma in (0.0, -0.1, float("nan")):
         with pytest.raises(ContractError, match="Gamma > 0"):
-            shift_r_max(gamma)
+            _shift_r_max(gamma)
 
 
 def test_absorption_guard_is_live_on_the_sweeps(monkeypatch, experiment_solves):
@@ -66,6 +77,21 @@ def test_absorption_guard_is_live_on_the_sweeps(monkeypatch, experiment_solves):
         besov_energy_check(free_model(), 2.0 + 0.1j, gammas=[0.01], h=0.05,
                            nus=(0, 1, 2))
     assert experiment_solves == [(0.01, n, "dirichlet")] * 2
+
+
+@pytest.mark.parametrize("call, ladder", [
+    (lambda m: lap_sweep(m, 1.0, []), "Gamma"),
+    (lambda m: radiation_sweep(m, 1.0, [0.1], []), "beta"),
+    (lambda m: radiation_sweep(m, 1.0, [], [0.0]), "Gamma"),
+    (lambda m: besov_energy_check(m, 2.0 + 0.1j, gammas=[]), "Gamma"),
+    (lambda m: besov_energy_check(m, 2.0 + 0.1j, nus=()), "nu"),
+], ids=["lap_gammas", "radiation_betas", "radiation_gammas",
+        "besov_energy_gammas", "besov_energy_nus"])
+def test_an_empty_ladder_is_refused_before_any_solve(call, ladder,
+                                                     experiment_solves):
+    with pytest.raises(ContractError, match=f"the {ladder} ladder is empty"):
+        call(free_model())
+    assert experiment_solves == []
 
 
 def test_lap_free_bounded():
@@ -99,8 +125,7 @@ def test_declared_threshold_closes_the_window_for_every_model():
 
 def test_h_form_on_the_line_keeps_the_escape_curvature():
     # reference: the line density (max((1 - eta) r'', 0) + 2 C r^(-1-tau)) |u'|^2
-    from endspec.experiments import (_derivatives, _h_densities, _h_form,
-                                     _mode_operators)
+    from endspec.experiments import _h_densities, _h_form, _mode_operators
     from endspec.phase import _central_derivative
     m = multiend_model()
     grid = m.make_grid(64.0, 0.05)
@@ -113,7 +138,7 @@ def test_h_form_on_the_line_keeps_the_escape_curvature():
     assert np.any(curv > 0.0)
     du = _central_derivative(sols[0.0], grid.h)
     dens = (curv + 2.0 * rep.constant * rr ** (-1.0 - rep.tau)) * np.abs(du) ** 2
-    densities = _h_densities(grid, pt, rep, sols, _derivatives(grid, sols))
+    densities = _h_densities(grid, pt, rep, sols, {0.0: du})
     got = _h_form(grid, densities, modes)
     assert got == float(np.sum(grid.weights * dens))
 
@@ -368,7 +393,7 @@ def _shared_domain_rows(model, lam, mode_cap, s, gamma_top, n_pairs, n_probes,
                                      probe_set)
     from endspec.radial import weighted_norm_on
     gammas = [gamma_top * 0.25**j for j in range(n_pairs)]
-    grid = model.make_grid(shift_r_max(gammas[-1] / 2.0), h)
+    grid = _shift_grid(model, gammas[-1] / 2.0, h)
     modes = model.modes(mode_cap)
     sources = _probe_sources(probe_set(grid, n_probes, seed), grid, s)
     ops = _mode_operators(model, grid, modes, complex(lam, gammas[0]))[0]
@@ -673,11 +698,12 @@ def test_sommerfeld_refuses_a_source_past_the_window(b):
 
 
 def _edge_cases():
+    # (model, lambda, h, Gamma, the dyadic R = 2^ceil(log2(1 + 8 / Gamma))):
     # R = 128 at h = 0.03 ends at 127.99, R = 1024 at h = 0.07 at 1023.98,
     # and the line from x = -24 at h = 0.07 at 127.97
-    return {"h0.03": (free_model(), 1.0, 0.03, 0.062995),
-            "h0.07": (free_model(), 1.0, 0.07, 8.0 / 1022.99),
-            "line": (multiend_model(), 2.0, 0.07, 0.063)}
+    return {"h0.03": (free_model(), 1.0, 0.03, 0.062995, 128.0),
+            "h0.07": (free_model(), 1.0, 0.07, 8.0 / 1022.99, 1024.0),
+            "line": (multiend_model(), 2.0, 0.07, 0.063, 128.0)}
 
 
 @pytest.mark.parametrize("case", sorted(_edge_cases()))
@@ -685,8 +711,8 @@ def test_shift_domain_is_sized_by_the_grids_last_node(case):
     # the absorption guard reads the grid's last node, which falls short of
     # the requested R when h does not divide R minus the first node: the
     # sweeps double R until that node admits the smallest Gamma
-    model, lam, h, gamma = _edge_cases()[case]
-    r_req = shift_r_max(gamma)
+    model, lam, h, gamma, r_req = _edge_cases()[case]
+    assert r_req == _shift_r_max(gamma)
     short = model.make_grid(r_req, h).r_max
     assert short < r_req
     assert gamma * (short - 1.0) < ABSORPTION <= gamma * (r_req - 1.0)

@@ -48,7 +48,6 @@ def _lazy_field_grids():
     return {"dyadic": uniform_grid(64.0, 0.05),
             "non_dyadic": uniform_grid(100.0, 0.03),
             "short_edge": uniform_grid(128.0, 0.03),
-            "r_min": uniform_grid(40.0, 0.1, r_min=1.5),
             "line": multiend_model().make_grid(64.0, 0.02),
             "prefix": uniform_grid(256.0, 0.05).prefix(1001)}
 
@@ -77,9 +76,9 @@ def test_grid_fields_built_on_first_read_match_eager_formulas(name):
 
 
 def test_uniform_grid_radii_share_read_only_nodes():
-    grid = uniform_grid(64.0, 0.01, r_min=1.5)
+    grid = uniform_grid(64.0, 0.01)
     assert np.shares_memory(grid.radii, grid.nodes)
-    assert grid.radii[0] == grid.nodes[0] == 1.5
+    assert grid.radii[0] == grid.nodes[0] == 1.0
     # r' = 1 and r'' = 0 exactly, as zero-stride views that hold no memory
     assert np.all(grid.dr == 1.0) and np.all(grid.d2r == 0.0)
     assert grid.dr.strides == grid.d2r.strides == (0,)

@@ -9,11 +9,12 @@ import endspec.experiments
 import endspec.radial
 import endspec.solver
 from endspec.errors import (AbsorptionError, BranchError, ConditioningError,
-                            ContractError)
+                            ContractError, ResolutionError)
 from endspec.experiments import (besov_energy_check, hoelder_estimate, lap_sweep,
                                  radiation_sweep)
 from endspec.models import (euclidean_model, free_model, multiend_model,
                             square_well_model)
+from endspec.phase import r_lambda
 from endspec.radial import (FIRST_UNKNOWN, OuterPolicy, RadialOperator,
                             l2_norm, smooth_bump, uniform_grid)
 from endspec.solver import (_RESIDUAL_BLOCK, EigenEntry, Resolvent, eigen_scan,
@@ -25,7 +26,7 @@ from oracles import free_kernel_wronskian, free_resolvent, well_bound_states
 def _outgoing(m, grid, lam, psi):
     """Outgoing (sign +1) solve of the mu = 0 mode of ``m`` at lambda = lam."""
     policy, _ = outgoing_row(m.profile, m.potential, grid, complex(lam), +1,
-                             lambda0=0.0)
+                             r_lambda(m.profile, m.potential, lam, lambda0=0.0))
     return resolve(m.operator(0.0, grid, complex(lam), policy), psi)
 
 
@@ -36,7 +37,7 @@ def test_outgoing_row_refuses_unresolved_edge_phase():
     grid = uniform_grid(13.0, 1.2)
     with pytest.raises(BranchError):
         outgoing_row(m.profile, m.potential, grid, 2.0 + 0.0j, +1,
-                     lambda0=0.0)
+                     r_lambda(m.profile, m.potential, 2.0, lambda0=0.0))
 
 
 def _free_setup(r_max=64.0, h=0.01, z=1.0 + 0.1j, policy=None):
@@ -206,6 +207,22 @@ def test_multiend_scan_continuous_spectrum_only():
                               thresholds=m.thresholds)
     keep = [e for e in scan.entries if not e.near_threshold]
     assert keep and all(e.artifact for e in keep)
+
+
+def test_eigen_scans_refuse_an_unresolved_interval():
+    # at h = 0.5 the top of (0.05, 50) has k = 10, 1.26 points per wavelength;
+    # both scans refuse it before any eigensolve, as the assemblers refuse
+    # such a z, while (0.05, 0.5) (12.6 points) is scanned
+    m = free_model()
+    grid = m.make_grid(64.0, 0.5)
+    op = m.operator(0.0, grid, 0.0, OuterPolicy.dirichlet())
+    for scan in (lambda iv: eigen_scan(m.profile, m.potential, 0.0, grid, iv),
+                 lambda iv: eigen_scan_tridiag(op.dd.real, op.dl.real, grid, iv)):
+        with pytest.raises(ResolutionError, match="points per wavelength"):
+            scan((0.05, 50.0))
+        with pytest.raises(ResolutionError):
+            scan((-50.0, 0.05))        # the end of larger |lambda| decides
+        assert scan((0.05, 0.5)).entries
 
 
 # --- factor once, solve many ----------------------------------------------------
