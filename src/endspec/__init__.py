@@ -15,8 +15,9 @@ solve), ``solver.THRESHOLD_WINDOW`` (0.05 around a declared threshold),
 ``geometry.TAIL_HORIZON`` (2^14, the outer radius of every tail sup of q1),
 ``conditions.EXPONENT_CAP`` (8, the search cap of sigma, tau, rho' and rho),
 ``conditions.FIT_R2_MIN`` (0.9, the smallest R^2 of a log-log fit a verdict
-rests on), ``experiments._BOUND_FACTOR`` (2, the largest max/min ratio
-across a Gamma-decade that counts as uniform),
+rests on), ``phase.RICCATI_SLOPE_MAX`` (-0.8, the largest fitted decay
+slope of a passing Riccati residual), ``experiments._BOUND_FACTOR`` (2, the
+largest max/min ratio across a Gamma-decade that counts as uniform),
 ``experiments._HOELDER_SLACK`` (0.1 below the predicted Hoelder floor) and
 ``experiments._N_CANDIDATES`` (the cutoff indices 0-4 the Besov energy check
 tries).  Verdicts combine by one rule, ``conditions.combine_verdicts``.

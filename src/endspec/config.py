@@ -62,11 +62,11 @@ mismatches, out-of-range values, empty lists, duplicate experiment names,
 blocks other than check on an escape_* model) and raises a single
 ConfigError carrying the full list.
 
-Two settings are read narrower than the schema suggests.  A besov_energy
-block takes only its first gamma, as the imaginary part of z (0.1 when
-unset), and runs the decade [g, g/sqrt(10), g/10] below it whatever else
-the list holds.  Sommerfeld blocks ignore [grid] mode_cap and run at the
-library's cap of 0.5.
+Experiment options hold only the keys a block sets: an unset key takes the
+library's default.  Two settings are read narrower than the schema
+suggests.  A besov_energy block runs the decade [g, g/sqrt(10), g/10] below
+its first gamma g, whatever else the list holds.  Sommerfeld blocks ignore
+[grid] mode_cap and run at the library's cap of 0.5.
 """
 
 from __future__ import annotations
@@ -152,8 +152,8 @@ def _parse_value(raw: str, kind, where: str, errors: list):
 def parse_config(text: str) -> RunConfig:
     """Parse and fully validate a run configuration.
 
-    Returns a RunConfig with defaults filled, or raises ConfigError listing
-    every violation found.
+    Returns a RunConfig with the [grid] and [output] defaults filled, or
+    raises ConfigError listing every violation found.
     """
     errors: list[str] = []
     section = None        # (kind, name, line_no)
@@ -264,10 +264,6 @@ def parse_config(text: str) -> RunConfig:
             errors.append(f"{where}: n_pairs must be >= 2, got {exp.options['n_pairs']}")
         if exp.options.get("n_probes", 1) < 1:
             errors.append(f"{where}: n_probes must be >= 1, got {exp.options['n_probes']}")
-        if exp.kind in ("lap", "radiation") and "gammas" not in exp.options:
-            exp.options["gammas"] = [0.1, 0.01, 0.001]
-        if exp.kind == "radiation" and "betas" not in exp.options:
-            exp.options["betas"] = [0.0, 0.5]
         if exp.kind in ("lap", "radiation", "hoelder", "sommerfeld", "riccati",
                         "solve", "besov_energy") and "lambda" not in exp.options:
             errors.append(f"{where}: kind {exp.kind!r} requires key 'lambda'")

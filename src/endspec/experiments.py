@@ -341,8 +341,8 @@ def fd_dispersion_floor(lam: float, h: float) -> float:
 # lap_sweep
 # ---------------------------------------------------------------------------
 
-def lap_sweep(model: Model, lam: float, gammas, psi: Bump = Bump(),
-              h: float = 0.05, base_r_max: float = 64.0,
+def lap_sweep(model: Model, lam: float, gammas=(0.1, 0.01, 0.001),
+              psi: Bump = Bump(), h: float = 0.05, base_r_max: float = 64.0,
               mode_cap: float = 6.5) -> SweepTable:
     """Measure the four resolvent norms across a Gamma-ladder at fixed lambda.
 
@@ -399,8 +399,8 @@ def lap_sweep(model: Model, lam: float, gammas, psi: Bump = Bump(),
 # radiation_sweep
 # ---------------------------------------------------------------------------
 
-def radiation_sweep(model: Model, lam: float, gammas, betas,
-                    psi: Bump = Bump(), h: float = 0.05,
+def radiation_sweep(model: Model, lam: float, gammas=(0.1, 0.01, 0.001),
+                    betas=(0.0, 0.5), psi: Bump = Bump(), h: float = 0.05,
                     base_r_max: float = 256.0, mode_cap: float = 6.5,
                     sign: int = +1) -> SweepTable:
     """Radiation-condition bounds across (Gamma, beta).
@@ -518,13 +518,13 @@ def _probe_sources(probes, grid: RadialGrid, s: float):
     return sources
 
 
-def _probe_diff(ops, modes, z1, z2, sources, grid, norm_minus_s) -> float:
+def _probe_diff(ops, modes, z1, z2, sources, norm_minus_s) -> float:
     """max over probes of ||R(z1) psi - R(z2) psi||_{H_-s} / ||psi||_{H_s}.
 
-    ``ops`` and ``grid`` may be a prefix of the domain the ``sources`` were
-    taken on (``hoelder_estimate`` trims each pair's): a probe's start and
-    in-span values are the same on any prefix that holds its span, and its
-    H_s norm is the one given.  Both resolvents of every mode are factored
+    ``ops`` may be a prefix of the domain the ``sources`` were taken on
+    (``hoelder_estimate`` trims each pair's): a probe's start and in-span
+    values are the same on any prefix that holds its span, and its H_s norm
+    is the one given.  Both resolvents of every mode are factored
     once and applied to the probes one at a time: solving the probes as
     columns of one system would hold every probe's solution on the whole
     grid at once.  The factors are released on return, before the next pair
@@ -580,7 +580,7 @@ def _reach_prefix(grid: RadialGrid, ops, modes, lam: float, r_from: float):
     return prefix
 
 
-def hoelder_estimate(model: Model, lam: float, s: float, gamma_top: float = 0.064,
+def hoelder_estimate(model: Model, lam: float, s: float = 1.0, gamma_top: float = 0.064,
                      n_pairs: int = 4, n_probes: int = 8, seed: int = 0,
                      h: float = 0.02, mode_cap: float = 0.5) -> SweepTable:
     """Empirical Hoelder exponent of the resolvent in weighted operator norm.
@@ -627,7 +627,7 @@ def hoelder_estimate(model: Model, lam: float, s: float, gamma_top: float = 0.06
         # next pair's are built; the slower wave of the pair is at Gamma/2
         grid_p, ops_p = prefix(0.5 * g)
         return _probe_diff(ops_p, modes, complex(lam, g), complex(lam, 0.5 * g),
-                           sources, grid_p, weighted_norm_on(grid_p, -s))
+                           sources, weighted_norm_on(grid_p, -s))
 
     rows = [[g, 0.5 * g, pair_diff(g)] for g in gammas]
 
@@ -777,13 +777,14 @@ def sommerfeld_compare(model: Model, lam: float, psi: Bump = Bump(),
 _N_CANDIDATES = (0, 1, 2, 3, 4)
 
 
-def besov_energy_check(model: Model, z: complex, psi: Bump = Bump(),
-                       delta: float | None = None, nus=(0, 1, 2, 3, 4, 5, 6),
-                       gammas=None, h: float = 0.05,
+def besov_energy_check(model: Model, lam: float,
+                       gammas=(0.1, 0.1 / math.sqrt(10.0), 0.1 / 10.0),
+                       psi: Bump = Bump(), delta: float | None = None,
+                       nus=(0, 1, 2, 3, 4, 5, 6), h: float = 0.05,
                        mode_cap: float = 6.5) -> SweepTable:
     """Weighted energy inequality on computed resolvent states.
 
-    For each annulus scale nu and each Gamma of a decade the two sides are
+    For each annulus scale nu and each Gamma of ``gammas`` the two sides are
 
       lhs = ||Theta'^{1/2} phi||^2 + ||Theta'^{1/2} A phi||^2 + <p* Theta h p>
       rhs = ||phi||_B* ||psi||_B + ||A phi||_B* ||psi||_B
@@ -793,8 +794,6 @@ def besov_energy_check(model: Model, z: complex, psi: Bump = Bump(),
     "pass" when some n from ``_N_CANDIDATES`` makes C uniform within
     ``_BOUND_FACTOR`` across all rows; the smallest workable n is reported.
     """
-    z = complex(z)
-    lam = z.real
     lam0 = _check_window(model, lam)
     report = model.conditions()
     delta_cap = min(1.0, report.rho_prime, report.tau / 2.0)
@@ -803,9 +802,6 @@ def besov_energy_check(model: Model, z: complex, psi: Bump = Bump(),
     if not 0.0 < delta < delta_cap:
         raise ContractError(
             f"delta must lie in (0, min(1, rho', tau/2)) = (0, {delta_cap:.3g})")
-    if gammas is None:
-        g_top = z.imag if z.imag > 0 else 0.1
-        gammas = [g_top, g_top / math.sqrt(10.0), g_top / 10.0]
     gammas = sorted(_ladder(gammas, "Gamma"))
     nus = _ladder(nus, "nu", int)
     grid = _shift_grid(model, gammas[0], h, base=max(64.0, 2.0 ** (max(nus) + 2)))

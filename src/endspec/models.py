@@ -30,6 +30,7 @@ from .geometry import (PotentialSplit, WarpProfile, const_profile,
                        stretched_exp_profile, tabulated_profile)
 from .radial import (OuterPolicy, RadialGrid, assemble_radial_operator,
                      line_grid, profile_modes, uniform_grid)
+from .solver import EigenScanResult, eigen_scan, eigen_scan_tridiag
 
 
 @dataclass(frozen=True)
@@ -67,6 +68,21 @@ class Model:
                  background: tuple | None = None):
         return assemble_radial_operator(self.profile, self.potential, mu, grid,
                                         z, policy, background)
+
+    def scan(self, interval, r_max: float, h: float) -> EigenScanResult:
+        """Eigenvalue scan of the mode mu = 0 up to ``r_max``: ``eigen_scan``
+        on warped ends, ``eigen_scan_tridiag`` of the Dirichlet operator on
+        line models (the drift taken up to 2 ``r_max``)."""
+        grid = self.make_grid(r_max, h)
+        if self.line is None:
+            return eigen_scan(self.profile, self.potential, 0.0, grid, interval,
+                              thresholds=self.thresholds)
+        op = self.operator(0.0, grid, 0.0, OuterPolicy.dirichlet())
+        op2 = self.operator(0.0, self.make_grid(2.0 * r_max, h), 0.0,
+                            OuterPolicy.dirichlet())
+        return eigen_scan_tridiag(op.dd.real, op.dl.real, grid, interval,
+                                  dd2=op2.dd.real, dl2=op2.dl.real,
+                                  thresholds=self.thresholds)
 
     # -- cached analysis -----------------------------------------------------
 

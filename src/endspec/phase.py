@@ -37,6 +37,9 @@ from .geometry import (TAIL_HORIZON, PotentialSplit, WarpProfile,
                        critical_energy)
 from .radial import RadialGrid
 
+# the largest fitted decay slope of the Riccati residual that passes
+RICCATI_SLOPE_MAX = -0.8
+
 # geometric samples of q1 per dyadic block in the threshold-radius search
 _THRESHOLD_SAMPLES = 64
 
@@ -171,6 +174,16 @@ class ResidualProfile:
     def negligible(self) -> bool:
         """Residual at the numerical floor everywhere (exact solution)."""
         return self.max_residual <= 1e-10
+
+    @property
+    def verdict(self) -> str:
+        """Pass at the floor, inconclusive on an unreliable fit, else pass
+        iff the fitted slope is at most ``RICCATI_SLOPE_MAX``."""
+        if self.negligible:
+            return "pass"
+        if not self.reliable:
+            return "inconclusive"
+        return "pass" if self.slope <= RICCATI_SLOPE_MAX else "fail"
 
 
 def riccati_residual(phase: PhaseSpec, potential: PotentialSplit) -> ResidualProfile:

@@ -344,6 +344,10 @@ class EigenScanResult:
     def genuine(self):
         return [e for e in self.entries if not e.artifact and not e.near_threshold]
 
+    def embedded(self, lambda0: float):
+        """Genuine eigenvalues above ``lambda0``, which Rellich's theorem rules out."""
+        return [e for e in self.genuine() if e.eigenvalue > lambda0 + 1e-9]
+
     def artifacts(self):
         return [e for e in self.entries if e.artifact]
 

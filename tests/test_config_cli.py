@@ -1,3 +1,4 @@
+import importlib
 import inspect
 import math
 import os
@@ -35,6 +36,13 @@ def test_minimal_config_defaults_filled():
     assert [e.name for e in cfg.experiments] == ["sweep"]
     assert cfg.experiments[0].kind == "lap"
     assert len(cfg.config_hash) == 16
+
+
+def test_parser_fills_in_no_experiment_default():
+    # an unset key is left to the default of the library function that runs
+    cfg = parse_config("[model]\nkind = free\n[experiment r]\nkind = radiation\n"
+                       "lambda = 1.0\n[experiment h]\nkind = hoelder\nlambda = 1.0\n")
+    assert [e.options for e in cfg.experiments] == [{"lambda": 1.0}] * 2
 
 
 def test_gamma_range_validated():
@@ -268,25 +276,27 @@ interval_hi = 3.0
 """
 _PSI = Bump(a=1.5, b=2.5, amplitude=2.0)
 
-# (block kind, command, callee in endspec.cli, its effective arguments for a
-# block that sets no optional key, and for one that sets every key).  The
-# check kind reads no block key.  besov_energy takes z from the first gamma
-# and sommerfeld ignores [grid] mode_cap: both are documented drops.
+# (block kind, command, callee in endspec.cli (or ``module.name`` in another
+# endspec module), its effective arguments for a block that sets no optional
+# key, and for one that sets every key).  The check kind reads no block key.
+# besov_energy runs the decade below the first gamma and sommerfeld ignores
+# [grid] mode_cap: both are documented drops.  An unset key keeps the
+# library's default, a tuple.
 _FORWARDS = [
     ("solve", "solve", "resolve",
      dict(z=2 + 0.01j, psi=Bump()), dict(z=2 + 0.2j, psi=_PSI)),
     ("lap", "lap", "lap_sweep",
-     dict(lam=2.0, gammas=[0.1, 0.01, 0.001], psi=Bump(), h=0.02,
+     dict(lam=2.0, gammas=(0.1, 0.01, 0.001), psi=Bump(), h=0.02,
           base_r_max=64.0, mode_cap=6.5),
      dict(lam=2.0, gammas=[0.2, 0.02], psi=_PSI, h=0.05, base_r_max=32.0,
           mode_cap=2.5)),
     ("besov_energy", "lap", "besov_energy_check",
-     dict(z=2 + 0.1j, psi=Bump(), delta=None, nus=[0, 1, 2, 3, 4, 5, 6],
-          gammas=None, h=0.02, mode_cap=6.5),
-     dict(z=2 + 0.2j, psi=_PSI, delta=0.3, nus=[0, 1, 2], gammas=None,
-          h=0.05, mode_cap=2.5)),
+     dict(lam=2.0, psi=Bump(), delta=None, nus=[0, 1, 2, 3, 4, 5, 6],
+          gammas=(0.1, 0.1 / math.sqrt(10.0), 0.01), h=0.02, mode_cap=6.5),
+     dict(lam=2.0, psi=_PSI, delta=0.3, nus=[0, 1, 2],
+          gammas=[0.2, 0.2 / math.sqrt(10.0), 0.02], h=0.05, mode_cap=2.5)),
     ("radiation", "radiation", "radiation_sweep",
-     dict(lam=2.0, gammas=[0.1, 0.01, 0.001], betas=[0.0, 0.5], psi=Bump(),
+     dict(lam=2.0, gammas=(0.1, 0.01, 0.001), betas=(0.0, 0.5), psi=Bump(),
           h=0.02, base_r_max=64.0, mode_cap=6.5, sign=1),
      dict(lam=2.0, gammas=[0.2, 0.02], betas=[0.3], psi=_PSI, h=0.05,
           base_r_max=32.0, mode_cap=2.5, sign=-1)),
@@ -302,7 +312,7 @@ _FORWARDS = [
           gamma_top=0.032, tol=1e-3, mode_cap=0.5)),
     ("riccati", "riccati", "phase_a",
      dict(z=2 + 0j, sign=1), dict(z=2 + 0.2j, sign=-1)),
-    ("rellich", "rellich", "eigen_scan",
+    ("rellich", "rellich", "models.eigen_scan",
      dict(mu=0.0, interval=(0.5, 3.0)), dict(mu=0.0, interval=(0.5, 3.0))),
 ]
 
@@ -313,7 +323,9 @@ _FORWARDS = [
 def test_cli_forwards_effective_arguments(monkeypatch, tmp_path, capsys, kind,
                                           command, callee, unset, every, block):
     # the callee records its arguments, defaults applied, and stops the run
-    signature = inspect.signature(getattr(cli, callee))
+    module, _, name = callee.rpartition(".")
+    owner = importlib.import_module(f"endspec.{module or 'cli'}")
+    signature = inspect.signature(getattr(owner, name))
     seen = []
 
     def recorder(*args, **kwargs):
@@ -322,7 +334,7 @@ def test_cli_forwards_effective_arguments(monkeypatch, tmp_path, capsys, kind,
         seen.append(bound.arguments)
         raise EndspecError("recorded")
 
-    monkeypatch.setattr(cli, callee, recorder)
+    monkeypatch.setattr(owner, name, recorder)
     text = "[model]\nkind = free\n" + (_NO_OPTION if block == "unset" else _EVERY_KEY)
     assert run(parse_config(text.format(kind=kind)), command, out_dir=tmp_path,
                seed=7) == 1
@@ -684,7 +696,6 @@ def test_module_docstring_lists_every_key_and_kind():
 def test_package_docstring_names_existing_policy_constants():
     # the package docstring lists the fixed policies every verdict rests on;
     # each ``module.NAME`` it names is a constant of that module
-    import importlib
     import re
     named = re.findall(r"``(\w+)\.([A-Z_][A-Z0-9_]*)``", endspec.__doc__)
     assert ("conditions", "EXPONENT_CAP") in named
@@ -716,3 +727,32 @@ def test_every_module_level_import_is_used():
                 if bound not in read:
                     unused.append(f"{path.name}: {bound}")
     assert unused == []
+
+
+# the runner protocol of ``cli._RUNNERS``: each runner takes all five, and
+# most ignore ``seed``
+_RUNNER_PARAMS = ["cfg", "model", "exp", "out_dir", "seed"]
+
+
+def test_every_function_parameter_is_read():
+    # a parameter its function (or a function nested in it) never reads is
+    # a value a caller sets for nothing; a method's ``self`` is exempt
+    import ast
+    unread = []
+    for path in sorted(Path(endspec.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                     ast.Lambda)):
+                continue
+            a = node.args
+            params = [p.arg for p in a.posonlyargs + a.args + a.kwonlyargs
+                      + [p for p in (a.vararg, a.kwarg) if p]]
+            name = getattr(node, "name", "lambda")
+            if name.startswith("_run_") and params == _RUNNER_PARAMS:
+                continue
+            body = node.body if isinstance(node.body, list) else [node.body]
+            read = {n.id for stmt in body for n in ast.walk(stmt)
+                    if isinstance(n, ast.Name)}
+            unread += [f"{path.name}: {name}.{p}" for p in params
+                       if p != "self" and p not in read]
+    assert unread == []

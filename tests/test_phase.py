@@ -4,7 +4,9 @@ import pytest
 from endspec.errors import BranchError, ContractError
 from endspec.geometry import PotentialSplit, const_profile
 from endspec.models import euclidean_model, free_model, multiend_model
-from endspec.phase import (_central_derivative, apply_A, grid_phase, phase_a,
+from endspec.conditions import FIT_R2_MIN
+from endspec.phase import (RICCATI_SLOPE_MAX, ResidualProfile,
+                           _central_derivative, apply_A, grid_phase, phase_a,
                            r_lambda, riccati_exact, riccati_residual)
 from endspec.radial import uniform_grid
 
@@ -128,6 +130,25 @@ def test_residual_decay_and_correction_gain():
                   lambda0=lam0, with_correction=False)
     res0 = riccati_residual(ph0, m.potential)
     assert res0.reliable and res0.slope > res.slope + 0.5
+
+
+def _profile(size, slope, r_squared):
+    return ResidualProfile(r=np.geomspace(2.0, 256.0, 8),
+                           residual=np.full(8, size), slope=slope,
+                           r_squared=r_squared,
+                           reliable=bool(r_squared >= FIT_R2_MIN))
+
+
+@pytest.mark.parametrize("profile, verdict", [
+    (_profile(1e-11, np.nan, 0.0), "pass"),                    # at the floor
+    (_profile(1e-3, -3.0, FIT_R2_MIN - 0.05), "inconclusive"),  # unreliable fit
+    (_profile(1e-3, -0.79, 0.99), "fail"),
+    (_profile(1e-3, RICCATI_SLOPE_MAX, 0.99), "pass"),
+    (_profile(1e-3, -0.81, 0.99), "pass"),
+], ids=["floor", "unreliable", "slope-0.79", "slope-at-max", "slope-0.81"])
+def test_riccati_verdict_branches(profile, verdict):
+    assert RICCATI_SLOPE_MAX == -0.8
+    assert profile.verdict == verdict
 
 
 # --- exact Riccati phase --------------------------------------------------------
