@@ -83,10 +83,19 @@ class ConditionReport:
     tau: float
     rho_prime: float
     rho: float
-    constant: float
     lambda0: float
-    beta_c: float
     grid_meta: dict = field(default_factory=dict)
+
+    @property
+    def constant(self) -> float:
+        """C: the largest finite positive row constant (1.0 when none is)."""
+        return float(max((r.constant for r in self.rows
+                          if np.isfinite(r.constant) and r.constant > 0.0), default=1.0))
+
+    @property
+    def beta_c(self) -> float:
+        """beta_c = min{sigma, tau, rho} / 2."""
+        return 0.5 * min(self.sigma, self.tau, self.rho)
 
     def overall(self) -> str:
         return combine_verdicts(r.verdict for r in self.rows)
@@ -377,14 +386,9 @@ def check_conditions(profile: WarpProfile, potential: PotentialSplit,
                               constant=0.0))
 
     ce = critical_energy(profile, potential)
-    constants = [r.constant for r in rows
-                 if np.isfinite(r.constant) and r.constant > 0.0]
-    bigC = max(constants) if constants else 1.0
-    beta_c = 0.5 * min(sigma, tau, rho)
     report = ConditionReport(
         rows=rows, sigma=float(sigma), tau=float(tau),
-        rho_prime=float(rho_prime), rho=float(rho), constant=float(bigC),
-        lambda0=ce.value, beta_c=float(beta_c),
+        rho_prime=float(rho_prime), rho=float(rho), lambda0=ce.value,
         grid_meta={"grid_points": int(rr.size), "horizon": float(rr[-1]),
                    "sigma_cap": EXPONENT_CAP, "tau_cap": EXPONENT_CAP,
                    "rho_cap": EXPONENT_CAP,
@@ -669,13 +673,9 @@ def check_escape_2d(field: EscapeField2D) -> ConditionReport:
                                   margin=float("inf"), witness_r=0.0,
                                   constant=0.0))
 
-    beta_c = 0.5 * min(sigma, tau, EXPONENT_CAP)
     return ConditionReport(
         rows=rows, sigma=float(sigma), tau=float(tau),
-        rho_prime=EXPONENT_CAP, rho=EXPONENT_CAP,
-        constant=float(max((r.constant for r in rows
-                            if np.isfinite(r.constant) and r.constant > 0), default=1.0)),
-        lambda0=0.0, beta_c=float(beta_c),
+        rho_prime=EXPONENT_CAP, rho=EXPONENT_CAP, lambda0=0.0,
         grid_meta={"samples": int(x.size), "skipped": int(skipped),
                    "fd_step": _FD_STEP, "field": field.name})
 

@@ -39,9 +39,7 @@ class LineEnd:
     V(x) lives in the model's ``PotentialSplit``)."""
 
     x_min: float
-    r_of_x: Callable           # escape function (>= 1 after clamping)
-    dr_of_x: Callable          # r'
-    d2r_of_x: Callable         # r'' for the curvature part of the h-form
+    coords: Callable           # x -> (r, r', r''); r >= 1 after clamping
 
 
 @dataclass(frozen=True)
@@ -56,8 +54,7 @@ class Model:
 
     def make_grid(self, r_max: float, h: float) -> RadialGrid:
         if self.line is not None:
-            return line_grid(self.line.x_min, r_max, h, self.line.r_of_x,
-                             self.line.dr_of_x, self.line.d2r_of_x)
+            return line_grid(self.line.x_min, r_max, h, self.line.coords)
         return uniform_grid(r_max, h)
 
     def modes(self, cap: float):
@@ -98,7 +95,8 @@ def _lambda0_cached(model: Model) -> float:
     return critical_energy(model.profile, model.potential).value
 
 
-# h-form constants of line models, which get no full condition check
+# h-form constants of line models, which get no full condition check: the
+# one row's constant C and the decay exponent tau
 _LINE_C = 1.0
 _LINE_TAU = 2.0
 
@@ -106,16 +104,13 @@ _LINE_TAU = 2.0
 @lru_cache(maxsize=64)
 def _conditions_cached(model: Model) -> ConditionReport:
     if model.line is not None:
-        lam0 = model.lambda0()
         rows = [InequalityRow(name="line_model_metadata", verdict="pass",
                               margin=float("inf"), witness_r=1.0,
                               constant=_LINE_C)]
         return ConditionReport(
             rows=rows, sigma=EXPONENT_CAP, tau=_LINE_TAU,
             rho_prime=EXPONENT_CAP, rho=EXPONENT_CAP,
-            constant=_LINE_C, lambda0=lam0,
-            beta_c=0.5 * min(EXPONENT_CAP, _LINE_TAU),
-            grid_meta={"kind": "line"})
+            lambda0=model.lambda0(), grid_meta={"kind": "line"})
     return check_conditions(model.profile, model.potential)
 
 
@@ -123,10 +118,8 @@ def _conditions_cached(model: Model) -> ConditionReport:
 # builders
 # ---------------------------------------------------------------------------
 
-def _warped(name, profile, potential=None, thresholds=()):
-    pot = potential if potential is not None else geometric_split(profile)
-    return Model(name=name, profile=profile, potential=pot,
-                 thresholds=tuple(thresholds))
+def _warped(name, profile):
+    return Model(name=name, profile=profile, potential=geometric_split(profile))
 
 
 def free_model(r0: float = 2.0) -> Model:
@@ -214,23 +207,15 @@ def multiend_model(lambda0: float = 0.0, lambda1: float = 4.0,
         # smooth monotone step: lambda1 for x <= -1, lambda0 for x >= 1
         return lam0 + (lam1 - lam0) * cut.chi((x + 3.0) / 2.0)
 
-    def r_of_x(x):
+    def coords(x):
+        # r = 1 + (x - 1) w with w = 1 - chi(x), and r', r'' (the curvature
+        # part of the h-form)
         x = np.asarray(x, dtype=float)
         w = 1.0 - cut.chi(x)
-        return 1.0 + (x - 1.0) * w
+        c1, c2 = cut.chi(x, order=1), cut.chi(x, order=2)
+        return 1.0 + (x - 1.0) * w, w - (x - 1.0) * c1, -2.0 * c1 - (x - 1.0) * c2
 
-    def dr_of_x(x):
-        x = np.asarray(x, dtype=float)
-        return (1.0 - cut.chi(x)) - (x - 1.0) * cut.chi(x, order=1)
-
-    def d2r_of_x(x):
-        x = np.asarray(x, dtype=float)
-        c1 = cut.chi(x, order=1)
-        c2 = cut.chi(x, order=2)
-        return -2.0 * c1 - (x - 1.0) * c2
-
-    line = LineEnd(x_min=float(x_min), r_of_x=r_of_x, dr_of_x=dr_of_x,
-                   d2r_of_x=d2r_of_x)
+    line = LineEnd(x_min=float(x_min), coords=coords)
 
     def q1(r):
         return np.full_like(np.asarray(r, dtype=float), lam0)

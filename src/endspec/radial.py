@@ -40,7 +40,7 @@ import numpy as np
 from scipy.special import logsumexp
 
 from .errors import ContractError, ResolutionError
-from .geometry import PotentialSplit, WarpProfile, geometry_at
+from .geometry import PotentialSplit, WarpProfile, const_profile, geometry_at
 
 
 # ---------------------------------------------------------------------------
@@ -150,18 +150,21 @@ def uniform_grid(r_max: float, h: float) -> RadialGrid:
                                              np.broadcast_to(0.0, x.size)))
 
 
-def line_grid(x_min: float, x_max: float, h: float, r_of_x: Callable,
-              dr_of_x: Callable, d2r_of_x: Callable) -> RadialGrid:
+def line_grid(x_min: float, x_max: float, h: float, coords: Callable) -> RadialGrid:
     """Grid for one-dimensional multi-end models on [x_min, x_max].
 
-    The escape function r(x) >= 1 clamps the left end into the first annulus
-    (its r-balls are unbounded there), while the right end has r ~ x.
+    ``coords(x)`` gives the escape function r(x) with r' and r''.  Clamping
+    r >= 1 puts the left end into the first annulus (its r-balls are
+    unbounded there), while the right end has r ~ x.
     """
     if x_max <= x_min:
         raise ContractError("x_max must exceed x_min")
-    return _grid(x_min, x_max, h, lambda x: (
-        np.maximum(np.asarray(r_of_x(x), dtype=float), 1.0),
-        np.asarray(dr_of_x(x), dtype=float), np.asarray(d2r_of_x(x), dtype=float)))
+
+    def clamped(x):
+        r, dr, d2r = coords(x)
+        return (np.maximum(np.asarray(r, dtype=float), 1.0),
+                np.asarray(dr, dtype=float), np.asarray(d2r, dtype=float))
+    return _grid(x_min, x_max, h, clamped)
 
 
 # ---------------------------------------------------------------------------
@@ -350,12 +353,11 @@ def assemble_radial_operator(profile: WarpProfile, potential: PotentialSplit,
 
 def assemble_line_operator(v_of_x: Callable, grid: RadialGrid, z: complex,
                            policy: OuterPolicy | None = None) -> RadialOperator:
-    """Discretize -(1/2) d^2/dx^2 + V(x) - z on a line grid (multi-end models)."""
-    _resolution_guard(grid.h, z)
-    wvals = np.asarray(v_of_x(grid.nodes), dtype=float)
-    return RadialOperator(mu=0.0, z=complex(z),
-                          policy=policy or OuterPolicy.dirichlet(), grid=grid,
-                          potential_diag=wvals)
+    """Discretize -(1/2) d^2/dx^2 + V(x) - z on a line grid (multi-end
+    models): the warped assembly on the constant d = 1 profile, whose
+    q_geom and mu/(2f) are exactly zero."""
+    return assemble_radial_operator(const_profile(d=1), PotentialSplit(V=v_of_x),
+                                    0.0, grid, z, policy)
 
 
 # ---------------------------------------------------------------------------

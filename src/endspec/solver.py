@@ -398,6 +398,26 @@ def _classify(vals, vecs, vals2, valsh, grid: RadialGrid,
     return EigenScanResult(entries=tuple(entries))
 
 
+def _scan(dd, dl, dd2, dl2, grid: RadialGrid, interval):
+    """What every eigen-scan does with the Dirichlet tridiagonals of ``grid``
+    and of the doubled domain (dd2 None: no drift).  Refuses a degenerate
+    interval (``ContractError``) and a grid with fewer than
+    ``radial._MIN_PPW`` points per wavelength at the interval's end of
+    larger |lambda| (``ResolutionError``) before any eigensolve; returns the
+    eigenpairs in the interval, the doubled-domain eigenvalues in the padded
+    interval and that padded interval."""
+    lo, hi = float(interval[0]), float(interval[1])
+    if not hi > lo:
+        raise ContractError("scan interval must be non-degenerate")
+    _resolution_guard(grid.h, max(abs(lo), abs(hi)))
+    vals, vecs = _eig_interval(np.asarray(dd, float), np.asarray(dl, float), (lo, hi))
+    pad = 0.1 * (hi - lo) + 10.0 * _DRIFT_TOL
+    padded = (lo - pad, hi + pad)
+    vals2 = np.array([]) if dd2 is None else _eig_interval(
+        np.asarray(dd2, float), np.asarray(dl2, float), padded, eigvals_only=True)
+    return vals, vecs, vals2, padded
+
+
 def eigen_scan(profile: WarpProfile, potential: PotentialSplit, mu: float,
                grid: RadialGrid, interval, thresholds=()) -> EigenScanResult:
     """Scan the Dirichlet-truncated spectrum on a bounded interval.
@@ -409,46 +429,28 @@ def eigen_scan(profile: WarpProfile, potential: PotentialSplit, mu: float,
     truncation artifact, and an eigenvalue within ``THRESHOLD_WINDOW`` of one
     of the ``thresholds`` is marked near-threshold.  An h-halving
     Richardson step gives every eigenvalue an O(h^4) estimate ``refined``.
-    A grid with fewer than ``radial._MIN_PPW`` points per wavelength at the
-    interval's end of larger |lambda| is refused (``ResolutionError``).
+    The interval and the grid's resolution are checked as in ``_scan``.
     """
-    lo, hi = float(interval[0]), float(interval[1])
-    if not hi > lo:
-        raise ContractError("scan interval must be non-degenerate")
-    _resolution_guard(grid.h, max(abs(lo), abs(hi)))
     dd, dl = _dirichlet_tridiag(profile, potential, mu, grid)
-    vals, vecs = _eig_interval(dd, dl, (lo, hi))
-
     # domain doubling for the drift diagnostic
-    grid2 = uniform_grid(2.0 * grid.r_max, grid.h)
-    dd2, dl2 = _dirichlet_tridiag(profile, potential, mu, grid2)
-    pad = 0.1 * (hi - lo) + 10.0 * _DRIFT_TOL
-    vals2 = _eig_interval(dd2, dl2, (lo - pad, hi + pad), eigvals_only=True)
+    dd2, dl2 = _dirichlet_tridiag(profile, potential, mu,
+                                  uniform_grid(2.0 * grid.r_max, grid.h))
+    vals, vecs, vals2, padded = _scan(dd, dl, dd2, dl2, grid, interval)
 
     # h-halving for the Richardson refinement
     valsh = None
     if vals.size:
         gridh = uniform_grid(grid.r_max, 0.5 * grid.h)
         ddh, dlh = _dirichlet_tridiag(profile, potential, mu, gridh)
-        valsh = _eig_interval(ddh, dlh, (lo - pad, hi + pad), eigvals_only=True)
+        valsh = _eig_interval(ddh, dlh, padded, eigvals_only=True)
     return _classify(vals, vecs, vals2, valsh, grid, thresholds)
 
 
 def eigen_scan_tridiag(dd, dl, grid: RadialGrid, interval,
                        dd2=None, dl2=None, thresholds=()) -> EigenScanResult:
-    """Scan an explicitly assembled symmetric tridiagonal (line models).
-
-    Same classification and resolution check as ``eigen_scan``; the
-    doubled-domain matrices are supplied by the caller since line models own
-    their grids.
-    """
-    lo, hi = float(interval[0]), float(interval[1])
-    _resolution_guard(grid.h, max(abs(lo), abs(hi)))
-    vals, vecs = _eig_interval(np.asarray(dd, float), np.asarray(dl, float), (lo, hi))
-    if dd2 is not None:
-        pad = 0.1 * (hi - lo) + 10.0 * _DRIFT_TOL
-        vals2 = _eig_interval(np.asarray(dd2, float), np.asarray(dl2, float),
-                              (lo - pad, hi + pad), eigvals_only=True)
-    else:
-        vals2 = np.array([])
-    return _classify(vals, vecs, vals2, None, grid, thresholds)
+    """Scan an explicitly assembled symmetric tridiagonal (line models):
+    ``eigen_scan``'s checks and classification without the h/2 refinement
+    (``refined`` is the eigenvalue), the doubled-domain matrices supplied by
+    the caller since line models own their grids."""
+    return _classify(*_scan(dd, dl, dd2, dl2, grid, interval)[:3], None, grid,
+                     thresholds)

@@ -95,8 +95,21 @@ def test_combine_verdicts_fail_over_inconclusive_over_pass():
     rows = [InequalityRow(name=v, verdict=v, margin=0.0, witness_r=1.0, constant=1.0)
             for v in ("pass", "inconclusive")]
     rep = ConditionReport(rows=rows, sigma=1.0, tau=1.0, rho_prime=1.0, rho=1.0,
-                          constant=1.0, lambda0=0.0, beta_c=0.5)
+                          lambda0=0.0)
     assert rep.overall() == "inconclusive"
+
+
+def test_report_constant_and_beta_c_follow_from_rows_and_exponents():
+    # C is the largest finite positive row constant (1.0 when none is), and
+    # beta_c = min{sigma, tau, rho} / 2; rho' does not enter
+    def report(*constants):
+        rows = [InequalityRow(name="r", verdict="pass", margin=0.0, witness_r=1.0,
+                              constant=c) for c in constants]
+        return ConditionReport(rows=rows, sigma=3.0, tau=5.0, rho_prime=0.5,
+                               rho=4.0, lambda0=0.0)
+    assert report(float("nan"), 0.0, 3.0, float("inf"), 2.0).constant == 3.0
+    assert report(0.0, float("nan"), -1.0).constant == 1.0
+    assert report().beta_c == 1.5
 
 
 def test_caps_respected():

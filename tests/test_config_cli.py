@@ -557,6 +557,26 @@ interval_hi = 6.0
     assert run(cfg, "rellich", out_dir=tmp_path) == 0
 
 
+@pytest.mark.parametrize("kind", ["free", "multiend"])
+def test_run_rellich_refuses_an_empty_interval(tmp_path, capfd, kind):
+    # the line scan shares the interval check of the warped one: the block
+    # errors with the library's message, and LAPACK's bisection is never
+    # handed the empty interval
+    cfg = parse_config(f"""
+[model]
+kind = {kind}
+
+[experiment scan]
+kind = rellich
+interval_lo = 1.0
+interval_hi = 1.0
+""")
+    assert run(cfg, "rellich", out_dir=tmp_path) == 1
+    out, err = capfd.readouterr()
+    assert "scan: ERROR (scan interval must be non-degenerate)" in out
+    assert "DSTEBZ" not in out + err and "Traceback" not in err
+
+
 def test_run_sommerfeld(tmp_path, capsys):
     cfg = parse_config("""
 [model]
@@ -756,3 +776,43 @@ def test_every_function_parameter_is_read():
             unread += [f"{path.name}: {name}.{p}" for p in params
                        if p != "self" and p not in read]
     assert unread == []
+
+
+def test_every_private_default_is_passed_somewhere():
+    # a defaulted parameter of a private function that no call in the
+    # package passes is a knob nothing turns; a call with *args or **kwargs
+    # counts as passing all of them
+    import ast
+    trees = [(path.name, ast.parse(path.read_text()))
+             for path in sorted(Path(endspec.__file__).parent.glob("*.py"))]
+    calls = {}       # callee name -> [(positional count, keywords, spread)]
+    for _, tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                f = node.func
+                name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+                spread = any(isinstance(a, ast.Starred) for a in node.args) \
+                    or any(k.arg is None for k in node.keywords)
+                calls.setdefault(name, []).append(
+                    (len(node.args), {k.arg for k in node.keywords}, spread))
+    methods = {id(f) for _, tree in trees for c in ast.walk(tree)
+               if isinstance(c, ast.ClassDef) for f in c.body}
+    unpassed = []
+    for module, tree in trees:
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+                    or not node.name.startswith("_") or node.name.startswith("__"):
+                continue
+            a = node.args
+            positional = a.posonlyargs + a.args
+            offset = 1 if id(node) in methods else 0     # self is bound
+            defaulted = [(j - offset, p.arg) for j, p in enumerate(positional)
+                         if j >= len(positional) - len(a.defaults)]
+            defaulted += [(None, p.arg) for p, d in zip(a.kwonlyargs, a.kw_defaults)
+                          if d is not None]
+            for j, param in defaulted:
+                if not any(spread or param in kws or (j is not None and j < n_pos)
+                           for n_pos, kws, spread in calls.get(node.name, [])):
+                    unpassed.append(f"{module}: {node.name}.{param}")
+    assert unpassed == []
+

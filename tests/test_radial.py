@@ -75,6 +75,11 @@ def test_grid_fields_built_on_first_read_match_eager_formulas(name):
             getattr(grid, name)[0] = 0
 
 
+def _identity_coords(x):
+    # r = x (clamped to r >= 1 by the grid), r' = 1, r'' = 0
+    return np.asarray(x, float), np.ones(np.shape(x)), np.zeros(np.shape(x))
+
+
 def test_uniform_grid_radii_share_read_only_nodes():
     grid = uniform_grid(64.0, 0.01)
     assert np.shares_memory(grid.radii, grid.nodes)
@@ -83,8 +88,7 @@ def test_uniform_grid_radii_share_read_only_nodes():
     assert np.all(grid.dr == 1.0) and np.all(grid.d2r == 0.0)
     assert grid.dr.strides == grid.d2r.strides == (0,)
     assert grid.dr.shape == grid.d2r.shape == (grid.n,)
-    line = line_grid(-10.0, 32.0, 0.1, lambda x: np.asarray(x, float),
-                     lambda x: np.ones(np.shape(x)), lambda x: np.zeros(np.shape(x)))
+    line = line_grid(-10.0, 32.0, 0.1, _identity_coords)
     for g in (grid, line):
         for name in ("nodes", "radii", "dr", "d2r", "weights", "nu"):
             with pytest.raises(ValueError, match="read-only"):
@@ -257,8 +261,7 @@ def test_resolution_guard():
 
 
 def test_line_grid_radii_clamped():
-    grid = line_grid(-10.0, 32.0, 0.1, lambda x: np.asarray(x, float),
-                     lambda x: np.ones(np.shape(x)), lambda x: np.zeros(np.shape(x)))
+    grid = line_grid(-10.0, 32.0, 0.1, _identity_coords)
     assert np.all(grid.radii >= 1.0)
     assert grid.nu[0] == 0
     assert np.all(grid.dr == 1.0) and np.all(grid.d2r == 0.0)
@@ -266,8 +269,9 @@ def test_line_grid_radii_clamped():
     from endspec.models import multiend_model
     m = multiend_model()
     line = m.make_grid(64.0, 0.02)
-    np.testing.assert_array_equal(line.dr, m.line.dr_of_x(line.nodes))
-    np.testing.assert_array_equal(line.d2r, m.line.d2r_of_x(line.nodes))
+    _, dr, d2r = m.line.coords(line.nodes)
+    np.testing.assert_array_equal(line.dr, dr)
+    np.testing.assert_array_equal(line.d2r, d2r)
     assert np.any(line.d2r != 0.0)
     for name in ("dr", "d2r"):
         with pytest.raises(ValueError, match="read-only"):
@@ -281,9 +285,10 @@ def test_multiend_diagonal_is_the_line_potential_bitwise():
     m = multiend_model()
     grid = m.make_grid(64.0, 0.02)
     z = 2.0 + 0.1j
-    got = m.operator(0.0, grid, z).potential_diag
-    ref = assemble_line_operator(m.potential.V, grid, z).potential_diag
-    assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
+    ref = np.asarray(m.potential.V(grid.nodes), dtype=float)
+    for op in (m.operator(0.0, grid, z), assemble_line_operator(m.potential.V, grid, z)):
+        got = op.potential_diag
+        assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
 
 
 def test_shifted_operator_shares_diagonal_and_matches_assembly():

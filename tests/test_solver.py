@@ -212,7 +212,8 @@ def test_multiend_scan_continuous_spectrum_only():
 def test_eigen_scans_refuse_an_unresolved_interval():
     # at h = 0.5 the top of (0.05, 50) has k = 10, 1.26 points per wavelength;
     # both scans refuse it before any eigensolve, as the assemblers refuse
-    # such a z, while (0.05, 0.5) (12.6 points) is scanned
+    # such a z, while (0.05, 0.5) (12.6 points) is scanned.  An empty or
+    # reversed interval is refused too, never handed to LAPACK's bisection
     m = free_model()
     grid = m.make_grid(64.0, 0.5)
     op = m.operator(0.0, grid, 0.0, OuterPolicy.dirichlet())
@@ -222,6 +223,9 @@ def test_eigen_scans_refuse_an_unresolved_interval():
             scan((0.05, 50.0))
         with pytest.raises(ResolutionError):
             scan((-50.0, 0.05))        # the end of larger |lambda| decides
+        for degenerate in ((1.0, 1.0), (2.0, 1.0)):
+            with pytest.raises(ContractError, match="non-degenerate"):
+                scan(degenerate)
         assert scan((0.05, 0.5)).entries
 
 
