@@ -24,86 +24,21 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .conditions import (check_escape_2d, disk_complement_field,
-                         hyperbola_field, sawtooth_field)
-from .config import MODEL_NEEDS, ExperimentConfig, RunConfig, parse_config
-from .errors import ConfigError, ContractError, EndspecError
+from .config import (ExperimentConfig, RunConfig, _given, build_model,
+                     parse_config)
+from .errors import ConfigError, EndspecError
 from .experiments import (Bump, besov_energy_check, hoelder_estimate,
                           lap_sweep, radiation_sweep, sommerfeld_compare)
-from .models import (euclidean_model, exp_model, free_model,
-                     hyperbolic_model, multiend_model, power_model,
-                     square_well_model, stretched_exp_model, tabulated_model)
 from .phase import phase_a, r_lambda, riccati_residual
 from .solver import resolve
 from .svgplot import write_loglog_svg
 from .tableio import write_csv
-
-_COMMAND_KINDS = {
-    "check": {"check"},
-    "solve": {"solve"},
-    "lap": {"lap", "besov_energy"},
-    "radiation": {"radiation"},
-    "hoelder": {"hoelder"},
-    "rellich": {"rellich"},
-    "sommerfeld": {"sommerfeld"},
-    "riccati": {"riccati"},
-}
-
-
-# Config keys whose callee parameter has another name.
-_PARAM_OF = {"well_a": "a", "well_b": "b",
-             "psi_a": "a", "psi_b": "b", "psi_amp": "amplitude"}
-
-# kind -> (builder, optional keys); the builder's positional keys are
-# config.MODEL_NEEDS.  tabulated and escape_* are built in build_model.
-_BUILDERS = {
-    "free": (free_model, ()),
-    "power": (power_model, ()),
-    "euclidean": (euclidean_model, ()),
-    "exponential": (exp_model, ("amp", "lower_c", "lower_theta")),
-    "stretchedexp": (stretched_exp_model, ()),
-    "hyperbolic": (hyperbolic_model, ()),
-    "well": (square_well_model, ("depth", "well_a", "well_b")),
-    "multiend": (multiend_model, ("lambda0", "lambda1", "x_min")),
-}
-
-
-def _given(opt, *keys, **fallback):
-    """Keyword arguments for those of ``keys`` that ``opt`` sets, under the
-    callee's parameter names, over the CLI's own ``fallback`` values; an
-    absent key keeps the callee's default."""
-    return {**fallback, **{_PARAM_OF.get(k, k): opt[k] for k in keys if k in opt}}
-
-
-def build_model(cfg: RunConfig):
-    m = cfg.model
-    kind = m["kind"]
-    if kind.startswith("escape_"):
-        return None  # handled directly by the check runner
-    args = [m[k] for k in MODEL_NEEDS.get(kind, ())]
-    if kind == "tabulated":
-        table = np.loadtxt(args[0], delimiter=",", comments="#", ndmin=2)
-        if table.shape[1] < 2:
-            raise ContractError(f"{args[0]}: a tabulated warp needs the columns r,f")
-        return tabulated_model(table[:, 0], table[:, 1], *args[1:],
-                               **_given(m, "r0"))
-    builder, keys = _BUILDERS[kind]
-    return builder(*args, **_given(m, "r0", *keys))
-
-
-def _escape_field(cfg: RunConfig):
-    kind = cfg.model["kind"]
-    K = cfg.model.get("obstacle_k", 3.0)
-    if kind == "escape_disk":
-        return disk_complement_field()
-    if kind == "escape_hyperbola":
-        return hyperbola_field(K=K)
-    return sawtooth_field(K=max(K, 1.0))
 
 
 def _meta(cfg: RunConfig):
@@ -122,11 +57,8 @@ def _svg(cfg, exp, out_dir, command, series, x_label, y_label):
                          series, x_label, y_label, meta=_meta(cfg))
 
 
-def _run_check(cfg, model, exp, out_dir, seed):
-    if model is None:
-        report = check_escape_2d(_escape_field(cfg))
-    else:
-        report = model.conditions()
+def _run_check(cfg, model, exp, out_dir):
+    report = model.conditions()
     report.to_csv(out_dir / f"{exp.name}.csv", extra_meta=_meta(cfg))
     verdict = report.overall()
     detail = (f"sigma={report.sigma:.4g} tau={report.tau:.4g} "
@@ -135,7 +67,7 @@ def _run_check(cfg, model, exp, out_dir, seed):
     return verdict, detail
 
 
-def _run_solve(cfg, model, exp, out_dir, seed):
+def _run_solve(cfg, model, exp, out_dir):
     opt = exp.options
     grid = model.make_grid(cfg.grid["r_max"], cfg.grid["h"])
     psi_vals = _psi(opt).normalized(grid)
@@ -151,7 +83,7 @@ def _run_solve(cfg, model, exp, out_dir, seed):
     return "pass", f"residual={sol.residual:.2e}"
 
 
-def _run_lap(cfg, model, exp, out_dir, seed):
+def _run_lap(cfg, model, exp, out_dir):
     opt = exp.options
     table = lap_sweep(model, opt["lambda"], psi=_psi(opt), h=cfg.grid["h"],
                       base_r_max=cfg.grid["r_max"],
@@ -165,7 +97,7 @@ def _run_lap(cfg, model, exp, out_dir, seed):
     return table.verdict, f"max ratio {max(v for k, v in table.meta.items() if k.startswith('ratio')):.3g}"
 
 
-def _run_besov_energy(cfg, model, exp, out_dir, seed):
+def _run_besov_energy(cfg, model, exp, out_dir):
     opt = exp.options
     given = _given(opt, "delta", "nus")
     if "gammas" in opt:  # the decade below the block's first gamma runs
@@ -179,7 +111,7 @@ def _run_besov_energy(cfg, model, exp, out_dir, seed):
                            f"{table.meta['constant_spread']:.3g}")
 
 
-def _run_radiation(cfg, model, exp, out_dir, seed):
+def _run_radiation(cfg, model, exp, out_dir):
     opt = exp.options
     table = radiation_sweep(model, opt["lambda"], psi=_psi(opt), h=cfg.grid["h"],
                             base_r_max=cfg.grid["r_max"],
@@ -195,12 +127,12 @@ def _run_radiation(cfg, model, exp, out_dir, seed):
                            f"{table.meta['discrimination_at_gamma_min']:.3g}")
 
 
-def _run_hoelder(cfg, model, exp, out_dir, seed):
+def _run_hoelder(cfg, model, exp, out_dir):
     opt = exp.options
     table = hoelder_estimate(model, opt["lambda"], h=cfg.grid["h"],
                              mode_cap=cfg.grid["mode_cap"],
                              **_given(opt, "s", "gamma_top", "n_pairs",
-                                      "n_probes", "seed", seed=seed))
+                                      "n_probes", "seed"))
     table.to_csv(out_dir / f"{exp.name}.csv", extra_meta=_meta(cfg))
     _svg(cfg, exp, out_dir, "hoelder",
          [("diff", [row[0] - row[1] for row in table.rows],
@@ -210,7 +142,7 @@ def _run_hoelder(cfg, model, exp, out_dir, seed):
                            f"floor={table.meta['predicted_floor']:.3g}")
 
 
-def _run_rellich(cfg, model, exp, out_dir, seed):
+def _run_rellich(cfg, model, exp, out_dir):
     opt = exp.options
     interval = (opt["interval_lo"], opt["interval_hi"])
     lam0 = model.lambda0()
@@ -223,12 +155,12 @@ def _run_rellich(cfg, model, exp, out_dir, seed):
               ["eigenvalue", "refined", "drift", "profile_slope",
                "artifact", "near_threshold"], rows)
     embedded = scan.embedded(lam0)
-    return ("fail" if embedded else "pass"), (
+    return scan.verdict(lam0), (
         f"{len(scan.entries)} eigenvalues, {len(scan.artifacts())} artifacts, "
         f"{len(embedded)} unexplained above lambda0")
 
 
-def _run_sommerfeld(cfg, model, exp, out_dir, seed):
+def _run_sommerfeld(cfg, model, exp, out_dir):
     opt = exp.options
     rep = sommerfeld_compare(model, opt["lambda"], psi=_psi(opt), h=cfg.grid["h"],
                              **_given(opt, "sign", "window_r_max", "gamma_top",
@@ -243,7 +175,7 @@ def _run_sommerfeld(cfg, model, exp, out_dir, seed):
     return rep.verdict, f"disc={rep.disc_weighted:.3e}"
 
 
-def _run_riccati(cfg, model, exp, out_dir, seed):
+def _run_riccati(cfg, model, exp, out_dir):
     opt = exp.options
     lam = opt["lambda"]
     grid = model.make_grid(cfg.grid["r_max"], cfg.grid["h"])
@@ -268,11 +200,14 @@ def _run_riccati(cfg, model, exp, out_dir, seed):
         "" if resid.reliable else " (unreliable fit)")
 
 
+# block kind -> (the command that runs it, its runner)
 _RUNNERS = {
-    "check": _run_check, "solve": _run_solve, "lap": _run_lap,
-    "besov_energy": _run_besov_energy, "radiation": _run_radiation,
-    "hoelder": _run_hoelder, "rellich": _run_rellich,
-    "sommerfeld": _run_sommerfeld, "riccati": _run_riccati,
+    "check": ("check", _run_check), "solve": ("solve", _run_solve),
+    "lap": ("lap", _run_lap), "besov_energy": ("lap", _run_besov_energy),
+    "radiation": ("radiation", _run_radiation),
+    "hoelder": ("hoelder", _run_hoelder), "rellich": ("rellich", _run_rellich),
+    "sommerfeld": ("sommerfeld", _run_sommerfeld),
+    "riccati": ("riccati", _run_riccati),
 }
 
 
@@ -282,12 +217,12 @@ def run(cfg: RunConfig, command: str, out_dir=None, seed: int = 0,
 
     Returns the exit status (0 pass, 2 inconclusive, 1 failure/error).
     """
-    if command not in _COMMAND_KINDS:
+    kinds = {kind for kind, (cmd, _) in _RUNNERS.items() if cmd == command}
+    if not kinds:
         print(f"error: unknown command {command!r}", file=sys.stderr)
         return 1
     out_dir = Path(out_dir or cfg.output["directory"])
     out_dir.mkdir(parents=True, exist_ok=True)
-    kinds = _COMMAND_KINDS[command]
     selected = [e for e in cfg.experiments if e.kind in kinds]
     if not selected and command == "check":
         selected = [ExperimentConfig(name="check", kind="check", options={})]
@@ -304,7 +239,10 @@ def run(cfg: RunConfig, command: str, out_dir=None, seed: int = 0,
     status = 0
     for exp in selected:
         try:
-            verdict, detail = _RUNNERS[exp.kind](cfg, model, exp, out_dir, seed)
+            # --seed is the fallback of a block's own seed key
+            verdict, detail = _RUNNERS[exp.kind][1](
+                cfg, model, replace(exp, options={"seed": seed, **exp.options}),
+                out_dir)
         except EndspecError as exc:
             verdict, detail = "error", str(exc)
         print(f"{exp.name}: {verdict.upper()} ({detail})")
@@ -319,7 +257,8 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="endspec",
         description="Spectral-theory laboratory for warped-product ends")
-    parser.add_argument("command", choices=sorted(_COMMAND_KINDS))
+    parser.add_argument("command",
+                        choices=sorted({cmd for cmd, _ in _RUNNERS.values()}))
     parser.add_argument("--config", required=True, help="run configuration file")
     parser.add_argument("--out", default=None, help="output directory")
     parser.add_argument("--seed", type=int, default=0)

@@ -416,6 +416,10 @@ class EscapeField2D:
     domain: Callable
     ring_max: float = 512.0
 
+    def conditions(self) -> ConditionReport:
+        """The field's condition report, as ``Model.conditions`` gives a model's."""
+        return check_escape_2d(self)
+
 
 # inner sampling ring of an escape field, and the points per ring
 _RING_MIN = 4.0

@@ -24,7 +24,8 @@ by the schema below; lists are comma-separated.
     lambda0 = 0.0    # multiend: right/left end levels
     lambda1 = 4.0
     x_min = -24.0
-    obstacle_k = 3.0 # escape_* parameter K
+    obstacle_k = 3.0 # escape_hyperbola K > 2 (default 3.0);
+                     # escape_sawtooth K (default 1.0)
 
     [grid]
     r_max = 64.0
@@ -62,18 +63,26 @@ mismatches, out-of-range values, empty lists, duplicate experiment names,
 blocks other than check on an escape_* model) and raises a single
 ConfigError carrying the full list.
 
-Experiment options hold only the keys a block sets: an unset key takes the
-library's default.  Two settings are read narrower than the schema
-suggests.  A besov_energy block runs the decade [g, g/sqrt(10), g/10] below
-its first gamma g, whatever else the list holds.  Sommerfeld blocks ignore
-[grid] mode_cap and run at the library's cap of 0.5.
+``build_model`` builds the model a [model] section declares; an unset model
+key takes its builder's default.  Experiment options hold only the keys a
+block sets: an unset key takes the library's default.  Two settings are
+read narrower than the schema suggests.  A besov_energy block runs the
+decade [g, g/sqrt(10), g/10] below its first gamma g, whatever else the
+list holds.  Sommerfeld blocks ignore [grid] mode_cap and run at the
+library's cap of 0.5.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import ConfigError
+import numpy as np
+
+from .conditions import disk_complement_field, hyperbola_field, sawtooth_field
+from .errors import ConfigError, ContractError
+from .models import (euclidean_model, exp_model, free_model, hyperbolic_model,
+                     multiend_model, power_model, square_well_model,
+                     stretched_exp_model, tabulated_model)
 from .tableio import text_hash
 
 _MODEL_KEYS = {
@@ -93,16 +102,43 @@ _EXPERIMENT_KEYS = {
     "window_r_max": float, "seed": int,
     "n_pairs": int, "n_probes": int,
 }
-_MODEL_KINDS = {"free", "power", "euclidean", "exponential", "hyperbolic",
-                "stretchedexp", "tabulated", "well", "multiend",
-                "escape_disk", "escape_hyperbola", "escape_sawtooth"}
-_EXPERIMENT_KINDS = {"check", "solve", "lap", "radiation", "hoelder",
-                     "rellich", "sommerfeld", "riccati", "besov_energy"}
-# the positional keys of each warped kind's builder, in call order
-MODEL_NEEDS = {"power": ("theta", "d"), "euclidean": ("d",),
-               "exponential": ("kappa", "d"), "hyperbolic": ("d",),
-               "stretchedexp": ("delta", "theta", "d"),
-               "tabulated": ("csv", "d")}
+
+
+def _tabulated(csv, d, **optional):
+    table = np.loadtxt(csv, delimiter=",", comments="#", ndmin=2)
+    if table.shape[1] < 2:
+        raise ContractError(f"{csv}: a tabulated warp needs the columns r,f")
+    return tabulated_model(table[:, 0], table[:, 1], d, **optional)
+
+
+# model kind -> (builder, required keys in the builder's positional order,
+# optional keys); ``build_model`` passes a set optional key under the
+# builder's parameter name and leaves an unset one to the builder's default
+_MODELS = {
+    "free": (free_model, (), ("r0",)),
+    "power": (power_model, ("theta", "d"), ("r0",)),
+    "euclidean": (euclidean_model, ("d",), ("r0",)),
+    "exponential": (exp_model, ("kappa", "d"),
+                    ("r0", "amp", "lower_c", "lower_theta")),
+    "stretchedexp": (stretched_exp_model, ("delta", "theta", "d"), ("r0",)),
+    "tabulated": (_tabulated, ("csv", "d"), ("r0",)),
+    "hyperbolic": (hyperbolic_model, ("d",), ("r0",)),
+    "well": (square_well_model, (), ("r0", "depth", "well_a", "well_b")),
+    "multiend": (multiend_model, (), ("r0", "lambda0", "lambda1", "x_min")),
+    "escape_disk": (disk_complement_field, (), ()),
+    "escape_hyperbola": (hyperbola_field, (), ("obstacle_k",)),
+    "escape_sawtooth": (sawtooth_field, (), ("obstacle_k",)),
+}
+# experiment kind -> the keys a block of that kind must set
+_EXPERIMENT_NEEDS = {
+    "check": (), "solve": ("lambda",), "lap": ("lambda",),
+    "radiation": ("lambda",), "hoelder": ("lambda",),
+    "rellich": ("interval_lo", "interval_hi"), "sommerfeld": ("lambda",),
+    "riccati": ("lambda",), "besov_energy": ("lambda",),
+}
+# Config keys whose callee parameter has another name.
+_PARAM_OF = {"well_a": "a", "well_b": "b", "obstacle_k": "K",
+             "psi_a": "a", "psi_b": "b", "psi_amp": "amplitude"}
 
 _GRID_DEFAULTS = {"r_max": 64.0, "h": 0.02, "mode_cap": 6.5}
 _OUTPUT_DEFAULTS = {"directory": "out", "svg": False}
@@ -219,11 +255,11 @@ def parse_config(text: str) -> RunConfig:
     kind = model.get("kind")
     if kind is None:
         errors.append("[model]: missing required key 'kind'")
-    elif kind not in _MODEL_KINDS:
+    elif kind not in _MODELS:
         errors.append(f"[model]: unknown kind {kind!r}; expected one of "
-                      + ", ".join(sorted(_MODEL_KINDS)))
+                      + ", ".join(sorted(_MODELS)))
     else:
-        for req in MODEL_NEEDS.get(kind, ()):
+        for req in _MODELS[kind][1]:
             if req not in model:
                 errors.append(f"[model]: kind {kind!r} requires key {req!r}")
     if grid["h"] <= 0:
@@ -237,9 +273,9 @@ def parse_config(text: str) -> RunConfig:
         if not exp.kind:
             errors.append(f"{where}: missing required key 'kind'")
             continue
-        if exp.kind not in _EXPERIMENT_KINDS:
+        if exp.kind not in _EXPERIMENT_NEEDS:
             errors.append(f"{where}: unknown kind {exp.kind!r}; expected one of "
-                          + ", ".join(sorted(_EXPERIMENT_KINDS)))
+                          + ", ".join(sorted(_EXPERIMENT_NEEDS)))
             continue
         if kind is not None and kind.startswith("escape_") and exp.kind != "check":
             errors.append(f"{where}: a {kind} model runs only check blocks, "
@@ -264,14 +300,25 @@ def parse_config(text: str) -> RunConfig:
             errors.append(f"{where}: n_pairs must be >= 2, got {exp.options['n_pairs']}")
         if exp.options.get("n_probes", 1) < 1:
             errors.append(f"{where}: n_probes must be >= 1, got {exp.options['n_probes']}")
-        if exp.kind in ("lap", "radiation", "hoelder", "sommerfeld", "riccati",
-                        "solve", "besov_energy") and "lambda" not in exp.options:
-            errors.append(f"{where}: kind {exp.kind!r} requires key 'lambda'")
-        if exp.kind == "rellich":
-            if "interval_lo" not in exp.options or "interval_hi" not in exp.options:
-                errors.append(f"{where}: rellich needs interval_lo and interval_hi")
+        for req in _EXPERIMENT_NEEDS[exp.kind]:
+            if req not in exp.options:
+                errors.append(f"{where}: kind {exp.kind!r} requires key {req!r}")
 
     if errors:
         raise ConfigError(errors)
     return RunConfig(model=model, grid=grid, output=output,
                      experiments=experiments, config_hash=text_hash(text))
+
+
+def _given(opt, *keys, **fallback):
+    """Keyword arguments for those of ``keys`` that ``opt`` sets, under the
+    callee's parameter names, over the caller's own ``fallback`` values; an
+    absent key keeps the callee's default."""
+    return {**fallback, **{_PARAM_OF.get(k, k): opt[k] for k in keys if k in opt}}
+
+
+def build_model(cfg: RunConfig):
+    """The model of the [model] section: a ``Model``, or the ``EscapeField2D``
+    of an escape_* kind; either reports its hypotheses by ``conditions()``."""
+    builder, needs, optional = _MODELS[cfg.model["kind"]]
+    return builder(*(cfg.model[k] for k in needs), **_given(cfg.model, *optional))

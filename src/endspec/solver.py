@@ -348,6 +348,10 @@ class EigenScanResult:
         """Genuine eigenvalues above ``lambda0``, which Rellich's theorem rules out."""
         return [e for e in self.genuine() if e.eigenvalue > lambda0 + 1e-9]
 
+    def verdict(self, lambda0: float) -> str:
+        """Rellich's verdict: "fail" on any embedded eigenvalue, else "pass"."""
+        return "fail" if self.embedded(lambda0) else "pass"
+
     def artifacts(self):
         return [e for e in self.entries if e.artifact]
 

@@ -13,9 +13,11 @@ import endspec
 import endspec.cli as cli
 import endspec.config as config
 from endspec.cli import build_model, run
+from endspec.conditions import EscapeField2D
 from endspec.config import parse_config
 from endspec.errors import ConfigError, EndspecError
 from endspec.experiments import Bump
+from endspec.models import Model
 
 MINIMAL = """
 [model]
@@ -186,30 +188,42 @@ def test_build_models():
 
 @pytest.mark.parametrize("kind", ["escape_disk", "escape_hyperbola",
                                   "escape_sawtooth"])
-def test_escape_kinds_build_no_model(kind):
-    assert build_model(parse_config(f"[model]\nkind = {kind}\n")) is None
+def test_escape_kinds_build_no_model(monkeypatch, kind):
+    # an escape kind builds its planar escape field, not a warped Model, and
+    # the field answers the check block's conditions() with check_escape_2d
+    field = build_model(parse_config(f"[model]\nkind = {kind}\n"))
+    assert isinstance(field, EscapeField2D) and not isinstance(field, Model)
+    monkeypatch.setattr(endspec.conditions, "check_escape_2d", lambda f: ("report", f))
+    assert field.conditions() == ("report", field)
 
 
 def test_escape_field_obstacle_k():
-    # r(0, 0) is sqrt(K ln 2) on the hyperbola field, sqrt(1 + K^2) on the
-    # saw-tooth, whose K is raised to at least 1
+    # r(0, 0) is sqrt(K ln 2) on the hyperbola field and sqrt(1 + K^2) on the
+    # saw-tooth; an unset obstacle_k keeps each field's own default K (3 and 1)
     def r00(extra):
-        return cli._escape_field(parse_config(f"[model]\n{extra}\n")).r_fn(0.0, 0.0)
+        return build_model(parse_config(f"[model]\n{extra}\n")).r_fn(0.0, 0.0)
 
     assert r00("kind = escape_hyperbola") == pytest.approx(math.sqrt(3.0 * math.log(2.0)))
     assert r00("kind = escape_hyperbola\nobstacle_k = 4.0") == pytest.approx(
         math.sqrt(4.0 * math.log(2.0)))
-    assert r00("kind = escape_sawtooth\nobstacle_k = 0.5") == pytest.approx(math.sqrt(2.0))
+    assert r00("kind = escape_sawtooth") == pytest.approx(math.sqrt(2.0))
+    assert r00("kind = escape_sawtooth\nobstacle_k = 0.5") == pytest.approx(math.sqrt(1.25))
     assert r00("kind = escape_sawtooth\nobstacle_k = 2.0") == pytest.approx(math.sqrt(5.0))
     assert r00("kind = escape_disk") == 0.0
 
 
 def test_kind_tables_agree():
-    assert (config._EXPERIMENT_KINDS == set(cli._RUNNERS)
-            == set().union(*cli._COMMAND_KINDS.values()))
-    warped = {k for k in config._MODEL_KINDS if not k.startswith("escape_")}
-    assert set(cli._BUILDERS) | {"tabulated"} == warped
-    assert set(config.MODEL_NEEDS) <= warped
+    assert set(config._EXPERIMENT_NEEDS) == set(cli._RUNNERS)
+
+
+def test_kind_tables_name_only_schema_keys():
+    # every model key but kind belongs to some model kind, and the tables
+    # name no key the parser would refuse
+    named = {k for _, needs, optional in config._MODELS.values()
+             for k in needs + optional}
+    assert named == set(config._MODEL_KEYS) - {"kind"}
+    needed = {k for needs in config._EXPERIMENT_NEEDS.values() for k in needs}
+    assert needed <= set(config._EXPERIMENT_KEYS) - {"kind"}
 
 
 @pytest.mark.parametrize("kind, extra, expected", [
@@ -225,7 +239,7 @@ def test_kind_tables_agree():
     ("power", "theta = 1.5\nd = 2\nr0 = 4.0", dict(theta=1.5, d=2, r0=4.0)),
 ])
 def test_build_model_forwards_model_keys(monkeypatch, kind, extra, expected):
-    builder, keys = cli._BUILDERS[kind]
+    builder, needs, keys = config._MODELS[kind]
     seen = {}
 
     def recorder(*args, **kwargs):
@@ -233,7 +247,7 @@ def test_build_model_forwards_model_keys(monkeypatch, kind, extra, expected):
         bound.apply_defaults()
         seen.update(bound.arguments)
 
-    monkeypatch.setitem(cli._BUILDERS, kind, (recorder, keys))
+    monkeypatch.setitem(config._MODELS, kind, (recorder, needs, keys))
     build_model(parse_config(f"[model]\nkind = {kind}\n{extra}\n"))
     assert seen == expected
 
@@ -702,8 +716,8 @@ def test_module_docstring_lists_every_key_and_kind():
     assert keys["grid"] == set(config._GRID_KEYS)
     assert keys["output"] == set(config._OUTPUT_KEYS)
     assert keys["experiment"] == set(config._EXPERIMENT_KEYS)
-    assert kinds["model"] == config._MODEL_KINDS
-    assert kinds["experiment"] == config._EXPERIMENT_KINDS
+    assert kinds["model"] == set(config._MODELS)
+    assert kinds["experiment"] == set(config._EXPERIMENT_NEEDS)
     # so does the key paragraph of README's configuration section
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     paragraph = next(p for p in readme.split("\n\n") if p.startswith("Model keys:"))
@@ -749,11 +763,6 @@ def test_every_module_level_import_is_used():
     assert unused == []
 
 
-# the runner protocol of ``cli._RUNNERS``: each runner takes all five, and
-# most ignore ``seed``
-_RUNNER_PARAMS = ["cfg", "model", "exp", "out_dir", "seed"]
-
-
 def test_every_function_parameter_is_read():
     # a parameter its function (or a function nested in it) never reads is
     # a value a caller sets for nothing; a method's ``self`` is exempt
@@ -768,8 +777,6 @@ def test_every_function_parameter_is_read():
             params = [p.arg for p in a.posonlyargs + a.args + a.kwonlyargs
                       + [p for p in (a.vararg, a.kwarg) if p]]
             name = getattr(node, "name", "lambda")
-            if name.startswith("_run_") and params == _RUNNER_PARAMS:
-                continue
             body = node.body if isinstance(node.body, list) else [node.body]
             read = {n.id for stmt in body for n in ast.walk(stmt)
                     if isinstance(n, ast.Name)}

@@ -247,8 +247,7 @@ _SOMMERFELD = dict(h=0.02, window_r_max=32.0, gamma_top=0.004, tol=1e-3)
 
 def _rellich(model, interval):
     # the CLI's rellich block at the demo grid (r_max = 64, h = 0.02)
-    embedded = model.scan(interval, 64.0, 0.02).embedded(model.lambda0())
-    return "fail" if embedded else "pass"
+    return model.scan(interval, 64.0, 0.02).verdict(model.lambda0())
 
 
 def _defect(reason):
@@ -305,11 +304,12 @@ _MULTI_MODE = ("euclidean-d2", "euclidean-d3", "power1-d3", "exp1-d3",
                "stretchedexp-d3", "hyperbolic-d3")
 
 
-def _sweep(checker, preset, cap):
-    # the library's default ladders and h = 0.05, at lambda = lambda0 + 1
+def _sweep(checker, preset, cap, **kw):
+    # at lambda = lambda0 + 1; the library's default ladders and h = 0.05
+    # unless ``kw`` sets them
     def verdict():
         model = _PRESETS[preset]()
-        return checker(model, model.lambda0() + 1.0, mode_cap=cap).verdict
+        return checker(model, model.lambda0() + 1.0, mode_cap=cap, **kw).verdict
     return verdict
 
 
@@ -329,6 +329,18 @@ _CELLS.append(pytest.param(
     marks=_defect("ROADMAP item 3: the mu > 0 modes make rad_bstar rise towards a "
                   "finite limit as Gamma falls, which the two-sided ratio test "
                   "fails at ratio 2.167 (beta = 0) and 2.224 (beta = 0.5)")))
+
+
+# eps_emp 0.44 .. 0.58 against the floor 1/3, at most 0.3 s a cell
+_CELLS += [pytest.param(_sweep(hoelder_estimate, preset, cap, h=0.05, n_probes=4, n_pairs=3),
+                        id=f"hoelder-{preset}-cap{cap:g}")
+           for preset in _PRESETS
+           for cap in ((0.5, 6.5) if preset in _MULTI_MODE else (0.5,))]
+# disc 3.8e-5 .. 5.0e-5 against tol 1e-3
+_CELLS += [pytest.param(_sweep(sommerfeld_compare, preset, 0.5, **_SOMMERFELD),
+                        id=f"sommerfeld-{preset}-cap0.5")
+           for preset in ("euclidean-d2", "exp1-d3", "stretchedexp-d3",
+                          "hyperbolic-d3", "square-well", "multiend")]
 
 
 @pytest.mark.parametrize("verdict_of", _CELLS)
@@ -370,7 +382,7 @@ def _wigner_von_neumann_rellich():
     scan = _wigner_von_neumann_model().scan((0.3, 0.7), 64.0, 0.02)
     (entry,) = scan.embedded(0.0)
     assert entry.refined == pytest.approx(0.5, abs=1e-6) and entry.drift < 1e-8
-    return "fail"
+    return scan.verdict(0.0)
 
 
 def _wigner_von_neumann_conditions():
@@ -378,8 +390,35 @@ def _wigner_von_neumann_conditions():
     return check_conditions(m.profile, m.potential).overall()
 
 
+def _inverse_square_radiation():
+    # beta = 2.5 lies above the critical beta* = 2 of V = r^-2 on the half-line:
+    # rad_bstar grows 1.31, 4.18, 11.98 as Gamma falls (ratio 9.15).  The
+    # sweep's own verdict is inconclusive, since beta_c = 1 puts every row
+    # outside the theorem, so the ratio test is read directly
+    prof = const_profile(d=1)
+    m = Model(name="inverse_square", profile=prof, potential=geometric_split(
+        prof, V_short=lambda r: np.asarray(r, dtype=float) ** -2.0))
+    table = radiation_sweep(m, 1.0, [0.1, 0.01, 0.001], [2.5], mode_cap=0.5)
+    return _ratio_verdict(table.column("rad_bstar"))[0]
+
+
+def _threshold_window(checker, lam):
+    # a lambda on the declared threshold lambda1 = 4 of the two-ended line
+    # lies outside the certified window: the checker refuses it
+    def verdict():
+        with pytest.raises(ContractError, match="sits on the declared threshold"):
+            checker(multiend_model(), lam)
+        return "fail"
+    return verdict
+
+
 @pytest.mark.parametrize("verdict_of", [
     pytest.param(_unweighted_l2_sweep, id="lap-unweighted-l2-free"),
+    pytest.param(_inverse_square_radiation, id="radiation-beta-above-bstar"),
+    *[pytest.param(_threshold_window(checker, lam), id=f"{checker.__name__}-threshold-{lam:g}")
+      for checker in (lap_sweep, radiation_sweep, besov_energy_check,
+                      hoelder_estimate, sommerfeld_compare)
+      for lam in (3.99, 4.02)],
     pytest.param(_wigner_von_neumann_rellich, id="rellich-wigner-von-neumann"),
     pytest.param(_wigner_von_neumann_conditions, id="conditions-wigner-von-neumann",
                  marks=_defect("ROADMAP item 3: the oscillation biases the q2 and q22 "
@@ -889,7 +928,7 @@ def test_shift_domain_is_sized_by_the_grids_last_node(case):
 # --- Sommerfeld shift solves on the prefix their wave reaches ----------------------
 
 # r_big = 8192 at h = 0.05; the top shift's wave dies out well inside it
-_SOMMERFELD = dict(h=0.05, window_r_max=32.0, gamma_top=8e-3)
+_TRIMMED_SOMMERFELD = dict(h=0.05, window_r_max=32.0, gamma_top=8e-3)
 
 
 def _sommerfeld_cases():
@@ -910,15 +949,15 @@ def _shift_solves(solves):
 def test_sommerfeld_trimmed_shifts_match_whole_domain(case, monkeypatch,
                                                       experiment_solves):
     model, lam = _sommerfeld_cases()[case]
-    got = sommerfeld_compare(model, lam, **_SOMMERFELD)
-    n_big = model.make_grid(got.meta["r_big"], _SOMMERFELD["h"]).n - 2
+    got = sommerfeld_compare(model, lam, **_TRIMMED_SOMMERFELD)
+    n_big = model.make_grid(got.meta["r_big"], _TRIMMED_SOMMERFELD["h"]).n - 2
     shifts = _shift_solves(experiment_solves)
     assert [g for g, _ in shifts] == [8e-3, 4e-3, 2e-3]
     assert shifts[0][1] < n_big
     # the whole-domain reference: no reach ends inside the long grid
     experiment_solves.clear()
     monkeypatch.setattr(endspec.experiments, "_ROUND_TRIP_DECAY", np.inf)
-    full = sommerfeld_compare(model, lam, **_SOMMERFELD)
+    full = sommerfeld_compare(model, lam, **_TRIMMED_SOMMERFELD)
     assert [n for _, n in _shift_solves(experiment_solves)] == [n_big] * 3
     for name in ("disc_weighted", "disc_bstar", "rel_weighted", "verdict"):
         assert getattr(got, name) == getattr(full, name)
@@ -933,7 +972,7 @@ def test_sommerfeld_trimmed_shifts_match_whole_domain(case, monkeypatch,
     # moves the gaps past the bound
     for decay, moved in ((25.0, 1e-11), (10.0, 1e-10)):
         monkeypatch.setattr(endspec.experiments, "_ROUND_TRIP_DECAY", decay)
-        short = sommerfeld_compare(model, lam, **_SOMMERFELD)
+        short = sommerfeld_compare(model, lam, **_TRIMMED_SOMMERFELD)
         assert np.max(np.abs(_gaps(short) / _gaps(full) - 1.0)) > moved
 
 
