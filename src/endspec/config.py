@@ -58,10 +58,10 @@ by the schema below; lists are comma-separated.
     n_pairs = 4              # hoelder ladder length, >= 2
     n_probes = 8             # hoelder probe count, >= 1
 
-Validation collects every violation (unknown keys and sections, type
-mismatches, out-of-range values, empty lists, duplicate experiment names,
-blocks other than check on an escape_* model) and raises a single
-ConfigError carrying the full list.
+Validation collects every violation (unknown keys and sections, a [model]
+key its kind does not take, type mismatches, out-of-range values, empty
+lists, duplicate experiment names, blocks other than check on an escape_*
+model) and raises a single ConfigError carrying the full list.
 
 ``build_model`` builds the model a [model] section declares; an unset model
 key takes its builder's default.  Experiment options hold only the keys a
@@ -259,9 +259,13 @@ def parse_config(text: str) -> RunConfig:
         errors.append(f"[model]: unknown kind {kind!r}; expected one of "
                       + ", ".join(sorted(_MODELS)))
     else:
-        for req in _MODELS[kind][1]:
+        _, needs, optional = _MODELS[kind]
+        for req in needs:
             if req not in model:
                 errors.append(f"[model]: kind {kind!r} requires key {req!r}")
+        for key in model:
+            if key not in ("kind", *needs, *optional):
+                errors.append(f"[model]: kind {kind!r} does not take key {key!r}")
     if grid["h"] <= 0:
         errors.append("[grid]: h must be positive")
     if grid["r_max"] <= 1:

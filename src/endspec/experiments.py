@@ -675,7 +675,7 @@ def _richardson_gamma(model, grid, lam, gamma_top, psi, modes, grid_w):
     sols = []
     for f in (1.0, 0.5, 0.25):
         z = complex(lam, gamma_top * f)
-        grid_p, ops_p = prefix(gamma_top * f)
+        _, ops_p = prefix(gamma_top * f)
         sols.append({mu: resolve(op.shifted(z), psi,
                                  allow_unabsorbed=True).phi[:n_w].copy()
                      for mu, op in ops_p.items()})

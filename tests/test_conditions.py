@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -8,8 +10,52 @@ from endspec.conditions import (_NOISE_FLOOR, EXPONENT_CAP, ConditionReport,
                                 hyperbola_field, sawtooth_field)
 from endspec.errors import ContractError
 from endspec.geometry import const_profile, geometric_split, power_profile
-from endspec.models import (exp_model, hyperbolic_model,
-                            power_model)
+from endspec.models import (euclidean_model, exp_model, free_model,
+                            hyperbolic_model, multiend_model, power_model,
+                            square_well_model, stretched_exp_model)
+
+
+# The condition reports the survey workload does not write, each by the
+# SHA-256 of its CSV.  A change to a checker that must keep every report
+# byte-identical is checked here; one that moves a report re-records its
+# hash with the reason.
+_CYLINDER = const_profile(d=3)
+_REPORTS = {
+    "free": lambda: free_model().conditions(),
+    "power_theta1_d3": lambda: power_model(1.0, 3).conditions(),
+    "euclidean_d2": lambda: euclidean_model(2).conditions(),
+    "exp_kappa1_d3": lambda: exp_model(1.0, 3).conditions(),
+    "exp_lower_order": lambda: exp_model(1.0, 3, lower_c=0.5,
+                                         lower_theta=0.5).conditions(),
+    "stretchedexp": lambda: stretched_exp_model(1.0, 0.5, 3).conditions(),
+    "hyperbolic_d3": lambda: hyperbolic_model(3).conditions(),
+    "square_well": lambda: square_well_model().conditions(),
+    "multiend": lambda: multiend_model().conditions(),
+    "cylinder_d3": lambda: check_conditions(_CYLINDER, geometric_split(_CYLINDER)),
+    "escape_disk": lambda: disk_complement_field().conditions(),
+    "escape_hyperbola": lambda: hyperbola_field().conditions(),
+}
+_REPORT_SHA256 = {
+    "free": "041e4ff8524c41ded241dd205d52084486bc4c9f7c17e85568c6da433defeebc",
+    "power_theta1_d3": "b5a766a4e4a684db3f235bf6cdef8162a701e3493fd6709c188012b0a05064b3",
+    "euclidean_d2": "fa656c42cd19be7c26ef298cb00c826afe25674dd748105acc030677e1c71075",
+    "exp_kappa1_d3": "1b877a827ffb5c2e1fdf94c9218df13ebe317a5973416559797285b499d9b99a",
+    "exp_lower_order": "741dd91c8c0edfb181b12757b02cd94df40ebdc93ec0c926e05c07978e439132",
+    "stretchedexp": "4e3cea8bf96c6c0c8a0b074d4cc43ef547d566f30f685c5dcee99cbae896a2aa",
+    "hyperbolic_d3": "dae800df311d6782dfa508872d892447f4132bee7e0cc3070afc1e98604acb62",
+    "square_well": "c8df2bd9f5fd0ba72a607ce4ffffb74284fedb66c299fa6865daa2b53cdc1971",
+    "multiend": "7dd5deba4ae83f28bdd938e29058d980209fa6a66fd1ce3e2dbe857f563b22cf",
+    "cylinder_d3": "f86216097137adb29fffdb4c064a9ec3133d2c010bf739bcde2a6c70a5c4b95c",
+    "escape_disk": "4773d9048e5075c023acefb25e32e2c0e58281e118f9022bb556bf1af08eb231",
+    "escape_hyperbola": "3a78d6f28ed256adf46b29b275243f464f6ba775e379eeaef890db3b59a5d5b1",
+}
+
+
+@pytest.mark.parametrize("name", sorted(_REPORTS))
+def test_condition_report_reproduces_recorded_bytes(tmp_path, name):
+    path = tmp_path / f"{name}.csv"
+    _REPORTS[name]().to_csv(path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == _REPORT_SHA256[name]
 
 
 def test_power_model_constants():

@@ -167,6 +167,20 @@ def test_escape_model_refuses_blocks_other_than_check(kind):
         f"[experiment x]: a {kind} model runs only check blocks, not 'lap'"]
 
 
+@pytest.mark.parametrize("kind, extra", [
+    ("power", "theta = 2.0\nd = 3\ndepth = 5.0\nx_min = -12.0"),
+    ("escape_disk", "obstacle_k = 4.0\nr0 = 3.0"),
+])
+def test_model_key_its_kind_does_not_take_is_refused(kind, extra):
+    # a stray key used to parse and build silently, with no effect
+    with pytest.raises(ConfigError) as err:
+        parse_config(f"[model]\nkind = {kind}\n{extra}\n")
+    stray = [line.split(" = ")[0] for line in extra.splitlines()
+             if line.split(" = ")[0] not in ("theta", "d")]
+    assert err.value.violations == [
+        f"[model]: kind {kind!r} does not take key {key!r}" for key in stray]
+
+
 def test_type_mismatch_reported():
     text = MINIMAL.replace("lambda = 1.0", "lambda = one")
     with pytest.raises(ConfigError) as err:
@@ -783,6 +797,33 @@ def test_every_function_parameter_is_read():
             unread += [f"{path.name}: {name}.{p}" for p in params
                        if p != "self" and p not in read]
     assert unread == []
+
+
+def test_every_assigned_local_is_read():
+    # a name a function binds and never reads (in it or in a function nested
+    # in it) is dead work or a lost result; names starting with _ are exempt
+    import ast
+    scopes = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+
+    def own_nodes(node):
+        # the nodes of a function's body outside the functions nested in it
+        for child in ast.iter_child_nodes(node):
+            if not isinstance(child, scopes):
+                yield child
+                yield from own_nodes(child)
+
+    dead = []
+    for path in sorted(Path(endspec.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            stored = {n.id for n in own_nodes(node)
+                      if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)}
+            read = {n.id for n in ast.walk(node)
+                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            dead += [f"{path.stem}.{node.name}.{name}" for name in sorted(stored - read)
+                     if not name.startswith("_")]
+    assert dead == []
 
 
 def test_every_private_default_is_passed_somewhere():
