@@ -54,10 +54,10 @@ from .errors import ContractError
 from .geometry import geometry_at
 from .models import Model
 from .phase import _central_derivative, apply_A, grid_phase, r_lambda
-from .radial import (BesovProfile, RadialGrid, besov_from_modes, l2_norm,
+from .radial import (FIRST_UNKNOWN, BesovProfile, OuterPolicy, RadialGrid,
+                     RadialOperator, besov_from_modes, l2_norm, norm_weights,
                      smooth_bump, weighted_norm, weighted_norm_on)
-from .solver import (ABSORPTION, THRESHOLD_WINDOW, Resolvent, outgoing_row,
-                     resolve)
+from .solver import ABSORPTION, THRESHOLD_WINDOW, outgoing_row, resolve
 from .tableio import write_csv
 
 
@@ -518,29 +518,91 @@ def _probe_sources(probes, grid: RadialGrid, s: float):
     return sources
 
 
-def _probe_diff(ops, modes, z1, z2, sources, norm_minus_s) -> float:
+def _on_prefix(op: RadialOperator, grid_p: RadialGrid) -> RadialOperator:
+    """``op`` on ``grid_p``, a prefix of its grid: its potential diagonal
+    is a view of op's."""
+    return replace(op, grid=grid_p, potential_diag=op.potential_diag[:grid_p.n])
+
+
+def _near_operator(op: RadialOperator, junction: int, rho: complex) -> RadialOperator:
+    """``op`` on its first J + 1 nodes (J = ``junction``) with the last row
+    op's row J under u_{J+1} = rho u_J: the outgoing row with sign +1 and
+    a = i (h^2 (w_J - z) + 1 - rho) / h, w_J the potential diagonal at J."""
+    h = op.grid.h
+    a = 1j * (h * h * (op.potential_diag[junction] - op.z) + 1.0 - rho) / h
+    return _on_prefix(op, op.grid.prefix(junction + 1)).shifted(
+        op.z, OuterPolicy.outgoing(a, +1))
+
+
+def _far_field(op: RadialOperator, junction: int):
+    """(near operator, G) of ``op`` beyond node J = ``junction``.
+
+    G, on nodes J, J+1, ..., is op's solution for a unit source at J
+    divided by its value there.  Past a source supported on nodes < J every
+    solution of op equals c G on nodes >= J, with c its value at J: both
+    solve the homogeneous rows beyond J and vanish at the wall, and those
+    solutions form one line (the tridiagonal Green's function is
+    L(min) R(max) / W).  G's divisor is not 0: Im g_J = Im z ||g||^2 > 0
+    for the unit source's solution g.
+
+    The near operator (``_near_operator``) closes op's first J + 1 nodes
+    with rho = G[1], so for such a source it solves for op's solution on
+    nodes <= J, up to roundoff.
+    """
+    g = resolve(op, (junction, np.ones(1)), allow_unabsorbed=True).phi[junction:]
+    g /= g[0]
+    return _near_operator(op, junction, g[1]), g
+
+
+def _probe_diff(ops, modes, z1, z2, sources, weights) -> float:
     """max over probes of ||R(z1) psi - R(z2) psi||_{H_-s} / ||psi||_{H_s}.
 
-    ``ops`` may be a prefix of the domain the ``sources`` were taken on
-    (``hoelder_estimate`` trims each pair's): a probe's start and in-span
-    values are the same on any prefix that holds its span, and its H_s norm
-    is the one given.  Both resolvents of every mode are factored
-    once and applied to the probes one at a time: solving the probes as
-    columns of one system would hold every probe's solution on the whole
-    grid at once.  The factors are released on return, before the next pair
-    is factored.
+    ``weights`` are the quadrature weights of ||.||_{H_-s}^2 on the grid of
+    ``ops``, ``norm_weights(grid, -s)``.  ``ops`` may be a prefix of the
+    domain the ``sources`` were taken on (``hoelder_estimate`` trims each
+    pair's): a probe's start and in-span values are the same on any prefix
+    that holds its span, and its H_s norm is the one given.
+
+    Every probe lies on nodes < J, the first node past all their spans, so
+    each (mode, z) solves on the whole grid once, for a unit source at J
+    (``_far_field``), and each probe then solves only on nodes <= J with the
+    near operator.  Beyond J the two solutions of a probe are c1 G1 and
+    c2 G2, c their values at J; with e = c1 - c2 and D = G1 - G2 their
+    difference there is e G1 + c2 D, whose weighted sum of squares is
+    |e|^2 S_11 + |c2|^2 S_DD + 2 Re(e conj(c2) S_1D) with
+    S_XY = sum_{j >= J} w_j X_j conj(Y_j), taken once per mode.  Written in
+    e and D, the three terms are of the size of the difference, not of the
+    solutions, so nothing cancels.
+
+    Raises ``ContractError`` when no unknown of the grid lies past J.
     """
-    pairs = [(mult,
-              Resolvent(ops[mu].shifted(z1), allow_unabsorbed=True),
-              Resolvent(ops[mu].shifted(z2), allow_unabsorbed=True))
-             for mu, mult in modes]
-    diff_norm = 0.0
-    for start, vals, denom in sources:
-        psi = (start, vals)
-        num_sq = sum(mult * norm_minus_s(r1(psi).phi - r2(psi).phi) ** 2
-                     for mult, r1, r2 in pairs)
-        diff_norm = max(diff_norm, math.sqrt(num_sq) / denom)
-    return diff_norm
+    junction = max(start + vals.size for start, vals, _ in sources)
+    op0 = ops[modes[0][0]]
+    if junction + 1 > FIRST_UNKNOWN + op0.n_unknowns - 1:
+        raise ContractError(
+            f"no unknown of the {op0.grid.n}-node grid lies past node {junction}, "
+            "the first node past every probe's support")
+    near_w, tail_w = weights[:junction], weights[junction:]
+    num_sq = np.zeros(len(sources))
+    for mu, mult in modes:
+        near1, g1 = _far_field(ops[mu].shifted(z1), junction)
+        near2, dg = _far_field(ops[mu].shifted(z2), junction)
+        np.subtract(g1, dg, out=dg)
+        wg = tail_w * g1
+        s_11, s_1d = np.vdot(wg, g1).real, np.vdot(wg, dg).conjugate()
+        np.multiply(tail_w, dg, out=wg)
+        s_dd = np.vdot(wg, dg).real
+        del g1, dg, wg
+        for k, (start, vals, _) in enumerate(sources):
+            u1 = resolve(near1, (start, vals)).phi
+            u2 = resolve(near2, (start, vals)).phi
+            c2 = u2[junction]
+            e = u1[junction] - c2
+            near = np.abs(u1[:junction] - u2[:junction]) ** 2
+            tail = (abs(e) ** 2 * s_11 + abs(c2) ** 2 * s_dd
+                    + 2.0 * (e * c2.conjugate() * s_1d).real)
+            num_sq[k] += mult * (float(near_w @ near) + tail)
+    return max(math.sqrt(sq) / denom for sq, (_, _, denom) in zip(num_sq, sources))
 
 
 # a shift solve's domain leaves the round trip of its wave from where it is
@@ -574,9 +636,7 @@ def _reach_prefix(grid: RadialGrid, ops, modes, lam: float, r_from: float):
         if end >= grid.n - 1:
             return grid, ops
         grid_p = grid.prefix(end + 1)
-        return grid_p, {mu: replace(op, grid=grid_p,
-                                    potential_diag=op.potential_diag[:grid_p.n])
-                        for mu, op in ops.items()}
+        return grid_p, {mu: _on_prefix(op, grid_p) for mu, op in ops.items()}
     return prefix
 
 
@@ -599,10 +659,13 @@ def hoelder_estimate(model: Model, lam: float, s: float = 1.0, gamma_top: float 
     probe support r_src (``_reach_prefix``): up to the first node at or
     beyond r_src + 39 / (2 kappa), kappa = Im sqrt(2 (lambda + i Gamma/2 -
     w_min)), so the reflection off the wall returns below e^{-39}; a pair
-    whose reach lies past the shared grid solves on all of it.  The values
-    equal those of solving every pair on the shared domain to roundoff, not
-    bit for bit: 8.7e-12 relative at worst on criterion 7's ladder over
-    probe seeds 0-31.
+    whose reach lies past the shared grid solves on all of it.  On that
+    prefix each (mode, z) makes one solve, for a unit source at J, the first
+    node past every probe's support; each probe then solves only on nodes
+    <= J, closed there by the exact row of that solution (``_probe_diff``).
+    The values equal those of solving every probe of every pair on the
+    shared domain to roundoff, not bit for bit: 9.8e-12 relative at worst on
+    criterion 7's ladder over probe seeds 0-31.
     """
     if not s > 0.5:
         raise ContractError("Hoelder continuity needs s > 1/2")
@@ -627,7 +690,7 @@ def hoelder_estimate(model: Model, lam: float, s: float = 1.0, gamma_top: float 
         # next pair's are built; the slower wave of the pair is at Gamma/2
         grid_p, ops_p = prefix(0.5 * g)
         return _probe_diff(ops_p, modes, complex(lam, g), complex(lam, 0.5 * g),
-                           sources, weighted_norm_on(grid_p, -s))
+                           sources, norm_weights(grid_p, -s))
 
     rows = [[g, 0.5 * g, pair_diff(g)] for g in gammas]
 

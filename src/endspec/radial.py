@@ -17,7 +17,7 @@ q_geom + mu/(2f) + V, evaluated once per (mu, grid); the spectral parameter
 z enters as a shift of that diagonal, so moving to another z
 (``RadialOperator.shifted``) re-evaluates no geometry.  The off-diagonals
 are the constant -1/(2h^2), and the complex diagonals are derived on
-access.  Factoring and solving live in ``solver.Resolvent``.
+access.  Solving lives in ``solver.resolve``.
 
 Besov norms are computed from the dyadic annuli R_nu = 2^nu:
 
@@ -440,12 +440,17 @@ def weighted_norm(phi, grid: RadialGrid, s: float) -> float:
     return weighted_norm_on(grid, s)(phi)
 
 
+def norm_weights(grid: RadialGrid, s: float) -> np.ndarray:
+    """The quadrature weights w r^(2s) of || r^s phi ||^2 on ``grid``."""
+    return grid.weights * grid.radii ** (2.0 * s)
+
+
 def weighted_norm_on(grid: RadialGrid, s: float) -> Callable:
     """phi -> || r^s phi || on ``grid`` (``weighted_norm``), with the
-    quadrature weights w r^(2s) evaluated once for every phi it is applied
-    to.  Where r^s overflows each call works in log space instead."""
+    quadrature weights ``norm_weights`` evaluated once for every phi it is
+    applied to.  Where r^s overflows each call works in log space instead."""
     if abs(s) * math.log(max(grid.r_max, 2.0)) < 300.0:
-        wts = grid.weights * grid.radii ** (2.0 * s)
+        wts = norm_weights(grid, s)
         return lambda phi: float(np.sqrt(np.sum(wts * np.abs(np.asarray(phi)) ** 2)))
 
     def log_space(phi):

@@ -14,15 +14,13 @@ outgoing selection rule.
 
 The work is split by what it depends on.  A ``RadialOperator`` holds the
 real potential diagonal, which depends on (mu, grid) only; ``shifted`` moves
-it to another z without touching the geometry.  A ``Resolvent`` LU-factors
-one operator once and solves any number of right-hand sides against the
-factors, in place in the returned full-grid array, verifying each with one
-pass over the grid per norm: the residual is summed over cache-sized blocks
-of rows, with no n-length temporary.  ``resolve`` solves a single source in
-one LAPACK sweep (``zgtsv``, which factors and solves together and keeps no
-factors), with the same guards and checks.  Both take a source as its
-support, a (start node, values) pair, or as a full-grid array (start 0),
-so a compact source on a long domain costs no full-grid copy.
+it to another z without touching the geometry.  ``resolve`` solves one
+source in one LAPACK sweep (``zgtsv``, which factors and solves together
+and keeps no factors) and verifies the solution with one pass over the grid
+per norm: the residual is summed over cache-sized blocks of rows, with no
+n-length temporary.  It takes a source as its support, a (start node,
+values) pair, or as a full-grid array (start 0), so a compact source on a
+long domain costs no full-grid copy.
 
 The eigenvalue scan diagonalizes the Dirichlet-truncated symmetric operator
 on an interval and classifies each eigenpair by the decay of its dyadic
@@ -45,7 +43,7 @@ import numpy as np
 # solve_banded is no longer called; the name stays bound because the
 # benchmark tracer (perfbench/spans.py) wraps endspec.solver.solve_banded
 from scipy.linalg import LinAlgError, eigh_tridiagonal, solve_banded  # noqa: F401
-from scipy.linalg.lapack import zgtsv, zgttrf, zgttrs
+from scipy.linalg.lapack import zgtsv
 
 from .errors import (AbsorptionError, BranchError, ConditioningError,
                      ContractError)
@@ -79,66 +77,6 @@ class ResolventSolution:
     phi: np.ndarray              # full-grid values (walls included)
     residual: float
     growth: float
-
-
-class Resolvent:
-    """(h_mu - z)^{-1} for one operator: factored once, applied per source.
-
-    For callers with many sources; a single source goes through ``resolve``,
-    which shares every guard and check below.  Construction checks the
-    absorption guard and LU-factors the tridiagonal matrix (LAPACK
-    ``zgttrf``, partial pivoting); each call solves one right-hand side
-    against the held factors (``zgttrs``) and verifies the result: finite
-    values, growth ``||phi|| / ||psi||`` at most ``BLOWUP_LIMIT`` and
-    residual by re-multiplication at most ``RESIDUAL_TOL`` (a NaN growth or
-    residual fails both).
-
-    The source psi is a (start node, values) pair, whose values sit on
-    nodes start, start + 1, ... of the grid, or a full-grid array, the case
-    start = 0.  As in the matrix rows, entries at the inner wall (node 0)
-    and past the last unknown are dropped, and an entry on the outgoing last
-    row is halved with that row.
-
-    A call passes over the grid as few times as it can: the values are
-    written into the zeroed full-grid ``phi`` that is returned, ``zgttrs``
-    overwrites them there in place with the solution, and ||r||^2 is summed
-    over blocks of rows (``_residual_sq``), each formed from the potential
-    diagonal and the neighbours in ``phi`` while it is in cache, with the
-    source subtracted only on the blocks it overlaps; the call creates no
-    n-length array besides ``phi``.  ||rhs|| is one contiguous BLAS dot over
-    the float view of the source's rows, ||u|| one over the unknowns, and
-    the finite-input (``ValueError``) and finite-output
-    (``ConditioningError``) checks follow from them: a finite sum of squares
-    has only finite terms, so the exact elementwise test runs only when a
-    sum is not finite.  Finite entries that overflow ||rhs||^2 pass; the
-    three norms are then all taken of the arrays divided by max |rhs|,
-    which leaves growth and residual unchanged but finite.  The solution
-    does not depend on how the source is given; ||rhs|| and so the
-    diagnostics ``residual`` and ``growth`` of a compact source may differ
-    from those of its full-grid form in the last bit, since the sum runs
-    over the support only.
-
-    A shift solve (Dirichlet outer row, Im z != 0) on a domain with
-    Gamma (R_max - 1) < ``ABSORPTION`` is refused unless ``allow_unabsorbed``
-    is set, since the reflected wave then contaminates every Gamma-limit
-    experiment.  It is set for the prefix domains of the Hoelder and
-    Sommerfeld shift solves, which end past the reach of their wave, and by
-    the CLI's ``solve`` command, which solves on the domain it is given.
-    Only the factors and the operator (whose potential diagonal is shared)
-    are kept, so holding several resolvents costs little memory.
-    """
-
-    def __init__(self, op: RadialOperator, allow_unabsorbed: bool = False):
-        dd = _admitted_diagonal(op, allow_unabsorbed)
-        *lu, info = zgttrf(op.dl, dd, op.du,
-                           overwrite_dl=1, overwrite_d=1, overwrite_du=1)
-        if info > 0:
-            raise LinAlgError("singular matrix")
-        self.op = op
-        self._lu = lu
-
-    def __call__(self, psi) -> ResolventSolution:
-        return _verified_solve(self.op, psi, lambda u: zgttrs(*self._lu, u, overwrite_b=1))
 
 
 def _admitted_diagonal(op: RadialOperator, allow_unabsorbed: bool) -> np.ndarray:
@@ -179,44 +117,6 @@ def _source_rows(op: RadialOperator, psi):
     lo = max(start, FIRST_UNKNOWN)
     hi = max(min(start + vals.size, FIRST_UNKNOWN + op.n_unknowns), lo)
     return lo, vals[lo - start:hi - start]
-
-
-def _verified_solve(op: RadialOperator, psi, solve_in_place) -> ResolventSolution:
-    """Solve for one source with ``solve_in_place(u)``, which overwrites the
-    right-hand side u on the unknowns with the solution, and verify it: the
-    source must be finite, and the solution finite, with growth and residual
-    within their limits (see ``Resolvent``)."""
-    n, i0 = op.n_unknowns, FIRST_UNKNOWN
-    lo, b = _source_rows(op, psi)
-    phi = np.zeros(op.grid.n, dtype=complex)
-    rhs = phi[lo:lo + b.size]
-    rhs[...] = b
-    if op.policy.kind == "outgoing" and lo + b.size == i0 + n:
-        rhs[-1] *= 0.5          # the halved outgoing row
-    rhs_sq = _sum_sq(rhs)
-    unit = 1.0                  # common divisor of the three norms
-    if not math.isfinite(rhs_sq):
-        _check_finite(rhs)      # finite entries may still overflow the sum
-        unit = float(np.max(np.abs(rhs.view(float))))
-        rhs_sq = _sum_sq(rhs, unit)
-    u = phi[i0:i0 + n]
-    solve_in_place(u)
-    u_sq = _sum_sq(u)
-    if not math.isfinite(u_sq) and not np.all(np.isfinite(u.view(float))):
-        raise ConditioningError("solver produced non-finite values", estimate=np.inf)
-    if unit != 1.0:
-        u_sq = _sum_sq(u, unit)
-    scale = math.sqrt(rhs_sq) or 1.0
-    growth = math.sqrt(u_sq) / scale
-    if not growth <= BLOWUP_LIMIT:
-        raise ConditioningError(
-            f"solution grew by {growth:.2e}: z is within grid resolution of a "
-            "discrete eigenvalue of the truncated problem", estimate=growth)
-    resid = math.sqrt(_residual_sq(op, phi, lo - i0, b, unit)) / scale
-    if not resid <= RESIDUAL_TOL:
-        raise ConditioningError(f"residual {resid:.2e} above {RESIDUAL_TOL:.1e}",
-                                estimate=resid)
-    return ResolventSolution(phi=phi, residual=resid, growth=growth)
 
 
 def _sum_sq(a, unit: float = 1.0) -> float:
@@ -282,26 +182,81 @@ def _check_finite(a):
 
 
 def resolve(op: RadialOperator, psi, allow_unabsorbed: bool = False) -> ResolventSolution:
-    """One verified solve of (h_mu - z) phi = psi, with the guards and checks
-    of ``Resolvent`` and its source convention: psi is a (start node,
-    values) pair or a full-grid array.
+    """(h_mu - z)^{-1} psi for one source, solved and verified.
 
-    A single source needs no factors kept, so LAPACK ``zgtsv`` factors and
-    solves in one sweep, in place in the diagonals and in ``phi``: no
-    separate second-superdiagonal or pivot array, and one pass over the
-    grid fewer.
-    It makes the eliminations and pivot choices of ``zgttrf`` + ``zgttrs``,
-    so the solution is the one ``Resolvent`` returns, bit for bit.
+    LAPACK ``zgtsv`` factors (partial pivoting) and solves in one sweep, in
+    place in the diagonals and in the returned ``phi``, keeping no factors.
+    The result is verified: finite values, growth ``||phi|| / ||psi||`` at
+    most ``BLOWUP_LIMIT`` and residual by re-multiplication at most
+    ``RESIDUAL_TOL`` (a NaN growth or residual fails both).
+
+    The source psi is a (start node, values) pair, whose values sit on
+    nodes start, start + 1, ... of the grid, or a full-grid array, the case
+    start = 0.  As in the matrix rows, entries at the inner wall (node 0)
+    and past the last unknown are dropped, and an entry on the outgoing last
+    row is halved with that row.
+
+    A call passes over the grid as few times as it can: the values are
+    written into the zeroed full-grid ``phi`` that is returned, ``zgtsv``
+    overwrites them there in place with the solution, and ||r||^2 is summed
+    over blocks of rows (``_residual_sq``), each formed from the potential
+    diagonal and the neighbours in ``phi`` while it is in cache, with the
+    source subtracted only on the blocks it overlaps; besides ``phi`` and the
+    three diagonals that ``zgtsv`` overwrites, the call creates no n-length
+    array.  ||rhs|| is one contiguous BLAS dot over the float view of the
+    source's rows, ||u|| one over the unknowns, and the finite-input
+    (``ValueError``) and finite-output (``ConditioningError``) checks follow
+    from them: a finite sum of squares has only finite terms, so the exact
+    elementwise test runs only when a sum is not finite.  Finite entries
+    that overflow ||rhs||^2 pass; the three norms are then all taken of the
+    arrays divided by max |rhs|, which leaves growth and residual unchanged
+    but finite.  The solution does not depend on how the source is given;
+    ||rhs|| and so the diagnostics ``residual`` and ``growth`` of a compact
+    source may differ from those of its full-grid form in the last bit,
+    since the sum runs over the support only.
+
+    A shift solve (Dirichlet outer row, Im z != 0) on a domain with
+    Gamma (R_max - 1) < ``ABSORPTION`` is refused unless ``allow_unabsorbed``
+    is set, since the reflected wave then contaminates every Gamma-limit
+    experiment.  It is set for the prefix domains of the Hoelder and
+    Sommerfeld shift solves, which end past the reach of their wave, and by
+    the CLI's ``solve`` command, which solves on the domain it is given.
     """
     dd = _admitted_diagonal(op, allow_unabsorbed)
-
-    def sweep(u):
-        info = zgtsv(op.dl, dd, op.du, u, overwrite_dl=1, overwrite_d=1,
-                     overwrite_du=1, overwrite_b=1)[-1]
-        if info > 0:
-            raise LinAlgError("singular matrix")
-
-    return _verified_solve(op, psi, sweep)
+    n, i0 = op.n_unknowns, FIRST_UNKNOWN
+    lo, b = _source_rows(op, psi)
+    phi = np.zeros(op.grid.n, dtype=complex)
+    rhs = phi[lo:lo + b.size]
+    rhs[...] = b
+    if op.policy.kind == "outgoing" and lo + b.size == i0 + n:
+        rhs[-1] *= 0.5          # the halved outgoing row
+    rhs_sq = _sum_sq(rhs)
+    unit = 1.0                  # common divisor of the three norms
+    if not math.isfinite(rhs_sq):
+        _check_finite(rhs)      # finite entries may still overflow the sum
+        unit = float(np.max(np.abs(rhs.view(float))))
+        rhs_sq = _sum_sq(rhs, unit)
+    u = phi[i0:i0 + n]
+    info = zgtsv(op.dl, dd, op.du, u, overwrite_dl=1, overwrite_d=1,
+                 overwrite_du=1, overwrite_b=1)[-1]
+    if info > 0:
+        raise LinAlgError("singular matrix")
+    u_sq = _sum_sq(u)
+    if not math.isfinite(u_sq) and not np.all(np.isfinite(u.view(float))):
+        raise ConditioningError("solver produced non-finite values", estimate=np.inf)
+    if unit != 1.0:
+        u_sq = _sum_sq(u, unit)
+    scale = math.sqrt(rhs_sq) or 1.0
+    growth = math.sqrt(u_sq) / scale
+    if not growth <= BLOWUP_LIMIT:
+        raise ConditioningError(
+            f"solution grew by {growth:.2e}: z is within grid resolution of a "
+            "discrete eigenvalue of the truncated problem", estimate=growth)
+    resid = math.sqrt(_residual_sq(op, phi, lo - i0, b, unit)) / scale
+    if not resid <= RESIDUAL_TOL:
+        raise ConditioningError(f"residual {resid:.2e} above {RESIDUAL_TOL:.1e}",
+                                estimate=resid)
+    return ResolventSolution(phi=phi, residual=resid, growth=growth)
 
 
 def outgoing_row(profile: WarpProfile, potential: PotentialSplit,

@@ -550,11 +550,11 @@ def test_hoelder_slope_matches_analytic_kernel():
 
 @pytest.mark.parametrize("s", [1.0, 0.75])
 def test_hoelder_probe_slices_match_full_grid_probes(s):
-    # the probe difference from in-support slices and weights taken once is
-    # bit-equal to the full-grid probes and weighted_norm of every call
+    # the probe difference from in-support slices, far and near solves and
+    # weights taken once matches, to roundoff, a whole-grid solve of every
+    # full-grid probe and weighted_norm of every difference
     from endspec.experiments import _mode_operators, _probe_diff, _probe_sources, probe_set
-    from endspec.radial import weighted_norm, weighted_norm_on
-    from endspec.solver import resolve
+    from endspec.radial import norm_weights, weighted_norm
     m = euclidean_model(3)
     grid = m.make_grid(256.0, 0.05)
     modes = m.modes(2.5)
@@ -562,7 +562,7 @@ def test_hoelder_probe_slices_match_full_grid_probes(s):
     z1, z2 = 1.0 + 0.064j, 1.0 + 0.032j
     ops = _mode_operators(m, grid, modes, z1)[0]
     got = _probe_diff(ops, modes, z1, z2, _probe_sources(probes, grid, s),
-                      weighted_norm_on(grid, -s))
+                      norm_weights(grid, -s))
     ref = 0.0
     for p in probes:
         psi = p.values(grid)
@@ -571,7 +571,7 @@ def test_hoelder_probe_slices_match_full_grid_probes(s):
             - resolve(ops[mu].shifted(z2), psi, allow_unabsorbed=True).phi,
             grid, -s) ** 2 for mu, mult in modes)
         ref = max(ref, np.sqrt(num_sq) / weighted_norm(psi, grid, s))
-    assert got == ref
+    assert got == pytest.approx(ref, rel=1e-12, abs=0.0)
 
 
 # --- Hoelder pairs on trimmed prefix domains ---------------------------------------
@@ -593,15 +593,15 @@ def _shared_domain_rows(model, lam, mode_cap, s, gamma_top, n_pairs, n_probes,
     """Every pair of the ladder solved on the one shared grid."""
     from endspec.experiments import (_mode_operators, _probe_diff, _probe_sources,
                                      probe_set)
-    from endspec.radial import weighted_norm_on
+    from endspec.radial import norm_weights
     gammas = [gamma_top * 0.25**j for j in range(n_pairs)]
     grid = _shift_grid(model, gammas[-1] / 2.0, h)
     modes = model.modes(mode_cap)
     sources = _probe_sources(probe_set(grid, n_probes, seed), grid, s)
     ops = _mode_operators(model, grid, modes, complex(lam, gammas[0]))[0]
-    norm = weighted_norm_on(grid, -s)
+    weights = norm_weights(grid, -s)
     rows = [[g, 0.5 * g, _probe_diff(ops, modes, complex(lam, g), complex(lam, 0.5 * g),
-                                     sources, norm)]
+                                     sources, weights)]
             for g in gammas]
     return rows, grid
 
@@ -642,8 +642,9 @@ def _reach(r_from, lam, w_min, gamma, decay=39.0):
 
 
 def test_hoelder_top_pair_solves_a_prefix(experiment_solves):
-    # each pair solves up to the first node at or beyond the reach of its
-    # slower wave (Gamma/2) from the outermost probe, not to a power of two
+    # each pair's far solves (the Dirichlet ones) run up to the first node at
+    # or beyond the reach of its slower wave (Gamma/2) from the outermost
+    # probe, not to a power of two
     from endspec.experiments import _mode_operators, probe_set
     m = euclidean_model(3)
     modes = m.modes(2.5)
@@ -660,11 +661,124 @@ def test_hoelder_top_pair_solves_a_prefix(experiment_solves):
         ends.append(end)
         pair = [(g, end - 1, "dirichlet"), (0.5 * g, end - 1, "dirichlet")]
         expected += pair * len(modes)
-    assert experiment_solves == expected
+    assert [solve for solve in experiment_solves if solve[2] == "dirichlet"] == expected
     # the top pair (first solved) trims, the bottom one needs the shared grid
     assert ends[0] < grid.n - 1 and ends[-1] == grid.n - 1
     for end in ends[:-1]:
         assert not math.log2(grid.nodes[end]).is_integer()
+
+
+def _junction(model, table):
+    """J, the first node past every probe's support on the table's grid."""
+    grid = model.make_grid(table.meta["r_max"], table.meta["h"])
+    probes = probe_set(grid, table.meta["n_probes"], table.meta["seed"])
+    return min(max(p.span(grid).stop for p in probes), grid.n)
+
+
+@pytest.mark.parametrize("case", ["free", "euclidean3"])
+def test_hoelder_pair_solves_the_far_field_once_per_mode_and_z(
+        case, experiment_solves, monkeypatch):
+    # per pair: for each mode and z one solve on the pair's whole prefix with
+    # a unit source at J, then per probe one solve of J unknowns at each z;
+    # no probe is solved on the whole prefix
+    model, lam, cap = _hoelder_cases()[case]
+    sources = []
+    recording = endspec.experiments.resolve
+
+    def with_source(op, psi, **kwargs):
+        sources.append(psi)
+        return recording(op, psi, **kwargs)
+
+    monkeypatch.setattr(endspec.experiments, "resolve", with_source)
+    table = hoelder_estimate(model, lam, mode_cap=cap, **_LADDER)
+    modes, n_probes = model.modes(cap), _LADDER["n_probes"]
+    junction = _junction(model, table)
+    per_pair = 2 * len(modes) * (1 + n_probes)
+    assert len(experiment_solves) == len(sources) == len(table.rows) * per_pair
+    for k, (g, g2, _) in enumerate(table.rows):
+        pair = slice(k * per_pair, (k + 1) * per_pair)
+        far = [(solve, psi) for solve, psi in zip(experiment_solves[pair], sources[pair])
+               if solve[2] == "dirichlet"]
+        near = [solve for solve in experiment_solves[pair] if solve[2] != "dirichlet"]
+        assert [solve[0] for solve, _ in far] == [g, g2] * len(modes)
+        assert len({solve[1] for solve, _ in far}) == 1
+        assert far[0][0][1] > junction
+        for _, (start, vals) in far:
+            assert start == junction and vals.tolist() == [1.0]
+        assert near == [(g, junction, "outgoing"), (g2, junction, "outgoing")] \
+            * (len(modes) * n_probes)
+
+
+@pytest.mark.parametrize("s", [0.75, 1.0, 2.0])
+@pytest.mark.parametrize("case", ["free", "euclidean3", "hyperbolic3", "multiend"])
+def test_hoelder_near_solve_and_far_field_compose_the_whole_solution(case, s, monkeypatch):
+    # a probe's near solution on nodes <= J, continued by c G beyond J, is
+    # the whole-grid solution: to roundoff in H_-s, and with the whole
+    # operator's residual within RESIDUAL_TOL
+    from endspec.experiments import (_far_field, _mode_operators, _near_operator,
+                                     _probe_diff, _probe_sources)
+    from endspec.radial import FIRST_UNKNOWN, norm_weights
+    from endspec.solver import RESIDUAL_TOL
+    model, lam, cap = _hoelder_cases()[case]
+    grid = model.make_grid(256.0, 0.05)
+    modes = model.modes(cap)
+    sources = _probe_sources(probe_set(grid, 4, seed=5), grid, s)
+    junction = max(start + vals.size for start, vals, _ in sources)
+    weights = norm_weights(grid, -s)
+    z1, z2 = complex(lam, 0.064), complex(lam, 0.032)
+    ops = _mode_operators(model, grid, modes, z1)[0]
+    i0, n = FIRST_UNKNOWN, grid.n - 2
+    for mu, _ in modes:
+        for z in (z1, z2):
+            op = ops[mu].shifted(z)
+            near, tail = _far_field(op, junction)
+            assert near.grid.n == junction + 1 and near.policy.kind == "outgoing"
+            assert abs(tail[0] - 1.0) <= 1e-15 and tail.size == grid.n - junction
+            for start, vals, _ in sources:
+                u = resolve(near, (start, vals)).phi
+                composed = np.concatenate([u[:junction], u[junction] * tail])
+                whole = resolve(op, (start, vals), allow_unabsorbed=True).phi
+                err = np.sqrt(weights @ np.abs(composed - whole) ** 2
+                              / (weights @ np.abs(whole) ** 2))
+                assert err <= 1e-12
+                rhs = np.zeros(n, dtype=complex)
+                rhs[start - i0:start - i0 + vals.size] = vals
+                residual = np.linalg.norm(op.matvec(composed[i0:i0 + n]) - rhs)
+                assert residual <= RESIDUAL_TOL * np.linalg.norm(rhs)
+    # negative control: the near system closed by a Dirichlet wall past J
+    # (rho = 0) instead of the far field's row moves the difference norm
+    got = _probe_diff(ops, modes, z1, z2, sources, weights)
+    original = endspec.experiments._far_field
+
+    def walled(op, junction):
+        return _near_operator(op, junction, 0.0), original(op, junction)[1]
+
+    monkeypatch.setattr(endspec.experiments, "_far_field", walled)
+    assert abs(_probe_diff(ops, modes, z1, z2, sources, weights) / got - 1.0) > 1e-6
+
+
+def test_hoelder_refuses_a_grid_without_an_unknown_past_the_probes(experiment_solves):
+    # J, the first node past every probe's support, and J + 1 must both be
+    # unknowns: on a grid that ends at the outermost probe, or one or two
+    # nodes past it, the difference is refused before any solve
+    from endspec.experiments import _mode_operators, _probe_diff, _probe_sources
+    from endspec.radial import norm_weights
+    m = free_model()
+    grid = m.make_grid(64.0, 0.05)
+    sources = _probe_sources(probe_set(grid, 4, seed=0), grid, 1.0)
+    junction = max(start + vals.size for start, vals, _ in sources)
+    modes = m.modes(0.5)
+    z1, z2 = 1.0 + 0.064j, 1.0 + 0.032j
+    for n in (junction, junction + 1, junction + 2, junction + 3):
+        grid_p = grid.prefix(n)
+        ops = _mode_operators(m, grid_p, modes, z1)[0]
+        args = (ops, modes, z1, z2, sources, norm_weights(grid_p, -1.0))
+        if n < junction + 3:
+            with pytest.raises(ContractError, match="past node"):
+                _probe_diff(*args)
+            assert experiment_solves == []
+        else:
+            assert _probe_diff(*args) > 0.0
 
 
 def _reach_cases():

@@ -17,7 +17,7 @@ from endspec.models import (euclidean_model, free_model, multiend_model,
 from endspec.phase import r_lambda
 from endspec.radial import (FIRST_UNKNOWN, OuterPolicy, RadialOperator,
                             l2_norm, smooth_bump, uniform_grid)
-from endspec.solver import (_RESIDUAL_BLOCK, EigenEntry, Resolvent, eigen_scan,
+from endspec.solver import (_RESIDUAL_BLOCK, EigenEntry, eigen_scan,
                             eigen_scan_tridiag, outgoing_row, resolve)
 
 from oracles import free_kernel_wronskian, free_resolvent, well_bound_states
@@ -229,14 +229,7 @@ def test_eigen_scans_refuse_an_unresolved_interval():
         assert scan((0.05, 0.5)).entries
 
 
-# --- factor once, solve many ----------------------------------------------------
-
-def _one_and_many(op):
-    """Both solve paths for op: a ``Resolvent`` factored once for many
-    sources, and one ``resolve`` call per source."""
-    return (Resolvent(op, allow_unabsorbed=True),
-            lambda psi: resolve(op, psi, allow_unabsorbed=True))
-
+# --- sources given as their support ---------------------------------------------
 
 def _pivoting_operator(grid, z):
     """A Dirichlet operator with a random potential diagonal in (-2/h^2, 0):
@@ -249,33 +242,9 @@ def _pivoting_operator(grid, z):
 
 @pytest.mark.parametrize("policy", [None, OuterPolicy.outgoing(np.sqrt(2.0), +1),
                                     "pivoting"])
-def test_resolvent_reuse_matches_fresh_solves(policy):
-    # many sources (zgttrf once, zgttrs per source) against one source in
-    # one zgtsv sweep: the same eliminations, bit for bit
-    m = free_model()
-    grid = uniform_grid(64.0, 0.02)
-    z = 1.0 + 0.2j
-    if policy == "pivoting":
-        op = _pivoting_operator(grid, z)
-        ipiv = zgttrf(op.dl, op.dd, op.du)[-2]
-        assert np.any(ipiv != np.arange(1, ipiv.size + 1))
-    else:
-        op = m.operator(0.0, grid, z, policy)
-    res = Resolvent(op)
-    for a, b in ((2.0, 3.0), (5.0, 7.5), (20.0, 31.0), (2.0, 3.0)):
-        psi = smooth_bump(grid.radii, a, b).astype(complex)
-        got = res(psi)
-        ref = resolve(op, psi)
-        assert np.array_equal(got.phi.view(np.uint64), ref.phi.view(np.uint64))
-        assert got.residual == ref.residual
-        assert got.growth == ref.growth
-
-
-@pytest.mark.parametrize("policy", [None, OuterPolicy.outgoing(np.sqrt(2.0), +1),
-                                    "pivoting"])
 def test_support_source_matches_full_grid_source(policy):
     # a source given as (start, values) and the same source on the full
-    # grid: the same phi, bit for bit, through both solve paths.  Spans at
+    # grid: the same phi, bit for bit.  Spans at
     # the inner wall, over the whole grid and on the last unknown included;
     # entries at the wall and past the last unknown are dropped either way.
     # Two residual blocks: one span crosses the edge between them.
@@ -291,67 +260,55 @@ def test_support_source_matches_full_grid_source(policy):
     rng = np.random.default_rng(11)
     spans = [(0, 1), (0, 5), (0, n), (1, 7), (40, 300), (_RESIDUAL_BLOCK - 100, 900),
              (last - 5, 6), (last, 1), (n - 9, 9), (n - 1, 1)]
-    res = Resolvent(op, allow_unabsorbed=True)
+    def solve(psi):
+        return resolve(op, psi, allow_unabsorbed=True)
+
     for start, size in spans:
         vals = rng.standard_normal(size) + 1j * rng.standard_normal(size)
         full = np.zeros(n, dtype=complex)
         full[start:start + size] = vals
-        for solve in (res, lambda psi: resolve(op, psi, allow_unabsorbed=True)):
-            ref, got = solve(full), solve((start, vals))
-            assert np.array_equal(got.phi.view(np.uint64), ref.phi.view(np.uint64))
-            # ||rhs|| summed over the support instead of the unknowns
-            assert got.growth == pytest.approx(ref.growth, rel=1e-14, abs=0.0)
-            assert got.residual == pytest.approx(ref.residual, rel=1e-14, abs=0.0)
+        ref, got = solve(full), solve((start, vals))
+        assert np.array_equal(got.phi.view(np.uint64), ref.phi.view(np.uint64))
+        # ||rhs|| summed over the support instead of the unknowns
+        assert got.growth == pytest.approx(ref.growth, rel=1e-14, abs=0.0)
+        assert got.residual == pytest.approx(ref.residual, rel=1e-14, abs=0.0)
         if start + size <= FIRST_UNKNOWN or start > last:
             assert not np.any(got.phi)
     # the values of a support lie on the grid
     for start, size in ((-1, 3), (n - 2, 3), (n, 1)):
         with pytest.raises(ContractError):
-            res((start, np.ones(size, dtype=complex)))
+            solve((start, np.ones(size, dtype=complex)))
     with pytest.raises(ContractError):
-        resolve(op, (0, np.ones((2, 2), dtype=complex)), allow_unabsorbed=True)
+        solve((0, np.ones((2, 2), dtype=complex)))
 
 
 def test_resolvent_guards_on_reuse():
     m = free_model()
     grid = uniform_grid(32.0, 0.02)
     psi = smooth_bump(grid.radii, 2.0, 3.0).astype(complex)
-    with pytest.raises(AbsorptionError):
-        Resolvent(m.operator(0.0, grid, 1.0 + 0.01j))
-    res = Resolvent(m.operator(0.0, grid, 1.0 + 0.01j), allow_unabsorbed=True)
-    res(psi)
-    bad = psi.copy()
-    bad[grid.n // 2] = np.nan
-    with pytest.raises(ValueError):
-        res(bad)
-    bad[grid.n // 2] = np.inf
-    with np.errstate(invalid="ignore"), pytest.raises(ValueError):
-        res(bad)
-    with pytest.raises(ContractError):
-        res(psi[:-1])
-    res(psi)  # a refused source leaves the factors usable
-    # one source in one sweep: the same guards
     op = m.operator(0.0, grid, 1.0 + 0.01j)
     with pytest.raises(AbsorptionError):
         resolve(op, psi)
+    resolve(op, psi, allow_unabsorbed=True)
+    bad = psi.copy()
     for value in (np.nan, np.inf):
         bad[grid.n // 2] = value
         with np.errstate(invalid="ignore"), pytest.raises(ValueError):
             resolve(op, bad, allow_unabsorbed=True)
     with pytest.raises(ContractError):
         resolve(op, psi[:-1], allow_unabsorbed=True)
+    resolve(op, psi, allow_unabsorbed=True)  # a refused source leaves op usable
 
     # z on a Dirichlet eigenvalue of the truncated problem, every source
     w = square_well_model()
     grid = uniform_grid(32.0, 0.01)
     lam = eigen_scan(w.profile, w.potential, 0.0, grid,
                      (-5.0, -0.5)).entries[0].eigenvalue
-    # one Resolvent, its factors reused by the second source
-    solves = _one_and_many(w.operator(0.0, grid, complex(lam, 1e-15)))
+    op = w.operator(0.0, grid, complex(lam, 1e-15))
     for a, b in ((1.2, 1.8), (1.1, 1.9)):
-        for solve in solves:
-            with pytest.raises(ConditioningError):
-                solve(smooth_bump(grid.radii, a, b).astype(complex))
+        with pytest.raises(ConditioningError):
+            resolve(op, smooth_bump(grid.radii, a, b).astype(complex),
+                    allow_unabsorbed=True)
 
 
 def test_resolvent_singular_matrix():
@@ -361,8 +318,6 @@ def test_resolvent_singular_matrix():
     op = RadialOperator(mu=0.0, z=0j, policy=OuterPolicy.outgoing(0.0), grid=grid,
                         potential_diag=np.array([0.0, 0.0, -0.25, 0.0]))
     np.testing.assert_array_equal(op.dd, [1.0, 0.75, 0.5])
-    with pytest.raises(LinAlgError):
-        Resolvent(op)
     with pytest.raises(LinAlgError):
         resolve(op, np.ones(grid.n, dtype=complex))
 
@@ -418,11 +373,10 @@ def test_in_place_solve_matches_reference_recipe(policy):
     m = free_model()
     grid = uniform_grid(64.0, 0.02)
     op = m.operator(0.0, grid, 1.0 + 0.2j, policy)
-    res = Resolvent(op)
     for a, b in ((2.0, 3.0), (20.0, 63.99)):
         psi = smooth_bump(grid.radii, a, b).astype(complex)
         psi_before = psi.copy()
-        sol = res(psi)
+        sol = resolve(op, psi)
         phi, rhs, u = _reference_solve(op, psi)
         assert np.array_equal(sol.phi.view(np.uint64), phi.view(np.uint64))
         assert np.array_equal(psi.view(np.uint64), psi_before.view(np.uint64))
@@ -437,12 +391,11 @@ def test_in_place_solve_matches_reference_recipe(policy):
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.inf)])
 def test_non_finite_source_is_refused(policy, bad):
     m, grid, psi, op = _free_setup(policy=policy)
-    for solve in _one_and_many(op):
-        for j in (1, grid.n // 2, grid.n - 2):
-            psi_bad = psi.copy()
-            psi_bad[j] = bad
-            with pytest.raises(ValueError):
-                solve(psi_bad)
+    for j in (1, grid.n // 2, grid.n - 2):
+        psi_bad = psi.copy()
+        psi_bad[j] = bad
+        with pytest.raises(ValueError):
+            resolve(op, psi_bad, allow_unabsorbed=True)
 
 
 def test_huge_finite_source_is_not_refused_as_non_finite():
@@ -450,24 +403,23 @@ def test_huge_finite_source_is_not_refused_as_non_finite():
     # check decides, as it does for every source whose sum is not finite
     m, grid, psi, op = _free_setup()
     with np.errstate(over="ignore", invalid="ignore"):
-        Resolvent(op, allow_unabsorbed=True)(1e200 * psi)
+        resolve(op, 1e200 * psi, allow_unabsorbed=True)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_non_finite_solution_reports_conditioning(monkeypatch, bad):
-    # the solution is the first array zgttrs returns and the fourth of zgtsv
+    # the solution is the fourth array zgtsv returns
     m, grid, psi, op = _free_setup()
-    for (name, x), solve in zip((("zgttrs", 0), ("zgtsv", 3)), _one_and_many(op)):
-        routine = getattr(endspec.solver, name)
+    routine = endspec.solver.zgtsv
 
-        def corrupting(*args, routine=routine, x=x, **kwargs):
-            out = routine(*args, **kwargs)
-            out[x][len(out[x]) // 2] = bad
-            return out
+    def corrupting(*args, **kwargs):
+        out = routine(*args, **kwargs)
+        out[3][len(out[3]) // 2] = bad
+        return out
 
-        monkeypatch.setattr(endspec.solver, name, corrupting)
-        with pytest.raises(ConditioningError, match="non-finite"):
-            solve(psi)
+    monkeypatch.setattr(endspec.solver, "zgtsv", corrupting)
+    with pytest.raises(ConditioningError, match="non-finite"):
+        resolve(op, psi, allow_unabsorbed=True)
 
 
 @pytest.mark.parametrize("policy", _POLICIES)
@@ -477,8 +429,6 @@ def test_growth_and_residual_guards_fire(monkeypatch, policy):
                                   ("RESIDUAL_TOL", 0.0, "residual")):
         with monkeypatch.context() as patched:
             patched.setattr(endspec.solver, limit, value)
-            with pytest.raises(ConditioningError, match=message):
-                Resolvent(op, allow_unabsorbed=True)(psi)
             with pytest.raises(ConditioningError, match=message):
                 resolve(op, psi, allow_unabsorbed=True)
 
@@ -564,7 +514,10 @@ def test_overflowing_source_norm_gives_finite_growth_and_residual(policy):
     # solve exactly, so its residual is the unscaled one up to the rounding
     # of the norms; 1e200 changes the roundoff of the solve itself.
     m, grid, psi, op = _free_setup(policy=policy)
-    res = Resolvent(op, allow_unabsorbed=True)
+
+    def res(source):
+        return resolve(op, source, allow_unabsorbed=True)
+
     plain = res(psi)
     with np.errstate(over="ignore"):
         exact, huge = res(2.0 ** 665 * psi), res(1e200 * psi)
@@ -582,10 +535,9 @@ def test_nan_residual_is_refused(monkeypatch):
         return original(*args, **kwargs) * np.nan
 
     m, grid, psi, op = _free_setup()
-    res = Resolvent(op, allow_unabsorbed=True)
     monkeypatch.setattr(endspec.solver, "_residual_sq", poisoning)
     with pytest.raises(ConditioningError, match="residual"):
-        res(psi)
+        resolve(op, psi, allow_unabsorbed=True)
 
 
 # --- the residual summed in blocks ----------------------------------------------
@@ -613,7 +565,7 @@ def test_block_residual_matches_matvec(policy, n):
     rhs = _rows_rhs(op, psi)
     # the verified solve: its residual is roundoff, which vectorized and
     # scalar loops round differently, so it is compared as in the test above
-    sol = Resolvent(op, allow_unabsorbed=True)(psi)
+    sol = resolve(op, psi, allow_unabsorbed=True)
     ref = np.linalg.norm(op.matvec(sol.phi[i0:i0 + n]) - rhs) / np.linalg.norm(rhs)
     np.testing.assert_allclose(sol.residual, ref, rtol=1e-12, atol=1e-12)
     # a vector that solves nothing: every row, block edges included, counts
