@@ -32,7 +32,9 @@ Measurement conventions, recorded in every table header:
     solver's guard refuses a lap or Besov-energy solve on a shorter one; the
     Hoelder pairs and the Sommerfeld shifts solve on the prefix of their
     domain that the wave reaches from where it is read (``_reach_prefix``),
-    whose wall returns below e^{-39} of it;
+    whose wall returns below e^{-39} of it, and a Hoelder pair's far field
+    is that prefix's Dirichlet solution, written in closed form past the
+    last node where the potential diagonal moves (``_far_field``);
   * radiation-condition norms are taken over the radiation zone, the annuli
     at and beyond the first dyadic radius past both the source support and
     the phase threshold r_lambda (closer in, (A -+ a) phi is O(1) for both
@@ -56,7 +58,7 @@ from .models import Model
 from .phase import _central_derivative, apply_A, grid_phase, r_lambda
 from .radial import (FIRST_UNKNOWN, BesovProfile, OuterPolicy, RadialGrid,
                      RadialOperator, besov_from_modes, l2_norm, norm_weights,
-                     smooth_bump, weighted_norm, weighted_norm_on)
+                     smooth_bump, weighted_norm)
 from .solver import ABSORPTION, THRESHOLD_WINDOW, outgoing_row, resolve
 from .tableio import write_csv
 
@@ -506,15 +508,18 @@ def probe_set(grid: RadialGrid, n_probes: int, seed: int):
 def _probe_sources(probes, grid: RadialGrid, s: float):
     """(start, in-span values, ||psi||_{H_s}) of each probe on the grid.
 
-    Only the probe's ``Bump.span`` is kept, and ``_probe_diff`` solves for
-    it as it is, (start, values): no full-grid probe is held across the
-    Gamma-ladder or built per solve.
+    Each probe is built, and its H_s norm summed, on the section of the grid
+    that its ``Bump.span`` covers, and ``_probe_diff`` solves for it as it
+    is, (start, values): no full-grid probe is built.  The section's end
+    weights are the grid's or fall on span nodes outside the support, where
+    the probe is 0, so the norm is the whole grid's up to summation order.
     """
-    norm_s = weighted_norm_on(grid, s)
     sources = []
     for p in probes:
-        vals, span = p.values(grid), p.span(grid)
-        sources.append((span.start, vals[span].copy(), norm_s(vals)))
+        span = p.span(grid)
+        part = grid.section(span)
+        vals = p.values(part)
+        sources.append((span.start, vals, weighted_norm(vals, part, s)))
     return sources
 
 
@@ -535,23 +540,81 @@ def _near_operator(op: RadialOperator, junction: int, rho: complex) -> RadialOpe
 
 
 def _far_field(op: RadialOperator, junction: int):
-    """(near operator, G) of ``op`` beyond node J = ``junction``.
+    """(near operator, G) of ``op``, a Dirichlet shift operator, beyond
+    node J = ``junction``.
 
-    G, on nodes J, J+1, ..., is op's solution for a unit source at J
-    divided by its value there.  Past a source supported on nodes < J every
-    solution of op equals c G on nodes >= J, with c its value at J: both
-    solve the homogeneous rows beyond J and vanish at the wall, and those
-    solutions form one line (the tridiagonal Green's function is
+    G, on nodes J, J+1, ..., the wall, is op's solution for a unit source
+    at J divided by its value there.  Past a source supported on nodes < J
+    every solution of op equals c G on nodes >= J, with c its value at J:
+    both solve the homogeneous rows beyond J and vanish at the wall, and
+    those solutions form one line (the tridiagonal Green's function is
     L(min) R(max) / W).  G's divisor is not 0: Im g_J = Im z ||g||^2 > 0
     for the unit source's solution g.
 
-    The near operator (``_near_operator``) closes op's first J + 1 nodes
-    with rho = G[1], so for such a source it solves for op's solution on
-    nodes <= J, up to roundoff.
+    Only nodes J .. F are solved for, F the last node at or past J whose
+    potential diagonal differs from the wall node's (F = J if none does).
+    Past F the diagonal is frozen at the wall's w, so each row reads
+    u_{j-1} - U u_j + u_{j+1} = 0 with U = 2 + 2 h^2 (w - z), and the
+    solution that vanishes at the wall, m = n - 1 - F nodes past F, is
+    G_{F+k} = G_F (rho^k - rho^{2m-k}) / (1 - rho^{2m}), rho the root of
+    rho^2 - U rho + 1 = 0 with |rho| < 1 (``_frozen_tail``).  The one solve
+    is on op's first F + 1 nodes, closed at F by that ratio G_{F+1} / G_F
+    (``_near_operator``).  F = J on the free, square-well and multiend ends,
+    and on exp and hyperbolic ends once mu / (2 f) has fallen below an ulp
+    of the diagonal before J; where the diagonal never freezes (euclidean,
+    power ends) F is the last unknown, m = 1 and the closing ratio is 0,
+    op's own Dirichlet row.
+
+    The near operator closes op's first J + 1 nodes with rho = G[1], so for
+    a source on nodes < J it solves for op's solution on nodes <= J, up to
+    roundoff.
+
+    Raises ``ContractError`` when Im z = 0 or |rho| is not below 1, where
+    1 - rho^{2m} may vanish.
     """
-    g = resolve(op, (junction, np.ones(1)), allow_unabsorbed=True).phi[junction:]
-    g /= g[0]
+    if op.z.imag == 0.0:
+        raise ContractError(f"a Dirichlet far field needs Im z != 0, got z = {op.z}")
+    w, wall = op.potential_diag, op.grid.n - 1
+    frozen = w[junction:wall] == w[wall]
+    far = junction if frozen.all() else wall - 1 - int(np.argmin(frozen[::-1]))
+    m = wall - far
+    # +-log rho = 2 asinh(sqrt(U - 2) / 2), accurate for U near 2
+    t = 2.0 * cmath.asinh(0.5 * cmath.sqrt(2.0 * op.grid.h ** 2 * (w[wall] - op.z)))
+    log_rho = -t if t.real > 0.0 else t
+    if not log_rho.real < 0.0:
+        raise ContractError(f"the frozen tail at z = {op.z} has no root with |rho| < 1")
+    # G_{F+1} / G_F, exactly 0 at m = 1
+    ratio = cmath.exp(log_rho) * complex(np.expm1((2 * m - 2) * log_rho)
+                                         / np.expm1(2 * m * log_rho))
+    phi = resolve(_near_operator(op, far, ratio), (junction, np.ones(1))).phi
+    g = np.empty(wall + 1 - junction, dtype=complex)
+    np.divide(phi[junction:], phi[junction], out=g[:far + 1 - junction])
+    _frozen_tail(g[far - junction:], log_rho)
     return _near_operator(op, junction, g[1]), g
+
+
+def _frozen_tail(g, log_rho: complex):
+    """Write g[k] = g[0] (rho^k - rho^{2m-k}) / (1 - rho^{2m}) for
+    k = 1 .. m = g.size - 1, rho = e^{log_rho}, in place: the solution of the
+    frozen rows past g[0] that vanishes at g[m], the wall.
+
+    c rho^k, c = g[0] / (1 - rho^{2m}) and rho^k = e^{k log rho}, is
+    written straight into g for k = 1 .. m - 1 (g must be contiguous), as
+    rows of a table ``heads`` x ``step`` of about sqrt(m) powers each; the
+    wall term c rho^{2m-k} = rho^m (c rho^{m-k}) reads those entries
+    reversed, the one temporary of g's length.
+    """
+    m = g.size - 1
+    body = g[1:m]
+    width = math.isqrt(body.size) + 1
+    full, rest = divmod(body.size, width)
+    step = np.exp(log_rho * np.arange(1, width + 1))
+    heads = np.exp((log_rho * width) * np.arange(full + 1))
+    heads *= g[0] / -np.expm1(2 * m * log_rho)
+    np.multiply(heads[:full, None], step, out=body[:full * width].reshape(full, width))
+    np.multiply(heads[full], step[:rest], out=body[full * width:])
+    body -= cmath.exp(m * log_rho) * body[::-1]
+    g[m] = 0.0
 
 
 def _probe_diff(ops, modes, z1, z2, sources, weights) -> float:
@@ -564,12 +627,13 @@ def _probe_diff(ops, modes, z1, z2, sources, weights) -> float:
     that holds its span, and its H_s norm is the one given.
 
     Every probe lies on nodes < J, the first node past all their spans, so
-    each (mode, z) solves on the whole grid once, for a unit source at J
-    (``_far_field``), and each probe then solves only on nodes <= J with the
-    near operator.  Beyond J the two solutions of a probe are c1 G1 and
-    c2 G2, c their values at J; with e = c1 - c2 and D = G1 - G2 their
-    difference there is e G1 + c2 D, whose weighted sum of squares is
-    |e|^2 S_11 + |c2|^2 S_DD + 2 Re(e conj(c2) S_1D) with
+    each (mode, z) takes its far field G once, for a unit source at J
+    (``_far_field``: one solve up to where the potential diagonal freezes,
+    and G in closed form past it), and each probe then solves only on
+    nodes <= J with the near operator.  Beyond J the two solutions of a
+    probe are c1 G1 and c2 G2, c their values at J; with e = c1 - c2 and
+    D = G1 - G2 their difference there is e G1 + c2 D, whose weighted sum
+    of squares is |e|^2 S_11 + |c2|^2 S_DD + 2 Re(e conj(c2) S_1D) with
     S_XY = sum_{j >= J} w_j X_j conj(Y_j), taken once per mode.  Written in
     e and D, the three terms are of the size of the difference, not of the
     solutions, so nothing cancels.
@@ -660,12 +724,15 @@ def hoelder_estimate(model: Model, lam: float, s: float = 1.0, gamma_top: float 
     beyond r_src + 39 / (2 kappa), kappa = Im sqrt(2 (lambda + i Gamma/2 -
     w_min)), so the reflection off the wall returns below e^{-39}; a pair
     whose reach lies past the shared grid solves on all of it.  On that
-    prefix each (mode, z) makes one solve, for a unit source at J, the first
-    node past every probe's support; each probe then solves only on nodes
-    <= J, closed there by the exact row of that solution (``_probe_diff``).
-    The values equal those of solving every probe of every pair on the
-    shared domain to roundoff, not bit for bit: 9.8e-12 relative at worst on
-    criterion 7's ladder over probe seeds 0-31.
+    prefix each (mode, z) takes the solution G for a unit source at J, the
+    first node past every probe's support: solved up to F, the last node
+    whose potential diagonal differs from the wall's (F = J on the free
+    end), and written in closed form from F to the wall (``_far_field``).
+    Each probe then solves only on nodes <= J, closed there by the exact row
+    of G (``_probe_diff``).  The values equal those of solving every probe
+    of every pair on the shared domain to roundoff, not bit for bit: 2.2e-11
+    relative at worst against the recorded values of criterion 7's ladder
+    over probe seeds 0-31.
     """
     if not s > 0.5:
         raise ContractError("Hoelder continuity needs s > 1/2")

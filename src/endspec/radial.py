@@ -111,10 +111,16 @@ class RadialGrid:
         """The grid of the first n nodes, as views of this grid's arrays: the
         nodes and coordinates ``make_grid`` builds for the shorter domain,
         bit for bit, at no memory."""
-        nodes = self.nodes[:n]
-        radii = nodes if self.radii is self.nodes else self.radii[:n]
-        return RadialGrid(nodes=nodes, radii=radii, dr=self.dr[:n],
-                          d2r=self.d2r[:n], h=self.h)
+        return self.section(slice(0, n))
+
+    def section(self, span: slice) -> "RadialGrid":
+        """The grid of the nodes in ``span``, as views of this grid's arrays.
+        Its trapezoid weights are this grid's, except h/2 at an end of the
+        section that is not an end of this grid."""
+        nodes = self.nodes[span]
+        radii = nodes if self.radii is self.nodes else self.radii[span]
+        return RadialGrid(nodes=nodes, radii=radii, dr=self.dr[span],
+                          d2r=self.d2r[span], h=self.h)
 
     def annuli(self):
         """Sorted array of annulus indices present on the grid (read-only)."""
@@ -437,30 +443,19 @@ def besov_from_modes(mode_functions: Sequence, grid: RadialGrid) -> BesovProfile
 
 def weighted_norm(phi, grid: RadialGrid, s: float) -> float:
     """|| r^s phi || by quadrature; evaluated in log space when r^s overflows."""
-    return weighted_norm_on(grid, s)(phi)
+    if abs(s) * math.log(max(grid.r_max, 2.0)) < 300.0:
+        return float(np.sqrt(np.sum(norm_weights(grid, s) * np.abs(np.asarray(phi)) ** 2)))
+    mag2 = grid.weights * np.abs(np.asarray(phi)) ** 2
+    mask = mag2 > 0.0
+    if not np.any(mask):
+        return 0.0
+    logs = 2.0 * s * np.log(grid.radii[mask]) + np.log(mag2[mask])
+    return float(np.exp(0.5 * logsumexp(logs)))
 
 
 def norm_weights(grid: RadialGrid, s: float) -> np.ndarray:
     """The quadrature weights w r^(2s) of || r^s phi ||^2 on ``grid``."""
     return grid.weights * grid.radii ** (2.0 * s)
-
-
-def weighted_norm_on(grid: RadialGrid, s: float) -> Callable:
-    """phi -> || r^s phi || on ``grid`` (``weighted_norm``), with the
-    quadrature weights ``norm_weights`` evaluated once for every phi it is
-    applied to.  Where r^s overflows each call works in log space instead."""
-    if abs(s) * math.log(max(grid.r_max, 2.0)) < 300.0:
-        wts = norm_weights(grid, s)
-        return lambda phi: float(np.sqrt(np.sum(wts * np.abs(np.asarray(phi)) ** 2)))
-
-    def log_space(phi):
-        mag2 = grid.weights * np.abs(np.asarray(phi)) ** 2
-        mask = mag2 > 0.0
-        if not np.any(mask):
-            return 0.0
-        logs = 2.0 * s * np.log(grid.radii[mask]) + np.log(mag2[mask])
-        return float(np.exp(0.5 * logsumexp(logs)))
-    return log_space
 
 
 def l2_norm(phi, grid: RadialGrid) -> float:

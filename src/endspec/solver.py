@@ -218,9 +218,9 @@ def resolve(op: RadialOperator, psi, allow_unabsorbed: bool = False) -> Resolven
     A shift solve (Dirichlet outer row, Im z != 0) on a domain with
     Gamma (R_max - 1) < ``ABSORPTION`` is refused unless ``allow_unabsorbed``
     is set, since the reflected wave then contaminates every Gamma-limit
-    experiment.  It is set for the prefix domains of the Hoelder and
-    Sommerfeld shift solves, which end past the reach of their wave, and by
-    the CLI's ``solve`` command, which solves on the domain it is given.
+    experiment.  It is set for the prefix domains of the Sommerfeld shift
+    solves, which end past the reach of their wave, and by the CLI's
+    ``solve`` command, which solves on the domain it is given.
     """
     dd = _admitted_diagonal(op, allow_unabsorbed)
     n, i0 = op.n_unknowns, FIRST_UNKNOWN

@@ -561,8 +561,15 @@ def test_hoelder_probe_slices_match_full_grid_probes(s):
     probes = probe_set(grid, 4, seed=5)
     z1, z2 = 1.0 + 0.064j, 1.0 + 0.032j
     ops = _mode_operators(m, grid, modes, z1)[0]
-    got = _probe_diff(ops, modes, z1, z2, _probe_sources(probes, grid, s),
-                      norm_weights(grid, -s))
+    sources = _probe_sources(probes, grid, s)
+    # each probe is built and normed on its span alone: the values are the
+    # whole-grid probe's bit for bit, the H_s norm to summation order
+    for p, (start, vals, norm) in zip(probes, sources):
+        whole = p.values(grid)
+        assert _same_bits(vals, whole[start:start + vals.size])
+        assert not np.any(np.delete(whole, np.s_[start:start + vals.size]))
+        assert norm == pytest.approx(weighted_norm(whole, grid, s), rel=1e-15, abs=0.0)
+    got = _probe_diff(ops, modes, z1, z2, sources, norm_weights(grid, -s))
     ref = 0.0
     for p in probes:
         psi = p.values(grid)
@@ -641,13 +648,23 @@ def _reach(r_from, lam, w_min, gamma, decay=39.0):
     return r_from + decay / (2.0 * cmath.sqrt(2.0 * complex(lam - w_min, gamma)).imag)
 
 
-def test_hoelder_top_pair_solves_a_prefix(experiment_solves):
-    # each pair's far solves (the Dirichlet ones) run up to the first node at
-    # or beyond the reach of its slower wave (Gamma/2) from the outermost
-    # probe, not to a power of two
+def test_hoelder_top_pair_solves_a_prefix(monkeypatch):
+    # each pair's far fields G run from J to the wall of the prefix whose
+    # end is the first node at or beyond the reach of its slower wave
+    # (Gamma/2) from the outermost probe, not a power of two: G has that
+    # prefix's n - J entries
     from endspec.experiments import _mode_operators, probe_set
     m = euclidean_model(3)
     modes = m.modes(2.5)
+    fields = []
+    original = endspec.experiments._far_field
+
+    def recording(op, junction):
+        near, g = original(op, junction)
+        fields.append((op.z.imag, junction + g.size - 1))
+        return near, g
+
+    monkeypatch.setattr(endspec.experiments, "_far_field", recording)
     table = hoelder_estimate(m, 1.0, mode_cap=2.5, **_LADDER)
     grid = m.make_grid(table.meta["r_max"], _LADDER["h"])
     shared = _mode_operators(m, grid, modes, 1.0 + 0.256j)[0]
@@ -659,9 +676,8 @@ def test_hoelder_top_pair_solves_a_prefix(experiment_solves):
         end = min(int(np.searchsorted(grid.nodes, _reach(r_src, 1.0, w_min, 0.5 * g))),
                   grid.n - 1)
         ends.append(end)
-        pair = [(g, end - 1, "dirichlet"), (0.5 * g, end - 1, "dirichlet")]
-        expected += pair * len(modes)
-    assert [solve for solve in experiment_solves if solve[2] == "dirichlet"] == expected
+        expected += [(g, end), (0.5 * g, end)] * len(modes)
+    assert fields == expected
     # the top pair (first solved) trims, the bottom one needs the shared grid
     assert ends[0] < grid.n - 1 and ends[-1] == grid.n - 1
     for end in ends[:-1]:
@@ -675,36 +691,56 @@ def _junction(model, table):
     return min(max(p.span(grid).stop for p in probes), grid.n)
 
 
-@pytest.mark.parametrize("case", ["free", "euclidean3"])
+@pytest.mark.parametrize("case, cap", [("free", 0.5), ("euclidean3", 6.5)],
+                         ids=["free", "euclidean3"])
 def test_hoelder_pair_solves_the_far_field_once_per_mode_and_z(
-        case, experiment_solves, monkeypatch):
-    # per pair: for each mode and z one solve on the pair's whole prefix with
-    # a unit source at J, then per probe one solve of J unknowns at each z;
-    # no probe is solved on the whole prefix
-    model, lam, cap = _hoelder_cases()[case]
-    sources = []
-    recording = endspec.experiments.resolve
+        case, cap, experiment_solves, monkeypatch):
+    # per pair: for each mode and z one far solve, for a unit source at J,
+    # then per probe one solve of J unknowns at each z; every solve is
+    # closed by an outgoing-kind row.  The far solve ends where the
+    # potential diagonal freezes: at J on the free end (J unknowns); on
+    # euclidean d=3 it never freezes at mu = 2 and 6, which solve to the
+    # last unknown of the pair's prefix
+    model, lam, _ = _hoelder_cases()[case]
+    sources, last_unknowns = [], []
+    recording, far_field = endspec.experiments.resolve, endspec.experiments._far_field
 
     def with_source(op, psi, **kwargs):
         sources.append(psi)
         return recording(op, psi, **kwargs)
 
+    def with_last_unknown(op, junction):
+        last_unknowns.append(op.n_unknowns)
+        return far_field(op, junction)
+
     monkeypatch.setattr(endspec.experiments, "resolve", with_source)
+    monkeypatch.setattr(endspec.experiments, "_far_field", with_last_unknown)
     table = hoelder_estimate(model, lam, mode_cap=cap, **_LADDER)
     modes, n_probes = model.modes(cap), _LADDER["n_probes"]
+    assert [mu for mu, _ in modes] == ([0.0] if case == "free" else [0.0, 2.0, 6.0])
     junction = _junction(model, table)
     per_pair = 2 * len(modes) * (1 + n_probes)
     assert len(experiment_solves) == len(sources) == len(table.rows) * per_pair
+    assert len(last_unknowns) == 2 * len(modes) * len(table.rows)
     for k, (g, g2, _) in enumerate(table.rows):
         pair = slice(k * per_pair, (k + 1) * per_pair)
-        far = [(solve, psi) for solve, psi in zip(experiment_solves[pair], sources[pair])
-               if solve[2] == "dirichlet"]
-        near = [solve for solve in experiment_solves[pair] if solve[2] != "dirichlet"]
-        assert [solve[0] for solve, _ in far] == [g, g2] * len(modes)
-        assert len({solve[1] for solve, _ in far}) == 1
-        assert far[0][0][1] > junction
-        for _, (start, vals) in far:
-            assert start == junction and vals.tolist() == [1.0]
+        far = [solve for solve, (start, vals) in zip(experiment_solves[pair], sources[pair])
+               if start == junction and vals.tolist() == [1.0]]
+        near = [solve for solve, (start, _) in zip(experiment_solves[pair], sources[pair])
+                if start < junction]
+        assert len(far) + len(near) == per_pair
+        last = last_unknowns[2 * len(modes) * k]
+        assert last > junction
+        assert [(solve[0], solve[2]) for solve in far] == [(g, "outgoing"), (g2, "outgoing")] \
+            * len(modes)
+        ends = [solve[1] for solve in far[::2]]
+        assert ends == [solve[1] for solve in far[1::2]]
+        if case == "free":
+            assert ends == [junction]
+        else:
+            # mu = 0 is 0 up to roundoff (q_geom = 0 on euclidean d=3), so
+            # where its tail freezes is up to the rounding of each node
+            assert junction <= ends[0] <= last and ends[1:] == [last, last]
         assert near == [(g, junction, "outgoing"), (g2, junction, "outgoing")] \
             * (len(modes) * n_probes)
 
@@ -755,6 +791,99 @@ def test_hoelder_near_solve_and_far_field_compose_the_whole_solution(case, s, mo
 
     monkeypatch.setattr(endspec.experiments, "_far_field", walled)
     assert abs(_probe_diff(ops, modes, z1, z2, sources, weights) / got - 1.0) > 1e-6
+
+
+# --- the far field past the frozen tail ----------------------------------------
+
+def _far_setting(model, lam, cap, s=1.0):
+    """(grid, J, operators at lambda + 0.064i, weights of H_-s) on the
+    R = 256, h = 0.05 grid with 4 probes of seed 5."""
+    from endspec.experiments import _mode_operators, _probe_sources
+    from endspec.radial import norm_weights
+    grid = model.make_grid(256.0, 0.05)
+    sources = _probe_sources(probe_set(grid, 4, seed=5), grid, s)
+    junction = max(start + vals.size for start, vals, _ in sources)
+    ops = _mode_operators(model, grid, model.modes(cap), complex(lam, 0.064))[0]
+    return grid, junction, ops, norm_weights(grid, -s)
+
+
+def _dirichlet_tail(op, junction):
+    """G from op's whole Dirichlet solve for a unit source at J."""
+    g = resolve(op, (junction, np.ones(1)), allow_unabsorbed=True).phi[junction:]
+    return g / g[0]
+
+
+def _rel_err(got, ref, weights):
+    return float(np.sqrt(weights @ np.abs(got - ref) ** 2 / (weights @ np.abs(ref) ** 2)))
+
+
+@pytest.mark.parametrize("case", ["free", "hyperbolic3", "exp1", "square-well", "multiend"])
+def test_far_field_closed_form_matches_the_whole_prefix_solve(case, experiment_solves):
+    # past the last node where the potential diagonal moves, G is written
+    # in closed form; it matches the whole prefix's Dirichlet solve in
+    # H_-s, and the one far solve is shorter than that prefix
+    from endspec.experiments import _far_field
+    model, lam, cap = {"free": (free_model(), 1.0, 0.5),
+                       "hyperbolic3": (hyperbolic_model(3), 1.5, 6.5),
+                       "exp1": (exp_model(1.0, 3), None, 6.5),
+                       "square-well": (square_well_model(), 1.0, 0.5),
+                       "multiend": (multiend_model(), 1.0, 0.5)}[case]
+    lam = model.lambda0() + 1.0 if lam is None else lam
+    grid, junction, ops, weights = _far_setting(model, lam, cap)
+    assert len(ops) == (3 if cap == 6.5 else 1)
+    for op in ops.values():
+        for z in (complex(lam, 0.064), complex(lam, 0.004)):
+            shifted = op.shifted(z)
+            _, g = _far_field(shifted, junction)
+            assert experiment_solves[-1][1] < grid.n - 2
+            assert _rel_err(g, _dirichlet_tail(shifted, junction),
+                            weights[junction:]) <= 1e-12
+
+
+def test_far_field_without_the_wall_term_misses():
+    # negative control: the endless root rho^k, without the wall's echo
+    # rho^{2m-k}, is not the Dirichlet solution on the R = 256 grid
+    from endspec.experiments import _far_field
+    grid, junction, ops, weights = _far_setting(free_model(), 1.0, 0.5)
+    op = ops[0.0].shifted(1.0 + 0.032j)
+    _, g = _far_field(op, junction)
+    u = 2.0 + 2.0 * grid.h ** 2 * (op.potential_diag[-1] - op.z)
+    rho = min(np.roots([1.0, -u, 1.0]), key=abs)
+    assert abs(rho) < 1.0
+    endless = rho ** np.arange(grid.n - junction)
+    ref, tail_weights = _dirichlet_tail(op, junction), weights[junction:]
+    assert _rel_err(g, ref, tail_weights) <= 1e-12
+    assert _rel_err(endless, ref, tail_weights) > 1e-9
+
+
+@pytest.mark.parametrize("offset", [1, 1000, None], ids=["J+1", "J+1000", "last-unknown"])
+def test_far_field_solves_up_to_a_moved_diagonal(offset, experiment_solves):
+    # one potential-diagonal entry moved at K > J on the free end: the far
+    # solve ends at K, and a probe's near solve continued by c G is still
+    # the whole Dirichlet solution
+    from endspec.experiments import _far_field, _probe_sources
+    grid, junction, ops, weights = _far_setting(free_model(), 1.0, 0.5)
+    moved = grid.n - 2 if offset is None else junction + offset
+    w = ops[0.0].potential_diag.copy()
+    w[moved] += 0.125
+    op = dataclasses.replace(ops[0.0], potential_diag=w).shifted(1.0 + 0.032j)
+    near, g = _far_field(op, junction)
+    assert experiment_solves == [(0.032, moved, "outgoing")]
+    assert _rel_err(g, _dirichlet_tail(op, junction), weights[junction:]) <= 1e-12
+    for start, vals, _ in _probe_sources(probe_set(grid, 4, seed=5), grid, 1.0):
+        u = resolve(near, (start, vals)).phi
+        composed = np.concatenate([u[:junction], u[junction] * g])
+        whole = resolve(op, (start, vals), allow_unabsorbed=True).phi
+        assert _rel_err(composed, whole, weights) <= 1e-12
+
+
+def test_far_field_refuses_a_real_z():
+    # at real z above the threshold |rho| = 1, and 1 - rho^{2m} can vanish:
+    # the old Dirichlet far solve refused Im z = 0, and so does the closed form
+    from endspec.experiments import _far_field
+    _, junction, ops, _ = _far_setting(free_model(), 1.0, 0.5)
+    with pytest.raises(ContractError, match="Im z"):
+        _far_field(ops[0.0].shifted(1.0), junction)
 
 
 def test_hoelder_refuses_a_grid_without_an_unknown_past_the_probes(experiment_solves):

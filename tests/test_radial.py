@@ -49,7 +49,8 @@ def _lazy_field_grids():
             "non_dyadic": uniform_grid(100.0, 0.03),
             "short_edge": uniform_grid(128.0, 0.03),
             "line": multiend_model().make_grid(64.0, 0.02),
-            "prefix": uniform_grid(256.0, 0.05).prefix(1001)}
+            "prefix": uniform_grid(256.0, 0.05).prefix(1001),
+            "section": multiend_model().make_grid(64.0, 0.02).section(slice(500, 1700))}
 
 
 @pytest.mark.parametrize("name", sorted(_lazy_field_grids()))
