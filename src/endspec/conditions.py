@@ -32,7 +32,11 @@ The same report type carries the pointwise checks for two-dimensional
 escape functions on obstacle domains (finite-difference gradient/Hessian
 with Richardson extrapolation, 2x2 eigenvalue test of the convexity bound,
 decay of |dr|^2 - 1, and an inward-pointing test along sampled boundary
-points).
+points).  The escape checker works on arrays: every ring is sampled at
+once, and every boundary crossing takes the same bisection step at once, so
+the membership predicate is called once per step, not once per point.  The
+lengths |(x, y)| alone are taken point by point with ``math.hypot``, which
+rounds differently from ``np.hypot`` and so keeps the reports' bytes.
 """
 
 from __future__ import annotations
@@ -386,7 +390,7 @@ class EscapeField2D:
     """Candidate escape function on a planar domain.
 
     ``r_fn`` maps (x, y) arrays to r-values; ``domain`` is the membership
-    predicate.  Sampling happens on geometric rings in the ambient radius
+    predicate, elementwise on (x, y) arrays of any shape.  Sampling happens on geometric rings in the ambient radius
     between ``_RING_MIN`` and ``ring_max`` with ``_N_ANGLES`` points per ring.
     """
 
@@ -434,91 +438,80 @@ def _richardson(fd, field, x, y, h):
     return tuple((4.0 * bb - aa) / 3.0 for aa, bb in zip(a, b))
 
 
-def _inside(field, x, y):
-    """Whether the single point (x, y) lies in the field's domain."""
-    return field.domain(np.array([x]), np.array([y]))[0]
+def _in_domain(field, x, y):
+    return np.asarray(field.domain(x, y), dtype=bool)
+
+
+# |(x, y)| point by point: np.hypot differs from math.hypot in the last bit
+# on about 0.5% of inputs, which would move the boundary bytes
+_hypot = np.vectorize(math.hypot, otypes=[float])
 
 
 def _sample_points(field: EscapeField2D):
+    """The in-domain samples of every ring, their FD steps, and the number of
+    samples dropped because an FD probe leaves the domain."""
     n_rings = int(math.ceil(math.log2(field.ring_max / _RING_MIN))) * 2 + 1
-    radii = np.geomspace(_RING_MIN, field.ring_max, n_rings)
+    radii = np.geomspace(_RING_MIN, field.ring_max, n_rings)[:, None]
     th = np.linspace(0.0, 2.0 * math.pi, _N_ANGLES, endpoint=False)
-    xs, ys, hs, skipped = [], [], [], 0
-    for rho in radii:
-        x, y = rho * np.cos(th), rho * np.sin(th)
-        pad = 40.0 * _FD_STEP * rho
-        ok = np.asarray(field.domain(x, y), dtype=bool)
-        # every FD probe must stay inside the domain
-        for dx, dy in ((pad, 0.0), (-pad, 0.0), (0.0, pad), (0.0, -pad),
-                       (pad, pad), (-pad, -pad), (pad, -pad), (-pad, pad)):
-            ok &= np.asarray(field.domain(x + dx, y + dy), dtype=bool)
-        skipped += int(np.count_nonzero(~ok))
-        xs.append(x[ok])
-        ys.append(y[ok])
-        hs.append(np.full(int(np.count_nonzero(ok)), _FD_STEP * rho))
-    return np.concatenate(xs), np.concatenate(ys), np.concatenate(hs), skipped
-
-
-def _cross_on_arc(field: EscapeField2D, rho: float, t_in: float, t_out: float):
-    """Bisect a domain-membership flip along the arc of radius rho."""
-    for _ in range(48):
-        t_mid = 0.5 * (t_in + t_out)
-        if _inside(field, rho * math.cos(t_mid), rho * math.sin(t_mid)):
-            t_in = t_mid
-        else:
-            t_out = t_mid
-    return t_in
+    x, y = radii * np.cos(th), radii * np.sin(th)
+    pad = 40.0 * _FD_STEP * radii
+    ok = _in_domain(field, x, y)
+    # every FD probe must stay inside the domain
+    for sx, sy in ((1, 0), (-1, 0), (0, 1), (0, -1),
+                   (1, 1), (-1, -1), (1, -1), (-1, 1)):
+        ok &= _in_domain(field, x + sx * pad, y + sy * pad)
+    h = np.broadcast_to(_FD_STEP * radii, x.shape)
+    return x[ok], y[ok], h[ok], int(np.count_nonzero(~ok))
 
 
 def _boundary_samples(field: EscapeField2D):
-    """Boundary points with an inward normal from a local secant.
+    """Boundary points (bx, by) with an inward unit normal (nx, ny), as arrays.
 
-    The boundary is located by bisection along circular arcs; the tangent is
-    the secant through the crossings on two nearby arcs, and the inward side
-    of the resulting normal is identified by probing the membership
-    predicate.  Forward completeness is an at-infinity statement, so only
-    boundary points beyond twice the inner ring are sampled.
+    The candidates are the first four membership flips of each of ten rings.
+    Each is bisected along its ring's arc of radius rho and along the nearby
+    arcs 0.98 rho and 1.02 rho; every crossing takes the same bisection step
+    at once, one membership call per step.  The tangent is the secant
+    through the crossings on the nearby arcs, and the inward side of the
+    resulting normal is identified by probing the membership predicate.  A
+    candidate is dropped when its membership pattern differs on a nearby arc
+    or its two probes agree.  Forward completeness is an at-infinity
+    statement, so only boundary points beyond twice the inner ring are
+    sampled.  The secant's length is ``math.hypot`` point by point, the
+    rounding the reports were recorded with.
     """
-    pts = []
     th = np.linspace(0.0, 2.0 * math.pi, 160, endpoint=False)
-    radii = np.geomspace(2.0 * _RING_MIN, field.ring_max, 10)
-    for rho in radii:
-        x, y = rho * np.cos(th), rho * np.sin(th)
-        inside = np.asarray(field.domain(x, y), dtype=bool)
-        flips = np.nonzero(inside != np.roll(inside, -1))[0]
-        for j in flips[:4]:
-            t_lo, t_hi = th[j], th[(j + 1) % th.size]
-            if t_hi < t_lo:
-                t_hi += 2.0 * math.pi
-            t_in, t_out = (t_lo, t_hi) if inside[j] else (t_hi, t_lo)
-            crossings = []
-            for rr_arc in (rho * 0.98, rho * 1.02):
-                # the membership pattern must match on the nearby arc
-                in_a = _inside(field, rr_arc * math.cos(t_in), rr_arc * math.sin(t_in))
-                in_b = _inside(field, rr_arc * math.cos(t_out), rr_arc * math.sin(t_out))
-                if not in_a or in_b:
-                    crossings = []
-                    break
-                t_c = _cross_on_arc(field, rr_arc, t_in, t_out)
-                crossings.append((rr_arc * math.cos(t_c), rr_arc * math.sin(t_c)))
-            if len(crossings) != 2:
-                continue
-            t_c0 = _cross_on_arc(field, rho, t_in, t_out)
-            bx, by = rho * math.cos(t_c0), rho * math.sin(t_c0)
-            tx, ty = crossings[1][0] - crossings[0][0], crossings[1][1] - crossings[0][1]
-            tn = math.hypot(tx, ty)
-            if tn < 1e-12:
-                continue
-            nx, ny = -ty / tn, tx / tn
-            probe = 4.0 * _FD_STEP * max(rho, 1.0)
-            plus = _inside(field, bx + probe * nx, by + probe * ny)
-            minus = _inside(field, bx - probe * nx, by - probe * ny)
-            if plus == minus:
-                continue
-            if not plus:
-                nx, ny = -nx, -ny
-            pts.append((bx, by, nx, ny))
-    return pts
+    radii = np.geomspace(2.0 * _RING_MIN, field.ring_max, 10)[:, None]
+    inside = _in_domain(field, radii * np.cos(th), radii * np.sin(th))
+    flip = inside != np.roll(inside, -1, axis=1)
+    ring, j = np.nonzero(flip & (np.cumsum(flip, axis=1) <= 4))
+    rho = radii[ring, 0]
+    t_lo, t_hi = th[j], th[(j + 1) % th.size]
+    t_hi = np.where(t_hi < t_lo, t_hi + 2.0 * math.pi, t_hi)
+    t_in = np.where(inside[ring, j], t_lo, t_hi)
+    t_out = np.where(inside[ring, j], t_hi, t_lo)
+    arcs = np.stack([rho * 0.98, rho, rho * 1.02])
+    # the membership pattern must match on the nearby arcs
+    near = arcs[[0, 2]]
+    keep = np.all(_in_domain(field, near * np.cos(t_in), near * np.sin(t_in))
+                  & ~_in_domain(field, near * np.cos(t_out), near * np.sin(t_out)),
+                  axis=0)
+    t_in, t_out = np.broadcast_to(t_in, arcs.shape), np.broadcast_to(t_out, arcs.shape)
+    for _ in range(48):
+        t_mid = 0.5 * (t_in + t_out)
+        ok = _in_domain(field, arcs * np.cos(t_mid), arcs * np.sin(t_mid))
+        t_in, t_out = np.where(ok, t_mid, t_in), np.where(ok, t_out, t_mid)
+    cx, cy = arcs * np.cos(t_in), arcs * np.sin(t_in)
+    bx, by = cx[1], cy[1]
+    # the nearby arcs lie 0.04 rho apart, so the secant never degenerates
+    tx, ty = cx[2] - cx[0], cy[2] - cy[0]
+    tn = _hypot(tx, ty)
+    nx, ny = -ty / tn, tx / tn
+    probe = 4.0 * _FD_STEP * np.maximum(rho, 1.0)
+    plus = _in_domain(field, bx + probe * nx, by + probe * ny)
+    minus = _in_domain(field, bx - probe * nx, by - probe * ny)
+    keep &= plus != minus
+    nx, ny = np.where(plus, nx, -nx), np.where(plus, ny, -ny)
+    return bx[keep], by[keep], nx[keep], ny[keep]
 
 
 def check_escape_2d(field: EscapeField2D) -> ConditionReport:
@@ -622,19 +615,16 @@ def check_escape_2d(field: EscapeField2D) -> ConditionReport:
     rows.append(replace(row3, confidence="reduced"))
 
     # boundary inward test
-    bpts = _boundary_samples(field)
-    if bpts:
-        worst, worst_pt = float("inf"), None
-        for bx, by, nx, ny in bpts:
-            hb = _FD_STEP * max(math.hypot(bx, by), 1.0)
-            gxb, gyb = _fd_gradient(field, np.array([bx]), np.array([by]), hb)
-            val = float(gxb[0] * nx + gyb[0] * ny)
-            if val < worst:
-                worst, worst_pt = val, (bx, by)
-        rbx = float(field.r_fn(np.array([worst_pt[0]]), np.array([worst_pt[1]]))[0])
+    bx, by, nx, ny = _boundary_samples(field)
+    if bx.size:
+        hb = _FD_STEP * np.maximum(_hypot(bx, by), 1.0)
+        gxb, gyb = _fd_gradient(field, bx, by, hb)
+        val = gxb * nx + gyb * ny
+        k = int(np.argmin(val))
+        rbx = float(field.r_fn(bx[[k]], by[[k]])[0])
         rows.append(InequalityRow(
-            name="boundary_inward", verdict="pass" if worst > -1e-6 else "fail",
-            margin=worst, witness_r=rbx, constant=float(len(bpts))))
+            name="boundary_inward", verdict="pass" if val[k] > -1e-6 else "fail",
+            margin=float(val[k]), witness_r=rbx, constant=float(bx.size)))
     else:
         rows.append(InequalityRow(name="boundary_inward", verdict="pass",
                                   margin=float("inf"), witness_r=0.0,

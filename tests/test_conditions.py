@@ -1,10 +1,11 @@
+import dataclasses
 import hashlib
 
 import numpy as np
 import pytest
 
 from endspec.conditions import (_NOISE_FLOOR, EXPONENT_CAP, ConditionReport,
-                                InequalityRow, check_conditions,
+                                EscapeField2D, InequalityRow, check_conditions,
                                 check_escape_2d, combine_verdicts,
                                 condition_grid, disk_complement_field,
                                 hyperbola_field, sawtooth_field)
@@ -20,6 +21,17 @@ from endspec.models import (euclidean_model, exp_model, free_model,
 # byte-identical is checked here; one that moves a report re-records its
 # hash with the reason.
 _CYLINDER = const_profile(d=3)
+
+
+def _half_plane():
+    # y >= 0: its flip between angle indices 159 and 0 of a boundary ring is
+    # the one bisection bracket here that wraps past 2 pi
+    return EscapeField2D(
+        name="half_plane",
+        r_fn=lambda x, y: np.sqrt(1.0 + np.asarray(x) ** 2 + np.asarray(y) ** 2),
+        domain=lambda x, y: np.asarray(y) >= 0.0)
+
+
 _REPORTS = {
     "free": lambda: free_model().conditions(),
     "power_theta1_d3": lambda: power_model(1.0, 3).conditions(),
@@ -34,6 +46,11 @@ _REPORTS = {
     "cylinder_d3": lambda: check_conditions(_CYLINDER, geometric_split(_CYLINDER)),
     "escape_disk": lambda: disk_complement_field().conditions(),
     "escape_hyperbola": lambda: hyperbola_field().conditions(),
+    "escape_hyperbola_k2.5": lambda: hyperbola_field(K=2.5).conditions(),
+    "escape_hyperbola_k6": lambda: hyperbola_field(K=6.0).conditions(),
+    "escape_sawtooth_k0.5": lambda: sawtooth_field(K=0.5).conditions(),
+    "escape_sawtooth_k2": lambda: sawtooth_field(K=2.0).conditions(),
+    "escape_half_plane": lambda: _half_plane().conditions(),
 }
 _REPORT_SHA256 = {
     "free": "041e4ff8524c41ded241dd205d52084486bc4c9f7c17e85568c6da433defeebc",
@@ -48,6 +65,11 @@ _REPORT_SHA256 = {
     "cylinder_d3": "f86216097137adb29fffdb4c064a9ec3133d2c010bf739bcde2a6c70a5c4b95c",
     "escape_disk": "4773d9048e5075c023acefb25e32e2c0e58281e118f9022bb556bf1af08eb231",
     "escape_hyperbola": "3a78d6f28ed256adf46b29b275243f464f6ba775e379eeaef890db3b59a5d5b1",
+    "escape_hyperbola_k2.5": "ce34405459563089eb22559bf59c48abc376e84e4959369c1fdb1490795b5e40",
+    "escape_hyperbola_k6": "2d5e82cfad7af610780d562973707a49c81b5ab23d2c754df168e57c54d04519",
+    "escape_sawtooth_k0.5": "ac24766036abaf64ac6c3349e3040d27eda4143710df7d320557e499ae130a7b",
+    "escape_sawtooth_k2": "2c5bd106d710066824edf34baf02fc57c67535e552d769bac33bf60e4f2e124f",
+    "escape_half_plane": "dd9203a7a0dc9853a33143404e0dbedfce24414296d921f2875e9bbfe7b237a5",
 }
 
 
@@ -198,3 +220,29 @@ def test_sawtooth_field():
     assert bnd.verdict == "pass" and bnd.constant > 4  # several teeth sampled
     third = [r for r in rep.rows if r.name == "tangential_grad_mean_curvature"][0]
     assert third.confidence == "reduced"
+
+
+@pytest.mark.parametrize("field", [sawtooth_field(K=1.0), hyperbola_field(K=3.0)],
+                         ids=["sawtooth", "hyperbola"])
+def test_escape_check_makes_one_membership_call_per_step(field):
+    # 9 calls for the ring samples and their 8 FD probe offsets, and 53 for
+    # the boundary: the rings, 2 pattern checks, 48 bisection steps and 2
+    # normal probes, however many crossings there are
+    calls = []
+
+    def domain(x, y):
+        calls.append(None)
+        return field.domain(x, y)
+
+    rep = check_escape_2d(dataclasses.replace(field, domain=domain))
+    assert rep.overall() == "pass"
+    assert len(calls) <= 62
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 3, constants: r_at_least_one stores the "
+                          "skipped-sample count as its constant, so the escape "
+                          "report's C is a count (481.0)")
+def test_escape_report_constant_is_not_a_sample_count():
+    rep = check_escape_2d(sawtooth_field(K=1.0))
+    assert rep.constant != rep.grid_meta["skipped"]

@@ -18,6 +18,7 @@ from endspec.geometry import const_profile, geometric_split
 from endspec.models import (Model, euclidean_model, exp_model, free_model,
                             hyperbolic_model, multiend_model, power_model,
                             square_well_model, stretched_exp_model)
+from endspec.phase import phase_a, riccati_residual
 from endspec.radial import (RadialGrid, l2_norm, smooth_bump, uniform_grid,
                             weighted_norm)
 from endspec.solver import ABSORPTION, resolve
@@ -402,6 +403,18 @@ def _inverse_square_radiation():
     return _ratio_verdict(table.column("rad_bstar"))[0]
 
 
+def _wrong_energy_riccati():
+    # the phase of lambda + 0.1 read against lambda leaves a residual that
+    # does not decay (about 2 x 0.1 at every radius); on the long-range end the
+    # flat fit has R^2 0.663, so the verdict reads inconclusive.  On free the
+    # same control already fails (R^2 = 1)
+    m = power_model(1.0, 3)
+    lam = m.lambda0() + 1.0
+    grid = m.make_grid(256.0, 0.05)
+    ph = phase_a(m.profile, m.potential, lam + 0.1, +1, grid, lambda0=m.lambda0())
+    return riccati_residual(dataclasses.replace(ph, z=complex(lam)), m.potential).verdict
+
+
 def _threshold_window(checker, lam):
     # a lambda on the declared threshold lambda1 = 4 of the two-ended line
     # lies outside the certified window: the checker refuses it
@@ -424,6 +437,10 @@ def _threshold_window(checker, lam):
                  marks=_defect("ROADMAP item 3: the oscillation biases the q2 and q22 "
                                "decay fits (exponent -0.866, R^2 0.114), so the "
                                "rows read inconclusive, not fail")),
+    pytest.param(_wrong_energy_riccati, id="riccati-wrong-energy-power1-d3",
+                 marks=_defect("ROADMAP item 3: a flat residual fits with R^2 "
+                               "0.663 under FIT_R2_MIN (slope -2.05e-8), so the "
+                               "verdict reads inconclusive, not fail")),
 ])
 def test_negative_control(verdict_of):
     assert verdict_of() == "fail"
