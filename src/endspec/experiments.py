@@ -33,8 +33,10 @@ Measurement conventions, recorded in every table header:
     Hoelder pairs and the Sommerfeld shifts solve on the prefix of their
     domain that the wave reaches from where it is read (``_reach_prefix``),
     whose wall returns below e^{-39} of it, and a Hoelder pair's far field
-    is that prefix's Dirichlet solution, written in closed form past the
-    last node where the potential diagonal moves (``_far_field``);
+    is that prefix's Dirichlet solution, solved up to the node F past
+    which its rows are frozen and a closed form beyond (``_far_field``),
+    whose H_-s sums are taken block by block in closed form
+    (``_tail_sums``), never node by node;
   * radiation-condition norms are taken over the radiation zone, the annuli
     at and beyond the first dyadic radius past both the source support and
     the phase threshold r_lambda (closer in, (A -+ a) phi is O(1) for both
@@ -539,9 +541,33 @@ def _near_operator(op: RadialOperator, junction: int, rho: complex) -> RadialOpe
         op.z, OuterPolicy.outgoing(a, +1))
 
 
+def _last_moved(a, value) -> int:
+    """1 + the index of the last entry of ``a`` that differs from ``value``,
+    or 0 if none does; a stretch equal to it throughout is read by two
+    reductions, with no temporary of its length."""
+    if a.min() == value == a.max():
+        return 0
+    return a.size - int(np.argmin(a[::-1] == value))
+
+
+def _frozen_from(op: RadialOperator, junction: int) -> int:
+    """F, the node at or past J = ``junction`` from which op's tail is frozen:
+    the last node whose potential diagonal differs from the wall node's or,
+    on a line grid, the node after the last where r' != 1, whichever is
+    later, and at most the last unknown.  The rows past F then carry the
+    wall's diagonal, and the radii from F to the wall are r_F + k h up to
+    roundoff (a single node, F = the last unknown, needs neither)."""
+    grid, w = op.grid, op.potential_diag
+    wall = grid.n - 1
+    far = junction + max(_last_moved(w[junction:wall], w[wall]) - 1, 0)
+    if grid.radii is not grid.nodes:
+        far = max(far, junction + _last_moved(grid.dr[junction:wall], 1.0))
+    return min(far, wall - 1)
+
+
 def _far_field(op: RadialOperator, junction: int):
-    """(near operator, G) of ``op``, a Dirichlet shift operator, beyond
-    node J = ``junction``.
+    """(near operator, G on nodes J .. F, log rho, m) of ``op``, a Dirichlet
+    shift operator, beyond node J = ``junction``.
 
     G, on nodes J, J+1, ..., the wall, is op's solution for a unit source
     at J divided by its value there.  Past a source supported on nodes < J
@@ -551,23 +577,25 @@ def _far_field(op: RadialOperator, junction: int):
     L(min) R(max) / W).  G's divisor is not 0: Im g_J = Im z ||g||^2 > 0
     for the unit source's solution g.
 
-    Only nodes J .. F are solved for, F the last node at or past J whose
-    potential diagonal differs from the wall node's (F = J if none does).
-    Past F the diagonal is frozen at the wall's w, so each row reads
-    u_{j-1} - U u_j + u_{j+1} = 0 with U = 2 + 2 h^2 (w - z), and the
-    solution that vanishes at the wall, m = n - 1 - F nodes past F, is
+    Only nodes J .. F are solved for (``_frozen_from``; F = J if the tail
+    is frozen from J on).  Past F the diagonal is frozen at the wall's w,
+    so each row reads u_{j-1} - U u_j + u_{j+1} = 0 with
+    U = 2 + 2 h^2 (w - z), and the solution that vanishes at the wall,
+    m = n - 1 - F nodes past F, is
     G_{F+k} = G_F (rho^k - rho^{2m-k}) / (1 - rho^{2m}), rho the root of
-    rho^2 - U rho + 1 = 0 with |rho| < 1 (``_frozen_tail``).  The one solve
-    is on op's first F + 1 nodes, closed at F by that ratio G_{F+1} / G_F
-    (``_near_operator``).  F = J on the free, square-well and multiend ends,
-    and on exp and hyperbolic ends once mu / (2 f) has fallen below an ulp
-    of the diagonal before J; where the diagonal never freezes (euclidean,
-    power ends) F is the last unknown, m = 1 and the closing ratio is 0,
-    op's own Dirichlet row.
+    rho^2 - U rho + 1 = 0 with |rho| < 1.  G is returned up to F only, with
+    log rho and m: the caller sums over the rest in closed form
+    (``_tail_sums``) and never writes it.  The one solve is on op's first
+    F + 1 nodes, closed at F by that ratio G_{F+1} / G_F
+    (``_near_operator``).  F = J on the free, square-well and multiend
+    ends, and on exp and hyperbolic ends once mu / (2 f) has fallen below
+    an ulp of the diagonal before J; where the diagonal never freezes
+    (euclidean, power ends) F is the last unknown, m = 1 and the closing
+    ratio is 0, op's own Dirichlet row.
 
-    The near operator closes op's first J + 1 nodes with rho = G[1], so for
-    a source on nodes < J it solves for op's solution on nodes <= J, up to
-    roundoff.
+    The near operator closes op's first J + 1 nodes with rho = G_{J+1}, so
+    for a source on nodes < J it solves for op's solution on nodes <= J, up
+    to roundoff.
 
     Raises ``ContractError`` when Im z = 0 or |rho| is not below 1, where
     1 - rho^{2m} may vanish.
@@ -575,8 +603,7 @@ def _far_field(op: RadialOperator, junction: int):
     if op.z.imag == 0.0:
         raise ContractError(f"a Dirichlet far field needs Im z != 0, got z = {op.z}")
     w, wall = op.potential_diag, op.grid.n - 1
-    frozen = w[junction:wall] == w[wall]
-    far = junction if frozen.all() else wall - 1 - int(np.argmin(frozen[::-1]))
+    far = _frozen_from(op, junction)
     m = wall - far
     # +-log rho = 2 asinh(sqrt(U - 2) / 2), accurate for U near 2
     t = 2.0 * cmath.asinh(0.5 * cmath.sqrt(2.0 * op.grid.h ** 2 * (w[wall] - op.z)))
@@ -587,56 +614,127 @@ def _far_field(op: RadialOperator, junction: int):
     ratio = cmath.exp(log_rho) * complex(np.expm1((2 * m - 2) * log_rho)
                                          / np.expm1(2 * m * log_rho))
     phi = resolve(_near_operator(op, far, ratio), (junction, np.ones(1))).phi
-    g = np.empty(wall + 1 - junction, dtype=complex)
-    np.divide(phi[junction:], phi[junction], out=g[:far + 1 - junction])
-    _frozen_tail(g[far - junction:], log_rho)
-    return _near_operator(op, junction, g[1]), g
+    g = phi[junction:far + 1] / phi[junction]
+    # G_{J+1}: on the solved stretch, or the first closed-form node past F = J
+    rho = g[1] if far > junction else ratio
+    return _near_operator(op, junction, rho), g, log_rho, m
 
 
-def _frozen_tail(g, log_rho: complex):
-    """Write g[k] = g[0] (rho^k - rho^{2m-k}) / (1 - rho^{2m}) for
-    k = 1 .. m = g.size - 1, rho = e^{log_rho}, in place: the solution of the
-    frozen rows past g[0] that vanishes at g[m], the wall.
+# the weight r^{-2s} of a frozen-tail sum is expanded over blocks of nodes
+# at most r_F / 16 long, each in its binomial series, cut where the
+# series' remainder is below _SERIES_TOL of the weight
+_BLOCK_SPAN = 1.0 / 16.0
+_SERIES_TOL = 1e-16
+# blocks are summed this many at a time, so no array grows with the tail
+_BLOCK_CHUNK = 1024
 
-    c rho^k, c = g[0] / (1 - rho^{2m}) and rho^k = e^{k log rho}, is
-    written straight into g for k = 1 .. m - 1 (g must be contiguous), as
-    rows of a table ``heads`` x ``step`` of about sqrt(m) powers each; the
-    wall term c rho^{2m-k} = rho^m (c rho^{m-k}) reads those entries
-    reversed, the one temporary of g's length.
+
+def _series_order(s: float) -> int:
+    """P: the binomial series of (1 + x)^{-2s} cut after x^P is within
+    ``_SERIES_TOL`` of it, relative, for |x| <= x_max = ``_BLOCK_SPAN``.  The
+    Lagrange remainder is |binom(-2s, P+1)| |x|^{P+1} (1 + xi)^{-2s-P-1}
+    with |xi| <= x_max, so relative to (1 + x)^{-2s} >= (1 + x_max)^{-2s} it
+    is at most |binom(-2s, P+1)| (x_max / (1 - x_max))^{P+1}
+    ((1 + x_max) / (1 - x_max))^{2s}: 15^{-P-1} (17/15)^{2s} times the
+    binomial at x_max = 1/16, and P = 14 at s = 1."""
+    x = _BLOCK_SPAN
+    spread = ((1.0 + x) / (1.0 - x)) ** (2.0 * s)
+    coef, p = 1.0, 0
+    while True:
+        coef *= (2.0 * s + p) / (p + 1.0)
+        if coef * (x / (1.0 - x)) ** (p + 1) * spread <= _SERIES_TOL:
+            return p
+        p += 1
+
+
+def _tail_sums(r_far: float, h: float, m: int, s: float, alphas, betas) -> np.ndarray:
+    """T = sum_{k<m} h (r_far + k h)^{-2s} e^{alpha + beta k} for each pair
+    (alpha, beta) of ``alphas``, ``betas``: a truncated Lerch transcendent
+    h^{1-2s} e^alpha Phi(e^beta, 2s, r_far / h) (DLMF 25.14), the H_-s sum
+    of a geometric tail.  Every term must have modulus at most its weight,
+    Re(alpha + beta k) <= 0 for 0 <= k < m.
+
+    The sum is taken over blocks of B = max(1, floor(r_far / (16 h))) nodes
+    (at most m).  In the block from node k0, of radius R0, the weight is
+    h R0^{-2s} (1 + j h / R0)^{-2s} with j h / R0 <= 1/16, expanded in its
+    binomial series to order P (``_series_order``), so the block's sum is
+    e^{alpha + beta k0} h R0^{-2s} sum_p binom(-2s, p) (B h / R0)^p M_p, with
+    the moments M_p = sum_{j<B} (j / B)^p e^{beta j} shared by every block.
+    The cost is O((m / B + B) P) per term, not O(m).  Every factor has
+    modulus <= 1: a term with Re beta > 0 (a wall term, growing towards the
+    wall) is summed from the wall end, k = m - 1 - k', as
+    alpha + beta (m - 1) and -beta, and the exponent of each chunk of
+    ``_BLOCK_CHUNK`` blocks is combined before it is exponentiated.
     """
-    m = g.size - 1
-    body = g[1:m]
-    width = math.isqrt(body.size) + 1
-    full, rest = divmod(body.size, width)
-    step = np.exp(log_rho * np.arange(1, width + 1))
-    heads = np.exp((log_rho * width) * np.arange(full + 1))
-    heads *= g[0] / -np.expm1(2 * m * log_rho)
-    np.multiply(heads[:full, None], step, out=body[:full * width].reshape(full, width))
-    np.multiply(heads[full], step[:rest], out=body[full * width:])
-    body -= cmath.exp(m * log_rho) * body[::-1]
-    g[m] = 0.0
+    alphas = np.asarray(alphas, dtype=complex)
+    betas = np.asarray(betas, dtype=complex)
+    reverse = betas.real > 0.0
+    alphas = np.where(reverse, alphas + betas * (m - 1), alphas)
+    betas = np.where(reverse, -betas, betas)
+    block = min(m, max(1, int(r_far * _BLOCK_SPAN / h)))
+    n_blocks = -(-m // block)
+    last = m - (n_blocks - 1) * block
+    order = _series_order(s)
+    binom = np.cumprod(np.concatenate(
+        [[1.0], (-2.0 * s - np.arange(order)) / np.arange(1.0, order + 1.0)]))
+    powers = (np.arange(block) / block)[:, None] ** np.arange(order + 1)
+    geo = np.exp(np.outer(np.arange(block), betas))
+    chunk = min(_BLOCK_CHUNK, n_blocks)
+    heads = np.exp(np.outer(block * np.arange(chunk), betas))
+    sums = np.zeros(betas.size, dtype=complex)
+    for rev in (False, True):
+        cols = np.flatnonzero(reverse == rev)
+        # binom(-2s, p) M_p, over a whole block and over the last one, as
+        # (re, im) pairs so that the products with the real powers stay real
+        moments, last_moments = (
+            (binom[:, None] * (part.T @ geo[:part.shape[0], cols])).view(float)
+            for part in (powers, powers[:last]))
+        for lo in range(0, n_blocks, chunk):
+            k0 = block * np.arange(lo, min(lo + chunk, n_blocks))
+            r0 = r_far + h * ((m - 1 - k0) if rev else k0)
+            # (+-B h / R0)^p of each block, one row per p
+            ratio = (-block if rev else block) * h / r0
+            step = np.empty((order + 1, k0.size))
+            step[0] = 1.0
+            for p in range(1, order + 1):
+                np.multiply(step[p - 1], ratio, out=step[p])
+            sub = (step.T @ moments).view(complex)
+            if lo + k0.size == n_blocks:
+                sub[-1] = (step[:, -1] @ last_moments).view(complex)
+            sub *= heads[:k0.size, cols]
+            sub = ((h * r0 ** (-2.0 * s)) @ sub.view(float)).view(complex)
+            sums[cols] += np.exp(alphas[cols] + betas[cols] * k0[0]) * sub
+    return sums
 
 
-def _probe_diff(ops, modes, z1, z2, sources, weights) -> float:
+def _probe_diff(ops, modes, z1, z2, sources, weights, s: float) -> float:
     """max over probes of ||R(z1) psi - R(z2) psi||_{H_-s} / ||psi||_{H_s}.
 
-    ``weights`` are the quadrature weights of ||.||_{H_-s}^2 on the grid of
-    ``ops``, ``norm_weights(grid, -s)``.  ``ops`` may be a prefix of the
-    domain the ``sources`` were taken on (``hoelder_estimate`` trims each
-    pair's): a probe's start and in-span values are the same on any prefix
-    that holds its span, and its H_s norm is the one given.
+    ``weights`` are the quadrature weights of ||.||_{H_-s}^2,
+    ``norm_weights(grid, -s)``, of the domain the ``sources`` were taken
+    on, over at least the nodes before each mode's F (``_frozen_from``):
+    the nodes < J where the tail is frozen from J on.  ``ops`` may be a
+    prefix of that domain (``hoelder_estimate`` trims each pair's): the
+    prefix's interior weights are the same, a probe's start and in-span
+    values are the same on any prefix that holds its span, and its H_s
+    norm is the one given.
 
     Every probe lies on nodes < J, the first node past all their spans, so
     each (mode, z) takes its far field G once, for a unit source at J
-    (``_far_field``: one solve up to where the potential diagonal freezes,
-    and G in closed form past it), and each probe then solves only on
-    nodes <= J with the near operator.  Beyond J the two solutions of a
-    probe are c1 G1 and c2 G2, c their values at J; with e = c1 - c2 and
-    D = G1 - G2 their difference there is e G1 + c2 D, whose weighted sum
-    of squares is |e|^2 S_11 + |c2|^2 S_DD + 2 Re(e conj(c2) S_1D) with
-    S_XY = sum_{j >= J} w_j X_j conj(Y_j), taken once per mode.  Written in
-    e and D, the three terms are of the size of the difference, not of the
-    solutions, so nothing cancels.
+    (``_far_field``: one solve up to F, and the closed form past it), and
+    each probe then solves only on nodes <= J with the near operator.
+    Beyond J the two solutions of a probe are c1 G1 and c2 G2, c their
+    values at J; with e = c1 - c2 and D = G1 - G2 their difference there is
+    e G1 + c2 D, whose weighted sum of squares is
+    |e|^2 S_11 + |c2|^2 S_DD + 2 Re(e conj(c2) S_1D) with
+    S_XY = sum_{j >= J} w_j X_j conj(Y_j), taken once per mode.  Over
+    J .. F - 1 the sums run node by node in G1 and D.  Past F,
+    G_{F+k} = A (rho^k - rho^m rho^{m-k}) with A = G_F / (1 - rho^{2m}), so
+    the sum P_ab of w G_a conj(G_b) there is A_a conj(A_b) times four
+    geometric sums, with ratios rho_a conj(rho_b), rho_a / conj(rho_b) and
+    their inverses, each in closed form (``_tail_sums``), and
+    S_11 = P_11, S_1D = P_11 - P_12, S_DD = P_11 + P_22 - 2 Re P_12.  No
+    array of the tail's length is formed.
 
     Raises ``ContractError`` when no unknown of the grid lies past J.
     """
@@ -646,17 +744,21 @@ def _probe_diff(ops, modes, z1, z2, sources, weights) -> float:
         raise ContractError(
             f"no unknown of the {op0.grid.n}-node grid lies past node {junction}, "
             "the first node past every probe's support")
-    near_w, tail_w = weights[:junction], weights[junction:]
+    near_w = weights[:junction]
     num_sq = np.zeros(len(sources))
     for mu, mult in modes:
-        near1, g1 = _far_field(ops[mu].shifted(z1), junction)
-        near2, dg = _far_field(ops[mu].shifted(z2), junction)
-        np.subtract(g1, dg, out=dg)
-        wg = tail_w * g1
-        s_11, s_1d = np.vdot(wg, g1).real, np.vdot(wg, dg).conjugate()
-        np.multiply(tail_w, dg, out=wg)
-        s_dd = np.vdot(wg, dg).real
-        del g1, dg, wg
+        near1, g1, log1, m = _far_field(ops[mu].shifted(z1), junction)
+        near2, g2, log2, _ = _far_field(ops[mu].shifted(z2), junction)
+        far = junction + g1.size - 1
+        mid_w, dg = weights[junction:far], g1[:-1] - g2[:-1]
+        s_11 = float(mid_w @ np.abs(g1[:-1]) ** 2)
+        s_dd = float(mid_w @ np.abs(dg) ** 2)
+        s_1d = complex(np.vdot(mid_w * dg, g1[:-1]))
+        p_11, p_12, p_22 = _frozen_products(
+            ops[mu].grid, far, m, s, (g1[-1], log1), (g2[-1], log2))
+        s_11 += p_11.real
+        s_dd += p_11.real + p_22.real - 2.0 * p_12.real
+        s_1d += p_11 - p_12
         for k, (start, vals, _) in enumerate(sources):
             u1 = resolve(near1, (start, vals)).phi
             u2 = resolve(near2, (start, vals)).phi
@@ -667,6 +769,26 @@ def _probe_diff(ops, modes, z1, z2, sources, weights) -> float:
                     + 2.0 * (e * c2.conjugate() * s_1d).real)
             num_sq[k] += mult * (float(near_w @ near) + tail)
     return max(math.sqrt(sq) / denom for sq, (_, _, denom) in zip(num_sq, sources))
+
+
+def _frozen_products(grid: RadialGrid, far: int, m: int, s: float, field1, field2):
+    """(P_11, P_12, P_22), P_ab = sum_{k<m} w_{F+k} G_a conj(G_b) at F + k,
+    w = h r^{-2s}, of the two closed-form tails past F = ``far`` given as
+    (G_F, log rho).  With A = G_F / (1 - rho^{2m}),
+    G_a conj(G_b) = A_a conj(A_b) (e^{(La + Lb) k} - e^{2m Lb + (La - Lb) k}
+    - e^{2m La + (Lb - La) k} + e^{2m (La + Lb) - (La + Lb) k}), La = log rho_a
+    and Lb = conj(log rho_b): four ``_tail_sums`` terms, each of modulus
+    <= 1 for 0 <= k <= m."""
+    fields = [(g_far / -np.expm1(2 * m * lg), lg) for g_far, lg in (field1, field2)]
+    amps, alphas, betas = [], [], []
+    for a, b in ((0, 0), (0, 1), (1, 1)):
+        (aa, la), (ab, lb) = fields[a], fields[b]
+        amps.append(aa * ab.conjugate())
+        lb = lb.conjugate()
+        alphas += [0.0, 2 * m * lb, 2 * m * la, 2 * m * (la + lb)]
+        betas += [la + lb, la - lb, lb - la, -(la + lb)]
+    sums = _tail_sums(float(grid.radii[far]), grid.h, m, s, alphas, betas)
+    return np.asarray(amps) * (sums.reshape(3, 4) @ np.array([1.0, -1.0, -1.0, 1.0]))
 
 
 # a shift solve's domain leaves the round trip of its wave from where it is
@@ -725,14 +847,17 @@ def hoelder_estimate(model: Model, lam: float, s: float = 1.0, gamma_top: float 
     w_min)), so the reflection off the wall returns below e^{-39}; a pair
     whose reach lies past the shared grid solves on all of it.  On that
     prefix each (mode, z) takes the solution G for a unit source at J, the
-    first node past every probe's support: solved up to F, the last node
-    whose potential diagonal differs from the wall's (F = J on the free
-    end), and written in closed form from F to the wall (``_far_field``).
-    Each probe then solves only on nodes <= J, closed there by the exact row
-    of G (``_probe_diff``).  The values equal those of solving every probe
-    of every pair on the shared domain to roundoff, not bit for bit: 2.2e-11
-    relative at worst against the recorded values of criterion 7's ladder
-    over probe seeds 0-31.
+    first node past every probe's support: solved up to F, the node past
+    which the rows are the wall's (F = J on the free end), and known in
+    closed form from F to the wall (``_far_field``).  Each probe then
+    solves only on nodes <= J, closed there by the exact row of G, and its
+    H_-s norm past F is summed over blocks of nodes in closed form
+    (``_probe_diff``, ``_tail_sums``).  The H_-s weights are formed once,
+    on the shared grid's nodes before F (before J on the free end), and
+    each pair reads them as they are.  The values equal those of solving
+    every probe of every pair on the shared domain to roundoff, not bit for
+    bit: 1.9e-11 relative at worst against the recorded values of criterion
+    7's ladder over probe seeds 0-31.
     """
     if not s > 0.5:
         raise ContractError("Hoelder continuity needs s > 1/2")
@@ -751,13 +876,18 @@ def hoelder_estimate(model: Model, lam: float, s: float = 1.0, gamma_top: float 
     sources = _probe_sources(probes, grid, s)
     ops = _mode_operators(model, grid, modes, complex(lam, gammas[0]))[0]
     prefix = _reach_prefix(grid, ops, modes, lam, max(p.b for p in probes))
+    # the H_-s weights of the nodes any pair sums node by node: before F,
+    # which on no prefix lies past F of the shared grid
+    junction = max(start + vals.size for start, vals, _ in sources)
+    far = max(_frozen_from(op, junction) for op in ops.values())
+    weights = norm_weights(grid.prefix(far + 1), -s)[:far]
 
     def pair_diff(g):
         # the pair's grid and operators are released on return, before the
         # next pair's are built; the slower wave of the pair is at Gamma/2
-        grid_p, ops_p = prefix(0.5 * g)
+        ops_p = prefix(0.5 * g)[1]
         return _probe_diff(ops_p, modes, complex(lam, g), complex(lam, 0.5 * g),
-                           sources, norm_weights(grid_p, -s))
+                           sources, weights, s)
 
     rows = [[g, 0.5 * g, pair_diff(g)] for g in gammas]
 

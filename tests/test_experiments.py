@@ -586,7 +586,7 @@ def test_hoelder_probe_slices_match_full_grid_probes(s):
         assert _same_bits(vals, whole[start:start + vals.size])
         assert not np.any(np.delete(whole, np.s_[start:start + vals.size]))
         assert norm == pytest.approx(weighted_norm(whole, grid, s), rel=1e-15, abs=0.0)
-    got = _probe_diff(ops, modes, z1, z2, sources, norm_weights(grid, -s))
+    got = _probe_diff(ops, modes, z1, z2, sources, norm_weights(grid, -s), s)
     ref = 0.0
     for p in probes:
         psi = p.values(grid)
@@ -625,7 +625,7 @@ def _shared_domain_rows(model, lam, mode_cap, s, gamma_top, n_pairs, n_probes,
     ops = _mode_operators(model, grid, modes, complex(lam, gammas[0]))[0]
     weights = norm_weights(grid, -s)
     rows = [[g, 0.5 * g, _probe_diff(ops, modes, complex(lam, g), complex(lam, 0.5 * g),
-                                     sources, weights)]
+                                     sources, weights, s)]
             for g in gammas]
     return rows, grid
 
@@ -668,8 +668,8 @@ def _reach(r_from, lam, w_min, gamma, decay=39.0):
 def test_hoelder_top_pair_solves_a_prefix(monkeypatch):
     # each pair's far fields G run from J to the wall of the prefix whose
     # end is the first node at or beyond the reach of its slower wave
-    # (Gamma/2) from the outermost probe, not a power of two: G has that
-    # prefix's n - J entries
+    # (Gamma/2) from the outermost probe, not a power of two: G is given on
+    # J .. F and closed in form for the m nodes from F to that wall
     from endspec.experiments import _mode_operators, probe_set
     m = euclidean_model(3)
     modes = m.modes(2.5)
@@ -677,9 +677,11 @@ def test_hoelder_top_pair_solves_a_prefix(monkeypatch):
     original = endspec.experiments._far_field
 
     def recording(op, junction):
-        near, g = original(op, junction)
-        fields.append((op.z.imag, junction + g.size - 1))
-        return near, g
+        field = original(op, junction)
+        g, tail_nodes = field[1], field[3]
+        assert junction + g.size - 1 + tail_nodes == op.grid.n - 1
+        fields.append((op.z.imag, junction + g.size - 1 + tail_nodes))
+        return field
 
     monkeypatch.setattr(endspec.experiments, "_far_field", recording)
     table = hoelder_estimate(m, 1.0, mode_cap=2.5, **_LADDER)
@@ -715,11 +717,12 @@ def test_hoelder_pair_solves_the_far_field_once_per_mode_and_z(
     # per pair: for each mode and z one far solve, for a unit source at J,
     # then per probe one solve of J unknowns at each z; every solve is
     # closed by an outgoing-kind row.  The far solve ends where the
-    # potential diagonal freezes: at J on the free end (J unknowns); on
-    # euclidean d=3 it never freezes at mu = 2 and 6, which solve to the
-    # last unknown of the pair's prefix
+    # potential diagonal freezes, at F: at J on the free end (J unknowns,
+    # and G is the single value G_J); on euclidean d=3 it never freezes at
+    # mu = 2 and 6, which solve to the last unknown of the pair's prefix and
+    # leave m = 1 node, the wall, to the closed form
     model, lam, _ = _hoelder_cases()[case]
-    sources, last_unknowns = [], []
+    sources, last_unknowns, closed = [], [], []
     recording, far_field = endspec.experiments.resolve, endspec.experiments._far_field
 
     def with_source(op, psi, **kwargs):
@@ -728,7 +731,9 @@ def test_hoelder_pair_solves_the_far_field_once_per_mode_and_z(
 
     def with_last_unknown(op, junction):
         last_unknowns.append(op.n_unknowns)
-        return far_field(op, junction)
+        field = far_field(op, junction)
+        closed.append((junction + field[1].size - 1, field[3], op.grid.n - 1))
+        return field
 
     monkeypatch.setattr(endspec.experiments, "resolve", with_source)
     monkeypatch.setattr(endspec.experiments, "_far_field", with_last_unknown)
@@ -752,12 +757,16 @@ def test_hoelder_pair_solves_the_far_field_once_per_mode_and_z(
             * len(modes)
         ends = [solve[1] for solve in far[::2]]
         assert ends == [solve[1] for solve in far[1::2]]
+        fields = closed[2 * len(modes) * k:2 * len(modes) * (k + 1)]
+        assert [f for f, _, _ in fields] == [solve[1] for solve in far]
+        assert all(f + tail == wall for f, tail, wall in fields)
         if case == "free":
             assert ends == [junction]
         else:
             # mu = 0 is 0 up to roundoff (q_geom = 0 on euclidean d=3), so
             # where its tail freezes is up to the rounding of each node
             assert junction <= ends[0] <= last and ends[1:] == [last, last]
+            assert [tail for _, tail, _ in fields[2:]] == [1] * 4
         assert near == [(g, junction, "outgoing"), (g2, junction, "outgoing")] \
             * (len(modes) * n_probes)
 
@@ -784,7 +793,8 @@ def test_hoelder_near_solve_and_far_field_compose_the_whole_solution(case, s, mo
     for mu, _ in modes:
         for z in (z1, z2):
             op = ops[mu].shifted(z)
-            near, tail = _far_field(op, junction)
+            near, *field = _far_field(op, junction)
+            tail = _whole_g(*field)
             assert near.grid.n == junction + 1 and near.policy.kind == "outgoing"
             assert abs(tail[0] - 1.0) <= 1e-15 and tail.size == grid.n - junction
             for start, vals, _ in sources:
@@ -800,14 +810,14 @@ def test_hoelder_near_solve_and_far_field_compose_the_whole_solution(case, s, mo
                 assert residual <= RESIDUAL_TOL * np.linalg.norm(rhs)
     # negative control: the near system closed by a Dirichlet wall past J
     # (rho = 0) instead of the far field's row moves the difference norm
-    got = _probe_diff(ops, modes, z1, z2, sources, weights)
+    got = _probe_diff(ops, modes, z1, z2, sources, weights, s)
     original = endspec.experiments._far_field
 
     def walled(op, junction):
-        return _near_operator(op, junction, 0.0), original(op, junction)[1]
+        return (_near_operator(op, junction, 0.0),) + original(op, junction)[1:]
 
     monkeypatch.setattr(endspec.experiments, "_far_field", walled)
-    assert abs(_probe_diff(ops, modes, z1, z2, sources, weights) / got - 1.0) > 1e-6
+    assert abs(_probe_diff(ops, modes, z1, z2, sources, weights, s) / got - 1.0) > 1e-6
 
 
 # --- the far field past the frozen tail ----------------------------------------
@@ -822,6 +832,15 @@ def _far_setting(model, lam, cap, s=1.0):
     junction = max(start + vals.size for start, vals, _ in sources)
     ops = _mode_operators(model, grid, model.modes(cap), complex(lam, 0.064))[0]
     return grid, junction, ops, norm_weights(grid, -s)
+
+
+def _whole_g(g, log_rho, m):
+    """G on J .. the wall from a far field's (G on J .. F, log rho, m):
+    G_{F+k} = G_F (rho^k - rho^{2m-k}) / (1 - rho^{2m}) for k = 0 .. m."""
+    k = np.arange(m + 1)
+    tail = g[-1] * ((np.exp(k * log_rho) - np.exp((2 * m - k) * log_rho))
+                    / -np.expm1(2 * m * log_rho))
+    return np.concatenate([g[:-1], tail])
 
 
 def _dirichlet_tail(op, junction):
@@ -851,7 +870,7 @@ def test_far_field_closed_form_matches_the_whole_prefix_solve(case, experiment_s
     for op in ops.values():
         for z in (complex(lam, 0.064), complex(lam, 0.004)):
             shifted = op.shifted(z)
-            _, g = _far_field(shifted, junction)
+            g = _whole_g(*_far_field(shifted, junction)[1:])
             assert experiment_solves[-1][1] < grid.n - 2
             assert _rel_err(g, _dirichlet_tail(shifted, junction),
                             weights[junction:]) <= 1e-12
@@ -863,7 +882,7 @@ def test_far_field_without_the_wall_term_misses():
     from endspec.experiments import _far_field
     grid, junction, ops, weights = _far_setting(free_model(), 1.0, 0.5)
     op = ops[0.0].shifted(1.0 + 0.032j)
-    _, g = _far_field(op, junction)
+    g = _whole_g(*_far_field(op, junction)[1:])
     u = 2.0 + 2.0 * grid.h ** 2 * (op.potential_diag[-1] - op.z)
     rho = min(np.roots([1.0, -u, 1.0]), key=abs)
     assert abs(rho) < 1.0
@@ -884,8 +903,10 @@ def test_far_field_solves_up_to_a_moved_diagonal(offset, experiment_solves):
     w = ops[0.0].potential_diag.copy()
     w[moved] += 0.125
     op = dataclasses.replace(ops[0.0], potential_diag=w).shifted(1.0 + 0.032j)
-    near, g = _far_field(op, junction)
+    near, *field = _far_field(op, junction)
+    g = _whole_g(*field)
     assert experiment_solves == [(0.032, moved, "outgoing")]
+    assert junction + field[0].size - 1 == moved and field[2] == grid.n - 1 - moved
     assert _rel_err(g, _dirichlet_tail(op, junction), weights[junction:]) <= 1e-12
     for start, vals, _ in _probe_sources(probe_set(grid, 4, seed=5), grid, 1.0):
         u = resolve(near, (start, vals)).phi
@@ -903,6 +924,155 @@ def test_far_field_refuses_a_real_z():
         _far_field(ops[0.0].shifted(1.0), junction)
 
 
+@pytest.mark.parametrize("case", ["free", "hyperbolic3", "square-well", "multiend"])
+def test_frozen_products_match_the_dirichlet_sums(case):
+    # the H_-s products of two far fields past F, each four closed-form
+    # sums, match node-by-node sums of the whole-prefix Dirichlet solutions;
+    # negative control: the endless roots' terms alone, without the wall's
+    # echo, miss
+    from endspec.experiments import _far_field, _frozen_products, _tail_sums
+    model, lam, cap = {"free": (free_model(), 1.0, 0.5),
+                       "hyperbolic3": (hyperbolic_model(3), 1.5, 6.5),
+                       "square-well": (square_well_model(), 1.0, 0.5),
+                       "multiend": (multiend_model(), 1.0, 0.5)}[case]
+    grid, junction, ops, weights = _far_setting(model, lam, cap)
+    for op in ops.values():
+        shifted = [op.shifted(complex(lam, g)) for g in (0.064, 0.032)]
+        (_, g1, l1, m), (_, g2, l2, _) = (_far_field(o, junction) for o in shifted)
+        far = junction + g1.size - 1
+        got = _frozen_products(grid, far, m, 1.0, (g1[-1], l1), (g2[-1], l2))
+        d1, d2 = (_dirichlet_tail(o, junction)[far - junction:-1] for o in shifted)
+        w = weights[far:-1]
+        ref = [np.sum(w * d1 * d1.conj()), np.sum(w * d1 * d2.conj()),
+               np.sum(w * d2 * d2.conj())]
+        assert np.all(np.abs(got - ref) <= 1e-12 * np.abs(ref))
+        if case == "free":
+            a1, a2 = (g[-1] / -np.expm1(2 * m * lg) for g, lg in ((g1, l1), (g2, l2)))
+            endless = [a * b.conjugate() * _tail_sums(grid.radii[far], grid.h, m, 1.0, [0.0],
+                                                      [la + lb.conjugate()])[0]
+                       for (a, la), (b, lb) in (((a1, l1), (a1, l1)), ((a1, l1), (a2, l2)),
+                                                ((a2, l2), (a2, l2)))]
+            assert np.max(np.abs(np.array(endless) - ref) / np.abs(ref)) > 1e-9
+
+
+def _exact_exponent(x):
+    """x rounded to a multiple of 2^-30: alpha + beta k is then exact in
+    float64 for the k and alpha below, so each term of the reference sum is
+    rounded once, and only the sum is compared."""
+    return complex(round(x.real * 2**30), round(x.imag * 2**30)) / 2**30
+
+
+def _log_root(lam, gamma, h):
+    """log rho of the free end's frozen rows at z = lambda + i Gamma."""
+    t = 2.0 * cmath.asinh(0.5 * cmath.sqrt(-2.0 * h * h * complex(lam, gamma)))
+    return -t if t.real > 0.0 else t
+
+
+@pytest.mark.parametrize("s", [0.6, 1.0, 2.0])
+@pytest.mark.parametrize("r_far, h, m", [(1.2, 0.1, 300), (60.0, 0.02, 100),
+                                          (60.0, 0.02, 10 * 187 + 53), (2.0, 0.05, 4099),
+                                          (30.0, 0.02, 40000)],
+                         ids=["B=1", "m<B", "m-not-a-multiple", "chunks", "long"])
+def test_tail_sums_match_a_node_by_node_sum(r_far, h, m, s):
+    # sum_{k<m} h (r_F + k h)^{-2s} e^{alpha + beta k} over blocks against
+    # the node-by-node float64 sum, for the four kinds of term of a far
+    # field product: decaying (rho conj(rho')), oscillating (rho / conj(rho),
+    # |a| = 1), the wall-cross ratios rho' / conj(rho) and rho / conj(rho')
+    # (|a| just above and below 1) and the wall term, which grows towards
+    # the wall; B = floor(r_F / (16 h)) is 1, above m, 187 with m not a
+    # multiple of it, and 2 over more blocks than one chunk holds
+    from endspec.experiments import _BLOCK_CHUNK, _tail_sums
+    l1, l2 = _log_root(1.0, 0.064, h), _log_root(1.0, 0.032, h)
+    terms = {"decay": (0.0, l1 + l2.conjugate()),
+             "oscillating": (2 * m * l1.conjugate(), l1 - l1.conjugate()),
+             "cross-up": (2 * m * l1, l2.conjugate() - l1),
+             "cross-down": (2 * m * l2.conjugate(), l1 - l2.conjugate()),
+             "wall": (2 * m * (l1 + l2.conjugate()), -(l1 + l2.conjugate()))}
+    alphas, betas = zip(*[(_exact_exponent(a), _exact_exponent(b)) for a, b in terms.values()])
+    assert abs(cmath.exp(betas[1])) == 1.0 and 1.0 < abs(cmath.exp(betas[2])) < 1.01
+    got = _tail_sums(r_far, h, m, s, alphas, betas)
+    block = max(1, int(r_far / (16.0 * h)))
+    assert (block == 1) == (r_far < 16.0 * h)
+    assert (m > _BLOCK_CHUNK * block) == (m == 4099)
+    k = np.arange(m)
+    for name, a, b, t in zip(terms, alphas, betas, got):
+        each = h * (r_far + k * h) ** (-2.0 * s) * np.exp(a + b * k)
+        ref = complex(math.fsum(each.real), math.fsum(each.imag))
+        assert abs(t - ref) <= 1e-13 * abs(ref), name
+
+
+def test_series_order_meets_its_bound():
+    # P is the least order whose binomial remainder bound is <= 1e-16
+    from endspec.experiments import _series_order
+    def bound(s, p):
+        return abs(math.prod(-2.0 * s - j for j in range(p + 1)) / math.factorial(p + 1)) \
+            * 15.0 ** -(p + 1) * (17.0 / 15.0) ** (2.0 * s)
+    assert _series_order(1.0) == 14
+    for s in (0.51, 0.6, 1.0, 2.0, 5.0):
+        p = _series_order(s)
+        assert bound(s, p) <= 1e-16 < bound(s, p - 1)
+        # the series cut there is within the bound on both sides of x = 0
+        x = np.array([-1.0 / 16.0, 1.0 / 16.0])
+        series = sum(math.prod(-2.0 * s - j for j in range(q)) / math.factorial(q) * x**q
+                     for q in range(p + 1))
+        assert np.all(np.abs(series / (1.0 + x) ** (-2.0 * s) - 1.0) <= 1e-15)
+
+
+def test_frozen_start_moves_past_a_curved_radius():
+    # on the multiend line the potential diagonal is frozen from x = 1 on,
+    # but r(x) bends until x = 2: F moves to the node after the last with
+    # r' != 1, so that the radii from F on are r_F + k h; a closed form
+    # summed from the last node in the bend misses the grid's own weights
+    from endspec.experiments import _frozen_from, _mode_operators, _tail_sums
+    model = multiend_model()
+    grid = model.make_grid(256.0, 0.05)
+    op = _mode_operators(model, grid, model.modes(0.5), 1.0 + 0.064j)[0][0.0]
+    wall = grid.n - 1
+    curved = int(np.flatnonzero(grid.dr[:wall] != 1.0)[-1])
+    w = op.potential_diag
+    frozen = int(np.flatnonzero(w[:wall] != w[wall])[-1])
+    assert frozen + 1 < curved
+    junction = frozen + 2
+    assert _frozen_from(op, junction) == curved + 1
+    assert _frozen_from(op, curved + 5) == curved + 5
+    weights = np.full(wall, grid.h) * grid.radii[:wall] ** -2.0
+    for start, expect in ((curved + 1, 1e-13), (curved, None)):
+        m = wall - start
+        got = _tail_sums(grid.radii[start], grid.h, m, 1.0, [0.0], [-1e-3])[0]
+        ref = math.fsum(weights[start:] * np.exp(-1e-3 * np.arange(m)))
+        if expect is None:
+            assert abs(got / ref - 1.0) > 1e-9
+        else:
+            assert abs(got / ref - 1.0) <= expect
+
+
+def test_hoelder_probe_diff_allocates_nothing_of_the_tail(experiment_solves):
+    # criterion 7's top pair on the whole 819,151-node shared grid: the far
+    # field is solved on J unknowns and summed past J in closed form, so the
+    # traced peak stays below 2 MB, not the 13 MB of each tail-length G
+    from endspec.experiments import _frozen_from, _mode_operators, _probe_diff, _probe_sources
+    from endspec.radial import norm_weights
+    model = free_model()
+    grid = _shift_grid(model, 0.064 * 0.25**3 / 2.0, 0.02)
+    assert grid.n == 819151
+    modes = model.modes(0.5)
+    sources = _probe_sources(probe_set(grid, 8, 0), grid, 1.0)
+    junction = max(start + vals.size for start, vals, _ in sources)
+    ops = _mode_operators(model, grid, modes, 1.0 + 0.064j)[0]
+    assert _frozen_from(ops[0.0], junction) == junction
+    weights = norm_weights(grid.prefix(junction + 1), -1.0)[:junction]
+    tracemalloc.start()
+    try:
+        entry = tracemalloc.get_traced_memory()[0]
+        got = _probe_diff(ops, modes, 1.0 + 0.064j, 1.0 + 0.032j, sources, weights, 1.0)
+        peak = tracemalloc.get_traced_memory()[1] - entry
+    finally:
+        tracemalloc.stop()
+    assert got > 0.0
+    assert max(solve[1] for solve in experiment_solves) == junction
+    assert peak < 2e6
+
+
 def test_hoelder_refuses_a_grid_without_an_unknown_past_the_probes(experiment_solves):
     # J, the first node past every probe's support, and J + 1 must both be
     # unknowns: on a grid that ends at the outermost probe, or one or two
@@ -918,7 +1088,7 @@ def test_hoelder_refuses_a_grid_without_an_unknown_past_the_probes(experiment_so
     for n in (junction, junction + 1, junction + 2, junction + 3):
         grid_p = grid.prefix(n)
         ops = _mode_operators(m, grid_p, modes, z1)[0]
-        args = (ops, modes, z1, z2, sources, norm_weights(grid_p, -1.0))
+        args = (ops, modes, z1, z2, sources, norm_weights(grid_p, -1.0), 1.0)
         if n < junction + 3:
             with pytest.raises(ContractError, match="past node"):
                 _probe_diff(*args)
