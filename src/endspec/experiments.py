@@ -59,8 +59,8 @@ from .geometry import geometry_at
 from .models import Model
 from .phase import _central_derivative, apply_A, grid_phase, r_lambda
 from .radial import (FIRST_UNKNOWN, BesovProfile, OuterPolicy, RadialGrid,
-                     RadialOperator, besov_from_modes, l2_norm, norm_weights,
-                     smooth_bump, weighted_norm)
+                     RadialOperator, assemble_mode_operators, besov_from_modes,
+                     l2_norm, norm_weights, smooth_bump, weighted_norm)
 from .solver import ABSORPTION, THRESHOLD_WINDOW, outgoing_row, resolve
 from .tableio import write_csv
 
@@ -196,17 +196,29 @@ def _shift_grid(model: Model, gamma_min: float, h: float,
 
 
 def _mode_operators(model: Model, grid: RadialGrid, modes, z: complex):
-    """One operator per mode, assembled at z, and the geometry on the grid.
+    """One operator per mode, assembled at z, and the geometry on the grid,
+    for the sweeps that read it (``_apply_pr``, ``_h_densities``).
 
     The geometry (at the radii) and the potential (at the nodes) are
-    evaluated once on the grid and shared by every mode's potential
-    diagonal; the geometry is returned for ``_apply_pr`` and ``_h_densities``.
-    Other z reuse the diagonals through ``RadialOperator.shifted``.
+    evaluated once on the whole grid and shared by every mode's potential
+    diagonal.  Callers that only solve take ``_solve_operators``, which
+    forms no whole-grid geometry.  Other z reuse the diagonals through
+    ``RadialOperator.shifted``.
     """
     pt = geometry_at(model.profile, grid.radii)
     background = (pt, model.potential.V(grid.nodes))
     return {mu: model.operator(mu, grid, z, background=background)
             for mu, _ in modes}, pt
+
+
+def _solve_operators(model: Model, grid: RadialGrid, modes, z: complex) -> dict:
+    """mu -> the operator of each mode at z, for callers that only solve:
+    the potential diagonals are built block by block, each block's geometry
+    shared by every mode (``assemble_mode_operators``), with no GeometryPoint
+    of the whole grid; they are ``_mode_operators``' diagonals bit for bit."""
+    mus = [mu for mu, _ in modes]
+    return dict(zip(mus, assemble_mode_operators(model.profile, model.potential,
+                                                 mus, grid, z)))
 
 
 def _solve_modes(ops, z: complex, psi_vals, policy=None):
@@ -526,8 +538,8 @@ def _probe_sources(probes, grid: RadialGrid, s: float):
 
 
 def _on_prefix(op: RadialOperator, grid_p: RadialGrid) -> RadialOperator:
-    """``op`` on ``grid_p``, a prefix of its grid: its potential diagonal
-    is a view of op's."""
+    """``op`` on ``grid_p``, a prefix of its grid or a grid built with the
+    same first nodes: its potential diagonal is a view of op's."""
     return replace(op, grid=grid_p, potential_diag=op.potential_diag[:grid_p.n])
 
 
@@ -565,9 +577,11 @@ def _frozen_from(op: RadialOperator, junction: int) -> int:
     return min(far, wall - 1)
 
 
-def _far_field(op: RadialOperator, junction: int):
+def _far_field(op: RadialOperator, junction: int, far: int):
     """(near operator, G on nodes J .. F, log rho, m) of ``op``, a Dirichlet
-    shift operator, beyond node J = ``junction``.
+    shift operator, beyond node J = ``junction``, with F = ``far`` its
+    ``_frozen_from``(op, J): it depends only on the potential diagonal and
+    the grid, so the operators of one diagonal at two z share it.
 
     G, on nodes J, J+1, ..., the wall, is op's solution for a unit source
     at J divided by its value there.  Past a source supported on nodes < J
@@ -577,8 +591,8 @@ def _far_field(op: RadialOperator, junction: int):
     L(min) R(max) / W).  G's divisor is not 0: Im g_J = Im z ||g||^2 > 0
     for the unit source's solution g.
 
-    Only nodes J .. F are solved for (``_frozen_from``; F = J if the tail
-    is frozen from J on).  Past F the diagonal is frozen at the wall's w,
+    Only nodes J .. F are solved for (F = J if the tail is frozen from J
+    on).  Past F the diagonal is frozen at the wall's w,
     so each row reads u_{j-1} - U u_j + u_{j+1} = 0 with
     U = 2 + 2 h^2 (w - z), and the solution that vanishes at the wall,
     m = n - 1 - F nodes past F, is
@@ -603,7 +617,6 @@ def _far_field(op: RadialOperator, junction: int):
     if op.z.imag == 0.0:
         raise ContractError(f"a Dirichlet far field needs Im z != 0, got z = {op.z}")
     w, wall = op.potential_diag, op.grid.n - 1
-    far = _frozen_from(op, junction)
     m = wall - far
     # +-log rho = 2 asinh(sqrt(U - 2) / 2), accurate for U near 2
     t = 2.0 * cmath.asinh(0.5 * cmath.sqrt(2.0 * op.grid.h ** 2 * (w[wall] - op.z)))
@@ -722,7 +735,8 @@ def _probe_diff(ops, modes, z1, z2, sources, weights, s: float) -> float:
     Every probe lies on nodes < J, the first node past all their spans, so
     each (mode, z) takes its far field G once, for a unit source at J
     (``_far_field``: one solve up to F, and the closed form past it), and
-    each probe then solves only on nodes <= J with the near operator.
+    each probe then solves only on nodes <= J with the near operator.  F is
+    found once per mode: z1 and z2 share the potential diagonal.
     Beyond J the two solutions of a probe are c1 G1 and c2 G2, c their
     values at J; with e = c1 - c2 and D = G1 - G2 their difference there is
     e G1 + c2 D, whose weighted sum of squares is
@@ -747,9 +761,9 @@ def _probe_diff(ops, modes, z1, z2, sources, weights, s: float) -> float:
     near_w = weights[:junction]
     num_sq = np.zeros(len(sources))
     for mu, mult in modes:
-        near1, g1, log1, m = _far_field(ops[mu].shifted(z1), junction)
-        near2, g2, log2, _ = _far_field(ops[mu].shifted(z2), junction)
-        far = junction + g1.size - 1
+        far = _frozen_from(ops[mu], junction)
+        near1, g1, log1, m = _far_field(ops[mu].shifted(z1), junction, far)
+        near2, g2, log2, _ = _far_field(ops[mu].shifted(z2), junction, far)
         mid_w, dg = weights[junction:far], g1[:-1] - g2[:-1]
         s_11 = float(mid_w @ np.abs(g1[:-1]) ** 2)
         s_dd = float(mid_w @ np.abs(dg) ** 2)
@@ -840,16 +854,18 @@ def hoelder_estimate(model: Model, lam: float, s: float = 1.0, gamma_top: float 
 
     The shared domain (``meta["r_max"]``) absorbs the smallest Gamma/2,
     Gamma (R_max - 1) >= ``ABSORPTION``; the probes, their H_s norms and the
-    potential diagonals are taken on it once.  Each pair then solves on the
-    prefix of it that its slower wave (Gamma/2) reaches from the outermost
-    probe support r_src (``_reach_prefix``): up to the first node at or
-    beyond r_src + 39 / (2 kappa), kappa = Im sqrt(2 (lambda + i Gamma/2 -
-    w_min)), so the reflection off the wall returns below e^{-39}; a pair
-    whose reach lies past the shared grid solves on all of it.  On that
-    prefix each (mode, z) takes the solution G for a unit source at J, the
-    first node past every probe's support: solved up to F, the node past
-    which the rows are the wall's (F = J on the free end), and known in
-    closed form from F to the wall (``_far_field``).  Each probe then
+    potential diagonals are taken on it once, the diagonals block by block
+    with no geometry of the whole grid (``_solve_operators``).  Each pair
+    then solves on the prefix of it that its slower wave (Gamma/2) reaches
+    from the outermost probe support r_src (``_reach_prefix``): up to the
+    first node at or beyond r_src + 39 / (2 kappa), kappa =
+    Im sqrt(2 (lambda + i Gamma/2 - w_min)), so the reflection off the wall
+    returns below e^{-39}; a pair whose reach lies past the shared grid
+    solves on all of it.  On that prefix each (mode, z) takes the solution
+    G for a unit source at J, the first node past every probe's support:
+    solved up to F, the node past which the rows are the wall's (F = J on
+    the free end), and known in closed form from F to the wall
+    (``_far_field``).  Each probe then
     solves only on nodes <= J, closed there by the exact row of G, and its
     H_-s norm past F is summed over blocks of nodes in closed form
     (``_probe_diff``, ``_tail_sums``).  The H_-s weights are formed once,
@@ -874,7 +890,7 @@ def hoelder_estimate(model: Model, lam: float, s: float = 1.0, gamma_top: float 
     modes = model.modes(mode_cap)
     probes = probe_set(grid, n_probes, seed)
     sources = _probe_sources(probes, grid, s)
-    ops = _mode_operators(model, grid, modes, complex(lam, gammas[0]))[0]
+    ops = _solve_operators(model, grid, modes, complex(lam, gammas[0]))
     prefix = _reach_prefix(grid, ops, modes, lam, max(p.b for p in probes))
     # the H_-s weights of the nodes any pair sums node by node: before F,
     # which on no prefix lies past F of the shared grid
@@ -911,12 +927,14 @@ def hoelder_estimate(model: Model, lam: float, s: float = 1.0, gamma_top: float 
 # sommerfeld_compare
 # ---------------------------------------------------------------------------
 
-def _richardson_gamma(model, grid, lam, gamma_top, psi, modes, grid_w):
+def _richardson_gamma(grid, ops, lam, gamma_top, psi, modes, grid_w):
     """Three-point, order-1 Richardson extrapolation of shift solves in Gamma.
 
-    The source ``psi`` is given as its support on ``grid``, a (start node,
-    values) pair that lies inside the comparison window, so every prefix
-    below holds it.
+    ``ops`` are the modes' operators on the long ``grid`` (any z: each solve
+    shifts them), built once by the caller, whose window solve takes views
+    of them.  The source ``psi`` is given as its support on ``grid``, a
+    (start node, values) pair that lies inside the comparison window, so
+    every prefix below holds it.
     Each shift Gamma = ``gamma_top`` * (1, 1/2, 1/4) solves and is verified
     on the shortest prefix of the long ``grid`` that its wave reaches from
     the window edge r_w (``_reach_prefix``): up to its first node at or
@@ -929,7 +947,6 @@ def _richardson_gamma(model, grid, lam, gamma_top, psi, modes, grid_w):
     norm); the raw whole-domain difference is dominated by the
     Gamma-dependent absorption tail and says nothing about the window.
     """
-    ops = _mode_operators(model, grid, modes, complex(lam, gamma_top))[0]
     n_w = grid_w.n
     prefix = _reach_prefix(grid, ops, modes, lam, grid_w.nodes[-1])
     sols = []
@@ -960,8 +977,11 @@ def sommerfeld_compare(model: Model, lam: float, psi: Bump = Bump(),
     profile of (A - sign * a) phi to decay beyond the source (values under
     the dispersion floor count as decayed).
 
-    The shift solves need ``gamma_top`` > 0.  Each runs on the prefix of
-    the long domain that its wave reaches from the window edge
+    The operators are assembled once, on the long domain, block by block
+    (``_solve_operators``); the window is its first nodes, and the outgoing
+    solve takes views of their diagonals.  The shift solves need
+    ``gamma_top`` > 0.  Each runs on the prefix of the long domain that its
+    wave reaches from the window edge
     (``_richardson_gamma``, by the reach rule of the Hoelder pairs), which
     agrees with the whole-domain solve on the window to roundoff.  On
     criterion 8's setting only the top shift is trimmed, and it enters only
@@ -981,19 +1001,21 @@ def sommerfeld_compare(model: Model, lam: float, psi: Bump = Bump(),
                             f"b = {psi.b} > {grid_w.nodes[-1]}")
     psi_w = psi.normalized(grid_w)
     r_lam = r_lambda(model.profile, model.potential, lam, lambda0=lam0)
-    ops = _mode_operators(model, grid_w, modes, complex(lam))[0]
-    out_sols, _, a_sols, a_disc = _outgoing_solve(model, grid_w, ops, complex(lam),
-                                                  sign, psi_w, r_lam)
 
     k = math.sqrt(2.0 * (lam - lam0))
     need = 1.0 + 12.0 * k / (2.0 * (gamma_top / 4.0))
     r_big = 2.0 ** math.ceil(math.log2(max(need, 2.0 * window_r_max)))
-    # the window grid is the long grid's first grid_w.n nodes, so the shift
-    # solves take the outgoing solve's source, as its span on the window
+    # the window grid is the long grid's first grid_w.n nodes: the long
+    # grid's operators, assembled once, serve the window solve as views, and
+    # the shift solves take the outgoing solve's source as its span there
+    grid = model.make_grid(r_big, h)
+    ops = _solve_operators(model, grid, modes, complex(lam, gamma_top))
+    out_sols, _, a_sols, a_disc = _outgoing_solve(
+        model, grid_w, {mu: _on_prefix(op, grid_w) for mu, op in ops.items()},
+        complex(lam), sign, psi_w, r_lam)
     span = psi.span(grid_w)
-    extrap, gaps = _richardson_gamma(model, model.make_grid(r_big, h), lam,
-                                     gamma_top, (span.start, psi_w[span]),
-                                     modes, grid_w)
+    extrap, gaps = _richardson_gamma(grid, ops, lam, gamma_top,
+                                     (span.start, psi_w[span]), modes, grid_w)
 
     disc_sq, ref_sq, disc_bstar_funcs = 0.0, 0.0, []
     for mu, mult in modes:

@@ -15,9 +15,12 @@ is second-order accurate.
 A discretized operator stores only the real potential diagonal
 q_geom + mu/(2f) + V, evaluated once per (mu, grid); the spectral parameter
 z enters as a shift of that diagonal, so moving to another z
-(``RadialOperator.shifted``) re-evaluates no geometry.  The off-diagonals
-are the constant -1/(2h^2), and the complex diagonals are derived on
-access.  Solving lives in ``solver.resolve``.
+(``RadialOperator.shifted``) re-evaluates no geometry.  Without a geometry
+already evaluated on the grid, the diagonals of all modes are built over
+blocks of ``_ASSEMBLY_BLOCK`` nodes (``assemble_mode_operators``), so a
+long grid that only carries solves never holds its whole geometry.  The
+off-diagonals are the constant -1/(2h^2), and the complex diagonals are
+derived on access.  Solving lives in ``solver.resolve``.
 
 Besov norms are computed from the dyadic annuli R_nu = 2^nu:
 
@@ -37,7 +40,6 @@ from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import ContractError, ResolutionError
 from .geometry import PotentialSplit, WarpProfile, const_profile, geometry_at
@@ -60,8 +62,10 @@ class RadialGrid:
     annulus index floor(log2 r) of each node, >= 0 because the radii are
     clamped to r >= 1) are built the first time they are read and kept: a
     grid that only carries shift solves, such as the long Sommerfeld
-    domain, holds its nodes and nothing else.  The arrays are read-only, so
-    a shared one cannot be written through either name.
+    domain, holds its nodes and nothing else, and its operators hold their
+    potential diagonals, built block by block with no geometry of the
+    grid's length (``assemble_mode_operators``).  The arrays are read-only,
+    so a shared one cannot be written through either name.
     """
 
     nodes: np.ndarray
@@ -328,6 +332,57 @@ def _resolution_guard(h: float, z: complex):
             f"(minimum {_MIN_PPW:g}); decrease h")
 
 
+# nodes per block when potential diagonals are built without a whole-grid
+# GeometryPoint: one block's geometry and V are the assembly's transients
+_ASSEMBLY_BLOCK = 1 << 15
+
+
+def _potential_diagonal(pt, v, mu: float) -> np.ndarray:
+    """q_geom + mu/(2f) + V from the geometry ``pt`` and V on the same
+    nodes: the one formula of every assembly."""
+    return pt.q_geom + mu / (2.0 * pt.f) + np.asarray(v, dtype=float)
+
+
+def assemble_mode_operators(profile: WarpProfile, potential: PotentialSplit,
+                            mus: Sequence, grid: RadialGrid, z: complex,
+                            policy: OuterPolicy | None = None,
+                            background: tuple | None = None) -> list:
+    """One operator h_mu - z on the grid per mode in ``mus``, each with the
+    given outer policy (``assemble_radial_operator`` for one mode).
+
+    ``background`` = (GeometryPoint, V) already evaluated on the grid gives
+    every diagonal from it.  None builds them over blocks of
+    ``_ASSEMBLY_BLOCK`` nodes: each block's geometry (at the radii) and V
+    (at the nodes) are evaluated once and shared by every mode, and no
+    GeometryPoint of the whole grid is formed, so callers that only solve
+    hold nothing of the grid's length but its nodes and the diagonals (a
+    grid of one block is evaluated on its own arrays).  Every step is
+    elementwise, so both give the same diagonals bit for bit.
+    A negative mu (ContractError) and an under-resolved z
+    (``_resolution_guard``) are refused before anything is evaluated.
+    """
+    if any(mu < 0 for mu in mus):
+        raise ContractError("mode eigenvalue mu must be >= 0")
+    _resolution_guard(grid.h, z)
+    if background is None and grid.n <= _ASSEMBLY_BLOCK:
+        # one block: the grid's own arrays, with no copy into the diagonals
+        background = (geometry_at(profile, grid.radii), potential.V(grid.nodes))
+    if background is not None:
+        diags = [_potential_diagonal(*background, mu) for mu in mus]
+    else:
+        diags = [np.empty(grid.n) for _ in mus]
+        for lo in range(0, grid.n, _ASSEMBLY_BLOCK):
+            span = slice(lo, lo + _ASSEMBLY_BLOCK)
+            block = (geometry_at(profile, grid.radii[span]),
+                     potential.V(grid.nodes[span]))
+            for mu, diag in zip(mus, diags):
+                diag[span] = _potential_diagonal(*block, mu)
+    return [RadialOperator(mu=float(mu), z=complex(z),
+                           policy=policy or OuterPolicy.dirichlet(), grid=grid,
+                           potential_diag=diag)
+            for mu, diag in zip(mus, diags)]
+
+
 def assemble_radial_operator(profile: WarpProfile, potential: PotentialSplit,
                              mu: float, grid: RadialGrid, z: complex,
                              policy: OuterPolicy | None = None,
@@ -342,19 +397,12 @@ def assemble_radial_operator(profile: WarpProfile, potential: PotentialSplit,
     The geometry is taken at the radii and V at the nodes (on line models
     the constant d = 1 profile leaves exactly V(x)).  Only mu/(2f) depends
     on the mode: ``background`` = (GeometryPoint, V) already evaluated on
-    the grid lets the modes of one grid share a single evaluation (None
-    evaluates both here).
+    the grid lets the modes of one grid share a single evaluation; None
+    builds the diagonal block by block, with no GeometryPoint of the whole
+    grid (``assemble_mode_operators``).
     """
-    if mu < 0:
-        raise ContractError("mode eigenvalue mu must be >= 0")
-    _resolution_guard(grid.h, z)
-    if background is None:
-        background = (geometry_at(profile, grid.radii), potential.V(grid.nodes))
-    pt, v = background
-    wvals = pt.q_geom + mu / (2.0 * pt.f) + np.asarray(v, dtype=float)
-    return RadialOperator(mu=float(mu), z=complex(z),
-                          policy=policy or OuterPolicy.dirichlet(), grid=grid,
-                          potential_diag=wvals)
+    return assemble_mode_operators(profile, potential, [mu], grid, z, policy,
+                                   background)[0]
 
 
 def assemble_line_operator(v_of_x: Callable, grid: RadialGrid, z: complex,
@@ -449,8 +497,10 @@ def weighted_norm(phi, grid: RadialGrid, s: float) -> float:
     mask = mag2 > 0.0
     if not np.any(mask):
         return 0.0
+    # log-sum-exp shifted by the largest term, so no exponent overflows
     logs = 2.0 * s * np.log(grid.radii[mask]) + np.log(mag2[mask])
-    return float(np.exp(0.5 * logsumexp(logs)))
+    top = logs.max()
+    return float(np.exp(0.5 * (top + np.log(np.sum(np.exp(logs - top))))))
 
 
 def norm_weights(grid: RadialGrid, s: float) -> np.ndarray:

@@ -710,6 +710,15 @@ def test_package_import_leaves_scipy_integrate_unloaded():
     assert proc.returncode == 0, proc.stderr
 
 
+def test_package_import_leaves_scipy_special_unloaded():
+    # weighted_norm's log-space branch sums in numpy, so importing the
+    # package loads no special functions (they cost every process ~0.05 s)
+    proc = _run_python("-c", "import sys, endspec; "
+                             "assert not [m for m in sys.modules "
+                             "if m.startswith('scipy.special')]")
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_module_docstring_lists_every_key_and_kind():
     # the schema in the config module's docstring is the format's reference:
     # it names exactly the keys and kinds the parser accepts

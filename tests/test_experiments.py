@@ -676,8 +676,8 @@ def test_hoelder_top_pair_solves_a_prefix(monkeypatch):
     fields = []
     original = endspec.experiments._far_field
 
-    def recording(op, junction):
-        field = original(op, junction)
+    def recording(op, junction, far):
+        field = original(op, junction, far)
         g, tail_nodes = field[1], field[3]
         assert junction + g.size - 1 + tail_nodes == op.grid.n - 1
         fields.append((op.z.imag, junction + g.size - 1 + tail_nodes))
@@ -720,25 +720,35 @@ def test_hoelder_pair_solves_the_far_field_once_per_mode_and_z(
     # potential diagonal freezes, at F: at J on the free end (J unknowns,
     # and G is the single value G_J); on euclidean d=3 it never freezes at
     # mu = 2 and 6, which solve to the last unknown of the pair's prefix and
-    # leave m = 1 node, the wall, to the closed form
+    # leave m = 1 node, the wall, to the closed form.  F is found once per
+    # mode on the shared grid and once per mode and pair, for both z
     model, lam, _ = _hoelder_cases()[case]
-    sources, last_unknowns, closed = [], [], []
+    sources, last_unknowns, closed, frozen = [], [], [], []
     recording, far_field = endspec.experiments.resolve, endspec.experiments._far_field
+    frozen_from = endspec.experiments._frozen_from
 
     def with_source(op, psi, **kwargs):
         sources.append(psi)
         return recording(op, psi, **kwargs)
 
-    def with_last_unknown(op, junction):
+    def with_last_unknown(op, junction, far):
         last_unknowns.append(op.n_unknowns)
-        field = far_field(op, junction)
+        field = far_field(op, junction, far)
         closed.append((junction + field[1].size - 1, field[3], op.grid.n - 1))
         return field
 
+    def counting(op, junction):
+        frozen.append(op.grid.n)
+        return frozen_from(op, junction)
+
     monkeypatch.setattr(endspec.experiments, "resolve", with_source)
     monkeypatch.setattr(endspec.experiments, "_far_field", with_last_unknown)
+    monkeypatch.setattr(endspec.experiments, "_frozen_from", counting)
     table = hoelder_estimate(model, lam, mode_cap=cap, **_LADDER)
     modes, n_probes = model.modes(cap), _LADDER["n_probes"]
+    assert len(frozen) == len(modes) * (1 + len(table.rows))
+    shared_n = model.make_grid(table.meta["r_max"], _LADDER["h"]).n
+    assert frozen[:len(modes)] == [shared_n] * len(modes)
     assert [mu for mu, _ in modes] == ([0.0] if case == "free" else [0.0, 2.0, 6.0])
     junction = _junction(model, table)
     per_pair = 2 * len(modes) * (1 + n_probes)
@@ -777,8 +787,8 @@ def test_hoelder_near_solve_and_far_field_compose_the_whole_solution(case, s, mo
     # a probe's near solution on nodes <= J, continued by c G beyond J, is
     # the whole-grid solution: to roundoff in H_-s, and with the whole
     # operator's residual within RESIDUAL_TOL
-    from endspec.experiments import (_far_field, _mode_operators, _near_operator,
-                                     _probe_diff, _probe_sources)
+    from endspec.experiments import (_far_field, _frozen_from, _mode_operators,
+                                     _near_operator, _probe_diff, _probe_sources)
     from endspec.radial import FIRST_UNKNOWN, norm_weights
     from endspec.solver import RESIDUAL_TOL
     model, lam, cap = _hoelder_cases()[case]
@@ -793,7 +803,7 @@ def test_hoelder_near_solve_and_far_field_compose_the_whole_solution(case, s, mo
     for mu, _ in modes:
         for z in (z1, z2):
             op = ops[mu].shifted(z)
-            near, *field = _far_field(op, junction)
+            near, *field = _far_field(op, junction, _frozen_from(op, junction))
             tail = _whole_g(*field)
             assert near.grid.n == junction + 1 and near.policy.kind == "outgoing"
             assert abs(tail[0] - 1.0) <= 1e-15 and tail.size == grid.n - junction
@@ -813,8 +823,8 @@ def test_hoelder_near_solve_and_far_field_compose_the_whole_solution(case, s, mo
     got = _probe_diff(ops, modes, z1, z2, sources, weights, s)
     original = endspec.experiments._far_field
 
-    def walled(op, junction):
-        return (_near_operator(op, junction, 0.0),) + original(op, junction)[1:]
+    def walled(op, junction, far):
+        return (_near_operator(op, junction, 0.0),) + original(op, junction, far)[1:]
 
     monkeypatch.setattr(endspec.experiments, "_far_field", walled)
     assert abs(_probe_diff(ops, modes, z1, z2, sources, weights, s) / got - 1.0) > 1e-6
@@ -858,7 +868,7 @@ def test_far_field_closed_form_matches_the_whole_prefix_solve(case, experiment_s
     # past the last node where the potential diagonal moves, G is written
     # in closed form; it matches the whole prefix's Dirichlet solve in
     # H_-s, and the one far solve is shorter than that prefix
-    from endspec.experiments import _far_field
+    from endspec.experiments import _far_field, _frozen_from
     model, lam, cap = {"free": (free_model(), 1.0, 0.5),
                        "hyperbolic3": (hyperbolic_model(3), 1.5, 6.5),
                        "exp1": (exp_model(1.0, 3), None, 6.5),
@@ -870,7 +880,7 @@ def test_far_field_closed_form_matches_the_whole_prefix_solve(case, experiment_s
     for op in ops.values():
         for z in (complex(lam, 0.064), complex(lam, 0.004)):
             shifted = op.shifted(z)
-            g = _whole_g(*_far_field(shifted, junction)[1:])
+            g = _whole_g(*_far_field(shifted, junction, _frozen_from(op, junction))[1:])
             assert experiment_solves[-1][1] < grid.n - 2
             assert _rel_err(g, _dirichlet_tail(shifted, junction),
                             weights[junction:]) <= 1e-12
@@ -879,10 +889,10 @@ def test_far_field_closed_form_matches_the_whole_prefix_solve(case, experiment_s
 def test_far_field_without_the_wall_term_misses():
     # negative control: the endless root rho^k, without the wall's echo
     # rho^{2m-k}, is not the Dirichlet solution on the R = 256 grid
-    from endspec.experiments import _far_field
+    from endspec.experiments import _far_field, _frozen_from
     grid, junction, ops, weights = _far_setting(free_model(), 1.0, 0.5)
     op = ops[0.0].shifted(1.0 + 0.032j)
-    g = _whole_g(*_far_field(op, junction)[1:])
+    g = _whole_g(*_far_field(op, junction, _frozen_from(op, junction))[1:])
     u = 2.0 + 2.0 * grid.h ** 2 * (op.potential_diag[-1] - op.z)
     rho = min(np.roots([1.0, -u, 1.0]), key=abs)
     assert abs(rho) < 1.0
@@ -897,13 +907,13 @@ def test_far_field_solves_up_to_a_moved_diagonal(offset, experiment_solves):
     # one potential-diagonal entry moved at K > J on the free end: the far
     # solve ends at K, and a probe's near solve continued by c G is still
     # the whole Dirichlet solution
-    from endspec.experiments import _far_field, _probe_sources
+    from endspec.experiments import _far_field, _frozen_from, _probe_sources
     grid, junction, ops, weights = _far_setting(free_model(), 1.0, 0.5)
     moved = grid.n - 2 if offset is None else junction + offset
     w = ops[0.0].potential_diag.copy()
     w[moved] += 0.125
     op = dataclasses.replace(ops[0.0], potential_diag=w).shifted(1.0 + 0.032j)
-    near, *field = _far_field(op, junction)
+    near, *field = _far_field(op, junction, _frozen_from(op, junction))
     g = _whole_g(*field)
     assert experiment_solves == [(0.032, moved, "outgoing")]
     assert junction + field[0].size - 1 == moved and field[2] == grid.n - 1 - moved
@@ -921,7 +931,7 @@ def test_far_field_refuses_a_real_z():
     from endspec.experiments import _far_field
     _, junction, ops, _ = _far_setting(free_model(), 1.0, 0.5)
     with pytest.raises(ContractError, match="Im z"):
-        _far_field(ops[0.0].shifted(1.0), junction)
+        _far_field(ops[0.0].shifted(1.0), junction, junction)
 
 
 @pytest.mark.parametrize("case", ["free", "hyperbolic3", "square-well", "multiend"])
@@ -930,7 +940,7 @@ def test_frozen_products_match_the_dirichlet_sums(case):
     # sums, match node-by-node sums of the whole-prefix Dirichlet solutions;
     # negative control: the endless roots' terms alone, without the wall's
     # echo, miss
-    from endspec.experiments import _far_field, _frozen_products, _tail_sums
+    from endspec.experiments import _far_field, _frozen_from, _frozen_products, _tail_sums
     model, lam, cap = {"free": (free_model(), 1.0, 0.5),
                        "hyperbolic3": (hyperbolic_model(3), 1.5, 6.5),
                        "square-well": (square_well_model(), 1.0, 0.5),
@@ -938,8 +948,9 @@ def test_frozen_products_match_the_dirichlet_sums(case):
     grid, junction, ops, weights = _far_setting(model, lam, cap)
     for op in ops.values():
         shifted = [op.shifted(complex(lam, g)) for g in (0.064, 0.032)]
-        (_, g1, l1, m), (_, g2, l2, _) = (_far_field(o, junction) for o in shifted)
-        far = junction + g1.size - 1
+        far = _frozen_from(op, junction)
+        (_, g1, l1, m), (_, g2, l2, _) = (_far_field(o, junction, far) for o in shifted)
+        assert far == junction + g1.size - 1
         got = _frozen_products(grid, far, m, 1.0, (g1[-1], l1), (g2[-1], l2))
         d1, d2 = (_dirichlet_tail(o, junction)[far - junction:-1] for o in shifted)
         w = weights[far:-1]
@@ -1071,6 +1082,23 @@ def test_hoelder_probe_diff_allocates_nothing_of_the_tail(experiment_solves):
     assert got > 0.0
     assert max(solve[1] for solve in experiment_solves) == junction
     assert peak < 2e6
+
+
+def test_hoelder_peak_memory_at_criterion_7():
+    # one criterion-7 estimate, traced: the 819,151-node shared grid's nodes
+    # and potential diagonal (6.6 MB each) and one assembly block's
+    # geometry, 16.8 MB in all; a GeometryPoint of the whole grid, formed
+    # for that one diagonal, took the peak to 59.0 MB
+    tracemalloc.start()
+    try:
+        entry = tracemalloc.get_traced_memory()[0]
+        table = hoelder_estimate(free_model(), 1.0, 1.0, seed=0, h=0.02)
+        peak = tracemalloc.get_traced_memory()[1] - entry
+    finally:
+        tracemalloc.stop()
+    assert table.verdict == "pass"
+    assert _shift_grid(free_model(), 0.064 * 0.25**3 / 2.0, 0.02).n == 819151
+    assert peak < 25e6
 
 
 def test_hoelder_refuses_a_grid_without_an_unknown_past_the_probes(experiment_solves):
@@ -1210,7 +1238,7 @@ def test_bump_values_match_full_grid_formula(grid_name, a, b, amplitude):
 
 
 def test_richardson_windows_match_full_solves():
-    from endspec.experiments import _richardson_gamma
+    from endspec.experiments import _richardson_gamma, _solve_operators
     m = euclidean_model(3)
     modes = m.modes(2.5)
     assert len(modes) == 2
@@ -1218,7 +1246,8 @@ def test_richardson_windows_match_full_solves():
     psi = Bump().normalized(grid)
     span = Bump().span(grid)
     lam, gamma_top = 2.0, 0.064
-    extrap, gaps = _richardson_gamma(m, grid, lam, gamma_top, (span.start, psi[span]),
+    ops = _solve_operators(m, grid, modes, complex(lam, gamma_top))
+    extrap, gaps = _richardson_gamma(grid, ops, lam, gamma_top, (span.start, psi[span]),
                                      modes, grid_w)
     n_w = grid_w.n
     for (mu, _), (gap1, gap2) in zip(modes, gaps):
@@ -1234,15 +1263,16 @@ def test_richardson_windows_match_full_solves():
 def test_richardson_peak_memory_in_grid_vectors(monkeypatch):
     # peak traced allocation of _richardson_gamma above its entry, in
     # complex vectors of the long grid (81,901 nodes here): one solve's
-    # diagonals and solution (4) and the operator's potential diagonal (1/2),
-    # not every shift's solution, a full-grid source or a prefix grid's nodes
+    # diagonals and solution (4), not every shift's solution, a full-grid
+    # source or a prefix grid's nodes (the operators, with their potential
+    # diagonals, are built by the caller and passed in)
     original = endspec.experiments._richardson_gamma
     peaks = []
 
-    def measured(model, grid, *args):
+    def measured(grid, *args):
         tracemalloc.reset_peak()
         entry = tracemalloc.get_traced_memory()[0]
-        out = original(model, grid, *args)
+        out = original(grid, *args)
         peaks.append((tracemalloc.get_traced_memory()[1] - entry) / (16.0 * grid.n))
         return out
 
@@ -1280,10 +1310,10 @@ def test_sommerfeld_long_grid_holds_only_its_nodes(monkeypatch):
     original = endspec.experiments._richardson_gamma
     grids = []
 
-    def recording(model, grid, *args):
+    def recording(grid, *args):
         grids.append(grid)
         assert "weights" not in vars(grid) and "nu" not in vars(grid)
-        out = original(model, grid, *args)
+        out = original(grid, *args)
         assert "weights" not in vars(grid) and "nu" not in vars(grid)
         return out
 

@@ -193,6 +193,23 @@ def test_weighted_norm_log_space():
     assert np.log(v) == pytest.approx(expected_log, abs=1e-4)
 
 
+def test_weighted_norm_log_space_matches_an_exact_sum():
+    # the log-space branch (|s| log r_max >= 300) where r^{2s} alone
+    # overflows (16384^80 ~ 1e338) but the norm does not, with zeros in phi:
+    # the quadrature sum in 40-digit arithmetic (6e-15 relative here)
+    mpmath = pytest.importorskip("mpmath")
+    grid = uniform_grid(2.0**14, 1.0)
+    s = 40.0
+    with np.errstate(over="ignore"):
+        assert not np.all(np.isfinite(grid.radii ** (2.0 * s)))
+    phi = 1e-150 * np.cos(grid.radii) * (np.arange(grid.n) % 5 != 2)
+    with mpmath.workdps(40):
+        exact = mpmath.sqrt(mpmath.fsum(
+            mpmath.mpf(float(w)) * mpmath.mpf(float(r)) ** 80 * mpmath.mpf(float(p)) ** 2
+            for w, r, p in zip(grid.weights, grid.radii, phi)))
+        assert weighted_norm(phi, grid, s) == pytest.approx(float(exact), rel=1e-13)
+
+
 def test_nesting_inequalities():
     # || phi ||_{H_{-s}} <= c_s || phi ||_{B*} (s > 1/2) and
     # || phi ||_{B*} <= sqrt(2) || phi ||_{H_{-1/2}}

@@ -11,12 +11,16 @@ import endspec.solver
 from endspec.errors import (AbsorptionError, BranchError, ConditioningError,
                             ContractError, ResolutionError)
 from endspec.experiments import (besov_energy_check, hoelder_estimate, lap_sweep,
-                                 radiation_sweep)
-from endspec.models import (euclidean_model, free_model, multiend_model,
-                            square_well_model)
+                                 radiation_sweep, sommerfeld_compare)
+from endspec.geometry import geometric_split, geometry_at, power_profile
+from endspec.models import (Model, euclidean_model, exp_model, free_model,
+                            hyperbolic_model, multiend_model, power_model,
+                            square_well_model, stretched_exp_model,
+                            tabulated_model)
 from endspec.phase import r_lambda
 from endspec.radial import (FIRST_UNKNOWN, OuterPolicy, RadialOperator,
-                            l2_norm, smooth_bump, uniform_grid)
+                            assemble_mode_operators, l2_norm, smooth_bump,
+                            uniform_grid)
 from endspec.solver import (_RESIDUAL_BLOCK, EigenEntry, eigen_scan,
                             eigen_scan_tridiag, outgoing_row, resolve)
 
@@ -323,30 +327,58 @@ def test_resolvent_singular_matrix():
 
 
 def _count_geometry(monkeypatch):
-    """Record the grid size of each geometry_at call, per calling module."""
+    """Record a copy of the radii of each geometry_at call, per calling module."""
     calls = {"experiments": [], "radial": []}
     for name in calls:
         module = getattr(endspec, name)
         original = module.geometry_at
 
         def counting(profile, r, seen=calls[name], original=original):
-            seen.append(r.size)
+            seen.append(np.array(r))
             return original(profile, r)
 
         monkeypatch.setattr(module, "geometry_at", counting)
     return calls
 
 
+def _assert_blocks_cover(calls, grid):
+    """The calls took every node of ``grid`` once, in order, in blocks of
+    at most ``radial._ASSEMBLY_BLOCK`` radii, one per block."""
+    block = endspec.radial._ASSEMBLY_BLOCK
+    assert len(calls) == -(-grid.n // block)
+    assert all(r.size <= block for r in calls)
+    assert np.array_equal(np.concatenate(calls), grid.radii)
+
+
 def test_hoelder_evaluates_geometry_once_per_grid(monkeypatch):
+    # the shared grid's potential diagonals are built block by block, both
+    # modes from each block's geometry: every node's geometry is taken once,
+    # and never on more than _ASSEMBLY_BLOCK radii at a time.  (Before, one
+    # call took the whole grid, and the GeometryPoint it returned, dropped
+    # after one diagonal per mode, set the estimate's peak memory.)
     calls = _count_geometry(monkeypatch)
     m = euclidean_model(3)
     modes = m.modes(2.5)
     assert len(modes) == 2
-    table = hoelder_estimate(m, 1.0, 1.0, gamma_top=0.256, n_pairs=2,
-                             n_probes=3, h=0.05, mode_cap=2.5)
+    table = hoelder_estimate(m, 1.0, 1.0, gamma_top=0.064, n_pairs=2,
+                             n_probes=3, h=0.02, mode_cap=2.5)
     assert len(table.rows) == 2
-    assert len(calls["experiments"]) == 1
-    assert calls["radial"] == []
+    grid = m.make_grid(table.meta["r_max"], 0.02)
+    assert grid.n == 51151 and len(calls["radial"]) == 2
+    assert calls["experiments"] == []
+    _assert_blocks_cover(calls["radial"], grid)
+
+
+def test_sommerfeld_evaluates_geometry_once_on_the_long_grid(monkeypatch):
+    # one assembly on the long grid, block by block, serves the shift
+    # solves and, as views of its first nodes, the window's outgoing solve
+    calls = _count_geometry(monkeypatch)
+    m = euclidean_model(3)
+    rep = sommerfeld_compare(m, 2.0, h=0.05, gamma_top=2e-2, mode_cap=2.5)
+    grid = m.make_grid(rep.meta["r_big"], 0.05)
+    assert grid.n == 81901 and len(calls["radial"]) == 3
+    assert calls["experiments"] == []
+    _assert_blocks_cover(calls["radial"], grid)
 
 
 # --- the in-place solve path ------------------------------------------------------
@@ -504,6 +536,51 @@ def test_shared_geometry_diagonals_match_per_mode_assembly():
         fresh = m.operator(mu, grid, 2.0 + 0.1j)
         assert np.array_equal(ops[mu].potential_diag.view(np.uint64),
                               fresh.potential_diag.view(np.uint64))
+
+
+def _assembly_presets():
+    rt = np.linspace(1.0, 128.0, 509)
+    return {"free": free_model(), "power1-d3": power_model(1.0, 3),
+            "euclidean-d2": euclidean_model(2), "euclidean-d3": euclidean_model(3),
+            "exp-lower": exp_model(1.0, 3, lower_c=0.5, lower_theta=0.5),
+            "stretchedexp": stretched_exp_model(1.0, 0.5, 3),
+            "tabulated": tabulated_model(rt, rt**1.5 + rt, 3),
+            "hyperbolic-d3": hyperbolic_model(3), "square-well": square_well_model(),
+            "multiend": multiend_model(),
+            # q_geom, mu/(2f) and V all nonzero, so the operand order shows
+            "power1-d3-coulomb": Model(
+                name="coulomb", profile=power_profile(1.0, 3),
+                potential=geometric_split(power_profile(1.0, 3),
+                                          V_long=lambda r: 0.3 / r,
+                                          dV_long=lambda r: -0.3 / r**2,
+                                          d2V_long=lambda r: 0.6 / r**3))}
+
+
+@pytest.mark.parametrize("blocks", ["n<B", "n=5B", "n=4B+1", "band-split"])
+@pytest.mark.parametrize("preset", list(_assembly_presets()))
+def test_blocked_diagonals_equal_whole_grid_assembly(preset, blocks, monkeypatch):
+    # the diagonals built block by block are q_geom + mu/(2f) + V of one
+    # whole-grid evaluation, bit for bit, for every mode: on a grid shorter
+    # than a block, on whole blocks only, with a one-node last block, and
+    # with block edges at nodes 7 and 14 inside the band r < r0 = 2 (nodes
+    # 0-19), where the cutoff terms are evaluated; the multiend line grid
+    # runs from x = -24 with r clamped at 1
+    m = _assembly_presets()[preset]
+    grid = m.make_grid(101.2, 0.05)
+    assert grid.n == (2505 if preset == "multiend" else 2005)
+    block = {"n<B": grid.n + 1, "n=5B": grid.n // 5, "n=4B+1": (grid.n - 1) // 4,
+             "band-split": 7}[blocks]
+    monkeypatch.setattr(endspec.radial, "_ASSEMBLY_BLOCK", block)
+    mus = [mu for mu, _ in m.modes(6.5)]
+    pt = geometry_at(m.profile, grid.radii)
+    v = np.asarray(m.potential.V(grid.nodes), dtype=float)
+    ops = assemble_mode_operators(m.profile, m.potential, mus, grid, 1.0 + 0.1j)
+    assert [op.mu for op in ops] == mus
+    for mu, op in zip(mus, ops):
+        whole = pt.q_geom + mu / (2.0 * pt.f) + v
+        assert op.potential_diag.tobytes() == whole.tobytes()
+        single = m.operator(mu, grid, 1.0 + 0.1j)
+        assert single.potential_diag.tobytes() == whole.tobytes()
 
 
 # --- NaN growth and residual --------------------------------------------------------
