@@ -28,9 +28,9 @@ by the schema below; lists are comma-separated.
                      # escape_sawtooth K (default 1.0)
 
     [grid]
-    r_max = 64.0
-    h = 0.02
-    mode_cap = 6.5
+    r_max = 64.0     # > 1
+    h = 0.02         # > 0
+    mode_cap = 6.5   # >= 0
 
     [output]
     directory = out
@@ -54,7 +54,7 @@ by the schema below; lists are comma-separated.
     tol = 1e-4               # sommerfeld agreement tolerance
     gamma_top = 0.002
     window_r_max = 64.0
-    seed = 0                 # hoelder probe seed
+    seed = 0                 # hoelder probe seed, >= 0
     n_pairs = 4              # hoelder ladder length, >= 2
     n_probes = 8             # hoelder probe count, >= 1
 
@@ -270,6 +270,8 @@ def parse_config(text: str) -> RunConfig:
         errors.append("[grid]: h must be positive")
     if grid["r_max"] <= 1:
         errors.append("[grid]: r_max must exceed 1")
+    if grid["mode_cap"] < 0:
+        errors.append("[grid]: mode_cap must be >= 0")
 
     for exp in experiments:
         where = f"[experiment {exp.name}]"
@@ -300,10 +302,9 @@ def parse_config(text: str) -> RunConfig:
             errors.append(f"{where}: s must exceed 1/2, got {exp.options['s']}")
         if "sign" in exp.options and exp.options["sign"] not in (1, -1):
             errors.append(f"{where}: sign must be +1 or -1")
-        if exp.options.get("n_pairs", 2) < 2:
-            errors.append(f"{where}: n_pairs must be >= 2, got {exp.options['n_pairs']}")
-        if exp.options.get("n_probes", 1) < 1:
-            errors.append(f"{where}: n_probes must be >= 1, got {exp.options['n_probes']}")
+        for key, least in (("n_pairs", 2), ("n_probes", 1), ("seed", 0)):
+            if exp.options.get(key, least) < least:
+                errors.append(f"{where}: {key} must be >= {least}, got {exp.options[key]}")
         for req in _EXPERIMENT_NEEDS[exp.kind]:
             if req not in exp.options:
                 errors.append(f"{where}: kind {exp.kind!r} requires key {req!r}")

@@ -195,30 +195,17 @@ def _shift_grid(model: Model, gamma_min: float, h: float,
     return grid
 
 
-def _mode_operators(model: Model, grid: RadialGrid, modes, z: complex):
-    """One operator per mode, assembled at z, and the geometry on the grid,
-    for the sweeps that read it (``_apply_pr``, ``_h_densities``).
-
-    The geometry (at the radii) and the potential (at the nodes) are
-    evaluated once on the whole grid and shared by every mode's potential
-    diagonal.  Callers that only solve take ``_solve_operators``, which
-    forms no whole-grid geometry.  Other z reuse the diagonals through
-    ``RadialOperator.shifted``.
-    """
-    pt = geometry_at(model.profile, grid.radii)
-    background = (pt, model.potential.V(grid.nodes))
-    return {mu: model.operator(mu, grid, z, background=background)
-            for mu, _ in modes}, pt
-
-
-def _solve_operators(model: Model, grid: RadialGrid, modes, z: complex) -> dict:
-    """mu -> the operator of each mode at z, for callers that only solve:
-    the potential diagonals are built block by block, each block's geometry
-    shared by every mode (``assemble_mode_operators``), with no GeometryPoint
-    of the whole grid; they are ``_mode_operators``' diagonals bit for bit."""
+def _mode_operators(model: Model, grid: RadialGrid, modes, z: complex,
+                    background: tuple | None = None) -> dict:
+    """mu -> the operator of each mode at z, all from one
+    ``assemble_mode_operators`` call: from ``background`` = (GeometryPoint,
+    V) on the whole grid, which the sweeps evaluate once for what they read
+    (``_apply_pr``, ``_h_densities``), or block by block, the same bit for
+    bit, with no GeometryPoint of the whole grid.  Other z reuse the
+    diagonals through ``RadialOperator.shifted``."""
     mus = [mu for mu, _ in modes]
     return dict(zip(mus, assemble_mode_operators(model.profile, model.potential,
-                                                 mus, grid, z)))
+                                                 mus, grid, z, background=background)))
 
 
 def _solve_modes(ops, z: complex, psi_vals, policy=None):
@@ -375,9 +362,9 @@ def lap_sweep(model: Model, lam: float, gammas=(0.1, 0.01, 0.001),
     psi_vals = psi.normalized(grid)
     modes = model.modes(mode_cap)
     psi_b = _mode_besov(grid, {mu: psi_vals for mu, _ in modes}, modes).b
+    pt = geometry_at(model.profile, grid.radii)
     vvals = np.asarray(model.potential.V(grid.nodes), dtype=float)
-
-    ops, pt = _mode_operators(model, grid, modes, complex(lam, gammas[0]))
+    ops = _mode_operators(model, grid, modes, complex(lam, gammas[0]), (pt, vvals))
 
     rows = []
     for g in gammas:
@@ -443,7 +430,9 @@ def radiation_sweep(model: Model, lam: float, gammas=(0.1, 0.01, 0.001),
     modes = model.modes(mode_cap)
     r_lam = r_lambda(model.profile, model.potential, lam, lambda0=lam0)
     nu_far = _radiation_zone(r_lam, psi)
-    ops, pt = _mode_operators(model, grid, modes, complex(lam, gammas[0]))
+    pt = geometry_at(model.profile, grid.radii)
+    ops = _mode_operators(model, grid, modes, complex(lam, gammas[0]),
+                          (pt, model.potential.V(grid.nodes)))
     weighted = []  # (beta, r^beta, ||r^beta psi||_B): none depends on Gamma
     for b in betas:
         w = grid.radii**b
@@ -720,7 +709,7 @@ def _tail_sums(r_far: float, h: float, m: int, s: float, alphas, betas) -> np.nd
     return sums
 
 
-def _probe_diff(ops, modes, z1, z2, sources, weights, s: float) -> float:
+def _probe_diff(ops, modes, z1, z2, sources, weights, fars, s: float) -> float:
     """max over probes of ||R(z1) psi - R(z2) psi||_{H_-s} / ||psi||_{H_s}.
 
     ``weights`` are the quadrature weights of ||.||_{H_-s}^2,
@@ -730,13 +719,15 @@ def _probe_diff(ops, modes, z1, z2, sources, weights, s: float) -> float:
     prefix of that domain (``hoelder_estimate`` trims each pair's): the
     prefix's interior weights are the same, a probe's start and in-span
     values are the same on any prefix that holds its span, and its H_s
-    norm is the one given.
+    norm is the one given.  ``fars`` maps each mode to its F on that
+    domain, which a prefix whose wall lies past it shares bit for bit (the
+    nodes from F + 1 to the wall carry the wall's diagonal and r' = 1); a
+    prefix whose wall is at or before F scans its own tail.
 
     Every probe lies on nodes < J, the first node past all their spans, so
     each (mode, z) takes its far field G once, for a unit source at J
     (``_far_field``: one solve up to F, and the closed form past it), and
-    each probe then solves only on nodes <= J with the near operator.  F is
-    found once per mode: z1 and z2 share the potential diagonal.
+    each probe then solves only on nodes <= J with the near operator.
     Beyond J the two solutions of a probe are c1 G1 and c2 G2, c their
     values at J; with e = c1 - c2 and D = G1 - G2 their difference there is
     e G1 + c2 D, whose weighted sum of squares is
@@ -761,7 +752,9 @@ def _probe_diff(ops, modes, z1, z2, sources, weights, s: float) -> float:
     near_w = weights[:junction]
     num_sq = np.zeros(len(sources))
     for mu, mult in modes:
-        far = _frozen_from(ops[mu], junction)
+        far = fars[mu]
+        if far >= ops[mu].grid.n - 1:
+            far = _frozen_from(ops[mu], junction)
         near1, g1, log1, m = _far_field(ops[mu].shifted(z1), junction, far)
         near2, g2, log2, _ = _far_field(ops[mu].shifted(z2), junction, far)
         mid_w, dg = weights[junction:far], g1[:-1] - g2[:-1]
@@ -811,7 +804,7 @@ _ROUND_TRIP_DECAY = 39.0
 
 
 def _reach_prefix(grid: RadialGrid, ops, modes, lam: float, r_from: float):
-    """Gamma -> (grid, operators) of the shortest prefix of ``grid`` on which
+    """Gamma -> the operators on the shortest prefix of ``grid`` on which
     a shift solve at lambda + i Gamma has, up to ``r_from``, the values of an
     endless domain.
 
@@ -822,8 +815,8 @@ def _reach_prefix(grid: RadialGrid, ops, modes, lam: float, r_from: float):
     (mu/(2f) >= 0 only raises the others): kappa bounds the decay rate of
     every mode's wave there from below, so a Dirichlet wall at the reach
     returns below e^{-_ROUND_TRIP_DECAY} of it to r_from.  A reach past the
-    last node gives ``grid`` and ``ops`` themselves; a prefix's grid and
-    operators are views of the whole grid and its potential diagonals.
+    last node gives ``ops`` themselves; a prefix's operators carry its grid,
+    and both are views of the whole grid and its potential diagonals.
     Needs Gamma > 0.
     """
     # modes are sorted by mu, and the lowest mode's diagonal is the lowest
@@ -834,9 +827,9 @@ def _reach_prefix(grid: RadialGrid, ops, modes, lam: float, r_from: float):
         kappa = cmath.sqrt(2.0 * complex(lam - w_min, gamma)).imag
         end = int(np.searchsorted(grid.nodes, r_from + _ROUND_TRIP_DECAY / (2.0 * kappa)))
         if end >= grid.n - 1:
-            return grid, ops
+            return ops
         grid_p = grid.prefix(end + 1)
-        return grid_p, {mu: _on_prefix(op, grid_p) for mu, op in ops.items()}
+        return {mu: _on_prefix(op, grid_p) for mu, op in ops.items()}
     return prefix
 
 
@@ -847,7 +840,8 @@ def hoelder_estimate(model: Model, lam: float, s: float = 1.0, gamma_top: float 
 
     Pairs (z, z') = (lambda + i Gamma, lambda + i Gamma/2) on a geometric
     Gamma-ladder of ``n_pairs`` >= 2 pairs; the measured operator quantity
-    is the max over a seeded set of ``n_probes`` >= 1 probes of
+    is the max over a set of ``n_probes`` >= 1 probes, drawn from
+    ``seed`` >= 0, of
     || R(z) psi - R(z') psi ||_{H_{-s}} / || psi ||_{H_s}.  Verdict "pass"
     when the fitted exponent stays above the predicted floor
     min{(2s-1)/(2s+1), beta_c/(beta_c+1)} minus ``_HOELDER_SLACK`` = 0.1.
@@ -855,25 +849,25 @@ def hoelder_estimate(model: Model, lam: float, s: float = 1.0, gamma_top: float 
     The shared domain (``meta["r_max"]``) absorbs the smallest Gamma/2,
     Gamma (R_max - 1) >= ``ABSORPTION``; the probes, their H_s norms and the
     potential diagonals are taken on it once, the diagonals block by block
-    with no geometry of the whole grid (``_solve_operators``).  Each pair
-    then solves on the prefix of it that its slower wave (Gamma/2) reaches
-    from the outermost probe support r_src (``_reach_prefix``): up to the
-    first node at or beyond r_src + 39 / (2 kappa), kappa =
-    Im sqrt(2 (lambda + i Gamma/2 - w_min)), so the reflection off the wall
-    returns below e^{-39}; a pair whose reach lies past the shared grid
-    solves on all of it.  On that prefix each (mode, z) takes the solution
-    G for a unit source at J, the first node past every probe's support:
-    solved up to F, the node past which the rows are the wall's (F = J on
-    the free end), and known in closed form from F to the wall
-    (``_far_field``).  Each probe then
-    solves only on nodes <= J, closed there by the exact row of G, and its
-    H_-s norm past F is summed over blocks of nodes in closed form
-    (``_probe_diff``, ``_tail_sums``).  The H_-s weights are formed once,
-    on the shared grid's nodes before F (before J on the free end), and
-    each pair reads them as they are.  The values equal those of solving
-    every probe of every pair on the shared domain to roundoff, not bit for
-    bit: 1.9e-11 relative at worst against the recorded values of criterion
-    7's ladder over probe seeds 0-31.
+    with no geometry of the whole grid (``_mode_operators``), and so is each
+    mode's F.  Each pair then solves on the prefix of it that its slower
+    wave (Gamma/2) reaches from the outermost probe support r_src
+    (``_reach_prefix``): up to the first node at or beyond
+    r_src + 39 / (2 kappa), kappa = Im sqrt(2 (lambda + i Gamma/2 - w_min)),
+    so the reflection off the wall returns below e^{-39}; a pair whose reach
+    lies past the shared grid solves on all of it.  On that prefix each
+    (mode, z) takes the solution G for a unit source at J, the first node
+    past every probe's support: solved up to F, the node past which the rows
+    are the wall's (F = J on the free end), and known in closed form from F
+    to the wall (``_far_field``).  Each probe then solves only on nodes
+    <= J, closed there by the exact row of G, and its H_-s norm past F is
+    summed over blocks of nodes in closed form (``_probe_diff``,
+    ``_tail_sums``).  The H_-s weights are formed once, on the shared grid's
+    nodes before F (before J on the free end), and each pair reads them as
+    they are.  The values equal those of solving every probe of every pair
+    on the shared domain to roundoff, not bit for bit: 1.9e-11 relative at
+    worst against the recorded values of criterion 7's ladder over probe
+    seeds 0-31.
     """
     if not s > 0.5:
         raise ContractError("Hoelder continuity needs s > 1/2")
@@ -881,6 +875,8 @@ def hoelder_estimate(model: Model, lam: float, s: float = 1.0, gamma_top: float 
         raise ContractError("a Hoelder exponent needs n_pairs >= 2 pairs to fit")
     if n_probes < 1:
         raise ContractError("a Hoelder estimate needs n_probes >= 1")
+    if seed < 0:
+        raise ContractError(f"the probe seed must be >= 0, got {seed}")
     if not gamma_top > 0.0:
         raise ContractError(f"gamma_top must be positive, got {gamma_top}")
     lam0 = _check_window(model, lam)
@@ -890,20 +886,20 @@ def hoelder_estimate(model: Model, lam: float, s: float = 1.0, gamma_top: float 
     modes = model.modes(mode_cap)
     probes = probe_set(grid, n_probes, seed)
     sources = _probe_sources(probes, grid, s)
-    ops = _solve_operators(model, grid, modes, complex(lam, gammas[0]))
+    ops = _mode_operators(model, grid, modes, complex(lam, gammas[0]))
     prefix = _reach_prefix(grid, ops, modes, lam, max(p.b for p in probes))
     # the H_-s weights of the nodes any pair sums node by node: before F,
     # which on no prefix lies past F of the shared grid
     junction = max(start + vals.size for start, vals, _ in sources)
-    far = max(_frozen_from(op, junction) for op in ops.values())
+    fars = {mu: _frozen_from(op, junction) for mu, op in ops.items()}
+    far = max(fars.values())
     weights = norm_weights(grid.prefix(far + 1), -s)[:far]
 
     def pair_diff(g):
         # the pair's grid and operators are released on return, before the
         # next pair's are built; the slower wave of the pair is at Gamma/2
-        ops_p = prefix(0.5 * g)[1]
-        return _probe_diff(ops_p, modes, complex(lam, g), complex(lam, 0.5 * g),
-                           sources, weights, s)
+        return _probe_diff(prefix(0.5 * g), modes, complex(lam, g),
+                           complex(lam, 0.5 * g), sources, weights, fars, s)
 
     rows = [[g, 0.5 * g, pair_diff(g)] for g in gammas]
 
@@ -952,10 +948,9 @@ def _richardson_gamma(grid, ops, lam, gamma_top, psi, modes, grid_w):
     sols = []
     for f in (1.0, 0.5, 0.25):
         z = complex(lam, gamma_top * f)
-        _, ops_p = prefix(gamma_top * f)
         sols.append({mu: resolve(op.shifted(z), psi,
                                  allow_unabsorbed=True).phi[:n_w].copy()
-                     for mu, op in ops_p.items()})
+                     for mu, op in prefix(gamma_top * f).items()})
     extrap, gaps = {}, []
     for mu, _ in modes:
         extrap[mu] = 2.0 * sols[2][mu] - sols[1][mu]
@@ -978,7 +973,7 @@ def sommerfeld_compare(model: Model, lam: float, psi: Bump = Bump(),
     the dispersion floor count as decayed).
 
     The operators are assembled once, on the long domain, block by block
-    (``_solve_operators``); the window is its first nodes, and the outgoing
+    (``_mode_operators``); the window is its first nodes, and the outgoing
     solve takes views of their diagonals.  The shift solves need
     ``gamma_top`` > 0.  Each runs on the prefix of the long domain that its
     wave reaches from the window edge
@@ -1009,7 +1004,7 @@ def sommerfeld_compare(model: Model, lam: float, psi: Bump = Bump(),
     # grid's operators, assembled once, serve the window solve as views, and
     # the shift solves take the outgoing solve's source as its span there
     grid = model.make_grid(r_big, h)
-    ops = _solve_operators(model, grid, modes, complex(lam, gamma_top))
+    ops = _mode_operators(model, grid, modes, complex(lam, gamma_top))
     out_sols, _, a_sols, a_disc = _outgoing_solve(
         model, grid_w, {mu: _on_prefix(op, grid_w) for mu, op in ops.items()},
         complex(lam), sign, psi_w, r_lam)
@@ -1092,7 +1087,9 @@ def besov_energy_check(model: Model, lam: float,
     psi_bnorm = _mode_besov(grid, {mu: psi_vals for mu, _ in modes}, modes).b
     rr = grid.radii
 
-    ops, pt = _mode_operators(model, grid, modes, complex(lam, gammas[0]))
+    pt = geometry_at(model.profile, rr)
+    ops = _mode_operators(model, grid, modes, complex(lam, gammas[0]),
+                          (pt, model.potential.V(grid.nodes)))
     states = {}
     for g in gammas:
         sols, dsols = _solve_modes(ops, complex(lam, g), psi_vals)

@@ -61,10 +61,9 @@ class Model:
         return profile_modes(self.profile, cap)
 
     def operator(self, mu: float, grid: RadialGrid, z: complex,
-                 policy: OuterPolicy | None = None,
-                 background: tuple | None = None):
+                 policy: OuterPolicy | None = None):
         return assemble_radial_operator(self.profile, self.potential, mu, grid,
-                                        z, policy, background)
+                                        z, policy)
 
     def scan(self, interval, r_max: float, h: float) -> EigenScanResult:
         """Eigenvalue scan of the mode mu = 0 up to ``r_max``: ``eigen_scan``

@@ -15,12 +15,12 @@ is second-order accurate.
 A discretized operator stores only the real potential diagonal
 q_geom + mu/(2f) + V, evaluated once per (mu, grid); the spectral parameter
 z enters as a shift of that diagonal, so moving to another z
-(``RadialOperator.shifted``) re-evaluates no geometry.  Without a geometry
-already evaluated on the grid, the diagonals of all modes are built over
-blocks of ``_ASSEMBLY_BLOCK`` nodes (``assemble_mode_operators``), so a
-long grid that only carries solves never holds its whole geometry.  The
-off-diagonals are the constant -1/(2h^2), and the complex diagonals are
-derived on access.  Solving lives in ``solver.resolve``.
+(``RadialOperator.shifted``) re-evaluates no geometry.  All the modes of
+a grid get their diagonals from one ``assemble_mode_operators`` call, from
+a (GeometryPoint, V) the caller holds or over blocks of ``_ASSEMBLY_BLOCK``
+nodes, so a long grid that only carries solves never holds its whole
+geometry.  The off-diagonals are the constant -1/(2h^2), and the complex
+diagonals are derived on access.  Solving lives in ``solver.resolve``.
 
 Besov norms are computed from the dyadic annuli R_nu = 2^nu:
 
@@ -118,9 +118,12 @@ class RadialGrid:
         return self.section(slice(0, n))
 
     def section(self, span: slice) -> "RadialGrid":
-        """The grid of the nodes in ``span``, as views of this grid's arrays.
-        Its trapezoid weights are this grid's, except h/2 at an end of the
-        section that is not an end of this grid."""
+        """The grid of the nodes in ``span``, as views of this grid's arrays
+        (this grid itself if ``span`` covers it).  Its trapezoid weights are
+        this grid's, except h/2 at an end of the section that is not an end
+        of this grid."""
+        if span.indices(self.n) == (0, self.n, 1):
+            return self
         nodes = self.nodes[span]
         radii = nodes if self.radii is self.nodes else self.radii[span]
         return RadialGrid(nodes=nodes, radii=radii, dr=self.dr[span],
@@ -208,6 +211,8 @@ def mode_spectrum(cap: float, d: int) -> tuple:
 
 
 def profile_modes(profile: WarpProfile, cap: float) -> tuple:
+    if cap < 0:
+        raise ContractError("cap must be >= 0")
     if profile.d == 1:
         return ((0.0, 1),)
     return mode_spectrum(cap, profile.d)
@@ -348,7 +353,7 @@ def assemble_mode_operators(profile: WarpProfile, potential: PotentialSplit,
                             policy: OuterPolicy | None = None,
                             background: tuple | None = None) -> list:
     """One operator h_mu - z on the grid per mode in ``mus``, each with the
-    given outer policy (``assemble_radial_operator`` for one mode).
+    given outer policy: the one place a potential diagonal is formed.
 
     ``background`` = (GeometryPoint, V) already evaluated on the grid gives
     every diagonal from it.  None builds them over blocks of
@@ -356,25 +361,22 @@ def assemble_mode_operators(profile: WarpProfile, potential: PotentialSplit,
     (at the nodes) are evaluated once and shared by every mode, and no
     GeometryPoint of the whole grid is formed, so callers that only solve
     hold nothing of the grid's length but its nodes and the diagonals (a
-    grid of one block is evaluated on its own arrays).  Every step is
-    elementwise, so both give the same diagonals bit for bit.
+    grid of one block is its own block, ``RadialGrid.section``).  Every step
+    is elementwise, so both give the same diagonals bit for bit.
     A negative mu (ContractError) and an under-resolved z
     (``_resolution_guard``) are refused before anything is evaluated.
     """
     if any(mu < 0 for mu in mus):
         raise ContractError("mode eigenvalue mu must be >= 0")
     _resolution_guard(grid.h, z)
-    if background is None and grid.n <= _ASSEMBLY_BLOCK:
-        # one block: the grid's own arrays, with no copy into the diagonals
-        background = (geometry_at(profile, grid.radii), potential.V(grid.nodes))
     if background is not None:
         diags = [_potential_diagonal(*background, mu) for mu in mus]
     else:
         diags = [np.empty(grid.n) for _ in mus]
         for lo in range(0, grid.n, _ASSEMBLY_BLOCK):
             span = slice(lo, lo + _ASSEMBLY_BLOCK)
-            block = (geometry_at(profile, grid.radii[span]),
-                     potential.V(grid.nodes[span]))
+            part = grid.section(span)
+            block = (geometry_at(profile, part.radii), potential.V(part.nodes))
             for mu, diag in zip(mus, diags):
                 diag[span] = _potential_diagonal(*block, mu)
     return [RadialOperator(mu=float(mu), z=complex(z),
@@ -385,8 +387,7 @@ def assemble_mode_operators(profile: WarpProfile, potential: PotentialSplit,
 
 def assemble_radial_operator(profile: WarpProfile, potential: PotentialSplit,
                              mu: float, grid: RadialGrid, z: complex,
-                             policy: OuterPolicy | None = None,
-                             background: tuple | None = None) -> RadialOperator:
+                             policy: OuterPolicy | None = None) -> RadialOperator:
     """Discretize h_mu - z on the grid with the requested outer policy.
 
     Interior rows encode -(phi_{j-1} - 2 phi_j + phi_{j+1}) / (2 h^2)
@@ -395,14 +396,12 @@ def assemble_radial_operator(profile: WarpProfile, potential: PotentialSplit,
     (ResolutionError); z = 0 passes, so eigen-scans guard their interval.
 
     The geometry is taken at the radii and V at the nodes (on line models
-    the constant d = 1 profile leaves exactly V(x)).  Only mu/(2f) depends
-    on the mode: ``background`` = (GeometryPoint, V) already evaluated on
-    the grid lets the modes of one grid share a single evaluation; None
-    builds the diagonal block by block, with no GeometryPoint of the whole
-    grid (``assemble_mode_operators``).
+    the constant d = 1 profile leaves exactly V(x)), block by block:
+    ``assemble_mode_operators`` for the one mode.  Callers with several
+    modes on one grid, or a geometry already evaluated on it, call that
+    function once instead.
     """
-    return assemble_mode_operators(profile, potential, [mu], grid, z, policy,
-                                   background)[0]
+    return assemble_mode_operators(profile, potential, [mu], grid, z, policy)[0]
 
 
 def assemble_line_operator(v_of_x: Callable, grid: RadialGrid, z: complex,

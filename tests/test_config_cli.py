@@ -119,6 +119,35 @@ def test_hoelder_ladder_limits_validated(key, value):
         f"[experiment h]: {key} must be >= {2 if key == 'n_pairs' else 1}, got {value}"]
 
 
+_HOELDER_BLOCK = "[model]\nkind = free\n\n[experiment h]\nkind = hoelder\nlambda = 1.0\n"
+
+
+def test_negative_seed_validated():
+    # numpy's default_rng refuses a negative seed with a ValueError, which
+    # used to escape the CLI as a traceback
+    with pytest.raises(ConfigError) as err:
+        parse_config(_HOELDER_BLOCK + "seed = -1\n")
+    assert err.value.violations == ["[experiment h]: seed must be >= 0, got -1"]
+
+
+def test_negative_command_line_seed_is_an_error_verdict(tmp_path, capsys):
+    cfg = tmp_path / "h.cfg"
+    cfg.write_text(_HOELDER_BLOCK)
+    assert cli.main(["hoelder", "--config", str(cfg), "--out", str(tmp_path),
+                     "--seed", "-3"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "h: ERROR (the probe seed must be >= 0, got -3)\n"
+    assert "Traceback" not in captured.err
+
+
+def test_negative_mode_cap_validated():
+    # on d = 1 models a negative cap used to run at mu = 0, on warped ends
+    # every block errored
+    with pytest.raises(ConfigError) as err:
+        parse_config(_HOELDER_BLOCK + "\n[grid]\nmode_cap = -1\n")
+    assert err.value.violations == ["[grid]: mode_cap must be >= 0"]
+
+
 @pytest.mark.parametrize("kind", ["hoelder", "sommerfeld"])
 @pytest.mark.parametrize("value", ["0", "-0.002"])
 def test_non_positive_gamma_top_validated(kind, value):
@@ -873,3 +902,28 @@ def test_every_private_default_is_passed_somewhere():
                     unpassed.append(f"{module}: {node.name}.{param}")
     assert unpassed == []
 
+
+def test_every_import_is_read():
+    # a name a module imports but never reads is left behind by an edit.
+    # __init__.py re-exports what it imports, and a line marked
+    # "# noqa: F401" keeps its names bound on purpose (solver.solve_banded,
+    # which the benchmark tracer wraps)
+    import ast
+    unread = []
+    for path in sorted(Path(endspec.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        text = path.read_text()
+        lines = text.splitlines()
+        tree = ast.parse(text)
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)) \
+                    or getattr(node, "module", None) == "__future__" \
+                    or "# noqa: F401" in lines[node.end_lineno - 1]:
+                continue
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                if name not in read:
+                    unread.append(f"{path.name}: {name}")
+    assert unread == []

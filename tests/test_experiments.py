@@ -10,11 +10,11 @@ import pytest
 import endspec.experiments
 from endspec.conditions import check_conditions
 from endspec.errors import AbsorptionError, ConditioningError, ContractError
-from endspec.experiments import (Bump, WeightSpec, _ratio_verdict, _shift_grid,
-                                 besov_energy_check, hoelder_estimate,
+from endspec.experiments import (Bump, WeightSpec, _frozen_from, _ratio_verdict,
+                                 _shift_grid, besov_energy_check, hoelder_estimate,
                                  lap_sweep, probe_set, radiation_sweep,
                                  sommerfeld_compare)
-from endspec.geometry import const_profile, geometric_split
+from endspec.geometry import const_profile, geometric_split, geometry_at
 from endspec.models import (Model, euclidean_model, exp_model, free_model,
                             hyperbolic_model, multiend_model, power_model,
                             square_well_model, stretched_exp_model)
@@ -135,7 +135,8 @@ def test_h_form_on_the_line_keeps_the_escape_curvature():
     m = multiend_model()
     grid = m.make_grid(64.0, 0.05)
     modes = m.modes(6.5)
-    ops, pt = _mode_operators(m, grid, modes, complex(2.0, 0.1))
+    pt = geometry_at(m.profile, grid.radii)
+    ops = _mode_operators(m, grid, modes, complex(2.0, 0.1), (pt, m.potential.V(grid.nodes)))
     sols = {0.0: resolve(ops[0.0], Bump().normalized(grid), allow_unabsorbed=True).phi}
     rep = m.conditions()
     rr = grid.radii
@@ -565,6 +566,13 @@ def test_hoelder_slope_matches_analytic_kernel():
     assert tab.meta["epsilon_emp"] == pytest.approx(slope_analytic, abs=0.05)
 
 
+def _fars(ops, sources):
+    """mu -> F (``_frozen_from``) of each operator past J, the first node
+    past every source: the per-mode F that ``_probe_diff`` is given."""
+    junction = max(start + vals.size for start, vals, _ in sources)
+    return {mu: _frozen_from(op, junction) for mu, op in ops.items()}
+
+
 @pytest.mark.parametrize("s", [1.0, 0.75])
 def test_hoelder_probe_slices_match_full_grid_probes(s):
     # the probe difference from in-support slices, far and near solves and
@@ -577,7 +585,7 @@ def test_hoelder_probe_slices_match_full_grid_probes(s):
     modes = m.modes(2.5)
     probes = probe_set(grid, 4, seed=5)
     z1, z2 = 1.0 + 0.064j, 1.0 + 0.032j
-    ops = _mode_operators(m, grid, modes, z1)[0]
+    ops = _mode_operators(m, grid, modes, z1)
     sources = _probe_sources(probes, grid, s)
     # each probe is built and normed on its span alone: the values are the
     # whole-grid probe's bit for bit, the H_s norm to summation order
@@ -586,7 +594,8 @@ def test_hoelder_probe_slices_match_full_grid_probes(s):
         assert _same_bits(vals, whole[start:start + vals.size])
         assert not np.any(np.delete(whole, np.s_[start:start + vals.size]))
         assert norm == pytest.approx(weighted_norm(whole, grid, s), rel=1e-15, abs=0.0)
-    got = _probe_diff(ops, modes, z1, z2, sources, norm_weights(grid, -s), s)
+    got = _probe_diff(ops, modes, z1, z2, sources, norm_weights(grid, -s),
+                      _fars(ops, sources), s)
     ref = 0.0
     for p in probes:
         psi = p.values(grid)
@@ -622,10 +631,10 @@ def _shared_domain_rows(model, lam, mode_cap, s, gamma_top, n_pairs, n_probes,
     grid = _shift_grid(model, gammas[-1] / 2.0, h)
     modes = model.modes(mode_cap)
     sources = _probe_sources(probe_set(grid, n_probes, seed), grid, s)
-    ops = _mode_operators(model, grid, modes, complex(lam, gammas[0]))[0]
-    weights = norm_weights(grid, -s)
+    ops = _mode_operators(model, grid, modes, complex(lam, gammas[0]))
+    weights, fars = norm_weights(grid, -s), _fars(ops, sources)
     rows = [[g, 0.5 * g, _probe_diff(ops, modes, complex(lam, g), complex(lam, 0.5 * g),
-                                     sources, weights, s)]
+                                     sources, weights, fars, s)]
             for g in gammas]
     return rows, grid
 
@@ -686,7 +695,7 @@ def test_hoelder_top_pair_solves_a_prefix(monkeypatch):
     monkeypatch.setattr(endspec.experiments, "_far_field", recording)
     table = hoelder_estimate(m, 1.0, mode_cap=2.5, **_LADDER)
     grid = m.make_grid(table.meta["r_max"], _LADDER["h"])
-    shared = _mode_operators(m, grid, modes, 1.0 + 0.256j)[0]
+    shared = _mode_operators(m, grid, modes, 1.0 + 0.256j)
     r_src = max(p.b for p in probe_set(grid, _LADDER["n_probes"], _LADDER["seed"]))
     w_min = min(float(np.min(op.potential_diag[grid.nodes >= r_src]))
                 for op in shared.values())
@@ -721,7 +730,11 @@ def test_hoelder_pair_solves_the_far_field_once_per_mode_and_z(
     # and G is the single value G_J); on euclidean d=3 it never freezes at
     # mu = 2 and 6, which solve to the last unknown of the pair's prefix and
     # leave m = 1 node, the wall, to the closed form.  F is found once per
-    # mode on the shared grid and once per mode and pair, for both z
+    # mode on the shared grid, for both z; a pair scans its own prefix only
+    # for a mode whose wall is at or before that F: never on the free end
+    # (F = J), and for every mode of each trimmed pair on euclidean d=3,
+    # whose tails do not freeze bitwise (F is the shared grid's last
+    # unknown at mu = 2 and 6, and past every trimmed wall at mu = 0)
     model, lam, _ = _hoelder_cases()[case]
     sources, last_unknowns, closed, frozen = [], [], [], []
     recording, far_field = endspec.experiments.resolve, endspec.experiments._far_field
@@ -746,9 +759,12 @@ def test_hoelder_pair_solves_the_far_field_once_per_mode_and_z(
     monkeypatch.setattr(endspec.experiments, "_frozen_from", counting)
     table = hoelder_estimate(model, lam, mode_cap=cap, **_LADDER)
     modes, n_probes = model.modes(cap), _LADDER["n_probes"]
-    assert len(frozen) == len(modes) * (1 + len(table.rows))
     shared_n = model.make_grid(table.meta["r_max"], _LADDER["h"]).n
-    assert frozen[:len(modes)] == [shared_n] * len(modes)
+    pair_ns = [n + 2 for n in last_unknowns[::2 * len(modes)]]
+    rescanned = [] if case == "free" else [n for n in pair_ns if n < shared_n]
+    assert len(rescanned) == (0 if case == "free" else len(table.rows) - 1)
+    assert frozen == [shared_n] * len(modes) + [n for n in rescanned for _ in modes]
+    assert len(frozen) == (1 if case == "free" else 12)
     assert [mu for mu, _ in modes] == ([0.0] if case == "free" else [0.0, 2.0, 6.0])
     junction = _junction(model, table)
     per_pair = 2 * len(modes) * (1 + n_probes)
@@ -798,7 +814,7 @@ def test_hoelder_near_solve_and_far_field_compose_the_whole_solution(case, s, mo
     junction = max(start + vals.size for start, vals, _ in sources)
     weights = norm_weights(grid, -s)
     z1, z2 = complex(lam, 0.064), complex(lam, 0.032)
-    ops = _mode_operators(model, grid, modes, z1)[0]
+    ops = _mode_operators(model, grid, modes, z1)
     i0, n = FIRST_UNKNOWN, grid.n - 2
     for mu, _ in modes:
         for z in (z1, z2):
@@ -820,14 +836,15 @@ def test_hoelder_near_solve_and_far_field_compose_the_whole_solution(case, s, mo
                 assert residual <= RESIDUAL_TOL * np.linalg.norm(rhs)
     # negative control: the near system closed by a Dirichlet wall past J
     # (rho = 0) instead of the far field's row moves the difference norm
-    got = _probe_diff(ops, modes, z1, z2, sources, weights, s)
+    fars = _fars(ops, sources)
+    got = _probe_diff(ops, modes, z1, z2, sources, weights, fars, s)
     original = endspec.experiments._far_field
 
     def walled(op, junction, far):
         return (_near_operator(op, junction, 0.0),) + original(op, junction, far)[1:]
 
     monkeypatch.setattr(endspec.experiments, "_far_field", walled)
-    assert abs(_probe_diff(ops, modes, z1, z2, sources, weights, s) / got - 1.0) > 1e-6
+    assert abs(_probe_diff(ops, modes, z1, z2, sources, weights, fars, s) / got - 1.0) > 1e-6
 
 
 # --- the far field past the frozen tail ----------------------------------------
@@ -840,7 +857,7 @@ def _far_setting(model, lam, cap, s=1.0):
     grid = model.make_grid(256.0, 0.05)
     sources = _probe_sources(probe_set(grid, 4, seed=5), grid, s)
     junction = max(start + vals.size for start, vals, _ in sources)
-    ops = _mode_operators(model, grid, model.modes(cap), complex(lam, 0.064))[0]
+    ops = _mode_operators(model, grid, model.modes(cap), complex(lam, 0.064))
     return grid, junction, ops, norm_weights(grid, -s)
 
 
@@ -1037,7 +1054,7 @@ def test_frozen_start_moves_past_a_curved_radius():
     from endspec.experiments import _frozen_from, _mode_operators, _tail_sums
     model = multiend_model()
     grid = model.make_grid(256.0, 0.05)
-    op = _mode_operators(model, grid, model.modes(0.5), 1.0 + 0.064j)[0][0.0]
+    op = _mode_operators(model, grid, model.modes(0.5), 1.0 + 0.064j)[0.0]
     wall = grid.n - 1
     curved = int(np.flatnonzero(grid.dr[:wall] != 1.0)[-1])
     w = op.potential_diag
@@ -1069,13 +1086,15 @@ def test_hoelder_probe_diff_allocates_nothing_of_the_tail(experiment_solves):
     modes = model.modes(0.5)
     sources = _probe_sources(probe_set(grid, 8, 0), grid, 1.0)
     junction = max(start + vals.size for start, vals, _ in sources)
-    ops = _mode_operators(model, grid, modes, 1.0 + 0.064j)[0]
+    ops = _mode_operators(model, grid, modes, 1.0 + 0.064j)
     assert _frozen_from(ops[0.0], junction) == junction
     weights = norm_weights(grid.prefix(junction + 1), -1.0)[:junction]
+    fars = {0.0: junction}
     tracemalloc.start()
     try:
         entry = tracemalloc.get_traced_memory()[0]
-        got = _probe_diff(ops, modes, 1.0 + 0.064j, 1.0 + 0.032j, sources, weights, 1.0)
+        got = _probe_diff(ops, modes, 1.0 + 0.064j, 1.0 + 0.032j, sources, weights,
+                          fars, 1.0)
         peak = tracemalloc.get_traced_memory()[1] - entry
     finally:
         tracemalloc.stop()
@@ -1113,10 +1132,11 @@ def test_hoelder_refuses_a_grid_without_an_unknown_past_the_probes(experiment_so
     junction = max(start + vals.size for start, vals, _ in sources)
     modes = m.modes(0.5)
     z1, z2 = 1.0 + 0.064j, 1.0 + 0.032j
+    fars = _fars(_mode_operators(m, grid, modes, z1), sources)
     for n in (junction, junction + 1, junction + 2, junction + 3):
         grid_p = grid.prefix(n)
-        ops = _mode_operators(m, grid_p, modes, z1)[0]
-        args = (ops, modes, z1, z2, sources, norm_weights(grid_p, -1.0), 1.0)
+        ops = _mode_operators(m, grid_p, modes, z1)
+        args = (ops, modes, z1, z2, sources, norm_weights(grid_p, -1.0), fars, 1.0)
         if n < junction + 3:
             with pytest.raises(ContractError, match="past node"):
                 _probe_diff(*args)
@@ -1142,13 +1162,14 @@ def test_reach_prefix_ends_at_the_reach_node(case, monkeypatch):
     grid = model.make_grid(1024.0, 0.05)
     modes = model.modes(2.5)
     assert len(modes) == (2 if case == "euclidean3" else 1)
-    ops = _mode_operators(model, grid, modes, complex(lam, 0.1))[0]
+    ops = _mode_operators(model, grid, modes, complex(lam, 0.1))
     prefix = _reach_prefix(grid, ops, modes, lam, r_from)
     w_min = min(float(np.min(op.potential_diag[grid.nodes >= r_from]))
                 for op in ops.values())
     for gamma in (0.2, 0.05):
         reach = _reach(r_from, lam, w_min, gamma)
-        grid_p, ops_p = prefix(gamma)
+        ops_p = prefix(gamma)
+        grid_p = ops_p[modes[0][0]].grid
         end = grid_p.n - 1
         assert end < grid.n - 1
         assert grid.nodes[end - 1] < reach <= grid.nodes[end]
@@ -1168,11 +1189,11 @@ def test_reach_prefix_ends_at_the_reach_node(case, monkeypatch):
     # a reach past the last node, or a wall that never echoes, keeps the
     # whole domain: the input grid and operators themselves
     assert _reach(r_from, lam, w_min, 0.01) > grid.nodes[-1]
-    grid_p, ops_p = prefix(0.01)
-    assert grid_p is grid and ops_p is ops
+    ops_p = prefix(0.01)
+    assert ops_p is ops and ops_p[modes[0][0]].grid is grid
     monkeypatch.setattr(endspec.experiments, "_ROUND_TRIP_DECAY", np.inf)
-    grid_p, ops_p = prefix(0.2)
-    assert grid_p is grid and ops_p is ops
+    ops_p = prefix(0.2)
+    assert ops_p is ops and ops_p[modes[0][0]].grid is grid
 
 
 @pytest.mark.parametrize("kw, message", [
@@ -1183,6 +1204,13 @@ def test_hoelder_refuses_ladders_that_fit_nothing(kw, message):
     # an IndexError: each is refused before any solve
     with pytest.raises(ContractError, match=message):
         hoelder_estimate(free_model(), 1.0, 1.0, gamma_top=0.256, h=0.05, **kw)
+
+
+def test_hoelder_refuses_a_negative_seed(experiment_solves):
+    # numpy's default_rng raised a ValueError, not a ContractError
+    with pytest.raises(ContractError, match="seed must be >= 0"):
+        hoelder_estimate(free_model(), 1.0, 1.0, gamma_top=0.256, h=0.05, seed=-1)
+    assert experiment_solves == []
 
 
 @pytest.mark.parametrize("grid_of", [
@@ -1238,7 +1266,7 @@ def test_bump_values_match_full_grid_formula(grid_name, a, b, amplitude):
 
 
 def test_richardson_windows_match_full_solves():
-    from endspec.experiments import _richardson_gamma, _solve_operators
+    from endspec.experiments import _mode_operators, _richardson_gamma
     m = euclidean_model(3)
     modes = m.modes(2.5)
     assert len(modes) == 2
@@ -1246,7 +1274,7 @@ def test_richardson_windows_match_full_solves():
     psi = Bump().normalized(grid)
     span = Bump().span(grid)
     lam, gamma_top = 2.0, 0.064
-    ops = _solve_operators(m, grid, modes, complex(lam, gamma_top))
+    ops = _mode_operators(m, grid, modes, complex(lam, gamma_top))
     extrap, gaps = _richardson_gamma(grid, ops, lam, gamma_top, (span.start, psi[span]),
                                      modes, grid_w)
     n_w = grid_w.n

@@ -7,7 +7,8 @@ from endspec.geometry import (const_profile, exp_profile, geometric_split,
 from endspec.radial import (OuterPolicy, assemble_line_operator,
                             assemble_radial_operator,
                             besov_from_modes, besov_norms, inner, l2_norm,
-                            line_grid, mode_spectrum, smooth_bump, uniform_grid, weighted_norm)
+                            line_grid, mode_spectrum, profile_modes, smooth_bump,
+                            uniform_grid, weighted_norm)
 
 
 # --- mode spectra -------------------------------------------------------------
@@ -34,6 +35,16 @@ def test_spectrum_refusals():
         mode_spectrum(-1.0, 3)
     with pytest.raises(ContractError):
         mode_spectrum(1.0, 1)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_profile_modes_refuse_a_negative_cap_at_every_d(d):
+    # d = 1 has the one mode mu = 0 whatever the cap, yet a negative cap is
+    # refused there as on the spheres (it used to return ((0.0, 1),))
+    prof = const_profile(d=d)
+    assert profile_modes(prof, 0.0) == ((0.0, 1),)
+    with pytest.raises(ContractError, match="cap"):
+        profile_modes(prof, -1.0)
 
 
 # --- grids and norms ----------------------------------------------------------

@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -505,10 +506,21 @@ def test_lap_sweep_evaluates_geometry_once(monkeypatch, gammas):
     calls = _count_geometry(monkeypatch)
     m = euclidean_model(3)
     assert len(m.modes(6.5)) == 3
+    # V on the sweep grid is evaluated once too: the operators' diagonals
+    # and the H0 phi = psi + (z - V) phi of every row read the same array
+    v_calls, v_of = [], m.potential.V
+
+    def counting_v(x):
+        v_calls.append(np.array(x))
+        return v_of(x)
+
+    m = dataclasses.replace(m, potential=dataclasses.replace(m.potential, V=counting_v))
     table = lap_sweep(m, 1.0, gammas, h=0.05, mode_cap=6.5)
     assert len(table.rows) == len(gammas)
     assert len(calls["experiments"]) == 1
     assert calls["radial"] == []
+    grid = m.make_grid(table.meta["r_max"], 0.05)
+    assert sum(np.array_equal(x, grid.nodes) for x in v_calls) == 1
 
 
 @pytest.mark.parametrize("sweep", [
@@ -530,7 +542,9 @@ def test_shared_geometry_diagonals_match_per_mode_assembly():
     m = euclidean_model(3)
     grid = m.make_grid(64.0, 0.05)
     modes = m.modes(6.5)
-    ops, pt = endspec.experiments._mode_operators(m, grid, modes, 2.0 + 0.1j)
+    pt = geometry_at(m.profile, grid.radii)
+    ops = endspec.experiments._mode_operators(m, grid, modes, 2.0 + 0.1j,
+                                              (pt, m.potential.V(grid.nodes)))
     assert pt is not None
     for mu, _ in modes:
         fresh = m.operator(mu, grid, 2.0 + 0.1j)
@@ -576,11 +590,17 @@ def test_blocked_diagonals_equal_whole_grid_assembly(preset, blocks, monkeypatch
     v = np.asarray(m.potential.V(grid.nodes), dtype=float)
     ops = assemble_mode_operators(m.profile, m.potential, mus, grid, 1.0 + 0.1j)
     assert [op.mu for op in ops] == mus
+    # _mode_operators from the whole-grid (GeometryPoint, V), as the sweeps
+    # call it, and block by block, as the solve-only callers do
+    given = endspec.experiments._mode_operators(m, grid, m.modes(6.5), 1.0 + 0.1j, (pt, v))
+    blocked = endspec.experiments._mode_operators(m, grid, m.modes(6.5), 1.0 + 0.1j)
     for mu, op in zip(mus, ops):
         whole = pt.q_geom + mu / (2.0 * pt.f) + v
         assert op.potential_diag.tobytes() == whole.tobytes()
         single = m.operator(mu, grid, 1.0 + 0.1j)
         assert single.potential_diag.tobytes() == whole.tobytes()
+        assert given[mu].potential_diag.tobytes() \
+            == blocked[mu].potential_diag.tobytes() == whole.tobytes()
 
 
 # --- NaN growth and residual --------------------------------------------------------
