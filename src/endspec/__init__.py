@@ -18,10 +18,12 @@ solve), ``solver.THRESHOLD_WINDOW`` (0.05 around a declared threshold),
 rests on), ``phase.RICCATI_SLOPE_MAX`` (-0.8, the largest fitted decay
 slope of a passing Riccati residual), ``experiments._BOUND_FACTOR`` (2, the
 largest max/min ratio across a Gamma-decade that counts as uniform),
-``experiments._HOELDER_SLACK`` (0.1 below the predicted Hoelder floor) and
+``experiments._HOELDER_SLACK`` (0.1 below the predicted Hoelder floor),
 ``experiments._N_CANDIDATES`` (the cutoff indices 0-4 the Besov energy check
-tries).  Verdicts combine by one rule, ``conditions.combine_verdicts``.
-Every cross-section is the round sphere S^{d-1}.
+tries) and ``closure._SERIES_TOL`` (1e-16, the relative remainder at which
+the frozen-tail sums cut their weight's binomial series).  Verdicts combine
+by one rule, ``conditions.combine_verdicts``.  Every cross-section is the
+round sphere S^{d-1}.
 """
 
 __version__ = "0.1.0"

@@ -59,9 +59,11 @@ by the schema below; lists are comma-separated.
     n_probes = 8             # hoelder probe count, >= 1
 
 Validation collects every violation (unknown keys and sections, a [model]
-key its kind does not take, type mismatches, out-of-range values, empty
-lists, duplicate experiment names, blocks other than check on an escape_*
-model) and raises a single ConfigError carrying the full list.
+key its kind does not take, an [experiment] key its kind never reads, type
+mismatches, out-of-range values, empty lists, duplicate experiment names,
+blocks other than check on an escape_* model) and raises a single
+ConfigError carrying the full list; range checks see only the keys a
+block's kind reads.
 
 ``build_model`` builds the model a [model] section declares; an unset model
 key takes its builder's default.  Experiment options hold only the keys a
@@ -129,12 +131,20 @@ _MODELS = {
     "escape_hyperbola": (hyperbola_field, (), ("obstacle_k",)),
     "escape_sawtooth": (sawtooth_field, (), ("obstacle_k",)),
 }
-# experiment kind -> the keys a block of that kind must set
+_PSI_KEYS = ("psi_a", "psi_b", "psi_amp")
+# experiment kind -> (keys a block of that kind must set, keys it may set);
+# a key its kind never reads is refused
 _EXPERIMENT_NEEDS = {
-    "check": (), "solve": ("lambda",), "lap": ("lambda",),
-    "radiation": ("lambda",), "hoelder": ("lambda",),
-    "rellich": ("interval_lo", "interval_hi"), "sommerfeld": ("lambda",),
-    "riccati": ("lambda",), "besov_energy": ("lambda",),
+    "check": ((), ()),
+    "solve": (("lambda",), ("gammas", *_PSI_KEYS)),
+    "lap": (("lambda",), ("gammas", *_PSI_KEYS)),
+    "radiation": (("lambda",), ("gammas", "betas", "sign", *_PSI_KEYS)),
+    "hoelder": (("lambda",), ("s", "gamma_top", "n_pairs", "n_probes", "seed")),
+    "rellich": (("interval_lo", "interval_hi"), ()),
+    "sommerfeld": (("lambda",), ("sign", "window_r_max", "gamma_top", "tol",
+                                 *_PSI_KEYS)),
+    "riccati": (("lambda",), ("gammas", "sign")),
+    "besov_energy": (("lambda",), ("gammas", "delta", "nus", *_PSI_KEYS)),
 }
 # Config keys whose callee parameter has another name.
 _PARAM_OF = {"well_a": "a", "well_b": "b", "obstacle_k": "K",
@@ -286,6 +296,10 @@ def parse_config(text: str) -> RunConfig:
         if kind is not None and kind.startswith("escape_") and exp.kind != "check":
             errors.append(f"{where}: a {kind} model runs only check blocks, "
                           f"not {exp.kind!r}")
+        needs, optional = _EXPERIMENT_NEEDS[exp.kind]
+        for key in [k for k in exp.options if k not in (*needs, *optional)]:
+            errors.append(f"{where}: kind {exp.kind!r} does not read key {key!r}")
+            del exp.options[key]
         for key, typ in _EXPERIMENT_KEYS.items():
             if typ in ("float_list", "int_list") and exp.options.get(key) == []:
                 errors.append(f"{where}: {key} needs at least one value")
@@ -305,7 +319,7 @@ def parse_config(text: str) -> RunConfig:
         for key, least in (("n_pairs", 2), ("n_probes", 1), ("seed", 0)):
             if exp.options.get(key, least) < least:
                 errors.append(f"{where}: {key} must be >= {least}, got {exp.options[key]}")
-        for req in _EXPERIMENT_NEEDS[exp.kind]:
+        for req in needs:
             if req not in exp.options:
                 errors.append(f"{where}: kind {exp.kind!r} requires key {req!r}")
 

@@ -32,11 +32,8 @@ Measurement conventions, recorded in every table header:
     solver's guard refuses a lap or Besov-energy solve on a shorter one; the
     Hoelder pairs and the Sommerfeld shifts solve on the prefix of their
     domain that the wave reaches from where it is read (``_reach_prefix``),
-    whose wall returns below e^{-39} of it, and a Hoelder pair's far field
-    is that prefix's Dirichlet solution, solved up to the node F past
-    which its rows are frozen and a closed form beyond (``_far_field``),
-    whose H_-s sums are taken block by block in closed form
-    (``_tail_sums``), never node by node;
+    whose wall returns below e^{-39} of it, and a Hoelder pair's prefix is
+    closed past its probes exactly (``closure``);
   * radiation-condition norms are taken over the radiation zone, the annuli
     at and beyond the first dyadic radius past both the source support and
     the phase threshold r_lambda (closer in, (A -+ a) phi is O(1) for both
@@ -49,18 +46,19 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
+from .closure import far_field, frozen_from, tail_gram
 from .conditions import FIT_R2_MIN, combine_verdicts, loglog_fit
 from .errors import ContractError
 from .geometry import geometry_at
 from .models import Model
 from .phase import _central_derivative, apply_A, grid_phase, r_lambda
-from .radial import (FIRST_UNKNOWN, BesovProfile, OuterPolicy, RadialGrid,
-                     RadialOperator, assemble_mode_operators, besov_from_modes,
-                     l2_norm, norm_weights, smooth_bump, weighted_norm)
+from .radial import (FIRST_UNKNOWN, BesovProfile, RadialGrid,
+                     assemble_mode_operators, besov_from_modes, l2_norm,
+                     norm_weights, smooth_bump, weighted_norm)
 from .solver import ABSORPTION, THRESHOLD_WINDOW, outgoing_row, resolve
 from .tableio import write_csv
 
@@ -526,220 +524,19 @@ def _probe_sources(probes, grid: RadialGrid, s: float):
     return sources
 
 
-def _on_prefix(op: RadialOperator, grid_p: RadialGrid) -> RadialOperator:
-    """``op`` on ``grid_p``, a prefix of its grid or a grid built with the
-    same first nodes: its potential diagonal is a view of op's."""
-    return replace(op, grid=grid_p, potential_diag=op.potential_diag[:grid_p.n])
-
-
-def _near_operator(op: RadialOperator, junction: int, rho: complex) -> RadialOperator:
-    """``op`` on its first J + 1 nodes (J = ``junction``) with the last row
-    op's row J under u_{J+1} = rho u_J: the outgoing row with sign +1 and
-    a = i (h^2 (w_J - z) + 1 - rho) / h, w_J the potential diagonal at J."""
-    h = op.grid.h
-    a = 1j * (h * h * (op.potential_diag[junction] - op.z) + 1.0 - rho) / h
-    return _on_prefix(op, op.grid.prefix(junction + 1)).shifted(
-        op.z, OuterPolicy.outgoing(a, +1))
-
-
-def _last_moved(a, value) -> int:
-    """1 + the index of the last entry of ``a`` that differs from ``value``,
-    or 0 if none does; a stretch equal to it throughout is read by two
-    reductions, with no temporary of its length."""
-    if a.min() == value == a.max():
-        return 0
-    return a.size - int(np.argmin(a[::-1] == value))
-
-
-def _frozen_from(op: RadialOperator, junction: int) -> int:
-    """F, the node at or past J = ``junction`` from which op's tail is frozen:
-    the last node whose potential diagonal differs from the wall node's or,
-    on a line grid, the node after the last where r' != 1, whichever is
-    later, and at most the last unknown.  The rows past F then carry the
-    wall's diagonal, and the radii from F to the wall are r_F + k h up to
-    roundoff (a single node, F = the last unknown, needs neither)."""
-    grid, w = op.grid, op.potential_diag
-    wall = grid.n - 1
-    far = junction + max(_last_moved(w[junction:wall], w[wall]) - 1, 0)
-    if grid.radii is not grid.nodes:
-        far = max(far, junction + _last_moved(grid.dr[junction:wall], 1.0))
-    return min(far, wall - 1)
-
-
-def _far_field(op: RadialOperator, junction: int, far: int):
-    """(near operator, G on nodes J .. F, log rho, m) of ``op``, a Dirichlet
-    shift operator, beyond node J = ``junction``, with F = ``far`` its
-    ``_frozen_from``(op, J): it depends only on the potential diagonal and
-    the grid, so the operators of one diagonal at two z share it.
-
-    G, on nodes J, J+1, ..., the wall, is op's solution for a unit source
-    at J divided by its value there.  Past a source supported on nodes < J
-    every solution of op equals c G on nodes >= J, with c its value at J:
-    both solve the homogeneous rows beyond J and vanish at the wall, and
-    those solutions form one line (the tridiagonal Green's function is
-    L(min) R(max) / W).  G's divisor is not 0: Im g_J = Im z ||g||^2 > 0
-    for the unit source's solution g.
-
-    Only nodes J .. F are solved for (F = J if the tail is frozen from J
-    on).  Past F the diagonal is frozen at the wall's w,
-    so each row reads u_{j-1} - U u_j + u_{j+1} = 0 with
-    U = 2 + 2 h^2 (w - z), and the solution that vanishes at the wall,
-    m = n - 1 - F nodes past F, is
-    G_{F+k} = G_F (rho^k - rho^{2m-k}) / (1 - rho^{2m}), rho the root of
-    rho^2 - U rho + 1 = 0 with |rho| < 1.  G is returned up to F only, with
-    log rho and m: the caller sums over the rest in closed form
-    (``_tail_sums``) and never writes it.  The one solve is on op's first
-    F + 1 nodes, closed at F by that ratio G_{F+1} / G_F
-    (``_near_operator``).  F = J on the free, square-well and multiend
-    ends, and on exp and hyperbolic ends once mu / (2 f) has fallen below
-    an ulp of the diagonal before J; where the diagonal never freezes
-    (euclidean, power ends) F is the last unknown, m = 1 and the closing
-    ratio is 0, op's own Dirichlet row.
-
-    The near operator closes op's first J + 1 nodes with rho = G_{J+1}, so
-    for a source on nodes < J it solves for op's solution on nodes <= J, up
-    to roundoff.
-
-    Raises ``ContractError`` when Im z = 0 or |rho| is not below 1, where
-    1 - rho^{2m} may vanish.
-    """
-    if op.z.imag == 0.0:
-        raise ContractError(f"a Dirichlet far field needs Im z != 0, got z = {op.z}")
-    w, wall = op.potential_diag, op.grid.n - 1
-    m = wall - far
-    # +-log rho = 2 asinh(sqrt(U - 2) / 2), accurate for U near 2
-    t = 2.0 * cmath.asinh(0.5 * cmath.sqrt(2.0 * op.grid.h ** 2 * (w[wall] - op.z)))
-    log_rho = -t if t.real > 0.0 else t
-    if not log_rho.real < 0.0:
-        raise ContractError(f"the frozen tail at z = {op.z} has no root with |rho| < 1")
-    # G_{F+1} / G_F, exactly 0 at m = 1
-    ratio = cmath.exp(log_rho) * complex(np.expm1((2 * m - 2) * log_rho)
-                                         / np.expm1(2 * m * log_rho))
-    phi = resolve(_near_operator(op, far, ratio), (junction, np.ones(1))).phi
-    g = phi[junction:far + 1] / phi[junction]
-    # G_{J+1}: on the solved stretch, or the first closed-form node past F = J
-    rho = g[1] if far > junction else ratio
-    return _near_operator(op, junction, rho), g, log_rho, m
-
-
-# the weight r^{-2s} of a frozen-tail sum is expanded over blocks of nodes
-# at most r_F / 16 long, each in its binomial series, cut where the
-# series' remainder is below _SERIES_TOL of the weight
-_BLOCK_SPAN = 1.0 / 16.0
-_SERIES_TOL = 1e-16
-# blocks are summed this many at a time, so no array grows with the tail
-_BLOCK_CHUNK = 1024
-
-
-def _series_order(s: float) -> int:
-    """P: the binomial series of (1 + x)^{-2s} cut after x^P is within
-    ``_SERIES_TOL`` of it, relative, for |x| <= x_max = ``_BLOCK_SPAN``.  The
-    Lagrange remainder is |binom(-2s, P+1)| |x|^{P+1} (1 + xi)^{-2s-P-1}
-    with |xi| <= x_max, so relative to (1 + x)^{-2s} >= (1 + x_max)^{-2s} it
-    is at most |binom(-2s, P+1)| (x_max / (1 - x_max))^{P+1}
-    ((1 + x_max) / (1 - x_max))^{2s}: 15^{-P-1} (17/15)^{2s} times the
-    binomial at x_max = 1/16, and P = 14 at s = 1."""
-    x = _BLOCK_SPAN
-    spread = ((1.0 + x) / (1.0 - x)) ** (2.0 * s)
-    coef, p = 1.0, 0
-    while True:
-        coef *= (2.0 * s + p) / (p + 1.0)
-        if coef * (x / (1.0 - x)) ** (p + 1) * spread <= _SERIES_TOL:
-            return p
-        p += 1
-
-
-def _tail_sums(r_far: float, h: float, m: int, s: float, alphas, betas) -> np.ndarray:
-    """T = sum_{k<m} h (r_far + k h)^{-2s} e^{alpha + beta k} for each pair
-    (alpha, beta) of ``alphas``, ``betas``: a truncated Lerch transcendent
-    h^{1-2s} e^alpha Phi(e^beta, 2s, r_far / h) (DLMF 25.14), the H_-s sum
-    of a geometric tail.  Every term must have modulus at most its weight,
-    Re(alpha + beta k) <= 0 for 0 <= k < m.
-
-    The sum is taken over blocks of B = max(1, floor(r_far / (16 h))) nodes
-    (at most m).  In the block from node k0, of radius R0, the weight is
-    h R0^{-2s} (1 + j h / R0)^{-2s} with j h / R0 <= 1/16, expanded in its
-    binomial series to order P (``_series_order``), so the block's sum is
-    e^{alpha + beta k0} h R0^{-2s} sum_p binom(-2s, p) (B h / R0)^p M_p, with
-    the moments M_p = sum_{j<B} (j / B)^p e^{beta j} shared by every block.
-    The cost is O((m / B + B) P) per term, not O(m).  Every factor has
-    modulus <= 1: a term with Re beta > 0 (a wall term, growing towards the
-    wall) is summed from the wall end, k = m - 1 - k', as
-    alpha + beta (m - 1) and -beta, and the exponent of each chunk of
-    ``_BLOCK_CHUNK`` blocks is combined before it is exponentiated.
-    """
-    alphas = np.asarray(alphas, dtype=complex)
-    betas = np.asarray(betas, dtype=complex)
-    reverse = betas.real > 0.0
-    alphas = np.where(reverse, alphas + betas * (m - 1), alphas)
-    betas = np.where(reverse, -betas, betas)
-    block = min(m, max(1, int(r_far * _BLOCK_SPAN / h)))
-    n_blocks = -(-m // block)
-    last = m - (n_blocks - 1) * block
-    order = _series_order(s)
-    binom = np.cumprod(np.concatenate(
-        [[1.0], (-2.0 * s - np.arange(order)) / np.arange(1.0, order + 1.0)]))
-    powers = (np.arange(block) / block)[:, None] ** np.arange(order + 1)
-    geo = np.exp(np.outer(np.arange(block), betas))
-    chunk = min(_BLOCK_CHUNK, n_blocks)
-    heads = np.exp(np.outer(block * np.arange(chunk), betas))
-    sums = np.zeros(betas.size, dtype=complex)
-    for rev in (False, True):
-        cols = np.flatnonzero(reverse == rev)
-        # binom(-2s, p) M_p, over a whole block and over the last one, as
-        # (re, im) pairs so that the products with the real powers stay real
-        moments, last_moments = (
-            (binom[:, None] * (part.T @ geo[:part.shape[0], cols])).view(float)
-            for part in (powers, powers[:last]))
-        for lo in range(0, n_blocks, chunk):
-            k0 = block * np.arange(lo, min(lo + chunk, n_blocks))
-            r0 = r_far + h * ((m - 1 - k0) if rev else k0)
-            # (+-B h / R0)^p of each block, one row per p
-            ratio = (-block if rev else block) * h / r0
-            step = np.empty((order + 1, k0.size))
-            step[0] = 1.0
-            for p in range(1, order + 1):
-                np.multiply(step[p - 1], ratio, out=step[p])
-            sub = (step.T @ moments).view(complex)
-            if lo + k0.size == n_blocks:
-                sub[-1] = (step[:, -1] @ last_moments).view(complex)
-            sub *= heads[:k0.size, cols]
-            sub = ((h * r0 ** (-2.0 * s)) @ sub.view(float)).view(complex)
-            sums[cols] += np.exp(alphas[cols] + betas[cols] * k0[0]) * sub
-    return sums
-
-
 def _probe_diff(ops, modes, z1, z2, sources, weights, fars, s: float) -> float:
     """max over probes of ||R(z1) psi - R(z2) psi||_{H_-s} / ||psi||_{H_s}.
 
-    ``weights`` are the quadrature weights of ||.||_{H_-s}^2,
-    ``norm_weights(grid, -s)``, of the domain the ``sources`` were taken
-    on, over at least the nodes before each mode's F (``_frozen_from``):
-    the nodes < J where the tail is frozen from J on.  ``ops`` may be a
-    prefix of that domain (``hoelder_estimate`` trims each pair's): the
-    prefix's interior weights are the same, a probe's start and in-span
-    values are the same on any prefix that holds its span, and its H_s
-    norm is the one given.  ``fars`` maps each mode to its F on that
-    domain, which a prefix whose wall lies past it shares bit for bit (the
-    nodes from F + 1 to the wall carry the wall's diagonal and r' = 1); a
-    prefix whose wall is at or before F scans its own tail.
-
-    Every probe lies on nodes < J, the first node past all their spans, so
-    each (mode, z) takes its far field G once, for a unit source at J
-    (``_far_field``: one solve up to F, and the closed form past it), and
-    each probe then solves only on nodes <= J with the near operator.
-    Beyond J the two solutions of a probe are c1 G1 and c2 G2, c their
-    values at J; with e = c1 - c2 and D = G1 - G2 their difference there is
-    e G1 + c2 D, whose weighted sum of squares is
-    |e|^2 S_11 + |c2|^2 S_DD + 2 Re(e conj(c2) S_1D) with
-    S_XY = sum_{j >= J} w_j X_j conj(Y_j), taken once per mode.  Over
-    J .. F - 1 the sums run node by node in G1 and D.  Past F,
-    G_{F+k} = A (rho^k - rho^m rho^{m-k}) with A = G_F / (1 - rho^{2m}), so
-    the sum P_ab of w G_a conj(G_b) there is A_a conj(A_b) times four
-    geometric sums, with ratios rho_a conj(rho_b), rho_a / conj(rho_b) and
-    their inverses, each in closed form (``_tail_sums``), and
-    S_11 = P_11, S_1D = P_11 - P_12, S_DD = P_11 + P_22 - 2 Re P_12.  No
-    array of the tail's length is formed.
+    ``weights`` are the H_-s quadrature weights, ``norm_weights(grid, -s)``,
+    of the domain the ``sources`` were taken on, over at least the nodes
+    before each mode's F, and ``fars`` maps each mode to its F there
+    (``frozen_from``).  ``ops`` may be a prefix of that domain: its
+    interior weights, the probes' spans and a wall past F are the same; a
+    prefix whose wall is at or before F scans its own tail.  Every probe
+    lies on nodes < J, the first node past all their spans, so each (mode,
+    z) takes its far field once and each probe solves on nodes <= J; past J
+    a probe's difference, e G1 + c2 D, has the weighted sum of squares
+    |e|^2 S_11 + |c2|^2 S_DD + 2 Re(e conj(c2) S_1D) (``closure``).
 
     Raises ``ContractError`` when no unknown of the grid lies past J.
     """
@@ -754,21 +551,13 @@ def _probe_diff(ops, modes, z1, z2, sources, weights, fars, s: float) -> float:
     for mu, mult in modes:
         far = fars[mu]
         if far >= ops[mu].grid.n - 1:
-            far = _frozen_from(ops[mu], junction)
-        near1, g1, log1, m = _far_field(ops[mu].shifted(z1), junction, far)
-        near2, g2, log2, _ = _far_field(ops[mu].shifted(z2), junction, far)
-        mid_w, dg = weights[junction:far], g1[:-1] - g2[:-1]
-        s_11 = float(mid_w @ np.abs(g1[:-1]) ** 2)
-        s_dd = float(mid_w @ np.abs(dg) ** 2)
-        s_1d = complex(np.vdot(mid_w * dg, g1[:-1]))
-        p_11, p_12, p_22 = _frozen_products(
-            ops[mu].grid, far, m, s, (g1[-1], log1), (g2[-1], log2))
-        s_11 += p_11.real
-        s_dd += p_11.real + p_22.real - 2.0 * p_12.real
-        s_1d += p_11 - p_12
+            far = frozen_from(ops[mu], junction)
+        field1 = far_field(ops[mu].shifted(z1), junction, far)
+        field2 = far_field(ops[mu].shifted(z2), junction, far)
+        s_11, s_dd, s_1d = tail_gram(field1, field2, weights, s)
         for k, (start, vals, _) in enumerate(sources):
-            u1 = resolve(near1, (start, vals)).phi
-            u2 = resolve(near2, (start, vals)).phi
+            u1 = resolve(field1.near, (start, vals)).phi
+            u2 = resolve(field2.near, (start, vals)).phi
             c2 = u2[junction]
             e = u1[junction] - c2
             near = np.abs(u1[:junction] - u2[:junction]) ** 2
@@ -776,26 +565,6 @@ def _probe_diff(ops, modes, z1, z2, sources, weights, fars, s: float) -> float:
                     + 2.0 * (e * c2.conjugate() * s_1d).real)
             num_sq[k] += mult * (float(near_w @ near) + tail)
     return max(math.sqrt(sq) / denom for sq, (_, _, denom) in zip(num_sq, sources))
-
-
-def _frozen_products(grid: RadialGrid, far: int, m: int, s: float, field1, field2):
-    """(P_11, P_12, P_22), P_ab = sum_{k<m} w_{F+k} G_a conj(G_b) at F + k,
-    w = h r^{-2s}, of the two closed-form tails past F = ``far`` given as
-    (G_F, log rho).  With A = G_F / (1 - rho^{2m}),
-    G_a conj(G_b) = A_a conj(A_b) (e^{(La + Lb) k} - e^{2m Lb + (La - Lb) k}
-    - e^{2m La + (Lb - La) k} + e^{2m (La + Lb) - (La + Lb) k}), La = log rho_a
-    and Lb = conj(log rho_b): four ``_tail_sums`` terms, each of modulus
-    <= 1 for 0 <= k <= m."""
-    fields = [(g_far / -np.expm1(2 * m * lg), lg) for g_far, lg in (field1, field2)]
-    amps, alphas, betas = [], [], []
-    for a, b in ((0, 0), (0, 1), (1, 1)):
-        (aa, la), (ab, lb) = fields[a], fields[b]
-        amps.append(aa * ab.conjugate())
-        lb = lb.conjugate()
-        alphas += [0.0, 2 * m * lb, 2 * m * la, 2 * m * (la + lb)]
-        betas += [la + lb, la - lb, lb - la, -(la + lb)]
-    sums = _tail_sums(float(grid.radii[far]), grid.h, m, s, alphas, betas)
-    return np.asarray(amps) * (sums.reshape(3, 4) @ np.array([1.0, -1.0, -1.0, 1.0]))
 
 
 # a shift solve's domain leaves the round trip of its wave from where it is
@@ -829,7 +598,7 @@ def _reach_prefix(grid: RadialGrid, ops, modes, lam: float, r_from: float):
         if end >= grid.n - 1:
             return ops
         grid_p = grid.prefix(end + 1)
-        return {mu: _on_prefix(op, grid_p) for mu, op in ops.items()}
+        return {mu: op.on_prefix(grid_p) for mu, op in ops.items()}
     return prefix
 
 
@@ -840,8 +609,7 @@ def hoelder_estimate(model: Model, lam: float, s: float = 1.0, gamma_top: float 
 
     Pairs (z, z') = (lambda + i Gamma, lambda + i Gamma/2) on a geometric
     Gamma-ladder of ``n_pairs`` >= 2 pairs; the measured operator quantity
-    is the max over a set of ``n_probes`` >= 1 probes, drawn from
-    ``seed`` >= 0, of
+    is the max over ``n_probes`` >= 1 probes, drawn from ``seed`` >= 0, of
     || R(z) psi - R(z') psi ||_{H_{-s}} / || psi ||_{H_s}.  Verdict "pass"
     when the fitted exponent stays above the predicted floor
     min{(2s-1)/(2s+1), beta_c/(beta_c+1)} minus ``_HOELDER_SLACK`` = 0.1.
@@ -855,19 +623,12 @@ def hoelder_estimate(model: Model, lam: float, s: float = 1.0, gamma_top: float 
     (``_reach_prefix``): up to the first node at or beyond
     r_src + 39 / (2 kappa), kappa = Im sqrt(2 (lambda + i Gamma/2 - w_min)),
     so the reflection off the wall returns below e^{-39}; a pair whose reach
-    lies past the shared grid solves on all of it.  On that prefix each
-    (mode, z) takes the solution G for a unit source at J, the first node
-    past every probe's support: solved up to F, the node past which the rows
-    are the wall's (F = J on the free end), and known in closed form from F
-    to the wall (``_far_field``).  Each probe then solves only on nodes
-    <= J, closed there by the exact row of G, and its H_-s norm past F is
-    summed over blocks of nodes in closed form (``_probe_diff``,
-    ``_tail_sums``).  The H_-s weights are formed once, on the shared grid's
-    nodes before F (before J on the free end), and each pair reads them as
-    they are.  The values equal those of solving every probe of every pair
-    on the shared domain to roundoff, not bit for bit: 1.9e-11 relative at
-    worst against the recorded values of criterion 7's ladder over probe
-    seeds 0-31.
+    lies past the shared grid solves on all of it, closed past the probes by
+    its far fields (``_probe_diff``).  The H_-s weights are formed once, on
+    the shared grid's nodes before F.  The values equal those of solving
+    every probe of every pair on the shared domain to roundoff, not bit for
+    bit: 1.9e-11 relative at worst against the recorded values of criterion
+    7's ladder over probe seeds 0-31.
     """
     if not s > 0.5:
         raise ContractError("Hoelder continuity needs s > 1/2")
@@ -891,7 +652,7 @@ def hoelder_estimate(model: Model, lam: float, s: float = 1.0, gamma_top: float 
     # the H_-s weights of the nodes any pair sums node by node: before F,
     # which on no prefix lies past F of the shared grid
     junction = max(start + vals.size for start, vals, _ in sources)
-    fars = {mu: _frozen_from(op, junction) for mu, op in ops.items()}
+    fars = {mu: frozen_from(op, junction) for mu, op in ops.items()}
     far = max(fars.values())
     weights = norm_weights(grid.prefix(far + 1), -s)[:far]
 
@@ -1006,7 +767,7 @@ def sommerfeld_compare(model: Model, lam: float, psi: Bump = Bump(),
     grid = model.make_grid(r_big, h)
     ops = _mode_operators(model, grid, modes, complex(lam, gamma_top))
     out_sols, _, a_sols, a_disc = _outgoing_solve(
-        model, grid_w, {mu: _on_prefix(op, grid_w) for mu, op in ops.items()},
+        model, grid_w, {mu: op.on_prefix(grid_w) for mu, op in ops.items()},
         complex(lam), sign, psi_w, r_lam)
     span = psi.span(grid_w)
     extrap, gaps = _richardson_gamma(grid, ops, lam, gamma_top,

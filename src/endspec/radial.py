@@ -312,6 +312,11 @@ class RadialOperator:
         _resolution_guard(self.grid.h, z)
         return replace(self, z=complex(z), policy=policy or self.policy)
 
+    def on_prefix(self, grid_p: RadialGrid) -> "RadialOperator":
+        """The same operator on ``grid_p``, a prefix of its grid or a grid
+        built with the same first nodes: the potential diagonal is a view."""
+        return replace(self, grid=grid_p, potential_diag=self.potential_diag[:grid_p.n])
+
     def matvec(self, u):
         """(h_mu - z) u on the unknowns, by the plain stencil."""
         off = complex(self.off_diag)

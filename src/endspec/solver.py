@@ -10,7 +10,10 @@ Two independent outer treatments are kept deliberately:
     its complex-shift solves with the same row).
 
 Their agreement as Gamma -> 0 is itself an acceptance-level check of the
-outgoing selection rule.
+outgoing selection rule.  The rho-closed row u_{J+1} = rho u_J, an
+outgoing-kind row that ``closure`` builds for the Hoelder pairs, is no
+third treatment: it is the complex shift's own Dirichlet tail past a node
+J, closed exactly.
 
 The work is split by what it depends on.  A ``RadialOperator`` holds the
 real potential diagonal, which depends on (mu, grid) only; ``shifted`` moves

@@ -1,12 +1,13 @@
 import pytest
 
+import endspec.closure
 import endspec.experiments
 
 
 @pytest.fixture
 def experiment_solves(monkeypatch):
     """(Im z, unknowns, policy kind) of every ``resolve`` call made from
-    ``endspec.experiments``, in call order."""
+    ``endspec.experiments`` and ``endspec.closure``, in call order."""
     seen = []
     original = endspec.experiments.resolve
 
@@ -14,5 +15,6 @@ def experiment_solves(monkeypatch):
         seen.append((op.z.imag, op.n_unknowns, op.policy.kind))
         return original(op, *args, **kwargs)
 
-    monkeypatch.setattr(endspec.experiments, "resolve", recording)
+    for module in (endspec.experiments, endspec.closure):
+        monkeypatch.setattr(module, "resolve", recording)
     return seen

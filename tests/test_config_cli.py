@@ -210,6 +210,21 @@ def test_model_key_its_kind_does_not_take_is_refused(kind, extra):
         f"[model]: kind {kind!r} does not take key {key!r}" for key in stray]
 
 
+def test_experiment_key_its_kind_never_reads_is_refused():
+    # a lap block with Hoelder and Sommerfeld keys used to parse, and the
+    # runner dropped all four; each is refused by name, and a range check
+    # (seed >= 0) fires only on a kind that reads the key
+    with pytest.raises(ConfigError) as err:
+        parse_config(MINIMAL + "\n[experiment s]\nkind = lap\nlambda = 1.0\n"
+                     "betas = 0.5\nseed = -4\nn_probes = 3\ntol = 1e-3\n")
+    assert err.value.violations == [
+        f"[experiment s]: kind 'lap' does not read key {key!r}"
+        for key in ("betas", "seed", "n_probes", "tol")]
+    with pytest.raises(ConfigError) as err:
+        parse_config(MINIMAL + "\n[experiment s]\nkind = hoelder\nlambda = 1.0\nseed = -4\n")
+    assert err.value.violations == ["[experiment s]: seed must be >= 0, got -4"]
+
+
 def test_type_mismatch_reported():
     text = MINIMAL.replace("lambda = 1.0", "lambda = one")
     with pytest.raises(ConfigError) as err:
@@ -260,13 +275,15 @@ def test_kind_tables_agree():
 
 
 def test_kind_tables_name_only_schema_keys():
-    # every model key but kind belongs to some model kind, and the tables
-    # name no key the parser would refuse
+    # every model key but kind belongs to some model kind, every experiment
+    # key but kind to some block kind, and the tables name no key the parser
+    # would refuse
     named = {k for _, needs, optional in config._MODELS.values()
              for k in needs + optional}
     assert named == set(config._MODEL_KEYS) - {"kind"}
-    needed = {k for needs in config._EXPERIMENT_NEEDS.values() for k in needs}
-    assert needed <= set(config._EXPERIMENT_KEYS) - {"kind"}
+    read = {k for needs, optional in config._EXPERIMENT_NEEDS.values()
+            for k in needs + optional}
+    assert read == set(config._EXPERIMENT_KEYS) - {"kind"}
 
 
 @pytest.mark.parametrize("kind, extra, expected", [
@@ -295,42 +312,26 @@ def test_build_model_forwards_model_keys(monkeypatch, kind, extra, expected):
     assert seen == expected
 
 
-# Every experiment key the schema has, set away from its default; the
-# validator accepts any of them in a block of any kind.
-_EVERY_KEY = """
-[grid]
-r_max = 32.0
-h = 0.05
-mode_cap = 2.5
+# Every experiment key the schema has, each set away from its default
+_KEY_VALUES = {
+    "lambda": "2.0", "interval_lo": "0.5", "interval_hi": "3.0",
+    "gammas": "0.2, 0.02", "betas": "0.3", "s": "0.8", "psi_a": "1.5",
+    "psi_b": "2.5", "psi_amp": "2.0", "sign": "-1", "delta": "0.3",
+    "nus": "0, 1, 2", "tol": "1e-3", "gamma_top": "0.032",
+    "window_r_max": "16.0", "seed": "5", "n_pairs": "3", "n_probes": "2",
+}
 
-[experiment x]
-kind = {kind}
-lambda = 2.0
-interval_lo = 0.5
-interval_hi = 3.0
-gammas = 0.2, 0.02
-betas = 0.3
-s = 0.8
-psi_a = 1.5
-psi_b = 2.5
-psi_amp = 2.0
-sign = -1
-delta = 0.3
-nus = 0, 1, 2
-tol = 1e-3
-gamma_top = 0.032
-window_r_max = 16.0
-seed = 5
-n_pairs = 3
-n_probes = 2
-"""
-_NO_OPTION = """
-[experiment x]
-kind = {kind}
-lambda = 2.0
-interval_lo = 0.5
-interval_hi = 3.0
-"""
+
+def _block(kind, every):
+    """An [experiment x] block of ``kind`` that sets the keys its kind
+    requires and, if ``every``, every key it reads, with [grid] moved too."""
+    needs, optional = config._EXPERIMENT_NEEDS[kind]
+    keys = needs + optional if every else needs
+    grid = "[grid]\nr_max = 32.0\nh = 0.05\nmode_cap = 2.5\n\n" if every else ""
+    return grid + f"[experiment x]\nkind = {kind}\n" + "".join(
+        f"{key} = {_KEY_VALUES[key]}\n" for key in keys)
+
+
 _PSI = Bump(a=1.5, b=2.5, amplitude=2.0)
 
 # (block kind, command, callee in endspec.cli (or ``module.name`` in another
@@ -392,9 +393,8 @@ def test_cli_forwards_effective_arguments(monkeypatch, tmp_path, capsys, kind,
         raise EndspecError("recorded")
 
     monkeypatch.setattr(owner, name, recorder)
-    text = "[model]\nkind = free\n" + (_NO_OPTION if block == "unset" else _EVERY_KEY)
-    assert run(parse_config(text.format(kind=kind)), command, out_dir=tmp_path,
-               seed=7) == 1
+    text = "[model]\nkind = free\n" + _block(kind, every=block == "every")
+    assert run(parse_config(text), command, out_dir=tmp_path, seed=7) == 1
     assert "x: ERROR (recorded)" in capsys.readouterr().out
     args = dict(seen[0])
     if callee == "resolve":

@@ -7,13 +7,14 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import endspec.closure
 import endspec.experiments
+from endspec.closure import far_field, frozen_from
 from endspec.conditions import check_conditions
 from endspec.errors import AbsorptionError, ConditioningError, ContractError
-from endspec.experiments import (Bump, WeightSpec, _frozen_from, _ratio_verdict,
-                                 _shift_grid, besov_energy_check, hoelder_estimate,
-                                 lap_sweep, probe_set, radiation_sweep,
-                                 sommerfeld_compare)
+from endspec.experiments import (Bump, WeightSpec, _ratio_verdict, _shift_grid,
+                                 besov_energy_check, hoelder_estimate, lap_sweep,
+                                 probe_set, radiation_sweep, sommerfeld_compare)
 from endspec.geometry import const_profile, geometric_split, geometry_at
 from endspec.models import (Model, euclidean_model, exp_model, free_model,
                             hyperbolic_model, multiend_model, power_model,
@@ -387,6 +388,20 @@ def _wigner_von_neumann_rellich():
     return scan.verdict(0.0)
 
 
+def _wigner_von_neumann_lap(lam=0.5):
+    # at the embedded eigenvalue 1/2 the resolvent blows up as Gamma -> 0:
+    # phi_bstar grows 2.20, 20.6, 57.4 over Gamma = 0.1, 0.01, 0.001
+    # (ratio 26.1)
+    return lap_sweep(_wigner_von_neumann_model(), lam, mode_cap=0.5).verdict
+
+
+@_defect("ROADMAP item 3: below the embedded eigenvalue phi_bstar saturates, "
+         "1.97, 4.59, 4.69 (growth 0.010 over the last decade), but the "
+         "two-sided ratio test fails it at 2.38")
+def test_lap_passes_below_an_embedded_eigenvalue():
+    assert _wigner_von_neumann_lap(0.45) == "pass"
+
+
 def _wigner_von_neumann_conditions():
     m = _wigner_von_neumann_model()
     return check_conditions(m.profile, m.potential).overall()
@@ -434,6 +449,7 @@ def _threshold_window(checker, lam):
                       hoelder_estimate, sommerfeld_compare)
       for lam in (3.99, 4.02)],
     pytest.param(_wigner_von_neumann_rellich, id="rellich-wigner-von-neumann"),
+    pytest.param(_wigner_von_neumann_lap, id="lap-wigner-von-neumann-embedded"),
     pytest.param(_wigner_von_neumann_conditions, id="conditions-wigner-von-neumann",
                  marks=_defect("ROADMAP item 3: the oscillation biases the q2 and q22 "
                                "decay fits (exponent -0.866, R^2 0.114), so the "
@@ -567,10 +583,10 @@ def test_hoelder_slope_matches_analytic_kernel():
 
 
 def _fars(ops, sources):
-    """mu -> F (``_frozen_from``) of each operator past J, the first node
+    """mu -> F (``frozen_from``) of each operator past J, the first node
     past every source: the per-mode F that ``_probe_diff`` is given."""
     junction = max(start + vals.size for start, vals, _ in sources)
-    return {mu: _frozen_from(op, junction) for mu, op in ops.items()}
+    return {mu: frozen_from(op, junction) for mu, op in ops.items()}
 
 
 @pytest.mark.parametrize("s", [1.0, 0.75])
@@ -683,16 +699,14 @@ def test_hoelder_top_pair_solves_a_prefix(monkeypatch):
     m = euclidean_model(3)
     modes = m.modes(2.5)
     fields = []
-    original = endspec.experiments._far_field
 
     def recording(op, junction, far):
-        field = original(op, junction, far)
-        g, tail_nodes = field[1], field[3]
-        assert junction + g.size - 1 + tail_nodes == op.grid.n - 1
-        fields.append((op.z.imag, junction + g.size - 1 + tail_nodes))
+        field = far_field(op, junction, far)
+        assert junction + field.g.size - 1 + field.m == op.grid.n - 1
+        fields.append((op.z.imag, junction + field.g.size - 1 + field.m))
         return field
 
-    monkeypatch.setattr(endspec.experiments, "_far_field", recording)
+    monkeypatch.setattr(endspec.experiments, "far_field", recording)
     table = hoelder_estimate(m, 1.0, mode_cap=2.5, **_LADDER)
     grid = m.make_grid(table.meta["r_max"], _LADDER["h"])
     shared = _mode_operators(m, grid, modes, 1.0 + 0.256j)
@@ -737,8 +751,7 @@ def test_hoelder_pair_solves_the_far_field_once_per_mode_and_z(
     # unknown at mu = 2 and 6, and past every trimmed wall at mu = 0)
     model, lam, _ = _hoelder_cases()[case]
     sources, last_unknowns, closed, frozen = [], [], [], []
-    recording, far_field = endspec.experiments.resolve, endspec.experiments._far_field
-    frozen_from = endspec.experiments._frozen_from
+    recording = endspec.experiments.resolve
 
     def with_source(op, psi, **kwargs):
         sources.append(psi)
@@ -747,16 +760,17 @@ def test_hoelder_pair_solves_the_far_field_once_per_mode_and_z(
     def with_last_unknown(op, junction, far):
         last_unknowns.append(op.n_unknowns)
         field = far_field(op, junction, far)
-        closed.append((junction + field[1].size - 1, field[3], op.grid.n - 1))
+        closed.append((junction + field.g.size - 1, field.m, op.grid.n - 1))
         return field
 
     def counting(op, junction):
         frozen.append(op.grid.n)
         return frozen_from(op, junction)
 
-    monkeypatch.setattr(endspec.experiments, "resolve", with_source)
-    monkeypatch.setattr(endspec.experiments, "_far_field", with_last_unknown)
-    monkeypatch.setattr(endspec.experiments, "_frozen_from", counting)
+    for module in (endspec.experiments, endspec.closure):
+        monkeypatch.setattr(module, "resolve", with_source)
+    monkeypatch.setattr(endspec.experiments, "far_field", with_last_unknown)
+    monkeypatch.setattr(endspec.experiments, "frozen_from", counting)
     table = hoelder_estimate(model, lam, mode_cap=cap, **_LADDER)
     modes, n_probes = model.modes(cap), _LADDER["n_probes"]
     shared_n = model.make_grid(table.meta["r_max"], _LADDER["h"]).n
@@ -803,8 +817,8 @@ def test_hoelder_near_solve_and_far_field_compose_the_whole_solution(case, s, mo
     # a probe's near solution on nodes <= J, continued by c G beyond J, is
     # the whole-grid solution: to roundoff in H_-s, and with the whole
     # operator's residual within RESIDUAL_TOL
-    from endspec.experiments import (_far_field, _frozen_from, _mode_operators,
-                                     _near_operator, _probe_diff, _probe_sources)
+    from endspec.closure import _near_operator
+    from endspec.experiments import _mode_operators, _probe_diff, _probe_sources
     from endspec.radial import FIRST_UNKNOWN, norm_weights
     from endspec.solver import RESIDUAL_TOL
     model, lam, cap = _hoelder_cases()[case]
@@ -819,8 +833,8 @@ def test_hoelder_near_solve_and_far_field_compose_the_whole_solution(case, s, mo
     for mu, _ in modes:
         for z in (z1, z2):
             op = ops[mu].shifted(z)
-            near, *field = _far_field(op, junction, _frozen_from(op, junction))
-            tail = _whole_g(*field)
+            field = far_field(op, junction, frozen_from(op, junction))
+            near, tail = field.near, _whole_g(field)
             assert near.grid.n == junction + 1 and near.policy.kind == "outgoing"
             assert abs(tail[0] - 1.0) <= 1e-15 and tail.size == grid.n - junction
             for start, vals, _ in sources:
@@ -838,12 +852,12 @@ def test_hoelder_near_solve_and_far_field_compose_the_whole_solution(case, s, mo
     # (rho = 0) instead of the far field's row moves the difference norm
     fars = _fars(ops, sources)
     got = _probe_diff(ops, modes, z1, z2, sources, weights, fars, s)
-    original = endspec.experiments._far_field
 
     def walled(op, junction, far):
-        return (_near_operator(op, junction, 0.0),) + original(op, junction, far)[1:]
+        return dataclasses.replace(far_field(op, junction, far),
+                                   near=_near_operator(op, junction, 0.0))
 
-    monkeypatch.setattr(endspec.experiments, "_far_field", walled)
+    monkeypatch.setattr(endspec.experiments, "far_field", walled)
     assert abs(_probe_diff(ops, modes, z1, z2, sources, weights, fars, s) / got - 1.0) > 1e-6
 
 
@@ -861,9 +875,10 @@ def _far_setting(model, lam, cap, s=1.0):
     return grid, junction, ops, norm_weights(grid, -s)
 
 
-def _whole_g(g, log_rho, m):
-    """G on J .. the wall from a far field's (G on J .. F, log rho, m):
+def _whole_g(field):
+    """G on J .. the wall from a far field's G on J .. F, log rho and m:
     G_{F+k} = G_F (rho^k - rho^{2m-k}) / (1 - rho^{2m}) for k = 0 .. m."""
+    g, log_rho, m = field.g, field.log_rho, field.m
     k = np.arange(m + 1)
     tail = g[-1] * ((np.exp(k * log_rho) - np.exp((2 * m - k) * log_rho))
                     / -np.expm1(2 * m * log_rho))
@@ -885,7 +900,6 @@ def test_far_field_closed_form_matches_the_whole_prefix_solve(case, experiment_s
     # past the last node where the potential diagonal moves, G is written
     # in closed form; it matches the whole prefix's Dirichlet solve in
     # H_-s, and the one far solve is shorter than that prefix
-    from endspec.experiments import _far_field, _frozen_from
     model, lam, cap = {"free": (free_model(), 1.0, 0.5),
                        "hyperbolic3": (hyperbolic_model(3), 1.5, 6.5),
                        "exp1": (exp_model(1.0, 3), None, 6.5),
@@ -897,7 +911,7 @@ def test_far_field_closed_form_matches_the_whole_prefix_solve(case, experiment_s
     for op in ops.values():
         for z in (complex(lam, 0.064), complex(lam, 0.004)):
             shifted = op.shifted(z)
-            g = _whole_g(*_far_field(shifted, junction, _frozen_from(op, junction))[1:])
+            g = _whole_g(far_field(shifted, junction, frozen_from(op, junction)))
             assert experiment_solves[-1][1] < grid.n - 2
             assert _rel_err(g, _dirichlet_tail(shifted, junction),
                             weights[junction:]) <= 1e-12
@@ -906,10 +920,9 @@ def test_far_field_closed_form_matches_the_whole_prefix_solve(case, experiment_s
 def test_far_field_without_the_wall_term_misses():
     # negative control: the endless root rho^k, without the wall's echo
     # rho^{2m-k}, is not the Dirichlet solution on the R = 256 grid
-    from endspec.experiments import _far_field, _frozen_from
     grid, junction, ops, weights = _far_setting(free_model(), 1.0, 0.5)
     op = ops[0.0].shifted(1.0 + 0.032j)
-    g = _whole_g(*_far_field(op, junction, _frozen_from(op, junction))[1:])
+    g = _whole_g(far_field(op, junction, frozen_from(op, junction)))
     u = 2.0 + 2.0 * grid.h ** 2 * (op.potential_diag[-1] - op.z)
     rho = min(np.roots([1.0, -u, 1.0]), key=abs)
     assert abs(rho) < 1.0
@@ -924,16 +937,16 @@ def test_far_field_solves_up_to_a_moved_diagonal(offset, experiment_solves):
     # one potential-diagonal entry moved at K > J on the free end: the far
     # solve ends at K, and a probe's near solve continued by c G is still
     # the whole Dirichlet solution
-    from endspec.experiments import _far_field, _frozen_from, _probe_sources
+    from endspec.experiments import _probe_sources
     grid, junction, ops, weights = _far_setting(free_model(), 1.0, 0.5)
     moved = grid.n - 2 if offset is None else junction + offset
     w = ops[0.0].potential_diag.copy()
     w[moved] += 0.125
     op = dataclasses.replace(ops[0.0], potential_diag=w).shifted(1.0 + 0.032j)
-    near, *field = _far_field(op, junction, _frozen_from(op, junction))
-    g = _whole_g(*field)
+    field = far_field(op, junction, frozen_from(op, junction))
+    near, g = field.near, _whole_g(field)
     assert experiment_solves == [(0.032, moved, "outgoing")]
-    assert junction + field[0].size - 1 == moved and field[2] == grid.n - 1 - moved
+    assert junction + field.g.size - 1 == moved and field.m == grid.n - 1 - moved
     assert _rel_err(g, _dirichlet_tail(op, junction), weights[junction:]) <= 1e-12
     for start, vals, _ in _probe_sources(probe_set(grid, 4, seed=5), grid, 1.0):
         u = resolve(near, (start, vals)).phi
@@ -945,10 +958,9 @@ def test_far_field_solves_up_to_a_moved_diagonal(offset, experiment_solves):
 def test_far_field_refuses_a_real_z():
     # at real z above the threshold |rho| = 1, and 1 - rho^{2m} can vanish:
     # the old Dirichlet far solve refused Im z = 0, and so does the closed form
-    from endspec.experiments import _far_field
     _, junction, ops, _ = _far_setting(free_model(), 1.0, 0.5)
     with pytest.raises(ContractError, match="Im z"):
-        _far_field(ops[0.0].shifted(1.0), junction, junction)
+        far_field(ops[0.0].shifted(1.0), junction, junction)
 
 
 @pytest.mark.parametrize("case", ["free", "hyperbolic3", "square-well", "multiend"])
@@ -957,7 +969,7 @@ def test_frozen_products_match_the_dirichlet_sums(case):
     # sums, match node-by-node sums of the whole-prefix Dirichlet solutions;
     # negative control: the endless roots' terms alone, without the wall's
     # echo, miss
-    from endspec.experiments import _far_field, _frozen_from, _frozen_products, _tail_sums
+    from endspec.closure import _frozen_products, _tail_sums
     model, lam, cap = {"free": (free_model(), 1.0, 0.5),
                        "hyperbolic3": (hyperbolic_model(3), 1.5, 6.5),
                        "square-well": (square_well_model(), 1.0, 0.5),
@@ -965,10 +977,11 @@ def test_frozen_products_match_the_dirichlet_sums(case):
     grid, junction, ops, weights = _far_setting(model, lam, cap)
     for op in ops.values():
         shifted = [op.shifted(complex(lam, g)) for g in (0.064, 0.032)]
-        far = _frozen_from(op, junction)
-        (_, g1, l1, m), (_, g2, l2, _) = (_far_field(o, junction, far) for o in shifted)
-        assert far == junction + g1.size - 1
-        got = _frozen_products(grid, far, m, 1.0, (g1[-1], l1), (g2[-1], l2))
+        far = frozen_from(op, junction)
+        field1, field2 = (far_field(o, junction, far) for o in shifted)
+        (g1, l1, m), (g2, l2) = (field1.g, field1.log_rho, field1.m), (field2.g, field2.log_rho)
+        assert far == junction + g1.size - 1 and field1.r_far == grid.radii[far]
+        got = _frozen_products(field1, field2, 1.0)
         d1, d2 = (_dirichlet_tail(o, junction)[far - junction:-1] for o in shifted)
         w = weights[far:-1]
         ref = [np.sum(w * d1 * d1.conj()), np.sum(w * d1 * d2.conj()),
@@ -1009,7 +1022,7 @@ def test_tail_sums_match_a_node_by_node_sum(r_far, h, m, s):
     # (|a| just above and below 1) and the wall term, which grows towards
     # the wall; B = floor(r_F / (16 h)) is 1, above m, 187 with m not a
     # multiple of it, and 2 over more blocks than one chunk holds
-    from endspec.experiments import _BLOCK_CHUNK, _tail_sums
+    from endspec.closure import _BLOCK_CHUNK, _tail_sums
     l1, l2 = _log_root(1.0, 0.064, h), _log_root(1.0, 0.032, h)
     terms = {"decay": (0.0, l1 + l2.conjugate()),
              "oscillating": (2 * m * l1.conjugate(), l1 - l1.conjugate()),
@@ -1031,7 +1044,7 @@ def test_tail_sums_match_a_node_by_node_sum(r_far, h, m, s):
 
 def test_series_order_meets_its_bound():
     # P is the least order whose binomial remainder bound is <= 1e-16
-    from endspec.experiments import _series_order
+    from endspec.closure import _series_order
     def bound(s, p):
         return abs(math.prod(-2.0 * s - j for j in range(p + 1)) / math.factorial(p + 1)) \
             * 15.0 ** -(p + 1) * (17.0 / 15.0) ** (2.0 * s)
@@ -1051,7 +1064,8 @@ def test_frozen_start_moves_past_a_curved_radius():
     # but r(x) bends until x = 2: F moves to the node after the last with
     # r' != 1, so that the radii from F on are r_F + k h; a closed form
     # summed from the last node in the bend misses the grid's own weights
-    from endspec.experiments import _frozen_from, _mode_operators, _tail_sums
+    from endspec.closure import _tail_sums
+    from endspec.experiments import _mode_operators
     model = multiend_model()
     grid = model.make_grid(256.0, 0.05)
     op = _mode_operators(model, grid, model.modes(0.5), 1.0 + 0.064j)[0.0]
@@ -1061,8 +1075,8 @@ def test_frozen_start_moves_past_a_curved_radius():
     frozen = int(np.flatnonzero(w[:wall] != w[wall])[-1])
     assert frozen + 1 < curved
     junction = frozen + 2
-    assert _frozen_from(op, junction) == curved + 1
-    assert _frozen_from(op, curved + 5) == curved + 5
+    assert frozen_from(op, junction) == curved + 1
+    assert frozen_from(op, curved + 5) == curved + 5
     weights = np.full(wall, grid.h) * grid.radii[:wall] ** -2.0
     for start, expect in ((curved + 1, 1e-13), (curved, None)):
         m = wall - start
@@ -1078,7 +1092,7 @@ def test_hoelder_probe_diff_allocates_nothing_of_the_tail(experiment_solves):
     # criterion 7's top pair on the whole 819,151-node shared grid: the far
     # field is solved on J unknowns and summed past J in closed form, so the
     # traced peak stays below 2 MB, not the 13 MB of each tail-length G
-    from endspec.experiments import _frozen_from, _mode_operators, _probe_diff, _probe_sources
+    from endspec.experiments import _mode_operators, _probe_diff, _probe_sources
     from endspec.radial import norm_weights
     model = free_model()
     grid = _shift_grid(model, 0.064 * 0.25**3 / 2.0, 0.02)
@@ -1087,7 +1101,7 @@ def test_hoelder_probe_diff_allocates_nothing_of_the_tail(experiment_solves):
     sources = _probe_sources(probe_set(grid, 8, 0), grid, 1.0)
     junction = max(start + vals.size for start, vals, _ in sources)
     ops = _mode_operators(model, grid, modes, 1.0 + 0.064j)
-    assert _frozen_from(ops[0.0], junction) == junction
+    assert frozen_from(ops[0.0], junction) == junction
     weights = norm_weights(grid.prefix(junction + 1), -1.0)[:junction]
     fars = {0.0: junction}
     tracemalloc.start()
