@@ -15,8 +15,9 @@ COMMAND selects which experiment blocks run:
 
 The selected blocks run one after another, in config order; each writes a
 CSV (and optionally an SVG) into the output directory and prints a one-line
-verdict.  Exit status: 0 if every verdict passes, 2 if any is inconclusive,
-1 on failure or error (--strict turns inconclusive into failure).
+verdict.  --seed is the probe seed of hoelder blocks that set no seed.
+Exit status: 0 if every verdict passes, 2 if any is inconclusive, 1 on
+failure or error (--strict turns inconclusive into failure).
 """
 
 from __future__ import annotations
@@ -30,8 +31,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import (ExperimentConfig, RunConfig, _given, build_model,
-                     parse_config)
+from .config import (_EXPERIMENT_NEEDS, _PSI_KEYS, ExperimentConfig, RunConfig,
+                     _given, build_model, parse_config)
 from .errors import ConfigError, EndspecError
 from .experiments import (Bump, besov_energy_check, hoelder_estimate,
                           lap_sweep, radiation_sweep, sommerfeld_compare)
@@ -46,8 +47,14 @@ def _meta(cfg: RunConfig):
             "config_hash": cfg.config_hash}
 
 
-def _psi(opt):
-    return Bump(**_given(opt, "psi_a", "psi_b", "psi_amp"))
+def _block_args(exp, **fallback):
+    """Keyword arguments of a block's library call: the optional keys of its
+    kind's ``_EXPERIMENT_NEEDS`` row that it sets, under the callee's names,
+    over the runner's ``fallback``; the psi_* keys become one ``psi`` Bump."""
+    optional = _EXPERIMENT_NEEDS[exp.kind][1]
+    psi = [k for k in optional if k in _PSI_KEYS]
+    args = _given(exp.options, *(k for k in optional if k not in psi), **fallback)
+    return {**args, "psi": Bump(**_given(exp.options, *psi))} if psi else args
 
 
 def _svg(cfg, exp, out_dir, command, series, x_label, y_label):
@@ -70,7 +77,7 @@ def _run_check(cfg, model, exp, out_dir):
 def _run_solve(cfg, model, exp, out_dir):
     opt = exp.options
     grid = model.make_grid(cfg.grid["r_max"], cfg.grid["h"])
-    psi_vals = _psi(opt).normalized(grid)
+    psi_vals = _block_args(exp)["psi"].normalized(grid)
     z = complex(opt["lambda"], opt.get("gammas", [0.01])[0])
     op = model.operator(0.0, grid, z)
     sol = resolve(op, psi_vals, allow_unabsorbed=True)
@@ -84,10 +91,9 @@ def _run_solve(cfg, model, exp, out_dir):
 
 
 def _run_lap(cfg, model, exp, out_dir):
-    opt = exp.options
-    table = lap_sweep(model, opt["lambda"], psi=_psi(opt), h=cfg.grid["h"],
+    table = lap_sweep(model, exp.options["lambda"], h=cfg.grid["h"],
                       base_r_max=cfg.grid["r_max"],
-                      mode_cap=cfg.grid["mode_cap"], **_given(opt, "gammas"))
+                      mode_cap=cfg.grid["mode_cap"], **_block_args(exp))
     table.to_csv(out_dir / f"{exp.name}.csv", extra_meta=_meta(cfg))
     g = table.column("gamma")
     _svg(cfg, exp, out_dir, "lap",
@@ -98,25 +104,21 @@ def _run_lap(cfg, model, exp, out_dir):
 
 
 def _run_besov_energy(cfg, model, exp, out_dir):
-    opt = exp.options
-    given = _given(opt, "delta", "nus")
-    if "gammas" in opt:  # the decade below the block's first gamma runs
-        g = opt["gammas"][0]
-        given["gammas"] = [g, g / math.sqrt(10.0), g / 10.0]
-    table = besov_energy_check(model, opt["lambda"], psi=_psi(opt),
-                               h=cfg.grid["h"], mode_cap=cfg.grid["mode_cap"],
-                               **given)
+    args = _block_args(exp)
+    if "gammas" in args:  # the decade below the block's first gamma runs
+        g = args["gammas"][0]
+        args["gammas"] = [g, g / math.sqrt(10.0), g / 10.0]
+    table = besov_energy_check(model, exp.options["lambda"], h=cfg.grid["h"],
+                               mode_cap=cfg.grid["mode_cap"], **args)
     table.to_csv(out_dir / f"{exp.name}.csv", extra_meta=_meta(cfg))
     return table.verdict, (f"n={table.meta['n']} spread="
                            f"{table.meta['constant_spread']:.3g}")
 
 
 def _run_radiation(cfg, model, exp, out_dir):
-    opt = exp.options
-    table = radiation_sweep(model, opt["lambda"], psi=_psi(opt), h=cfg.grid["h"],
+    table = radiation_sweep(model, exp.options["lambda"], h=cfg.grid["h"],
                             base_r_max=cfg.grid["r_max"],
-                            mode_cap=cfg.grid["mode_cap"],
-                            **_given(opt, "gammas", "betas", "sign"))
+                            mode_cap=cfg.grid["mode_cap"], **_block_args(exp))
     table.to_csv(out_dir / f"{exp.name}.csv", extra_meta=_meta(cfg))
     series = []
     for b in sorted({row[1] for row in table.rows}):
@@ -128,11 +130,8 @@ def _run_radiation(cfg, model, exp, out_dir):
 
 
 def _run_hoelder(cfg, model, exp, out_dir):
-    opt = exp.options
-    table = hoelder_estimate(model, opt["lambda"], h=cfg.grid["h"],
-                             mode_cap=cfg.grid["mode_cap"],
-                             **_given(opt, "s", "gamma_top", "n_pairs",
-                                      "n_probes", "seed"))
+    table = hoelder_estimate(model, exp.options["lambda"], h=cfg.grid["h"],
+                             mode_cap=cfg.grid["mode_cap"], **_block_args(exp))
     table.to_csv(out_dir / f"{exp.name}.csv", extra_meta=_meta(cfg))
     _svg(cfg, exp, out_dir, "hoelder",
          [("diff", [row[0] - row[1] for row in table.rows],
@@ -161,10 +160,8 @@ def _run_rellich(cfg, model, exp, out_dir):
 
 
 def _run_sommerfeld(cfg, model, exp, out_dir):
-    opt = exp.options
-    rep = sommerfeld_compare(model, opt["lambda"], psi=_psi(opt), h=cfg.grid["h"],
-                             **_given(opt, "sign", "window_r_max", "gamma_top",
-                                      "tol", window_r_max=cfg.grid["r_max"]))
+    rep = sommerfeld_compare(model, exp.options["lambda"], h=cfg.grid["h"],
+                             **_block_args(exp, window_r_max=cfg.grid["r_max"]))
     write_csv(out_dir / f"{exp.name}.csv",
               {**_meta(cfg), "experiment": exp.name, **rep.meta},
               ["disc_weighted", "disc_bstar", "rel_weighted",
@@ -238,11 +235,10 @@ def run(cfg: RunConfig, command: str, out_dir=None, seed: int = 0,
 
     status = 0
     for exp in selected:
+        if "seed" in _EXPERIMENT_NEEDS[exp.kind][1]:  # --seed: the block's fallback
+            exp = replace(exp, options={"seed": seed, **exp.options})
         try:
-            # --seed is the fallback of a block's own seed key
-            verdict, detail = _RUNNERS[exp.kind][1](
-                cfg, model, replace(exp, options={"seed": seed, **exp.options}),
-                out_dir)
+            verdict, detail = _RUNNERS[exp.kind][1](cfg, model, exp, out_dir)
         except EndspecError as exc:
             verdict, detail = "error", str(exc)
         print(f"{exp.name}: {verdict.upper()} ({detail})")

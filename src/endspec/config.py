@@ -65,6 +65,12 @@ blocks other than check on an escape_* model) and raises a single
 ConfigError carrying the full list; range checks see only the keys a
 block's kind reads.
 
+The key table (``_MODEL_KEYS``, ``_GRID_KEYS``, ``_OUTPUT_KEYS``,
+``_EXPERIMENT_KEYS``) gives each key's type and range; the block table
+``_EXPERIMENT_NEEDS`` (``_MODELS`` for models) gives each kind's required
+and optional keys, and the CLI forwards the optional ones from it.  A new
+block kind is a row in each table plus one runner in ``cli._RUNNERS``.
+
 ``build_model`` builds the model a [model] section declares; an unset model
 key takes its builder's default.  Experiment options hold only the keys a
 block sets: an unset key takes the library's default.  Two settings are
@@ -77,6 +83,7 @@ library's cap of 0.5.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -87,23 +94,60 @@ from .models import (euclidean_model, exp_model, free_model, hyperbolic_model,
                      stretched_exp_model, tabulated_model)
 from .tableio import text_hash
 
+
+class _Key(NamedTuple):
+    """A key's row: the type its value parses as (a ``_PARSERS`` name) and,
+    for a key with a range, the test refusing a value and the violation it
+    reports, ``{v}`` the value; a list is tested value by value."""
+    type: str
+    refuses: Callable | None = None
+    violation: str = ""
+
+
+_STR, _INT, _FLOAT = _Key("str"), _Key("int"), _Key("float")
+
+# section -> key -> row.  Range tests run in table order: [grid] h, r_max,
+# mode_cap; a block's gammas, betas, gamma_top, s, sign, n_pairs, n_probes,
+# seed
 _MODEL_KEYS = {
-    "kind": str, "d": int, "theta": float, "kappa": float, "r0": float,
-    "depth": float, "well_a": float, "well_b": float,
-    "lambda0": float, "lambda1": float, "x_min": float, "obstacle_k": float,
-    "delta": float, "amp": float, "lower_c": float, "lower_theta": float,
-    "csv": str,
+    "kind": _STR, "d": _INT, "theta": _FLOAT, "kappa": _FLOAT, "r0": _FLOAT,
+    "depth": _FLOAT, "well_a": _FLOAT, "well_b": _FLOAT,
+    "lambda0": _FLOAT, "lambda1": _FLOAT, "x_min": _FLOAT, "obstacle_k": _FLOAT,
+    "delta": _FLOAT, "amp": _FLOAT, "lower_c": _FLOAT, "lower_theta": _FLOAT,
+    "csv": _STR,
 }
-_GRID_KEYS = {"r_max": float, "h": float, "mode_cap": float}
-_OUTPUT_KEYS = {"directory": str, "svg": bool}
+_GRID_KEYS = {
+    "h": _Key("float", lambda v: v <= 0, "h must be positive"),
+    "r_max": _Key("float", lambda v: v <= 1, "r_max must exceed 1"),
+    "mode_cap": _Key("float", lambda v: v < 0, "mode_cap must be >= 0"),
+}
+_OUTPUT_KEYS = {"directory": _STR, "svg": _Key("bool")}
 _EXPERIMENT_KEYS = {
-    "kind": str, "lambda": float, "gammas": "float_list", "betas": "float_list",
-    "s": float, "psi_a": float, "psi_b": float, "psi_amp": float, "sign": int,
-    "interval_lo": float, "interval_hi": float, "delta": float,
-    "nus": "int_list", "tol": float, "gamma_top": float,
-    "window_r_max": float, "seed": int,
-    "n_pairs": int, "n_probes": int,
+    "kind": _STR, "lambda": _FLOAT,
+    "gammas": _Key("float_list", lambda g: not 0.0 < g < 1.0,
+                   "gamma values must lie in (0, 1), got {v}"),
+    "betas": _Key("float_list", lambda b: b < 0.0, "beta values must be >= 0, got {v}"),
+    "gamma_top": _Key("float", lambda v: v <= 0.0, "gamma_top must be positive, got {v}"),
+    "s": _Key("float", lambda v: v <= 0.5, "s must exceed 1/2, got {v}"),
+    "sign": _Key("int", lambda v: v not in (1, -1), "sign must be +1 or -1"),
+    "n_pairs": _Key("int", lambda v: v < 2, "n_pairs must be >= 2, got {v}"),
+    "n_probes": _Key("int", lambda v: v < 1, "n_probes must be >= 1, got {v}"),
+    "seed": _Key("int", lambda v: v < 0, "seed must be >= 0, got {v}"),
+    "psi_a": _FLOAT, "psi_b": _FLOAT, "psi_amp": _FLOAT,
+    "interval_lo": _FLOAT, "interval_hi": _FLOAT, "delta": _FLOAT,
+    "nus": _Key("int_list"), "tol": _FLOAT, "window_r_max": _FLOAT,
 }
+
+
+def _list(parse):
+    return lambda raw: [parse(p) for p in raw.split(",") if p.strip()]
+
+
+_BOOLS = {"true": True, "yes": True, "1": True,
+          "false": False, "no": False, "0": False}
+# type name -> parser; a parser refuses a value by KeyError or ValueError
+_PARSERS = {"str": str, "bool": lambda raw: _BOOLS[raw.lower()], "int": int,
+            "float": float, "float_list": _list(float), "int_list": _list(int)}
 
 
 def _tabulated(csv, d, **optional):
@@ -170,29 +214,37 @@ class RunConfig:
     config_hash: str = ""
 
 
-def _parse_value(raw: str, kind, where: str, errors: list):
-    raw = raw.strip()
-    try:
-        if kind is str:
-            return raw
-        if kind is bool:
-            if raw.lower() in ("true", "yes", "1"):
-                return True
-            if raw.lower() in ("false", "no", "0"):
-                return False
-            raise ValueError(raw)
-        if kind is int:
-            return int(raw)
-        if kind is float:
-            return float(raw)
-        if kind == "float_list":
-            return [float(p) for p in raw.split(",") if p.strip()]
-        if kind == "int_list":
-            return [int(p) for p in raw.split(",") if p.strip()]
-    except ValueError:
-        errors.append(f"{where}: cannot parse {raw!r} as {kind if isinstance(kind, str) else kind.__name__}")
+def _check_kind(where, kind, kinds, given, verb, errors):
+    """Report a missing or unknown ``kind`` of ``kinds`` (kind -> (...,
+    required keys, optional keys)) and give None; else give the violations
+    (required keys ``given`` leaves unset, keys of ``given`` the kind does
+    not ``verb``), the refused keys taken out of ``given``."""
+    if kind is None:
+        errors.append(f"{where}: missing required key 'kind'")
         return None
-    raise AssertionError(f"unhandled schema type {kind}")
+    if kind not in kinds:
+        errors.append(f"{where}: unknown kind {kind!r}; expected one of "
+                      + ", ".join(sorted(kinds)))
+        return None
+    needs, optional = kinds[kind][-2:]
+    refused = [key for key in given if key not in ("kind", *needs, *optional)]
+    for key in refused:
+        del given[key]
+    return ([f"{where}: kind {kind!r} requires key {key!r}"
+             for key in needs if key not in given],
+            [f"{where}: kind {kind!r} does not {verb} key {key!r}" for key in refused])
+
+
+def _check_ranges(where, values, schema, errors):
+    """Report each list in ``values`` that is empty, then each value that
+    its key's row in ``schema`` refuses, both in ``schema``'s order."""
+    errors += [f"{where}: {key} needs at least one value"
+               for key in schema if values.get(key) == []]
+    for key, row in schema.items():
+        value = values.get(key, [])
+        for v in value if isinstance(value, list) else [value]:
+            if row.refuses and row.refuses(v):
+                errors.append(f"{where}: " + row.violation.format(v=v))
 
 
 def parse_config(text: str) -> RunConfig:
@@ -202,12 +254,14 @@ def parse_config(text: str) -> RunConfig:
     raises ConfigError listing every violation found.
     """
     errors: list[str] = []
-    section = None        # (kind, name, line_no)
     model: dict = {}
     grid: dict = dict(_GRID_DEFAULTS)
     output: dict = dict(_OUTPUT_DEFAULTS)
+    sections = {"model": (_MODEL_KEYS, model), "grid": (_GRID_KEYS, grid),
+                "output": (_OUTPUT_KEYS, output)}
     experiments: list[ExperimentConfig] = []
     exp_lines: dict[str, int] = {}
+    section = None        # (label, schema, the dict its keys fill)
 
     for line_no, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.split("#", 1)[0].strip()
@@ -215,27 +269,23 @@ def parse_config(text: str) -> RunConfig:
             continue
         if line.startswith("[") and line.endswith("]"):
             header = line[1:-1].strip()
-            if header in ("model", "grid", "output"):
-                section = (header, header, line_no)
-            elif header.startswith("experiment"):
-                name = header[len("experiment"):].strip()
-                if not name:
-                    errors.append(f"line {line_no}: experiment section needs a name")
-                    section = None
-                    continue
-                if name in exp_lines:
-                    errors.append(
-                        f"line {line_no}: duplicate experiment name {name!r} "
-                        f"(first defined at line {exp_lines[name]})")
-                    section = None
-                    continue
-                exp_lines[name] = line_no
-                experiments.append(ExperimentConfig(name=name, kind="",
-                                                    options={}))
-                section = ("experiment", name, line_no)
-            else:
+            name = header[len("experiment"):].strip()
+            section = None
+            if header in sections:
+                section = (header, *sections[header])
+            elif not header.startswith("experiment"):
                 errors.append(f"line {line_no}: unknown section [{header}]")
-                section = None
+            elif not name:
+                errors.append(f"line {line_no}: experiment section needs a name")
+            elif name in exp_lines:
+                errors.append(
+                    f"line {line_no}: duplicate experiment name {name!r} "
+                    f"(first defined at line {exp_lines[name]})")
+            else:
+                exp_lines[name] = line_no
+                experiments.append(ExperimentConfig(name, "", {}))
+                section = (f"experiment {name}", _EXPERIMENT_KEYS,
+                           experiments[-1].options)
             continue
         if "=" not in line:
             errors.append(f"line {line_no}: expected 'key = value', got {line!r}")
@@ -243,85 +293,36 @@ def parse_config(text: str) -> RunConfig:
         if section is None:
             errors.append(f"line {line_no}: key outside any section")
             continue
-        key, raw_val = (p.strip() for p in line.split("=", 1))
-        kind_name, name, _ = section
-        if kind_name == "model":
-            schema, target = _MODEL_KEYS, model
-        elif kind_name == "grid":
-            schema, target = _GRID_KEYS, grid
-        elif kind_name == "output":
-            schema, target = _OUTPUT_KEYS, output
-        else:
-            schema, target = _EXPERIMENT_KEYS, experiments[-1].options
+        key, raw = (p.strip() for p in line.split("=", 1))
+        label, schema, values = section
         if key not in schema:
-            errors.append(f"line {line_no}: unknown key {key!r} in section [{kind_name}"
-                          + (f" {name}" if kind_name == "experiment" else "") + "]")
+            errors.append(f"line {line_no}: unknown key {key!r} in section [{label}]")
             continue
-        val = _parse_value(raw_val, schema[key], f"line {line_no} ({key})", errors)
-        if val is not None:
-            target[key] = val
+        try:
+            values[key] = _PARSERS[schema[key].type](raw)
+        except (KeyError, ValueError):
+            errors.append(f"line {line_no} ({key}): cannot parse {raw!r} "
+                          f"as {schema[key].type}")
 
     # semantic validation -----------------------------------------------------
-    kind = model.get("kind")
-    if kind is None:
-        errors.append("[model]: missing required key 'kind'")
-    elif kind not in _MODELS:
-        errors.append(f"[model]: unknown kind {kind!r}; expected one of "
-                      + ", ".join(sorted(_MODELS)))
-    else:
-        _, needs, optional = _MODELS[kind]
-        for req in needs:
-            if req not in model:
-                errors.append(f"[model]: kind {kind!r} requires key {req!r}")
-        for key in model:
-            if key not in ("kind", *needs, *optional):
-                errors.append(f"[model]: kind {kind!r} does not take key {key!r}")
-    if grid["h"] <= 0:
-        errors.append("[grid]: h must be positive")
-    if grid["r_max"] <= 1:
-        errors.append("[grid]: r_max must exceed 1")
-    if grid["mode_cap"] < 0:
-        errors.append("[grid]: mode_cap must be >= 0")
-
+    missing, refused = _check_kind("[model]", model.get("kind"), _MODELS, model,
+                                   "take", errors) or ((), ())
+    errors += [*missing, *refused]
+    _check_ranges("[grid]", grid, _GRID_KEYS, errors)
+    escape = model.get("kind", "").startswith("escape_")
     for exp in experiments:
         where = f"[experiment {exp.name}]"
         exp.kind = exp.options.pop("kind", "")
-        if not exp.kind:
-            errors.append(f"{where}: missing required key 'kind'")
+        checked = _check_kind(where, exp.kind or None, _EXPERIMENT_NEEDS,
+                              exp.options, "read", errors)
+        if checked is None:
             continue
-        if exp.kind not in _EXPERIMENT_NEEDS:
-            errors.append(f"{where}: unknown kind {exp.kind!r}; expected one of "
-                          + ", ".join(sorted(_EXPERIMENT_NEEDS)))
-            continue
-        if kind is not None and kind.startswith("escape_") and exp.kind != "check":
-            errors.append(f"{where}: a {kind} model runs only check blocks, "
-                          f"not {exp.kind!r}")
-        needs, optional = _EXPERIMENT_NEEDS[exp.kind]
-        for key in [k for k in exp.options if k not in (*needs, *optional)]:
-            errors.append(f"{where}: kind {exp.kind!r} does not read key {key!r}")
-            del exp.options[key]
-        for key, typ in _EXPERIMENT_KEYS.items():
-            if typ in ("float_list", "int_list") and exp.options.get(key) == []:
-                errors.append(f"{where}: {key} needs at least one value")
-        for g in exp.options.get("gammas", []):
-            if not 0.0 < g < 1.0:
-                errors.append(f"{where}: gamma values must lie in (0, 1), got {g}")
-        for b in exp.options.get("betas", []):
-            if b < 0.0:
-                errors.append(f"{where}: beta values must be >= 0, got {b}")
-        if exp.options.get("gamma_top", 1.0) <= 0.0:
-            errors.append(f"{where}: gamma_top must be positive, "
-                          f"got {exp.options['gamma_top']}")
-        if "s" in exp.options and exp.options["s"] <= 0.5:
-            errors.append(f"{where}: s must exceed 1/2, got {exp.options['s']}")
-        if "sign" in exp.options and exp.options["sign"] not in (1, -1):
-            errors.append(f"{where}: sign must be +1 or -1")
-        for key, least in (("n_pairs", 2), ("n_probes", 1), ("seed", 0)):
-            if exp.options.get(key, least) < least:
-                errors.append(f"{where}: {key} must be >= {least}, got {exp.options[key]}")
-        for req in needs:
-            if req not in exp.options:
-                errors.append(f"{where}: kind {exp.kind!r} requires key {req!r}")
+        if escape and exp.kind != "check":
+            errors.append(f"{where}: a {model['kind']} model runs only check "
+                          f"blocks, not {exp.kind!r}")
+        errors += checked[1]
+        _check_ranges(where, exp.options, _EXPERIMENT_KEYS, errors)
+        errors += checked[0]
 
     if errors:
         raise ConfigError(errors)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from endspec.conditions import (_NOISE_FLOOR, EXPONENT_CAP, ConditionReport,
-                                EscapeField2D, InequalityRow, check_conditions,
+                                EscapeField2D, _bounded_tail, InequalityRow, check_conditions,
                                 check_escape_2d, combine_verdicts,
                                 condition_grid, disk_complement_field,
                                 hyperbola_field, sawtooth_field)
@@ -166,6 +166,18 @@ def test_combine_verdicts_fail_over_inconclusive_over_pass():
                           lambda0=0.0)
     assert rep.overall() == "inconclusive"
 
+
+
+@pytest.mark.parametrize("shape, bounded", [
+    (np.ones_like, True),                       # flat
+    (np.square, False),                         # grows over both last steps
+    (lambda rr: np.minimum(rr, 8.0), True),     # grows, then stops
+])
+def test_bounded_tail_on_four_blocks_needs_two_growth_steps(shape, bounded):
+    # four full dyadic blocks on [1, 16): too few for the five-block rule,
+    # so growth must show over both of the last two steps
+    rr = np.geomspace(1.0, 16.0, 4 * 48, endpoint=False)
+    assert _bounded_tail(rr, shape(rr)) is bounded
 
 def test_report_constant_and_beta_c_follow_from_rows_and_exponents():
     # C is the largest finite positive row constant (1.0 when none is), and

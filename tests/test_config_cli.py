@@ -225,6 +225,104 @@ def test_experiment_key_its_kind_never_reads_is_refused():
     assert err.value.violations == ["[experiment s]: seed must be >= 0, got -4"]
 
 
+
+def test_bool_words_parse():
+    cfg = parse_config("[model]\nkind = free\n[output]\nsvg = no\n")
+    assert cfg.output["svg"] is False
+
+
+_BLOCK = "[model]\nkind = free\n\n[experiment x]\n"
+
+
+@pytest.mark.parametrize("text, violations", [
+    ("[model]\nkind = free\n[output]\nsvg = maybe\n",
+     ["line 4 (svg): cannot parse 'maybe' as bool"]),
+    ("[model]\nkind = free\n[somewhere]\nx = 1\n",
+     ["line 3: unknown section [somewhere]", "line 4: key outside any section"]),
+    ("[model]\nkind = free\n[experiment]\nkind = lap\n",
+     ["line 3: experiment section needs a name", "line 4: key outside any section"]),
+    ("[model]\nkind = free\nd 3\n", ["line 3: expected 'key = value', got 'd 3'"]),
+    ("[model]\nd = 3\n", ["[model]: missing required key 'kind'"]),
+    ("[model]\nkind = power\nd = 3\n", ["[model]: kind 'power' requires key 'theta'"]),
+    ("[model]\nkind = power\nd = 3\ndepth = 1.0\n",
+     ["[model]: kind 'power' requires key 'theta'",
+      "[model]: kind 'power' does not take key 'depth'"]),
+    ("[model]\nkind = free\n[grid]\nr_max = 1\n", ["[grid]: r_max must exceed 1"]),
+    ("[model]\nkind = free\n[grid]\nmode_cap = -1\nr_max = 0.5\nh = 0\n",
+     ["[grid]: h must be positive", "[grid]: r_max must exceed 1",
+      "[grid]: mode_cap must be >= 0"]),
+    (_BLOCK + "lambda = 1.0\n", ["[experiment x]: missing required key 'kind'"]),
+    (_BLOCK + "kind = nosuch\n",
+     ["[experiment x]: unknown kind 'nosuch'; expected one of besov_energy, check, "
+      "hoelder, lap, radiation, rellich, riccati, solve, sommerfeld"]),
+    (_BLOCK + "kind = radiation\nlambda = 1.0\nbetas = 0.5, -0.5\n",
+     ["[experiment x]: beta values must be >= 0, got -0.5"]),
+    (_BLOCK + "kind = hoelder\nlambda = 1.0\ns = 0.5\n",
+     ["[experiment x]: s must exceed 1/2, got 0.5"]),
+    (_BLOCK + "kind = radiation\nlambda = 1.0\nsign = 2\n",
+     ["[experiment x]: sign must be +1 or -1"]),
+], ids=["bool", "unknown_section", "nameless_block", "no_equals", "model_no_kind",
+        "model_unset_key", "model_unset_and_refused_key", "r_max", "grid_order",
+        "block_no_kind", "block_unknown_kind", "betas", "s", "sign"])
+def test_violation_texts(text, violations):
+    with pytest.raises(ConfigError) as err:
+        parse_config(text)
+    assert err.value.violations == violations
+
+
+def test_violation_order_within_a_block():
+    # a block's violations come as: refused keys, empty lists, range rules
+    # (gammas, betas, gamma_top, s, sign, n_pairs, n_probes, seed), unset
+    # required keys
+    text = ("[model]\nkind = free\n\n"
+            "[experiment e]\nkind = besov_energy\nnus =\nsign = 1\ngammas =\n\n"
+            "[experiment r]\nkind = radiation\nsign = 0\ngammas = 1.5, 0.1\n"
+            "betas =\ntol = 1\n\n"
+            "[experiment h]\nkind = hoelder\nlambda = 1.0\nseed = -1\nn_probes = 0\n"
+            "n_pairs = 1\ns = 0.5\ngamma_top = 0\n")
+    with pytest.raises(ConfigError) as err:
+        parse_config(text)
+    assert err.value.violations == [
+        "[experiment e]: kind 'besov_energy' does not read key 'sign'",
+        "[experiment e]: gammas needs at least one value",
+        "[experiment e]: nus needs at least one value",
+        "[experiment e]: kind 'besov_energy' requires key 'lambda'",
+        "[experiment r]: kind 'radiation' does not read key 'tol'",
+        "[experiment r]: betas needs at least one value",
+        "[experiment r]: gamma values must lie in (0, 1), got 1.5",
+        "[experiment r]: sign must be +1 or -1",
+        "[experiment r]: kind 'radiation' requires key 'lambda'",
+        "[experiment h]: gamma_top must be positive, got 0.0",
+        "[experiment h]: s must exceed 1/2, got 0.5",
+        "[experiment h]: n_pairs must be >= 2, got 1",
+        "[experiment h]: n_probes must be >= 1, got 0",
+        "[experiment h]: seed must be >= 0, got -1",
+    ]
+
+
+def test_command_line_seed_reaches_only_blocks_that_read_it(monkeypatch, tmp_path,
+                                                            capsys):
+    seen = {}
+
+    def recorder(cfg, model, exp, out_dir):
+        seen[exp.kind] = dict(exp.options)
+        return "pass", ""
+
+    for kind in ("lap", "hoelder"):
+        monkeypatch.setitem(cli._RUNNERS, kind, (kind, recorder))
+    cfg = parse_config(MINIMAL + "\n[experiment h]\nkind = hoelder\nlambda = 1.0\n")
+    assert run(cfg, "lap", out_dir=tmp_path, seed=5) == 0
+    assert run(cfg, "hoelder", out_dir=tmp_path, seed=5) == 0
+    assert seen == {"lap": {"lambda": 1.0, "gammas": [0.1, 0.01]},
+                    "hoelder": {"lambda": 1.0, "seed": 5}}
+
+
+def test_unreadable_config_is_an_error_line(tmp_path, capsys):
+    assert cli.main(["check", "--config", str(tmp_path / "missing.cfg")]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: cannot read config: ")
+    assert captured.out == ""
+
 def test_type_mismatch_reported():
     text = MINIMAL.replace("lambda = 1.0", "lambda = one")
     with pytest.raises(ConfigError) as err:

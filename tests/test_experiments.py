@@ -225,6 +225,11 @@ def test_radiation_undecided_beta_makes_the_sweep_inconclusive(monkeypatch):
     assert tab.verdict == "inconclusive"
 
 
+
+def test_ratio_verdict_without_a_positive_finite_value_is_undecided():
+    verdict, ratio = _ratio_verdict([0.0, float("nan")])
+    assert verdict == "inconclusive" and math.isnan(ratio)
+
 @pytest.mark.xfail(strict=True, raises=ConditioningError,
                    reason="ROADMAP item 3: the incoming (sign=-1) outgoing-row solve "
                           "at Gamma = 0.1 misses the solver's residual tolerance "

@@ -4,7 +4,7 @@ import pytest
 from endspec.errors import ContractError, ResolutionError
 from endspec.geometry import (const_profile, exp_profile, geometric_split,
                               power_profile)
-from endspec.radial import (OuterPolicy, assemble_line_operator,
+from endspec.radial import (BesovProfile, OuterPolicy, assemble_line_operator,
                             assemble_radial_operator,
                             besov_from_modes, besov_norms, inner, l2_norm,
                             line_grid, mode_spectrum, profile_modes, smooth_bump,
@@ -203,6 +203,19 @@ def test_weighted_norm_log_space():
     expected_log = 0.5 * ((2 * s + 1) * np.log(grid.r_max) - np.log(2 * s + 1))
     assert np.log(v) == pytest.approx(expected_log, abs=1e-4)
 
+
+
+def test_weighted_norm_log_space_of_zero_is_zero():
+    # s log r_max = 100 log 64 > 300 takes the log-space branch, where a
+    # function with no nonzero term has no largest term to shift by
+    grid = uniform_grid(64.0, 0.5)
+    assert weighted_norm(np.zeros(grid.n), grid, 100.0) == 0.0
+
+
+def test_tail_slope_of_a_vanishing_annulus_is_minus_infinity():
+    prof = BesovProfile.from_squares([0, 1, 2, 3], [1.0, 1.0, 0.0, 1.0],
+                                     partial_outer=False)
+    assert prof.tail_slope() == -np.inf
 
 def test_weighted_norm_log_space_matches_an_exact_sum():
     # the log-space branch (|s| log r_max >= 300) where r^{2s} alone

@@ -431,6 +431,16 @@ def test_non_finite_source_is_refused(policy, bad):
             resolve(op, psi_bad, allow_unabsorbed=True)
 
 
+
+def test_non_finite_potential_is_refused():
+    # a NaN on the potential diagonal is caught before LAPACK sees it
+    m, grid, psi, op = _free_setup()
+    diag = op.potential_diag.copy()
+    diag[grid.n // 2] = np.nan
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        resolve(dataclasses.replace(op, potential_diag=diag), psi,
+                allow_unabsorbed=True)
+
 def test_huge_finite_source_is_not_refused_as_non_finite():
     # ||psi||^2 overflows, yet every entry is finite: the exact elementwise
     # check decides, as it does for every source whose sum is not finite
