@@ -2,8 +2,9 @@
 
 Format: `[section]` headers followed by `key = value` lines; `#` starts a
 comment; blank lines are ignored.  Sections are `[model]`, `[grid]`,
-`[output]` and any number of `[experiment NAME]` blocks.  Values are typed
-by the schema below; lists are comma-separated.
+`[output]` and any number of `[experiment NAME]` blocks (`experiment`,
+whitespace, then the name).  Values are typed by the schema below; lists
+are comma-separated, and a float is finite.
 
     [model]
     kind = free | power | euclidean | exponential | stretchedexp
@@ -60,10 +61,10 @@ by the schema below; lists are comma-separated.
 
 Validation collects every violation (unknown keys and sections, a [model]
 key its kind does not take, an [experiment] key its kind never reads, type
-mismatches, out-of-range values, empty lists, duplicate experiment names,
-blocks other than check on an escape_* model) and raises a single
-ConfigError carrying the full list; range checks see only the keys a
-block's kind reads.
+mismatches, non-finite floats, out-of-range values, empty lists, a missing
+or empty kind, duplicate experiment names, blocks other than check on an
+escape_* model) and raises a single ConfigError carrying the full list;
+range checks see only the keys a block's kind reads.
 
 The key table (``_MODEL_KEYS``, ``_GRID_KEYS``, ``_OUTPUT_KEYS``,
 ``_EXPERIMENT_KEYS``) gives each key's type and range; the block table
@@ -82,6 +83,8 @@ library's cap of 0.5.
 
 from __future__ import annotations
 
+import math
+import re
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -143,6 +146,16 @@ def _list(parse):
     return lambda raw: [parse(p) for p in raw.split(",") if p.strip()]
 
 
+def _finite(value) -> bool:
+    """Whether every float in a parsed value (one value or a list) is
+    finite; a non-finite float passes no range rule's refusing comparison,
+    so it is refused here, for every float and float-list key."""
+    return all(math.isfinite(v) for v in (value if isinstance(value, list) else [value])
+               if isinstance(v, float))
+
+
+# an experiment header: `experiment`, whitespace and the block's name
+_EXPERIMENT_HEADER = re.compile(r"experiment(?:\s+(.*))?")
 _BOOLS = {"true": True, "yes": True, "1": True,
           "false": False, "no": False, "0": False}
 # type name -> parser; a parser refuses a value by KeyError or ValueError
@@ -215,11 +228,12 @@ class RunConfig:
 
 
 def _check_kind(where, kind, kinds, given, verb, errors):
-    """Report a missing or unknown ``kind`` of ``kinds`` (kind -> (...,
-    required keys, optional keys)) and give None; else give the violations
-    (required keys ``given`` leaves unset, keys of ``given`` the kind does
-    not ``verb``), the refused keys taken out of ``given``."""
-    if kind is None:
+    """Report a missing or empty ``kind`` as missing, or one not in
+    ``kinds`` (kind -> (..., required keys, optional keys)) as unknown, and
+    give None; else give the violations (required keys ``given`` leaves
+    unset, keys of ``given`` the kind does not ``verb``), the refused keys
+    taken out of ``given``."""
+    if not kind:
         errors.append(f"{where}: missing required key 'kind'")
         return None
     if kind not in kinds:
@@ -269,11 +283,12 @@ def parse_config(text: str) -> RunConfig:
             continue
         if line.startswith("[") and line.endswith("]"):
             header = line[1:-1].strip()
-            name = header[len("experiment"):].strip()
+            block = _EXPERIMENT_HEADER.fullmatch(header)
+            name = block and block[1]
             section = None
             if header in sections:
                 section = (header, *sections[header])
-            elif not header.startswith("experiment"):
+            elif block is None:
                 errors.append(f"line {line_no}: unknown section [{header}]")
             elif not name:
                 errors.append(f"line {line_no}: experiment section needs a name")
@@ -299,10 +314,15 @@ def parse_config(text: str) -> RunConfig:
             errors.append(f"line {line_no}: unknown key {key!r} in section [{label}]")
             continue
         try:
-            values[key] = _PARSERS[schema[key].type](raw)
+            value = _PARSERS[schema[key].type](raw)
         except (KeyError, ValueError):
             errors.append(f"line {line_no} ({key}): cannot parse {raw!r} "
                           f"as {schema[key].type}")
+            continue
+        if not _finite(value):
+            errors.append(f"line {line_no} ({key}): {key} must be finite, got {raw!r}")
+            continue
+        values[key] = value
 
     # semantic validation -----------------------------------------------------
     missing, refused = _check_kind("[model]", model.get("kind"), _MODELS, model,
@@ -313,7 +333,7 @@ def parse_config(text: str) -> RunConfig:
     for exp in experiments:
         where = f"[experiment {exp.name}]"
         exp.kind = exp.options.pop("kind", "")
-        checked = _check_kind(where, exp.kind or None, _EXPERIMENT_NEEDS,
+        checked = _check_kind(where, exp.kind, _EXPERIMENT_NEEDS,
                               exp.options, "read", errors)
         if checked is None:
             continue

@@ -534,7 +534,8 @@ def _probe_diff(ops, modes, z1, z2, sources, weights, fars, s: float) -> float:
     interior weights, the probes' spans and a wall past F are the same; a
     prefix whose wall is at or before F scans its own tail.  Every probe
     lies on nodes < J, the first node past all their spans, so each (mode,
-    z) takes its far field once and each probe solves on nodes <= J; past J
+    z) takes its far field once and solves every probe in one block on
+    nodes <= J (``resolve``); past J
     a probe's difference, e G1 + c2 D, has the weighted sum of squares
     |e|^2 S_11 + |c2|^2 S_DD + 2 Re(e conj(c2) S_1D) (``closure``).
 
@@ -547,6 +548,7 @@ def _probe_diff(ops, modes, z1, z2, sources, weights, fars, s: float) -> float:
             f"no unknown of the {op0.grid.n}-node grid lies past node {junction}, "
             "the first node past every probe's support")
     near_w = weights[:junction]
+    probes = [(start, vals) for start, vals, _ in sources]
     num_sq = np.zeros(len(sources))
     for mu, mult in modes:
         far = fars[mu]
@@ -555,9 +557,9 @@ def _probe_diff(ops, modes, z1, z2, sources, weights, fars, s: float) -> float:
         field1 = far_field(ops[mu].shifted(z1), junction, far)
         field2 = far_field(ops[mu].shifted(z2), junction, far)
         s_11, s_dd, s_1d = tail_gram(field1, field2, weights, s)
-        for k, (start, vals, _) in enumerate(sources):
-            u1 = resolve(field1.near, (start, vals)).phi
-            u2 = resolve(field2.near, (start, vals)).phi
+        sols = zip(resolve(field1.near, probes), resolve(field2.near, probes))
+        for k, (sol1, sol2) in enumerate(sols):
+            u1, u2 = sol1.phi, sol2.phi
             c2 = u2[junction]
             e = u1[junction] - c2
             near = np.abs(u1[:junction] - u2[:junction]) ** 2

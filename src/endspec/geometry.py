@@ -35,7 +35,7 @@ threshold-radius search as well).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -111,18 +111,64 @@ class PotentialSplit:
 
 @dataclass(frozen=True)
 class GeometryPoint:
-    """The pointwise geometric quantities the operators are built from."""
+    """The pointwise geometric quantities the operators are built from.
+
+    ``geometry_at`` forms f and q_geom, which a potential diagonal reads,
+    and delta_r, which q_geom is formed from.  ``ell_coeff`` and ``eta``,
+    which only the condition checks and the weighted energy forms read, are
+    formed on each read from the kept w = f'/f and cutoff band, so a point
+    holds four arrays of its radii's length, not five.
+    """
 
     r: np.ndarray
     f: np.ndarray
     delta_r: np.ndarray      # smoothed mean curvature eta * (d-1) f'/(2 f)
-    ell_coeff: np.ndarray    # f'/(2 f): Hess r = ell_coeff * ell on the end
-    eta: np.ndarray
     q_geom: np.ndarray       # (1/8) eta [ (Delta r)^2 + 2 d(Delta r)/dr ]
+    w: np.ndarray = field(repr=False)       # f'/f at the flattened radii
+    band: tuple = field(repr=False)         # (flat indices below r0, eta there)
+
+    @property
+    def ell_coeff(self):
+        """f'/(2 f): Hess r = ell_coeff * ell on the end."""
+        return _shaped(0.5 * self.w, self.r)
+
+    @property
+    def eta(self):
+        """The interior cutoff: 1 on the plateau r >= r0."""
+        eta = np.ones(self.w.size)
+        index, values = self.band
+        eta[index] = values
+        return _shaped(eta, self.r)
+
+
+def _shaped(a, r):
+    """The flat array ``a`` in the shape of the radii r (a scalar for a
+    scalar r)."""
+    a = a.reshape(r.shape)
+    return a[()] if r.ndim == 0 else a
+
+
+def _warp(profile: WarpProfile, r: np.ndarray) -> np.ndarray:
+    """f at the radii r, refused (``EvaluationError``, naming the first
+    such radius) unless finite and positive everywhere: one min and one max
+    reduction decide, and only a refusal looks for the radius."""
+    if profile.log_f is not None:
+        lf = np.asarray(profile.log_f(r), dtype=float)
+        good = lf.min(initial=np.inf) > -np.inf and lf.max(initial=-np.inf) < np.inf
+        fv = np.exp(np.clip(lf, -700.0, 700.0))
+    else:
+        fv = np.asarray(profile.f(r), dtype=float)
+        good = fv.min(initial=np.inf) > 0.0 and fv.max(initial=0.0) < np.inf
+    if not good:
+        bad = ~np.isfinite(lf) if profile.log_f is not None \
+            else ~np.isfinite(fv) | (fv <= 0.0)
+        rb = np.atleast_1d(r)[np.atleast_1d(bad)][0]
+        raise EvaluationError(f"warp profile not finite/positive at r={rb!r}")
+    return fv
 
 
 def geometry_at(profile: WarpProfile, r) -> GeometryPoint:
-    """Evaluate all geometric quantities at radius r (scalar or array).
+    """Evaluate the geometric quantities at radius r (scalar or array).
 
     The mean curvature uses the warped formula for r >= r0 and the
     cutoff-smoothed interpolation below; q_geom therefore vanishes for
@@ -131,53 +177,43 @@ def geometry_at(profile: WarpProfile, r) -> GeometryPoint:
     For r >= r0 the cutoff sits on its plateau, eta = 1 and eta' = 0
     exactly, so there delta_r = (d-1) w/2, d(delta_r)/dr = (d-1) w'/2 and
     q_geom = (delta_r^2 + 2 d(delta_r)/dr) / 8 are formed in a few passes
-    over the grid, and the cutoff terms are evaluated only on the nodes
-    below r0 (a handful on a long grid).  Every field is the value of the
-    cutoff formula at every node, bit for bit.
+    over the grid, in place, and the cutoff terms are evaluated only on the
+    nodes below r0 (a handful on a long grid); the band (NaN included, which
+    the cutoff puts at eta = 0) is then overwritten.  |dr|^2 = 1 on the
+    warped model, so the prefactor eta~ is eta itself.  Every field is the
+    value of the cutoff formula at every node, bit for bit; ``eta`` and
+    ``ell_coeff`` are formed when read (``GeometryPoint``).
     """
     cutoffs = profile.cutoffs
     r = np.asarray(r, dtype=float)
-    if np.any(r < 1.0):
+    # one reduction clears radii below 1 and the band below r0 at once; a
+    # NaN, which compares false, sends both to their exact tests
+    r_min = r.min(initial=np.inf)
+    if not r_min >= 1.0 and np.any(r < 1.0):
         raise ContractError("radius must be >= 1")
     w, w1, _, _ = profile.log_chain(r)
-    if profile.log_f is not None:
-        lf = np.asarray(profile.log_f(r), dtype=float)
-        bad = ~np.isfinite(lf)
-        fv = np.exp(np.clip(lf, -700.0, 700.0))
-    else:
-        fv = np.asarray(profile.f(r), dtype=float)
-        bad = ~np.isfinite(fv) | (fv <= 0.0)
-    if np.any(bad):
-        rb = np.atleast_1d(r)[np.atleast_1d(bad)][0]
-        raise EvaluationError(f"warp profile not finite/positive at r={rb!r}")
+    fv = _warp(profile, r)
     half = 0.5 * (profile.d - 1)
-    # the plateau values at every node; the band below r0 (NaN included,
-    # which the cutoff puts at eta = 0) is then overwritten
     rf = r.reshape(-1)
     w = np.broadcast_to(w, r.shape).reshape(-1)
     w1 = np.broadcast_to(w1, r.shape).reshape(-1)
     delta_r = half * w
-    # q_geom = (1/8) eta (delta_r^2 + 2 d(delta_r)/dr), in place; |dr|^2 = 1
-    # on the warped model, so the prefactor eta~ is eta itself
     q_geom = half * w1
     q_geom *= 2.0
     q_geom += np.square(delta_r)
     q_geom *= 0.125
-    eta = np.ones(rf.size)
-    band = np.flatnonzero(~(rf >= cutoffs.r0))
+    band = np.flatnonzero(~(rf >= cutoffs.r0)) if not r_min >= cutoffs.r0 \
+        else np.arange(0)
+    eb = np.ones(0)
     if band.size:
         rb, wb = rf[band], w[band]
         eb = cutoffs.eta(rb)
         db = eb * half * wb
         ddb = cutoffs.eta(rb, order=1) * half * wb + eb * half * w1[band]
-        eta[band], delta_r[band] = eb, db
+        delta_r[band] = db
         q_geom[band] = 0.125 * eb * (db**2 + 2.0 * ddb)
-    fields = [a.reshape(r.shape) for a in (delta_r, 0.5 * w, eta, q_geom)]
-    if r.ndim == 0:
-        fields = [a[()] for a in fields]
-    delta_r, ell_coeff, eta, q_geom = fields
-    return GeometryPoint(r=r, f=fv, delta_r=delta_r, ell_coeff=ell_coeff,
-                         eta=eta, q_geom=q_geom)
+    return GeometryPoint(r=r, f=fv, delta_r=_shaped(delta_r, r),
+                         q_geom=_shaped(q_geom, r), w=w, band=(band, eb))
 
 
 def q_geom_chain(profile: WarpProfile, r):

@@ -146,9 +146,13 @@ def _annulus_index(radii):
 
 
 def _grid(lo: float, hi: float, h: float, coords: Callable) -> RadialGrid:
-    """Nodes lo + k h on [lo, hi]; ``coords(nodes)`` gives (radii, r', r'')."""
+    """Nodes lo + k h on [lo, hi]; ``coords(nodes)`` gives (radii, r', r'').
+    The nodes are formed in place from a float ``arange`` (whose entries k
+    are exact), so no integer array is made."""
     n = int(round((hi - lo) / h)) + 1
-    nodes = lo + h * np.arange(n)
+    nodes = np.arange(n, dtype=float)
+    nodes *= h
+    nodes += lo
     radii, dr, d2r = coords(nodes)
     return RadialGrid(nodes=nodes, radii=radii, dr=dr, d2r=d2r, h=float(h))
 
@@ -347,10 +351,21 @@ def _resolution_guard(h: float, z: complex):
 _ASSEMBLY_BLOCK = 1 << 15
 
 
-def _potential_diagonal(pt, v, mu: float) -> np.ndarray:
+def _potential_diagonal(pt, v, mu: float, out=None) -> np.ndarray:
     """q_geom + mu/(2f) + V from the geometry ``pt`` and V on the same
-    nodes: the one formula of every assembly."""
-    return pt.q_geom + mu / (2.0 * pt.f) + np.asarray(v, dtype=float)
+    nodes, into ``out`` if given: the one formula of every assembly.  It is
+    formed in place, 2f, then mu/(2f), then + q_geom and + V, which is the
+    sum as written bit for bit (an IEEE sum or product of two terms does
+    not depend on their order); at mu = 0, mu/(2f) is +0 exactly, f being
+    finite and positive, so it is added as that constant."""
+    if mu == 0.0:
+        out = np.add(pt.q_geom, 0.0, out=out)
+    else:
+        out = np.multiply(pt.f, 2.0, out=out)
+        np.divide(mu, out, out=out)
+        out += pt.q_geom
+    out += np.asarray(v, dtype=float)
+    return out
 
 
 def assemble_mode_operators(profile: WarpProfile, potential: PotentialSplit,
@@ -362,12 +377,14 @@ def assemble_mode_operators(profile: WarpProfile, potential: PotentialSplit,
 
     ``background`` = (GeometryPoint, V) already evaluated on the grid gives
     every diagonal from it.  None builds them over blocks of
-    ``_ASSEMBLY_BLOCK`` nodes: each block's geometry (at the radii) and V
-    (at the nodes) are evaluated once and shared by every mode, and no
-    GeometryPoint of the whole grid is formed, so callers that only solve
-    hold nothing of the grid's length but its nodes and the diagonals (a
-    grid of one block is its own block, ``RadialGrid.section``).  Every step
-    is elementwise, so both give the same diagonals bit for bit.
+    ``_ASSEMBLY_BLOCK`` nodes: each block's geometry (at the radii, of
+    which a diagonal reads f and q_geom) and V (at the nodes) are evaluated
+    once and shared by every mode, whose diagonal is written into it in
+    place, and no GeometryPoint of the whole grid is formed, so callers that
+    only solve hold nothing of the grid's length but its nodes and the
+    diagonals (a grid of one block is its own block,
+    ``RadialGrid.section``).  Every step is elementwise, so both give the
+    same diagonals bit for bit.
     A negative mu (ContractError) and an under-resolved z
     (``_resolution_guard``) are refused before anything is evaluated.
     """
@@ -383,7 +400,7 @@ def assemble_mode_operators(profile: WarpProfile, potential: PotentialSplit,
             part = grid.section(span)
             block = (geometry_at(profile, part.radii), potential.V(part.nodes))
             for mu, diag in zip(mus, diags):
-                diag[span] = _potential_diagonal(*block, mu)
+                _potential_diagonal(*block, mu, out=diag[span])
     return [RadialOperator(mu=float(mu), z=complex(z),
                            policy=policy or OuterPolicy.dirichlet(), grid=grid,
                            potential_diag=diag)

@@ -17,13 +17,14 @@ J, closed exactly.
 
 The work is split by what it depends on.  A ``RadialOperator`` holds the
 real potential diagonal, which depends on (mu, grid) only; ``shifted`` moves
-it to another z without touching the geometry.  ``resolve`` solves one
-source in one LAPACK sweep (``zgtsv``, which factors and solves together
-and keeps no factors) and verifies the solution with one pass over the grid
-per norm: the residual is summed over cache-sized blocks of rows, with no
-n-length temporary.  It takes a source as its support, a (start node,
-values) pair, or as a full-grid array (start 0), so a compact source on a
-long domain costs no full-grid copy.
+it to another z without touching the geometry.  ``resolve`` solves a
+block of sources in one LAPACK sweep (``zgtsv`` with one right-hand side
+per source, which factors and solves together and keeps no factors; one
+source is the block of one) and verifies each solution with one pass over
+the grid per norm: the residual is summed over cache-sized blocks of rows,
+with no n-length temporary.  It takes a source as its support, a (start
+node, values) pair, or as a full-grid array (start 0), so a compact source
+on a long domain costs no full-grid copy.
 
 The eigenvalue scan diagonalizes the Dirichlet-truncated symmetric operator
 on an interval and classifies each eigenpair by the decay of its dyadic
@@ -184,34 +185,42 @@ def _check_finite(a):
         raise ValueError("array must not contain infs or NaNs")
 
 
-def resolve(op: RadialOperator, psi, allow_unabsorbed: bool = False) -> ResolventSolution:
-    """(h_mu - z)^{-1} psi for one source, solved and verified.
+def resolve(op: RadialOperator, psi, allow_unabsorbed: bool = False):
+    """(h_mu - z)^{-1} psi for a block of sources, solved in one LAPACK
+    sweep and verified column by column.
 
-    LAPACK ``zgtsv`` factors (partial pivoting) and solves in one sweep, in
-    place in the diagonals and in the returned ``phi``, keeping no factors.
-    The result is verified: finite values, growth ``||phi|| / ||psi||`` at
-    most ``BLOWUP_LIMIT`` and residual by re-multiplication at most
-    ``RESIDUAL_TOL`` (a NaN growth or residual fails both).
+    psi is one source, which gives one ``ResolventSolution``, or a list of
+    k >= 1 sources, which gives the list of their solutions: the single
+    source is the block of k = 1.  LAPACK ``zgtsv`` factors (partial
+    pivoting) and solves all k columns in one sweep, in place in the
+    diagonals, keeping no factors; its arithmetic on a column does not
+    depend on the others, so each solution equals that of the source
+    solved alone, bit for bit.  Every column is verified: finite values,
+    growth ``||phi|| / ||psi||`` at most ``BLOWUP_LIMIT`` and residual by
+    re-multiplication at most ``RESIDUAL_TOL`` (a NaN growth or residual
+    fails both), and the first column that fails raises.
 
-    The source psi is a (start node, values) pair, whose values sit on
-    nodes start, start + 1, ... of the grid, or a full-grid array, the case
+    A source is a (start node, values) pair, whose values sit on nodes
+    start, start + 1, ... of the grid, or a full-grid array, the case
     start = 0.  As in the matrix rows, entries at the inner wall (node 0)
     and past the last unknown are dropped, and an entry on the outgoing last
     row is halved with that row.
 
     A call passes over the grid as few times as it can: the values are
-    written into the zeroed full-grid ``phi`` that is returned, ``zgtsv``
-    overwrites them there in place with the solution, and ||r||^2 is summed
-    over blocks of rows (``_residual_sq``), each formed from the potential
-    diagonal and the neighbours in ``phi`` while it is in cache, with the
-    source subtracted only on the blocks it overlaps; besides ``phi`` and the
-    three diagonals that ``zgtsv`` overwrites, the call creates no n-length
-    array.  ||rhs|| is one contiguous BLAS dot over the float view of the
-    source's rows, ||u|| one over the unknowns, and the finite-input
-    (``ValueError``) and finite-output (``ConditioningError``) checks follow
-    from them: a finite sum of squares has only finite terms, so the exact
-    elementwise test runs only when a sum is not finite.  Finite entries
-    that overflow ||rhs||^2 pass; the three norms are then all taken of the
+    written into the zeroed full-grid rows ``phi`` of a (k, grid.n) array,
+    which are returned, ``zgtsv`` overwrites them with the solution (in place
+    when k = 1; a block is solved in the contiguous copy ``zgtsv`` makes of
+    its unknowns and copied back), and ||r||^2 is summed over blocks of rows
+    (``_residual_sq``), each formed from the potential diagonal and the
+    neighbours in ``phi`` while it is in cache, with the source subtracted
+    only on the blocks it overlaps; besides ``phi`` and the three diagonals
+    that ``zgtsv`` overwrites, a one-source call creates no n-length array.
+    ||rhs|| is one contiguous BLAS dot over the float view of the source's
+    rows, ||u|| one over the unknowns, and the finite-input (``ValueError``)
+    and finite-output (``ConditioningError``) checks follow from them: a
+    finite sum of squares has only finite terms, so the exact elementwise
+    test runs only when a sum is not finite.  Finite entries that overflow
+    ||rhs||^2 pass; the three norms of that column are then all taken of the
     arrays divided by max |rhs|, which leaves growth and residual unchanged
     but finite.  The solution does not depend on how the source is given;
     ||rhs|| and so the diagnostics ``residual`` and ``growth`` of a compact
@@ -226,24 +235,49 @@ def resolve(op: RadialOperator, psi, allow_unabsorbed: bool = False) -> Resolven
     ``solve`` command, which solves on the domain it is given.
     """
     dd = _admitted_diagonal(op, allow_unabsorbed)
+    block = isinstance(psi, list)
+    sources = [_source_rows(op, p) for p in (psi if block else [psi])]
+    if not sources:
+        raise ContractError("a block of sources needs at least one source")
     n, i0 = op.n_unknowns, FIRST_UNKNOWN
-    lo, b = _source_rows(op, psi)
-    phi = np.zeros(op.grid.n, dtype=complex)
-    rhs = phi[lo:lo + b.size]
-    rhs[...] = b
-    if op.policy.kind == "outgoing" and lo + b.size == i0 + n:
-        rhs[-1] *= 0.5          # the halved outgoing row
-    rhs_sq = _sum_sq(rhs)
-    unit = 1.0                  # common divisor of the three norms
-    if not math.isfinite(rhs_sq):
-        _check_finite(rhs)      # finite entries may still overflow the sum
-        unit = float(np.max(np.abs(rhs.view(float))))
-        rhs_sq = _sum_sq(rhs, unit)
-    u = phi[i0:i0 + n]
-    info = zgtsv(op.dl, dd, op.du, u, overwrite_dl=1, overwrite_d=1,
-                 overwrite_du=1, overwrite_b=1)[-1]
+    phi = np.zeros((len(sources), op.grid.n), dtype=complex)
+    scales = [_rhs_scale(op, row, lo, b) for row, (lo, b) in zip(phi, sources)]
+    u = phi[:, i0:i0 + n].T     # Fortran-contiguous, so solved in place, at k = 1
+    x, info = zgtsv(op.dl, dd, op.du, u, overwrite_dl=1, overwrite_d=1,
+                    overwrite_du=1, overwrite_b=1)[-2:]
     if info > 0:
         raise LinAlgError("singular matrix")
+    if x is not u:
+        u[...] = x
+    sols = [_verified(op, row, lo, b, *scale)
+            for row, (lo, b), scale in zip(phi, sources, scales)]
+    return sols if block else sols[0]
+
+
+def _rhs_scale(op: RadialOperator, phi, lo: int, b):
+    """Write the source values ``b`` into the zeroed full-grid ``phi`` from
+    node ``lo`` (halving an entry on the outgoing last row) and give
+    (||rhs||^2, unit), both in units of ``unit``: 1, or max |rhs| when the
+    finite entries overflow the sum (``ValueError`` on a non-finite one)."""
+    rhs = phi[lo:lo + b.size]
+    rhs[...] = b
+    if op.policy.kind == "outgoing" and lo + b.size == FIRST_UNKNOWN + op.n_unknowns:
+        rhs[-1] *= 0.5          # the halved outgoing row
+    rhs_sq = _sum_sq(rhs)
+    if math.isfinite(rhs_sq):
+        return rhs_sq, 1.0
+    _check_finite(rhs)          # finite entries may still overflow the sum
+    unit = float(np.max(np.abs(rhs.view(float))))
+    return _sum_sq(rhs, unit), unit
+
+
+def _verified(op: RadialOperator, phi, lo: int, b, rhs_sq: float,
+              unit: float) -> ResolventSolution:
+    """The solved full-grid ``phi`` of the source ``b`` on rows from node
+    ``lo``, refused (``ConditioningError``) unless finite, with growth at
+    most ``BLOWUP_LIMIT`` and residual at most ``RESIDUAL_TOL``."""
+    n, i0 = op.n_unknowns, FIRST_UNKNOWN
+    u = phi[i0:i0 + n]
     u_sq = _sum_sq(u)
     if not math.isfinite(u_sq) and not np.all(np.isfinite(u.view(float))):
         raise ConditioningError("solver produced non-finite values", estimate=np.inf)

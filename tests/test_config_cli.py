@@ -261,13 +261,47 @@ _BLOCK = "[model]\nkind = free\n\n[experiment x]\n"
      ["[experiment x]: s must exceed 1/2, got 0.5"]),
     (_BLOCK + "kind = radiation\nlambda = 1.0\nsign = 2\n",
      ["[experiment x]: sign must be +1 or -1"]),
+    ("[model]\nkind =\n", ["[model]: missing required key 'kind'"]),
+    (_BLOCK + "kind =\nlambda = 1.0\n", ["[experiment x]: missing required key 'kind'"]),
+    ("[model]\nkind = free\n[grid]\nh = nan\nr_max = inf\nmode_cap = 1\n",
+     ["line 4 (h): h must be finite, got 'nan'",
+      "line 5 (r_max): r_max must be finite, got 'inf'"]),
+    ("[model]\nkind = power\nd = 3\ntheta = -inf\n",
+     ["line 4 (theta): theta must be finite, got '-inf'",
+      "[model]: kind 'power' requires key 'theta'"]),
+    (_BLOCK + "kind = hoelder\nlambda = NaN\ns = nan\ngamma_top = 0.1\n",
+     ["line 6 (lambda): lambda must be finite, got 'NaN'",
+      "line 7 (s): s must be finite, got 'nan'",
+      "[experiment x]: kind 'hoelder' requires key 'lambda'"]),
+    (_BLOCK + "kind = radiation\nlambda = 1.0\ngammas = 0.1, inf\nbetas = nan\n",
+     ["line 7 (gammas): gammas must be finite, got '0.1, inf'",
+      "line 8 (betas): betas must be finite, got 'nan'"]),
 ], ids=["bool", "unknown_section", "nameless_block", "no_equals", "model_no_kind",
         "model_unset_key", "model_unset_and_refused_key", "r_max", "grid_order",
-        "block_no_kind", "block_unknown_kind", "betas", "s", "sign"])
+        "block_no_kind", "block_unknown_kind", "betas", "s", "sign",
+        "model_empty_kind", "block_empty_kind", "grid_non_finite", "model_non_finite",
+        "block_non_finite", "list_non_finite"])
 def test_violation_texts(text, violations):
     with pytest.raises(ConfigError) as err:
         parse_config(text)
     assert err.value.violations == violations
+
+
+@pytest.mark.parametrize("header", ["experimentfoo", "experiments x", "experiment_x y",
+                                    "experiment-x"])
+def test_experiment_header_needs_whitespace_before_the_name(header):
+    # a header that only starts with `experiment` is an unknown section, not
+    # a block named by the rest of it
+    with pytest.raises(ConfigError) as err:
+        parse_config(f"[model]\nkind = free\n[{header}]\nkind = check\n")
+    assert err.value.violations == [f"line 3: unknown section [{header}]",
+                                    "line 4: key outside any section"]
+
+
+def test_experiment_header_name_follows_any_whitespace():
+    cfg = parse_config("[model]\nkind = free\n[experiment \t  my block ]\nkind = check\n"
+                       "[experiment\tb]\nkind = check\n")
+    assert [exp.name for exp in cfg.experiments] == ["my block", "b"]
 
 
 def test_violation_order_within_a_block():

@@ -743,17 +743,18 @@ def _junction(model, table):
 def test_hoelder_pair_solves_the_far_field_once_per_mode_and_z(
         case, cap, experiment_solves, monkeypatch):
     # per pair: for each mode and z one far solve, for a unit source at J,
-    # then per probe one solve of J unknowns at each z; every solve is
-    # closed by an outgoing-kind row.  The far solve ends where the
-    # potential diagonal freezes, at F: at J on the free end (J unknowns,
-    # and G is the single value G_J); on euclidean d=3 it never freezes at
-    # mu = 2 and 6, which solve to the last unknown of the pair's prefix and
-    # leave m = 1 node, the wall, to the closed form.  F is found once per
-    # mode on the shared grid, for both z; a pair scans its own prefix only
-    # for a mode whose wall is at or before that F: never on the free end
-    # (F = J), and for every mode of each trimmed pair on euclidean d=3,
-    # whose tails do not freeze bitwise (F is the shared grid's last
+    # then one block solve of J unknowns at each z holding every probe's
+    # source; every solve is closed by an outgoing-kind row.  The far solve
+    # ends where the potential diagonal freezes, at F: at J on the free end
+    # (J unknowns, and G is the single value G_J); on euclidean d=3 it never
+    # freezes at mu = 2 and 6, which solve to the last unknown of the pair's
+    # prefix and leave m = 1 node, the wall, to the closed form.  F is found
+    # once per mode on the shared grid, for both z; a pair scans its own
+    # prefix only for a mode whose wall is at or before that F: never on the
+    # free end (F = J), and for every mode of each trimmed pair on euclidean
+    # d=3, whose tails do not freeze bitwise (F is the shared grid's last
     # unknown at mu = 2 and 6, and past every trimmed wall at mu = 0)
+    from endspec.experiments import _probe_sources
     model, lam, _ = _hoelder_cases()[case]
     sources, last_unknowns, closed, frozen = [], [], [], []
     recording = endspec.experiments.resolve
@@ -778,7 +779,8 @@ def test_hoelder_pair_solves_the_far_field_once_per_mode_and_z(
     monkeypatch.setattr(endspec.experiments, "frozen_from", counting)
     table = hoelder_estimate(model, lam, mode_cap=cap, **_LADDER)
     modes, n_probes = model.modes(cap), _LADDER["n_probes"]
-    shared_n = model.make_grid(table.meta["r_max"], _LADDER["h"]).n
+    grid = model.make_grid(table.meta["r_max"], _LADDER["h"])
+    shared_n = grid.n
     pair_ns = [n + 2 for n in last_unknowns[::2 * len(modes)]]
     rescanned = [] if case == "free" else [n for n in pair_ns if n < shared_n]
     assert len(rescanned) == (0 if case == "free" else len(table.rows) - 1)
@@ -786,16 +788,25 @@ def test_hoelder_pair_solves_the_far_field_once_per_mode_and_z(
     assert len(frozen) == (1 if case == "free" else 12)
     assert [mu for mu, _ in modes] == ([0.0] if case == "free" else [0.0, 2.0, 6.0])
     junction = _junction(model, table)
-    per_pair = 2 * len(modes) * (1 + n_probes)
+    probes = [(start, vals.tolist()) for start, vals, _ in _probe_sources(
+        probe_set(grid, n_probes, _LADDER["seed"]), grid, _LADDER["s"])]
+    assert len(probes) == n_probes and all(start < junction for start, _ in probes)
+    # per mode: the far solves at z and z', then the probe blocks at z and z'
+    per_pair = 4 * len(modes)
     assert len(experiment_solves) == len(sources) == len(table.rows) * per_pair
+    assert [isinstance(psi, list) for psi in sources] \
+        == [False, False, True, True] * (len(modes) * len(table.rows))
     assert len(last_unknowns) == 2 * len(modes) * len(table.rows)
     for k, (g, g2, _) in enumerate(table.rows):
         pair = slice(k * per_pair, (k + 1) * per_pair)
-        far = [solve for solve, (start, vals) in zip(experiment_solves[pair], sources[pair])
-               if start == junction and vals.tolist() == [1.0]]
-        near = [solve for solve, (start, _) in zip(experiment_solves[pair], sources[pair])
-                if start < junction]
-        assert len(far) + len(near) == per_pair
+        far = [solve for solve, psi in zip(experiment_solves[pair], sources[pair])
+               if not isinstance(psi, list)]
+        assert all(psi[0] == junction and psi[1].tolist() == [1.0]
+                   for psi in sources[pair] if not isinstance(psi, list))
+        blocks = [solve for solve, psi in zip(experiment_solves[pair], sources[pair])
+                  if isinstance(psi, list)]
+        assert all([(start, vals.tolist()) for start, vals in psi] == probes
+                   for psi in sources[pair] if isinstance(psi, list))
         last = last_unknowns[2 * len(modes) * k]
         assert last > junction
         assert [(solve[0], solve[2]) for solve in far] == [(g, "outgoing"), (g2, "outgoing")] \
@@ -812,8 +823,7 @@ def test_hoelder_pair_solves_the_far_field_once_per_mode_and_z(
             # where its tail freezes is up to the rounding of each node
             assert junction <= ends[0] <= last and ends[1:] == [last, last]
             assert [tail for _, tail, _ in fields[2:]] == [1] * 4
-        assert near == [(g, junction, "outgoing"), (g2, junction, "outgoing")] \
-            * (len(modes) * n_probes)
+        assert blocks == [(g, junction, "outgoing"), (g2, junction, "outgoing")] * len(modes)
 
 
 @pytest.mark.parametrize("s", [0.75, 1.0, 2.0])

@@ -67,6 +67,27 @@ def test_geometry_error_names_radius():
         geometry_at(bad, np.array([2.0, 6.0]))
     with pytest.raises(ContractError):
         geometry_at(power_profile(2.0, 2), 0.5)
+    # a NaN radius does not hide one below 1
+    with pytest.raises(ContractError):
+        geometry_at(power_profile(2.0, 2), np.array([np.nan, 3.0, 0.5]))
+
+
+@pytest.mark.parametrize("log", [False, True], ids=["f", "log_f"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 0.0, -1.0])
+def test_warp_refusal_names_the_first_bad_radius(log, bad):
+    # f must be finite and positive, ln f finite: a refusal names the first
+    # radius where it is not (here 6.0, of 6.0 and 7.0)
+    chain = lambda r: (np.zeros_like(np.asarray(r, float)),) * 4
+    values = lambda r: np.where((np.asarray(r) > 5.0) & (np.asarray(r) < 8.0), bad, 1.0)
+    prof = WarpProfile(d=2, log_chain=chain, **{"log_f" if log else "f": values})
+    r = np.array([1.5, 2.5, 6.0, 7.0, 9.0])
+    if log and np.isfinite(bad):
+        assert np.all(np.isfinite(geometry_at(prof, r).q_geom))
+    else:
+        with pytest.raises(EvaluationError, match=r"not finite/positive at r=\S*6\.0"):
+            geometry_at(prof, r)
+    # no radius, nothing to refuse
+    assert geometry_at(prof, np.array([])).q_geom.shape == (0,)
 
 
 def test_warp_profile_needs_exactly_one_of_f_and_log_f():

@@ -92,6 +92,19 @@ def _identity_coords(x):
     return np.asarray(x, float), np.ones(np.shape(x)), np.zeros(np.shape(x))
 
 
+@pytest.mark.parametrize("lo, hi, h, line", [
+    (1.0, 64.0, 0.05, False), (1.0, 100.0, 0.03, False), (1.0, 16384.0, 0.02, False),
+    (1.0, 2.0**15, 0.01, False), (-24.0, 64.0, 0.02, True), (-10.0, 32.0, 0.1, True),
+    (-3.7, 50.3, 0.013, True)])
+def test_grid_nodes_equal_integer_arange_formula(lo, hi, h, line):
+    # the nodes formed in place from a float arange are lo + h k with k the
+    # integer arange, bit for bit
+    grid = line_grid(lo, hi, h, _identity_coords) if line else uniform_grid(hi, h)
+    expected = lo + h * np.arange(grid.n)
+    assert grid.nodes.dtype == expected.dtype
+    assert np.array_equal(grid.nodes.view(np.uint64), expected.view(np.uint64))
+
+
 def test_uniform_grid_radii_share_read_only_nodes():
     grid = uniform_grid(64.0, 0.01)
     assert np.shares_memory(grid.radii, grid.nodes)

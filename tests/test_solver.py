@@ -476,6 +476,81 @@ def test_growth_and_residual_guards_fire(monkeypatch, policy):
                 resolve(op, psi, allow_unabsorbed=True)
 
 
+# --- a block of sources in one sweep ----------------------------------------------
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+def _same_solution(a, b) -> bool:
+    return (np.array_equal(_bits(a.phi), _bits(b.phi))
+            and a.residual.hex() == b.residual.hex() and a.growth.hex() == b.growth.hex())
+
+
+@pytest.mark.parametrize("model, cap", [(free_model(), 0.5), (euclidean_model(3), 2.5)],
+                         ids=["free", "euclidean3"])
+def test_block_solve_equals_per_source_solves_bitwise(model, cap, monkeypatch):
+    # criterion 7's near operators, each with its block of probe sources:
+    # every column of the one-sweep solve is its source's own solve
+    blocks = []
+    original = endspec.experiments.resolve
+
+    def recording(op, psi, **kwargs):
+        sols = original(op, psi, **kwargs)
+        if isinstance(psi, list):
+            blocks.append((op, psi, sols))
+        return sols
+
+    monkeypatch.setattr(endspec.experiments, "resolve", recording)
+    hoelder_estimate(model, 1.0, 1.0, seed=0, h=0.02, mode_cap=cap)
+    # 4 pairs, 2 z, one block per mode and z
+    assert len(blocks) == 8 * len(model.modes(cap))
+    for op, psi, sols in blocks:
+        assert len(sols) == len(psi) == 8
+        assert all(_same_solution(sol, resolve(op, source))
+                   for source, sol in zip(psi, sols))
+
+
+@pytest.mark.parametrize("policy", _POLICIES)
+def test_one_source_block_is_the_single_source_solve(policy):
+    m = free_model()
+    grid = uniform_grid(64.0, 0.02)
+    op = m.operator(0.0, grid, 1.0 + 0.2j, policy)
+    psi = smooth_bump(grid.radii, 2.0, 3.0).astype(complex)
+    for source in (psi, (40, psi[40:110].copy())):
+        one = resolve(op, source)
+        block = resolve(op, [source])
+        assert isinstance(block, list) and len(block) == 1
+        assert one.phi.shape == block[0].phi.shape == (grid.n,)
+        assert _same_solution(one, block[0])
+        assert np.array_equal(_bits(one.phi), _bits(_reference_solve(op, psi)[0]))
+
+
+@pytest.mark.parametrize("guard, limit, message",
+                         [("growth", "BLOWUP_LIMIT", "grew"),
+                          ("residual", "RESIDUAL_TOL", "residual")])
+def test_block_with_one_failing_column_is_refused(monkeypatch, guard, limit, message):
+    # the limit is set between the two columns' values: each column is
+    # checked, whichever place the failing one takes in the block
+    m, grid, psi, op = _free_setup()
+    sources = [psi, 1e-3 * smooth_bump(grid.radii, 20.0, 31.0).astype(complex)]
+    values = [getattr(resolve(op, p, allow_unabsorbed=True), guard) for p in sources]
+    lo, hi = sorted(values)
+    assert lo < hi
+    monkeypatch.setattr(endspec.solver, limit, 0.5 * (lo + hi))
+    passing = sources[values.index(lo)]
+    assert len(resolve(op, [passing, passing], allow_unabsorbed=True)) == 2
+    for block in (sources, sources[::-1]):
+        with pytest.raises(ConditioningError, match=message):
+            resolve(op, block, allow_unabsorbed=True)
+
+
+def test_empty_block_is_refused():
+    m, grid, psi, op = _free_setup()
+    with pytest.raises(ContractError, match="at least one source"):
+        resolve(op, [], allow_unabsorbed=True)
+
+
 def test_one_source_solve_peak_memory_in_grid_vectors():
     # one zgtsv sweep holds the diagonals dd, dl, du and the solution phi;
     # the residual's block scratch is small.  Factors kept for reuse would
@@ -578,6 +653,32 @@ def _assembly_presets():
                                           V_long=lambda r: 0.3 / r,
                                           dV_long=lambda r: -0.3 / r**2,
                                           d2V_long=lambda r: 0.6 / r**3))}
+
+
+def test_block_assembly_forms_no_eta_or_ell_coeff(monkeypatch):
+    # a potential diagonal reads f and q_geom of each block's geometry; eta
+    # and ell_coeff are formed only when read, which the assembly never does
+    points, read = [], []
+
+    def recording(profile, r):
+        points.append(geometry_at(profile, r))
+        return points[-1]
+
+    for name in ("eta", "ell_coeff"):
+        prop = getattr(endspec.geometry.GeometryPoint, name)
+        monkeypatch.setattr(endspec.geometry.GeometryPoint, name, property(
+            lambda pt, name=name, prop=prop: read.append(name) or prop.fget(pt)))
+    monkeypatch.setattr(endspec.radial, "geometry_at", recording)
+    m = euclidean_model(3)
+    grid = m.make_grid(4096.0, 0.05)
+    assemble_mode_operators(m.profile, m.potential, [0.0, 2.0], grid, 1.0 + 0.1j)
+    assert len(points) == -(-grid.n // endspec.radial._ASSEMBLY_BLOCK) == 3
+    assert read == []
+    # the arrays a point holds: f, delta_r, q_geom and w, none for eta or
+    # ell_coeff
+    assert set(vars(points[0])) == {"r", "f", "delta_r", "q_geom", "w", "band"}
+    assert points[0].eta.shape == points[0].ell_coeff.shape == points[0].r.shape
+    assert read == ["eta", "ell_coeff"]
 
 
 @pytest.mark.parametrize("blocks", ["n<B", "n=5B", "n=4B+1", "band-split"])
