@@ -41,19 +41,19 @@ are comma-separated, and a float is finite.
     kind = check | solve | lap | radiation | hoelder | rellich
            | sommerfeld | riccati | besov_energy
     lambda = 1.0
-    gammas = 0.1, 0.01, 0.001
-    betas = 0, 0.5, 0.9
-    s = 1.0
+    gammas = 0.1, 0.01, 0.001  # each in (0, 1)
+    betas = 0, 0.5, 0.9      # each >= 0
+    s = 1.0                  # > 1/2
     psi_a = 2.0              # source bump support and amplitude
     psi_b = 3.0
     psi_amp = 1.0
-    sign = 1
+    sign = 1                 # +1 or -1
     interval_lo = -5.0       # rellich scan window
     interval_hi = 10.0
     delta = 0.25             # besov_energy
-    nus = 0,1,2,3,4,5,6
-    tol = 1e-4               # sommerfeld agreement tolerance
-    gamma_top = 0.002
+    nus = 0,1,2,3,4,5,6      # each in [0, 12]
+    tol = 1e-4               # sommerfeld agreement tolerance, > 0
+    gamma_top = 0.002        # > 0
     window_r_max = 64.0
     seed = 0                 # hoelder probe seed, >= 0
     n_pairs = 4              # hoelder ladder length, >= 2
@@ -67,7 +67,11 @@ escape_* model) and raises a single ConfigError carrying the full list;
 range checks see only the keys a block's kind reads.
 
 The key table (``_MODEL_KEYS``, ``_GRID_KEYS``, ``_OUTPUT_KEYS``,
-``_EXPERIMENT_KEYS``) gives each key's type and range; the block table
+``_EXPERIMENT_KEYS``) gives each key's type.  The range rules of the
+[grid] keys are ``_GRID_RULES``; those of the experiment keys live in
+``experiments.INPUT_RULES``, beside the functions that take them, and each
+experiment refuses its arguments by that table at entry, so a block and a
+library call are refused with the same text.  The block table
 ``_EXPERIMENT_NEEDS`` (``_MODELS`` for models) gives each kind's required
 and optional keys, and the CLI forwards the optional ones from it.  A new
 block kind is a row in each table plus one runner in ``cli._RUNNERS``.
@@ -86,59 +90,41 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .conditions import disk_complement_field, hyperbola_field, sawtooth_field
 from .errors import ConfigError, ContractError
+from .experiments import input_violations
 from .models import (euclidean_model, exp_model, free_model, hyperbolic_model,
                      multiend_model, power_model, square_well_model,
                      stretched_exp_model, tabulated_model)
 from .tableio import text_hash
 
 
-class _Key(NamedTuple):
-    """A key's row: the type its value parses as (a ``_PARSERS`` name) and,
-    for a key with a range, the test refusing a value and the violation it
-    reports, ``{v}`` the value; a list is tested value by value."""
-    type: str
-    refuses: Callable | None = None
-    violation: str = ""
-
-
-_STR, _INT, _FLOAT = _Key("str"), _Key("int"), _Key("float")
-
-# section -> key -> row.  Range tests run in table order: [grid] h, r_max,
-# mode_cap; a block's gammas, betas, gamma_top, s, sign, n_pairs, n_probes,
-# seed
+# section -> key -> the type its value parses as (a ``_PARSERS`` name)
 _MODEL_KEYS = {
-    "kind": _STR, "d": _INT, "theta": _FLOAT, "kappa": _FLOAT, "r0": _FLOAT,
-    "depth": _FLOAT, "well_a": _FLOAT, "well_b": _FLOAT,
-    "lambda0": _FLOAT, "lambda1": _FLOAT, "x_min": _FLOAT, "obstacle_k": _FLOAT,
-    "delta": _FLOAT, "amp": _FLOAT, "lower_c": _FLOAT, "lower_theta": _FLOAT,
-    "csv": _STR,
+    "kind": "str", "d": "int", "theta": "float", "kappa": "float", "r0": "float",
+    "depth": "float", "well_a": "float", "well_b": "float",
+    "lambda0": "float", "lambda1": "float", "x_min": "float", "obstacle_k": "float",
+    "delta": "float", "amp": "float", "lower_c": "float", "lower_theta": "float",
+    "csv": "str",
 }
-_GRID_KEYS = {
-    "h": _Key("float", lambda v: v <= 0, "h must be positive"),
-    "r_max": _Key("float", lambda v: v <= 1, "r_max must exceed 1"),
-    "mode_cap": _Key("float", lambda v: v < 0, "mode_cap must be >= 0"),
-}
-_OUTPUT_KEYS = {"directory": _STR, "svg": _Key("bool")}
+_GRID_KEYS = {"h": "float", "r_max": "float", "mode_cap": "float"}
+_OUTPUT_KEYS = {"directory": "str", "svg": "bool"}
 _EXPERIMENT_KEYS = {
-    "kind": _STR, "lambda": _FLOAT,
-    "gammas": _Key("float_list", lambda g: not 0.0 < g < 1.0,
-                   "gamma values must lie in (0, 1), got {v}"),
-    "betas": _Key("float_list", lambda b: b < 0.0, "beta values must be >= 0, got {v}"),
-    "gamma_top": _Key("float", lambda v: v <= 0.0, "gamma_top must be positive, got {v}"),
-    "s": _Key("float", lambda v: v <= 0.5, "s must exceed 1/2, got {v}"),
-    "sign": _Key("int", lambda v: v not in (1, -1), "sign must be +1 or -1"),
-    "n_pairs": _Key("int", lambda v: v < 2, "n_pairs must be >= 2, got {v}"),
-    "n_probes": _Key("int", lambda v: v < 1, "n_probes must be >= 1, got {v}"),
-    "seed": _Key("int", lambda v: v < 0, "seed must be >= 0, got {v}"),
-    "psi_a": _FLOAT, "psi_b": _FLOAT, "psi_amp": _FLOAT,
-    "interval_lo": _FLOAT, "interval_hi": _FLOAT, "delta": _FLOAT,
-    "nus": _Key("int_list"), "tol": _FLOAT, "window_r_max": _FLOAT,
+    "kind": "str", "lambda": "float", "gammas": "float_list", "betas": "float_list",
+    "gamma_top": "float", "s": "float", "sign": "int", "n_pairs": "int",
+    "n_probes": "int", "seed": "int", "psi_a": "float", "psi_b": "float",
+    "psi_amp": "float", "interval_lo": "float", "interval_hi": "float",
+    "delta": "float", "nus": "int_list", "tol": "float", "window_r_max": "float",
+}
+# the [grid] range rules, in the form of ``experiments.INPUT_RULES``, which
+# holds the experiment keys' rules; each table's rules run in its order
+_GRID_RULES = {
+    "h": (lambda v: v > 0, "h must be positive"),
+    "r_max": (lambda v: v > 1, "r_max must exceed 1"),
+    "mode_cap": (lambda v: v >= 0, "mode_cap must be >= 0"),
 }
 
 
@@ -148,8 +134,8 @@ def _list(parse):
 
 def _finite(value) -> bool:
     """Whether every float in a parsed value (one value or a list) is
-    finite; a non-finite float passes no range rule's refusing comparison,
-    so it is refused here, for every float and float-list key."""
+    finite; a non-finite float is refused here, by key name, for every
+    float and float-list key, before any range rule sees it."""
     return all(math.isfinite(v) for v in (value if isinstance(value, list) else [value])
                if isinstance(v, float))
 
@@ -249,18 +235,6 @@ def _check_kind(where, kind, kinds, given, verb, errors):
             [f"{where}: kind {kind!r} does not {verb} key {key!r}" for key in refused])
 
 
-def _check_ranges(where, values, schema, errors):
-    """Report each list in ``values`` that is empty, then each value that
-    its key's row in ``schema`` refuses, both in ``schema``'s order."""
-    errors += [f"{where}: {key} needs at least one value"
-               for key in schema if values.get(key) == []]
-    for key, row in schema.items():
-        value = values.get(key, [])
-        for v in value if isinstance(value, list) else [value]:
-            if row.refuses and row.refuses(v):
-                errors.append(f"{where}: " + row.violation.format(v=v))
-
-
 def parse_config(text: str) -> RunConfig:
     """Parse and fully validate a run configuration.
 
@@ -314,10 +288,10 @@ def parse_config(text: str) -> RunConfig:
             errors.append(f"line {line_no}: unknown key {key!r} in section [{label}]")
             continue
         try:
-            value = _PARSERS[schema[key].type](raw)
+            value = _PARSERS[schema[key]](raw)
         except (KeyError, ValueError):
             errors.append(f"line {line_no} ({key}): cannot parse {raw!r} "
-                          f"as {schema[key].type}")
+                          f"as {schema[key]}")
             continue
         if not _finite(value):
             errors.append(f"line {line_no} ({key}): {key} must be finite, got {raw!r}")
@@ -328,7 +302,7 @@ def parse_config(text: str) -> RunConfig:
     missing, refused = _check_kind("[model]", model.get("kind"), _MODELS, model,
                                    "take", errors) or ((), ())
     errors += [*missing, *refused]
-    _check_ranges("[grid]", grid, _GRID_KEYS, errors)
+    errors += [f"[grid]: {v}" for v in input_violations(grid, _GRID_RULES)]
     escape = model.get("kind", "").startswith("escape_")
     for exp in experiments:
         where = f"[experiment {exp.name}]"
@@ -341,7 +315,7 @@ def parse_config(text: str) -> RunConfig:
             errors.append(f"{where}: a {model['kind']} model runs only check "
                           f"blocks, not {exp.kind!r}")
         errors += checked[1]
-        _check_ranges(where, exp.options, _EXPERIMENT_KEYS, errors)
+        errors += [f"{where}: {v}" for v in input_violations(exp.options)]
         errors += checked[0]
 
     if errors:

@@ -95,9 +95,22 @@ class Bump:
         return slice(max(int(lo) - 2, 0), int(hi) + 2)
 
     def normalized(self, grid: RadialGrid) -> np.ndarray:
+        """The probe over its l2 norm on ``grid``; amplitude 0 is the null
+        source and stays 0.  A support that leaves the grid's span, or a
+        nonzero bump that is 0 on every node, is refused: the grid does not
+        hold that source."""
+        lo, hi = grid.nodes[0], grid.nodes[-1]
+        if not (lo <= self.a and self.b <= hi):
+            raise ContractError(f"the source's support ({self.a}, {self.b}) leaves "
+                                f"the grid's span [{lo:.6g}, {hi:.6g}]")
         v = self.values(grid)
         n = l2_norm(v, grid)
-        return v / n if n > 0 else v
+        if n > 0:
+            return v / n
+        if self.amplitude != 0:
+            raise ContractError(f"the source on ({self.a}, {self.b}) is 0 on every "
+                                f"node of the grid (h = {grid.h})")
+        return v
 
 
 @dataclass(frozen=True)
@@ -242,10 +255,15 @@ def _radiation_remainders(a_sols, solutions, a_disc, sign_a, weight=None) -> dic
     return out
 
 
-def _radiation_zone(r_lam: float, psi: Bump) -> int:
+def _radiation_zone(r_lam: float, psi: Bump, grid: RadialGrid) -> int:
     """The first annulus of the radiation zone: that of the first dyadic
-    radius past both the source support and the phase threshold r_lambda."""
-    return int(math.ceil(math.log2(max(r_lam, 2.0 * psi.b))))
+    radius past both the source support and the phase threshold r_lambda.
+    A zone past ``grid``'s top annulus, where every norm reads 0, is refused."""
+    nu = int(math.ceil(math.log2(max(r_lam, 2.0 * psi.b))))
+    if nu > grid.top_annulus:
+        raise ContractError(f"the radiation zone starts at annulus {nu}, past the "
+                            f"grid's top annulus {grid.top_annulus}")
+    return nu
 
 
 def _apply_pr(grid: RadialGrid, pt, u, du):
@@ -310,12 +328,43 @@ def _check_window(model: Model, lam: float):
     return lam0
 
 
-def _ladder(values, name: str, kind=float) -> list:
-    """The swept values as a list of ``kind``; an empty ladder is refused."""
-    out = [kind(v) for v in values]
-    if not out:
-        raise ContractError(f"the {name} ladder is empty")
+# experiment key -> (the test each value passes, the violation a value that
+# fails it reports, {v} the value); a list is tested value by value.
+# ``parse_config`` reports from this table and every experiment refuses its
+# arguments by it at entry (``_require``), so a block and a library call are
+# refused with one text.  nu <= 12 keeps the Besov energy grid, R = 2^(nu+2),
+# inside geometry.TAIL_HORIZON = 2^14
+INPUT_RULES = {
+    "gammas": (lambda g: 0.0 < g < 1.0, "gamma values must lie in (0, 1), got {v}"),
+    "betas": (lambda b: b >= 0.0, "beta values must be >= 0, got {v}"),
+    "nus": (lambda nu: 0 <= nu <= 12, "nu values must lie in [0, 12], got {v}"),
+    "gamma_top": (lambda v: v > 0.0, "gamma_top must be positive, got {v}"),
+    "s": (lambda v: v > 0.5, "s must exceed 1/2, got {v}"),
+    "sign": (lambda v: v in (1, -1), "sign must be +1 or -1"),
+    "n_pairs": (lambda v: v >= 2, "n_pairs must be >= 2, got {v}"),
+    "n_probes": (lambda v: v >= 1, "n_probes must be >= 1, got {v}"),
+    "seed": (lambda v: v >= 0, "seed must be >= 0, got {v}"),
+    "tol": (lambda v: v > 0.0, "tol must be positive, got {v}"),
+}
+
+
+def input_violations(values: dict, rules: dict = INPUT_RULES) -> list:
+    """The violation texts of ``values`` (key -> a value or a list of them)
+    under ``rules``, in the rules' order: each empty list, then each value
+    its key's rule refuses.  A key the rules do not name is not tested."""
+    out = [f"{key} needs at least one value" for key in rules if values.get(key) == []]
+    for key, (accepts, violation) in rules.items():
+        value = values.get(key, [])
+        out += [violation.format(v=v) for v in (value if isinstance(value, list) else [value])
+                if not accepts(v)]
     return out
+
+
+def _require(**values):
+    """Refuse the first of ``input_violations(values)``, if any."""
+    errors = input_violations(values)
+    if errors:
+        raise ContractError(errors[0])
 
 
 # the largest max/min ratio of a quantity across a Gamma-decade that still
@@ -351,10 +400,10 @@ def lap_sweep(model: Model, lam: float, gammas=(0.1, 0.01, 0.001),
     ``_BOUND_FACTOR`` across the ladder (the bound's constant is existential;
     only Gamma-uniformity is checkable).
     """
+    gammas = [float(g) for g in gammas]
+    _require(gammas=gammas)
+    gammas.sort()
     lam0 = _check_window(model, lam)
-    gammas = sorted(_ladder(gammas, "Gamma"))
-    if any(not 0.0 < g < 1.0 for g in gammas):
-        raise ContractError("every Gamma must lie in (0, 1)")
     report = model.conditions()
     grid = _shift_grid(model, gammas[0], h, base=base_r_max)
     psi_vals = psi.normalized(grid)
@@ -417,17 +466,16 @@ def radiation_sweep(model: Model, lam: float, gammas=(0.1, 0.01, 0.001),
     its wrong-sign content across the far annuli faster than the genuine
     remainder decays.
     """
+    gammas, betas = [float(g) for g in gammas], [float(b) for b in betas]
+    _require(gammas=gammas, betas=betas, sign=sign)
+    gammas.sort()
     lam0 = _check_window(model, lam)
-    gammas = sorted(_ladder(gammas, "Gamma"))
-    betas = _ladder(betas, "beta")
-    if any(b < 0 for b in betas):
-        raise ContractError("beta must be >= 0")
     report = model.conditions()
     grid = model.make_grid(base_r_max, h)
     psi_vals = psi.normalized(grid)
     modes = model.modes(mode_cap)
     r_lam = r_lambda(model.profile, model.potential, lam, lambda0=lam0)
-    nu_far = _radiation_zone(r_lam, psi)
+    nu_far = _radiation_zone(r_lam, psi, grid)
     pt = geometry_at(model.profile, grid.radii)
     ops = _mode_operators(model, grid, modes, complex(lam, gammas[0]),
                           (pt, model.potential.V(grid.nodes)))
@@ -632,16 +680,7 @@ def hoelder_estimate(model: Model, lam: float, s: float = 1.0, gamma_top: float 
     bit: 1.9e-11 relative at worst against the recorded values of criterion
     7's ladder over probe seeds 0-31.
     """
-    if not s > 0.5:
-        raise ContractError("Hoelder continuity needs s > 1/2")
-    if n_pairs < 2:
-        raise ContractError("a Hoelder exponent needs n_pairs >= 2 pairs to fit")
-    if n_probes < 1:
-        raise ContractError("a Hoelder estimate needs n_probes >= 1")
-    if seed < 0:
-        raise ContractError(f"the probe seed must be >= 0, got {seed}")
-    if not gamma_top > 0.0:
-        raise ContractError(f"gamma_top must be positive, got {gamma_top}")
+    _require(s=s, gamma_top=gamma_top, n_pairs=n_pairs, n_probes=n_probes, seed=seed)
     lam0 = _check_window(model, lam)
     report = model.conditions()
     gammas = [gamma_top * 0.25**j for j in range(n_pairs)]
@@ -746,19 +785,16 @@ def sommerfeld_compare(model: Model, lam: float, psi: Bump = Bump(),
     ``extrapolation_gaps``: the discrepancies and the verdict are those of
     whole-domain solves bit for bit, and the gaps move by roundoff
     (9.3e-12 relative).  Both solves take one source, ``psi`` normalised on
-    the window, so its support must end inside the window.
+    the window, so its support must lie inside the window (``Bump.normalized``).
     """
-    if not gamma_top > 0.0:
-        raise ContractError(f"gamma_top must be positive, got {gamma_top}")
+    _require(gamma_top=gamma_top, sign=sign, tol=tol)
     lam0 = _check_window(model, lam)
     modes = model.modes(mode_cap)
 
     grid_w = model.make_grid(window_r_max, h)
-    if not psi.b <= grid_w.nodes[-1]:
-        raise ContractError(f"the source's support must end inside the window: "
-                            f"b = {psi.b} > {grid_w.nodes[-1]}")
     psi_w = psi.normalized(grid_w)
     r_lam = r_lambda(model.profile, model.potential, lam, lambda0=lam0)
+    nu_far = _radiation_zone(r_lam, psi, grid_w)
 
     k = math.sqrt(2.0 * (lam - lam0))
     need = 1.0 + 12.0 * k / (2.0 * (gamma_top / 4.0))
@@ -785,7 +821,6 @@ def sommerfeld_compare(model: Model, lam: float, psi: Bump = Bump(),
     rel = disc / math.sqrt(ref_sq) if ref_sq > 0 else 0.0
     disc_bstar = besov_from_modes(disc_bstar_funcs, grid_w).bstar
 
-    nu_far = _radiation_zone(r_lam, psi)
     remainders = _radiation_remainders(a_sols, out_sols, a_disc, sign)
     rad_prof = _mode_besov(grid_w, remainders, modes, nu_min=nu_far)
     slope = rad_prof.tail_slope()
@@ -834,6 +869,9 @@ def besov_energy_check(model: Model, lam: float,
     "pass" when some n from ``_N_CANDIDATES`` makes C uniform within
     ``_BOUND_FACTOR`` across all rows; the smallest workable n is reported.
     """
+    gammas, nus = [float(g) for g in gammas], [int(nu) for nu in nus]
+    _require(gammas=gammas, nus=nus)
+    gammas.sort()
     lam0 = _check_window(model, lam)
     report = model.conditions()
     delta_cap = min(1.0, report.rho_prime, report.tau / 2.0)
@@ -842,8 +880,6 @@ def besov_energy_check(model: Model, lam: float,
     if not 0.0 < delta < delta_cap:
         raise ContractError(
             f"delta must lie in (0, min(1, rho', tau/2)) = (0, {delta_cap:.3g})")
-    gammas = sorted(_ladder(gammas, "Gamma"))
-    nus = _ladder(nus, "nu", int)
     grid = _shift_grid(model, gammas[0], h, base=max(64.0, 2.0 ** (max(nus) + 2)))
     psi_vals = psi.normalized(grid)
     modes = model.modes(mode_cap)

@@ -336,23 +336,11 @@ def exp_profile(kappa: float, d: int, r0: float = 2.0, amp: float = 1.0,
 def stretched_exp_profile(delta: float, theta: float, d: int,
                           r0: float = 2.0) -> WarpProfile:
     """f(r) = exp(delta r^theta), 0 < theta < 1: superpolynomial growth with
-    vanishing asymptotic curvature, so the critical energy stays 0."""
-    de, th = float(delta), float(theta)
-    if not (de > 0.0 and 0.0 < th < 1.0):
+    vanishing asymptotic curvature, so the critical energy stays 0.  It is
+    ``exp_profile`` with kappa = 0 and delta r^theta as its lower-order term."""
+    if not (delta > 0.0 and 0.0 < theta < 1.0):
         raise ContractError("need delta > 0 and 0 < theta < 1")
-
-    def log_f(r):
-        return de * np.asarray(r, dtype=float) ** th
-
-    def log_chain(r):
-        r = np.asarray(r, dtype=float)
-        w = de * th * r ** (th - 1.0)
-        w1 = de * th * (th - 1.0) * r ** (th - 2.0)
-        w2 = de * th * (th - 1.0) * (th - 2.0) * r ** (th - 3.0)
-        w3 = de * th * (th - 1.0) * (th - 2.0) * (th - 3.0) * r ** (th - 4.0)
-        return w, w1, w2, w3
-
-    return WarpProfile(d=d, log_chain=log_chain, r0=r0, log_f=log_f)
+    return exp_profile(0.0, d, r0, lower_c=delta, lower_theta=theta)
 
 
 def hyperbolic_profile(d: int, r0: float = 2.0) -> WarpProfile:

@@ -148,7 +148,10 @@ def _annulus_index(radii):
 def _grid(lo: float, hi: float, h: float, coords: Callable) -> RadialGrid:
     """Nodes lo + k h on [lo, hi]; ``coords(nodes)`` gives (radii, r', r'').
     The nodes are formed in place from a float ``arange`` (whose entries k
-    are exact), so no integer array is made."""
+    are exact), so no integer array is made.  A step h that is not positive
+    and finite is refused."""
+    if not 0.0 < h < math.inf:
+        raise ContractError(f"the grid step h must be positive and finite, got {h}")
     n = int(round((hi - lo) / h)) + 1
     nodes = np.arange(n, dtype=float)
     nodes *= h

@@ -15,9 +15,11 @@ import endspec.config as config
 from endspec.cli import build_model, run
 from endspec.conditions import EscapeField2D
 from endspec.config import parse_config
-from endspec.errors import ConfigError, EndspecError
-from endspec.experiments import Bump
-from endspec.models import Model
+from endspec.errors import ConfigError, ContractError, EndspecError
+from endspec.experiments import (INPUT_RULES, Bump, besov_energy_check,
+                                 hoelder_estimate, lap_sweep, radiation_sweep,
+                                 sommerfeld_compare)
+from endspec.models import Model, free_model
 
 MINIMAL = """
 [model]
@@ -136,7 +138,7 @@ def test_negative_command_line_seed_is_an_error_verdict(tmp_path, capsys):
     assert cli.main(["hoelder", "--config", str(cfg), "--out", str(tmp_path),
                      "--seed", "-3"]) == 1
     captured = capsys.readouterr()
-    assert captured.out == "h: ERROR (the probe seed must be >= 0, got -3)\n"
+    assert captured.out == "h: ERROR (seed must be >= 0, got -3)\n"
     assert "Traceback" not in captured.err
 
 
@@ -261,6 +263,13 @@ _BLOCK = "[model]\nkind = free\n\n[experiment x]\n"
      ["[experiment x]: s must exceed 1/2, got 0.5"]),
     (_BLOCK + "kind = radiation\nlambda = 1.0\nsign = 2\n",
      ["[experiment x]: sign must be +1 or -1"]),
+    (_BLOCK + "kind = besov_energy\nlambda = 1.0\nnus = 0, -1\n",
+     ["[experiment x]: nu values must lie in [0, 12], got -1"]),
+    (_BLOCK + "kind = besov_energy\nlambda = 1.0\nnus = 0, 30, 13, 12\n",
+     ["[experiment x]: nu values must lie in [0, 12], got 30",
+      "[experiment x]: nu values must lie in [0, 12], got 13"]),
+    (_BLOCK + "kind = sommerfeld\nlambda = 1.0\ntol = 0\n",
+     ["[experiment x]: tol must be positive, got 0.0"]),
     ("[model]\nkind =\n", ["[model]: missing required key 'kind'"]),
     (_BLOCK + "kind =\nlambda = 1.0\n", ["[experiment x]: missing required key 'kind'"]),
     ("[model]\nkind = free\n[grid]\nh = nan\nr_max = inf\nmode_cap = 1\n",
@@ -279,6 +288,7 @@ _BLOCK = "[model]\nkind = free\n\n[experiment x]\n"
 ], ids=["bool", "unknown_section", "nameless_block", "no_equals", "model_no_kind",
         "model_unset_key", "model_unset_and_refused_key", "r_max", "grid_order",
         "block_no_kind", "block_unknown_kind", "betas", "s", "sign",
+        "nus_negative", "nus_past_the_horizon", "tol",
         "model_empty_kind", "block_empty_kind", "grid_non_finite", "model_non_finite",
         "block_non_finite", "list_non_finite"])
 def test_violation_texts(text, violations):
@@ -332,6 +342,49 @@ def test_violation_order_within_a_block():
         "[experiment h]: n_probes must be >= 1, got 0",
         "[experiment h]: seed must be >= 0, got -1",
     ]
+
+
+# each experiment-key range rule's out-of-range value, as a block writes it
+# and as a library call takes it
+_OUT_OF_RANGE = {
+    "gammas": ("1.5", [1.5]), "betas": ("-0.5", [-0.5]), "nus": ("13", [13]),
+    "gamma_top": ("0", 0.0), "s": ("0.5", 0.5), "sign": ("2", 2),
+    "n_pairs": ("1", 1), "n_probes": ("0", 0), "seed": ("-1", -1), "tol": ("0", 0.0),
+}
+_EXPERIMENTS = {"lap": lap_sweep, "radiation": radiation_sweep,
+                "hoelder": hoelder_estimate, "sommerfeld": sommerfeld_compare,
+                "besov_energy": besov_energy_check}
+
+
+@pytest.mark.parametrize("kind, key", [
+    (kind, key) for kind, (needs, optional) in config._EXPERIMENT_NEEDS.items()
+    if kind in _EXPERIMENTS for key in needs + optional if key in INPUT_RULES])
+def test_a_block_and_its_library_call_refuse_a_value_with_one_text(
+        kind, key, experiment_solves):
+    # the config and the experiments read one rule table; radiation and
+    # besov_energy used to run negative or > 1 gammas, besov_energy any nu,
+    # and sommerfeld a non-positive tol
+    assert set(_OUT_OF_RANGE) == set(INPUT_RULES)
+    text, value = _OUT_OF_RANGE[key]
+    with pytest.raises(ConfigError) as err:
+        parse_config(f"{_BLOCK}kind = {kind}\nlambda = 2.0\n{key} = {text}\n")
+    with pytest.raises(ContractError) as exc:
+        _EXPERIMENTS[kind](free_model(), 2.0, **{key: value})
+    assert err.value.violations == [f"[experiment x]: {exc.value}"]
+    assert experiment_solves == []
+
+
+@pytest.mark.parametrize("block", [
+    "[grid]\nh = 0.05\nr_max = 64\n\n[experiment x]\nkind = radiation\n"
+    "lambda = 2.0\npsi_a = 100\npsi_b = 200\n",
+    "[grid]\nh = 0.05\n\n[experiment x]\nkind = sommerfeld\nlambda = 2.0\n"
+    "psi_a = -5\npsi_b = -1\n"], ids=["radiation", "sommerfeld"])
+def test_a_source_off_the_grid_is_an_error_line(tmp_path, capsys, block):
+    # these printed PASS, with a discrimination of x inf and a discrepancy of 0
+    cfg = parse_config("[model]\nkind = free\n\n" + block)
+    assert run(cfg, cfg.experiments[0].kind, out_dir=tmp_path) == 1
+    assert capsys.readouterr().out.startswith(
+        "x: ERROR (the source's support (")
 
 
 def test_command_line_seed_reaches_only_blocks_that_read_it(monkeypatch, tmp_path,

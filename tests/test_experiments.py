@@ -86,16 +86,17 @@ def test_absorption_guard_is_live_on_the_sweeps(monkeypatch, experiment_solves):
 
 
 @pytest.mark.parametrize("call, ladder", [
-    (lambda m: lap_sweep(m, 1.0, []), "Gamma"),
-    (lambda m: radiation_sweep(m, 1.0, [0.1], []), "beta"),
-    (lambda m: radiation_sweep(m, 1.0, [], [0.0]), "Gamma"),
-    (lambda m: besov_energy_check(m, 2.0, gammas=[]), "Gamma"),
-    (lambda m: besov_energy_check(m, 2.0, nus=()), "nu"),
+    (lambda m: lap_sweep(m, 1.0, []), "gammas"),
+    (lambda m: radiation_sweep(m, 1.0, [0.1], []), "betas"),
+    (lambda m: radiation_sweep(m, 1.0, [], [0.0]), "gammas"),
+    (lambda m: besov_energy_check(m, 2.0, gammas=[]), "gammas"),
+    (lambda m: besov_energy_check(m, 2.0, nus=()), "nus"),
 ], ids=["lap_gammas", "radiation_betas", "radiation_gammas",
         "besov_energy_gammas", "besov_energy_nus"])
 def test_an_empty_ladder_is_refused_before_any_solve(call, ladder,
                                                      experiment_solves):
-    with pytest.raises(ContractError, match=f"the {ladder} ladder is empty"):
+    # the text of the config's refusal of an empty list
+    with pytest.raises(ContractError, match=f"^{ladder} needs at least one value$"):
         call(free_model())
     assert experiment_solves == []
 
@@ -1294,6 +1295,54 @@ def test_bump_values_match_full_grid_formula(grid_name, a, b, amplitude):
     assert ref[span].size > 0
 
 
+@pytest.mark.parametrize("a, b", [(100.0, 200.0), (-5.0, -1.0), (60.0, 70.0),
+                                  (0.5, 1.7)])
+@pytest.mark.parametrize("amplitude", [1.0, 0.0])
+def test_normalized_refuses_a_support_off_the_grid(a, b, amplitude):
+    # the sweeps used to normalize such a source to 0, or to its cut-off
+    # part, and report a verdict on it; the null source is refused too
+    with pytest.raises(ContractError, match=r"leaves the grid's span \[1, 64\]"):
+        Bump(a, b, amplitude).normalized(uniform_grid(64.0, 0.05))
+
+
+def test_normalized_refuses_a_nonzero_bump_no_node_holds(experiment_solves):
+    # (2.01, 2.04) lies between the nodes 2.0 and 2.05: the bump is 0 on
+    # every node, which used to pass as the null source
+    grid = uniform_grid(64.0, 0.05)
+    with pytest.raises(ContractError, match="is 0 on every node"):
+        Bump(2.01, 2.04).normalized(grid)
+    with pytest.raises(ContractError, match="is 0 on every node"):
+        lap_sweep(free_model(), 1.0, [0.1], psi=Bump(2.01, 2.04), h=0.05)
+    assert experiment_solves == []
+    # amplitude 0 stays the explicit null source
+    assert not np.any(Bump(2.01, 2.04, 0.0).normalized(grid))
+    assert not np.any(Bump(2.0, 3.0, 0.0).normalized(grid))
+
+
+@pytest.mark.parametrize("call", [
+    lambda: radiation_sweep(free_model(), 2.0, psi=Bump(30.0, 40.0),
+                            base_r_max=64.0, h=0.05),
+    lambda: sommerfeld_compare(free_model(), 2.0, psi=Bump(10.0, 15.0), h=0.05,
+                               window_r_max=16.0, gamma_top=0.032)],
+    ids=["radiation", "sommerfeld"])
+def test_a_radiation_zone_past_the_grid_is_refused(call, experiment_solves):
+    # the zone starts at the annulus of 2b (7 and 5), past the grid's top
+    # annulus (6 and 4): every norm over it read 0, and radiation passed
+    with pytest.raises(ContractError, match="past the grid's top annulus"):
+        call()
+    assert experiment_solves == []
+
+
+@pytest.mark.parametrize("h", [0.0, -0.05, math.nan, math.inf])
+def test_a_grid_step_that_is_not_positive_and_finite_is_refused(h):
+    # a negative step used to end in an IndexError
+    for build in (lambda: uniform_grid(64.0, h),
+                  lambda: multiend_model().make_grid(64.0, h),
+                  lambda: lap_sweep(free_model(), 1.0, h=h)):
+        with pytest.raises(ContractError, match="grid step h must be positive"):
+            build()
+
+
 def test_richardson_windows_match_full_solves():
     from endspec.experiments import _mode_operators, _richardson_gamma
     m = euclidean_model(3)
@@ -1411,7 +1460,7 @@ def test_sommerfeld_shift_solves_take_the_window_source(monkeypatch):
 def test_sommerfeld_refuses_a_source_past_the_window(b):
     # the shift solves take the source on the window, so its support must
     # end there; the solves would otherwise see different sources
-    with pytest.raises(ContractError, match="must end inside the window"):
+    with pytest.raises(ContractError, match=r"leaves the grid's span \[1, 16\]"):
         sommerfeld_compare(free_model(), 2.0, psi=Bump(2.0, b), h=0.05,
                            window_r_max=16.0, gamma_top=0.032)
 

@@ -235,6 +235,24 @@ def test_stretched_exp_profile_constants():
     assert rep.rho == pytest.approx(6.0 - 4.0 * 0.5, abs=0.2)
 
 
+@pytest.mark.parametrize("delta, theta, d", [(1.0, 0.5, 3), (0.3, 0.25, 2),
+                                             (2.0, 0.9, 4)])
+def test_stretched_exp_profile_is_its_closed_form_bitwise(delta, theta, d):
+    # the stretched end is exp_profile with kappa = 0: ln f = delta r^theta
+    # and the log-chain are its closed forms, bit for bit
+    prof = stretched_exp_profile(delta, theta, d)
+    r = np.geomspace(1.0, 2.0**14, 301)
+    c = [delta * theta, delta * theta * (theta - 1.0),
+         delta * theta * (theta - 1.0) * (theta - 2.0),
+         delta * theta * (theta - 1.0) * (theta - 2.0) * (theta - 3.0)]
+    expected = [delta * r**theta] + [c[k] * r ** (theta - 1.0 - k) for k in range(4)]
+    for got, want in zip([prof.log_f(r), *prof.log_chain(r)], expected):
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    for bad in ((0.0, 0.5), (1.0, 1.0), (1.0, 0.0)):
+        with pytest.raises(ContractError, match="0 < theta < 1"):
+            stretched_exp_profile(*bad, d)
+
+
 def test_exp_profile_lower_order_term():
     # f = C exp(kappa r + c r^theta): same critical energy, rho ~ 4 - 2 theta
     from endspec.models import exp_model
