@@ -14,16 +14,22 @@ Gamma (R_max - 1) >= 8), ``solver.RESIDUAL_TOL`` and ``solver.BLOWUP_LIMIT``
 solve), ``solver.THRESHOLD_WINDOW`` (0.05 around a declared threshold),
 ``geometry.TAIL_HORIZON`` (2^14, the outer radius of every tail sup of q1),
 ``conditions.EXPONENT_CAP`` (8, the search cap of sigma, tau, rho' and rho),
-``conditions.FIT_R2_MIN`` (0.9, the smallest R^2 of a log-log fit a verdict
-rests on), ``phase.RICCATI_SLOPE_MAX`` (-0.8, the largest fitted decay
-slope of a passing Riccati residual), ``experiments._BOUND_FACTOR`` (2, the
-largest max/min ratio across a Gamma-decade that counts as uniform),
-``experiments._HOELDER_SLACK`` (0.1 below the predicted Hoelder floor),
 ``experiments._N_CANDIDATES`` (the cutoff indices 0-4 the Besov energy check
 tries) and ``closure._SERIES_TOL`` (1e-16, the relative remainder at which
-the frozen-tail sums cut their weight's binomial series).  Verdicts combine
-by one rule, ``conditions.combine_verdicts``.  Every cross-section is the
-round sphere S^{d-1}.
+the frozen-tail sums cut their weight's binomial series).  Every
+sweep-level verdict is a function of ``judges``, which holds the thresholds
+the rules read: ``judges.BOUND_FACTOR`` (2, the largest max/min ratio across
+a Gamma-decade that counts as uniform), ``judges.FIT_R2_MIN`` (0.9, the
+smallest R^2 of a log-log fit a verdict rests on), ``judges.HOELDER_SLACK``
+(0.1 below the predicted Hoelder floor), ``judges.RICCATI_SLOPE_MAX`` (-0.8,
+the largest fitted decay slope of a passing Riccati residual),
+``judges.RICCATI_FLOOR`` (1e-10, the residual at its numerical floor),
+``judges.RADIATION_FLOOR`` (1e-7 of the wrong-sign norm, under which a
+radiation norm is noise), ``judges.FLAT_SLOPE`` (-0.25, the largest
+log2-slope of a decaying annulus profile) and ``judges.GAP_GROWTH`` and
+``judges.GAP_ATOL`` (1.05 and 1e-14, the growth a shrinking Richardson gap
+may show).  Verdicts combine by one rule, ``judges.combine_verdicts``.
+Every cross-section is the round sphere S^{d-1}.
 """
 
 __version__ = "0.1.0"

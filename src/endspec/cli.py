@@ -36,6 +36,7 @@ from .config import (_EXPERIMENT_NEEDS, _PSI_KEYS, ExperimentConfig, RunConfig,
 from .errors import ConfigError, EndspecError
 from .experiments import (Bump, besov_energy_check, hoelder_estimate,
                           lap_sweep, radiation_sweep, sommerfeld_compare)
+from .judges import combine_verdicts
 from .phase import phase_a, r_lambda, riccati_residual
 from .solver import resolve
 from .svgplot import write_loglog_svg
@@ -212,7 +213,9 @@ def run(cfg: RunConfig, command: str, out_dir=None, seed: int = 0,
         strict: bool = False) -> int:
     """Execute the experiment blocks selected by the command, in config order.
 
-    Returns the exit status (0 pass, 2 inconclusive, 1 failure/error).
+    Returns the exit status of the blocks' ``judges.combine_verdicts``, an
+    error ranked with a failure: 0 pass, 2 inconclusive (1 if ``strict``),
+    1 failure or error.
     """
     kinds = {kind for kind, (cmd, _) in _RUNNERS.items() if cmd == command}
     if not kinds:
@@ -233,7 +236,7 @@ def run(cfg: RunConfig, command: str, out_dir=None, seed: int = 0,
         print(f"error: cannot build the model: {exc}", file=sys.stderr)
         return 1
 
-    status = 0
+    verdicts = []
     for exp in selected:
         if "seed" in _EXPERIMENT_NEEDS[exp.kind][1]:  # --seed: the block's fallback
             exp = replace(exp, options={"seed": seed, **exp.options})
@@ -242,11 +245,9 @@ def run(cfg: RunConfig, command: str, out_dir=None, seed: int = 0,
         except EndspecError as exc:
             verdict, detail = "error", str(exc)
         print(f"{exp.name}: {verdict.upper()} ({detail})")
-        if verdict in ("fail", "error"):
-            status = 1
-        elif verdict == "inconclusive" and status == 0:
-            status = 1 if strict else 2
-    return status
+        verdicts.append(verdict)
+    return {"pass": 0, "fail": 1, "inconclusive": 1 if strict else 2}[
+        combine_verdicts(verdicts)]
 
 
 def main(argv=None) -> int:

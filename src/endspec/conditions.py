@@ -25,8 +25,11 @@ stop growing, and the reported constant is the inflated worst value.  sigma
 is found by bisection below ``EXPONENT_CAP`` = 8, the one search cap of every
 exponent; tau, rho', rho are certified at that cap when possible and
 otherwise proposed by a log-log slope fit over the last two dyadic decades
-(``fit_decay``) and re-certified.  The derived quantities are the critical
-energy lambda0 (tail sup of q1) and beta_c = min{sigma, tau, rho} / 2.
+(``fit_decay``) and re-certified; a row that no positive exponent certifies
+is inconclusive when that fit's R^2 is under ``judges.FIT_R2_MIN``.  A
+report's rows combine by ``judges.combine_verdicts``.  The derived
+quantities are the critical energy lambda0 (tail sup of q1) and
+beta_c = min{sigma, tau, rho} / 2.
 
 The same report type carries the pointwise checks for two-dimensional
 escape functions on obstacle domains (finite-difference gradient/Hessian
@@ -50,6 +53,7 @@ import numpy as np
 from .errors import ContractError, EvaluationError
 from .geometry import (TAIL_HORIZON, PotentialSplit, WarpProfile,
                        critical_energy, geometry_at)
+from .judges import FIT_R2_MIN, combine_verdicts
 from .tableio import write_csv
 
 _FLOOR = 1e-13
@@ -60,17 +64,6 @@ _FIT_DECADES = 2
 _TAU_PROBE = 0.25
 # the largest sigma, tau, rho' and rho a check extracts (the search cap)
 EXPONENT_CAP = 8.0
-
-
-def combine_verdicts(verdicts) -> str:
-    """The verdict of a set of verdicts: "fail" beats "inconclusive" beats
-    "pass", and an empty set decides nothing ("inconclusive")."""
-    verdicts = set(verdicts)
-    if "fail" in verdicts:
-        return "fail"
-    if "inconclusive" in verdicts or not verdicts:
-        return "inconclusive"
-    return "pass"
 
 
 @dataclass(frozen=True)
@@ -190,10 +183,6 @@ def _certify_decay(rr, values, exponent):
     j = int(np.argmax(s))
     C = float(max(s[j], 0.0)) * _GROWTH_SLACK + _FLOOR
     return ok, C, float(rr[j])
-
-
-# the smallest R^2 of a log-log fit whose slope a verdict may rest on
-FIT_R2_MIN = 0.9
 
 
 def loglog_fit(u, v):

@@ -41,7 +41,7 @@ are comma-separated, and a float is finite.
     kind = check | solve | lap | radiation | hoelder | rellich
            | sommerfeld | riccati | besov_energy
     lambda = 1.0
-    gammas = 0.1, 0.01, 0.001  # each in (0, 1)
+    gammas = 0.1, 0.01, 0.001  # each in (0, 1); one for solve and riccati
     betas = 0, 0.5, 0.9      # each >= 0
     s = 1.0                  # > 1/2
     psi_a = 2.0              # source bump support and amplitude
@@ -61,10 +61,11 @@ are comma-separated, and a float is finite.
 
 Validation collects every violation (unknown keys and sections, a [model]
 key its kind does not take, an [experiment] key its kind never reads, type
-mismatches, non-finite floats, out-of-range values, empty lists, a missing
-or empty kind, duplicate experiment names, blocks other than check on an
-escape_* model) and raises a single ConfigError carrying the full list;
-range checks see only the keys a block's kind reads.
+mismatches, non-finite floats, out-of-range values, empty lists, more than
+one gamma in a solve or riccati block, a missing or empty kind, duplicate
+experiment names, blocks other than check on an escape_* model) and raises
+a single ConfigError carrying the full list; range checks see only the keys
+a block's kind reads.
 
 The key table (``_MODEL_KEYS``, ``_GRID_KEYS``, ``_OUTPUT_KEYS``,
 ``_EXPERIMENT_KEYS``) gives each key's type.  The range rules of the
@@ -316,6 +317,9 @@ def parse_config(text: str) -> RunConfig:
                           f"blocks, not {exp.kind!r}")
         errors += checked[1]
         errors += [f"{where}: {v}" for v in input_violations(exp.options)]
+        if exp.kind in ("solve", "riccati") and len(exp.options.get("gammas", [])) > 1:
+            errors.append(f"{where}: kind {exp.kind!r} reads one value of 'gammas', "
+                          f"got {len(exp.options['gammas'])}")
         errors += checked[0]
 
     if errors:

@@ -20,8 +20,8 @@ emits a table with a recomputable verdict:
 
 The constants in the underlying bounds are existential, so verdicts are
 uniformity statements: "bounded" means the measured quantity varies by at
-most the factor ``_BOUND_FACTOR`` = 2 across the swept decade, and a sweep's
-verdicts combine by ``conditions.combine_verdicts``.
+most the factor ``judges.BOUND_FACTOR`` = 2 across the swept decade.  Every
+verdict is a ``judges`` function of the measured numbers.
 
 Measurement conventions, recorded in every table header:
 
@@ -51,9 +51,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .closure import far_field, frozen_from, tail_gram
-from .conditions import FIT_R2_MIN, combine_verdicts, loglog_fit
+from .conditions import loglog_fit
 from .errors import ContractError
 from .geometry import geometry_at
+from .judges import (BOUND_FACTOR, HOELDER_SLACK, RADIATION_FLOOR, bounded_verdict,
+                     gamma_uniformity, hoelder_verdict, sommerfeld_verdict)
 from .models import Model
 from .phase import _central_derivative, apply_A, grid_phase, r_lambda
 from .radial import (FIRST_UNKNOWN, BesovProfile, RadialGrid,
@@ -367,20 +369,6 @@ def _require(**values):
         raise ContractError(errors[0])
 
 
-# the largest max/min ratio of a quantity across a Gamma-decade that still
-# counts as uniform in Gamma (the bounds' constants are existential)
-_BOUND_FACTOR = 2.0
-
-
-def _ratio_verdict(values):
-    v = np.asarray(values, dtype=float)
-    v = v[np.isfinite(v) & (v > 0)]
-    if v.size == 0:
-        return "inconclusive", float("nan")
-    ratio = float(np.max(v) / np.min(v))
-    return ("pass" if ratio <= _BOUND_FACTOR else "fail"), ratio
-
-
 def fd_dispersion_floor(lam: float, h: float) -> float:
     """Size of the (A - a) residue of a pure discrete plane wave: ~ k^3 h^2 / 8."""
     k = math.sqrt(2.0 * max(lam, 0.0))
@@ -396,9 +384,10 @@ def lap_sweep(model: Model, lam: float, gammas=(0.1, 0.01, 0.001),
               mode_cap: float = 6.5) -> SweepTable:
     """Measure the four resolvent norms across a Gamma-ladder at fixed lambda.
 
-    Verdict "pass" when each of the four norms varies by at most
-    ``_BOUND_FACTOR`` across the ladder (the bound's constant is existential;
-    only Gamma-uniformity is checkable).
+    The verdict is ``judges.gamma_uniformity`` of the four norms: "pass"
+    when each varies by at most ``judges.BOUND_FACTOR`` across the ladder
+    (the bound's constant is existential; only Gamma-uniformity is
+    checkable), "inconclusive" on fewer than two distinct Gamma.
     """
     gammas = [float(g) for g in gammas]
     _require(gammas=gammas)
@@ -431,18 +420,13 @@ def lap_sweep(model: Model, lam: float, gammas=(0.1, 0.01, 0.001),
 
     cols = ["gamma", "phi_bstar", "pr_phi_bstar", "h_form_sqrt",
             "h0_phi_bstar", "psi_b", "unreliable"]
-    verdicts, ratios = [], {}
-    for name in cols[1:5]:
-        j = cols.index(name)
-        v, ratio = _ratio_verdict([row[j] for row in rows])
-        verdicts.append(v)
-        ratios[f"ratio_{name}"] = ratio
+    verdict, ratios = gamma_uniformity(gammas, {
+        f"ratio_{name}": [row[j] for row in rows] for j, name in enumerate(cols[1:5], 1)})
     meta = {"model": model.name, "lambda": lam, "lambda0": lam0,
-            "h": h, "r_max": grid.r_max, "bound_factor": _BOUND_FACTOR,
+            "h": h, "r_max": grid.r_max, "bound_factor": BOUND_FACTOR,
             "modes": len(modes)}
     meta.update(ratios)
-    return SweepTable(name="lap", columns=cols, rows=rows,
-                      verdict=combine_verdicts(verdicts), meta=meta)
+    return SweepTable(name="lap", columns=cols, rows=rows, verdict=verdict, meta=meta)
 
 
 # ---------------------------------------------------------------------------
@@ -458,7 +442,9 @@ def radiation_sweep(model: Model, lam: float, gammas=(0.1, 0.01, 0.001),
     Rows report ||r^beta (A - a) phi||_B* over the radiation zone, the
     weighted quadratic form, the reference ||r^beta psi||_B and the
     wrong-sign quantity ||(A + a) phi||_B*.  beta >= beta_c rows are kept but
-    flagged exploratory.
+    flagged exploratory.  The verdict is ``judges.gamma_uniformity`` of
+    rad_bstar per beta over the rows inside the theorem, with the floor
+    ``judges.RADIATION_FLOOR`` times the largest wrong-sign norm.
 
     The solves close the outer edge with the transparent outgoing row at
     z = lambda + i Gamma rather than Dirichlet truncation: a reflected wave,
@@ -503,21 +489,9 @@ def radiation_sweep(model: Model, lam: float, gammas=(0.1, 0.01, 0.001),
 
     cols = ["gamma", "beta", "rad_bstar", "h_form_sqrt", "wrong_sign_bstar",
             "psi_beta_b", "outside_theorem"]
-    # quantities under the numerical floor are identically satisfied bounds;
-    # their Gamma-variation is noise and carries no verdict information
-    floor = 1e-7 * max(row[4] for row in rows)
-    verdicts, ratios = [], {}
-    for b in betas:
-        vals = [row[2] for row in rows if row[1] == b and not row[6]]
-        if not vals:
-            continue
-        if max(vals) <= floor:
-            verdicts.append("pass")
-            ratios[f"ratio_beta_{b:g}"] = 1.0
-            continue
-        v, ratio = _ratio_verdict(vals)
-        verdicts.append(v)
-        ratios[f"ratio_beta_{b:g}"] = ratio
+    verdict, ratios = gamma_uniformity(gammas, {
+        f"ratio_beta_{b:g}": [row[2] for row in rows if row[1] == b and not row[6]]
+        for b in betas}, floor=RADIATION_FLOOR * max(row[4] for row in rows))
     row0 = next(row for row in rows if row[0] == gammas[0] and row[1] == min(betas))
     discrimination = row0[4] / row0[2] if row0[2] > 0 else float("inf")
     meta = {"model": model.name, "lambda": lam, "lambda0": lam0, "h": h,
@@ -525,8 +499,8 @@ def radiation_sweep(model: Model, lam: float, gammas=(0.1, 0.01, 0.001),
             "sign": sign, "discrimination_at_gamma_min": discrimination,
             "fd_floor": fd_dispersion_floor(lam, h)}
     meta.update(ratios)
-    return SweepTable(name="radiation", columns=cols, rows=rows,
-                      verdict=combine_verdicts(verdicts), meta=meta)
+    return SweepTable(name="radiation", columns=cols, rows=rows, verdict=verdict,
+                      meta=meta)
 
 
 # ---------------------------------------------------------------------------
@@ -535,8 +509,6 @@ def radiation_sweep(model: Model, lam: float, gammas=(0.1, 0.01, 0.001),
 
 # probes sit in annuli 0 .. _PROBE_NU_MAX - 1 (fewer on short grids)
 _PROBE_NU_MAX = 6
-# how far below the predicted floor a fitted Hoelder exponent may fall
-_HOELDER_SLACK = 0.1
 
 
 def probe_set(grid: RadialGrid, n_probes: int, seed: int):
@@ -660,9 +632,9 @@ def hoelder_estimate(model: Model, lam: float, s: float = 1.0, gamma_top: float 
     Pairs (z, z') = (lambda + i Gamma, lambda + i Gamma/2) on a geometric
     Gamma-ladder of ``n_pairs`` >= 2 pairs; the measured operator quantity
     is the max over ``n_probes`` >= 1 probes, drawn from ``seed`` >= 0, of
-    || R(z) psi - R(z') psi ||_{H_{-s}} / || psi ||_{H_s}.  Verdict "pass"
-    when the fitted exponent stays above the predicted floor
-    min{(2s-1)/(2s+1), beta_c/(beta_c+1)} minus ``_HOELDER_SLACK`` = 0.1.
+    || R(z) psi - R(z') psi ||_{H_{-s}} / || psi ||_{H_s}.  The verdict is
+    ``judges.hoelder_verdict`` of the fitted exponent against the predicted
+    floor min{(2s-1)/(2s+1), beta_c/(beta_c+1)}.
 
     The shared domain (``meta["r_max"]``) absorbs the smallest Gamma/2,
     Gamma (R_max - 1) >= ``ABSORPTION``; the probes, their H_s norms and the
@@ -709,16 +681,12 @@ def hoelder_estimate(model: Model, lam: float, s: float = 1.0, gamma_top: float 
                               [row[2] for row in rows])
     floor = min((2.0 * s - 1.0) / (2.0 * s + 1.0),
                 report.beta_c / (report.beta_c + 1.0))
-    if r2 < FIT_R2_MIN:
-        verdict = "inconclusive"
-    else:
-        verdict = "pass" if slope >= floor - _HOELDER_SLACK else "fail"
     meta = {"model": model.name, "lambda": lam, "lambda0": lam0, "s": s,
             "epsilon_emp": slope, "r_squared": r2,
-            "predicted_floor": floor, "slack": _HOELDER_SLACK, "h": h,
+            "predicted_floor": floor, "slack": HOELDER_SLACK, "h": h,
             "r_max": grid.r_max, "n_probes": n_probes, "seed": seed}
     return SweepTable(name="hoelder", columns=["gamma", "gamma_prime", "diff_norm"],
-                      rows=rows, verdict=verdict, meta=meta)
+                      rows=rows, verdict=hoelder_verdict(slope, r2, floor), meta=meta)
 
 
 # ---------------------------------------------------------------------------
@@ -770,9 +738,10 @@ def sommerfeld_compare(model: Model, lam: float, psi: Bump = Bump(),
     The two solutions are compared in the H_{-1} and B* norms on the common
     window [inner edge, window_r_max]; both use the same step h, so the
     interior discretization cancels and the discrepancy isolates the
-    boundary treatment.  The verdict additionally requires the radiation
-    profile of (A - sign * a) phi to decay beyond the source (values under
-    the dispersion floor count as decayed).
+    boundary treatment.  The verdict (``judges.sommerfeld_verdict``)
+    additionally requires the radiation profile of (A - sign * a) phi to
+    decay beyond the source (values under the dispersion floor count as
+    decayed).
 
     The operators are assembled once, on the long domain, block by block
     (``_mode_operators``); the window is its first nodes, and the outgoing
@@ -824,16 +793,10 @@ def sommerfeld_compare(model: Model, lam: float, psi: Bump = Bump(),
     remainders = _radiation_remainders(a_sols, out_sols, a_disc, sign)
     rad_prof = _mode_besov(grid_w, remainders, modes, nu_min=nu_far)
     slope = rad_prof.tail_slope()
-    floor = fd_dispersion_floor(lam, h)
     phi_scale = _mode_besov(grid_w, out_sols, modes).bstar
-    decayed = (rad_prof.bstar <= 2.0 * floor * max(phi_scale, 1.0)
-               or (slope is not None and slope <= -0.25))
-
-    monotone = all(g2 <= g1 * 1.05 + 1e-14 for g1, g2 in gaps)
-    if not monotone:
-        verdict = "inconclusive"
-    else:
-        verdict = "pass" if (disc <= tol and decayed) else "fail"
+    verdict = sommerfeld_verdict(
+        disc, tol, gaps, rad_prof.bstar,
+        2.0 * fd_dispersion_floor(lam, h) * max(phi_scale, 1.0), slope)
     return ComparisonReport(
         disc_weighted=float(disc), disc_bstar=float(disc_bstar),
         rel_weighted=float(rel),
@@ -867,7 +830,8 @@ def besov_energy_check(model: Model, lam: float,
 
     and the extracted constant is C(nu, Gamma) = lhs / rhs.  The verdict is
     "pass" when some n from ``_N_CANDIDATES`` makes C uniform within
-    ``_BOUND_FACTOR`` across all rows; the smallest workable n is reported.
+    ``judges.BOUND_FACTOR`` across all rows (``judges.bounded_verdict``);
+    the smallest workable n is reported.
     """
     gammas, nus = [float(g) for g in gammas], [int(nu) for nu in nus]
     _require(gammas=gammas, nus=nus)
@@ -943,12 +907,11 @@ def besov_energy_check(model: Model, lam: float,
         ratio = aggregated_spread(rows)
         if chosen_rows is None or ratio < spread:
             spread, chosen_rows, chosen_n = ratio, rows, n
-        if ratio <= _BOUND_FACTOR:
+        if ratio <= BOUND_FACTOR:
             break
-    verdict = "pass" if spread <= _BOUND_FACTOR else "fail"
     meta = {"model": model.name, "lambda": lam, "lambda0": lam0,
             "delta": delta, "n": chosen_n, "constant_spread": spread,
-            "h": h, "r_max": grid.r_max, "bound_factor": _BOUND_FACTOR}
+            "h": h, "r_max": grid.r_max, "bound_factor": BOUND_FACTOR}
     return SweepTable(name="besov_energy",
                       columns=["gamma", "nu", "n", "lhs", "rhs", "constant"],
-                      rows=chosen_rows, verdict=verdict, meta=meta)
+                      rows=chosen_rows, verdict=bounded_verdict(spread), meta=meta)

@@ -31,14 +31,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conditions import FIT_R2_MIN, fit_decay
+from .conditions import fit_decay
 from .errors import BranchError, ContractError, EndspecError
 from .geometry import (TAIL_HORIZON, PotentialSplit, WarpProfile,
                        critical_energy)
+from .judges import FIT_R2_MIN, RICCATI_FLOOR, riccati_verdict
 from .radial import RadialGrid
-
-# the largest fitted decay slope of the Riccati residual that passes
-RICCATI_SLOPE_MAX = -0.8
 
 # geometric samples of q1 per dyadic block in the threshold-radius search
 _THRESHOLD_SAMPLES = 64
@@ -172,18 +170,16 @@ class ResidualProfile:
 
     @property
     def negligible(self) -> bool:
-        """Residual at the numerical floor everywhere (exact solution)."""
-        return self.max_residual <= 1e-10
+        """Residual at the numerical floor (``judges.RICCATI_FLOOR``)
+        everywhere (exact solution)."""
+        return self.max_residual <= RICCATI_FLOOR
 
     @property
     def verdict(self) -> str:
-        """Pass at the floor, inconclusive on an unreliable fit, else pass
-        iff the fitted slope is at most ``RICCATI_SLOPE_MAX``."""
-        if self.negligible:
-            return "pass"
-        if not self.reliable:
-            return "inconclusive"
-        return "pass" if self.slope <= RICCATI_SLOPE_MAX else "fail"
+        """``judges.riccati_verdict``: pass at the floor, inconclusive on an
+        unreliable fit, else pass iff the fitted slope is at most
+        ``judges.RICCATI_SLOPE_MAX``."""
+        return riccati_verdict(self.max_residual, self.slope, self.reliable)
 
 
 def riccati_residual(phase: PhaseSpec, potential: PotentialSplit) -> ResidualProfile:
@@ -193,7 +189,7 @@ def riccati_residual(phase: PhaseSpec, potential: PotentialSplit) -> ResidualPro
     the threshold cutoff band and the two grid edges are excluded.  The decay
     exponent is the ``conditions.fit_decay`` slope over the last two dyadic
     decades below the outer edge, flagged unreliable when R^2 is below
-    ``conditions.FIT_R2_MIN``.  The grid is the phase's.
+    ``judges.FIT_R2_MIN``.  The grid is the phase's.
     """
     grid = phase.grid
     rr = grid.radii

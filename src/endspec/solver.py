@@ -29,12 +29,12 @@ on a long domain costs no full-grid copy.
 The eigenvalue scan diagonalizes the Dirichlet-truncated symmetric operator
 on an interval and classifies each eigenpair by the decay of its dyadic
 annulus profile: genuine point spectrum decays (log2-slope at most
-``_FLAT_SLOPE``), while discretized continuum shows a flat profile together
-with eigenvalue drift above 10 ``_DRIFT_TOL`` under domain doubling;
-eigenvalues within ``THRESHOLD_WINDOW`` of a declared threshold are set
-apart.  Only the base scan needs eigenvectors; the companion scans (doubled
-domain, h/2) compute eigenvalues only, by the same bisection (LAPACK
-``stebz``).
+``judges.FLAT_SLOPE``), while discretized continuum shows a flat profile
+together with eigenvalue drift above 10 ``_DRIFT_TOL`` under domain
+doubling; eigenvalues within ``THRESHOLD_WINDOW`` of a declared threshold
+are set apart.  Only the base scan needs eigenvectors; the companion scans
+(doubled domain, h/2) compute eigenvalues only, by the same bisection
+(LAPACK ``stebz``).
 """
 
 from __future__ import annotations
@@ -52,6 +52,7 @@ from scipy.linalg.lapack import zgtsv
 from .errors import (AbsorptionError, BranchError, ConditioningError,
                      ContractError)
 from .geometry import PotentialSplit, WarpProfile
+from .judges import FLAT_SLOPE, rellich_verdict
 from .phase import grid_phase, phase_a
 from .radial import (FIRST_UNKNOWN, OuterPolicy, RadialGrid, RadialOperator,
                      _resolution_guard, assemble_radial_operator, besov_norms,
@@ -66,10 +67,9 @@ BLOWUP_LIMIT = 1e13
 # eigenvalues this close to a declared threshold t are not classified as
 # spectrum, and experiments refuse energies above t - THRESHOLD_WINDOW
 THRESHOLD_WINDOW = 0.05
-# eigen-scan classifier: the largest log2-slope of a decaying annulus
-# profile, and the drift scale under domain doubling (artifacts drift by
-# more than 10 _DRIFT_TOL)
-_FLAT_SLOPE = -0.25
+# eigen-scan classifier: the drift scale under domain doubling (artifacts
+# drift by more than 10 _DRIFT_TOL; decaying profiles are those with a
+# log2-slope at most judges.FLAT_SLOPE)
 _DRIFT_TOL = 1e-6
 
 
@@ -341,8 +341,9 @@ class EigenScanResult:
         return [e for e in self.genuine() if e.eigenvalue > lambda0 + 1e-9]
 
     def verdict(self, lambda0: float) -> str:
-        """Rellich's verdict: "fail" on any embedded eigenvalue, else "pass"."""
-        return "fail" if self.embedded(lambda0) else "pass"
+        """Rellich's verdict (``judges.rellich_verdict``): "fail" on any
+        embedded eigenvalue, else "pass"."""
+        return rellich_verdict(self.embedded(lambda0))
 
     def artifacts(self):
         return [e for e in self.entries if e.artifact]
@@ -386,7 +387,7 @@ def _classify(vals, vecs, vals2, valsh, grid: RadialGrid,
             lam_h = valsh[np.argmin(np.abs(valsh - lam))]
             refined = (4.0 * lam_h - lam) / 3.0
         near = any(abs(lam - t) <= THRESHOLD_WINDOW for t in thresholds)
-        artifact = (slope > _FLAT_SLOPE) and (drift > 10.0 * _DRIFT_TOL)
+        artifact = (slope > FLAT_SLOPE) and (drift > 10.0 * _DRIFT_TOL)
         entries.append(EigenEntry(eigenvalue=float(lam), refined=float(refined),
                                   drift=drift, profile_slope=float(slope),
                                   artifact=bool(artifact), near_threshold=near))
@@ -419,7 +420,7 @@ def eigen_scan(profile: WarpProfile, potential: PotentialSplit, mu: float,
     """Scan the Dirichlet-truncated spectrum on a bounded interval.
 
     Classification per eigenpair: the annulus profile R_nu^{-1/2}||F_nu phi||
-    must decay (log2-slope <= ``_FLAT_SLOPE`` over the last three full
+    must decay (log2-slope <= ``judges.FLAT_SLOPE`` over the last three full
     annuli) for a genuine eigenfunction; a flat profile combined with
     eigenvalue drift above 10 * ``_DRIFT_TOL`` under domain doubling marks a
     truncation artifact, and an eigenvalue within ``THRESHOLD_WINDOW`` of one

@@ -6,11 +6,12 @@ import pytest
 
 from endspec.conditions import (_NOISE_FLOOR, EXPONENT_CAP, ConditionReport,
                                 EscapeField2D, _bounded_tail, InequalityRow, check_conditions,
-                                check_escape_2d, combine_verdicts,
-                                condition_grid, disk_complement_field,
-                                hyperbola_field, sawtooth_field)
+                                check_escape_2d, condition_grid,
+                                disk_complement_field, hyperbola_field,
+                                sawtooth_field)
 from endspec.errors import ContractError
 from endspec.geometry import const_profile, geometric_split, power_profile
+from endspec.judges import combine_verdicts
 from endspec.models import (euclidean_model, exp_model, free_model,
                             hyperbolic_model, multiend_model, power_model,
                             square_well_model, stretched_exp_model)
@@ -159,6 +160,8 @@ def test_combine_verdicts_fail_over_inconclusive_over_pass():
     assert combine_verdicts(["pass", "inconclusive", "pass"]) == "inconclusive"
     assert combine_verdicts(["pass", "pass"]) == "pass"
     assert combine_verdicts([]) == "inconclusive"
+    # a run that gave no verdict ranks with a failure (the CLI's exit status)
+    assert combine_verdicts(["pass", "inconclusive", "error"]) == "fail"
     # the condition report's overall verdict is the same rule over its rows
     rows = [InequalityRow(name=v, verdict=v, margin=0.0, witness_r=1.0, constant=1.0)
             for v in ("pass", "inconclusive")]

@@ -270,6 +270,11 @@ _BLOCK = "[model]\nkind = free\n\n[experiment x]\n"
       "[experiment x]: nu values must lie in [0, 12], got 13"]),
     (_BLOCK + "kind = sommerfeld\nlambda = 1.0\ntol = 0\n",
      ["[experiment x]: tol must be positive, got 0.0"]),
+    (_BLOCK + "kind = solve\nlambda = 1.0\ngammas = 0.5, 0.01, 0.001\n",
+     ["[experiment x]: kind 'solve' reads one value of 'gammas', got 3"]),
+    (_BLOCK + "kind = riccati\ngammas = 0.1, 0.2\n",
+     ["[experiment x]: kind 'riccati' reads one value of 'gammas', got 2",
+      "[experiment x]: kind 'riccati' requires key 'lambda'"]),
     ("[model]\nkind =\n", ["[model]: missing required key 'kind'"]),
     (_BLOCK + "kind =\nlambda = 1.0\n", ["[experiment x]: missing required key 'kind'"]),
     ("[model]\nkind = free\n[grid]\nh = nan\nr_max = inf\nmode_cap = 1\n",
@@ -288,7 +293,7 @@ _BLOCK = "[model]\nkind = free\n\n[experiment x]\n"
 ], ids=["bool", "unknown_section", "nameless_block", "no_equals", "model_no_kind",
         "model_unset_key", "model_unset_and_refused_key", "r_max", "grid_order",
         "block_no_kind", "block_unknown_kind", "betas", "s", "sign",
-        "nus_negative", "nus_past_the_horizon", "tol",
+        "nus_negative", "nus_past_the_horizon", "tol", "solve_gammas", "riccati_gammas",
         "model_empty_kind", "block_empty_kind", "grid_non_finite", "model_non_finite",
         "block_non_finite", "list_non_finite"])
 def test_violation_texts(text, violations):
@@ -509,12 +514,14 @@ _KEY_VALUES = {
 
 def _block(kind, every):
     """An [experiment x] block of ``kind`` that sets the keys its kind
-    requires and, if ``every``, every key it reads, with [grid] moved too."""
+    requires and, if ``every``, every key it reads, with [grid] moved too.
+    A solve or riccati block reads one gamma, the first of the others'."""
     needs, optional = config._EXPERIMENT_NEEDS[kind]
     keys = needs + optional if every else needs
     grid = "[grid]\nr_max = 32.0\nh = 0.05\nmode_cap = 2.5\n\n" if every else ""
+    values = {**_KEY_VALUES, "gammas": "0.2"} if kind in ("solve", "riccati") else _KEY_VALUES
     return grid + f"[experiment x]\nkind = {kind}\n" + "".join(
-        f"{key} = {_KEY_VALUES[key]}\n" for key in keys)
+        f"{key} = {values[key]}\n" for key in keys)
 
 
 _PSI = Bump(a=1.5, b=2.5, amplitude=2.0)
@@ -722,10 +729,7 @@ def test_config_hash_in_outputs(tmp_path, capsys):
 
 
 def test_strict_turns_inconclusive_into_failure(tmp_path, capsys):
-    # an unreliable riccati fit on the free model would be inconclusive, but
-    # the free model hits the residual floor and passes; force inconclusive
-    # through a non-certified window instead: use hoelder with an absurd top
-    cfg = parse_config("""
+    text = """
 [model]
 kind = free
 
@@ -736,9 +740,18 @@ h = 0.05
 kind = lap
 lambda = 1.0
 gammas = 0.1, 0.01
-""")
+"""
     # strict with all-pass stays 0
-    assert run(cfg, "lap", out_dir=tmp_path, strict=True) == 0
+    assert run(parse_config(text), "lap", out_dir=tmp_path, strict=True) == 0
+    # a one-Gamma ladder decides nothing: 2, and 1 under strict
+    one = parse_config(text.replace("0.1, 0.01", "0.1"))
+    assert run(one, "lap", out_dir=tmp_path) == 2
+    assert run(one, "lap", out_dir=tmp_path, strict=True) == 1
+    # an error ranks with a failure, over an inconclusive verdict
+    both = parse_config(text.replace("0.1, 0.01", "0.1")
+                        + "\n[experiment below]\nkind = lap\nlambda = -1.0\n")
+    assert run(both, "lap", out_dir=tmp_path) == 1
+    assert "below: ERROR" in capsys.readouterr().out
 
 
 def test_run_solve_exports_solution(tmp_path, capsys):

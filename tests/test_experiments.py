@@ -9,13 +9,15 @@ import pytest
 
 import endspec.closure
 import endspec.experiments
+import endspec.judges
 from endspec.closure import far_field, frozen_from
 from endspec.conditions import check_conditions
 from endspec.errors import AbsorptionError, ConditioningError, ContractError
-from endspec.experiments import (Bump, WeightSpec, _ratio_verdict, _shift_grid,
+from endspec.experiments import (Bump, WeightSpec, _shift_grid,
                                  besov_energy_check, hoelder_estimate, lap_sweep,
                                  probe_set, radiation_sweep, sommerfeld_compare)
 from endspec.geometry import const_profile, geometric_split, geometry_at
+from endspec.judges import ratio_verdict
 from endspec.models import (Model, euclidean_model, exp_model, free_model,
                             hyperbolic_model, multiend_model, power_model,
                             square_well_model, stretched_exp_model)
@@ -199,18 +201,34 @@ def test_radiation_sign_discrimination():
 
 def test_radiation_outside_theorem_flagged():
     m = euclidean_model(3)
-    tab = radiation_sweep(m, 2.0, [0.1], [0.0, 1.5], h=0.05)
+    tab = radiation_sweep(m, 2.0, [0.1, 0.01], [0.0, 1.5], h=0.05)
     flags = {row[1]: row[6] for row in tab.rows}
     assert flags[1.5] is True and flags[0.0] is False
     # exploratory rows do not decide the verdict
     assert tab.verdict == "pass"
 
 
+@pytest.mark.parametrize("sweep", [
+    pytest.param(lambda: lap_sweep(free_model(), 1.0, [0.1], h=0.05), id="lap-one-gamma"),
+    pytest.param(lambda: radiation_sweep(free_model(), 2.0, [0.1, 0.1], [0.0], h=0.05),
+                 id="radiation-one-distinct-gamma"),
+])
+def test_a_ladder_of_one_distinct_gamma_is_inconclusive(sweep, tmp_path):
+    # on one distinct Gamma every ratio is 1 by construction, so the
+    # Gamma-uniformity verdict decides nothing (both sweeps used to pass);
+    # the ratios are still reported and the table still writes
+    table = sweep()
+    ratios = [v for k, v in table.meta.items() if k.startswith("ratio_")]
+    assert table.verdict == "inconclusive"
+    assert ratios and all(v == 1.0 for v in ratios)
+    table.to_csv(tmp_path / "sweep.csv")
+    assert "# verdict: inconclusive" in (tmp_path / "sweep.csv").read_text()
+
+
 def test_radiation_undecided_beta_makes_the_sweep_inconclusive(monkeypatch):
     # one beta whose ratio test cannot decide (no finite positive norm to
     # compare) leaves the sweep undecided, as in lap and the condition report;
     # the other betas' ratio tests run as they are
-    ratio_verdict = endspec.experiments._ratio_verdict
     calls = []
 
     def first_undecided(values, *rest):
@@ -219,7 +237,7 @@ def test_radiation_undecided_beta_makes_the_sweep_inconclusive(monkeypatch):
             return "inconclusive", float("nan")
         return ratio_verdict(values, *rest)
 
-    monkeypatch.setattr(endspec.experiments, "_ratio_verdict", first_undecided)
+    monkeypatch.setattr(endspec.judges, "ratio_verdict", first_undecided)
     tab = radiation_sweep(euclidean_model(3), 2.0, [0.1, 0.01], [0.0, 0.5], h=0.05)
     # beta = 0.5 is decided, and it passes
     assert len(calls) == 2 and tab.meta["ratio_beta_0.5"] <= 2.0
@@ -228,7 +246,7 @@ def test_radiation_undecided_beta_makes_the_sweep_inconclusive(monkeypatch):
 
 
 def test_ratio_verdict_without_a_positive_finite_value_is_undecided():
-    verdict, ratio = _ratio_verdict([0.0, float("nan")])
+    verdict, ratio = ratio_verdict([0.0, float("nan")])
     assert verdict == "inconclusive" and math.isnan(ratio)
 
 @pytest.mark.xfail(strict=True, raises=ConditioningError,
@@ -368,7 +386,7 @@ def _unweighted_l2_sweep():
     op = m.operator(0.0, grid, complex(1.0, 0.001))
     norms = [l2_norm(resolve(op.shifted(complex(1.0, g)), psi).phi, grid)
              for g in (0.001, 0.01, 0.1)]
-    return _ratio_verdict(norms)[0]
+    return ratio_verdict(norms)[0]
 
 
 def _wigner_von_neumann_model():
@@ -422,7 +440,7 @@ def _inverse_square_radiation():
     m = Model(name="inverse_square", profile=prof, potential=geometric_split(
         prof, V_short=lambda r: np.asarray(r, dtype=float) ** -2.0))
     table = radiation_sweep(m, 1.0, [0.1, 0.01, 0.001], [2.5], mode_cap=0.5)
-    return _ratio_verdict(table.column("rad_bstar"))[0]
+    return ratio_verdict(table.column("rad_bstar"))[0]
 
 
 def _wrong_energy_riccati():

@@ -4,10 +4,10 @@ import pytest
 from endspec.errors import BranchError, ContractError
 from endspec.geometry import PotentialSplit, const_profile
 from endspec.models import euclidean_model, free_model, multiend_model
-from endspec.conditions import FIT_R2_MIN
-from endspec.phase import (RICCATI_SLOPE_MAX, ResidualProfile,
-                           _central_derivative, apply_A, grid_phase, phase_a,
-                           r_lambda, riccati_exact, riccati_residual)
+from endspec.judges import FIT_R2_MIN, RICCATI_SLOPE_MAX
+from endspec.phase import (ResidualProfile, _central_derivative, apply_A,
+                           grid_phase, phase_a, r_lambda, riccati_exact,
+                           riccati_residual)
 from endspec.radial import uniform_grid
 
 from oracles import threshold_radius_bisection
